@@ -5,37 +5,7 @@ Every benchmark regenerates one table or figure of the paper at a reduced
 ``python -m repro.experiments.<figure>`` entry points for full-length runs.
 """
 
-from pathlib import Path
-
 import pytest
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip tier-2 benchmarks unless they are explicitly targeted.
-
-    The tier-1 gate (``pytest -x -q``) must stay fast, so tests marked
-    ``tier2`` only run when the invocation names their file directly or
-    selects the marker with ``-m``.
-    """
-    if "tier2" in (config.option.markexpr or ""):
-        return
-    invocation_dir = Path(str(config.invocation_params.dir))
-    explicit_files = set()
-    for arg in config.invocation_params.args:
-        text = str(arg).split("::", 1)[0]
-        if not text or text.startswith("-"):
-            continue
-        path = Path(text)
-        if not path.is_absolute():
-            path = invocation_dir / path
-        explicit_files.add(path.resolve())
-    skip = pytest.mark.skip(
-        reason="tier-2 benchmark; run `PYTHONPATH=src python -m pytest -q "
-        "benchmarks/test_perf_kernel.py`"
-    )
-    for item in items:
-        if "tier2" in item.keywords and Path(str(item.fspath)).resolve() not in explicit_files:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,6 @@ from repro.campaign import (  # noqa: E402
     write_campaign_bench,
 )
 from repro.scenarios import CANNED_SCENARIOS  # noqa: E402
-from repro.scenarios.runner import DEFAULT_KERNEL  # noqa: E402
 from repro.util.wallclock import wall_perf_counter  # noqa: E402
 
 SMOKE_SCENARIOS = ("diurnal", "flash_crowd")
@@ -102,7 +101,7 @@ def run_bench(grid: CampaignGrid, args: argparse.Namespace) -> int:
         serial_store = ResultsStore(Path(tmp) / "serial.jsonl")
         start = wall_perf_counter()
         run_campaign(
-            grid, serial_store, workers=1, kernel=args.kernel,
+            grid, serial_store, workers=1,
             profile_path=Path(tmp) / "serial.profile.jsonl",
         )
         serial_seconds = wall_perf_counter() - start
@@ -110,7 +109,7 @@ def run_bench(grid: CampaignGrid, args: argparse.Namespace) -> int:
         pool_store = ResultsStore(Path(tmp) / "pool.jsonl")
         start = wall_perf_counter()
         run_campaign(
-            grid, pool_store, workers=args.workers, kernel=args.kernel,
+            grid, pool_store, workers=args.workers,
             profile_path=Path(tmp) / "pool.profile.jsonl",
         )
         pool_seconds = wall_perf_counter() - start
@@ -168,7 +167,6 @@ def main(argv: list[str] | None = None) -> int:
         default=Path("campaign_results.jsonl"),
         help="append-only results store (default: campaign_results.jsonl)",
     )
-    parser.add_argument("--kernel", default=DEFAULT_KERNEL, choices=["event", "fast", "reference"])
     parser.add_argument(
         "--table-out",
         type=Path,
@@ -222,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix="campaign-smoke-") as tmp:
             store = ResultsStore(Path(tmp) / "smoke.jsonl")
             report = run_campaign(
-                grid, store, workers=args.workers, kernel=args.kernel,
+                grid, store, workers=args.workers,
                 progress=print_progress,
                 profile_path=Path(tmp) / "smoke.profile.jsonl" if args.profile else None,
             )
@@ -234,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             args.store.with_suffix(".profile.jsonl") if args.profile else None
         )
         report = run_campaign(
-            grid, store, workers=args.workers, kernel=args.kernel,
+            grid, store, workers=args.workers,
             progress=print_progress,
             profile_path=profile_path,
         )

@@ -50,8 +50,6 @@ def expected_payloads() -> dict[Path, str]:
     The combo list is the catalog x GOLDEN_CONTROLLERS matrix plus the
     planner-goldened subset (see ``trace.golden_combos``).
     """
-    # Goldens run the scenario runner's default kernel (the event kernel
-    # since the catalog-wide soak proved it byte-identical to "fast").
     return {
         GOLDEN_DIR / golden_name(scenario, controller): trace_to_json(
             scenario_trace(CANNED_SCENARIOS[scenario], controller)

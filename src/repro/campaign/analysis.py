@@ -7,8 +7,7 @@ the seed axis, rendered side by side through the same
 scorecard.  Plotting is optional and degrades to a no-op when matplotlib is
 not installed (the container does not guarantee it).
 
-:func:`write_campaign_bench` mirrors ``BENCH_kernel.json``: a small JSON
-file at the repo root tracking campaign throughput (runs/s) and the
+:func:`write_campaign_bench` writes a small JSON file at the repo root tracking campaign throughput (runs/s) and the
 process-pool speedup PR over PR.
 """
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.campaign.grid import CampaignCell, CampaignGrid
 from repro.campaign.store import ResultsStore
-from repro.scenarios.runner import DEFAULT_KERNEL, run_scenario
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.sla.scorecard import scorecard_row
 from repro.util.wallclock import wall_perf_counter
@@ -52,16 +52,14 @@ class CampaignReport:
         return self.skipped + len(self.executed)
 
 
-def _cell_record(cell: CampaignCell, spec: ScenarioSpec, kernel: str) -> dict:
+def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
     """Run one cell and reduce it to a store record.
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it.  The record
     carries no wall-clock or host-specific fields: store bytes must be a
     pure function of grid + master seed (see the determinism tests).
     """
-    result = run_scenario(
-        spec, controller=cell.controller, kernel=kernel, keep_simulator=False
-    )
+    result = run_scenario(spec, controller=cell.controller, keep_simulator=False)
     row = scorecard_row(result)
     return {
         "cell": cell.cell_id,
@@ -72,7 +70,9 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec, kernel: str) -> dict:
         "tenant_copies": cell.scale.tenant_copies,
         "seed_index": cell.seed_index,
         "seed": cell.seed,
-        "kernel": kernel,
+        # Fixed since a single solver remains; kept so store lines stay
+        # byte-identical to earlier campaigns.
+        "kernel": "event",
         "skip_active": result.run.skip_active,
         "skip_disabled_reason": result.run.skip_disabled_reason,
         "mean_throughput": row.mean_throughput,
@@ -85,9 +85,7 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec, kernel: str) -> dict:
     }
 
 
-def _cell_record_timed(
-    cell: CampaignCell, spec: ScenarioSpec, kernel: str
-) -> tuple[dict, float]:
+def _cell_record_timed(cell: CampaignCell, spec: ScenarioSpec) -> tuple[dict, float]:
     """:func:`_cell_record` plus the cell's wall-clock seconds.
 
     The duration rides *alongside* the record, never inside it: wall-clock
@@ -95,7 +93,7 @@ def _cell_record_timed(
     function of grid + master seed.
     """
     started = wall_perf_counter()
-    record = _cell_record(cell, spec, kernel)
+    record = _cell_record(cell, spec)
     return record, wall_perf_counter() - started
 
 
@@ -103,18 +101,14 @@ def run_campaign(
     grid: CampaignGrid,
     store: ResultsStore,
     workers: int = 1,
-    kernel: str = DEFAULT_KERNEL,
-    require_skip: bool | None = None,
     progress: Callable[[int, int, str], None] | None = None,
     profile_path: str | Path | None = None,
 ) -> CampaignReport:
     """Run every grid cell not yet in ``store``; return what happened.
 
-    ``require_skip`` asserts every executed run actually had quiescence
-    fast-forwarding engaged; it defaults to on for the event kernel (a
-    campaign silently losing the event-kernel speedup is the failure mode
-    the skip-eligibility satellite made loud) and off for kernels that
-    have no fast-forward path.
+    Every executed run must have had quiescence fast-forwarding engaged: a
+    campaign silently losing that speedup to a controller without
+    ``next_wakeup`` raises :class:`CampaignError` instead.
 
     ``profile_path`` appends one ``{"cell": ..., "seconds": ...}`` JSON line
     per executed cell to a *sidecar* file.  Wall-clock is host- and
@@ -124,8 +118,6 @@ def run_campaign(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if require_skip is None:
-        require_skip = kernel == "event"
     done = store.completed_ids()
     cells = grid.cells()
     pending = [cell for cell in cells if cell.cell_id not in done]
@@ -133,11 +125,10 @@ def run_campaign(
     profile = Path(profile_path) if profile_path is not None else None
 
     def finish(cell: CampaignCell, record: dict, seconds: float) -> None:
-        if require_skip and not record["skip_active"]:
+        if not record["skip_active"]:
             raise CampaignError(
                 f"cell {cell.cell_id}: quiescence skipping was not active "
-                f"({record['skip_disabled_reason'] or 'no reason recorded'}); "
-                "pass require_skip=False to accept tick-by-tick runs"
+                f"({record['skip_disabled_reason'] or 'no reason recorded'})"
             )
         store.append(record)
         report.executed.append(record)
@@ -155,7 +146,7 @@ def run_campaign(
 
     if workers == 1 or len(pending) <= 1:
         for cell in pending:
-            record, seconds = _cell_record_timed(cell, grid.spec_for(cell), kernel)
+            record, seconds = _cell_record_timed(cell, grid.spec_for(cell))
             finish(cell, record, seconds)
         return report
 
@@ -164,7 +155,7 @@ def run_campaign(
         # the store must receive records deterministically for the
         # byte-identity guarantee, and grid order is the natural one.
         futures = [
-            (cell, pool.submit(_cell_record_timed, cell, grid.spec_for(cell), kernel))
+            (cell, pool.submit(_cell_record_timed, cell, grid.spec_for(cell)))
             for cell in pending
         ]
         for cell, future in futures:

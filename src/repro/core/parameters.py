@@ -89,6 +89,3 @@ class MeTParameters:
         """Seconds between Decision Maker invocations."""
         return self.monitor_period_seconds * self.decision_samples
 
-
-#: Parameters used throughout the paper's evaluation (Section 6.1).
-PAPER_PARAMETERS = MeTParameters()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.interfaces import ClusterBackend
 from repro.elasticity.strategies import PlacementPlan
-from repro.simulation.cluster import KERNEL_EVENT, ClusterSimulator
+from repro.simulation.cluster import ClusterSimulator
 
 
 @dataclass
@@ -48,8 +48,7 @@ class TenantSeriesPoint:
     window's per-tick latency distribution summaries -- not means of
     per-tick percentiles -- so a one-tick latency spike inside the window
     surfaces at the tail even when the window mean hides it.  ``None`` when
-    the simulator recorded no distributions
-    (``record_latency_distributions=False`` or pre-distribution runs).
+    the window holds no recorded distribution.
     """
 
     minute: float
@@ -85,7 +84,7 @@ class StrategyRun:
     #: Whether quiescence fast-forwarding was active on the (latest) run
     #: and, when it was not, why -- an empty reason with ``skip_active``
     #: False simply means the run never went through ``run_for``.  Campaign
-    #: sweeps assert on these instead of silently losing the event-kernel
+    #: sweeps assert on these instead of silently losing the fast-forward
     #: speedup to a controller that forgot to implement ``next_wakeup``.
     skip_active: bool = False
     skip_disabled_reason: str = ""
@@ -189,7 +188,7 @@ def apply_placement(simulator: ClusterSimulator, plan: PlacementPlan) -> None:
         region.node = node_name
         region.block_homes = {node_name}
     # Direct node.config writes above bypass the simulator's mutator hooks;
-    # tell the event kernel its cached fixed point is stale.
+    # tell the solver its cached fixed point is stale.
     simulator.invalidate_solution()
 
 
@@ -227,12 +226,11 @@ class ExperimentHarness:
         *before* each tick, and annotated actions are recorded in
         :attr:`StrategyRun.annotations`.
 
-        On the event kernel (``ClusterSimulator(kernel="event")``), and when
-        every registered controller exposes ``next_wakeup(now)``, quiescent
-        stretches are *fast-forwarded*: ticks that would fire no scheduled
-        action, wake no controller and cross no sampling boundary are
-        covered by one :meth:`ClusterSimulator.macro_tick` instead of being
-        simulated one by one.  The recorded series, samples, annotations
+        When every registered controller exposes ``next_wakeup(now)``,
+        quiescent stretches are *fast-forwarded*: ticks that would fire no
+        scheduled action, wake no controller and cross no sampling boundary
+        are covered by one :meth:`ClusterSimulator.macro_tick` instead of
+        being simulated one by one.  The recorded series, samples, annotations
         and machine-minutes are identical either way -- skipping is bounded
         so that every tick with observable side effects runs for real.
         """
@@ -285,13 +283,10 @@ class ExperimentHarness:
         Fast-forward needs every controller to declare when it next acts; an
         unknown controller must be stepped every tick, so its presence
         disables skipping entirely (conservative default).  That silence
-        would otherwise cost a sweep the whole event-kernel speedup, so the
+        would otherwise cost a sweep the whole fast-forward speedup, so the
         reason is recorded on the run and on ``KernelStats.extra`` and an
         opaque controller draws a one-line warning.
         """
-        simulator = self.simulator
-        if simulator.kernel != KERNEL_EVENT:
-            return False, f"kernel {simulator.kernel!r} has no fast-forward path"
         opaque = sorted(
             {
                 type(controller).__name__

@@ -13,10 +13,6 @@ class NoSuchRegionError(HBaseError):
     """No region covers the requested key, or the region id is unknown."""
 
 
-class NoSuchColumnFamilyError(HBaseError):
-    """The requested column family is not declared by the table."""
-
-
 class RegionOfflineError(HBaseError):
     """The region is temporarily unavailable (its server is restarting)."""
 

@@ -304,7 +304,6 @@ def probe_records(
     scenarios: tuple[str, ...] = ("tpcc_steady", "mixed_tenancy"),
     loads: tuple[float, ...] = (0.4, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0),
     controller: str = "none",
-    kernel: str | None = None,
     master_seed: int = 0,
 ) -> list[dict]:
     """Run fresh seeded probe cells and return campaign-style records.
@@ -320,7 +319,7 @@ def probe_records(
 
     from repro.campaign.grid import ScaleSpec, apply_scale, derive_seed
     from repro.scenarios.catalog import CANNED_SCENARIOS
-    from repro.scenarios.runner import DEFAULT_KERNEL, run_scenario
+    from repro.scenarios.runner import run_scenario
     from repro.sla.scorecard import scorecard_row
 
     records: list[dict] = []
@@ -333,7 +332,6 @@ def probe_records(
             result = run_scenario(
                 spec,
                 controller=controller,
-                kernel=kernel or DEFAULT_KERNEL,
                 keep_simulator=False,
                 record_tenant_series=True,
             )
@@ -356,7 +354,7 @@ def probe_records(
 
 #: Default model: fitted from the seeded probe sweep above
 #: (``fit_calibration(probe_records(), name="catalog-probe-v1")`` at master
-#: seed 0 -- regenerate with ``scripts/plan.py --recalibrate`` after kernel
+#: seed 0 -- regenerate with ``scripts/plan.py --recalibrate`` after solver
 #: or catalog changes; a regression test pins this equality).  Baked in so
 #: planner-controlled scenario runs and ``scripts/plan.py`` need no
 #: campaign store to exist.

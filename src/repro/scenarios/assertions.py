@@ -306,9 +306,8 @@ class LatencyPercentileWithin(ScenarioAssertion):
     window distributions (:class:`~repro.simulation.latency.LatencySummary`),
     so a tenant whose *mean* stays flat while its tail spikes still fails.
     ``percentile`` must be 95 or 99 -- the two the harness records.  Fails
-    when no sample carries distribution data -- a run built with
-    ``record_latency_distributions=False`` cannot vacuously pass a tail
-    promise.
+    when no sample carries distribution data -- a run without recorded
+    distributions cannot vacuously pass a tail promise.
     """
 
     tenant: str = ""

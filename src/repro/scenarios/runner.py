@@ -36,13 +36,6 @@ from repro.simulation.hardware import HardwareSpec
 #: Controllers a scenario can run under.
 CONTROLLERS = ("none", "met", "tiramola", "planner")
 
-#: Kernel scenario runs default to.  The event kernel soaked across the
-#: whole catalog byte-identical to ``"fast"`` (tests/test_kernel_soak.py)
-#: and fast-forwards quiescent stretches, so it is the default for every
-#: scenario path (runner, traces, scorecards, campaigns); pass
-#: ``kernel="fast"`` explicitly to opt out.
-DEFAULT_KERNEL = "event"
-
 #: Default scenario hardware: the weak elasticity-experiment VMs of
 #: Section 6.4, so reduced-scale scenarios still saturate a few nodes.
 SCENARIO_HARDWARE = HardwareSpec(
@@ -61,7 +54,6 @@ class ScenarioRunResult:
 
     spec: ScenarioSpec
     controller: str
-    kernel: str
     run: StrategyRun
     decisions: list[dict] = field(default_factory=list)
     #: Verdicts of the spec's declared assertions (those applicable to the
@@ -127,13 +119,12 @@ def materialise_tenants(simulator: ClusterSimulator, tenants) -> list:
 
 
 def build_scenario(
-    spec: ScenarioSpec, kernel: str = DEFAULT_KERNEL
+    spec: ScenarioSpec,
 ) -> tuple[ClusterSimulator, OpenStackProvider, ScenarioContext, list[str]]:
     """Materialise the spec's cluster and initial tenants (no controller yet)."""
     simulator = ClusterSimulator(
         hardware=spec.hardware or SCENARIO_HARDWARE,
         tick_seconds=spec.tick_seconds,
-        kernel=kernel,
         seed=spec.seed,
     )
     provider = OpenStackProvider(simulator.clock, boot_seconds=simulator.boot_seconds)
@@ -220,7 +211,6 @@ def _normalise_decisions(name: str, controller) -> list[dict]:
 def run_scenario(
     spec: ScenarioSpec,
     controller: str = "none",
-    kernel: str = DEFAULT_KERNEL,
     sample_every_seconds: float = 60.0,
     keep_simulator: bool = True,
     record_tenant_series: bool = True,
@@ -233,7 +223,7 @@ def run_scenario(
     thousands of runs holds at most the one simulator it is currently
     running (see :meth:`ClusterSimulator.dispose`).
     """
-    simulator, provider, context, _ = build_scenario(spec, kernel=kernel)
+    simulator, provider, context, _ = build_scenario(spec)
     backend = make_backend(simulator, provider=provider)
     context.faults.vm_ids = backend.vm_ids
     instance, daemons = _make_controller(controller, spec, backend, simulator)
@@ -255,7 +245,6 @@ def run_scenario(
     result = ScenarioRunResult(
         spec=spec,
         controller=controller,
-        kernel=kernel,
         run=run,
         decisions=_normalise_decisions(controller, instance),
         slo_reports=evaluate_slos(
@@ -271,7 +260,7 @@ def run_scenario(
     if not keep_simulator:
         # Eagerly break the back-references that would otherwise pin the
         # simulator until a cyclic gc pass: the simulator's own cycles
-        # (regions' _owner, the solver strategy) and MeT's actuator
+        # (regions' _owner, the solver) and MeT's actuator
         # completion callback, which closes a controller -> actuator ->
         # controller loop holding the backend (and through it the
         # simulator) alive.

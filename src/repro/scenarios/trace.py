@@ -8,8 +8,8 @@ summary.  Traces serve two purposes:
 * **regression goldens** -- committed under ``tests/golden/`` and diffed on
   every test run, locking down the end-to-end behaviour of the whole
   controller stack (simulator, monitor, decision maker, actuator, IaaS);
-* **kernel equivalence** -- the fast and reference kernels must produce
-  traces that agree within 1e-6 relative tolerance on every scenario.
+* **solver equivalence** -- the solver and the test suite's reference
+  oracle must produce traces that agree within 1e-6 relative tolerance.
 
 Serialisation is canonical (sorted keys, fixed float rounding), so two
 identical-seed runs produce byte-identical files.
@@ -21,7 +21,7 @@ import json
 import math
 from pathlib import Path
 
-from repro.scenarios.runner import DEFAULT_KERNEL, ScenarioRunResult, run_scenario
+from repro.scenarios.runner import ScenarioRunResult, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.latency import BINS_PER_DECADE, MIN_MS, WEIGHT_SCALE
 
@@ -76,12 +76,12 @@ def golden_name(scenario: str, controller: str) -> str:
 
 #: Decimal places kept for floats in a trace.  Coarse enough that canonical
 #: JSON is stable and readable, fine enough (micro-op/s on kilo-op/s series)
-#: that a 1e-6 relative kernel divergence is still visible.
+#: that a 1e-6 relative solver divergence is still visible.
 FLOAT_DECIMALS = 6
 #: Decimal places kept for the per-tenant series.  Deliberately coarser than
 #: the cluster series: tenant series are the bulkiest trace section (one row
 #: per tenant per sample), milli-op/s / micro-second precision says nothing
-#: about service quality, and the golden suite's kernel-agreement check
+#: about service quality, and the golden suite's oracle-agreement check
 #: compares them with its own looser tolerance.
 TENANT_SERIES_DECIMALS = 3
 
@@ -110,7 +110,9 @@ def result_trace(result: ScenarioRunResult) -> dict:
         "scenario": result.spec.name,
         "seed": result.spec.seed,
         "controller": result.controller,
-        "kernel": result.kernel,
+        # Fixed since a single solver remains; dropped at the next
+        # TRACE_FORMAT bump.
+        "kernel": "event",
         "duration_minutes": _round(result.spec.duration_minutes),
         "series": [
             {
@@ -165,7 +167,7 @@ def result_trace(result: ScenarioRunResult) -> dict:
         # Whole-run merged latency distribution per tenant: the summary's
         # sparse integer histogram (exact, mergeable) plus headline
         # quantiles.  Counts are integers, so this section is byte-exact
-        # across kernels; empty when distributions were disabled.
+        # across solver loops.
         "latency_distributions": {
             name: {
                 "bins_per_decade": BINS_PER_DECADE,
@@ -211,11 +213,9 @@ def result_trace(result: ScenarioRunResult) -> dict:
     }
 
 
-def scenario_trace(
-    spec: ScenarioSpec, controller: str = "met", kernel: str = DEFAULT_KERNEL
-) -> dict:
+def scenario_trace(spec: ScenarioSpec, controller: str = "met") -> dict:
     """Run ``spec`` and return its trace."""
-    result = run_scenario(spec, controller=controller, kernel=kernel, keep_simulator=False)
+    result = run_scenario(spec, controller=controller, keep_simulator=False)
     return result_trace(result)
 
 
@@ -253,7 +253,7 @@ def diff_traces(
     """Differences between two traces, as human-readable paths.
 
     Floats compare with tolerances (so goldens survive harmless last-digit
-    drift and the kernel-equivalence check can use 1e-6); everything else
+    drift and the oracle-equivalence check can use 1e-6); everything else
     must match exactly.  Returns an empty list when the traces agree.
     """
     differences: list[str] = []

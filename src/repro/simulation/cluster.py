@@ -14,26 +14,13 @@ framework, the tiramola baseline and the manual strategies need:
 * actions -- add/remove nodes (with IaaS-like boot delays), reconfigure a
   node (drain + restart), move regions, trigger major compactions.
 
-Three kernels solve the per-tick closed-loop fixed point (implemented as
-solver strategies in :mod:`repro.simulation.solvers`):
-
-* ``kernel="fast"`` (the default) keeps an incremental ``node -> regions``
-  index, reuses :class:`~repro.simulation.perfmodel.RegionLoadProfile`
-  objects and offered-rate dicts across fixed-point iterations, evaluates
-  nodes through memoised tick-constant
-  :class:`~repro.simulation.perfmodel.NodeEvaluator` contexts, and stops
-  iterating as soon as per-binding throughputs converge below
-  ``fixed_point_tolerance``;
-* ``kernel="reference"`` preserves the original seed behaviour -- full
-  region scans, fresh allocations and a fixed iteration count -- and exists
-  as the baseline for ``scripts/bench_kernel.py`` and the kernel
-  equivalence regression test;
-* ``kernel="event"`` builds on the fast kernel: a tick-stable, insert-free
-  fixed point is *reused* across ticks until any mutation dirties it, an
-  internal :class:`~repro.simulation.events.EventLoop` bounds how far a
-  quiescent stretch may be fast-forwarded in one macro-tick, and real
-  solves run through a vectorised (numpy) per-region hot loop at scale.
-  Opt-in because fast remains the golden-trace kernel.
+Each tick solves the closed-loop throughput fixed point with
+:class:`~repro.simulation.solvers.EventSolver`, which reads the simulator's
+incremental ``node -> regions`` index and reuses a tick-stable, insert-free
+solution until a mutation dirties it.  An internal
+:class:`~repro.simulation.events.EventLoop` of node boot/restart and
+compaction completions bounds how far :meth:`ClusterSimulator.run` (and the
+experiment harness) may fast-forward a quiescent stretch in one macro-tick.
 """
 
 from __future__ import annotations
@@ -41,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
 from repro.util.rng import make_rng
@@ -55,13 +43,7 @@ from repro.simulation.events import (
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
-from repro.simulation.solvers import (
-    KERNEL_EVENT,
-    KERNEL_FAST,
-    KERNEL_REFERENCE,
-    KERNELS,
-    make_solver,
-)
+from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
 
 #: Time for a new virtual machine to boot and join the cluster (seconds).
@@ -80,18 +62,13 @@ STATE_BOOTING = "booting"
 STATE_RESTARTING = "restarting"
 STATE_OFFLINE = "offline"
 
-#: Default relative tolerance at which the adaptive fixed point stops
-#: iterating; tight enough that fast and reference kernels agree to well
-#: within 1e-6 relative on per-binding throughput series.
-DEFAULT_FIXED_POINT_TOLERANCE = 1e-8
-#: Iteration cap of the fixed-point solver (the seed always ran this many).
-DEFAULT_FIXED_POINT_ITERATIONS = 10
-
 #: Safety margin (ticks) by which compaction-completion events are
 #: scheduled early: the ticks between the event and the actual completion
 #: are simulated for real (cheap -- the cached solution is still reused),
 #: which keeps macro-tick spans strictly clear of the completion tick.
 _COMPACTION_EVENT_MARGIN_TICKS = 2.0
+
+_REGION_SEQ = attrgetter("_seq")
 
 
 class SimulationError(RuntimeError):
@@ -131,8 +108,8 @@ class SimulatedRegion:
             return
         object.__setattr__(self, name, value)
         if name == "block_homes":
-            # Replacing the block-home set changes locality, which the event
-            # kernel's cached solution depends on (compaction completions and
+            # Replacing the block-home set changes locality, which the
+            # cached solution depends on (compaction completions and
             # placement plans assign it directly).
             owner = getattr(self, "_owner", None)
             if owner is not None:
@@ -184,15 +161,8 @@ class ClusterSimulator:
         boot_seconds: float = DEFAULT_BOOT_SECONDS,
         restart_seconds: float = DEFAULT_RESTART_SECONDS,
         tick_seconds: float = 5.0,
-        kernel: str = KERNEL_FAST,
-        fixed_point_tolerance: float = DEFAULT_FIXED_POINT_TOLERANCE,
-        fixed_point_max_iterations: int = DEFAULT_FIXED_POINT_ITERATIONS,
         seed: int | random.Random = 0,
-        vectorize: bool | None = None,
-        record_latency_distributions: bool = True,
     ) -> None:
-        if kernel not in KERNELS:
-            raise SimulationError(f"unknown kernel {kernel!r}")
         #: The run's randomness stream.  The simulator itself is fully
         #: deterministic; this generator is what scenario components
         #: (balancers, fault injectors, arriving-tenant placement) share so
@@ -207,9 +177,6 @@ class ClusterSimulator:
         self.nodes: dict[str, SimulatedNode] = {}
         self.regions: dict[str, SimulatedRegion] = {}
         self.bindings: dict[str, WorkloadBinding] = {}
-        self.kernel = kernel
-        self.fixed_point_tolerance = fixed_point_tolerance
-        self.fixed_point_max_iterations = fixed_point_max_iterations
         self._node_counter = itertools.count(1)
         self._region_seq = itertools.count()
         self._model_cache: dict[HardwareSpec, PerformanceModel] = {}
@@ -217,10 +184,6 @@ class ClusterSimulator:
         #: Most recent per-binding mean request latency (ms), from the same
         #: final fixed-point state as the achieved throughputs.
         self._binding_latency_ms: dict[str, float] = {}
-        #: Whether solvers build -- and the tick loop records -- per-binding
-        #: latency distribution summaries alongside the scalar means.  On by
-        #: default; pure-throughput sweeps can turn it off (PERFORMANCE.md).
-        self.record_latency_distributions = record_latency_distributions
         #: Most recent per-binding latency summary (same solve as the means).
         self._binding_latency_summary: dict[str, object] = {}
         #: Incremental node -> {region_id -> region} index (``None`` bucket
@@ -237,17 +200,17 @@ class ClusterSimulator:
         self._workloads_version = 0
         #: Bumped on any topology/config/hardware/assignment/locality change;
         #: together with the workload version it forms the signature the
-        #: event kernel's cached solution and vector context are keyed on.
+        #: solver's cached solution and vector context are keyed on.
         self._structure_version = 0
         #: Pre-fault hardware of degraded nodes (see degrade_node).
         self._base_hardware: dict[str, HardwareSpec] = {}
         self.total_ops = 0.0
-        #: Internal event queue bounding event-kernel fast-forwards (boot /
-        #: restart / compaction completions).  Unused by the other kernels.
+        #: Internal event queue bounding fast-forwards (boot / restart /
+        #: compaction completions).
         self.events = EventLoop()
         #: Tick/solve/skip counters (benchmark + regression instrumentation).
         self.stats = KernelStats()
-        self._solver = make_solver(kernel, self, vectorize=vectorize)
+        self._solver = EventSolver(self)
 
     # ------------------------------------------------------------------ #
     # topology management
@@ -276,7 +239,7 @@ class ClusterSimulator:
             node.state_until = self.clock.now + self.boot_seconds
         self.nodes[name] = node
         self._mark_structure()
-        if self.kernel == KERNEL_EVENT and not online:
+        if not online:
             self.events.schedule(
                 node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
             )
@@ -385,10 +348,9 @@ class ClusterSimulator:
         node.state = STATE_RESTARTING
         node.state_until = self.clock.now + self.restart_seconds
         self._mark_structure()
-        if self.kernel == KERNEL_EVENT:
-            self.events.schedule(
-                node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
-            )
+        self.events.schedule(
+            node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
+        )
         return drained
 
     def major_compact(self, name: str) -> float:
@@ -527,7 +489,7 @@ class ClusterSimulator:
             raise SimulationError(f"unknown workload {name!r}")
         self.bindings[name].active = active
         # ``active`` is consulted live by max_throughput -- no version bump,
-        # but any cached event-kernel solution is now wrong.
+        # but any cached solution is now wrong.
         self._mark_dirty()
 
     def update_workload(
@@ -539,9 +501,9 @@ class ClusterSimulator:
     ) -> None:
         """Mutate a live tenant (mix shifts, load curves, thread scaling).
 
-        The fast kernel caches per-region unit rates keyed on the workload
+        The solver caches per-region unit rates keyed on the workload
         version, so any change to the op mix (or the region weights) must go
-        through here -- mutating the binding directly would leave the kernel
+        through here -- mutating the binding directly would leave the solver
         serving the stale mix.  Throughput targets are consulted live and
         need no invalidation, but routing them here keeps one entry point.
         """
@@ -566,7 +528,7 @@ class ClusterSimulator:
             self.notify_workload_changed()
         else:
             # Target/thread changes are consulted live but still invalidate
-            # any cached event-kernel solution.
+            # any cached solution.
             self._mark_dirty()
 
     def notify_workload_changed(self) -> None:
@@ -588,11 +550,20 @@ class ClusterSimulator:
     def regions_on(self, node_name: str) -> list[SimulatedRegion]:
         """Regions currently assigned to ``node_name``.
 
-        Returned in global region-creation order (the order the seed's full
-        scan produced).  The fast/event kernels answer from the incremental
-        index; the reference kernel keeps the seed's O(regions) scan.
+        Returned in global region-creation order (the order a full scan of
+        :attr:`regions` produces), answered from the incremental index.
         """
-        return self._solver.regions_on(node_name)
+        bucket = self._regions_by_node.get(node_name)
+        if not bucket:
+            return []
+        # The sorted order only changes when the bucket's membership does,
+        # which is exactly when the assignment version is bumped.
+        version = self._assignment_versions.get(node_name, 0)
+        cached = self._sorted_regions_cache.get(node_name)
+        if cached is None or cached[0] != version:
+            cached = (version, sorted(bucket.values(), key=_REGION_SEQ))
+            self._sorted_regions_cache[node_name] = cached
+        return list(cached[1])
 
     def node_locality_index(self, node_name: str) -> float:
         """Size-weighted locality of the regions hosted by a node."""
@@ -622,8 +593,7 @@ class ClusterSimulator:
         The :class:`~repro.simulation.latency.LatencySummary` the solver
         built at the last tick's fixed point -- the distribution whose
         weighted mean is :meth:`binding_latency_ms`.  ``None`` before the
-        first tick, for unknown tenants, or when distribution recording is
-        disabled.
+        first tick or for unknown tenants.
         """
         return self._binding_latency_summary.get(name)
 
@@ -637,15 +607,14 @@ class ClusterSimulator:
     def run(self, seconds: float) -> None:
         """Advance the simulation by ``seconds`` in whole ticks.
 
-        The event kernel fast-forwards quiescent stretches in macro-ticks
-        (bounded by :meth:`quiescent_ticks`); the other kernels -- and any
-        trailing partial tick -- advance tick by tick.
+        Quiescent stretches are fast-forwarded in macro-ticks (bounded by
+        :meth:`quiescent_ticks`); everything else -- and any trailing
+        partial tick -- advances tick by tick.
         """
         remaining = seconds
         dt = self.clock.tick_seconds
-        event_kernel = self.kernel == KERNEL_EVENT
         while remaining > 1e-9:
-            if event_kernel and remaining >= 2.0 * dt - 1e-9:
+            if remaining >= 2.0 * dt - 1e-9:
                 budget = int((remaining + 1e-9) // dt)
                 skip = self.quiescent_ticks(budget)
                 if skip >= 2:
@@ -676,7 +645,7 @@ class ClusterSimulator:
         self.clock.advance(dt)
 
     # ------------------------------------------------------------------ #
-    # event kernel: quiescence detection and fast-forward
+    # quiescence detection and fast-forward
     # ------------------------------------------------------------------ #
     def steady_horizon(self) -> float:
         """Earliest simulated time at which a tick could differ from the
@@ -690,7 +659,7 @@ class ClusterSimulator:
         sampling cadences) before skipping.
         """
         now = self.clock.now
-        if self.kernel != KERNEL_EVENT or not self._solver.reuse_ready():
+        if not self._solver.reuse_ready():
             return now
         horizon = self.events.horizon(now, self._event_stale)
         if horizon <= now:
@@ -709,12 +678,12 @@ class ClusterSimulator:
     def quiescent_ticks(self, max_ticks: int) -> int:
         """Number of immediately-upcoming ticks that can be fast-forwarded.
 
-        0 unless the event kernel has a reusable solution covering at least
-        the next two ticks.  Every returned tick starts strictly before the
+        0 unless the solver has a reusable solution covering at least the
+        next two ticks.  Every returned tick starts strictly before the
         steady horizon, so the first tick at (or after) the horizon is
         always simulated for real.
         """
-        if self.kernel != KERNEL_EVENT or max_ticks < 2:
+        if max_ticks < 2:
             return 0
         now = self.clock.now
         dt = self.clock.tick_seconds
@@ -768,7 +737,7 @@ class ClusterSimulator:
             clock.advance(dt)
 
     def invalidate_solution(self) -> None:
-        """Force the event kernel to re-solve on the next tick.
+        """Force the solver to re-solve on the next tick.
 
         External code that mutates simulator state directly (placement
         plans, test fixtures) must call this; the simulator's own mutators
@@ -782,7 +751,7 @@ class ClusterSimulator:
         A discarded simulator (``run_scenario(keep_simulator=False)``, sweep
         workers looping over thousands of runs) would otherwise linger until
         a *cyclic* gc pass: every region holds an ``_owner`` back-reference
-        and the solver strategy points back at the simulator.  Disposal
+        and the solver points back at the simulator.  Disposal
         breaks those cycles so plain reference counting reclaims the whole
         object graph the moment the last external reference drops.  The
         simulator cannot be ticked afterwards.
@@ -822,7 +791,7 @@ class ClusterSimulator:
 
     def _schedule_compaction_event(self, node: SimulatedNode) -> None:
         """Queue a conservative completion marker for a node's compaction."""
-        if self.kernel != KERNEL_EVENT or node.pending_compaction_bytes <= 0:
+        if node.pending_compaction_bytes <= 0:
             return
         rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
         eta = (
@@ -922,30 +891,6 @@ class ClusterSimulator:
                     region.block_homes = {node.name}
         return background
 
-    # ------------------------------------------------------------------ #
-    # fixed-point solver -- delegated to the kernel's strategy
-    # ------------------------------------------------------------------ #
-    def _solve_fixed_point(
-        self, compaction_bg: dict[str, float]
-    ) -> tuple[
-        dict[str, float],
-        dict[str, object],
-        dict[str, dict[str, float]],
-        dict[str, float],
-        dict[str, object],
-    ]:
-        """Solve the closed-loop throughput fixed point for this tick.
-
-        Returns the per-binding *achieved* throughput, the per-node model
-        results, the per-region achieved rates, the per-binding mean
-        request latency (ms) and the per-binding latency distribution
-        summaries at the final state.  Achieved throughput is
-        work-conserving: offered load on a node is clamped to the node's
-        capacity (utilisation 1.0).  The actual implementation lives in the
-        kernel's :class:`~repro.simulation.solvers.SolverStrategy`.
-        """
-        return self._solver.solve(compaction_bg)
-
     def _apply_tick_results(
         self,
         dt: float,
@@ -1029,7 +974,7 @@ class ClusterSimulator:
             samples.append((node.name, "requests", node.served_ops))
             samples.append((node.name, "locality", locality))
         self.metrics.record_many(now, samples)
-        if binding_summaries and self.record_latency_distributions:
+        if binding_summaries:
             self._binding_latency_summary = binding_summaries
             self.metrics.record_distributions(
                 now,
@@ -1141,7 +1086,7 @@ class ClusterSimulator:
             now = now + dt
             timestamps.append(now)
         self.metrics.record_many_repeated(timestamps, samples)
-        if binding_summaries and self.record_latency_distributions:
+        if binding_summaries:
             # The same frozen summary object is appended at every timestamp:
             # a window merge over the span adds its integer counts k times,
             # bit-identical to the k per-tick summaries individual ticks

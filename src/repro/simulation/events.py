@@ -1,23 +1,23 @@
-"""Event queue and counters for the event-driven simulation kernel.
+"""Event queue and counters for the simulator's fast-forward path.
 
-The event kernel (``ClusterSimulator(kernel="event")``) advances simulated
-time directly to the next *meaningful* timestamp instead of re-solving an
+:class:`~repro.simulation.cluster.ClusterSimulator` advances simulated time
+directly to the next *meaningful* timestamp instead of re-solving an
 identical closed-loop fixed point every tick.  Two pieces live here:
 
 * :class:`EventLoop` -- a heapq-backed priority queue of internal simulator
   events (node boot/restart completions, major-compaction completions).
-  Events are *horizon markers*: they bound how far the kernel may fast-
+  Events are *horizon markers*: they bound how far the simulator may fast-
   forward a quiescent stretch.  The per-tick state machinery
   (``_advance_node_states`` / ``_progress_compactions``) still performs the
   actual transitions, so a stale or early event is harmless -- it merely
-  forces an extra real solve -- while a *missing* event would let the kernel
-  skip past a state change.  Every mutator that creates future work must
-  therefore schedule an event at (or conservatively before) the first tick
-  whose solve could differ.
+  forces an extra real solve -- while a *missing* event would let the
+  simulator skip past a state change.  Every mutator that creates future
+  work must therefore schedule an event at (or conservatively before) the
+  first tick whose solve could differ.
 
 * :class:`KernelStats` -- counters separating real fixed-point solves from
-  reused and fast-forwarded ticks; the benchmark's steady-state-fraction
-  column and the quiescence regression tests read these.
+  reused and fast-forwarded ticks; the benchmark's ``kernel.*`` metrics
+  and the quiescence regression tests read these.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class EventLoop:
 
 @dataclass
 class KernelStats:
-    """How the kernel spent its simulated ticks.
+    """How the simulator spent its simulated ticks.
 
     ``ticks`` counts every simulated tick; each tick is either a real
     ``solve``, a ``reused`` tick (cached fixed point replayed through a

@@ -120,9 +120,9 @@ class DistributionSeries:
 
     Values are summary objects exposing ``merge(other)`` and a no-argument
     constructor (duck-typed so this module stays independent of the latency
-    module); the event kernel's macro-tick appends the *same* frozen summary
+    module); the simulator's macro-tick appends the *same* frozen summary
     object at many timestamps, which window merges treat identically to the
-    per-tick fresh summaries the fast kernel records.
+    fresh summaries individual ticks record.
     """
 
     name: str

@@ -1,36 +1,32 @@
-"""Fixed-point solver strategies for :class:`ClusterSimulator`.
+"""The fixed-point solver of :class:`ClusterSimulator`.
 
 The simulator's tick loop needs, per tick, the closed-loop throughput fixed
 point: per-binding achieved throughput, per-node model results, per-region
 achieved rates, per-binding mean latency and per-binding latency
-distribution summaries.  Three strategies produce it:
+distribution summaries.  :class:`EventSolver` produces it:
 
-* :class:`ReferenceSolver` -- the seed behaviour: full region scans, fresh
-  allocations and a fixed iteration count.  Baseline for benchmarks and the
-  kernel equivalence regression.
-* :class:`FastSolver` -- the optimised scalar kernel: incremental
-  node->regions index, memoised :class:`NodeEvaluator` contexts, slot-indexed
-  rate rows and adaptive convergence.
-* :class:`EventSolver` -- the event-driven kernel.  Extends the fast solver
-  with (a) *solution reuse*: a tick-stable, insert-free fixed point is
-  replayed verbatim until a dirty flag (any simulator mutation), a
-  background-I/O change or an internal event invalidates it; and (b) a
-  *vectorised* solve:
-  per-region demand/cost rows live in contiguous numpy arrays grouped by
-  node, so one ``np.add.reduceat`` aggregates all nodes per fixed-point
-  iteration.  Falls back to the scalar fast path when numpy is unavailable
-  or the cluster is small enough that array overhead would dominate.
+* *solution reuse*: a tick-stable, insert-free fixed point is replayed
+  verbatim until a dirty flag (any simulator mutation), a background-I/O
+  change or an internal event invalidates it;
+* real solves run one of two inner loops over the same cost model, picked
+  by cluster size.  The *scalar* loop evaluates nodes through memoised
+  :class:`NodeEvaluator` contexts over slot-indexed rate rows; the *vector*
+  loop keeps per-region demand/cost rows in contiguous numpy arrays grouped
+  by node, so one ``np.add.reduceat`` aggregates all nodes per fixed-point
+  iteration.  Array set-up dominates small clusters, so the vector loop runs
+  from :data:`VECTOR_MIN_REGIONS` regions up; the two agree to float
+  rounding.
 
-Strategies deliberately share the simulator's topology caches (region
-index, assignment versions); solver-private state (evaluator memos, rate
-contexts, cached solutions, vector contexts) lives on the strategy and is
-invalidated through :meth:`SolverStrategy.invalidate` /
-:meth:`SolverStrategy.forget_node`, which every simulator mutator calls.
+The solver shares the simulator's topology caches (region index,
+assignment versions); its private state (evaluator memos, rate contexts,
+the cached solution, the vector context) is dropped through
+:meth:`EventSolver.invalidate` / :meth:`EventSolver.forget_node`, which
+every simulator mutator calls.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+import numpy as np
 
 from repro.simulation.hardware import MB
 from repro.simulation.latency import LatencySummary, bin_index, quantise_weight
@@ -50,29 +46,22 @@ from repro.simulation.perfmodel import (
     OP_TYPES,
     REMOTE_READ_IOPS_FACTOR,
     REMOTE_READ_LATENCY_FACTOR,
-    RegionLoadProfile,
     ServiceDemand,
     WRITE_AMP_BASE,
     WRITE_AMP_MEMSTORE_FACTOR,
     _bottleneck,
 )
 
-try:  # numpy is optional: the event kernel degrades to the scalar fast path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
-
-#: Kernel implementations (the simulator re-exports these).
-KERNEL_FAST = "fast"
-KERNEL_REFERENCE = "reference"
-KERNEL_EVENT = "event"
-KERNELS = (KERNEL_FAST, KERNEL_REFERENCE, KERNEL_EVENT)
-
-#: Hosted-region count below which the event kernel's numpy path loses to
-#: the scalar row loop (array setup dominates tiny clusters).
+#: Hosted-region count from which the vector loop beats the scalar one
+#: (array set-up dominates tiny clusters).
 VECTOR_MIN_REGIONS = 64
 
-_REGION_SEQ = attrgetter("_seq")
+#: Relative tolerance at which the damped fixed-point iteration stops; tight
+#: enough that the solver agrees with the seed's fixed-iteration solve to
+#: well within 1e-6 relative on per-binding throughput series.
+FIXED_POINT_TOLERANCE = 1e-8
+#: Iteration cap of the fixed-point solve (the seed always ran this many).
+FIXED_POINT_MAX_ITERATIONS = 10
 
 #: Operation name -> slot in the 5-float rate rows (``OP_TYPES`` order).
 _OP_SLOT = {op: slot for slot, op in enumerate(OP_TYPES)}
@@ -95,8 +84,7 @@ SolveResult = tuple[
 ]
 
 #: Latency (ms) charged to requests against an unavailable region (node
-#: restarting): requests block and retry.  Mirrors the scalar kernels'
-#: inline ``weight * 500.0`` term.
+#: restarting): requests block and retry.
 UNAVAILABLE_MS = 500.0
 
 
@@ -107,9 +95,9 @@ def binding_summaries(
 ) -> dict[str, LatencySummary]:
     """Per-binding latency distributions at one solved fixed point.
 
-    Shared by all three kernels so the distribution channel cannot drift
-    between them: each kernel hands over its final per-node per-op latency
-    dicts and the region->node map, and the atoms recorded here are exactly
+    Shared by both inner loops (and the test oracle) so the distribution
+    channel cannot drift between them: each hands over its final per-node
+    per-op latency dicts and the region->node map, and the atoms recorded here are exactly
     the ``region_weight * op_fraction`` terms of the scalar mean -- the
     summary's weighted mean and ``binding_latency`` agree by construction,
     while the summary keeps the shape the mean throws away.
@@ -149,186 +137,182 @@ def binding_summaries(
     return summaries
 
 
-class SolverStrategy:
-    """Interface between the simulator's tick loop and one kernel."""
+def _damp(throughputs: dict[str, float], name: str, target: float) -> bool:
+    """One damped fixed-point step for binding ``name``.
 
-    kernel: str = "?"
+    Moves its throughput halfway towards ``target`` and returns whether the
+    step was still larger than :data:`FIXED_POINT_TOLERANCE` (relative).
+    """
+    previous = throughputs[name]
+    updated = 0.5 * previous + 0.5 * target
+    throughputs[name] = updated
+    return abs(updated - previous) > FIXED_POINT_TOLERANCE * max(
+        abs(previous), abs(updated), 1.0
+    )
+
+
+class _VectorContext:
+    """Columnar view of the online cluster for the vectorised solver.
+
+    Regions are laid out contiguously grouped by hosting node (nodes in
+    simulator insertion order, regions in creation order within a node) so
+    ``np.add.reduceat`` over ``offsets`` yields per-node sums in exactly the
+    order the scalar loop accumulates them.  Static columns are built once
+    per (workloads, structure) signature; size/locality-dependent columns
+    are refreshed cheaply every solve (insert growth, moves, compactions).
+    """
+
+    __slots__ = (
+        "regions",
+        "node_names",
+        "empty_nodes",
+        "offsets",
+        "node_idx",
+        "region_node",
+        # per-node parameter arrays (length N)
+        "cache_eff",
+        "cpu_budget",
+        "iops_budget",
+        "bytes_budget",
+        "net_budget",
+        "disk_ms",
+        "blocks0",
+        "scan_len0",
+        "cache_bytes_mem",
+        "memstore",
+        "heap_bytes",
+        "memory_bytes",
+        "background",
+        # per-region static columns (length R)
+        "hot_frac",
+        "hot_req_frac",
+        "blockR",
+        "blocksR",
+        "w_cpu",
+        "w_iops",
+        "w_bytes",
+        "w_net",
+        "s_cpu",
+        "s_net0",
+        "s_bytes",
+        # per-region dynamic columns (refreshed each solve)
+        "sizes",
+        "hot_bytes",
+        "cold_bytes",
+        "loc",
+        "r_iops",
+        "r_netm",
+        "s_iops",
+        "s_netm",
+        # workload structures
+        "binding_fill",
+        "binding_terms",
+        "mix_matrix",
+        # scratch
+        "rates",
+    )
+
+
+class EventSolver:
+    """Cached-solution reuse over a scalar and a vectorised real solve.
+
+    Reuse is conservative.  A cached solution is only replayed when ALL of:
+
+    * no simulator mutation since the solve (every mutator calls
+      :meth:`invalidate`; the (workloads, structure) version signature is a
+      second line of defence against direct-attribute mutation);
+    * the solve was *tick-stable*: its achieved throughputs equal, bit for
+      bit, the seed throughputs it started from (each solve seeds the
+      damped iteration with the previous tick's achieved values, so a
+      stable solve guarantees the next solve is a deterministic replay --
+      regardless of whether the inner iteration hit tolerance);
+    * the solution carries zero insert traffic (inserts grow region sizes
+      every tick, which drifts hit ratios -- data growth is a dirty flag);
+    * the per-node compaction background I/O is unchanged.
+    """
 
     def __init__(self, simulator) -> None:
         self._sim = simulator
-        #: Whether the last solve's fixed point converged below tolerance
-        #: (the reference kernel has no convergence test and reports False).
-        self.last_converged = False
-
-    def regions_on(self, node_name: str) -> list:
-        """Regions assigned to ``node_name`` in region-creation order."""
-        raise NotImplementedError
-
-    def solve(self, compaction_bg: dict[str, float]) -> SolveResult:
-        """Solve the closed-loop fixed point for this tick."""
-        raise NotImplementedError
-
-    def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
-        """A cached solution valid for this tick, or ``None`` to solve."""
-        return None
-
-    def reuse_ready(self) -> bool:
-        """Whether the next tick could reuse the cached solution."""
-        return False
-
-    def invalidate(self) -> None:
-        """Drop any cached solution (called by every simulator mutator)."""
-
-    def forget_node(self, name: str) -> None:
-        """Drop per-node solver state when a node is removed."""
-
-
-# --------------------------------------------------------------------- #
-# reference kernel (seed behaviour)
-# --------------------------------------------------------------------- #
-class ReferenceSolver(SolverStrategy):
-    """The seed's solver: full scans, fresh allocations, fixed iterations."""
-
-    kernel = KERNEL_REFERENCE
-
-    def regions_on(self, node_name: str) -> list:
-        sim = self._sim
-        return [r for r in sim.regions.values() if r.node == node_name]
-
-    def _region_profiles(self, node, offered) -> list[RegionLoadProfile]:
-        profiles: list[RegionLoadProfile] = []
-        for region in self.regions_on(node.name):
-            rates = offered.get(region.region_id, {})
-            profiles.append(
-                RegionLoadProfile(
-                    region_id=region.region_id,
-                    size_bytes=region.size_bytes,
-                    locality=region.locality,
-                    record_size=region.record_size,
-                    scan_length=region.scan_length,
-                    hot_data_fraction=region.hot_data_fraction,
-                    hot_request_fraction=region.hot_request_fraction,
-                    read_rate=rates.get("read", 0.0),
-                    update_rate=rates.get("update", 0.0),
-                    insert_rate=rates.get("insert", 0.0),
-                    scan_rate=rates.get("scan", 0.0),
-                    rmw_rate=rates.get("read_modify_write", 0.0),
-                )
-            )
-        return profiles
-
-    def _offered_rates(self, throughputs: dict[str, float]) -> dict[str, dict[str, float]]:
-        """Per-region offered rates implied by per-binding throughputs."""
-        offered: dict[str, dict[str, float]] = {}
-        for name, binding in self._sim.bindings.items():
-            for load in binding.offered_loads(throughputs.get(name, 0.0)):
-                bucket = offered.setdefault(load.region_id, {})
-                for op, rate in load.rates.items():
-                    bucket[op] = bucket.get(op, 0.0) + rate
-        return offered
-
-    def _evaluate_nodes(self, offered, compaction_bg):
-        """Evaluate online nodes; returns results, region latencies, scales
-        and the region -> hosting-node map of the evaluated assignment."""
-        sim = self._sim
-        node_results: dict[str, object] = {}
-        region_latencies: dict[str, dict[str, float]] = {}
-        region_scale: dict[str, float] = {}
-        region_node: dict[str, str] = {}
-        for node in sim.nodes.values():
-            if not node.online:
-                continue
-            profiles = self._region_profiles(node, offered)
-            result = sim._model_for(node).evaluate_node(
-                node.config, profiles, compaction_bg.get(node.name, 0.0)
-            )
-            node_results[node.name] = result
-            scale = 1.0 if result.utilization <= 1.0 else 1.0 / result.utilization
-            for profile in profiles:
-                region_latencies[profile.region_id] = result.per_op_latency_ms
-                region_scale[profile.region_id] = scale
-                region_node[profile.region_id] = node.name
-        return node_results, region_latencies, region_scale, region_node
-
-    def solve(self, compaction_bg: dict[str, float], iterations: int = 10) -> SolveResult:
-        sim = self._sim
-        throughputs = {
-            name: sim._binding_throughput.get(name, binding.threads * 50.0)
-            for name, binding in sim.bindings.items()
-        }
-        region_latencies: dict[str, dict[str, float]] = {}
-        for _ in range(iterations):
-            offered = self._offered_rates(throughputs)
-            _, region_latencies, _, _ = self._evaluate_nodes(offered, compaction_bg)
-            new_throughputs: dict[str, float] = {}
-            for name, binding in sim.bindings.items():
-                latency = binding.mean_latency(region_latencies)
-                target = binding.max_throughput(latency)
-                previous = throughputs[name]
-                new_throughputs[name] = 0.5 * previous + 0.5 * target
-            throughputs = new_throughputs
-
-        offered = self._offered_rates(throughputs)
-        node_results, region_latencies, region_scale, region_node = (
-            self._evaluate_nodes(offered, compaction_bg)
-        )
-        achieved: dict[str, float] = {}
-        region_rates: dict[str, dict[str, float]] = {}
-        binding_latencies: dict[str, float] = {}
-        for name, binding in sim.bindings.items():
-            total = 0.0
-            for load in binding.offered_loads(throughputs.get(name, 0.0)):
-                scale = region_scale.get(load.region_id, 0.0)
-                bucket = region_rates.setdefault(load.region_id, {})
-                for op, rate in load.rates.items():
-                    bucket[op] = bucket.get(op, 0.0) + rate * scale
-                total += load.total * scale
-            achieved[name] = total
-            binding_latencies[name] = binding.mean_latency(region_latencies)
-        if getattr(sim, "record_latency_distributions", True):
-            summaries = binding_summaries(
-                sim.bindings,
-                region_node,
-                {name: result.per_op_latency_ms for name, result in node_results.items()},
-            )
-        else:
-            summaries = {}
-        return achieved, node_results, region_rates, binding_latencies, summaries
-
-
-# --------------------------------------------------------------------- #
-# fast kernel (optimised scalar)
-# --------------------------------------------------------------------- #
-class FastSolver(SolverStrategy):
-    """Memoised evaluators + slot-indexed rate rows + adaptive convergence."""
-
-    kernel = KERNEL_FAST
-
-    def __init__(self, simulator) -> None:
-        super().__init__(simulator)
         #: Per-node memo of (key, NodeEvaluator); the key is (config,
         #: hardware, assignment version) so config/assignment changes
         #: invalidate explicitly while size/locality drift is refreshed.
         self._node_evaluators: dict[str, tuple[object, NodeEvaluator]] = {}
         self._rate_context_cache: tuple[int, dict, list] | None = None
+        self._cached: SolveResult | None = None
+        self._cached_bg: dict[str, float] = {}
+        self._cached_sig: tuple[int, int] | None = None
+        self._cached_reusable = False
+        self._vector_ctx: _VectorContext | None = None
+        self._vector_sig: tuple[int, int] | None = None
+
+    # -- cache management ------------------------------------------------ #
+    def invalidate(self) -> None:
+        """Drop the cached solution (called by every simulator mutator)."""
+        self._cached = None
 
     def forget_node(self, name: str) -> None:
+        """Drop per-node solver state when a node is removed."""
         self._node_evaluators.pop(name, None)
+        self._cached = None
 
-    def regions_on(self, node_name: str) -> list:
+    def _signature(self) -> tuple[int, int]:
         sim = self._sim
-        bucket = sim._regions_by_node.get(node_name)
-        if not bucket:
-            return []
-        # The sorted order only changes when the bucket's membership does,
-        # which is exactly when the assignment version is bumped.
-        version = sim._assignment_versions.get(node_name, 0)
-        cached = sim._sorted_regions_cache.get(node_name)
-        if cached is None or cached[0] != version:
-            cached = (version, sorted(bucket.values(), key=_REGION_SEQ))
-            sim._sorted_regions_cache[node_name] = cached
-        return list(cached[1])
+        return (sim._workloads_version, sim._structure_version)
 
+    def reuse_ready(self) -> bool:
+        """Whether the next tick could reuse the cached solution."""
+        return (
+            self._cached is not None
+            and self._cached_reusable
+            and self._cached_sig == self._signature()
+        )
+
+    def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
+        """The cached solution if it is valid for this tick, else ``None``."""
+        if not self.reuse_ready():
+            return None
+        if compaction_bg != self._cached_bg:
+            return None
+        return self._cached
+
+    def solve(self, compaction_bg: dict[str, float]) -> SolveResult:
+        """Solve the closed-loop fixed point for this tick.
+
+        Achieved throughput is work-conserving: offered load on a node is
+        clamped to the node's capacity (utilisation 1.0).
+        """
+        # Snapshot the solve's seed: each solve starts the damped iteration
+        # from the previous tick's *achieved* throughput.  When this solve's
+        # achieved output equals its own seed bit-for-bit, the next solve is
+        # a deterministic replay of this one -- the tick-to-tick map has
+        # reached its fixed point -- so the solution may be reused verbatim.
+        sim = self._sim
+        seeds = {
+            name: sim._binding_throughput.get(name, binding.threads * 50.0)
+            for name, binding in sim.bindings.items()
+        }
+        if len(sim.regions) >= VECTOR_MIN_REGIONS:
+            results = self._solve_vector(compaction_bg)
+        else:
+            results = self._solve_scalar(compaction_bg)
+
+        achieved = results[0]
+        region_rates = results[2]
+        insert_free = True
+        for rates in region_rates.values():
+            if rates.get("insert", 0.0) > 0.0:
+                insert_free = False
+                break
+        stable = len(achieved) == len(seeds) and all(
+            achieved.get(name) == seed for name, seed in seeds.items()
+        )
+        self._cached = results
+        self._cached_bg = dict(compaction_bg)
+        self._cached_sig = self._signature()
+        self._cached_reusable = stable and insert_free
+        return results
+
+    # -- scalar loop ----------------------------------------------------- #
     def _tick_node_context(self) -> list[tuple[str, NodeEvaluator]]:
         """Per-online-node memoised evaluators, refreshed for drift."""
         sim = self._sim
@@ -341,7 +325,7 @@ class FastSolver(SolverStrategy):
             name = node.name
             key = (node.config, node.hardware, versions.get(name, 0))
             cached = memo.get(name)
-            hosted = self.regions_on(name)
+            hosted = sim.regions_on(name)
             if cached is not None and cached[0] == key:
                 evaluator = cached[1]
                 evaluator.refresh(hosted)
@@ -384,7 +368,7 @@ class FastSolver(SolverStrategy):
         self._rate_context_cache = (sim._workloads_version, rate_rows, contribs)
         return rate_rows, contribs
 
-    def solve(self, compaction_bg: dict[str, float]) -> SolveResult:
+    def _solve_scalar(self, compaction_bg: dict[str, float]) -> SolveResult:
         sim = self._sim
         bindings = sim.bindings
         throughputs = {
@@ -446,7 +430,7 @@ class FastSolver(SolverStrategy):
                 if node_name is None:
                     # Region currently unavailable (node restarting):
                     # requests block and retry, modelled as a large latency.
-                    total += weight * 500.0
+                    total += weight * UNAVAILABLE_MS
                     continue
                 mixed = cache.get(node_name)
                 if mixed is None:
@@ -458,27 +442,18 @@ class FastSolver(SolverStrategy):
                 total += weight * mixed
             return total
 
-        converged = True
         if bindings:
-            tolerance = sim.fixed_point_tolerance
-            for _ in range(sim.fixed_point_max_iterations):
+            for _ in range(FIXED_POINT_MAX_ITERATIONS):
                 fill_rates()
                 evaluate_latencies()
                 converged = True
                 for name, binding in bindings.items():
                     terms, mix = binding_terms[name]
                     latency = binding_latency(terms, mix, node_latencies)
-                    target = binding.max_throughput(latency)
-                    previous = throughputs[name]
-                    updated = 0.5 * previous + 0.5 * target
-                    throughputs[name] = updated
-                    if abs(updated - previous) > tolerance * max(
-                        abs(previous), abs(updated), 1.0
-                    ):
+                    if _damp(throughputs, name, binding.max_throughput(latency)):
                         converged = False
                 if converged:
                     break
-        self.last_converged = converged
 
         fill_rates()
         node_results: dict[str, object] = {}
@@ -500,6 +475,19 @@ class FastSolver(SolverStrategy):
             for name in bindings
         }
 
+        achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
+        summaries = binding_summaries(bindings, region_node, final_latencies)
+        return achieved, node_results, region_rates, binding_latencies, summaries
+
+    def _achieved(
+        self,
+        throughputs: dict[str, float],
+        region_node: dict[str, str],
+        node_scale: dict[str, float],
+    ) -> tuple[dict[str, float], dict[str, dict[str, float]]]:
+        """Per-binding achieved throughput and per-region achieved rates:
+        the converged offered load, scaled down on saturated nodes."""
+        _, contribs = self._tick_rate_context()
         achieved: dict[str, float] = {}
         region_rates: dict[str, dict[str, float]] = {}
         for name, entries in contribs:
@@ -515,174 +503,9 @@ class FastSolver(SolverStrategy):
                     load_total += rate
                 total += load_total * scale
             achieved[name] = total
-        if getattr(sim, "record_latency_distributions", True):
-            summaries = binding_summaries(bindings, region_node, final_latencies)
-        else:
-            summaries = {}
-        return achieved, node_results, region_rates, binding_latencies, summaries
+        return achieved, region_rates
 
-
-# --------------------------------------------------------------------- #
-# event kernel (solution reuse + vectorised solves)
-# --------------------------------------------------------------------- #
-class _VectorContext:
-    """Columnar view of the online cluster for the vectorised solver.
-
-    Regions are laid out contiguously grouped by hosting node (nodes in
-    simulator insertion order, regions in creation order within a node) so
-    ``np.add.reduceat`` over ``offsets`` yields per-node sums in exactly the
-    order the scalar kernel accumulates them.  Static columns are built once
-    per (workloads, structure) signature; size/locality-dependent columns
-    are refreshed cheaply every solve (insert growth, moves, compactions).
-    """
-
-    __slots__ = (
-        "regions",
-        "node_names",
-        "empty_nodes",
-        "offsets",
-        "node_idx",
-        "region_node",
-        # per-node parameter arrays (length N)
-        "cache_eff",
-        "cpu_budget",
-        "iops_budget",
-        "bytes_budget",
-        "net_budget",
-        "disk_ms",
-        "blocks0",
-        "scan_len0",
-        "cache_bytes_mem",
-        "memstore",
-        "heap_bytes",
-        "memory_bytes",
-        "background",
-        # per-region static columns (length R)
-        "hot_frac",
-        "hot_req_frac",
-        "blockR",
-        "blocksR",
-        "w_cpu",
-        "w_iops",
-        "w_bytes",
-        "w_net",
-        "s_cpu",
-        "s_net0",
-        "s_bytes",
-        # per-region dynamic columns (refreshed each solve)
-        "sizes",
-        "hot_bytes",
-        "cold_bytes",
-        "loc",
-        "r_iops",
-        "r_netm",
-        "s_iops",
-        "s_netm",
-        # workload structures
-        "binding_fill",
-        "binding_terms",
-        "mix_matrix",
-        # scratch
-        "rates",
-    )
-
-
-class EventSolver(FastSolver):
-    """Fast solver + cached-solution reuse + vectorised real solves.
-
-    Reuse is conservative.  A cached solution is only replayed when ALL of:
-
-    * no simulator mutation since the solve (every mutator calls
-      :meth:`invalidate`; the (workloads, structure) version signature is a
-      second line of defence against direct-attribute mutation);
-    * the solve was *tick-stable*: its achieved throughputs equal, bit for
-      bit, the seed throughputs it started from (each solve seeds the
-      damped iteration with the previous tick's achieved values, so a
-      stable solve guarantees the next solve is a deterministic replay --
-      regardless of whether the inner iteration hit tolerance);
-    * the solution carries zero insert traffic (inserts grow region sizes
-      every tick, which drifts hit ratios -- data growth is a dirty flag);
-    * the per-node compaction background I/O is unchanged.
-    """
-
-    kernel = KERNEL_EVENT
-
-    def __init__(self, simulator, vectorize: bool | None = None) -> None:
-        super().__init__(simulator)
-        #: ``None`` auto-selects by cluster size; True/False force it.
-        self._vectorize = vectorize
-        self._cached: SolveResult | None = None
-        self._cached_bg: dict[str, float] = {}
-        self._cached_sig: tuple[int, int] | None = None
-        self._cached_reusable = False
-        self._vector_ctx: _VectorContext | None = None
-        self._vector_sig: tuple[int, int] | None = None
-
-    # -- cache management ------------------------------------------------ #
-    def invalidate(self) -> None:
-        self._cached = None
-
-    def forget_node(self, name: str) -> None:
-        super().forget_node(name)
-        self._cached = None
-
-    def _signature(self) -> tuple[int, int]:
-        sim = self._sim
-        return (sim._workloads_version, sim._structure_version)
-
-    def reuse_ready(self) -> bool:
-        return (
-            self._cached is not None
-            and self._cached_reusable
-            and self._cached_sig == self._signature()
-        )
-
-    def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
-        if not self.reuse_ready():
-            return None
-        if compaction_bg != self._cached_bg:
-            return None
-        return self._cached
-
-    def solve(self, compaction_bg: dict[str, float]) -> SolveResult:
-        # Snapshot the solve's seed: each solve starts the damped iteration
-        # from the previous tick's *achieved* throughput.  When this solve's
-        # achieved output equals its own seed bit-for-bit, the next solve is
-        # a deterministic replay of this one -- the tick-to-tick map has
-        # reached its fixed point -- so the solution may be reused verbatim.
-        sim = self._sim
-        seeds = {
-            name: sim._binding_throughput.get(name, binding.threads * 50.0)
-            for name, binding in sim.bindings.items()
-        }
-        if self._use_vector():
-            results = self._solve_vector(compaction_bg)
-        else:
-            results = super().solve(compaction_bg)
-        achieved = results[0]
-        region_rates = results[2]
-        insert_free = True
-        for rates in region_rates.values():
-            if rates.get("insert", 0.0) > 0.0:
-                insert_free = False
-                break
-        stable = len(achieved) == len(seeds) and all(
-            achieved.get(name) == seed for name, seed in seeds.items()
-        )
-        self._cached = results
-        self._cached_bg = dict(compaction_bg)
-        self._cached_sig = self._signature()
-        self._cached_reusable = stable and insert_free
-        return results
-
-    # -- vectorised path ------------------------------------------------- #
-    def _use_vector(self) -> bool:
-        if _np is None:
-            return False
-        if self._vectorize is not None:
-            return self._vectorize
-        return len(self._sim.regions) >= VECTOR_MIN_REGIONS
-
+    # -- vector loop ----------------------------------------------------- #
     def _vector_context(self) -> _VectorContext | None:
         sig = self._signature()
         ctx = self._vector_ctx
@@ -695,7 +518,6 @@ class EventSolver(FastSolver):
         return ctx
 
     def _build_vector_context(self) -> _VectorContext | None:
-        np = _np
         sim = self._sim
         regions: list = []
         node_names: list[str] = []
@@ -704,7 +526,7 @@ class EventSolver(FastSolver):
         for node in sim.nodes.values():
             if not node.online:
                 continue
-            hosted = self.regions_on(node.name)
+            hosted = sim.regions_on(node.name)
             if hosted:
                 node_names.append(node.name)
                 offsets.append(len(regions))
@@ -874,7 +696,6 @@ class EventSolver(FastSolver):
 
     def _refresh_vector(self, ctx: _VectorContext) -> None:
         """Re-sync the size/locality-dependent columns from live regions."""
-        np = _np
         from repro.simulation.cluster import REMOTE_LOCALITY  # avoid import cycle
 
         regions = ctx.regions
@@ -910,7 +731,6 @@ class EventSolver(FastSolver):
         holds the per-node aggregates the final pass turns into
         :class:`NodeLoadResult` objects.
         """
-        np = _np
         rates = ctx.rates
         rates[:] = 0.0
         for name, rows, units in ctx.binding_fill:
@@ -1027,7 +847,7 @@ class EventSolver(FastSolver):
 
         node_count = len(ctx.node_names)
         lat = np.empty((5, node_count + 1))
-        lat[:, node_count] = 500.0
+        lat[:, node_count] = UNAVAILABLE_MS
         lat[0, :node_count] = read_ms * inflation
         lat[1, :node_count] = write_ms * inflation
         lat[2, :node_count] = lat[1, :node_count]
@@ -1047,11 +867,10 @@ class EventSolver(FastSolver):
         return lat, node_arrays
 
     def _solve_vector(self, compaction_bg: dict[str, float]) -> SolveResult:
-        np = _np
         sim = self._sim
         ctx = self._vector_context()
         if ctx is None:
-            return super(EventSolver, self).solve(compaction_bg)
+            return self._solve_scalar(compaction_bg)
         bg = ctx.background
         for index, name in enumerate(ctx.node_names):
             bg[index] = compaction_bg.get(name, 0.0)
@@ -1061,11 +880,8 @@ class EventSolver(FastSolver):
             name: sim._binding_throughput.get(name, binding.threads * 50.0)
             for name, binding in bindings.items()
         }
-        converged = True
-        lat = None
         if bindings:
-            tolerance = sim.fixed_point_tolerance
-            for _ in range(sim.fixed_point_max_iterations):
+            for _ in range(FIXED_POINT_MAX_ITERATIONS):
                 lat, _ = self._vector_pass(ctx, throughputs)
                 mixed = ctx.mix_matrix @ lat
                 converged = True
@@ -1073,17 +889,10 @@ class EventSolver(FastSolver):
                     ctx.binding_terms
                 ):
                     latency = float(weights @ mixed[position, term_nodes])
-                    target = binding.max_throughput(latency)
-                    previous = throughputs[name]
-                    updated = 0.5 * previous + 0.5 * target
-                    throughputs[name] = updated
-                    if abs(updated - previous) > tolerance * max(
-                        abs(previous), abs(updated), 1.0
-                    ):
+                    if _damp(throughputs, name, binding.max_throughput(latency)):
                         converged = False
                 if converged:
                     break
-        self.last_converged = converged
 
         lat, node_arrays = self._vector_pass(ctx, throughputs)
         (util, cpu_util, io_wait, net_util, cpu_n, iops_n, bytes_n, net_n, hit) = (
@@ -1154,43 +963,14 @@ class EventSolver(FastSolver):
             )
         }
 
-        _, contribs = self._tick_rate_context()
         region_node = ctx.region_node
-        achieved: dict[str, float] = {}
-        region_rates: dict[str, dict[str, float]] = {}
-        for name, entries in contribs:
-            throughput = throughputs[name]
-            total = 0.0
-            for region_id, _, slot_units in entries:
-                scale = node_scale.get(region_node.get(region_id), 0.0)
-                bucket = region_rates.setdefault(region_id, {})
-                load_total = 0.0
-                for op, _, unit in slot_units:
-                    rate = throughput * unit
-                    bucket[op] = bucket.get(op, 0.0) + rate * scale
-                    load_total += rate
-                total += load_total * scale
-            achieved[name] = total
-        if getattr(sim, "record_latency_distributions", True):
-            # The NodeLoadResult latency dicts above are built from the same
-            # ``lat`` matrix the scalar path would produce, so the summary
-            # helper sees identical floats on both event-solve paths.
-            summaries = binding_summaries(
-                bindings,
-                region_node,
-                {name: result.per_op_latency_ms for name, result in node_results.items()},
-            )
-        else:
-            summaries = {}
+        achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
+        # The NodeLoadResult latency dicts above are built from the same
+        # ``lat`` matrix the scalar loop would produce, so the summary
+        # helper sees identical floats on both loops.
+        summaries = binding_summaries(
+            bindings,
+            region_node,
+            {name: result.per_op_latency_ms for name, result in node_results.items()},
+        )
         return achieved, node_results, region_rates, binding_latencies, summaries
-
-
-def make_solver(kernel: str, simulator, vectorize: bool | None = None) -> SolverStrategy:
-    """Instantiate the strategy for ``kernel`` (raises on unknown names)."""
-    if kernel == KERNEL_FAST:
-        return FastSolver(simulator)
-    if kernel == KERNEL_REFERENCE:
-        return ReferenceSolver(simulator)
-    if kernel == KERNEL_EVENT:
-        return EventSolver(simulator, vectorize=vectorize)
-    raise ValueError(f"unknown kernel {kernel!r}")

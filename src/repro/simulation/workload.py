@@ -117,7 +117,7 @@ class WorkloadBinding:
 
         :meth:`offered_loads` is linear in the throughput, so the loads for
         throughput ``t`` are exactly these rates scaled by ``t``.  The
-        simulator's fast kernel precomputes them once per tick and scales
+        simulator's solver precomputes them once per tick and scales
         them in place instead of rebuilding :class:`OfferedLoad` objects on
         every fixed-point iteration.
         """

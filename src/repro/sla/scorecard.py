@@ -64,21 +64,15 @@ def scenario_scorecard(
     scenarios=None,
     controllers: tuple[str, ...] = ("met", "tiramola"),
     pricing: PricingModel = DEFAULT_PRICING,
-    kernel: str | None = None,
 ) -> list[ScorecardRow]:
     """Run every scenario under every controller and reduce to rows.
 
-    ``scenarios`` defaults to the whole canned catalog; ``kernel`` to the
-    scenario runner's default.  Rows come back grouped by scenario in
+    ``scenarios`` defaults to the whole canned catalog.  Rows come back grouped by scenario in
     catalog order, controllers in the given order.
     """
     # Imported lazily: repro.scenarios imports the SLA assertion types, so a
     # module-level import here would be circular.
     from repro.scenarios import CANNED_SCENARIOS, run_scenario
-    from repro.scenarios.runner import DEFAULT_KERNEL
-
-    if kernel is None:
-        kernel = DEFAULT_KERNEL
 
     if scenarios is None:
         specs = list(CANNED_SCENARIOS.values())
@@ -90,9 +84,7 @@ def scenario_scorecard(
     rows: list[ScorecardRow] = []
     for spec in specs:
         for controller in controllers:
-            result = run_scenario(
-                spec, controller=controller, kernel=kernel, keep_simulator=False
-            )
+            result = run_scenario(spec, controller=controller, keep_simulator=False)
             rows.append(scorecard_row(result, pricing=pricing))
     return rows
 

@@ -220,7 +220,7 @@ def evaluate_slo(slo: SLODefinition, run, sample_minutes: float = 1.0) -> SLORep
             raise ValueError(
                 f"SLO for tenant {slo.tenant!r} declares a p{percentile} ceiling "
                 "but the run recorded no latency distributions (was the "
-                "simulator built with record_latency_distributions=False?)"
+                "run built by hand, without a harness?)"
             )
         return observed
 

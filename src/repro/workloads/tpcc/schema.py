@@ -29,7 +29,6 @@ DISTRICTS_PER_WAREHOUSE = 10
 CUSTOMERS_PER_DISTRICT = 3000
 ITEMS = 100_000
 STOCK_PER_WAREHOUSE = 100_000
-INITIAL_ORDERS_PER_DISTRICT = 3000
 
 #: Physical-to-logical storage blow-up: HBase stores the full row key, column
 #: name and timestamp with every cell, plus store-file and WAL overhead, so a

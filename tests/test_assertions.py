@@ -50,7 +50,6 @@ def fake_result(
     return ScenarioRunResult(
         spec=spec,
         controller=controller,
-        kernel="fast",
         run=run,
         decisions=[dict(d) for d in decisions],
     )

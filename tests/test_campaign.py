@@ -266,9 +266,9 @@ class TestResume:
         executed = []
         real = runner_module._cell_record
 
-        def counting(cell, spec, kernel):
+        def counting(cell, spec):
             executed.append(cell.cell_id)
-            return real(cell, spec, kernel)
+            return real(cell, spec)
 
         monkeypatch.setattr(runner_module, "_cell_record", counting)
         report = run_campaign(grid, partial, workers=1)
@@ -298,21 +298,20 @@ class TestResume:
 
 
 class TestRequireSkip:
-    def test_fast_kernel_defaults_to_no_requirement(self, tmp_path):
-        store = ResultsStore(tmp_path / "fast.jsonl")
-        report = run_campaign(tiny_grid(), store, workers=1, kernel="fast")
-        assert all(not record["skip_active"] for record in report.executed)
+    def test_campaign_fails_when_skipping_inactive(self, tmp_path, monkeypatch):
+        from repro.experiments.harness import ExperimentHarness
 
-    def test_explicit_requirement_fails_on_fast_kernel(self, tmp_path):
-        store = ResultsStore(tmp_path / "fast.jsonl")
-        with pytest.raises(CampaignError, match="skipping was not active"):
-            run_campaign(
-                tiny_grid(), store, workers=1, kernel="fast", require_skip=True
-            )
+        monkeypatch.setattr(
+            ExperimentHarness, "_skip_eligibility", lambda self: (False, "forced off")
+        )
+        store = ResultsStore(tmp_path / "ticking.jsonl")
+        with pytest.raises(CampaignError, match=r"skipping was not active \(forced off\)"):
+            run_campaign(tiny_grid(), store, workers=1)
+        assert store.load() == []
 
     def test_event_kernel_records_skip_active(self, tmp_path):
         store = ResultsStore(tmp_path / "event.jsonl")
-        report = run_campaign(tiny_grid(), store, workers=1, kernel="event")
+        report = run_campaign(tiny_grid(), store, workers=1)
         assert all(record["skip_active"] for record in report.executed)
 
 

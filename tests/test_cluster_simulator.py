@@ -68,6 +68,18 @@ class TestTopology:
         assert simulator.regions["r1"].node == nodes[1]
         assert simulator.assignment()["r1"] == nodes[1]
 
+    def test_regions_on_matches_a_full_scan(self, simulator):
+        nodes = list(simulator.nodes)
+        for index in range(9):
+            simulator.add_region(f"r{index}", "w", 1e8, node=nodes[index % 3])
+        simulator.move_region("r0", nodes[2])
+        simulator.regions["r4"].node = nodes[0]  # direct write, via the hook
+        simulator.regions["r3"].node = None
+        simulator.remove_node(nodes[1])
+        for name in [*simulator.nodes, "gone"]:
+            scan = [r for r in simulator.regions.values() if r.node == name]
+            assert simulator.regions_on(name) == scan
+
 
 class TestLocality:
     def test_region_starts_local(self, simulator):

@@ -1,4 +1,4 @@
-"""Event-kernel regressions: event queue, dirty flags, fast-forward fidelity.
+"""Solver-reuse regressions: event queue, dirty flags, fast-forward fidelity.
 
 Three layers of guarantees:
 
@@ -13,7 +13,6 @@ Three layers of guarantees:
 """
 
 import math
-import warnings
 
 import pytest
 
@@ -22,12 +21,15 @@ from repro.experiments.harness import ExperimentHarness, make_backend
 from repro.scenarios.schedule import EventSchedule, ScheduledAction
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.events import EventLoop, KernelStats
+from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
+from solver_oracles import NoReuseSolver, installed
 
 
-def build_steady(kernel: str, nodes: int = 4, regions: int = 12) -> ClusterSimulator:
+def build_steady(solver=EventSolver, nodes: int = 4, regions: int = 12) -> ClusterSimulator:
     """Insert-free multi-region cluster: quiescent once the loop settles."""
-    sim = ClusterSimulator(kernel=kernel, tick_seconds=5.0)
+    with installed(solver):
+        sim = ClusterSimulator(tick_seconds=5.0)
     names = [sim.add_node() for _ in range(nodes)]
     for index in range(regions):
         sim.add_region(f"r{index}", "tenant", 5e8, node=names[index % nodes])
@@ -105,7 +107,7 @@ class TestKernelStats:
 
 class TestSolutionReuse:
     def test_steady_cluster_stops_solving(self):
-        sim = build_steady("event")
+        sim = build_steady()
         for _ in range(10):
             sim.tick()
         # The closed loop needs a couple of ticks to become tick-stable;
@@ -114,7 +116,7 @@ class TestSolutionReuse:
         assert sim.stats.reused_ticks >= 7
 
     def test_insert_traffic_blocks_reuse(self):
-        sim = build_steady("event")
+        sim = build_steady()
         sim.attach_workload(
             WorkloadBinding(
                 name="grower",
@@ -152,7 +154,7 @@ class TestSolutionReuse:
         ],
     )
     def test_mutation_forces_resolve(self, mutate):
-        sim = build_steady("event")
+        sim = build_steady()
         for _ in range(5):
             sim.tick()
         settled = sim.stats.solves
@@ -175,11 +177,11 @@ class TestMacroTickEquivalence:
     """
 
     def test_run_equals_tick_by_tick(self):
-        fast_forwarded = build_steady("event")
+        fast_forwarded = build_steady()
         fast_forwarded.run(1800.0)
         assert fast_forwarded.stats.skipped_ticks > 300, "fast-forward never engaged"
 
-        tick_by_tick = build_steady("event")
+        tick_by_tick = build_steady()
         for _ in range(360):
             tick_by_tick.tick()
         assert tick_by_tick.stats.skipped_ticks == 0
@@ -194,9 +196,9 @@ class TestMacroTickEquivalence:
         )
 
     def test_event_kernel_matches_fast_kernel(self):
-        event = build_steady("event")
+        event = build_steady()
         event.run(1800.0)
-        fast = build_steady("fast")
+        fast = build_steady(NoReuseSolver)
         fast.run(1800.0)
         assert event.binding_throughput("tenant") == pytest.approx(
             fast.binding_throughput("tenant"), rel=1e-9
@@ -204,13 +206,15 @@ class TestMacroTickEquivalence:
         assert event.total_ops == pytest.approx(fast.total_ops, rel=1e-9)
 
     def test_quiescent_ticks_zero_on_fast_kernel(self):
-        sim = build_steady("fast")
+        """The reuse-disabled twin never fast-forwards, so comparisons
+        against it are tick-by-tick."""
+        sim = build_steady(NoReuseSolver)
         for _ in range(5):
             sim.tick()
         assert sim.quiescent_ticks(100) == 0
 
     def test_quiescent_ticks_zero_after_mutation(self):
-        sim = build_steady("event")
+        sim = build_steady()
         for _ in range(5):
             sim.tick()
         assert sim.quiescent_ticks(100) > 0
@@ -225,9 +229,9 @@ class _OpaqueController:
         pass
 
 
-def _build_harness(kernel: str, opaque: bool = False, daemon_period: float | None = None):
-    sim = build_steady(kernel, nodes=5, regions=15)
-    harness = ExperimentHarness(sim, name=kernel, sample_every_seconds=60.0)
+def _build_harness(solver=EventSolver, opaque: bool = False, daemon_period: float | None = None):
+    sim = build_steady(solver, nodes=5, regions=15)
+    harness = ExperimentHarness(sim, name=solver.__name__, sample_every_seconds=60.0)
     if opaque:
         harness.add_controller(_OpaqueController())
     if daemon_period is not None:
@@ -275,11 +279,11 @@ def _assert_runs_identical(left, right) -> None:
 class TestHarnessFastForward:
     def test_skipped_run_samples_identically(self):
         """The satellite fix: skipping must not drop or duplicate samples."""
-        skipping, skip_sim = _build_harness("event")
+        skipping, skip_sim = _build_harness()
         skipped = skipping.run_for(1800.0, schedule=_schedule_for(skip_sim))
         assert skip_sim.stats.skipped_ticks > 200, "fast-forward never engaged"
 
-        ticking, tick_sim = _build_harness("event", opaque=True)
+        ticking, tick_sim = _build_harness(opaque=True)
         with pytest.warns(RuntimeWarning, match="quiescence skipping disabled"):
             ticked = ticking.run_for(1800.0, schedule=_schedule_for(tick_sim))
         assert tick_sim.stats.skipped_ticks == 0, (
@@ -290,9 +294,9 @@ class TestHarnessFastForward:
         _assert_runs_identical(skipped, ticked)
 
     def test_event_kernel_run_matches_fast_kernel_run(self):
-        event_harness, event_sim = _build_harness("event")
+        event_harness, event_sim = _build_harness()
         event_run = event_harness.run_for(1800.0, schedule=_schedule_for(event_sim))
-        fast_harness, fast_sim = _build_harness("fast")
+        fast_harness, fast_sim = _build_harness(NoReuseSolver)
         fast_run = fast_harness.run_for(1800.0, schedule=_schedule_for(fast_sim))
         assert event_sim.stats.skipped_ticks > 0
         _assert_runs_identical(event_run, fast_run)
@@ -304,9 +308,9 @@ class TestHarnessFastForward:
         boundaries (60, 120, ...), coinciding only at multiples of 180 s;
         skip planning must honour both cadences independently.
         """
-        event_harness, event_sim = _build_harness("event", daemon_period=45.0)
+        event_harness, event_sim = _build_harness(daemon_period=45.0)
         event_run = event_harness.run_for(1800.0)
-        fast_harness, fast_sim = _build_harness("fast", daemon_period=45.0)
+        fast_harness, fast_sim = _build_harness(NoReuseSolver, daemon_period=45.0)
         fast_run = fast_harness.run_for(1800.0)
         assert event_sim.stats.skipped_ticks > 0, (
             "skipping should engage between controller wakes"
@@ -320,12 +324,12 @@ class TestSkipEligibility:
 
     ``run_for`` records *whether* quiescence skipping was active and, when
     not, *why* -- on the run and on ``KernelStats.extra`` -- so a campaign
-    can assert the event-kernel speedup actually engaged instead of
+    can assert the fast-forward speedup actually engaged instead of
     discovering a 10x slowdown in wall-clock graphs.
     """
 
     def test_opaque_controller_warns_and_records_reason(self):
-        harness, sim = _build_harness("event", opaque=True)
+        harness, sim = _build_harness(opaque=True)
         with pytest.warns(RuntimeWarning, match="quiescence skipping disabled"):
             run = harness.run_for(600.0)
         assert run.skip_active is False
@@ -335,17 +339,8 @@ class TestSkipEligibility:
         assert sim.stats.skipped_ticks == 0
 
     def test_standard_controllers_keep_skipping_active(self):
-        harness, sim = _build_harness("event", daemon_period=45.0)
+        harness, sim = _build_harness(daemon_period=45.0)
         run = harness.run_for(600.0)
         assert run.skip_active is True
         assert run.skip_disabled_reason == ""
         assert sim.stats.extra["skip_disabled_reason"] == ""
-
-    def test_non_event_kernel_records_reason_without_warning(self):
-        harness, sim = _build_harness("fast")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning would fail the test
-            run = harness.run_for(600.0)
-        assert run.skip_active is False
-        assert "fast" in run.skip_disabled_reason
-        assert sim.stats.extra["skip_disabled_reason"] == run.skip_disabled_reason

@@ -12,8 +12,9 @@ and commit the diff.
 Also enforced here:
 
 * two identical-seed runs serialise to byte-identical traces;
-* the fast and reference kernels agree on every golden scenario within the
-  1e-6 relative tolerance the kernel-equivalence suite established;
+* the solver and the seed reference oracle agree on the golden scenarios
+  within the 1e-6 relative tolerance the kernel-equivalence suite
+  established;
 * the catalog demonstrates every scenario event family.
 """
 
@@ -41,13 +42,14 @@ from repro.scenarios.trace import (
     golden_name,
 )
 from repro.util.wallclock import wall_perf_counter
+from solver_oracles import ReferenceSolver, installed
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Committed-golden comparison: tight, tolerating only float formatting
 #: noise, since goldens are regenerated on the same code path.
 GOLDEN_REL_TOL = 1e-9
-#: Fast-vs-reference kernel comparison (matches tests/test_kernel_equivalence).
+#: Solver-vs-reference comparison (matches tests/test_kernel_equivalence).
 KERNEL_REL_TOL = 1e-6
 #: Tenant-series kernel comparison: the series are serialised at capped
 #: precision (TENANT_SERIES_DECIMALS), so a benign 1e-6 kernel divergence
@@ -63,17 +65,17 @@ TENANT_SERIES_ABS_TOL = 2.0 * 10.0 ** -TENANT_SERIES_DECIMALS
 
 COMBOS = golden_combos()
 
-#: Scenario/controller pairs double-run under the reference kernel for the
-#: agreement check.  Kernel equivalence is a property of the *kernel*, not
+#: Scenario/controller pairs double-run under the reference oracle for the
+#: agreement check.  Equivalence is a property of the *solver*, not
 #: of every catalog entry, so the matrix is thinned to fit the golden
 #: suite's time budget (~3.5 s) while keeping the coverage that matters:
 #:
 #: * ``long_horizon`` is excluded outright -- two simulated hours under the
-#:   ~7x-slower reference kernel would dominate the budget, and
+#:   ~7x-slower reference oracle would dominate the budget, and
 #:   tests/test_kernel_equivalence.py already locks the property down;
 #: * every other scenario is double-run under exactly one controller,
 #:   alternating MeT/tiramola down the sorted catalog, so every event
-#:   family crosses both kernels and both actuation paths (MeT's
+#:   family crosses both solvers and both actuation paths (MeT's
 #:   reconfigure-first plans, tiramola's add/remove + balancer daemon)
 #:   stay exercised without running the full cross product.
 KERNEL_COMBOS = [
@@ -83,7 +85,7 @@ KERNEL_COMBOS = [
     )
 ] + [
     # One planner crossing so the calibrated controller's decision path is
-    # exercised under the reference kernel too (a cheap 10-minute scenario;
+    # exercised under the reference oracle too (a cheap 10-minute scenario;
     # the rest of the planner subset would re-prove the same property).
     ("data_growth", "planner"),
 ]
@@ -96,7 +98,7 @@ KERNEL_COMBOS = [
 #: whose baseline differs from the ~4.8 s this catalog costs here (CI sets
 #: a looser bound for shared-runner variance).  Raised 5.0 -> 6.0 when the
 #: planner controller grew the matrix (three planner goldens plus one
-#: reference-kernel crossing, ~+1.2 s) -- a deliberate spend, not creep.
+#: reference-oracle crossing, ~+1.2 s) -- a deliberate spend, not creep.
 SUITE_BUDGET_SECONDS = float(os.environ.get("GOLDEN_SUITE_BUDGET_SECONDS", "6.0"))
 
 _suite_clock: dict[str, float] = {}
@@ -123,8 +125,8 @@ def _suite_timer():
 
 @lru_cache(maxsize=None)
 def _default_trace(scenario: str, controller: str) -> dict:
-    """One default-kernel (event) run per combo, shared by the golden and
-    kernel tests (runs are deterministic, so caching cannot hide a
+    """One solver run per combo, shared by the golden and oracle
+    tests (runs are deterministic, so caching cannot hide a
     divergence)."""
     return scenario_trace(CANNED_SCENARIOS[scenario], controller)
 
@@ -158,15 +160,13 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("scenario,controller", KERNEL_COMBOS)
     def test_kernels_agree(self, scenario, controller):
-        """The default (event) kernel and kernel="reference" tell the same
-        story.  Event-vs-fast byte identity is locked down separately by
+        """The solver and the seed reference oracle tell the same story.
+        Reuse-vs-no-reuse byte identity is locked down separately by
         tests/test_kernel_soak.py."""
         spec = CANNED_SCENARIOS[scenario]
         fast = copy.deepcopy(_default_trace(scenario, controller))
-        reference = scenario_trace(spec, controller, kernel="reference")
-        # The kernel tag itself legitimately differs.
-        fast.pop("kernel")
-        reference.pop("kernel")
+        with installed(ReferenceSolver):
+            reference = scenario_trace(spec, controller)
         # Assertion details embed throughput values as rounded strings; a
         # 1e-6 kernel divergence can flip the last printed digit, so compare
         # the verdicts (name + passed) and drop the prose.

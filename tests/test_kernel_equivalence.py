@@ -1,8 +1,9 @@
-"""Regression tests: the fast kernel matches the seed (reference) kernel.
+"""Regression tests: the solver matches the seed (reference) oracle.
 
 Runs a mixed multi-tenant YCSB scenario -- region moves, node
 reconfiguration, major compactions, node add/remove and tenant shutdown
-mid-run -- on both kernels and asserts the per-binding throughput series
+mid-run -- on the solver and on the test oracles of
+``tests/solver_oracles.py`` and asserts the per-binding throughput series
 agree within 1e-6 relative tolerance.
 """
 
@@ -15,17 +16,20 @@ from repro.hbase.config import DEFAULT_HOMOGENEOUS
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec, LARGE_NODE
 from repro.simulation.perfmodel import NodeEvaluator, PerformanceModel, RegionLoadProfile
+from repro.simulation.solvers import EventSolver
 from repro.workloads.ycsb.scenario import build_paper_scenario
+from solver_oracles import NoReuseSolver, ReferenceSolver, installed
 
-#: Acceptance bound: optimized and seed kernels must agree to this relative
-#: tolerance on every sample of every per-binding throughput series.
+#: Acceptance bound: the solver and the seed oracle must agree to this
+#: relative tolerance on every sample of every per-binding throughput series.
 REL_TOL = 1e-6
 #: Absolute floor for samples damping towards zero after tenant shutdown.
 ABS_TOL = 1e-6
 
 
-def build_scenario(kernel: str) -> tuple[ClusterSimulator, list[str]]:
-    sim = ClusterSimulator(kernel=kernel, tick_seconds=5.0)
+def build_scenario(solver=EventSolver) -> tuple[ClusterSimulator, list[str]]:
+    with installed(solver):
+        sim = ClusterSimulator(tick_seconds=5.0)
     nodes = [sim.add_node() for _ in range(6)]
     scenario = build_paper_scenario(sim)
     for index, spec in enumerate(scenario.partitions):
@@ -66,8 +70,8 @@ def drive(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float]]:
 
 class TestKernelEquivalence:
     def test_mixed_scenario_throughput_series_match(self):
-        fast_sim, fast_nodes = build_scenario("fast")
-        reference_sim, reference_nodes = build_scenario("reference")
+        fast_sim, fast_nodes = build_scenario(NoReuseSolver)
+        reference_sim, reference_nodes = build_scenario(ReferenceSolver)
         assert fast_nodes == reference_nodes
 
         fast = drive(fast_sim, fast_nodes)
@@ -81,8 +85,8 @@ class TestKernelEquivalence:
                 ), f"{name} diverged at tick {tick}: {optimized} vs {seed}"
 
     def test_assignments_and_counters_match(self):
-        fast_sim, fast_nodes = build_scenario("fast")
-        reference_sim, reference_nodes = build_scenario("reference")
+        fast_sim, fast_nodes = build_scenario(NoReuseSolver)
+        reference_sim, reference_nodes = build_scenario(ReferenceSolver)
         drive(fast_sim, fast_nodes)
         drive(reference_sim, reference_nodes)
 
@@ -97,8 +101,8 @@ class TestKernelEquivalence:
         assert fast_sim.total_ops == pytest.approx(reference_sim.total_ops, rel=REL_TOL)
 
     def test_node_metrics_match(self):
-        fast_sim, fast_nodes = build_scenario("fast")
-        reference_sim, _ = build_scenario("reference")
+        fast_sim, fast_nodes = build_scenario(NoReuseSolver)
+        reference_sim, _ = build_scenario(ReferenceSolver)
         drive(fast_sim, fast_nodes)
         drive(reference_sim, fast_nodes)
         for name, reference_node in reference_sim.nodes.items():
@@ -170,17 +174,17 @@ class TestNodeEvaluatorEquivalence:
 
 
 class TestEventKernelEquivalence:
-    """The event kernel matches the fast kernel on the churn scenario.
+    """The solver matches its reuse-disabled twin on the churn scenario.
 
     Driven tick by tick (the churn scenario's insert-bearing tenants never
-    allow reuse anyway), this pins the event kernel's solver -- dispatch,
-    dirty-flag handling, caching -- to the golden-trace kernel's numbers
-    under region moves, compactions, reconfigurations and node churn.
+    allow reuse anyway), this pins the solver's dispatch, dirty-flag
+    handling and caching to the always-solving numbers under region moves,
+    compactions, reconfigurations and node churn.
     """
 
     def test_mixed_scenario_throughput_series_match(self):
-        fast_sim, fast_nodes = build_scenario("fast")
-        event_sim, event_nodes = build_scenario("event")
+        fast_sim, fast_nodes = build_scenario(NoReuseSolver)
+        event_sim, event_nodes = build_scenario()
         assert fast_nodes == event_nodes
 
         fast = drive(fast_sim, fast_nodes)
@@ -195,13 +199,152 @@ class TestEventKernelEquivalence:
         assert event_sim.assignment() == fast_sim.assignment()
 
 
+#: Per-tenant op mixes of the large cluster: two inserting tenants keep
+#: every tick a real solve; the others cover update, scan and
+#: read-modify-write costs.
+LARGE_MIXES = (
+    {"read": 0.9, "insert": 0.1},
+    {"read": 0.5, "update": 0.5},
+    {"scan": 0.9, "insert": 0.1},
+    {"read": 0.5, "read_modify_write": 0.3, "update": 0.2},
+)
+
+
+def build_large(solver=EventSolver) -> tuple[ClusterSimulator, list[str]]:
+    """8 nodes, 96 regions, 4 tenants: above VECTOR_MIN_REGIONS."""
+    from repro.simulation.workload import WorkloadBinding
+
+    with installed(solver):
+        sim = ClusterSimulator(tick_seconds=5.0)
+    nodes = [sim.add_node() for _ in range(8)]
+    per_tenant = 24
+    for tenant, mix in enumerate(LARGE_MIXES):
+        name = f"tenant-{tenant}"
+        ids = [f"t{tenant}:r{index}" for index in range(per_tenant)]
+        for index, region_id in enumerate(ids):
+            sim.add_region(
+                region_id,
+                name,
+                2e8 + 1e7 * ((7 * index + tenant) % 23),
+                node=nodes[(index + tenant) % len(nodes)],
+                scan_length=50 + 10 * tenant,
+            )
+        weight = 1.0 / per_tenant
+        weights = {region_id: weight for region_id in ids}
+        weights[ids[-1]] = 1.0 - weight * (per_tenant - 1)
+        sim.attach_workload(
+            WorkloadBinding(
+                name=name,
+                threads=30 + 10 * tenant,
+                op_mix=mix,
+                region_weights=weights,
+                scan_length=50 + 10 * tenant,
+            )
+        )
+    return sim, nodes
+
+
+def drive_large(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float]]:
+    """40 ticks with moves, a reconfigure, a crash and a compaction;
+    returns per-binding throughput and latency series plus node CPU."""
+    events = {
+        3: lambda: sim.move_region("t0:r0", nodes[5]),
+        8: lambda: sim.reconfigure_node(
+            nodes[2], NODE_PROFILES["read"].config, profile_name="read"
+        ),
+        15: lambda: sim.fail_node(nodes[6]),
+        22: lambda: sim.move_region("t2:r3", nodes[1]),
+        28: lambda: sim.major_compact(nodes[1]),
+    }
+    series: dict[str, list[float]] = {}
+    for tick in range(40):
+        action = events.get(tick)
+        if action is not None:
+            action()
+        sim.tick()
+        for name in sim.bindings:
+            series.setdefault(f"{name}:throughput", []).append(sim.binding_throughput(name))
+            series.setdefault(f"{name}:latency", []).append(sim.binding_latency_ms(name))
+        for name, node in sim.nodes.items():
+            series.setdefault(f"{name}:cpu", []).append(node.cpu_utilization)
+    return series
+
+
+class TestVectorLoop:
+    """The vector loop matches the scalar loop and the seed oracle.
+
+    Catalog clusters stay below ``VECTOR_MIN_REGIONS``, so this forces each
+    loop on a 96-region cluster by moving the threshold.
+    """
+
+    def _run(self, monkeypatch, threshold: int, solver=EventSolver):
+        from repro.simulation import solvers
+
+        passes = []
+        real_pass = EventSolver._vector_pass
+
+        def counting_pass(self, *args):
+            passes.append(1)
+            return real_pass(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "VECTOR_MIN_REGIONS", threshold)
+            patch.setattr(EventSolver, "_vector_pass", counting_pass)
+            sim, nodes = build_large(solver)
+            return drive_large(sim, nodes), len(passes)
+
+    def _assert_close(self, left, right, rel_tol, label):
+        assert set(left) == set(right)
+        for key, values in right.items():
+            assert len(left[key]) == len(values)
+            for tick, (a, b) in enumerate(zip(left[key], values)):
+                assert math.isclose(a, b, rel_tol=rel_tol, abs_tol=1e-12), (
+                    f"{label}: {key} diverged at tick {tick}: {a} vs {b}"
+                )
+
+    def test_vector_matches_scalar_and_reference(self, monkeypatch):
+        import sys
+
+        vector, vector_passes = self._run(monkeypatch, 0)
+        scalar, scalar_passes = self._run(monkeypatch, sys.maxsize)
+        reference, _ = self._run(monkeypatch, 0, ReferenceSolver)
+        assert vector_passes > 0, "the vector loop never ran"
+        assert scalar_passes == 0, "the scalar run took the vector loop"
+        self._assert_close(vector, scalar, 1e-9, "vector vs scalar")
+        self._assert_close(vector, reference, REL_TOL, "vector vs reference")
+        self._assert_close(scalar, reference, REL_TOL, "scalar vs reference")
+
+    def test_fast_forward_is_byte_identical_at_vector_size(self):
+        """Macro-ticks replay a vector-loop solution exactly as ticking does."""
+        twins = []
+        for solver in (EventSolver, NoReuseSolver):
+            sim, nodes = build_large(solver)
+            for name in [n for n in sim.bindings if "insert" in sim.bindings[n].op_mix]:
+                sim.update_workload(name, op_mix={"read": 0.9, "update": 0.1})
+            sim.move_region("t0:r0", nodes[5])
+            twins.append(sim)
+        fast_forwarded, ticked = twins
+        fast_forwarded.run(1800.0)
+        for _ in range(360):
+            ticked.tick()
+        assert len(fast_forwarded.regions) >= 64
+        assert fast_forwarded.stats.skipped_ticks > 300, "fast-forward never engaged"
+        assert ticked.stats.solves == 360
+        for key, series in ticked.metrics.items():
+            twin = fast_forwarded.metrics.series(*key)
+            assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
+            assert twin.values == series.values, f"values differ for {key}"
+
+
 def _build_quiet_pair():
-    """Insert-free steady twins (event + fast): quiescent once settled."""
+    """Insert-free steady twins (solver + reuse-disabled twin): quiescent
+    once settled."""
     from repro.simulation.workload import WorkloadBinding
 
     sims = []
-    for kernel in ("event", "fast"):
-        sim = ClusterSimulator(kernel=kernel, tick_seconds=5.0)
+    for solver in (EventSolver, NoReuseSolver):
+        with installed(solver):
+            sim = ClusterSimulator(tick_seconds=5.0)
         nodes = [sim.add_node() for _ in range(4)]
         for index in range(12):
             sim.add_region(f"r{index}", "tenant", 5e8, node=nodes[index % 4])
@@ -238,8 +381,8 @@ def _assert_series_match(event_sim, fast_sim):
 class TestQuiescenceAdversarial:
     """Fast-forwarding must stop for anything that changes the solution.
 
-    Each case runs the event kernel through :meth:`ClusterSimulator.run`
-    (macro-ticks engaged) against a fast-kernel twin ticked one by one, and
+    Each case runs the solver through :meth:`ClusterSimulator.run`
+    (macro-ticks engaged) against a reuse-disabled twin ticked one by one, and
     requires every metric series to agree -- so an event swallowed by a
     skipped stretch, or a skip overshooting a state transition, fails the
     test rather than silently warping the trace.

@@ -1,12 +1,13 @@
-"""Event-vs-fast kernel soak across the full scenario catalog.
+"""Reuse-vs-no-reuse soak across the full scenario catalog.
 
-The ROADMAP prerequisite for making the event kernel the scenario-runner
-default: every catalog scenario, under both golden controllers, must produce
-a trace *byte-identical* to the fast kernel's (the kernel tag aside).  The
-golden suite compares the default kernel against committed goldens; this
-module locks down the stronger cross-kernel property that justified flipping
-the default, so a future event-kernel optimisation that is merely "close"
-fails here explicitly instead of silently drifting the goldens.
+Solution reuse and fast-forwarding may only skip work whose result is
+bit-exact: every catalog scenario, under both golden controllers, must
+produce a trace *byte-identical* to the same run with reuse disabled
+(``solver_oracles.NoReuseSolver``, where every tick is a real solve and
+nothing is fast-forwarded).  The golden suite compares the solver against
+committed goldens; this module locks down the stronger property, so a
+future reuse optimisation that is merely "close" fails here explicitly
+instead of silently drifting the goldens.
 
 The soak found (and this module regression-tests) one real divergence: a MeT
 decision already due but held back by the cooldown fires on the first *tick*
@@ -23,6 +24,7 @@ from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
 from repro.scenarios.trace import GOLDEN_CONTROLLERS
+from solver_oracles import NoReuseSolver, installed
 
 COMBOS = [
     (scenario, controller)
@@ -35,14 +37,13 @@ class TestEventFastSoak:
     @pytest.mark.parametrize("scenario,controller", COMBOS)
     def test_event_trace_is_byte_identical_to_fast(self, scenario, controller):
         spec = CANNED_SCENARIOS[scenario]
-        fast = scenario_trace(spec, controller, kernel="fast")
-        event = scenario_trace(spec, controller, kernel="event")
-        assert fast.pop("kernel") == "fast"
-        assert event.pop("kernel") == "event"
+        with installed(NoReuseSolver):
+            fast = scenario_trace(spec, controller)
+        event = scenario_trace(spec, controller)
         assert trace_to_json(fast) == trace_to_json(event), (
-            f"{scenario}/{controller}: event kernel diverged from fast; the "
-            "event kernel may only reuse/fast-forward when the result is "
-            "bit-exact (see PERFORMANCE.md)"
+            f"{scenario}/{controller}: reuse diverged from solving every "
+            "tick; the solver may only reuse/fast-forward when the result "
+            "is bit-exact (see PERFORMANCE.md)"
         )
 
 
