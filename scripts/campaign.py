@@ -15,8 +15,6 @@ modes::
     --smoke            tiny 2x3x1 grid on 2 workers (the CI signal; all
                        three controllers incl. the planner); prints the
                        table and exits non-zero on any failed assertion
-    --bench            times the grid serially and on the pool into throwaway
-                       stores and writes BENCH_campaign.json at the repo root
     --scales 1.0,1.5   adds scale points (load multipliers) to the grid
     --plot PATH        quality-vs-cost scatter (skipped if matplotlib absent)
 """
@@ -40,10 +38,8 @@ from repro.campaign import (  # noqa: E402
     render_campaign_table,
     render_seed_quantile_table,
     run_campaign,
-    write_campaign_bench,
 )
 from repro.scenarios import CANNED_SCENARIOS  # noqa: E402
-from repro.util.wallclock import wall_perf_counter  # noqa: E402
 
 SMOKE_SCENARIOS = ("diurnal", "flash_crowd")
 # Smoke exercises every controller the scorecard compares, not just the
@@ -92,48 +88,6 @@ def print_progress(done: int, total: int, cell_id: str) -> None:
     print(f"[{done:4d}/{total}] {cell_id}", flush=True)
 
 
-def run_bench(grid: CampaignGrid, args: argparse.Namespace) -> int:
-    """Time the same grid serially and on the pool; write BENCH_campaign.json."""
-    with tempfile.TemporaryDirectory(prefix="campaign-bench-") as tmp:
-        # Profiling sidecars stay on for both passes: the byte-identity check
-        # below then doubles as a regression test that wall-clock profiling
-        # never leaks into the deterministic store.
-        serial_store = ResultsStore(Path(tmp) / "serial.jsonl")
-        start = wall_perf_counter()
-        run_campaign(
-            grid, serial_store, workers=1,
-            profile_path=Path(tmp) / "serial.profile.jsonl",
-        )
-        serial_seconds = wall_perf_counter() - start
-
-        pool_store = ResultsStore(Path(tmp) / "pool.jsonl")
-        start = wall_perf_counter()
-        run_campaign(
-            grid, pool_store, workers=args.workers,
-            profile_path=Path(tmp) / "pool.profile.jsonl",
-        )
-        pool_seconds = wall_perf_counter() - start
-
-        if serial_store.path.read_bytes() != pool_store.path.read_bytes():
-            print("FAIL: serial and pooled stores differ byte for byte")
-            return 1
-    report = write_campaign_bench(
-        args.bench_output,
-        grid_size=grid.size,
-        workers=args.workers,
-        serial_seconds=serial_seconds,
-        pool_seconds=pool_seconds,
-    )
-    print(
-        f"{grid.size} runs: serial {serial_seconds:.2f}s "
-        f"({report['serial_runs_per_second']} runs/s), "
-        f"{args.workers} workers {pool_seconds:.2f}s "
-        f"({report['pool_runs_per_second']} runs/s), "
-        f"speedup {report['pool_speedup']}x -> {args.bench_output}"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -180,18 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write a quality-vs-cost scatter plot (needs matplotlib)",
     )
     parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="time the grid serial vs pooled into throwaway stores and "
-        "write BENCH_campaign.json (the store flag is ignored)",
-    )
-    parser.add_argument(
-        "--bench-output",
-        type=Path,
-        default=REPO_ROOT / "BENCH_campaign.json",
-        help="where --bench writes its report",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="append per-cell wall-clock to a <store>.profile.jsonl sidecar "
@@ -213,9 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         args.workers = min(args.workers, 2)
 
     grid = build_grid(args)
-    if args.bench:
-        return run_bench(grid, args)
-
     if args.smoke:
         with tempfile.TemporaryDirectory(prefix="campaign-smoke-") as tmp:
             store = ResultsStore(Path(tmp) / "smoke.jsonl")

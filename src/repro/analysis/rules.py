@@ -57,6 +57,7 @@ ORDER_SENSITIVE_CONSUMERS = frozenset({"list", "tuple", "enumerate", "reversed"}
 CONTAINER_MUTATING_METHODS = frozenset(
     {"pop", "popitem", "clear", "update", "setdefault"}
 )
+SET_MUTATING_METHODS = frozenset({"add", "discard", "remove", "update", "clear", "pop"})
 SOLVER_RECEIVER_HINTS = frozenset(
     {"node", "nodes", "region", "regions", "binding", "bindings", "simulator", "sim"}
 )
@@ -358,6 +359,18 @@ def _container_attr(target: ast.expr) -> str | None:
     return None
 
 
+def _hooked_in_place_call(node: ast.AST) -> bool:
+    """``<expr>.block_homes.add(...)``-style in-place mutation of a hooked
+    region attribute: ``__setattr__`` never sees it, so nothing is bumped."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SET_MUTATING_METHODS
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr in invariants.HOOKED_REGION_ATTRIBUTES
+    )
+
+
 def _calls_in(node: ast.AST, names: frozenset[str]) -> bool:
     return any(
         isinstance(sub, ast.Call)
@@ -423,7 +436,7 @@ def _check_d4_simulator(ctx: ModuleContext) -> Iterator[Finding]:
                 and node.func.attr in CONTAINER_MUTATING_METHODS
                 and isinstance(node.func.value, ast.Attribute)
                 and node.func.value.attr in invariants.SOLVER_STATE_CONTAINERS
-            ):
+            ) or _hooked_in_place_call(node):
                 mutation_lines.append(node.lineno)
         if not mutation_lines:
             continue
@@ -475,7 +488,19 @@ def _check_d4_callers(ctx: ModuleContext) -> Iterator[Finding]:
         ):
             regions.append((node.lineno, node.end_lineno or node.lineno))
 
+    def discharged(line: int) -> bool:
+        return any(start <= line <= end for start, end in regions)
+
     for node in ast.walk(ctx.tree):
+        if _hooked_in_place_call(node) and not discharged(node.lineno):
+            yield ctx.finding(
+                node,
+                "D4",
+                f"in-place .{node.func.value.attr}.{node.func.attr}() bypasses "
+                "the SimulatedRegion __setattr__ hook with no "
+                "invalidate_solution()/declared-mutator call in the enclosing "
+                "function -- assign a new value or invalidate",
+            )
         if not isinstance(node, (ast.Assign, ast.AugAssign)):
             continue
         for target in _assignment_targets(node):
@@ -490,7 +515,7 @@ def _check_d4_callers(ctx: ModuleContext) -> Iterator[Finding]:
             if not _receiver_hints_solver_state(target.value):
                 continue
             line = node.lineno
-            if any(start <= line <= end for start, end in regions):
+            if discharged(line):
                 continue
             yield Finding(
                 ctx.rel_path,

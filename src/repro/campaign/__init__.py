@@ -13,8 +13,7 @@ studies:
 * :mod:`repro.campaign.store` -- the crash-tolerant append-only results
   store (one JSON line per completed run);
 * :mod:`repro.campaign.analysis` -- offline aggregation: comparison
-  tables, optional plots, and the ``BENCH_campaign.json`` throughput
-  report.
+  tables and optional plots.
 
 Everything a worker computes is deterministic (no wall-clock in records),
 so the same grid + master seed produce *byte-identical* stores regardless
@@ -27,7 +26,6 @@ from repro.campaign.analysis import (
     plot_campaign,
     render_campaign_table,
     render_seed_quantile_table,
-    write_campaign_bench,
 )
 from repro.campaign.grid import (
     BASELINE_SCALE,
@@ -56,5 +54,4 @@ __all__ = [
     "render_campaign_table",
     "render_seed_quantile_table",
     "run_campaign",
-    "write_campaign_bench",
 ]

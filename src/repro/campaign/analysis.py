@@ -1,4 +1,4 @@
-"""Offline campaign analysis: aggregation, comparison tables, bench report.
+"""Offline campaign analysis: aggregation and comparison tables.
 
 Reduces a results store to the MeT-vs-Tiramola comparison the paper argues
 with: per (scenario, scale) rows averaging each controller's metrics over
@@ -6,16 +6,10 @@ the seed axis, rendered side by side through the same
 :func:`~repro.experiments.reporting.format_matchup` shape as the single-run
 scorecard.  Plotting is optional and degrades to a no-op when matplotlib is
 not installed (the container does not guarantee it).
-
-:func:`write_campaign_bench` writes a small JSON file at the repo root tracking campaign throughput (runs/s) and the
-process-pool speedup PR over PR.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +21,6 @@ __all__ = [
     "plot_campaign",
     "render_campaign_table",
     "render_seed_quantile_table",
-    "write_campaign_bench",
 ]
 
 
@@ -179,36 +172,3 @@ def plot_campaign(records: list[dict], path: str | Path) -> bool:
     plt.close(figure)
     return True
 
-
-def write_campaign_bench(
-    path: str | Path,
-    grid_size: int,
-    workers: int,
-    serial_seconds: float,
-    pool_seconds: float,
-) -> dict:
-    """Write the ``BENCH_campaign.json`` throughput report; return it."""
-    # cpu_count contextualises pool_speedup: a process pool cannot beat
-    # serial on a single-core host, so the speedup is only meaningful
-    # alongside the cores that were available when it was measured.
-    report = {
-        "benchmark": "campaign",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "grid_size": grid_size,
-        "workers": workers,
-        "serial_seconds": round(serial_seconds, 3),
-        "pool_seconds": round(pool_seconds, 3),
-        "serial_runs_per_second": round(grid_size / serial_seconds, 2)
-        if serial_seconds > 0
-        else None,
-        "pool_runs_per_second": round(grid_size / pool_seconds, 2)
-        if pool_seconds > 0
-        else None,
-        "pool_speedup": round(serial_seconds / pool_seconds, 2)
-        if pool_seconds > 0
-        else None,
-    }
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report

@@ -114,7 +114,7 @@ def run_campaign(
     per executed cell to a *sidecar* file.  Wall-clock is host- and
     run-specific, so it lives outside the results store: the store bytes
     stay a pure function of grid + master seed whether profiling is on or
-    off (the serial-vs-pool byte-identity check runs with it enabled).
+    off.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -200,15 +200,10 @@ class ExperimentHarness:
         simulator: ClusterSimulator,
         name: str = "run",
         sample_every_seconds: float = 60.0,
-        record_tenant_series: bool = True,
     ) -> None:
         self.simulator = simulator
         self.run = StrategyRun(name=name)
         self.sample_every_seconds = sample_every_seconds
-        #: Whether per-tenant latency/throughput series are sampled into the
-        #: run.  On by default; pure-throughput benchmarks that only want the
-        #: cluster series can turn it off (see PERFORMANCE.md).
-        self.record_tenant_series = record_tenant_series
         self._controllers: list = []
         self._machine_seconds = 0.0
         self._next_sample = 0.0
@@ -372,8 +367,7 @@ class ExperimentHarness:
                 nodes=self.simulator.online_node_count(),
             )
         )
-        if self.record_tenant_series:
-            self._sample_tenants(now)
+        self._sample_tenants(now)
         self._last_sample_time = now
 
     def _sample_tenants(self, now: float) -> None:

@@ -329,12 +329,7 @@ def probe_records(
             scale = ScaleSpec(name=f"probe-{load:g}x", load=load)
             seed = derive_seed(master_seed, scenario, scale.name, "s0")
             spec = replace(apply_scale(base, scale), seed=seed)
-            result = run_scenario(
-                spec,
-                controller=controller,
-                keep_simulator=False,
-                record_tenant_series=True,
-            )
+            result = run_scenario(spec, controller=controller, keep_simulator=False)
             row = scorecard_row(result)
             records.append(
                 {

@@ -47,6 +47,10 @@ SCENARIO_HARDWARE = HardwareSpec(
     heap_bytes=int(2.2 * 1024 * 1024 * 1024),
 )
 
+#: Harness sampling cadence of a scenario run: one series point (and one
+#: SLO judgement) per simulated minute.
+SAMPLE_EVERY_SECONDS = 60.0
+
 
 @dataclass
 class ScenarioRunResult:
@@ -211,9 +215,7 @@ def _normalise_decisions(name: str, controller) -> list[dict]:
 def run_scenario(
     spec: ScenarioSpec,
     controller: str = "none",
-    sample_every_seconds: float = 60.0,
     keep_simulator: bool = True,
-    record_tenant_series: bool = True,
 ) -> ScenarioRunResult:
     """Run ``spec`` under ``controller`` and return the recorded result.
 
@@ -230,8 +232,7 @@ def run_scenario(
     harness = ExperimentHarness(
         simulator,
         name=f"{spec.name}:{controller}",
-        sample_every_seconds=sample_every_seconds,
-        record_tenant_series=record_tenant_series,
+        sample_every_seconds=SAMPLE_EVERY_SECONDS,
     )
     if instance is not None:
         harness.add_controller(instance)
@@ -248,7 +249,7 @@ def run_scenario(
         run=run,
         decisions=_normalise_decisions(controller, instance),
         slo_reports=evaluate_slos(
-            spec.slos, run, sample_minutes=sample_every_seconds / 60.0
+            spec.slos, run, sample_minutes=SAMPLE_EVERY_SECONDS / 60.0
         ),
         machine_minute_ledger=ledger,
         cost=DEFAULT_PRICING.cost_of(ledger),

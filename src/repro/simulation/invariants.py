@@ -65,8 +65,11 @@ DIRTY_MARKERS: frozenset[str] = frozenset(
 
 # SimulatedRegion attributes intercepted by __setattr__: assigning them
 # re-indexes / bumps the structure version automatically, so plain
-# ``region.node = ...`` is already safe and rule D4 treats such writes
-# as discharged.
+# ``region.node = ...`` (and augmented ``region.block_homes |= s``, which
+# assigns after the operator) is already safe and rule D4 treats such
+# writes as discharged.  An in-place call such as
+# ``region.block_homes.add(n)`` never reaches the hook, so D4 treats it as
+# a mutation that a declared mutator or a dirty marker must cover.
 HOOKED_REGION_ATTRIBUTES: frozenset[str] = frozenset({"node", "block_homes"})
 
 # SimulatedNode attributes the fixed-point solver reads.  Writing them
@@ -100,7 +103,7 @@ SOLVER_STATE_CONTAINERS: frozenset[str] = frozenset({"nodes", "regions", "bindin
 # Tick machinery: methods that advance simulated time and apply solver
 # output back onto the cluster.  They write guarded state by design
 # (that is their job -- e.g. macro_tick draining pending compaction
-# bytes, _apply_tick_results* committing drained counters) and manage
+# bytes, _apply_tick_results committing drained counters) and manage
 # the dirty signature explicitly, so rule D4 exempts them rather than
 # demanding a declaration per write.
 TICK_MACHINERY: frozenset[str] = frozenset(
@@ -110,7 +113,6 @@ TICK_MACHINERY: frozenset[str] = frozenset(
         "run",
         "macro_tick",
         "_apply_tick_results",
-        "_apply_tick_results_batch",
         "_progress_compactions",
         "dispose",
     }

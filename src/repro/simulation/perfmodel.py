@@ -174,7 +174,7 @@ class NodeLoadResult:
     bottleneck: str = "cpu"
 
 
-def _bottleneck(cpu_util: float, io_wait: float, net_util: float) -> str:
+def bottleneck_resource(cpu_util: float, io_wait: float, net_util: float) -> str:
     """Name of the resource with the highest utilisation (ties favour CPU)."""
     if cpu_util >= io_wait and cpu_util >= net_util:
         return "cpu"
@@ -387,7 +387,7 @@ class PerformanceModel:
             demand=demand,
             hit_ratio=hit,
             per_op_latency_ms=latencies,
-            bottleneck=_bottleneck(cpu_util, io_wait, net_util),
+            bottleneck=bottleneck_resource(cpu_util, io_wait, net_util),
         )
 
     def _latencies(
@@ -443,6 +443,42 @@ def _mean_locality(regions: list[RegionLoadProfile]) -> float:
     return sum(r.locality * r.total_rate for r in regions) / total_rate
 
 
+# Per-region unit-demand row layout of :class:`NodeEvaluator` (one
+# ``ROW_WIDTH``-float list per hosted region).  The scalar loop
+# (``NodeEvaluator._demand_pass``) indexes rows with these positions as
+# literals for speed; the solver's vector loop stacks the rows into columns
+# and reads them by name.
+#: Read path: base CPU per read, then the miss-scaled CPU delta, IOPS,
+#: disk bytes and network bytes per read.
+ROW_READ_CPU = 0
+ROW_READ_MISS_CPU = 1
+ROW_READ_MISS_IOPS = 2
+ROW_READ_MISS_BYTES = 3
+ROW_READ_MISS_NET = 4
+#: Write path (fully static per unit rate): CPU, IOPS, disk bytes, network.
+ROW_WRITE_CPU = 5
+ROW_WRITE_IOPS = 6
+ROW_WRITE_BYTES = 7
+ROW_WRITE_NET = 8
+#: Scan path: base CPU and network per scan, then the miss-scaled IOPS,
+#: disk bytes and network bytes per scan.
+ROW_SCAN_CPU = 9
+ROW_SCAN_NET = 10
+ROW_SCAN_MISS_IOPS = 11
+ROW_SCAN_MISS_BYTES = 12
+ROW_SCAN_MISS_NET = 13
+#: Hit-ratio inputs: hot bytes, cold bytes, hot request fraction, locality.
+ROW_HOT_BYTES = 14
+ROW_COLD_BYTES = 15
+ROW_HOT_REQUEST_FRACTION = 16
+ROW_LOCALITY = 17
+#: Refresh bookkeeping: the region size and hot-data fraction the row's
+#: size-dependent slots were computed from.
+ROW_SIZE_BYTES = 18
+ROW_HOT_DATA_FRACTION = 19
+ROW_WIDTH = 20
+
+
 class NodeEvaluator:
     """Tick-constant evaluation context for one node.
 
@@ -461,32 +497,32 @@ class NodeEvaluator:
     keys.  Results are numerically equivalent to ``evaluate_node`` (same
     formulas, re-associated floating-point sums), which the kernel
     equivalence regression test checks end-to-end.
+
+    The coefficients are public because the solver's vector loop reads them
+    too: ``rows`` (one ``ROW_*``-laid-out list per region, in
+    ``region_ids`` order), the effective cache bytes, the resource budgets
+    and the latency statics ``disk_ms``/``blocks0``/``scan_length0``.
     """
 
-    #: Per-region unit-demand row layout (one list per region):
-    #: 0 read base cpu, 1-4 read miss-scaled (cpu, iops, bytes, net),
-    #: 5-8 write (cpu, iops, bytes, net), 9 scan base cpu, 10 scan base net,
-    #: 11-13 scan miss-scaled (iops, bytes, net), 14 hot bytes,
-    #: 15 cold bytes, 16 hot request fraction, 17 locality,
-    #: 18 size_bytes, 19 hot_data_fraction (18/19 support refresh()).
     __slots__ = (
         "hardware",
         "config",
         "region_ids",
         "memory_utilization",
-        "_rows",
-        "_cache_eff_bytes",
+        "rows",
+        "cache_eff_bytes",
+        "cpu_budget",
+        "disk_iops_budget",
+        "disk_bytes_budget",
+        "network_bytes_budget",
+        "disk_ms",
+        "blocks0",
+        "scan_length0",
+        "_cache_bytes",
         "_amplification",
         "_memstore_bytes",
         "_block",
-        "_disk_ms",
         "_write_ms",
-        "_blocks0",
-        "_scan_length0",
-        "_cpu_budget",
-        "_disk_iops_budget",
-        "_disk_bytes_budget",
-        "_network_bytes_budget",
     )
 
     def __init__(
@@ -498,26 +534,27 @@ class NodeEvaluator:
         hw = model.hardware
         self.hardware = hw
         self.config = config
-        self._cache_eff_bytes = CACHE_EFFICIENCY * config.block_cache_bytes(hw.heap_bytes)
-        self._cpu_budget = hw.cpu_millis_per_second
-        self._disk_iops_budget = hw.disk_iops
-        self._disk_bytes_budget = hw.disk_mb_per_second * MB
-        self._network_bytes_budget = hw.network_mb_per_second * MB
+        self._cache_bytes = config.block_cache_bytes(hw.heap_bytes)
+        self.cache_eff_bytes = CACHE_EFFICIENCY * self._cache_bytes
+        self.cpu_budget = hw.cpu_millis_per_second
+        self.disk_iops_budget = hw.disk_iops
+        self.disk_bytes_budget = hw.disk_mb_per_second * MB
+        self.network_bytes_budget = hw.network_mb_per_second * MB
         self._amplification = model.write_amplification(config)
         self._memstore_bytes = max(config.memstore_bytes(hw.heap_bytes), 1)
         self._block = config.block_size_bytes
 
         self.region_ids = [region.region_id for region in regions]
-        self._rows = [self._build_row(region) for region in regions]
+        self.rows = [self._build_row(region) for region in regions]
         self._recompute_memory_utilization()
 
         # Latency statics (evaluate_node keys them on the first region).
         record_size = regions[0].record_size if regions else 1024
         scan_length = regions[0].scan_length if regions else 50
-        self._disk_ms = 1000.0 / hw.disk_iops
+        self.disk_ms = 1000.0 / hw.disk_iops
         self._write_ms = CPU_WRITE_MS + CPU_RPC_OVERHEAD_MS + 0.2
-        self._blocks0 = max(1.0, scan_length * record_size / self._block) + 1.0
-        self._scan_length0 = scan_length
+        self.blocks0 = max(1.0, scan_length * record_size / self._block) + 1.0
+        self.scan_length0 = scan_length
 
     def _build_row(self, region) -> list[float]:
         block = self._block
@@ -557,21 +594,27 @@ class NodeEvaluator:
             region.hot_data_fraction,
         ]
 
-    def _recompute_memory_utilization(self) -> None:
-        # Memory utilisation only depends on tick-constant state.
+    def memory_utilization_at(self, hosted_bytes: float) -> float:
+        """Memory utilisation of this node while it hosts ``hosted_bytes``.
+
+        Only hosted bytes vary at a fixed config and hardware, so this is
+        the one place the formula lives for both solver loops.
+        """
         hw = self.hardware
-        hosted_bytes = 0.0
-        for row in self._rows:
-            hosted_bytes += row[18]
-        cache_bytes = self.config.block_cache_bytes(hw.heap_bytes)
         used = (
-            min(cache_bytes, hosted_bytes * 0.6)
+            min(self._cache_bytes, hosted_bytes * 0.6)
             + self._memstore_bytes * 0.5
             + 0.6 * hw.heap_bytes * 0.2
         )
-        self.memory_utilization = min(
+        return min(
             1.0, (used + 0.5 * (hw.memory_bytes - hw.heap_bytes)) / hw.memory_bytes
         )
+
+    def _recompute_memory_utilization(self) -> None:
+        hosted_bytes = 0.0
+        for row in self.rows:
+            hosted_bytes += row[ROW_SIZE_BYTES]
+        self.memory_utilization = self.memory_utilization_at(hosted_bytes)
 
     def refresh(self, regions: list) -> None:
         """Fold region size/locality drift into the precomputed rows.
@@ -582,19 +625,19 @@ class NodeEvaluator:
         other region fields (record size, scan length, skew fractions) are
         immutable after region creation.
         """
-        rows = self._rows
+        rows = self.rows
         sizes_changed = False
         for index, region in enumerate(regions):
             row = rows[index]
-            if row[17] != region.locality:
-                sizes_changed = sizes_changed or row[18] != region.size_bytes
+            if row[ROW_LOCALITY] != region.locality:
+                sizes_changed = sizes_changed or row[ROW_SIZE_BYTES] != region.size_bytes
                 rows[index] = self._build_row(region)
-            elif row[18] != region.size_bytes:
+            elif row[ROW_SIZE_BYTES] != region.size_bytes:
                 size = region.size_bytes
-                hot_fraction = row[19]
-                row[14] = size * hot_fraction
-                row[15] = size * (1.0 - hot_fraction)
-                row[18] = size
+                hot_fraction = row[ROW_HOT_DATA_FRACTION]
+                row[ROW_HOT_BYTES] = size * hot_fraction
+                row[ROW_COLD_BYTES] = size * (1.0 - hot_fraction)
+                row[ROW_SIZE_BYTES] = size
                 sizes_changed = True
         if sizes_changed:
             self._recompute_memory_utilization()
@@ -612,7 +655,7 @@ class NodeEvaluator:
         cpu = iops = disk_bytes = net = 0.0
         m_cpu = m_iops = m_bytes = m_net = 0.0
         total_rate = weighted_locality = 0.0
-        for row, rates in zip(self._rows, rate_rows):
+        for row, rates in zip(self.rows, rate_rows):
             if rates is None:
                 continue
             read, update, insert, scan, rmw = rates
@@ -647,7 +690,7 @@ class NodeEvaluator:
                 weighted_locality += row[17] * rate
 
         if read_rate_sum > 0.0 and hot > 0.0:
-            cache = self._cache_eff_bytes
+            cache = self.cache_eff_bytes
             hot_requests = hot_req / read_rate_sum
             hot_covered = min(1.0, cache / hot)
             spare = max(0.0, cache - hot)
@@ -670,17 +713,17 @@ class NodeEvaluator:
     ) -> dict[str, float]:
         rho = utilization / (1.0 + utilization)
         inflation = 1.0 / (1.0 - min(rho, 0.97))
-        disk_ms = self._disk_ms
+        disk_ms = self.disk_ms
         read_ms = (
             CPU_READ_HIT_MS * hit
             + miss * (CPU_READ_MISS_MS + disk_ms)
             + CPU_RPC_OVERHEAD_MS
         )
         write_ms = self._write_ms
-        blocks = self._blocks0
+        blocks = self.blocks0
         scan_ms = (
             CPU_SCAN_SETUP_MS
-            + CPU_SCAN_PER_RECORD_MS * self._scan_length0
+            + CPU_SCAN_PER_RECORD_MS * self.scan_length0
             + CPU_SCAN_PER_BLOCK_MS * blocks
             + miss * blocks * disk_ms * 0.5
         )
@@ -706,9 +749,9 @@ class NodeEvaluator:
         hit, miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality = (
             self._demand_pass(rate_rows, background_disk_bytes_per_s)
         )
-        cpu_util = cpu / self._cpu_budget
-        io_wait = max(iops / self._disk_iops_budget, disk_bytes / self._disk_bytes_budget)
-        utilization = max(cpu_util, io_wait, net / self._network_bytes_budget)
+        cpu_util = cpu / self.cpu_budget
+        io_wait = max(iops / self.disk_iops_budget, disk_bytes / self.disk_bytes_budget)
+        utilization = max(cpu_util, io_wait, net / self.network_bytes_budget)
         mean_locality = weighted_locality / total_rate if total_rate > 0.0 else 1.0
         return self._latency_dict(hit, miss, utilization, mean_locality)
 
@@ -719,11 +762,11 @@ class NodeEvaluator:
         hit, miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality = (
             self._demand_pass(rate_rows, background_disk_bytes_per_s)
         )
-        cpu_util = cpu / self._cpu_budget
-        iops_util = iops / self._disk_iops_budget
-        disk_bw_util = disk_bytes / self._disk_bytes_budget
+        cpu_util = cpu / self.cpu_budget
+        iops_util = iops / self.disk_iops_budget
+        disk_bw_util = disk_bytes / self.disk_bytes_budget
         io_wait = max(iops_util, disk_bw_util)
-        net_util = net / self._network_bytes_budget
+        net_util = net / self.network_bytes_budget
         utilization = max(cpu_util, io_wait, net_util)
         mean_locality = weighted_locality / total_rate if total_rate > 0.0 else 1.0
         return NodeLoadResult(
@@ -740,7 +783,7 @@ class NodeEvaluator:
             ),
             hit_ratio=hit,
             per_op_latency_ms=self._latency_dict(hit, miss, utilization, mean_locality),
-            bottleneck=_bottleneck(cpu_util, io_wait, net_util),
+            bottleneck=bottleneck_resource(cpu_util, io_wait, net_util),
         )
 
     def evaluate(

@@ -8,14 +8,15 @@ distribution summaries.  :class:`EventSolver` produces it:
 * *solution reuse*: a tick-stable, insert-free fixed point is replayed
   verbatim until a dirty flag (any simulator mutation), a background-I/O
   change or an internal event invalidates it;
-* real solves run one of two inner loops over the same cost model, picked
-  by cluster size.  The *scalar* loop evaluates nodes through memoised
-  :class:`NodeEvaluator` contexts over slot-indexed rate rows; the *vector*
-  loop keeps per-region demand/cost rows in contiguous numpy arrays grouped
-  by node, so one ``np.add.reduceat`` aggregates all nodes per fixed-point
-  iteration.  Array set-up dominates small clusters, so the vector loop runs
-  from :data:`VECTOR_MIN_REGIONS` regions up; the two agree to float
-  rounding.
+* real solves run one of two inner loops, picked by cluster size, over one
+  coefficient source: the memoised per-node :class:`NodeEvaluator`
+  contexts.  The *scalar* loop evaluates each node through its evaluator
+  over slot-indexed rate rows; the *vector* loop is a columnar view of the
+  same evaluators -- their per-region rows stacked into contiguous numpy
+  columns grouped by node -- so one ``np.add.reduceat`` aggregates all
+  nodes per fixed-point iteration.  Array set-up dominates small clusters,
+  so the vector loop runs from :data:`VECTOR_MIN_REGIONS` regions up; the
+  two agree to float rounding.
 
 The solver shares the simulator's topology caches (region index,
 assignment versions); its private state (evaluator memos, rate contexts,
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulation.hardware import MB
 from repro.simulation.latency import LatencySummary, bin_index, quantise_weight
 from repro.simulation.perfmodel import (
     CPU_READ_HIT_MS,
@@ -37,19 +37,30 @@ from repro.simulation.perfmodel import (
     CPU_SCAN_PER_BLOCK_MS,
     CPU_SCAN_PER_RECORD_MS,
     CPU_SCAN_SETUP_MS,
-    CPU_WRITE_COMPACTION_MS_PER_AMP,
     CPU_WRITE_MS,
-    CACHE_EFFICIENCY,
-    MEMSTORE_REFERENCE_FRACTION,
     NodeEvaluator,
     NodeLoadResult,
     OP_TYPES,
-    REMOTE_READ_IOPS_FACTOR,
     REMOTE_READ_LATENCY_FACTOR,
+    ROW_HOT_DATA_FRACTION,
+    ROW_HOT_REQUEST_FRACTION,
+    ROW_LOCALITY,
+    ROW_READ_CPU,
+    ROW_READ_MISS_BYTES,
+    ROW_READ_MISS_CPU,
+    ROW_READ_MISS_IOPS,
+    ROW_READ_MISS_NET,
+    ROW_SCAN_CPU,
+    ROW_SCAN_MISS_BYTES,
+    ROW_SCAN_MISS_IOPS,
+    ROW_SCAN_MISS_NET,
+    ROW_SCAN_NET,
+    ROW_WRITE_BYTES,
+    ROW_WRITE_CPU,
+    ROW_WRITE_IOPS,
+    ROW_WRITE_NET,
     ServiceDemand,
-    WRITE_AMP_BASE,
-    WRITE_AMP_MEMSTORE_FACTOR,
-    _bottleneck,
+    bottleneck_resource,
 )
 
 #: Hosted-region count from which the vector loop beats the scalar one
@@ -68,10 +79,19 @@ _OP_SLOT = {op: slot for slot, op in enumerate(OP_TYPES)}
 #: Zero template for resetting rate rows via slice assignment.
 _ZERO_RATES = (0.0, 0.0, 0.0, 0.0, 0.0)
 
-#: Read-path unit CPU costs (see NodeEvaluator row layout): base per read
-#: regardless of cache outcome, and the extra paid per miss.
-_R_CPU_BASE = CPU_RPC_OVERHEAD_MS + CPU_READ_HIT_MS
-_R_CPU_MISS_DELTA = CPU_READ_MISS_MS - CPU_READ_HIT_MS
+#: Per-node :class:`NodeEvaluator` fields the vector loop stacks into
+#: length-N arrays, each kept in the :class:`_VectorContext` slot of the
+#: same name.
+_NODE_FIELDS = (
+    "cache_eff_bytes",
+    "cpu_budget",
+    "disk_iops_budget",
+    "disk_bytes_budget",
+    "network_bytes_budget",
+    "disk_ms",
+    "blocks0",
+    "scan_length0",
+)
 
 #: The solver result tuple: (achieved throughputs, node results,
 #: region rates, binding latencies, binding latency summaries).
@@ -137,29 +157,50 @@ def binding_summaries(
     return summaries
 
 
-def _damp(throughputs: dict[str, float], name: str, target: float) -> bool:
-    """One damped fixed-point step for binding ``name``.
+def _fixed_point(bindings: dict, throughputs: dict[str, float], latencies) -> None:
+    """The damped closed-loop iteration, shared by both inner loops.
 
-    Moves its throughput halfway towards ``target`` and returns whether the
-    step was still larger than :data:`FIXED_POINT_TOLERANCE` (relative).
+    ``latencies()`` evaluates every binding's mean latency at the current
+    ``throughputs``; each binding then moves halfway towards the throughput
+    that latency allows, until no binding moves by more than
+    :data:`FIXED_POINT_TOLERANCE` (relative) or
+    :data:`FIXED_POINT_MAX_ITERATIONS` is reached.
     """
-    previous = throughputs[name]
-    updated = 0.5 * previous + 0.5 * target
-    throughputs[name] = updated
-    return abs(updated - previous) > FIXED_POINT_TOLERANCE * max(
-        abs(previous), abs(updated), 1.0
-    )
+    if not bindings:
+        return
+    for _ in range(FIXED_POINT_MAX_ITERATIONS):
+        current = latencies()
+        converged = True
+        for name, binding in bindings.items():
+            previous = throughputs[name]
+            updated = 0.5 * previous + 0.5 * binding.max_throughput(current[name])
+            throughputs[name] = updated
+            if abs(updated - previous) > FIXED_POINT_TOLERANCE * max(
+                abs(previous), abs(updated), 1.0
+            ):
+                converged = False
+        if converged:
+            break
+
+
+def _throttle(utilization: float) -> float:
+    """Share of its offered load a node serves: all of it until saturated
+    (work conservation clamps achieved throughput to capacity)."""
+    return 1.0 if utilization <= 1.0 else 1.0 / utilization
 
 
 class _VectorContext:
-    """Columnar view of the online cluster for the vectorised solver.
+    """Columnar view of the memoised :class:`NodeEvaluator` contexts.
 
-    Regions are laid out contiguously grouped by hosting node (nodes in
-    simulator insertion order, regions in creation order within a node) so
-    ``np.add.reduceat`` over ``offsets`` yields per-node sums in exactly the
-    order the scalar loop accumulates them.  Static columns are built once
-    per (workloads, structure) signature; size/locality-dependent columns
-    are refreshed cheaply every solve (insert growth, moves, compactions).
+    Built from the online nodes' evaluators once per (workloads, structure)
+    signature.  Regions are laid out contiguously grouped by hosting node
+    (nodes in simulator insertion order, regions in each evaluator's
+    ``region_ids`` order) so ``np.add.reduceat`` over ``offsets`` yields
+    per-node sums in exactly the order the scalar loop accumulates them;
+    ``coeffs`` holds the evaluators' rows as ``(ROW_WIDTH, regions)``
+    columns.  Within one signature only region sizes drift, so each solve
+    refreshes just the size-dependent columns: locality, config, hardware
+    and assignment changes all bump the signature.
     """
 
     __slots__ = (
@@ -167,49 +208,19 @@ class _VectorContext:
         "node_names",
         "empty_nodes",
         "offsets",
-        "node_idx",
         "region_node",
-        # per-node parameter arrays (length N)
-        "cache_eff",
-        "cpu_budget",
-        "iops_budget",
-        "bytes_budget",
-        "net_budget",
-        "disk_ms",
-        "blocks0",
-        "scan_len0",
-        "cache_bytes_mem",
-        "memstore",
-        "heap_bytes",
-        "memory_bytes",
-        "background",
-        # per-region static columns (length R)
-        "hot_frac",
-        "hot_req_frac",
-        "blockR",
-        "blocksR",
-        "w_cpu",
-        "w_iops",
-        "w_bytes",
-        "w_net",
-        "s_cpu",
-        "s_net0",
-        "s_bytes",
-        # per-region dynamic columns (refreshed each solve)
-        "sizes",
+        # per-node evaluator fields (length N)
+        *_NODE_FIELDS,
+        # per-region evaluator rows (ROW_WIDTH x R)
+        "coeffs",
+        # size-dependent columns, refreshed every solve
         "hot_bytes",
         "cold_bytes",
-        "loc",
-        "r_iops",
-        "r_netm",
-        "s_iops",
-        "s_netm",
+        "hosted_bytes",
         # workload structures
         "binding_fill",
         "binding_terms",
         "mix_matrix",
-        # scratch
-        "rates",
     )
 
 
@@ -292,9 +303,9 @@ class EventSolver:
             for name, binding in sim.bindings.items()
         }
         if len(sim.regions) >= VECTOR_MIN_REGIONS:
-            results = self._solve_vector(compaction_bg)
+            results = self._solve_vector(compaction_bg, dict(seeds))
         else:
-            results = self._solve_scalar(compaction_bg)
+            results = self._solve_scalar(compaction_bg, dict(seeds))
 
         achieved = results[0]
         region_rates = results[2]
@@ -368,13 +379,10 @@ class EventSolver:
         self._rate_context_cache = (sim._workloads_version, rate_rows, contribs)
         return rate_rows, contribs
 
-    def _solve_scalar(self, compaction_bg: dict[str, float]) -> SolveResult:
-        sim = self._sim
-        bindings = sim.bindings
-        throughputs = {
-            name: sim._binding_throughput.get(name, binding.threads * 50.0)
-            for name, binding in bindings.items()
-        }
+    def _solve_scalar(
+        self, compaction_bg: dict[str, float], throughputs: dict[str, float]
+    ) -> SolveResult:
+        bindings = self._sim.bindings
         rate_rows, contribs = self._tick_rate_context()
         node_context = [
             (
@@ -402,8 +410,6 @@ class EventSolver:
             for name, binding in bindings.items()
         }
         rate_values = list(rate_rows.values())
-        node_latencies: dict[str, dict[str, float]] = {}
-
         zeros = _ZERO_RATES
 
         def fill_rates() -> None:
@@ -414,11 +420,6 @@ class EventSolver:
                 for _, row, slot_units in entries:
                     for _, slot, unit in slot_units:
                         row[slot] += throughput * unit
-
-        def evaluate_latencies() -> None:
-            node_latencies.clear()
-            for name, evaluator, refs, background in node_context:
-                node_latencies[name] = evaluator.latencies(refs, background)
 
         def binding_latency(terms, mix, latencies_by_node) -> float:
             # Same math as WorkloadBinding.mean_latency: the per-region
@@ -442,18 +443,15 @@ class EventSolver:
                 total += weight * mixed
             return total
 
-        if bindings:
-            for _ in range(FIXED_POINT_MAX_ITERATIONS):
-                fill_rates()
-                evaluate_latencies()
-                converged = True
-                for name, binding in bindings.items():
-                    terms, mix = binding_terms[name]
-                    latency = binding_latency(terms, mix, node_latencies)
-                    if _damp(throughputs, name, binding.max_throughput(latency)):
-                        converged = False
-                if converged:
-                    break
+        def latencies() -> dict[str, float]:
+            fill_rates()
+            by_node = {
+                name: evaluator.latencies(refs, background)
+                for name, evaluator, refs, background in node_context
+            }
+            return {name: binding_latency(*binding_terms[name], by_node) for name in bindings}
+
+        _fixed_point(bindings, throughputs, latencies)
 
         fill_rates()
         node_results: dict[str, object] = {}
@@ -461,9 +459,7 @@ class EventSolver:
         for name, evaluator, refs, background in node_context:
             result = evaluator.evaluate_rates(refs, background)
             node_results[name] = result
-            node_scale[name] = (
-                1.0 if result.utilization <= 1.0 else 1.0 / result.utilization
-            )
+            node_scale[name] = _throttle(result.utilization)
 
         # Per-binding latency at the *final* state, from the full node
         # results (same latency dicts the intermediate iterations used).
@@ -507,14 +503,27 @@ class EventSolver:
 
     # -- vector loop ----------------------------------------------------- #
     def _vector_context(self) -> _VectorContext | None:
+        """The columnar view for this solve (``None`` when nothing is hosted).
+
+        Rebuilt from the evaluators when the (workloads, structure)
+        signature changes; otherwise only the size-dependent columns are
+        refreshed, since inserts grow regions every tick.
+        """
         sig = self._signature()
-        ctx = self._vector_ctx
-        if ctx is None or self._vector_sig != sig:
-            ctx = self._build_vector_context()
-            self._vector_ctx = ctx
+        if self._vector_ctx is None or self._vector_sig != sig:
+            self._vector_ctx = self._build_vector_context()
             self._vector_sig = sig
+        ctx = self._vector_ctx
         if ctx is not None:
-            self._refresh_vector(ctx)
+            sizes = np.fromiter(
+                (region.size_bytes for region in ctx.regions),
+                dtype=np.float64,
+                count=len(ctx.regions),
+            )
+            hot_fraction = ctx.coeffs[ROW_HOT_DATA_FRACTION]
+            ctx.hot_bytes = sizes * hot_fraction
+            ctx.cold_bytes = sizes * (1.0 - hot_fraction)
+            ctx.hosted_bytes = np.add.reduceat(sizes, ctx.offsets)
         return ctx
 
     def _build_vector_context(self) -> _VectorContext | None:
@@ -523,127 +532,37 @@ class EventSolver:
         node_names: list[str] = []
         empty_nodes: list[str] = []
         offsets: list[int] = []
-        for node in sim.nodes.values():
-            if not node.online:
+        evaluators: list[NodeEvaluator] = []
+        for name, evaluator in self._tick_node_context():
+            if not evaluator.region_ids:
+                empty_nodes.append(name)
                 continue
-            hosted = sim.regions_on(node.name)
-            if hosted:
-                node_names.append(node.name)
-                offsets.append(len(regions))
-                regions.extend(hosted)
-            else:
-                empty_nodes.append(node.name)
+            node_names.append(name)
+            offsets.append(len(regions))
+            regions.extend(sim.regions_on(name))
+            evaluators.append(evaluator)
+        if not regions:
+            return None
         region_count = len(regions)
         node_count = len(node_names)
-        if region_count == 0 or node_count == 0:
-            return None
 
         ctx = _VectorContext()
         ctx.regions = regions
         ctx.node_names = node_names
         ctx.empty_nodes = empty_nodes
         ctx.offsets = np.array(offsets, dtype=np.intp)
-
-        cache_eff = np.empty(node_count)
-        cpu_budget = np.empty(node_count)
-        iops_budget = np.empty(node_count)
-        bytes_budget = np.empty(node_count)
-        net_budget = np.empty(node_count)
-        disk_ms = np.empty(node_count)
-        blocks0 = np.empty(node_count)
-        scan_len0 = np.empty(node_count)
-        cache_bytes_mem = np.empty(node_count)
-        memstore = np.empty(node_count)
-        heap_bytes = np.empty(node_count)
-        memory_bytes = np.empty(node_count)
-        amp_node = np.empty(node_count)
-        block_node = np.empty(node_count)
-        for index, name in enumerate(node_names):
-            node = sim.nodes[name]
-            hardware = node.hardware
-            config = node.config
-            heap = hardware.heap_bytes
-            cache_bytes_mem[index] = config.block_cache_bytes(heap)
-            cache_eff[index] = CACHE_EFFICIENCY * cache_bytes_mem[index]
-            cpu_budget[index] = hardware.cpu_millis_per_second
-            iops_budget[index] = hardware.disk_iops
-            bytes_budget[index] = hardware.disk_mb_per_second * MB
-            net_budget[index] = hardware.network_mb_per_second * MB
-            disk_ms[index] = 1000.0 / hardware.disk_iops
-            memstore[index] = max(config.memstore_bytes(heap), 1)
-            heap_bytes[index] = heap
-            memory_bytes[index] = hardware.memory_bytes
-            amp_node[index] = WRITE_AMP_BASE + WRITE_AMP_MEMSTORE_FACTOR * (
-                MEMSTORE_REFERENCE_FRACTION / max(config.memstore_fraction, 0.01)
-            )
-            block_node[index] = config.block_size_bytes
-            # Latency statics key on the node's first hosted region, exactly
-            # as PerformanceModel._latencies does.
-            first = regions[offsets[index]]
-            scan_len0[index] = first.scan_length
-            blocks0[index] = (
-                max(1.0, first.scan_length * first.record_size / config.block_size_bytes)
-                + 1.0
-            )
-        ctx.cache_eff = cache_eff
-        ctx.cpu_budget = cpu_budget
-        ctx.iops_budget = iops_budget
-        ctx.bytes_budget = bytes_budget
-        ctx.net_budget = net_budget
-        ctx.disk_ms = disk_ms
-        ctx.blocks0 = blocks0
-        ctx.scan_len0 = scan_len0
-        ctx.cache_bytes_mem = cache_bytes_mem
-        ctx.memstore = memstore
-        ctx.heap_bytes = heap_bytes
-        ctx.memory_bytes = memory_bytes
-        ctx.background = np.zeros(node_count)
+        for field in _NODE_FIELDS:
+            values = [getattr(evaluator, field) for evaluator in evaluators]
+            setattr(ctx, field, np.array(values, dtype=np.float64))
+        rows = [row for evaluator in evaluators for row in evaluator.rows]
+        ctx.coeffs = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
 
         counts = np.diff(np.append(ctx.offsets, region_count))
         node_idx = np.repeat(np.arange(node_count, dtype=np.intp), counts)
-        ctx.node_idx = node_idx
         ctx.region_node = {
             region.region_id: node_names[node_idx[row]]
             for row, region in enumerate(regions)
         }
-
-        record_size = np.fromiter(
-            (r.record_size for r in regions), dtype=np.float64, count=region_count
-        )
-        scan_length = np.fromiter(
-            (r.scan_length for r in regions), dtype=np.float64, count=region_count
-        )
-        ctx.hot_frac = np.fromiter(
-            (r.hot_data_fraction for r in regions), dtype=np.float64, count=region_count
-        )
-        ctx.hot_req_frac = np.fromiter(
-            (r.hot_request_fraction for r in regions),
-            dtype=np.float64,
-            count=region_count,
-        )
-        blockR = block_node[node_idx]
-        ampR = amp_node[node_idx]
-        memstoreR = memstore[node_idx]
-        scan_bytes = scan_length * record_size
-        blocksR = np.maximum(1.0, scan_bytes / blockR) + 1.0
-        ctx.blockR = blockR
-        ctx.blocksR = blocksR
-        ctx.w_cpu = (
-            CPU_RPC_OVERHEAD_MS
-            + CPU_WRITE_MS
-            + CPU_WRITE_COMPACTION_MS_PER_AMP * ampR
-        )
-        ctx.w_iops = record_size / memstoreR * 400.0
-        ctx.w_bytes = record_size * ampR
-        ctx.w_net = record_size
-        ctx.s_cpu = (
-            CPU_RPC_OVERHEAD_MS
-            + CPU_SCAN_SETUP_MS
-            + CPU_SCAN_PER_RECORD_MS * scan_length
-            + CPU_SCAN_PER_BLOCK_MS * blocksR
-        )
-        ctx.s_net0 = scan_bytes
-        ctx.s_bytes = blocksR * blockR
 
         row_index = {region.region_id: row for row, region in enumerate(regions)}
         binding_fill = []
@@ -681,49 +600,19 @@ class EventSolver:
                 mix[_OP_SLOT[op]] = fraction
             mixes.append(mix)
             binding_terms.append(
-                (
-                    name,
-                    np.array(weights, dtype=np.float64),
-                    np.array(term_nodes, dtype=np.intp),
-                    binding,
-                )
+                (name, np.array(weights, dtype=np.float64), np.array(term_nodes, dtype=np.intp))
             )
         ctx.binding_fill = binding_fill
         ctx.binding_terms = binding_terms
         ctx.mix_matrix = np.array(mixes, dtype=np.float64).reshape(len(mixes), 5)
-        ctx.rates = np.zeros((region_count, 5))
         return ctx
 
-    def _refresh_vector(self, ctx: _VectorContext) -> None:
-        """Re-sync the size/locality-dependent columns from live regions."""
-        from repro.simulation.cluster import REMOTE_LOCALITY  # avoid import cycle
-
-        regions = ctx.regions
-        count = len(regions)
-        sizes = np.fromiter(
-            (r.size_bytes for r in regions), dtype=np.float64, count=count
-        )
-        ctx.sizes = sizes
-        ctx.hot_bytes = sizes * ctx.hot_frac
-        ctx.cold_bytes = sizes * (1.0 - ctx.hot_frac)
-        # Grouping is by hosting node, so region.node is that node's name;
-        # inlining the locality property avoids R python attribute dances.
-        loc = np.fromiter(
-            (
-                1.0 if r.node in r.block_homes else REMOTE_LOCALITY
-                for r in regions
-            ),
-            dtype=np.float64,
-            count=count,
-        )
-        ctx.loc = loc
-        remote = 1.0 - loc
-        ctx.r_iops = 1.0 + remote * REMOTE_READ_IOPS_FACTOR
-        ctx.r_netm = remote * ctx.blockR
-        ctx.s_iops = ctx.blocksR * (1.0 + remote * REMOTE_READ_IOPS_FACTOR)
-        ctx.s_netm = remote * ctx.s_bytes
-
-    def _vector_pass(self, ctx: _VectorContext, throughputs: dict[str, float]):
+    def _vector_pass(
+        self,
+        ctx: _VectorContext,
+        throughputs: dict[str, float],
+        background: np.ndarray,
+    ):
         """One demand+latency evaluation over the whole cluster.
 
         Returns ``(lat, node_arrays)`` where ``lat`` is the (5, N+1) per-op
@@ -731,35 +620,41 @@ class EventSolver:
         holds the per-node aggregates the final pass turns into
         :class:`NodeLoadResult` objects.
         """
-        rates = ctx.rates
-        rates[:] = 0.0
+        rates = np.zeros((len(ctx.regions), 5))
         for name, rows, units in ctx.binding_fill:
             throughput = throughputs[name]
             if throughput and len(rows):
                 rates[rows] += throughput * units
-        read = rates[:, 0]
-        update = rates[:, 1]
-        insert = rates[:, 2]
-        scan = rates[:, 3]
-        rmw = rates[:, 4]
+        read, update, insert, scan, rmw = rates.T  # OP_TYPES order
         read_like = read + rmw
         write = update + insert + rmw
         rr = read_like + scan
         tot = read + update + insert + scan + rmw
 
-        cpu_r = read_like * _R_CPU_BASE + write * ctx.w_cpu + scan * ctx.s_cpu
-        iops_r = write * ctx.w_iops
-        bytes_r = write * ctx.w_bytes
-        net_r = write * ctx.w_net + scan * ctx.s_net0
-        m_cpu_r = read_like * _R_CPU_MISS_DELTA
-        m_iops_r = read_like * ctx.r_iops + scan * ctx.s_iops
-        m_bytes_r = read_like * ctx.blockR + scan * ctx.s_bytes
-        m_net_r = read_like * ctx.r_netm + scan * ctx.s_netm
+        coeffs = ctx.coeffs
+        cpu_r = (
+            read_like * coeffs[ROW_READ_CPU]
+            + write * coeffs[ROW_WRITE_CPU]
+            + scan * coeffs[ROW_SCAN_CPU]
+        )
+        iops_r = write * coeffs[ROW_WRITE_IOPS]
+        bytes_r = write * coeffs[ROW_WRITE_BYTES]
+        net_r = write * coeffs[ROW_WRITE_NET] + scan * coeffs[ROW_SCAN_NET]
+        m_cpu_r = read_like * coeffs[ROW_READ_MISS_CPU]
+        m_iops_r = (
+            read_like * coeffs[ROW_READ_MISS_IOPS] + scan * coeffs[ROW_SCAN_MISS_IOPS]
+        )
+        m_bytes_r = (
+            read_like * coeffs[ROW_READ_MISS_BYTES] + scan * coeffs[ROW_SCAN_MISS_BYTES]
+        )
+        m_net_r = (
+            read_like * coeffs[ROW_READ_MISS_NET] + scan * coeffs[ROW_SCAN_MISS_NET]
+        )
         mask = rr > 0.0
         hot_r = np.where(mask, ctx.hot_bytes, 0.0)
         cold_r = np.where(mask, ctx.cold_bytes, 0.0)
-        hotreq_r = ctx.hot_req_frac * rr
-        loc_r = ctx.loc * tot
+        hotreq_r = coeffs[ROW_HOT_REQUEST_FRACTION] * rr
+        loc_r = coeffs[ROW_LOCALITY] * tot
 
         stacked = np.stack(
             (
@@ -797,12 +692,13 @@ class EventSolver:
             loc_n,
         ) = sums
 
+        cache = ctx.cache_eff_bytes
         rr_safe = np.where(rr_n > 0.0, rr_n, 1.0)
         hot_safe = np.where(hot_n > 0.0, hot_n, 1.0)
         cold_safe = np.where(cold_n > 0.0, cold_n, 1.0)
         hot_req_share = hotreq_n / rr_safe
-        hot_cov = np.minimum(1.0, ctx.cache_eff / hot_safe)
-        spare = np.maximum(0.0, ctx.cache_eff - hot_n)
+        hot_cov = np.minimum(1.0, cache / hot_safe)
+        spare = np.maximum(0.0, cache - hot_n)
         cold_cov = np.where(
             cold_n > 0.0, np.minimum(1.0, spare / cold_safe), 1.0
         )
@@ -815,13 +711,13 @@ class EventSolver:
 
         cpu_n = cpu_s + miss * m_cpu_s
         iops_n = iops_s + miss * m_iops_s
-        bytes_n = bytes_s + miss * m_bytes_s + ctx.background
+        bytes_n = bytes_s + miss * m_bytes_s + background
         net_n = net_s + miss * m_net_s
         cpu_util = cpu_n / ctx.cpu_budget
-        iops_util = iops_n / ctx.iops_budget
-        bw_util = bytes_n / ctx.bytes_budget
+        iops_util = iops_n / ctx.disk_iops_budget
+        bw_util = bytes_n / ctx.disk_bytes_budget
         io_wait = np.maximum(iops_util, bw_util)
-        net_util = net_n / ctx.net_budget
+        net_util = net_n / ctx.network_bytes_budget
         util = np.maximum(cpu_util, np.maximum(io_wait, net_util))
         tot_safe = np.where(tot_n > 0.0, tot_n, 1.0)
         mean_loc = np.where(tot_n > 0.0, loc_n / tot_safe, 1.0)
@@ -836,7 +732,7 @@ class EventSolver:
         write_ms = CPU_WRITE_MS + CPU_RPC_OVERHEAD_MS + 0.2
         scan_ms = (
             CPU_SCAN_SETUP_MS
-            + CPU_SCAN_PER_RECORD_MS * ctx.scan_len0
+            + CPU_SCAN_PER_RECORD_MS * ctx.scan_length0
             + CPU_SCAN_PER_BLOCK_MS * ctx.blocks0
             + miss * ctx.blocks0 * ctx.disk_ms * 0.5
         )
@@ -866,49 +762,38 @@ class EventSolver:
         )
         return lat, node_arrays
 
-    def _solve_vector(self, compaction_bg: dict[str, float]) -> SolveResult:
-        sim = self._sim
+    def _solve_vector(
+        self, compaction_bg: dict[str, float], throughputs: dict[str, float]
+    ) -> SolveResult:
         ctx = self._vector_context()
         if ctx is None:
-            return self._solve_scalar(compaction_bg)
-        bg = ctx.background
-        for index, name in enumerate(ctx.node_names):
-            bg[index] = compaction_bg.get(name, 0.0)
+            return self._solve_scalar(compaction_bg, throughputs)
+        background = np.array(
+            [compaction_bg.get(name, 0.0) for name in ctx.node_names],
+            dtype=np.float64,
+        )
 
-        bindings = sim.bindings
-        throughputs = {
-            name: sim._binding_throughput.get(name, binding.threads * 50.0)
-            for name, binding in bindings.items()
-        }
-        if bindings:
-            for _ in range(FIXED_POINT_MAX_ITERATIONS):
-                lat, _ = self._vector_pass(ctx, throughputs)
-                mixed = ctx.mix_matrix @ lat
-                converged = True
-                for position, (name, weights, term_nodes, binding) in enumerate(
-                    ctx.binding_terms
-                ):
-                    latency = float(weights @ mixed[position, term_nodes])
-                    if _damp(throughputs, name, binding.max_throughput(latency)):
-                        converged = False
-                if converged:
-                    break
+        def binding_latencies_at(lat) -> dict[str, float]:
+            mixed = ctx.mix_matrix @ lat
+            return {
+                name: float(weights @ mixed[position, term_nodes])
+                for position, (name, weights, term_nodes) in enumerate(ctx.binding_terms)
+            }
 
-        lat, node_arrays = self._vector_pass(ctx, throughputs)
+        bindings = self._sim.bindings
+        _fixed_point(
+            bindings,
+            throughputs,
+            lambda: binding_latencies_at(
+                self._vector_pass(ctx, throughputs, background)[0]
+            ),
+        )
+
+        lat, node_arrays = self._vector_pass(ctx, throughputs, background)
         (util, cpu_util, io_wait, net_util, cpu_n, iops_n, bytes_n, net_n, hit) = (
             node_arrays
         )
-        hosted_n = np.add.reduceat(ctx.sizes, ctx.offsets)
-        used = (
-            np.minimum(ctx.cache_bytes_mem, hosted_n * 0.6)
-            + ctx.memstore * 0.5
-            + 0.6 * ctx.heap_bytes * 0.2
-        )
-        mem_util = np.minimum(
-            1.0,
-            (used + 0.5 * (ctx.memory_bytes - ctx.heap_bytes)) / ctx.memory_bytes,
-        )
-
+        memo = self._node_evaluators
         node_results: dict[str, object] = {}
         node_scale: dict[str, float] = {}
         for index, name in enumerate(ctx.node_names):
@@ -920,7 +805,9 @@ class EventSolver:
                 utilization=util_value,
                 cpu_utilization=cpu_value,
                 io_wait=io_value,
-                memory_utilization=float(mem_util[index]),
+                memory_utilization=memo[name][1].memory_utilization_at(
+                    float(ctx.hosted_bytes[index])
+                ),
                 network_utilization=net_value,
                 demand=ServiceDemand(
                     cpu_millis=float(cpu_n[index]),
@@ -930,39 +817,19 @@ class EventSolver:
                 ),
                 hit_ratio=float(hit[index]),
                 per_op_latency_ms={
-                    "read": float(lat[0, index]),
-                    "update": float(lat[1, index]),
-                    "insert": float(lat[2, index]),
-                    "scan": float(lat[3, index]),
-                    "read_modify_write": float(lat[4, index]),
+                    op: float(lat[slot, index]) for op, slot in _OP_SLOT.items()
                 },
-                bottleneck=_bottleneck(cpu_value, io_value, net_value),
+                bottleneck=bottleneck_resource(cpu_value, io_value, net_value),
             )
-            node_scale[name] = (
-                1.0 if util_value <= 1.0 else 1.0 / util_value
-            )
-        # Online nodes with no hosted regions (drained, freshly booted):
-        # fall back to the exact model (cheap -- empty region list).
+            node_scale[name] = _throttle(util_value)
+        # Online nodes with no hosted regions (drained, freshly booted) go
+        # through their own evaluator (cheap -- empty region list).
         for name in ctx.empty_nodes:
-            node = sim.nodes.get(name)
-            if node is None or not node.online:
-                continue
-            result = sim._model_for(node).evaluate_node(
-                node.config, [], compaction_bg.get(name, 0.0)
-            )
+            result = memo[name][1].evaluate_rates([], compaction_bg.get(name, 0.0))
             node_results[name] = result
-            node_scale[name] = (
-                1.0 if result.utilization <= 1.0 else 1.0 / result.utilization
-            )
+            node_scale[name] = _throttle(result.utilization)
 
-        mixed = ctx.mix_matrix @ lat
-        binding_latencies = {
-            name: float(weights @ mixed[position, term_nodes])
-            for position, (name, weights, term_nodes, _binding) in enumerate(
-                ctx.binding_terms
-            )
-        }
-
+        binding_latencies = binding_latencies_at(lat)
         region_node = ctx.region_node
         achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
         # The NodeLoadResult latency dicts above are built from the same

@@ -2,9 +2,12 @@
 """Corpus: rule D4's internal audit of a ClusterSimulator class body.
 
 The class stubs every mutator the real inventory declares (so there are
-no stale-inventory findings) and then violates the contract twice: a
-declared mutator that forgets its dirty marker, and an undeclared method
-that mutates a solver-state container.
+no stale-inventory findings) and then violates the contract three times:
+a declared mutator that forgets its dirty marker, an undeclared method
+that mutates a solver-state container, and an undeclared method that
+mutates a hooked region attribute in place (bypassing ``__setattr__``).
+The same in-place call inside a declared mutator that marks the structure
+stays clean.
 """
 
 
@@ -29,7 +32,10 @@ class ClusterSimulator:
         self.bindings[name] = object()
         self._mark_dirty()
 
-    def add_region(self) -> None: ...
+    def add_region(self, region, node: str) -> None:
+        region.block_homes.add(node)
+        self._mark_structure()
+
     def move_region(self) -> None: ...
     def reconfigure_node(self) -> None: ...
     def fail_node(self) -> None: ...
@@ -50,3 +56,7 @@ class ClusterSimulator:
     def sneaky_swap(self, name: str) -> None:  # expect: D4
         # Mutates a solver-state container without being declared.
         self.regions[name] = None
+
+    def sneaky_rehome(self, region, name: str) -> None:  # expect: D4
+        # In-place set mutation: the block_homes hook never fires.
+        region.block_homes.discard(name)

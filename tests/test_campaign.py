@@ -26,7 +26,6 @@ from repro.campaign import (
     derive_seed,
     render_campaign_table,
     run_campaign,
-    write_campaign_bench,
 )
 from repro.campaign.store import StoreCorruption
 from repro.scenarios import CANNED_SCENARIOS, ScenarioSpec, TenantSpec
@@ -237,6 +236,19 @@ class TestCampaignDeterminism:
         run_campaign(grid, pooled, workers=2)
         assert _store_bytes(serial) == _store_bytes(pooled)
 
+    def test_profile_sidecar_leaves_the_store_byte_identical(self, tmp_path):
+        grid = tiny_grid()
+        plain = ResultsStore(tmp_path / "plain.jsonl")
+        profiled = ResultsStore(tmp_path / "profiled.jsonl")
+        sidecar = tmp_path / "profiled.profile.jsonl"
+        run_campaign(grid, plain, workers=1)
+        run_campaign(grid, profiled, workers=1, profile_path=sidecar)
+        assert _store_bytes(plain) == _store_bytes(profiled), (
+            "wall-clock profiling leaked into the deterministic store"
+        )
+        cells = [json.loads(line)["cell"] for line in sidecar.read_text().splitlines()]
+        assert cells == [record["cell"] for record in profiled.load()]
+
     def test_master_seed_changes_records(self, tmp_path):
         one = ResultsStore(tmp_path / "one.jsonl")
         two = ResultsStore(tmp_path / "two.jsonl")
@@ -353,14 +365,3 @@ class TestAnalysis:
         records = [dict(self.RECORDS[0]), dict(self.RECORDS[0], scale="2x")]
         rows = aggregate_records(records)
         assert [row.label for row in rows] == ["alpha", "alpha@2x"]
-
-    def test_bench_report_schema(self, tmp_path):
-        path = tmp_path / "BENCH_campaign.json"
-        report = write_campaign_bench(
-            path, grid_size=84, workers=4, serial_seconds=4.0, pool_seconds=2.0
-        )
-        assert report["pool_speedup"] == pytest.approx(2.0)
-        assert report["serial_runs_per_second"] == pytest.approx(21.0)
-        on_disk = json.loads(path.read_text())
-        assert on_disk == report
-        assert {"benchmark", "cpu_count", "grid_size", "python"} <= set(on_disk)

@@ -9,14 +9,22 @@ agree within 1e-6 relative tolerance.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.profiles import NODE_PROFILES
 from repro.hbase.config import DEFAULT_HOMOGENEOUS
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec, LARGE_NODE
-from repro.simulation.perfmodel import NodeEvaluator, PerformanceModel, RegionLoadProfile
-from repro.simulation.solvers import EventSolver
+from repro.simulation.perfmodel import (
+    ROW_COLD_BYTES,
+    ROW_HOT_BYTES,
+    ROW_SIZE_BYTES,
+    NodeEvaluator,
+    PerformanceModel,
+    RegionLoadProfile,
+)
+from repro.simulation.solvers import EventSolver, _VectorContext
 from repro.workloads.ycsb.scenario import build_paper_scenario
 from solver_oracles import NoReuseSolver, ReferenceSolver, installed
 
@@ -244,9 +252,12 @@ def build_large(solver=EventSolver) -> tuple[ClusterSimulator, list[str]]:
     return sim, nodes
 
 
-def drive_large(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float]]:
-    """40 ticks with moves, a reconfigure, a crash and a compaction;
-    returns per-binding throughput and latency series plus node CPU."""
+def drive_large(
+    sim: ClusterSimulator, nodes: list[str], after_tick=None
+) -> dict[str, list[float]]:
+    """40 ticks with moves, a reconfigure, a crash, a compaction and a disk
+    slowdown; returns per-binding throughput and latency series plus node
+    CPU.  ``after_tick()``, if given, runs after every tick."""
     events = {
         3: lambda: sim.move_region("t0:r0", nodes[5]),
         8: lambda: sim.reconfigure_node(
@@ -255,6 +266,8 @@ def drive_large(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float
         15: lambda: sim.fail_node(nodes[6]),
         22: lambda: sim.move_region("t2:r3", nodes[1]),
         28: lambda: sim.major_compact(nodes[1]),
+        32: lambda: sim.degrade_node(nodes[3], disk=0.5),
+        36: lambda: sim.restore_node(nodes[3]),
     }
     series: dict[str, list[float]] = {}
     for tick in range(40):
@@ -262,12 +275,39 @@ def drive_large(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float
         if action is not None:
             action()
         sim.tick()
+        if after_tick is not None:
+            after_tick()
         for name in sim.bindings:
             series.setdefault(f"{name}:throughput", []).append(sim.binding_throughput(name))
             series.setdefault(f"{name}:latency", []).append(sim.binding_latency_ms(name))
         for name, node in sim.nodes.items():
             series.setdefault(f"{name}:cpu", []).append(node.cpu_utilization)
     return series
+
+
+def _vector_columns(ctx) -> dict:
+    """Every slot of a vector context, reduced to bit-comparable values
+    (arrays to their bytes; regions and bindings by identity).  The
+    size-dependent rows of ``coeffs`` are left out: they keep the build's
+    sizes, and each solve reads ``hot_bytes``/``cold_bytes``/
+    ``hosted_bytes`` refreshed from the live regions instead."""
+
+    def comparable(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, (list, tuple)):
+            return tuple(comparable(item) for item in value)
+        if isinstance(value, dict):
+            return tuple((key, comparable(item)) for key, item in value.items())
+        if isinstance(value, (str, int, float)):
+            return value
+        return id(value)
+
+    columns = {slot: getattr(ctx, slot) for slot in _VectorContext.__slots__}
+    columns["coeffs"] = np.delete(
+        columns["coeffs"], [ROW_HOT_BYTES, ROW_COLD_BYTES, ROW_SIZE_BYTES], axis=0
+    )
+    return {slot: comparable(value) for slot, value in columns.items()}
 
 
 class TestVectorLoop:
@@ -313,6 +353,28 @@ class TestVectorLoop:
         self._assert_close(vector, scalar, 1e-9, "vector vs scalar")
         self._assert_close(vector, reference, REL_TOL, "vector vs reference")
         self._assert_close(scalar, reference, REL_TOL, "scalar vs reference")
+
+    def test_cached_vector_context_matches_a_fresh_build(self, monkeypatch):
+        """Runtime twin of lint rule D4: after every tick of the churn run
+        the cached vector context equals, bit for bit, one built from
+        scratch.  A mutator that changes locality, config or hardware
+        without bumping the signature leaves a stale column and fails here."""
+        from repro.simulation import solvers
+
+        monkeypatch.setattr(solvers, "VECTOR_MIN_REGIONS", 0)
+        sim, nodes = build_large()
+        checked = []
+
+        def compare() -> None:
+            cached = sim._solver._vector_context()
+            fresh = EventSolver(sim)._vector_context()
+            assert _vector_columns(cached) == _vector_columns(fresh), (
+                f"cached vector context went stale at tick {len(checked)}"
+            )
+            checked.append(True)
+
+        drive_large(sim, nodes, after_tick=compare)
+        assert len(checked) == 40
 
     def test_fast_forward_is_byte_identical_at_vector_size(self):
         """Macro-ticks replay a vector-loop solution exactly as ticking does."""

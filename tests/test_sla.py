@@ -442,13 +442,6 @@ class TestTenantSeriesPlumbing:
             assert first.latency_ms == pytest.approx(expected)
             assert run.tenant_peak_latency(name) >= run.tenant_mean_latency(name) > 0.0
 
-    def test_tenant_series_can_be_disabled(self):
-        sim = ClusterSimulator()
-        sim.add_node()
-        harness = ExperimentHarness(sim, record_tenant_series=False)
-        run = harness.run_for(60.0)
-        assert run.tenant_series == {}
-
     def test_mean_between_is_half_open(self):
         series = MetricSeries(name="x")
         for t, v in [(5.0, 10.0), (10.0, 20.0), (15.0, 30.0)]:
