@@ -62,7 +62,9 @@ SOLVER_RECEIVER_HINTS = frozenset(
     {"node", "nodes", "region", "regions", "binding", "bindings", "simulator", "sim"}
 )
 GUARDED_ATTRIBUTES = (
-    invariants.GUARDED_NODE_ATTRIBUTES | invariants.GUARDED_BINDING_ATTRIBUTES
+    invariants.GUARDED_NODE_ATTRIBUTES
+    | invariants.GUARDED_REGION_ATTRIBUTES
+    | invariants.GUARDED_BINDING_ATTRIBUTES
 )
 CHANNEL_MARKER = "__mergeable_integer_channels__"
 

@@ -154,12 +154,7 @@ class ScenarioContext:
 
     def grow_tenant_data(self, tenant: str, factor: float) -> str:
         """Multiply the size of every partition of a tenant (growth burst)."""
-        name = self._binding(tenant)
-        grown = 0
-        for region in self.simulator.regions.values():
-            if region.workload == name:
-                region.size_bytes *= factor
-                grown += 1
+        grown = self.simulator.grow_workload_data(self._binding(tenant), factor)
         return f"x{factor:.4f} over {grown} partitions"
 
     # ------------------------------------------------------------------ #

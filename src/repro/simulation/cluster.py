@@ -43,7 +43,7 @@ from repro.simulation.events import (
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
-from repro.simulation.solvers import EventSolver
+from repro.simulation.solvers import EventSolver, SolveResult
 from repro.simulation.workload import WorkloadBinding
 
 #: Time for a new virtual machine to boot and join the cluster (seconds).
@@ -194,8 +194,8 @@ class ClusterSimulator:
         self._assignment_versions: dict[str | None, int] = {}
         #: Per-node (version, creation-ordered regions) cache for regions_on.
         self._sorted_regions_cache: dict[str, tuple[int, list[SimulatedRegion]]] = {}
-        #: Regions whose rate fields were written last tick (cheap reset).
-        self._rated_regions: list[SimulatedRegion] = []
+        #: How the current solution was last applied (see _ApplyPlan).
+        self._apply_plan: _ApplyPlan | None = None
         #: Bumped on attach/detach; invalidates the cached rate context.
         self._workloads_version = 0
         #: Bumped on any topology/config/hardware/assignment/locality change;
@@ -370,6 +370,21 @@ class ClusterSimulator:
         self._mark_dirty()
         self._schedule_compaction_event(node)
         return bytes_to_rewrite
+
+    def grow_workload_data(self, workload: str, factor: float) -> int:
+        """Multiply the size of every region of ``workload`` (data growth).
+
+        Region sizes drive hit ratios, memory and locality weights, so any
+        cached fixed point is dropped.  Returns the number of regions grown.
+        """
+        grown = 0
+        for region in self.regions.values():
+            if region.workload == workload:
+                region.size_bytes *= factor
+                grown += 1
+        if grown:
+            self._mark_dirty()
+        return grown
 
     # ------------------------------------------------------------------ #
     # fault injection
@@ -638,7 +653,7 @@ class ClusterSimulator:
             stats.solves += 1
         else:
             stats.reused_ticks += 1
-        self._apply_tick_results(dt, 1, *results)
+        self._apply_tick_results(dt, 1, results)
         self.clock.advance(dt)
 
     # ------------------------------------------------------------------ #
@@ -721,7 +736,7 @@ class ClusterSimulator:
         # collapses to one multiply.
         for node, rate in compacting:
             node.pending_compaction_bytes -= rate * dt * ticks
-        self._apply_tick_results(dt, ticks, *results)
+        self._apply_tick_results(dt, ticks, results)
         stats = self.stats
         stats.ticks += ticks
         stats.skipped_ticks += ticks
@@ -755,7 +770,7 @@ class ClusterSimulator:
         self._solver = None
         self.events.clear()
         self._sorted_regions_cache.clear()
-        self._rated_regions = []
+        self._apply_plan = None
 
     def _mark_dirty(self) -> None:
         """A mutation invalidated the cached fixed-point solution."""
@@ -885,16 +900,7 @@ class ClusterSimulator:
                     region.block_homes = {node.name}
         return background
 
-    def _apply_tick_results(
-        self,
-        dt: float,
-        ticks: int,
-        throughputs: dict[str, float],
-        node_results: dict[str, object],
-        region_rates: dict[str, dict[str, float]],
-        binding_latencies: dict[str, float],
-        binding_summaries: dict[str, object],
-    ) -> None:
+    def _apply_tick_results(self, dt: float, ticks: int, results: SolveResult) -> None:
         """Apply one solved (or cached) tick result ``ticks`` times in one pass.
 
         A plain tick is the one-tick case.  Every *rate* observable
@@ -906,37 +912,65 @@ class ClusterSimulator:
         Cumulative counters advance by ``rate * dt * ticks`` (a fused
         multiply instead of ``ticks`` repeated additions; the difference is
         ~1e-16 relative, and none at all for one tick).
+
+        The first apply of a solution derives an :class:`_ApplyPlan`; every
+        later tick or batch that reuses the same solution at the same ``dt``
+        replays it: counter arithmetic plus one metrics call.
         """
         span = dt * ticks
-        # Reset per-region rates before accumulating this tick's load; only
-        # regions rated last tick can hold stale values.  Counter updates go
-        # through __dict__ to skip the node-indexing __setattr__ hook (these
-        # fields never affect the index).
-        for region in self._rated_regions:
-            fields = region.__dict__
-            fields["read_rate"] = 0.0
-            fields["write_rate"] = 0.0
-            fields["scan_rate"] = 0.0
-        rated = self._rated_regions = []
+        plan = self._apply_plan
+        if plan is not None and plan.results is results and plan.dt == dt:
+            # Counter updates go through __dict__ to skip the node-indexing
+            # __setattr__ hook (these fields never affect the index).
+            for fields, reads, writes, scans in plan.counters:
+                fields["reads"] += reads * span
+                fields["writes"] += writes * span
+                fields["scans"] += scans * span
+        else:
+            plan = self._apply_plan = self._plan_apply(dt, span, results)
+        self.total_ops += plan.total * span
 
-        samples: list[tuple[str, str, float]] = []
-        total = 0.0
-        for name in self.bindings:
-            throughput = throughputs.get(name, 0.0)
-            latency = binding_latencies.get(name, 0.0)
-            self._binding_throughput[name] = throughput
-            self._binding_latency_ms[name] = latency
-            total += throughput
-            entity = f"workload:{name}"
-            samples.append((entity, "throughput", throughput))
-            samples.append((entity, "latency_ms", latency))
+        # Reproduce clock.advance's float sequence: each tick records at
+        # ``clock.now + dt`` and the clock then accumulates ``+= dt``.
+        timestamps: list[float] = []
+        now = self.clock.now
+        for _ in range(ticks):
+            now = now + dt
+            timestamps.append(now)
+        self.metrics.record_many_repeated(timestamps, plan.samples)
+        if plan.distributions:
+            # The same frozen summary object is appended at every timestamp:
+            # a window merge over the span adds its integer counts k times,
+            # bit-identical to the k per-tick summaries individual ticks
+            # would have recorded (see LatencySummary.scale).
+            self.metrics.record_distributions_repeated(timestamps, plan.distributions)
 
+    def _plan_apply(self, dt: float, span: float, results: SolveResult) -> _ApplyPlan:
+        """Apply a solution's region terms for one span and plan its replay.
+
+        The region terms go first: an insert-bearing solution grows region
+        sizes here, and the size-weighted locality samples built after them
+        must see the grown sizes.  Such a plan is never replayed (its
+        ``results`` key is cleared), so its samples only ever describe the
+        span they were built for.  Node utilisation fields and the
+        per-binding throughput/latency maps are written here once: nothing
+        but a new solution changes them.
+        """
+        throughputs, node_results, region_rates, binding_latencies, summaries = results
+        previous = self._apply_plan
+        if previous is not None:
+            # Only regions the previous plan rated can hold stale rates.
+            for fields, _, _, _ in previous.counters:
+                fields["read_rate"] = 0.0
+                fields["write_rate"] = 0.0
+                fields["scan_rate"] = 0.0
+        plan = _ApplyPlan(results, dt)
+        counters = plan.counters
         regions = self.regions
         for region_id, rates in region_rates.items():
             region = regions.get(region_id)
             if region is None:
                 raise SimulationError(f"unknown region {region_id!r}")
-            rated.append(region)
             get = rates.get
             rmw = get("read_modify_write", 0.0)
             reads = get("read", 0.0) + rmw
@@ -947,12 +981,26 @@ class ClusterSimulator:
             fields["reads"] += reads * span
             fields["writes"] += writes * span
             fields["scans"] += scans * span
-            fields["read_rate"] += reads
-            fields["write_rate"] += writes
-            fields["scan_rate"] += scans
-            fields["size_bytes"] += inserts * span * region.record_size
+            fields["read_rate"] = reads
+            fields["write_rate"] = writes
+            fields["scan_rate"] = scans
+            if inserts:
+                fields["size_bytes"] += inserts * span * region.record_size
+                plan.results = None
+            counters.append((fields, reads, writes, scans))
 
-        self.total_ops += total * span
+        samples = plan.samples
+        total = 0.0
+        for name in self.bindings:
+            throughput = throughputs.get(name, 0.0)
+            latency = binding_latencies.get(name, 0.0)
+            self._binding_throughput[name] = throughput
+            self._binding_latency_ms[name] = latency
+            total += throughput
+            entity = f"workload:{name}"
+            samples.append((entity, "throughput", throughput))
+            samples.append((entity, "latency_ms", latency))
+        plan.total = total
         samples.append(("cluster", "throughput", total))
         samples.append(("cluster", "operations", total * dt))
         samples.append(("cluster", "nodes", float(self.online_node_count())))
@@ -980,27 +1028,37 @@ class ClusterSimulator:
             samples.append((node.name, "requests", node.served_ops))
             samples.append((node.name, "locality", locality))
 
-        # Reproduce clock.advance's float sequence: each tick records at
-        # ``clock.now + dt`` and the clock then accumulates ``+= dt``.
-        timestamps: list[float] = []
-        now = self.clock.now
-        for _ in range(ticks):
-            now = now + dt
-            timestamps.append(now)
-        self.metrics.record_many_repeated(timestamps, samples)
-        if binding_summaries:
-            # The same frozen summary object is appended at every timestamp:
-            # a window merge over the span adds its integer counts k times,
-            # bit-identical to the k per-tick summaries individual ticks
-            # would have recorded (see LatencySummary.scale).
-            self._binding_latency_summary = binding_summaries
-            self.metrics.record_distributions_repeated(
-                timestamps,
-                [
-                    (f"workload:{name}", "latency_ms", summary)
-                    for name, summary in binding_summaries.items()
-                ],
-            )
+        if summaries:
+            self._binding_latency_summary = summaries
+            plan.distributions = [
+                (f"workload:{name}", "latency_ms", summary)
+                for name, summary in summaries.items()
+            ]
+        return plan
+
+
+class _ApplyPlan:
+    """What applying one solution does to the cluster, derived once.
+
+    Keyed on the solution object plus ``dt``.  ``EventSolver.reuse`` hands
+    back the identical result tuple until a mutator drops it, so an
+    identity match means nothing the plan was derived from has changed;
+    ``dt`` is part of the key because the ``cluster.operations`` sample is
+    ``total * dt`` (a trailing partial tick reuses the solution at another
+    ``dt``).  ``counters`` holds each rated region's ``(fields, reads,
+    writes, scans)`` rates, ``samples``/``distributions`` the full per-tick
+    metric batches.
+    """
+
+    __slots__ = ("results", "dt", "counters", "total", "samples", "distributions")
+
+    def __init__(self, results: SolveResult, dt: float) -> None:
+        self.results: SolveResult | None = results
+        self.dt = dt
+        self.counters: list[tuple[dict, float, float, float]] = []
+        self.total = 0.0
+        self.samples: list[tuple[str, str, float]] = []
+        self.distributions: list[tuple[str, str, object]] = []
 
 
 def _size_weighted_locality(hosted: list[SimulatedRegion]) -> float:

@@ -38,9 +38,10 @@ STRUCTURE_MUTATORS: frozenset[str] = frozenset(
     }
 )
 
-# Methods that change *workload* bindings (what the tenants ask for).
-# Each must set the workload-dirty flag via _mark_dirty() /
-# notify_workload_changed() / invalidate_solution().
+# Methods that change *workload* bindings (what the tenants ask for) or
+# the data they touch (compaction backlog, region sizes).  Each must set
+# the workload-dirty flag via _mark_dirty() / notify_workload_changed() /
+# invalidate_solution().
 WORKLOAD_MUTATORS: frozenset[str] = frozenset(
     {
         "attach_workload",
@@ -48,6 +49,7 @@ WORKLOAD_MUTATORS: frozenset[str] = frozenset(
         "set_workload_active",
         "update_workload",
         "major_compact",
+        "grow_workload_data",
     }
 )
 
@@ -86,6 +88,20 @@ GUARDED_NODE_ATTRIBUTES: frozenset[str] = frozenset(
     }
 )
 
+# SimulatedRegion attributes the solver reads that no __setattr__ hook
+# intercepts.  A direct write leaves the cached fixed point serving hit
+# ratios and costs from the old values; ``grow_workload_data`` is the
+# declared way to resize a tenant's regions.
+GUARDED_REGION_ATTRIBUTES: frozenset[str] = frozenset(
+    {
+        "size_bytes",
+        "record_size",
+        "scan_length",
+        "hot_data_fraction",
+        "hot_request_fraction",
+    }
+)
+
 # WorkloadBinding attributes the solver reads.
 GUARDED_BINDING_ATTRIBUTES: frozenset[str] = frozenset(
     {
@@ -103,9 +119,9 @@ SOLVER_STATE_CONTAINERS: frozenset[str] = frozenset({"nodes", "regions", "bindin
 # Tick machinery: methods that advance simulated time and apply solver
 # output back onto the cluster.  They write guarded state by design
 # (that is their job -- e.g. macro_tick draining pending compaction
-# bytes, _apply_tick_results committing drained counters) and manage
-# the dirty signature explicitly, so rule D4 exempts them rather than
-# demanding a declaration per write.
+# bytes, _plan_apply growing region sizes by the solved insert rates) and
+# manage the dirty signature explicitly, so rule D4 exempts them rather
+# than demanding a declaration per write.
 TICK_MACHINERY: frozenset[str] = frozenset(
     {
         "__init__",
@@ -113,6 +129,7 @@ TICK_MACHINERY: frozenset[str] = frozenset(
         "run",
         "macro_tick",
         "_apply_tick_results",
+        "_plan_apply",
         "_progress_compactions",
         "dispose",
     }
@@ -130,6 +147,7 @@ __all__ = [
     "DIRTY_MARKERS",
     "HOOKED_REGION_ATTRIBUTES",
     "GUARDED_NODE_ATTRIBUTES",
+    "GUARDED_REGION_ATTRIBUTES",
     "GUARDED_BINDING_ATTRIBUTES",
     "SOLVER_STATE_CONTAINERS",
     "TICK_MACHINERY",

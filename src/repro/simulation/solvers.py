@@ -20,9 +20,10 @@ distribution summaries.  :class:`EventSolver` produces it:
 
 The solver shares the simulator's topology caches (region index,
 assignment versions); its private state (evaluator memos, rate contexts,
-the cached solution, the vector context) is dropped through
-:meth:`EventSolver.invalidate` / :meth:`EventSolver.forget_node`, which
-every simulator mutator calls.
+the cached solution) is dropped through :meth:`EventSolver.invalidate` /
+:meth:`EventSolver.forget_node`, which every simulator mutator calls, and
+the vector context and latency-summary terms are rebuilt whenever the
+(workloads, structure) signature moves.
 """
 
 from __future__ import annotations
@@ -108,39 +109,64 @@ SolveResult = tuple[
 UNAVAILABLE_MS = 500.0
 
 
+#: Per-binding latency-atom counts at one (workloads, structure) signature:
+#: ``(binding, [(hosting node or None, [(op, count), ...]), ...])``.
+SummaryTerms = list[tuple[str, list[tuple[str | None, list[tuple[str, int]]]]]]
+
+
+def summary_terms(bindings: dict, region_node: dict[str, str | None]) -> SummaryTerms:
+    """The quantised ``region_weight * op_fraction`` counts of every binding.
+
+    They depend only on the bindings and the region->node map, i.e. on the
+    (workloads, structure) signature, so the solver computes them once per
+    signature instead of per solve.  Counts of one binding's regions on
+    the same node are summed here: integer addition is exact, so the
+    summaries built from the sums are identical to per-region recording.
+    A region with no hosting node maps to ``None`` (the unavailable bin).
+    """
+    terms: SummaryTerms = []
+    for name, binding in bindings.items():
+        mix = binding.op_mix.items()
+        by_node: dict[str | None, dict[str, int]] = {}
+        for region_id, weight in binding.region_weights.items():
+            ops = by_node.setdefault(region_node.get(region_id), {})
+            for op, fraction in mix:
+                count = quantise_weight(weight * fraction)
+                if count:
+                    ops[op] = ops.get(op, 0) + count
+        terms.append((name, [(node, list(ops.items())) for node, ops in by_node.items() if ops]))
+    return terms
+
+
 def binding_summaries(
-    bindings: dict,
-    region_node: dict[str, str | None],
+    terms: SummaryTerms,
     node_latencies: dict[str, dict[str, float]],
 ) -> dict[str, LatencySummary]:
     """Per-binding latency distributions at one solved fixed point.
 
     Shared by both inner loops (and the test oracle) so the distribution
-    channel cannot drift between them: each hands over its final per-node
-    per-op latency dicts and the region->node map, and the atoms recorded here are exactly
-    the ``region_weight * op_fraction`` terms of the scalar mean -- the
-    summary's weighted mean and ``binding_latency`` agree by construction,
-    while the summary keeps the shape the mean throws away.
+    channel cannot drift between them: each hands over its
+    :func:`summary_terms` and its final per-node per-op latency dicts.  The
+    atoms recorded here are exactly the ``region_weight * op_fraction``
+    terms of the scalar mean -- the summary's weighted mean and
+    ``binding_latency`` agree by construction, while the summary keeps the
+    shape the mean throws away.
 
     Latencies are binned once per node (every region of a node shares its
-    latency dict), so cost is O(nodes * ops + bindings * regions * ops)
-    integer work per solve.
+    latency dict), so a solve costs O(nodes * ops) binning plus one integer
+    addition per (binding, node, op) term.
     """
     node_bins: dict[str, dict[str, int]] = {}
     sentinel_bin = bin_index(UNAVAILABLE_MS)
     fallback_bin = bin_index(1.0)  # unknown op: binding_latency's 1.0 ms default
     summaries: dict[str, LatencySummary] = {}
-    for name, binding in bindings.items():
+    for name, by_node in terms:
         summary = LatencySummary()
         counts = summary.counts
-        mix = binding.op_mix.items()
-        for region_id, weight in binding.region_weights.items():
-            node_name = region_node.get(region_id)
+        for node_name, op_counts in by_node:
             if node_name is None:
-                for _, fraction in mix:
-                    count = quantise_weight(weight * fraction)
-                    if count:
-                        counts[sentinel_bin] = counts.get(sentinel_bin, 0) + count
+                for _, count in op_counts:
+                    counts[sentinel_bin] = counts.get(sentinel_bin, 0) + count
                 continue
             bins = node_bins.get(node_name)
             if bins is None:
@@ -148,11 +174,9 @@ def binding_summaries(
                     op: bin_index(value)
                     for op, value in node_latencies[node_name].items()
                 }
-            for op, fraction in mix:
+            for op, count in op_counts:
                 index = bins.get(op, fallback_bin)
-                count = quantise_weight(weight * fraction)
-                if count:
-                    counts[index] = counts.get(index, 0) + count
+                counts[index] = counts.get(index, 0) + count
         summaries[name] = summary
     return summaries
 
@@ -255,6 +279,8 @@ class EventSolver:
         self._cached_reusable = False
         self._vector_ctx: _VectorContext | None = None
         self._vector_sig: tuple[int, int] | None = None
+        self._summary_terms: SummaryTerms = []
+        self._summary_sig: tuple[int, int] | None = None
 
     # -- cache management ------------------------------------------------ #
     def invalidate(self) -> None:
@@ -269,6 +295,14 @@ class EventSolver:
     def _signature(self) -> tuple[int, int]:
         sim = self._sim
         return (sim._workloads_version, sim._structure_version)
+
+    def _binding_summary_terms(self, region_node: dict[str, str]) -> SummaryTerms:
+        """:func:`summary_terms`, recomputed only when the signature moves."""
+        sig = self._signature()
+        if self._summary_sig != sig:
+            self._summary_terms = summary_terms(self._sim.bindings, region_node)
+            self._summary_sig = sig
+        return self._summary_terms
 
     def reuse_ready(self) -> bool:
         """Whether the next tick could reuse the cached solution."""
@@ -472,7 +506,9 @@ class EventSolver:
         }
 
         achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
-        summaries = binding_summaries(bindings, region_node, final_latencies)
+        summaries = binding_summaries(
+            self._binding_summary_terms(region_node), final_latencies
+        )
         return achieved, node_results, region_rates, binding_latencies, summaries
 
     def _achieved(
@@ -836,8 +872,7 @@ class EventSolver:
         # ``lat`` matrix the scalar loop would produce, so the summary
         # helper sees identical floats on both loops.
         summaries = binding_summaries(
-            bindings,
-            region_node,
+            self._binding_summary_terms(region_node),
             {name: result.per_op_latency_ms for name, result in node_results.items()},
         )
         return achieved, node_results, region_rates, binding_latencies, summaries

@@ -2,12 +2,13 @@
 """Corpus: rule D4's internal audit of a ClusterSimulator class body.
 
 The class stubs every mutator the real inventory declares (so there are
-no stale-inventory findings) and then violates the contract three times:
+no stale-inventory findings) and then violates the contract four times:
 a declared mutator that forgets its dirty marker, an undeclared method
-that mutates a solver-state container, and an undeclared method that
-mutates a hooked region attribute in place (bypassing ``__setattr__``).
-The same in-place call inside a declared mutator that marks the structure
-stays clean.
+that mutates a solver-state container, an undeclared method that mutates
+a hooked region attribute in place (bypassing ``__setattr__``) and an
+undeclared method that resizes a region.  The same in-place call and the
+same resize inside declared mutators that mark the solution dirty stay
+clean.
 """
 
 
@@ -36,6 +37,11 @@ class ClusterSimulator:
         region.block_homes.add(node)
         self._mark_structure()
 
+    def grow_workload_data(self, workload: str, factor: float) -> None:
+        for region in self.regions.values():
+            region.size_bytes *= factor
+        self._mark_dirty()
+
     def move_region(self) -> None: ...
     def reconfigure_node(self) -> None: ...
     def fail_node(self) -> None: ...
@@ -60,3 +66,7 @@ class ClusterSimulator:
     def sneaky_rehome(self, region, name: str) -> None:  # expect: D4
         # In-place set mutation: the block_homes hook never fires.
         region.block_homes.discard(name)
+
+    def sneaky_resize(self, region) -> None:  # expect: D4
+        # Region sizes feed the solver and no hook sees the write.
+        region.size_bytes = 0.0

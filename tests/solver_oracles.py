@@ -22,7 +22,12 @@ import pytest
 
 from repro.simulation import cluster
 from repro.simulation.perfmodel import RegionLoadProfile
-from repro.simulation.solvers import EventSolver, SolveResult, binding_summaries
+from repro.simulation.solvers import (
+    EventSolver,
+    SolveResult,
+    binding_summaries,
+    summary_terms,
+)
 
 
 @contextmanager
@@ -140,8 +145,7 @@ class ReferenceSolver(NoReuseSolver):
             achieved[name] = total
             binding_latencies[name] = binding.mean_latency(region_latencies)
         summaries = binding_summaries(
-            sim.bindings,
-            region_node,
+            summary_terms(sim.bindings, region_node),
             {name: result.per_op_latency_ms for name, result in node_results.items()},
         )
         return achieved, node_results, region_rates, binding_latencies, summaries

@@ -44,6 +44,24 @@ def test_guarded_node_attributes_exist(simulator):
         assert hasattr(node, attr), f"SimulatedNode lost attribute {attr!r}"
 
 
+def test_guarded_region_attributes_exist(simulator):
+    region = simulator.add_region("r-guard", workload="w", size_bytes=1.0)
+    for attr in sorted(invariants.GUARDED_REGION_ATTRIBUTES):
+        assert hasattr(region, attr), f"SimulatedRegion lost attribute {attr!r}"
+    # Hooked attributes invalidate by themselves; guarded ones never do.
+    assert not invariants.GUARDED_REGION_ATTRIBUTES & invariants.HOOKED_REGION_ATTRIBUTES
+
+
+def test_grow_workload_data_drops_the_cached_solution(simulator):
+    names = sorted(simulator.nodes)
+    simulator.add_region("r-grow", workload="w", size_bytes=1e8, node=names[0])
+    simulator.run(10.0)
+    assert simulator._solver.reuse_ready()
+    assert simulator.grow_workload_data("w", 2.0) == 1
+    assert simulator.regions["r-grow"].size_bytes == 2e8
+    assert not simulator._solver.reuse_ready()
+
+
 def test_guarded_binding_attributes_exist(paper_simulator):
     binding = next(iter(paper_simulator.bindings.values()))
     for attr in sorted(invariants.GUARDED_BINDING_ATTRIBUTES):

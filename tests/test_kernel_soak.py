@@ -23,6 +23,9 @@ import pytest
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
+from repro.scenarios.catalog import SMALL_A, SMALL_C
+from repro.scenarios.events import DataGrowthBurst
+from repro.scenarios.spec import ScenarioSpec, TenantSpec
 from repro.scenarios.trace import GOLDEN_CONTROLLERS
 from solver_oracles import NoReuseSolver, installed
 
@@ -44,6 +47,44 @@ class TestEventFastSoak:
             f"{scenario}/{controller}: reuse diverged from solving every "
             "tick; the solver may only reuse/fast-forward when the result "
             "is bit-exact (see PERFORMANCE.md)"
+        )
+
+
+def _insert_free_growth_spec() -> ScenarioSpec:
+    """Catalog ``data_growth`` with the growth on an insert-free tenant.
+
+    The catalog grows insert-mostly tenant D, whose solutions are never
+    reused; growing read-only tenant C is the case where a reused fixed
+    point would keep serving hit ratios computed from the old sizes.
+    """
+    return ScenarioSpec(
+        name="insert_free_growth",
+        tenants=(
+            TenantSpec(SMALL_A, target_ops=2400.0),
+            TenantSpec(SMALL_C, target_ops=2800.0),
+        ),
+        events=(
+            DataGrowthBurst(
+                tenant="C", start_minute=2.0, duration_minutes=4.0, growth_factor=40.0
+            ),
+        ),
+        duration_minutes=10.0,
+        initial_nodes=3,
+        max_nodes=6,
+    )
+
+
+class TestDataGrowthSoak:
+    """Resizing regions must drop the cached fixed point."""
+
+    @pytest.mark.parametrize("controller", ["none", "met", "tiramola"])
+    def test_growth_burst_on_insert_free_tenant_is_byte_identical(self, controller):
+        spec = _insert_free_growth_spec()
+        with installed(NoReuseSolver):
+            fast = scenario_trace(spec, controller)
+        event = scenario_trace(spec, controller)
+        assert trace_to_json(fast) == trace_to_json(event), (
+            f"{controller}: a data-growth burst replayed a stale fixed point"
         )
 
 
