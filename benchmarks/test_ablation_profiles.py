@@ -1,7 +1,7 @@
 """Ablation: how much each heterogeneous profile dimension contributes.
 
-DESIGN.md calls out the three per-node configuration knobs MeT tunes (block
-cache, memstore, block size).  This ablation runs the Figure 1 heterogeneous
+MeT tunes three per-node configuration knobs (block cache, memstore, block
+size; the :mod:`repro.simulation.perfmodel` docstring gives their costs).  This ablation runs the Figure 1 heterogeneous
 placement with each knob neutralised in turn, confirming every dimension
 contributes to the heterogeneous advantage.
 """

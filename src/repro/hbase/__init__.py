@@ -10,7 +10,7 @@ the paper had to add to HBase).
 
 It is a real, usable key-value store for in-memory data sets; the large-scale
 experiments use the analytical :mod:`repro.simulation` substrate instead (see
-DESIGN.md, section 2).
+the stack table in README.md).
 """
 
 from repro.hbase.client import HBaseClient

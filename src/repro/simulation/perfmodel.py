@@ -24,7 +24,7 @@ the simulator:
 The absolute constants were calibrated so a paper-like node (4 GB RAM, one
 7200 rpm disk, GbE) serves the same order of magnitude of operations per
 second as the testbed in the paper; only the *shape* of the results matters
-for the reproduction (see DESIGN.md section 5).
+for the reproduction.
 """
 
 from __future__ import annotations
@@ -435,6 +435,44 @@ class PerformanceModel:
         }
 
 
+def op_latencies(
+    hit, miss, utilization, mean_locality, disk_ms, blocks, scan_length, minimum=min
+):
+    """The five per-op latencies (ms, ``OP_TYPES`` order) of a node.
+
+    The formula of :meth:`PerformanceModel._latencies`, fed the node's
+    hit/miss ratios, bottleneck utilisation and request-weighted mean
+    locality plus its per-node statics ``disk_ms``, ``blocks`` and
+    ``scan_length``.  Only arithmetic and one clamp (``minimum``), so the
+    scalar solver loop passes floats and the vector loop passes numpy
+    columns with ``minimum=np.minimum``; both get the same bits per node.
+    """
+    rho = utilization / (1.0 + utilization)
+    inflation = 1.0 / (1.0 - minimum(rho, 0.97))
+    read_ms = (
+        CPU_READ_HIT_MS * hit
+        + miss * (CPU_READ_MISS_MS + disk_ms)
+        + CPU_RPC_OVERHEAD_MS
+    )
+    write_ms = CPU_WRITE_MS + CPU_RPC_OVERHEAD_MS + 0.2
+    scan_ms = (
+        CPU_SCAN_SETUP_MS
+        + CPU_SCAN_PER_RECORD_MS * scan_length
+        + CPU_SCAN_PER_BLOCK_MS * blocks
+        + miss * blocks * disk_ms * 0.5
+    )
+    remote = 1.0 - mean_locality
+    read_ms *= 1.0 + remote * (REMOTE_READ_LATENCY_FACTOR - 1.0) * miss
+    scan_ms *= 1.0 + remote * (REMOTE_READ_LATENCY_FACTOR - 1.0) * miss
+    return (
+        read_ms * inflation,
+        write_ms * inflation,
+        write_ms * inflation,
+        scan_ms * inflation,
+        (read_ms + write_ms) * inflation,
+    )
+
+
 def _mean_locality(regions: list[RegionLoadProfile]) -> float:
     """Request-weighted mean locality of the regions (1.0 when idle)."""
     total_rate = sum(r.total_rate for r in regions)
@@ -522,7 +560,6 @@ class NodeEvaluator:
         "_amplification",
         "_memstore_bytes",
         "_block",
-        "_write_ms",
     )
 
     def __init__(
@@ -552,7 +589,6 @@ class NodeEvaluator:
         record_size = regions[0].record_size if regions else 1024
         scan_length = regions[0].scan_length if regions else 50
         self.disk_ms = 1000.0 / hw.disk_iops
-        self._write_ms = CPU_WRITE_MS + CPU_RPC_OVERHEAD_MS + 0.2
         self.blocks0 = max(1.0, scan_length * record_size / self._block) + 1.0
         self.scan_length0 = scan_length
 
@@ -644,12 +680,12 @@ class NodeEvaluator:
 
     def _demand_pass(
         self, rate_rows: list, background_disk_bytes_per_s: float
-    ) -> tuple[float, float, float, float, float, float, float, float]:
+    ) -> tuple[float, float, float, float, float, float, float]:
         """Fused single pass: hit-ratio inputs + demand accumulation.
 
         ``rate_rows`` holds one slot-indexed rate list per hosted region
         (``None`` for regions with no offered traffic).  Returns ``(hit,
-        miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality)``.
+        miss, cpu, iops, disk_bytes, net, mean_locality)``.
         """
         hot = cold = read_rate_sum = hot_req = 0.0
         cpu = iops = disk_bytes = net = 0.0
@@ -706,37 +742,25 @@ class NodeEvaluator:
         iops += miss * m_iops
         disk_bytes += miss * m_bytes + background_disk_bytes_per_s
         net += miss * m_net
-        return hit, miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality
+        mean_locality = weighted_locality / total_rate if total_rate > 0.0 else 1.0
+        return hit, miss, cpu, iops, disk_bytes, net, mean_locality
+
+    def _utilizations(
+        self, cpu: float, iops: float, disk_bytes: float, net: float
+    ) -> tuple[float, float, float, float]:
+        """``(cpu, io_wait, network, bottleneck)`` utilisation of demand sums."""
+        cpu_util = cpu / self.cpu_budget
+        io_wait = max(iops / self.disk_iops_budget, disk_bytes / self.disk_bytes_budget)
+        net_util = net / self.network_bytes_budget
+        return cpu_util, io_wait, net_util, max(cpu_util, io_wait, net_util)
 
     def _latency_dict(
         self, hit: float, miss: float, utilization: float, mean_locality: float
     ) -> dict[str, float]:
-        rho = utilization / (1.0 + utilization)
-        inflation = 1.0 / (1.0 - min(rho, 0.97))
-        disk_ms = self.disk_ms
-        read_ms = (
-            CPU_READ_HIT_MS * hit
-            + miss * (CPU_READ_MISS_MS + disk_ms)
-            + CPU_RPC_OVERHEAD_MS
+        latencies = op_latencies(
+            hit, miss, utilization, mean_locality, self.disk_ms, self.blocks0, self.scan_length0
         )
-        write_ms = self._write_ms
-        blocks = self.blocks0
-        scan_ms = (
-            CPU_SCAN_SETUP_MS
-            + CPU_SCAN_PER_RECORD_MS * self.scan_length0
-            + CPU_SCAN_PER_BLOCK_MS * blocks
-            + miss * blocks * disk_ms * 0.5
-        )
-        remote = 1.0 - mean_locality
-        read_ms *= 1.0 + remote * (REMOTE_READ_LATENCY_FACTOR - 1.0) * miss
-        scan_ms *= 1.0 + remote * (REMOTE_READ_LATENCY_FACTOR - 1.0) * miss
-        return {
-            "read": read_ms * inflation,
-            "update": write_ms * inflation,
-            "insert": write_ms * inflation,
-            "scan": scan_ms * inflation,
-            "read_modify_write": (read_ms + write_ms) * inflation,
-        }
+        return dict(zip(OP_TYPES, latencies))
 
     def latencies(
         self, rate_rows: list, background_disk_bytes_per_s: float = 0.0
@@ -746,34 +770,38 @@ class NodeEvaluator:
         Intermediate iterations need nothing but latencies, so this skips
         allocating :class:`NodeLoadResult`/:class:`ServiceDemand` objects.
         """
-        hit, miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality = (
-            self._demand_pass(rate_rows, background_disk_bytes_per_s)
+        hit, miss, cpu, iops, disk_bytes, net, mean_locality = self._demand_pass(
+            rate_rows, background_disk_bytes_per_s
         )
-        cpu_util = cpu / self.cpu_budget
-        io_wait = max(iops / self.disk_iops_budget, disk_bytes / self.disk_bytes_budget)
-        utilization = max(cpu_util, io_wait, net / self.network_bytes_budget)
-        mean_locality = weighted_locality / total_rate if total_rate > 0.0 else 1.0
+        utilization = self._utilizations(cpu, iops, disk_bytes, net)[3]
         return self._latency_dict(hit, miss, utilization, mean_locality)
 
     def evaluate_rates(
         self, rate_rows: list, background_disk_bytes_per_s: float = 0.0
     ) -> NodeLoadResult:
         """Full evaluation (equivalent to ``evaluate_node``) from rate rows."""
-        hit, miss, cpu, iops, disk_bytes, net, total_rate, weighted_locality = (
-            self._demand_pass(rate_rows, background_disk_bytes_per_s)
+        return self.load_result(
+            *self._demand_pass(rate_rows, background_disk_bytes_per_s),
+            self.memory_utilization,
         )
-        cpu_util = cpu / self.cpu_budget
-        iops_util = iops / self.disk_iops_budget
-        disk_bw_util = disk_bytes / self.disk_bytes_budget
-        io_wait = max(iops_util, disk_bw_util)
-        net_util = net / self.network_bytes_budget
-        utilization = max(cpu_util, io_wait, net_util)
-        mean_locality = weighted_locality / total_rate if total_rate > 0.0 else 1.0
+
+    def load_result(
+        self, hit, miss, cpu, iops, disk_bytes, net, mean_locality, memory_utilization
+    ) -> NodeLoadResult:
+        """The node's :class:`NodeLoadResult` from its per-node float sums.
+
+        The one place both solver loops turn sums into a result: the scalar
+        loop through :meth:`evaluate_rates`, the vector loop with one
+        column entry per node.
+        """
+        cpu_util, io_wait, net_util, utilization = self._utilizations(
+            cpu, iops, disk_bytes, net
+        )
         return NodeLoadResult(
             utilization=utilization,
             cpu_utilization=cpu_util,
             io_wait=io_wait,
-            memory_utilization=self.memory_utilization,
+            memory_utilization=memory_utilization,
             network_utilization=net_util,
             demand=ServiceDemand(
                 cpu_millis=cpu,

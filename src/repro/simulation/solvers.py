@@ -9,21 +9,27 @@ distribution summaries.  :class:`EventSolver` produces it:
   verbatim until a dirty flag (any simulator mutation), a background-I/O
   change or an internal event invalidates it;
 * real solves run one of two inner loops, picked by cluster size, over one
-  coefficient source: the memoised per-node :class:`NodeEvaluator`
-  contexts.  The *scalar* loop evaluates each node through its evaluator
-  over slot-indexed rate rows; the *vector* loop is a columnar view of the
-  same evaluators -- their per-region rows stacked into contiguous numpy
-  columns grouped by node -- so one ``np.add.reduceat`` aggregates all
-  nodes per fixed-point iteration.  Array set-up dominates small clusters,
-  so the vector loop runs from :data:`VECTOR_MIN_REGIONS` regions up; the
-  two agree to float rounding.
+  *solve context* per (workloads, structure) signature: the memoised
+  per-node :class:`NodeEvaluator` coefficients, the per-region rate rows
+  and per-binding unit rates, the region -> node map, the binding latency
+  and summary terms.  The *scalar* loop evaluates each node through its
+  evaluator over the rate rows; the *vector* loop is a columnar view of
+  the same evaluators -- their per-region rows stacked into contiguous
+  numpy columns grouped by node -- so one ``np.add.reduceat`` aggregates
+  all nodes per fixed-point iteration.  Array set-up dominates small
+  clusters, so the context carries that view only from
+  :data:`VECTOR_MIN_REGIONS` regions up.  Both loops build node results
+  through :meth:`NodeEvaluator.load_result` and per-op latencies through
+  :func:`~repro.simulation.perfmodel.op_latencies`; they sum demand in a
+  different association, so they agree to float rounding (see
+  :class:`_VectorContext`).
 
 The solver shares the simulator's topology caches (region index,
-assignment versions); its private state (evaluator memos, rate contexts,
-the cached solution) is dropped through :meth:`EventSolver.invalidate` /
-:meth:`EventSolver.forget_node`, which every simulator mutator calls, and
-the vector context and latency-summary terms are rebuilt whenever the
-(workloads, structure) signature moves.
+assignment versions).  Its private state is the evaluator memo, the solve
+context and the cached solution: every simulator mutator drops the
+solution through :meth:`EventSolver.invalidate` /
+:meth:`EventSolver.forget_node`, and the context is rebuilt whenever the
+signature moves.
 """
 
 from __future__ import annotations
@@ -32,17 +38,8 @@ import numpy as np
 
 from repro.simulation.latency import LatencySummary, bin_index, quantise_weight
 from repro.simulation.perfmodel import (
-    CPU_READ_HIT_MS,
-    CPU_READ_MISS_MS,
-    CPU_RPC_OVERHEAD_MS,
-    CPU_SCAN_PER_BLOCK_MS,
-    CPU_SCAN_PER_RECORD_MS,
-    CPU_SCAN_SETUP_MS,
-    CPU_WRITE_MS,
     NodeEvaluator,
-    NodeLoadResult,
     OP_TYPES,
-    REMOTE_READ_LATENCY_FACTOR,
     ROW_HOT_DATA_FRACTION,
     ROW_HOT_REQUEST_FRACTION,
     ROW_LOCALITY,
@@ -60,8 +57,7 @@ from repro.simulation.perfmodel import (
     ROW_WRITE_CPU,
     ROW_WRITE_IOPS,
     ROW_WRITE_NET,
-    ServiceDemand,
-    bottleneck_resource,
+    op_latencies,
 )
 
 #: Hosted-region count from which the vector loop beats the scalar one
@@ -214,25 +210,27 @@ def _throttle(utilization: float) -> float:
 
 
 class _VectorContext:
-    """Columnar view of the memoised :class:`NodeEvaluator` contexts.
+    """Columnar view of a solve context's :class:`NodeEvaluator` rows.
 
-    Built from the online nodes' evaluators once per (workloads, structure)
-    signature.  Regions are laid out contiguously grouped by hosting node
-    (nodes in simulator insertion order, regions in each evaluator's
-    ``region_ids`` order) so ``np.add.reduceat`` over ``offsets`` yields
-    per-node sums in exactly the order the scalar loop accumulates them;
+    Regions are laid out contiguously grouped by hosting node (nodes in
+    simulator insertion order, regions in each evaluator's ``region_ids``
+    order) so ``np.add.reduceat`` over ``offsets`` yields per-node sums;
     ``coeffs`` holds the evaluators' rows as ``(ROW_WIDTH, regions)``
-    columns.  Within one signature only region sizes drift, so each solve
-    refreshes just the size-dependent columns: locality, config, hardware
-    and assignment changes all bump the signature.
+    columns.  The sums take the scalar loop's terms in the same region
+    order but associate them differently: each region's per-op products
+    are added first and the background I/O last, where
+    :meth:`NodeEvaluator._demand_pass` adds product by product and folds
+    the background into the miss term.  The two loops therefore agree to
+    float rounding, not bit for bit.  Within one signature only region
+    sizes drift, so each solve refreshes just the size-dependent columns.
     """
 
     __slots__ = (
         "regions",
-        "node_names",
+        # (name, evaluator) of the online nodes hosting regions / none
+        "nodes",
         "empty_nodes",
         "offsets",
-        "region_node",
         # per-node evaluator fields (length N)
         *_NODE_FIELDS,
         # per-region evaluator rows (ROW_WIDTH x R)
@@ -245,6 +243,27 @@ class _VectorContext:
         "binding_fill",
         "binding_terms",
         "mix_matrix",
+    )
+
+
+class _SolveContext:
+    """Everything a solve derives from one (workloads, structure) signature."""
+
+    __slots__ = (
+        "signature",
+        # (name, evaluator, hosted regions, rate rows in region_ids order)
+        # per online node; a rate row is None where no binding offers load
+        "nodes",
+        # one 5-slot offered-rate row (OP_TYPES order) per loaded region
+        "rate_rows",
+        # per binding: (name, [(region_id, rate row, [(op, slot, unit)])])
+        "contribs",
+        "region_node",
+        # per binding: (name, [(weight, hosting node or None)], op mix)
+        "binding_terms",
+        "summary_terms",
+        # the _VectorContext when the vector loop runs, else None
+        "vector",
     )
 
 
@@ -272,15 +291,11 @@ class EventSolver:
         #: hardware, assignment version) so config/assignment changes
         #: invalidate explicitly while size/locality drift is refreshed.
         self._node_evaluators: dict[str, tuple[object, NodeEvaluator]] = {}
-        self._rate_context_cache: tuple[int, dict, list] | None = None
+        self._context: _SolveContext | None = None
         self._cached: SolveResult | None = None
         self._cached_bg: dict[str, float] = {}
         self._cached_sig: tuple[int, int] | None = None
         self._cached_reusable = False
-        self._vector_ctx: _VectorContext | None = None
-        self._vector_sig: tuple[int, int] | None = None
-        self._summary_terms: SummaryTerms = []
-        self._summary_sig: tuple[int, int] | None = None
 
     # -- cache management ------------------------------------------------ #
     def invalidate(self) -> None:
@@ -295,14 +310,6 @@ class EventSolver:
     def _signature(self) -> tuple[int, int]:
         sim = self._sim
         return (sim._workloads_version, sim._structure_version)
-
-    def _binding_summary_terms(self, region_node: dict[str, str]) -> SummaryTerms:
-        """:func:`summary_terms`, recomputed only when the signature moves."""
-        sig = self._signature()
-        if self._summary_sig != sig:
-            self._summary_terms = summary_terms(self._sim.bindings, region_node)
-            self._summary_sig = sig
-        return self._summary_terms
 
     def reuse_ready(self) -> bool:
         """Whether the next tick could reuse the cached solution."""
@@ -336,13 +343,19 @@ class EventSolver:
             name: sim._binding_throughput.get(name, binding.threads * 50.0)
             for name, binding in sim.bindings.items()
         }
-        if len(sim.regions) >= VECTOR_MIN_REGIONS:
-            results = self._solve_vector(compaction_bg, dict(seeds))
+        ctx = self._solve_context()
+        throughputs = dict(seeds)
+        if ctx.vector is not None:
+            node_results, binding_latencies = self._solve_vector(ctx, compaction_bg, throughputs)
         else:
-            results = self._solve_scalar(compaction_bg, dict(seeds))
+            node_results, binding_latencies = self._solve_scalar(ctx, compaction_bg, throughputs)
+        achieved, region_rates = self._achieved(ctx, throughputs, node_results)
+        summaries = binding_summaries(
+            ctx.summary_terms,
+            {name: result.per_op_latency_ms for name, result in node_results.items()},
+        )
+        results = (achieved, node_results, region_rates, binding_latencies, summaries)
 
-        achieved = results[0]
-        region_rates = results[2]
         insert_free = True
         for rates in region_rates.values():
             if rates.get("insert", 0.0) > 0.0:
@@ -357,172 +370,90 @@ class EventSolver:
         self._cached_reusable = stable and insert_free
         return results
 
-    # -- scalar loop ----------------------------------------------------- #
-    def _tick_node_context(self) -> list[tuple[str, NodeEvaluator]]:
-        """Per-online-node memoised evaluators, refreshed for drift."""
-        sim = self._sim
-        context = []
-        memo = self._node_evaluators
-        versions = sim._assignment_versions
-        for node in sim.nodes.values():
-            if not node.online:
-                continue
-            name = node.name
-            key = (node.config, node.hardware, versions.get(name, 0))
-            cached = memo.get(name)
-            hosted = sim.regions_on(name)
-            if cached is not None and cached[0] == key:
-                evaluator = cached[1]
-                evaluator.refresh(hosted)
-            else:
-                evaluator = NodeEvaluator(sim._model_for(node), node.config, hosted)
-                memo[name] = (key, evaluator)
-            context.append((name, evaluator))
-        return context
+    # -- solve context ---------------------------------------------------- #
+    def _solve_context(self) -> _SolveContext:
+        """The context of the current signature, built on its first solve.
 
-    def _tick_rate_context(self):
-        """Slot-indexed offered-rate rows plus per-binding unit rates.
-
-        ``offered_loads(t)`` is linear in ``t``, so the per-region per-op
-        rates implied by a set of binding throughputs are ``t * unit``.
-        Rates live in one 5-slot list per region (``OP_TYPES`` order); the
-        whole structure is cached until a workload is attached, detached or
-        re-mixed, and only the floats change per iteration.
+        Every mutator that changes what the context holds -- bindings and
+        their mixes, topology, node state, config, hardware, assignment,
+        locality -- bumps the signature; only region sizes drift within
+        one, and each loop refreshes those per solve.
         """
+        sig = self._signature()
+        ctx = self._context
+        if ctx is None or ctx.signature != sig:
+            ctx = self._context = self._build_context(sig)
+        return ctx
+
+    def _build_context(self, signature: tuple[int, int]) -> _SolveContext:
         sim = self._sim
-        cached = self._rate_context_cache
-        if cached is not None and cached[0] == sim._workloads_version:
-            return cached[1], cached[2]
+        ctx = _SolveContext()
+        ctx.signature = signature
         rate_rows: dict[str, list[float]] = {}
-        contribs = []
-        op_index = _OP_SLOT
+        ctx.contribs = []
         for name, binding in sim.bindings.items():
             entries = []
             for region_id, units in binding.unit_rates():
                 row = rate_rows.get(region_id)
                 if row is None:
                     row = rate_rows[region_id] = [0.0, 0.0, 0.0, 0.0, 0.0]
-                entries.append(
-                    (
-                        region_id,
-                        row,
-                        [(op, op_index[op], unit) for op, unit in units],
-                    )
-                )
-            contribs.append((name, entries))
-        self._rate_context_cache = (sim._workloads_version, rate_rows, contribs)
-        return rate_rows, contribs
+                entries.append((region_id, row, [(op, _OP_SLOT[op], unit) for op, unit in units]))
+            ctx.contribs.append((name, entries))
+        ctx.rate_rows = list(rate_rows.values())
 
-    def _solve_scalar(
-        self, compaction_bg: dict[str, float], throughputs: dict[str, float]
-    ) -> SolveResult:
-        bindings = self._sim.bindings
-        rate_rows, contribs = self._tick_rate_context()
-        node_context = [
+        memo = self._node_evaluators
+        versions = sim._assignment_versions
+        ctx.nodes = []
+        ctx.region_node = {}
+        for node in sim.nodes.values():
+            if not node.online:
+                continue
+            name = node.name
+            hosted = sim.regions_on(name)
+            key = (node.config, node.hardware, versions.get(name, 0))
+            cached = memo.get(name)
+            if cached is not None and cached[0] == key:
+                evaluator = cached[1]
+            else:
+                evaluator = NodeEvaluator(sim._model_for(node), node.config, hosted)
+                memo[name] = (key, evaluator)
+            refs = [rate_rows.get(region_id) for region_id in evaluator.region_ids]
+            ctx.nodes.append((name, evaluator, hosted, refs))
+            for region_id in evaluator.region_ids:
+                ctx.region_node[region_id] = name
+        # Bindings aggregate latencies per hosting *node*, not per region.
+        ctx.binding_terms = [
             (
                 name,
-                evaluator,
-                [rate_rows.get(rid) for rid in evaluator.region_ids],
-                compaction_bg.get(name, 0.0),
-            )
-            for name, evaluator in self._tick_node_context()
-        ]
-        # Region -> hosting node is tick-constant; bindings aggregate
-        # latencies per *node* instead of per region.
-        region_node: dict[str, str] = {}
-        for name, evaluator, _, _ in node_context:
-            for region_id in evaluator.region_ids:
-                region_node[region_id] = name
-        binding_terms = {
-            name: (
                 [
-                    (weight, region_node.get(region_id))
+                    (weight, ctx.region_node.get(region_id))
                     for region_id, weight in binding.region_weights.items()
                 ],
                 list(binding.op_mix.items()),
             )
-            for name, binding in bindings.items()
-        }
-        rate_values = list(rate_rows.values())
-        zeros = _ZERO_RATES
-
-        def fill_rates() -> None:
-            for row in rate_values:
-                row[:] = zeros
-            for name, entries in contribs:
-                throughput = throughputs[name]
-                for _, row, slot_units in entries:
-                    for _, slot, unit in slot_units:
-                        row[slot] += throughput * unit
-
-        def binding_latency(terms, mix, latencies_by_node) -> float:
-            # Same math as WorkloadBinding.mean_latency: the per-region
-            # latency dict is the hosting node's, so the per-op mix dot
-            # product is computed once per node and reused per region.
-            cache: dict[str, float] = {}
-            total = 0.0
-            for weight, node_name in terms:
-                if node_name is None:
-                    # Region currently unavailable (node restarting):
-                    # requests block and retry, modelled as a large latency.
-                    total += weight * UNAVAILABLE_MS
-                    continue
-                mixed = cache.get(node_name)
-                if mixed is None:
-                    latencies = latencies_by_node[node_name]
-                    mixed = 0.0
-                    for op, fraction in mix:
-                        mixed += fraction * latencies.get(op, 1.0)
-                    cache[node_name] = mixed
-                total += weight * mixed
-            return total
-
-        def latencies() -> dict[str, float]:
-            fill_rates()
-            by_node = {
-                name: evaluator.latencies(refs, background)
-                for name, evaluator, refs, background in node_context
-            }
-            return {name: binding_latency(*binding_terms[name], by_node) for name in bindings}
-
-        _fixed_point(bindings, throughputs, latencies)
-
-        fill_rates()
-        node_results: dict[str, object] = {}
-        node_scale: dict[str, float] = {}
-        for name, evaluator, refs, background in node_context:
-            result = evaluator.evaluate_rates(refs, background)
-            node_results[name] = result
-            node_scale[name] = _throttle(result.utilization)
-
-        # Per-binding latency at the *final* state, from the full node
-        # results (same latency dicts the intermediate iterations used).
-        final_latencies = {
-            name: result.per_op_latency_ms for name, result in node_results.items()
-        }
-        binding_latencies = {
-            name: binding_latency(*binding_terms[name], final_latencies)
-            for name in bindings
-        }
-
-        achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
-        summaries = binding_summaries(
-            self._binding_summary_terms(region_node), final_latencies
-        )
-        return achieved, node_results, region_rates, binding_latencies, summaries
+            for name, binding in sim.bindings.items()
+        ]
+        ctx.summary_terms = summary_terms(sim.bindings, ctx.region_node)
+        ctx.vector = None
+        if len(sim.regions) >= VECTOR_MIN_REGIONS:
+            ctx.vector = self._build_vector(ctx)
+        return ctx
 
     def _achieved(
         self,
+        ctx: _SolveContext,
         throughputs: dict[str, float],
-        region_node: dict[str, str],
-        node_scale: dict[str, float],
+        node_results: dict[str, object],
     ) -> tuple[dict[str, float], dict[str, dict[str, float]]]:
         """Per-binding achieved throughput and per-region achieved rates:
         the converged offered load, scaled down on saturated nodes."""
-        _, contribs = self._tick_rate_context()
+        node_scale = {
+            name: _throttle(result.utilization) for name, result in node_results.items()
+        }
+        region_node = ctx.region_node
         achieved: dict[str, float] = {}
         region_rates: dict[str, dict[str, float]] = {}
-        for name, entries in contribs:
+        for name, entries in ctx.contribs:
             throughput = throughputs[name]
             total = 0.0
             for region_id, _, slot_units in entries:
@@ -537,127 +468,168 @@ class EventSolver:
             achieved[name] = total
         return achieved, region_rates
 
-    # -- vector loop ----------------------------------------------------- #
-    def _vector_context(self) -> _VectorContext | None:
-        """The columnar view for this solve (``None`` when nothing is hosted).
+    # -- scalar loop ----------------------------------------------------- #
+    def _solve_scalar(
+        self,
+        ctx: _SolveContext,
+        compaction_bg: dict[str, float],
+        throughputs: dict[str, float],
+    ) -> tuple[dict[str, object], dict[str, float]]:
+        """Node results and binding latencies at the fixed point, evaluating
+        each node through its evaluator over the shared rate rows."""
+        node_context = []
+        for name, evaluator, hosted, refs in ctx.nodes:
+            evaluator.refresh(hosted)
+            node_context.append((name, evaluator, refs, compaction_bg.get(name, 0.0)))
+        rate_values = ctx.rate_rows
+        contribs = ctx.contribs
+        zeros = _ZERO_RATES
 
-        Rebuilt from the evaluators when the (workloads, structure)
-        signature changes; otherwise only the size-dependent columns are
-        refreshed, since inserts grow regions every tick.
-        """
-        sig = self._signature()
-        if self._vector_ctx is None or self._vector_sig != sig:
-            self._vector_ctx = self._build_vector_context()
-            self._vector_sig = sig
-        ctx = self._vector_ctx
-        if ctx is not None:
-            sizes = np.fromiter(
-                (region.size_bytes for region in ctx.regions),
-                dtype=np.float64,
-                count=len(ctx.regions),
+        def fill_rates() -> None:
+            for row in rate_values:
+                row[:] = zeros
+            for name, entries in contribs:
+                throughput = throughputs[name]
+                for _, row, slot_units in entries:
+                    for _, slot, unit in slot_units:
+                        row[slot] += throughput * unit
+
+        def binding_latencies(latencies_by_node) -> dict[str, float]:
+            # Same math as WorkloadBinding.mean_latency: the per-region
+            # latency dict is the hosting node's, so the per-op mix dot
+            # product is computed once per node and reused per region.
+            latencies = {}
+            for name, terms, mix in ctx.binding_terms:
+                cache: dict[str, float] = {}
+                total = 0.0
+                for weight, node_name in terms:
+                    if node_name is None:
+                        # Region currently unavailable (node restarting):
+                        # requests block and retry, modelled as a large latency.
+                        total += weight * UNAVAILABLE_MS
+                        continue
+                    mixed = cache.get(node_name)
+                    if mixed is None:
+                        by_op = latencies_by_node[node_name]
+                        mixed = 0.0
+                        for op, fraction in mix:
+                            mixed += fraction * by_op.get(op, 1.0)
+                        cache[node_name] = mixed
+                    total += weight * mixed
+                latencies[name] = total
+            return latencies
+
+        def latencies() -> dict[str, float]:
+            fill_rates()
+            return binding_latencies(
+                {
+                    name: evaluator.latencies(refs, background)
+                    for name, evaluator, refs, background in node_context
+                }
             )
-            hot_fraction = ctx.coeffs[ROW_HOT_DATA_FRACTION]
-            ctx.hot_bytes = sizes * hot_fraction
-            ctx.cold_bytes = sizes * (1.0 - hot_fraction)
-            ctx.hosted_bytes = np.add.reduceat(sizes, ctx.offsets)
-        return ctx
 
-    def _build_vector_context(self) -> _VectorContext | None:
-        sim = self._sim
+        _fixed_point(self._sim.bindings, throughputs, latencies)
+
+        fill_rates()
+        node_results = {
+            name: evaluator.evaluate_rates(refs, background)
+            for name, evaluator, refs, background in node_context
+        }
+        # Per-binding latency at the *final* state, from the full node
+        # results (same latency dicts the intermediate iterations used).
+        return node_results, binding_latencies(
+            {name: result.per_op_latency_ms for name, result in node_results.items()}
+        )
+
+    # -- vector loop ----------------------------------------------------- #
+    def _build_vector(self, ctx: _SolveContext) -> _VectorContext | None:
+        """The columnar view of ``ctx`` (``None`` when nothing is hosted),
+        its binding structures derived from the scalar entries."""
         regions: list = []
-        node_names: list[str] = []
-        empty_nodes: list[str] = []
+        nodes: list[tuple[str, NodeEvaluator]] = []
+        empty_nodes: list[tuple[str, NodeEvaluator]] = []
         offsets: list[int] = []
-        evaluators: list[NodeEvaluator] = []
-        for name, evaluator in self._tick_node_context():
-            if not evaluator.region_ids:
-                empty_nodes.append(name)
+        for name, evaluator, hosted, _ in ctx.nodes:
+            # The vector loop reads only sizes per solve, so it folds any
+            # locality drift into the rows here, once per signature.
+            evaluator.refresh(hosted)
+            if not hosted:
+                empty_nodes.append((name, evaluator))
                 continue
-            node_names.append(name)
+            nodes.append((name, evaluator))
             offsets.append(len(regions))
-            regions.extend(sim.regions_on(name))
-            evaluators.append(evaluator)
+            regions.extend(hosted)
         if not regions:
             return None
-        region_count = len(regions)
-        node_count = len(node_names)
 
-        ctx = _VectorContext()
-        ctx.regions = regions
-        ctx.node_names = node_names
-        ctx.empty_nodes = empty_nodes
-        ctx.offsets = np.array(offsets, dtype=np.intp)
+        vec = _VectorContext()
+        vec.regions = regions
+        vec.nodes = nodes
+        vec.empty_nodes = empty_nodes
+        vec.offsets = np.array(offsets, dtype=np.intp)
         for field in _NODE_FIELDS:
-            values = [getattr(evaluator, field) for evaluator in evaluators]
-            setattr(ctx, field, np.array(values, dtype=np.float64))
-        rows = [row for evaluator in evaluators for row in evaluator.rows]
-        ctx.coeffs = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
-
-        counts = np.diff(np.append(ctx.offsets, region_count))
-        node_idx = np.repeat(np.arange(node_count, dtype=np.intp), counts)
-        ctx.region_node = {
-            region.region_id: node_names[node_idx[row]]
-            for row, region in enumerate(regions)
-        }
+            values = [getattr(evaluator, field) for _, evaluator in nodes]
+            setattr(vec, field, np.array(values, dtype=np.float64))
+        rows = [row for _, evaluator in nodes for row in evaluator.rows]
+        vec.coeffs = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
 
         row_index = {region.region_id: row for row, region in enumerate(regions)}
-        binding_fill = []
-        binding_terms = []
-        mixes = []
-        for name, binding in sim.bindings.items():
+        vec.binding_fill = []
+        for name, entries in ctx.contribs:
             fill_rows: list[int] = []
             fill_units: list[list[float]] = []
-            for region_id, units in binding.unit_rates():
+            for region_id, _, slot_units in entries:
                 row = row_index.get(region_id)
                 if row is None:
                     continue  # unhosted region: contributes no demand
                 unit_row = [0.0] * 5
-                for op, unit in units:
-                    unit_row[_OP_SLOT[op]] += unit
+                for _, slot, unit in slot_units:
+                    unit_row[slot] += unit
                 fill_rows.append(row)
                 fill_units.append(unit_row)
-            binding_fill.append(
+            vec.binding_fill.append(
                 (
                     name,
                     np.array(fill_rows, dtype=np.intp),
                     np.array(fill_units, dtype=np.float64).reshape(len(fill_rows), 5),
                 )
             )
-            weights: list[float] = []
-            term_nodes: list[int] = []
-            for region_id, weight in binding.region_weights.items():
-                weights.append(weight)
-                row = row_index.get(region_id)
-                # Column N of the latency matrix is the unavailable-region
-                # sentinel (500 ms across every op).
-                term_nodes.append(node_idx[row] if row is not None else node_count)
-            mix = [0.0] * 5
-            for op, fraction in binding.op_mix.items():
-                mix[_OP_SLOT[op]] = fraction
-            mixes.append(mix)
-            binding_terms.append(
-                (name, np.array(weights, dtype=np.float64), np.array(term_nodes, dtype=np.intp))
+        # Column N of the latency matrix is the unavailable-region sentinel
+        # (500 ms across every op).
+        node_index = {name: index for index, (name, _) in enumerate(nodes)}
+        node_index[None] = len(nodes)
+        vec.binding_terms = []
+        mixes = []
+        for name, terms, mix in ctx.binding_terms:
+            vec.binding_terms.append(
+                (
+                    name,
+                    np.array([weight for weight, _ in terms], dtype=np.float64),
+                    np.array([node_index[node] for _, node in terms], dtype=np.intp),
+                )
             )
-        ctx.binding_fill = binding_fill
-        ctx.binding_terms = binding_terms
-        ctx.mix_matrix = np.array(mixes, dtype=np.float64).reshape(len(mixes), 5)
-        return ctx
+            mix_row = [0.0] * 5
+            for op, fraction in mix:
+                mix_row[_OP_SLOT[op]] = fraction
+            mixes.append(mix_row)
+        vec.mix_matrix = np.array(mixes, dtype=np.float64).reshape(len(mixes), 5)
+        return vec
 
     def _vector_pass(
         self,
-        ctx: _VectorContext,
+        vec: _VectorContext,
         throughputs: dict[str, float],
         background: np.ndarray,
     ):
         """One demand+latency evaluation over the whole cluster.
 
-        Returns ``(lat, node_arrays)`` where ``lat`` is the (5, N+1) per-op
-        latency matrix (column N = unavailable sentinel) and ``node_arrays``
-        holds the per-node aggregates the final pass turns into
-        :class:`NodeLoadResult` objects.
+        Returns ``(lat, node_sums)`` where ``lat`` is the (5, N+1) per-op
+        latency matrix (column N = unavailable sentinel) and ``node_sums``
+        the per-node ``(hit, miss, cpu, iops, disk_bytes, net,
+        mean_locality)`` columns :meth:`NodeEvaluator.load_result` takes.
         """
-        rates = np.zeros((len(ctx.regions), 5))
-        for name, rows, units in ctx.binding_fill:
+        rates = np.zeros((len(vec.regions), 5))
+        for name, rows, units in vec.binding_fill:
             throughput = throughputs[name]
             if throughput and len(rows):
                 rates[rows] += throughput * units
@@ -667,7 +639,7 @@ class EventSolver:
         rr = read_like + scan
         tot = read + update + insert + scan + rmw
 
-        coeffs = ctx.coeffs
+        coeffs = vec.coeffs
         cpu_r = (
             read_like * coeffs[ROW_READ_CPU]
             + write * coeffs[ROW_WRITE_CPU]
@@ -687,8 +659,8 @@ class EventSolver:
             read_like * coeffs[ROW_READ_MISS_NET] + scan * coeffs[ROW_SCAN_MISS_NET]
         )
         mask = rr > 0.0
-        hot_r = np.where(mask, ctx.hot_bytes, 0.0)
-        cold_r = np.where(mask, ctx.cold_bytes, 0.0)
+        hot_r = np.where(mask, vec.hot_bytes, 0.0)
+        cold_r = np.where(mask, vec.cold_bytes, 0.0)
         hotreq_r = coeffs[ROW_HOT_REQUEST_FRACTION] * rr
         loc_r = coeffs[ROW_LOCALITY] * tot
 
@@ -710,7 +682,7 @@ class EventSolver:
                 loc_r,
             )
         )
-        sums = np.add.reduceat(stacked, ctx.offsets, axis=1)
+        sums = np.add.reduceat(stacked, vec.offsets, axis=1)
         (
             cpu_s,
             iops_s,
@@ -728,7 +700,7 @@ class EventSolver:
             loc_n,
         ) = sums
 
-        cache = ctx.cache_eff_bytes
+        cache = vec.cache_eff_bytes
         rr_safe = np.where(rr_n > 0.0, rr_n, 1.0)
         hot_safe = np.where(hot_n > 0.0, hot_n, 1.0)
         cold_safe = np.where(cold_n > 0.0, cold_n, 1.0)
@@ -749,130 +721,70 @@ class EventSolver:
         iops_n = iops_s + miss * m_iops_s
         bytes_n = bytes_s + miss * m_bytes_s + background
         net_n = net_s + miss * m_net_s
-        cpu_util = cpu_n / ctx.cpu_budget
-        iops_util = iops_n / ctx.disk_iops_budget
-        bw_util = bytes_n / ctx.disk_bytes_budget
+        cpu_util = cpu_n / vec.cpu_budget
+        iops_util = iops_n / vec.disk_iops_budget
+        bw_util = bytes_n / vec.disk_bytes_budget
         io_wait = np.maximum(iops_util, bw_util)
-        net_util = net_n / ctx.network_bytes_budget
+        net_util = net_n / vec.network_bytes_budget
         util = np.maximum(cpu_util, np.maximum(io_wait, net_util))
         tot_safe = np.where(tot_n > 0.0, tot_n, 1.0)
         mean_loc = np.where(tot_n > 0.0, loc_n / tot_safe, 1.0)
 
-        rho = util / (1.0 + util)
-        inflation = 1.0 / (1.0 - np.minimum(rho, 0.97))
-        read_ms = (
-            CPU_READ_HIT_MS * hit
-            + miss * (CPU_READ_MISS_MS + ctx.disk_ms)
-            + CPU_RPC_OVERHEAD_MS
-        )
-        write_ms = CPU_WRITE_MS + CPU_RPC_OVERHEAD_MS + 0.2
-        scan_ms = (
-            CPU_SCAN_SETUP_MS
-            + CPU_SCAN_PER_RECORD_MS * ctx.scan_length0
-            + CPU_SCAN_PER_BLOCK_MS * ctx.blocks0
-            + miss * ctx.blocks0 * ctx.disk_ms * 0.5
-        )
-        remote_n = 1.0 - mean_loc
-        factor = 1.0 + remote_n * (REMOTE_READ_LATENCY_FACTOR - 1.0) * miss
-        read_ms = read_ms * factor
-        scan_ms = scan_ms * factor
-
-        node_count = len(ctx.node_names)
+        node_count = len(vec.nodes)
         lat = np.empty((5, node_count + 1))
         lat[:, node_count] = UNAVAILABLE_MS
-        lat[0, :node_count] = read_ms * inflation
-        lat[1, :node_count] = write_ms * inflation
-        lat[2, :node_count] = lat[1, :node_count]
-        lat[3, :node_count] = scan_ms * inflation
-        lat[4, :node_count] = (read_ms + write_ms) * inflation
-        node_arrays = (
-            util,
-            cpu_util,
-            io_wait,
-            net_util,
-            cpu_n,
-            iops_n,
-            bytes_n,
-            net_n,
-            hit,
+        lat[:, :node_count] = op_latencies(
+            hit, miss, util, mean_loc, vec.disk_ms, vec.blocks0, vec.scan_length0, np.minimum
         )
-        return lat, node_arrays
+        return lat, (hit, miss, cpu_n, iops_n, bytes_n, net_n, mean_loc)
 
     def _solve_vector(
-        self, compaction_bg: dict[str, float], throughputs: dict[str, float]
-    ) -> SolveResult:
-        ctx = self._vector_context()
-        if ctx is None:
-            return self._solve_scalar(compaction_bg, throughputs)
+        self,
+        ctx: _SolveContext,
+        compaction_bg: dict[str, float],
+        throughputs: dict[str, float],
+    ) -> tuple[dict[str, object], dict[str, float]]:
+        """Node results and binding latencies at the fixed point, one
+        ``reduceat`` over the columnar view per iteration."""
+        vec = ctx.vector
+        sizes = np.fromiter(
+            (region.size_bytes for region in vec.regions),
+            dtype=np.float64,
+            count=len(vec.regions),
+        )
+        hot_fraction = vec.coeffs[ROW_HOT_DATA_FRACTION]
+        vec.hot_bytes = sizes * hot_fraction
+        vec.cold_bytes = sizes * (1.0 - hot_fraction)
+        vec.hosted_bytes = np.add.reduceat(sizes, vec.offsets)
         background = np.array(
-            [compaction_bg.get(name, 0.0) for name in ctx.node_names],
+            [compaction_bg.get(name, 0.0) for name, _ in vec.nodes],
             dtype=np.float64,
         )
 
         def binding_latencies_at(lat) -> dict[str, float]:
-            mixed = ctx.mix_matrix @ lat
+            mixed = vec.mix_matrix @ lat
             return {
                 name: float(weights @ mixed[position, term_nodes])
-                for position, (name, weights, term_nodes) in enumerate(ctx.binding_terms)
+                for position, (name, weights, term_nodes) in enumerate(vec.binding_terms)
             }
 
-        bindings = self._sim.bindings
         _fixed_point(
-            bindings,
+            self._sim.bindings,
             throughputs,
-            lambda: binding_latencies_at(
-                self._vector_pass(ctx, throughputs, background)[0]
-            ),
+            lambda: binding_latencies_at(self._vector_pass(vec, throughputs, background)[0]),
         )
 
-        lat, node_arrays = self._vector_pass(ctx, throughputs, background)
-        (util, cpu_util, io_wait, net_util, cpu_n, iops_n, bytes_n, net_n, hit) = (
-            node_arrays
-        )
-        memo = self._node_evaluators
+        lat, node_sums = self._vector_pass(vec, throughputs, background)
+        # Each node's result is rebuilt from its column entries by the same
+        # formulas, so its latency dict holds exactly ``lat``'s floats.
         node_results: dict[str, object] = {}
-        node_scale: dict[str, float] = {}
-        for index, name in enumerate(ctx.node_names):
-            cpu_value = float(cpu_util[index])
-            io_value = float(io_wait[index])
-            net_value = float(net_util[index])
-            util_value = float(util[index])
-            node_results[name] = NodeLoadResult(
-                utilization=util_value,
-                cpu_utilization=cpu_value,
-                io_wait=io_value,
-                memory_utilization=memo[name][1].memory_utilization_at(
-                    float(ctx.hosted_bytes[index])
-                ),
-                network_utilization=net_value,
-                demand=ServiceDemand(
-                    cpu_millis=float(cpu_n[index]),
-                    disk_iops=float(iops_n[index]),
-                    disk_bytes=float(bytes_n[index]),
-                    network_bytes=float(net_n[index]),
-                ),
-                hit_ratio=float(hit[index]),
-                per_op_latency_ms={
-                    op: float(lat[slot, index]) for op, slot in _OP_SLOT.items()
-                },
-                bottleneck=bottleneck_resource(cpu_value, io_value, net_value),
+        per_node = zip(*(column.tolist() for column in node_sums))
+        for (name, evaluator), sums, hosted in zip(vec.nodes, per_node, vec.hosted_bytes.tolist()):
+            node_results[name] = evaluator.load_result(
+                *sums, evaluator.memory_utilization_at(hosted)
             )
-            node_scale[name] = _throttle(util_value)
         # Online nodes with no hosted regions (drained, freshly booted) go
         # through their own evaluator (cheap -- empty region list).
-        for name in ctx.empty_nodes:
-            result = memo[name][1].evaluate_rates([], compaction_bg.get(name, 0.0))
-            node_results[name] = result
-            node_scale[name] = _throttle(result.utilization)
-
-        binding_latencies = binding_latencies_at(lat)
-        region_node = ctx.region_node
-        achieved, region_rates = self._achieved(throughputs, region_node, node_scale)
-        # The NodeLoadResult latency dicts above are built from the same
-        # ``lat`` matrix the scalar loop would produce, so the summary
-        # helper sees identical floats on both loops.
-        summaries = binding_summaries(
-            self._binding_summary_terms(region_node),
-            {name: result.per_op_latency_ms for name, result in node_results.items()},
-        )
-        return achieved, node_results, region_rates, binding_latencies, summaries
+        for name, evaluator in vec.empty_nodes:
+            node_results[name] = evaluator.evaluate_rates([], compaction_bg.get(name, 0.0))
+        return node_results, binding_latencies_at(lat)

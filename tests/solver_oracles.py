@@ -12,16 +12,27 @@ subclasses below for the simulators constructed inside
 * :class:`ReferenceSolver` -- the seed's solver: full region scans, fresh
   allocations and a fixed iteration count.  The independent oracle the
   production solver must match to 1e-6 relative.
+
+:func:`assert_context_fresh` is the third oracle: the cached solve context
+against one built from scratch.  Both twins above share that cache, so
+only this check sees a context that went stale within one signature.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.simulation import cluster
-from repro.simulation.perfmodel import RegionLoadProfile
+from repro.simulation.perfmodel import (
+    ROW_COLD_BYTES,
+    ROW_HOT_BYTES,
+    ROW_SIZE_BYTES,
+    NodeEvaluator,
+    RegionLoadProfile,
+)
 from repro.simulation.solvers import (
     EventSolver,
     SolveResult,
@@ -36,6 +47,65 @@ def installed(solver_cls):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cluster, "EventSolver", solver_cls)
         yield
+
+
+#: Evaluator row slots that track region size.
+_SIZE_SLOTS = (ROW_HOT_BYTES, ROW_COLD_BYTES, ROW_SIZE_BYTES)
+#: Context fields derived from region sizes alone.
+_SIZE_FIELDS = frozenset({"memory_utilization", "hot_bytes", "cold_bytes", "hosted_bytes"})
+
+
+def context_view(ctx) -> object:
+    """A solve context reduced to bit-comparable values.
+
+    Arrays compare by bytes, ``__slots__`` objects (the context, its
+    columnar view, the evaluators) slot by slot, rate rows by their
+    position in ``ctx.rate_rows`` (their floats are per-solve scratch) and
+    everything else by ``==``.  Size-dependent values are left out: sizes
+    drift within a signature and each solve refreshes them from the live
+    regions.
+    """
+    rate_row_index = {id(row): index for index, row in enumerate(ctx.rate_rows)}
+
+    def view(value):
+        if isinstance(value, np.ndarray):
+            return (value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, list) and id(value) in rate_row_index:
+            return ("rate row", rate_row_index[id(value)])
+        if isinstance(value, (list, tuple)):
+            return tuple(view(item) for item in value)
+        if isinstance(value, dict):
+            return tuple((key, view(item)) for key, item in value.items())
+        slots = getattr(type(value), "__slots__", None)
+        if slots is None:
+            return value
+        fields = {slot: getattr(value, slot) for slot in slots if slot not in _SIZE_FIELDS}
+        if isinstance(value, NodeEvaluator):
+            fields["rows"] = [
+                [x for slot, x in enumerate(row) if slot not in _SIZE_SLOTS]
+                for row in value.rows
+            ]
+        elif "coeffs" in fields:
+            fields["coeffs"] = np.delete(fields["coeffs"], _SIZE_SLOTS, axis=0)
+        return (type(value).__name__, view(fields))
+
+    return view(ctx)
+
+
+def assert_context_fresh(sim) -> bool:
+    """Assert the context the next solve would use equals a fresh build.
+
+    Returns whether that context is the cached one; ``False`` means the
+    signature had moved, so it was rebuilt just now and matched trivially.
+    """
+    solver = sim._solver
+    previous = solver._context
+    cached = solver._solve_context()
+    fresh = EventSolver(sim)._solve_context()
+    assert context_view(cached) == context_view(fresh), (
+        f"cached solve context went stale at t={sim.clock.now}"
+    )
+    return cached is previous
 
 
 class NoReuseSolver(EventSolver):

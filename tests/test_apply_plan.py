@@ -15,19 +15,24 @@ float rounding only.  Two cases:
 * a hypothesis fuzz interleaves the declared mutators and
   ``ScenarioContext.grow_tenant_data`` with random run lengths -- the
   dynamic twin of lint rule D4: a mutation that leaves a stale solution
-  (or a stale plan) in place diverges from the twin.
+  (or a stale plan) in place diverges from the twin.  It runs at two
+  cluster sizes, one per solver loop, and after every step also checks
+  the solver's cached solve context against a fresh build, which the
+  twins cannot see because they share that cache.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.profiles import NODE_PROFILES
 from repro.scenarios.context import ScenarioContext
 from repro.scenarios.spec import binding_name
 from repro.simulation.cluster import ClusterSimulator
+from repro.simulation import solvers
 from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
-from solver_oracles import NoReuseSolver, installed
+from solver_oracles import NoReuseSolver, assert_context_fresh, installed
 
 #: Insert-free mixes, as in the benchmark's steady cluster.
 MIXES = (
@@ -134,6 +139,9 @@ STEPS = st.one_of(
     st.tuples(st.just("restore"), st.integers(0, 9)),
     st.tuples(st.just("fail"), st.integers(0, 9)),
     st.tuples(st.just("grow"), st.integers(0, 9), st.sampled_from([1.5, 4.0, 0.5])),
+    st.tuples(st.just("reconfigure"), st.integers(0, 9), st.sampled_from(sorted(NODE_PROFILES))),
+    st.tuples(st.just("boot")),
+    st.tuples(st.just("compact"), st.integers(0, 9)),
 )
 
 
@@ -167,19 +175,42 @@ def apply_step(sim: ClusterSimulator, context: ScenarioContext, step: tuple) -> 
     elif kind == "grow":
         tenant = chr(ord("A") + step[1] % len(bindings))
         context.grow_tenant_data(tenant, step[2])
+    elif kind == "reconfigure":
+        profile = step[2]
+        sim.reconfigure_node(
+            nodes[step[1] % len(nodes)], NODE_PROFILES[profile].config, profile_name=profile
+        )
+    elif kind == "boot":
+        sim.add_node(online=False)
+    elif kind == "compact":
+        sim.major_compact(nodes[step[1] % len(nodes)])
+
+
+def run_twins(steps, nodes: int, regions: int, tenants: int) -> None:
+    twins = []
+    for solver in (EventSolver, NoReuseSolver):
+        sim = build_cluster(solver, nodes=nodes, regions=regions, tenants=tenants)
+        context = ScenarioContext(sim)
+        sim.run(30.0)  # settle, so the production twin starts reusing
+        for step in steps:
+            apply_step(sim, context, step)
+            assert_context_fresh(sim)
+        sim.run(30.0)
+        twins.append(sim)
+    production, oracle = twins
+    assert_twins_agree(production, oracle)
 
 
 @settings(max_examples=25, deadline=None)
 @given(steps=st.lists(STEPS, min_size=1, max_size=12))
 def test_mutator_interleavings_never_replay_a_stale_solution(steps):
-    twins = []
-    for solver in (EventSolver, NoReuseSolver):
-        sim = build_cluster(solver, nodes=4, regions=12, tenants=2)
-        context = ScenarioContext(sim)
-        sim.run(30.0)  # settle, so the production twin starts reusing
-        for step in steps:
-            apply_step(sim, context, step)
-        sim.run(30.0)
-        twins.append(sim)
-    production, oracle = twins
-    assert_twins_agree(production, oracle)
+    run_twins(steps, nodes=4, regions=12, tenants=2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(steps=st.lists(STEPS, min_size=1, max_size=12))
+def test_mutator_interleavings_at_vector_size(steps):
+    """The same fuzz on a cluster the vector loop solves."""
+    regions = 80
+    assert regions >= solvers.VECTOR_MIN_REGIONS
+    run_twins(steps, nodes=8, regions=regions, tenants=4)

@@ -9,7 +9,6 @@ agree within 1e-6 relative tolerance.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.profiles import NODE_PROFILES
@@ -17,16 +16,13 @@ from repro.hbase.config import DEFAULT_HOMOGENEOUS
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec, LARGE_NODE
 from repro.simulation.perfmodel import (
-    ROW_COLD_BYTES,
-    ROW_HOT_BYTES,
-    ROW_SIZE_BYTES,
     NodeEvaluator,
     PerformanceModel,
     RegionLoadProfile,
 )
-from repro.simulation.solvers import EventSolver, _VectorContext
+from repro.simulation.solvers import EventSolver
 from repro.workloads.ycsb.scenario import build_paper_scenario
-from solver_oracles import NoReuseSolver, ReferenceSolver, installed
+from solver_oracles import NoReuseSolver, ReferenceSolver, assert_context_fresh, installed
 
 #: Acceptance bound: the solver and the seed oracle must agree to this
 #: relative tolerance on every sample of every per-binding throughput series.
@@ -285,31 +281,6 @@ def drive_large(
     return series
 
 
-def _vector_columns(ctx) -> dict:
-    """Every slot of a vector context, reduced to bit-comparable values
-    (arrays to their bytes; regions and bindings by identity).  The
-    size-dependent rows of ``coeffs`` are left out: they keep the build's
-    sizes, and each solve reads ``hot_bytes``/``cold_bytes``/
-    ``hosted_bytes`` refreshed from the live regions instead."""
-
-    def comparable(value):
-        if isinstance(value, np.ndarray):
-            return (value.dtype.str, value.shape, value.tobytes())
-        if isinstance(value, (list, tuple)):
-            return tuple(comparable(item) for item in value)
-        if isinstance(value, dict):
-            return tuple((key, comparable(item)) for key, item in value.items())
-        if isinstance(value, (str, int, float)):
-            return value
-        return id(value)
-
-    columns = {slot: getattr(ctx, slot) for slot in _VectorContext.__slots__}
-    columns["coeffs"] = np.delete(
-        columns["coeffs"], [ROW_HOT_BYTES, ROW_COLD_BYTES, ROW_SIZE_BYTES], axis=0
-    )
-    return {slot: comparable(value) for slot, value in columns.items()}
-
-
 class TestVectorLoop:
     """The vector loop matches the scalar loop and the seed oracle.
 
@@ -354,27 +325,27 @@ class TestVectorLoop:
         self._assert_close(vector, reference, REL_TOL, "vector vs reference")
         self._assert_close(scalar, reference, REL_TOL, "scalar vs reference")
 
-    def test_cached_vector_context_matches_a_fresh_build(self, monkeypatch):
+    @pytest.mark.parametrize("loop", ["scalar", "vector"])
+    def test_cached_solve_context_matches_a_fresh_build(self, monkeypatch, loop):
         """Runtime twin of lint rule D4: after every tick of the churn run
-        the cached vector context equals, bit for bit, one built from
-        scratch.  A mutator that changes locality, config or hardware
-        without bumping the signature leaves a stale column and fails here."""
+        the cached solve context equals, bit for bit, one built from
+        scratch.  Both loops trust the (workloads, structure) signature for
+        their evaluators, node list and binding structures, so a mutator
+        that changes locality, config or hardware without bumping it leaves
+        a stale entry and fails here.  ``NoReuseSolver`` shares the cache,
+        so the soak cannot see that."""
+        import sys
+
         from repro.simulation import solvers
 
-        monkeypatch.setattr(solvers, "VECTOR_MIN_REGIONS", 0)
+        threshold = 0 if loop == "vector" else sys.maxsize
+        monkeypatch.setattr(solvers, "VECTOR_MIN_REGIONS", threshold)
         sim, nodes = build_large()
-        checked = []
-
-        def compare() -> None:
-            cached = sim._solver._vector_context()
-            fresh = EventSolver(sim)._vector_context()
-            assert _vector_columns(cached) == _vector_columns(fresh), (
-                f"cached vector context went stale at tick {len(checked)}"
-            )
-            checked.append(True)
-
-        drive_large(sim, nodes, after_tick=compare)
-        assert len(checked) == 40
+        reused = []
+        drive_large(sim, nodes, after_tick=lambda: reused.append(assert_context_fresh(sim)))
+        assert len(reused) == 40
+        assert all(reused), "a check saw a rebuilt context, not the cached one"
+        assert (sim._solver._context.vector is not None) == (loop == "vector")
 
     def test_fast_forward_is_byte_identical_at_vector_size(self):
         """Macro-ticks replay a vector-loop solution exactly as ticking does."""
