@@ -235,7 +235,6 @@ class ExperimentHarness:
         can_skip, disable_reason = self._skip_eligibility()
         self.run.skip_active = can_skip
         self.run.skip_disabled_reason = disable_reason
-        simulator.stats.extra["skip_disabled_reason"] = disable_reason
         remaining = seconds
         while remaining > 1e-9:
             if schedule is not None:
@@ -279,8 +278,8 @@ class ExperimentHarness:
         unknown controller must be stepped every tick, so its presence
         disables skipping entirely (conservative default).  That silence
         would otherwise cost a sweep the whole fast-forward speedup, so the
-        reason is recorded on the run and on ``KernelStats.extra`` and an
-        opaque controller draws a one-line warning.
+        reason is recorded on the run and an opaque controller draws a
+        one-line warning.
         """
         opaque = sorted(
             {

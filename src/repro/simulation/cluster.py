@@ -17,10 +17,10 @@ framework, the tiramola baseline and the manual strategies need:
 Each tick solves the closed-loop throughput fixed point with
 :class:`~repro.simulation.solvers.EventSolver`, which reads the simulator's
 incremental ``node -> regions`` index and reuses a tick-stable, insert-free
-solution until a mutation dirties it.  An internal
-:class:`~repro.simulation.events.EventLoop` of node boot/restart and
-compaction completions bounds how far :meth:`ClusterSimulator.run` (and the
-experiment harness) may fast-forward a quiescent stretch in one macro-tick.
+solution until a mutation dirties it.  How far :meth:`ClusterSimulator.run`
+(and the experiment harness) may fast-forward a quiescent stretch in one
+macro-tick is read off node state: the earliest boot/restart deadline or
+compaction completion (:meth:`ClusterSimulator.quiescent_ticks`).
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from operator import attrgetter
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
 from repro.util.rng import make_rng
 from repro.simulation.clock import SimulationClock
-from repro.simulation.events import (
-    EVENT_COMPACTION_DONE,
-    EVENT_NODE_ONLINE,
-    EventLoop,
-    KernelStats,
-    SimulationEvent,
-)
+from repro.simulation.events import KernelStats
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
@@ -60,13 +54,12 @@ REMOTE_LOCALITY = 0.05
 STATE_ONLINE = "online"
 STATE_BOOTING = "booting"
 STATE_RESTARTING = "restarting"
-STATE_OFFLINE = "offline"
 
-#: Safety margin (ticks) by which compaction-completion events are
-#: scheduled early: the ticks between the event and the actual completion
-#: are simulated for real (cheap -- the cached solution is still reused),
-#: which keeps macro-tick spans strictly clear of the completion tick.
-_COMPACTION_EVENT_MARGIN_TICKS = 2.0
+#: Safety margin (ticks) by which the fast-forward horizon stops short of a
+#: compaction's completion: the ticks between the horizon and the actual
+#: completion are simulated for real (cheap -- the cached solution is still
+#: reused), which keeps macro-tick spans strictly clear of the completion tick.
+_COMPACTION_MARGIN_TICKS = 2.0
 
 _REGION_SEQ = attrgetter("_seq")
 
@@ -205,9 +198,6 @@ class ClusterSimulator:
         #: Pre-fault hardware of degraded nodes (see degrade_node).
         self._base_hardware: dict[str, HardwareSpec] = {}
         self.total_ops = 0.0
-        #: Internal event queue bounding fast-forwards (boot / restart /
-        #: compaction completions).
-        self.events = EventLoop()
         #: Tick/solve/skip counters (benchmark + regression instrumentation).
         self.stats = KernelStats()
         self._solver = EventSolver(self)
@@ -239,10 +229,6 @@ class ClusterSimulator:
             node.state_until = self.clock.now + self.boot_seconds
         self.nodes[name] = node
         self._mark_structure()
-        if not online:
-            self.events.schedule(
-                node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
-            )
         return name
 
     def remove_node(self, name: str, reassign: bool = True) -> None:
@@ -348,9 +334,6 @@ class ClusterSimulator:
         node.state = STATE_RESTARTING
         node.state_until = self.clock.now + self.restart_seconds
         self._mark_structure()
-        self.events.schedule(
-            node.state_until, EVENT_NODE_ONLINE, (name, node.state_until)
-        )
         return drained
 
     def major_compact(self, name: str) -> float:
@@ -368,7 +351,6 @@ class ClusterSimulator:
         )
         node.pending_compaction_bytes += bytes_to_rewrite
         self._mark_dirty()
-        self._schedule_compaction_event(node)
         return bytes_to_rewrite
 
     def grow_workload_data(self, workload: str, factor: float) -> int:
@@ -446,9 +428,6 @@ class ClusterSimulator:
             heap_bytes=base.heap_bytes,
         )
         self._mark_structure()
-        # A changed disk budget changes the compaction drain rate; schedule a
-        # fresh conservative completion event (stale ones are harmless).
-        self._schedule_compaction_event(node)
 
     def base_hardware(self, name: str) -> HardwareSpec | None:
         """A node's pre-degradation hardware (its current spec if healthy).
@@ -473,7 +452,6 @@ class ClusterSimulator:
         if node is not None and base is not None:
             node.hardware = base
             self._mark_structure()
-            self._schedule_compaction_event(node)
 
     # ------------------------------------------------------------------ #
     # workload management
@@ -659,47 +637,39 @@ class ClusterSimulator:
     # ------------------------------------------------------------------ #
     # quiescence detection and fast-forward
     # ------------------------------------------------------------------ #
-    def steady_horizon(self) -> float:
-        """Earliest simulated time at which a tick could differ from the
-        cached fixed point.
-
-        Returns ``clock.now`` when the next tick must be simulated for real
-        (no reusable solution, or a live event is already due), the earliest
-        live event / lifecycle deadline when one lies ahead, and ``inf``
-        when nothing internal bounds a fast-forward.  Callers combine this
-        with their own bounds (scenario schedules, controller wake-ups,
-        sampling cadences) before skipping.
-        """
-        now = self.clock.now
-        if not self._solver.reuse_ready():
-            return now
-        horizon = self.events.horizon(now, self._event_stale)
-        if horizon <= now:
-            return now
-        # Belt and braces: node lifecycle deadlines bound the horizon even
-        # if a state was mutated without going through a scheduling mutator.
-        for node in self.nodes.values():
-            if node.state in (STATE_BOOTING, STATE_RESTARTING):
-                until = node.state_until
-                if until <= now:
-                    return now
-                if until < horizon:
-                    horizon = until
-        return horizon
-
     def quiescent_ticks(self, max_ticks: int) -> int:
         """Number of immediately-upcoming ticks that can be fast-forwarded.
 
-        0 unless the solver has a reusable solution covering at least the
-        next two ticks.  Every returned tick starts strictly before the
-        steady horizon, so the first tick at (or after) the horizon is
-        always simulated for real.
+        0 unless the solver's cached solution is valid for the current
+        compaction background and covers at least the next two ticks.  The
+        horizon is the earliest internal state change, read off the nodes:
+        a booting or restarting node's ``state_until``, or an online node's
+        compaction completion less :data:`_COMPACTION_MARGIN_TICKS` ticks.
+        Every returned tick starts strictly before the horizon, so the
+        first tick at (or after) it is always simulated for real.  Callers
+        combine this with their own bounds (scenario schedules, controller
+        wake-ups, sampling cadences) before skipping.
         """
         if max_ticks < 2:
             return 0
+        if self._solver.reuse(self._compaction_background()) is None:
+            return 0
         now = self.clock.now
         dt = self.clock.tick_seconds
-        horizon = self.steady_horizon()
+        horizon = float("inf")
+        for node in self.nodes.values():
+            if not node.online:
+                until = node.state_until
+            elif node.pending_compaction_bytes > 0:
+                until = (
+                    now
+                    + node.pending_compaction_bytes / _compaction_rate(node)
+                    - _COMPACTION_MARGIN_TICKS * dt
+                )
+            else:
+                continue
+            if until < horizon:
+                horizon = until
         if horizon <= now + dt:
             return 0
         if horizon == float("inf"):
@@ -713,29 +683,24 @@ class ClusterSimulator:
         Only valid for spans vetted by :meth:`quiescent_ticks`: no node
         lifecycle transition or compaction completion may fall inside the
         span.  Metric samples, counters and the clock history advance
-        exactly as ``ticks`` individual ticks would; if the cached solution
-        turns out not to cover the span (background I/O drifted), the span
-        is simulated tick by tick instead.
+        exactly as ``ticks`` individual ticks would.  Raises
+        :class:`SimulationError` when no cached solution is reusable for
+        the current state, which a vetted span always has.
         """
         dt = self.clock.tick_seconds
-        background: dict[str, float] = {}
-        compacting: list[tuple[SimulatedNode, float]] = []
-        for node in self.nodes.values():
-            if node.pending_compaction_bytes <= 0 or not node.online:
-                continue
-            rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
-            background[node.name] = rate
-            compacting.append((node, rate))
+        background = self._compaction_background()
         results = self._solver.reuse(background)
         if results is None:
-            for _ in range(ticks):
-                self.tick(dt)
-            return
-        # No completion can occur in-span (the compaction event's margin
-        # guarantees pending stays positive), so the per-tick decrement
-        # collapses to one multiply.
-        for node, rate in compacting:
-            node.pending_compaction_bytes -= rate * dt * ticks
+            raise SimulationError(
+                "macro_tick needs a span vetted by quiescent_ticks: "
+                "no reusable solution covers it"
+            )
+        # No completion can occur in-span (the horizon's margin guarantees
+        # pending stays positive), so the per-tick decrement collapses to
+        # one multiply.
+        nodes = self.nodes
+        for name, rate in background.items():
+            nodes[name].pending_compaction_bytes -= rate * dt * ticks
         self._apply_tick_results(dt, ticks, results)
         stats = self.stats
         stats.ticks += ticks
@@ -768,7 +733,6 @@ class ClusterSimulator:
         for region in self.regions.values():
             object.__setattr__(region, "_owner", None)
         self._solver = None
-        self.events.clear()
         self._sorted_regions_cache.clear()
         self._apply_plan = None
 
@@ -780,37 +744,6 @@ class ClusterSimulator:
         """A mutation changed topology/config/assignment/locality state."""
         self._structure_version += 1
         self._solver.invalidate()
-
-    def _event_stale(self, event: SimulationEvent) -> bool:
-        """Whether a queued event no longer refers to live simulator state."""
-        kind = event.kind
-        if kind == EVENT_NODE_ONLINE:
-            name, until = event.payload
-            node = self.nodes.get(name)
-            return (
-                node is None
-                or node.state not in (STATE_BOOTING, STATE_RESTARTING)
-                or node.state_until != until
-            )
-        if kind == EVENT_COMPACTION_DONE:
-            (name,) = event.payload
-            node = self.nodes.get(name)
-            return node is None or node.pending_compaction_bytes <= 0.0
-        return False
-
-    def _schedule_compaction_event(self, node: SimulatedNode) -> None:
-        """Queue a conservative completion marker for a node's compaction."""
-        if node.pending_compaction_bytes <= 0:
-            return
-        rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
-        eta = (
-            self.clock.now
-            + node.pending_compaction_bytes / rate
-            - _COMPACTION_EVENT_MARGIN_TICKS * self.clock.tick_seconds
-        )
-        self.events.schedule(
-            max(self.clock.now, eta), EVENT_COMPACTION_DONE, (node.name,)
-        )
 
     # ------------------------------------------------------------------ #
     # internals
@@ -855,21 +788,14 @@ class ClusterSimulator:
         """Per-candidate hosted-region counts for an incremental drain.
 
         Replicates repeated ``_least_loaded_online_node`` calls: candidates
-        are the online nodes (falling back to any non-offline node), in node
+        are the online nodes (falling back to every other node), in node
         insertion order, and the caller bumps a count after each placement
         instead of rescanning every region per drained region.
         """
-        candidates = [
-            node.name
-            for node in self.nodes.values()
-            if node.online and node.name != exclude_name
+        others = [node for node in self.nodes.values() if node.name != exclude_name]
+        candidates = [node.name for node in others if node.online] or [
+            node.name for node in others
         ]
-        if not candidates:
-            candidates = [
-                node.name
-                for node in self.nodes.values()
-                if node.name != exclude_name and node.state != STATE_OFFLINE
-            ]
         counts = {name: self._hosted_count(name) for name in candidates}
         return counts, candidates
 
@@ -884,20 +810,25 @@ class ClusterSimulator:
         if changed:
             self._mark_structure()
 
+    def _compaction_background(self) -> dict[str, float]:
+        """Per-node background disk bytes/s of the running compactions."""
+        return {
+            node.name: _compaction_rate(node)
+            for node in self.nodes.values()
+            if node.pending_compaction_bytes > 0 and node.online
+        }
+
     def _progress_compactions(self, dt: float) -> dict[str, float]:
         """Advance compactions; return per-node background disk bytes/s."""
-        background: dict[str, float] = {}
-        for node in self.nodes.values():
-            if node.pending_compaction_bytes <= 0 or not node.online:
-                continue
-            rate = node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
+        background = self._compaction_background()
+        for name, rate in background.items():
+            node = self.nodes[name]
             done = min(node.pending_compaction_bytes, rate * dt)
             node.pending_compaction_bytes -= done
-            background[node.name] = rate
             if node.pending_compaction_bytes <= 1e-6:
                 node.pending_compaction_bytes = 0.0
-                for region in self.regions_on(node.name):
-                    region.block_homes = {node.name}
+                for region in self.regions_on(name):
+                    region.block_homes = {name}
         return background
 
     def _apply_tick_results(self, dt: float, ticks: int, results: SolveResult) -> None:
@@ -1059,6 +990,11 @@ class _ApplyPlan:
         self.total = 0.0
         self.samples: list[tuple[str, str, float]] = []
         self.distributions: list[tuple[str, str, object]] = []
+
+
+def _compaction_rate(node: SimulatedNode) -> float:
+    """Disk bytes/s a node's major compaction drains."""
+    return node.hardware.disk_mb_per_second * MB * COMPACTION_DISK_SHARE
 
 
 def _size_weighted_locality(hosted: list[SimulatedRegion]) -> float:

@@ -6,8 +6,8 @@ achieved rates, per-binding mean latency and per-binding latency
 distribution summaries.  :class:`EventSolver` produces it:
 
 * *solution reuse*: a tick-stable, insert-free fixed point is replayed
-  verbatim until a dirty flag (any simulator mutation), a background-I/O
-  change or an internal event invalidates it;
+  verbatim until a dirty flag (any simulator mutation) or a background-I/O
+  change invalidates it;
 * real solves run one of two inner loops, picked by cluster size, over one
   *solve context* per (workloads, structure) signature: the memoised
   per-node :class:`NodeEvaluator` coefficients, the per-region rate rows
@@ -311,19 +311,14 @@ class EventSolver:
         sim = self._sim
         return (sim._workloads_version, sim._structure_version)
 
-    def reuse_ready(self) -> bool:
-        """Whether the next tick could reuse the cached solution."""
-        return (
-            self._cached is not None
-            and self._cached_reusable
-            and self._cached_sig == self._signature()
-        )
-
     def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
         """The cached solution if it is valid for this tick, else ``None``."""
-        if not self.reuse_ready():
-            return None
-        if compaction_bg != self._cached_bg:
+        if (
+            self._cached is None
+            or not self._cached_reusable
+            or self._cached_sig != self._signature()
+            or compaction_bg != self._cached_bg
+        ):
             return None
         return self._cached
 

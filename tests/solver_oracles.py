@@ -16,6 +16,8 @@ subclasses below for the simulators constructed inside
 :func:`assert_context_fresh` is the third oracle: the cached solve context
 against one built from scratch.  Both twins above share that cache, so
 only this check sees a context that went stale within one signature.
+:func:`assert_identical_metrics` compares two simulators' metric series
+bit for bit.
 """
 
 from __future__ import annotations
@@ -108,14 +110,22 @@ def assert_context_fresh(sim) -> bool:
     return cached is previous
 
 
+def assert_identical_metrics(left, right) -> None:
+    """Every metric series must agree sample for sample, bit for bit."""
+    left_keys = {key for key, _ in left.metrics.items()}
+    right_keys = {key for key, _ in right.metrics.items()}
+    assert left_keys == right_keys
+    for key, series in right.metrics.items():
+        twin = left.metrics.series(*key)
+        assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
+        assert twin.values == series.values, f"values differ for {key}"
+
+
 class NoReuseSolver(EventSolver):
     """:class:`EventSolver` that never replays a cached solution."""
 
     def reuse(self, compaction_bg: dict[str, float]) -> SolveResult | None:
         return None
-
-    def reuse_ready(self) -> bool:
-        return False
 
 
 class ReferenceSolver(NoReuseSolver):

@@ -1,8 +1,7 @@
-"""Solver-reuse regressions: event queue, dirty flags, fast-forward fidelity.
+"""Solver-reuse regressions: dirty flags, fast-forward fidelity.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* :class:`EventLoop` / :class:`KernelStats` unit behaviour;
 * *conservative quiescence*: every simulator mutation forces a real solve
   on the next tick (the dirty-flag inventory in PERFORMANCE.md);
 * *fast-forward fidelity*: a stretch covered by macro-ticks produces
@@ -19,11 +18,10 @@ import pytest
 from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.experiments.harness import ExperimentHarness, make_backend
 from repro.scenarios.schedule import EventSchedule, ScheduledAction
-from repro.simulation.cluster import ClusterSimulator
-from repro.simulation.events import EventLoop, KernelStats
+from repro.simulation.cluster import ClusterSimulator, SimulationError
 from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
-from solver_oracles import NoReuseSolver, installed
+from solver_oracles import NoReuseSolver, assert_identical_metrics, installed
 
 
 def build_steady(solver=EventSolver, nodes: int = 4, regions: int = 12) -> ClusterSimulator:
@@ -45,64 +43,6 @@ def build_steady(solver=EventSolver, nodes: int = 4, regions: int = 12) -> Clust
         )
     )
     return sim
-
-
-def assert_identical_metrics(left: ClusterSimulator, right: ClusterSimulator) -> None:
-    """Every metric series must agree sample for sample, bit for bit."""
-    left_keys = {key for key, _ in left.metrics.items()}
-    right_keys = {key for key, _ in right.metrics.items()}
-    assert left_keys == right_keys
-    for key, series in right.metrics.items():
-        twin = left.metrics.series(*key)
-        assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
-        assert twin.values == series.values, f"values differ for {key}"
-
-
-class TestEventLoop:
-    def test_pops_earliest_first(self):
-        loop = EventLoop()
-        loop.schedule(30.0, "b")
-        loop.schedule(10.0, "a")
-        loop.schedule(20.0, "c")
-        assert [loop.pop().kind for _ in range(3)] == ["a", "c", "b"]
-        assert loop.pop() is None
-
-    def test_ties_break_by_insertion_order(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "first")
-        loop.schedule(10.0, "second")
-        assert loop.pop().kind == "first"
-        assert loop.pop().kind == "second"
-
-    def test_horizon_prunes_stale_events(self):
-        loop = EventLoop()
-        loop.schedule(10.0, "stale")
-        loop.schedule(20.0, "live")
-        horizon = loop.horizon(0.0, stale=lambda event: event.kind == "stale")
-        assert horizon == 20.0
-        assert len(loop) == 1
-
-    def test_horizon_returns_now_when_event_due(self):
-        loop = EventLoop()
-        loop.schedule(5.0, "due")
-        assert loop.horizon(5.0, stale=lambda event: False) == 5.0
-
-    def test_horizon_infinite_when_drained(self):
-        loop = EventLoop()
-        assert loop.horizon(0.0, stale=lambda event: False) == float("inf")
-
-
-class TestKernelStats:
-    def test_steady_fraction(self):
-        stats = KernelStats(ticks=10, solves=2)
-        assert stats.steady_fraction == pytest.approx(0.8)
-        assert KernelStats().steady_fraction == 0.0
-
-    def test_reset(self):
-        stats = KernelStats(ticks=5, solves=5, skipped_ticks=3, macro_batches=1)
-        stats.extra["note"] = 1
-        stats.reset()
-        assert stats == KernelStats()
 
 
 class TestSolutionReuse:
@@ -221,6 +161,17 @@ class TestMacroTickEquivalence:
         sim.update_workload("tenant", threads=55)
         assert sim.quiescent_ticks(100) == 0
 
+    def test_macro_tick_refuses_an_unvetted_span(self):
+        """A span quiescent_ticks did not vet raises instead of silently
+        falling back to tick-by-tick stepping."""
+        sim = build_steady()
+        for _ in range(5):
+            sim.tick()
+        sim.update_workload("tenant", threads=55)
+        with pytest.raises(SimulationError, match="quiescent_ticks"):
+            sim.macro_tick(10)
+        assert sim.stats.ticks == 5
+
 
 class _OpaqueController:
     """A controller without ``next_wakeup``: disables harness skipping."""
@@ -323,7 +274,7 @@ class TestSkipEligibility:
     """Satellite fix: a silently disabled fast-forward path is now loud.
 
     ``run_for`` records *whether* quiescence skipping was active and, when
-    not, *why* -- on the run and on ``KernelStats.extra`` -- so a campaign
+    not, *why* -- on the run -- so a campaign
     can assert the fast-forward speedup actually engaged instead of
     discovering a 10x slowdown in wall-clock graphs.
     """
@@ -335,12 +286,10 @@ class TestSkipEligibility:
         assert run.skip_active is False
         assert "_OpaqueController" in run.skip_disabled_reason
         assert "next_wakeup" in run.skip_disabled_reason
-        assert sim.stats.extra["skip_disabled_reason"] == run.skip_disabled_reason
         assert sim.stats.skipped_ticks == 0
 
     def test_standard_controllers_keep_skipping_active(self):
-        harness, sim = _build_harness(daemon_period=45.0)
+        harness, _ = _build_harness(daemon_period=45.0)
         run = harness.run_for(600.0)
         assert run.skip_active is True
         assert run.skip_disabled_reason == ""
-        assert sim.stats.extra["skip_disabled_reason"] == ""

@@ -56,10 +56,10 @@ def test_grow_workload_data_drops_the_cached_solution(simulator):
     names = sorted(simulator.nodes)
     simulator.add_region("r-grow", workload="w", size_bytes=1e8, node=names[0])
     simulator.run(10.0)
-    assert simulator._solver.reuse_ready()
+    assert simulator._solver.reuse({}) is not None
     assert simulator.grow_workload_data("w", 2.0) == 1
     assert simulator.regions["r-grow"].size_bytes == 2e8
-    assert not simulator._solver.reuse_ready()
+    assert simulator._solver.reuse({}) is None
 
 
 def test_guarded_binding_attributes_exist(paper_simulator):

@@ -22,7 +22,13 @@ from repro.simulation.perfmodel import (
 )
 from repro.simulation.solvers import EventSolver
 from repro.workloads.ycsb.scenario import build_paper_scenario
-from solver_oracles import NoReuseSolver, ReferenceSolver, assert_context_fresh, installed
+from solver_oracles import (
+    NoReuseSolver,
+    ReferenceSolver,
+    assert_context_fresh,
+    assert_identical_metrics,
+    installed,
+)
 
 #: Acceptance bound: the solver and the seed oracle must agree to this
 #: relative tolerance on every sample of every per-binding throughput series.
@@ -369,9 +375,9 @@ class TestVectorLoop:
             assert twin.values == series.values, f"values differ for {key}"
 
 
-def _build_quiet_pair():
+def _build_quiet_pair(r0_bytes: float = 5e8):
     """Insert-free steady twins (solver + reuse-disabled twin): quiescent
-    once settled."""
+    once settled.  Twelve regions of 5e8 B, except ``r0`` of ``r0_bytes``."""
     from repro.simulation.workload import WorkloadBinding
 
     sims = []
@@ -380,7 +386,8 @@ def _build_quiet_pair():
             sim = ClusterSimulator(tick_seconds=5.0)
         nodes = [sim.add_node() for _ in range(4)]
         for index in range(12):
-            sim.add_region(f"r{index}", "tenant", 5e8, node=nodes[index % 4])
+            size = r0_bytes if index == 0 else 5e8
+            sim.add_region(f"r{index}", "tenant", size, node=nodes[index % 4])
         weight = 1.0 / 12
         weights = {f"r{index}": weight for index in range(12)}
         weights["r11"] = 1.0 - weight * 11
@@ -457,7 +464,17 @@ class TestQuiescenceAdversarial:
         _assert_series_match(event_sim, fast_sim)
 
     def test_compaction_drains_during_quiet_stretch(self):
-        event_sim, fast_sim = _build_quiet_pair()
+        # A 5e8 B drain takes ~2 ticks: it ends inside the horizon's margin.
+        self._compaction_drains(5e8)
+
+    def test_long_compaction_drains_during_quiet_stretch(self):
+        # A 5e9 B drain takes ~19 ticks: only the compaction term of the
+        # horizon keeps a macro-tick from draining past the completion.
+        self._compaction_drains(5e9)
+
+    @staticmethod
+    def _compaction_drains(r0_bytes: float):
+        event_sim, fast_sim = _build_quiet_pair(r0_bytes)
         event_sim.run(300.0)
         for _ in range(60):
             fast_sim.tick()
@@ -474,6 +491,40 @@ class TestQuiescenceAdversarial:
         assert event_sim.regions["r0"].locality == fast_sim.regions["r0"].locality == 1.0
         assert event_sim.nodes["rs-2"].pending_compaction_bytes == 0.0
         _assert_series_match(event_sim, fast_sim)
+
+    def test_disk_degrade_mid_drain_moves_the_horizon(self):
+        """A disk fault halves a running compaction's drain rate: the
+        horizon follows the new completion time, so skipping resumes at
+        once instead of stalling on the pre-fault completion estimate."""
+        event_sim, fast_sim = _build_quiet_pair(1e10)
+        event_sim.run(300.0)
+        for _ in range(60):
+            fast_sim.tick()
+        for sim in (event_sim, fast_sim):
+            sim.move_region("r0", "rs-2")
+            sim.major_compact("rs-2")
+
+        def advance(ticks: int) -> int:
+            before = event_sim.stats.skipped_ticks
+            event_sim.run(5.0 * ticks)
+            for _ in range(ticks):
+                fast_sim.tick()
+            return event_sim.stats.skipped_ticks - before
+
+        advance(10)
+        for sim in (event_sim, fast_sim):
+            sim.degrade_node("rs-2", disk=0.5)
+        degraded = advance(40)
+        for sim in (event_sim, fast_sim):
+            sim.restore_node("rs-2")
+        advance(100)
+        # The pre-fault completion estimate (~38 full-rate ticks after the
+        # compaction started) falls 26 ticks into the degraded window; a
+        # horizon stuck on it would skip fewer than 26 of these 40 ticks.
+        assert degraded >= 32, f"only {degraded} of 40 degraded ticks skipped"
+        assert event_sim.nodes["rs-2"].pending_compaction_bytes == 0.0
+        assert event_sim.regions["r0"].locality == fast_sim.regions["r0"].locality == 1.0
+        assert_identical_metrics(event_sim, fast_sim)
 
     def test_restart_boundary_misaligned_with_run_window(self):
         """A reconfiguration restart whose completion is not a multiple of
