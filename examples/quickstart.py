@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.core import MeT, MeTParameters, SimulatorBackend
-from repro.elasticity import random_homogeneous
+from repro.elasticity import AutoscalerAction, random_homogeneous
 from repro.experiments.harness import apply_placement
 from repro.simulation import ClusterSimulator
 from repro.workloads.ycsb import build_paper_scenario
@@ -45,8 +45,13 @@ def main() -> None:
         print(f"{minute:6d}  {simulator.cluster_throughput():17,.0f}  {profiles}")
 
     print()
-    print("MeT decisions:", met.status.decisions, "plans applied:", met.status.plans_applied)
-    for event in met.events("plan"):
+    plans = [e for e in met.log.events if e.action == AutoscalerAction.PLAN]
+    healthy = met.log.count(AutoscalerAction.HEALTHY)
+    print(
+        "MeT decisions:", len(plans) + healthy,
+        "plans applied:", met.actuator.report.plans_applied,
+    )
+    for event in plans:
         print(f"  t={event.timestamp/60:5.1f} min  {event.detail}")
     print("per-workload throughput (ops/s):")
     for name in sorted(simulator.bindings):

@@ -12,13 +12,15 @@ depends on:
   key-value client API (put/get/delete/scan).
 * :mod:`repro.iaas` -- an OpenStack-like IaaS provider used by the actuator
   to start and stop virtual machines.
-* :mod:`repro.monitoring` -- Ganglia/JMX-like metric collectors and
-  exponential smoothing.
-* :mod:`repro.core` -- the MeT framework itself: Monitor, Decision Maker
-  (Stages A-D, Algorithms 1-3) and Actuator, plus the node configuration
-  profiles of Table 1.
-* :mod:`repro.elasticity` -- the baselines used in the paper's evaluation:
-  the tiramola-style autoscaler and the manual placement strategies.
+* :mod:`repro.monitoring` -- MeT's Monitor (system metrics and partition
+  counters) and exponential smoothing.
+* :mod:`repro.core` -- the MeT framework itself: the controller that wires
+  the Monitor to the Decision Maker (Stages A-D, Algorithms 1-3) and the
+  Actuator, plus the node configuration profiles of Table 1.
+* :mod:`repro.elasticity` -- the controller skeleton every autoscaler
+  shares (cadence, cooldown, decision log) and the baselines used in the
+  paper's evaluation: the tiramola-style autoscaler and the manual
+  placement strategies.
 * :mod:`repro.workloads` -- YCSB workloads A-F and a TPC-C (PyTPCC-like)
   workload generator.
 * :mod:`repro.experiments` -- the harness that regenerates every table and

@@ -1,7 +1,7 @@
 """The MeT framework: Monitor, Decision Maker and Actuator (paper Section 4).
 
-:class:`~repro.core.framework.MeT` is the entry point: it wires a
-:class:`~repro.core.monitor.Monitor`, a
+:class:`~repro.core.framework.MeT` is the entry point: it wires the
+Monitor (a :class:`~repro.monitoring.collector.MetricsCollector`), a
 :class:`~repro.core.decision.DecisionMaker` and an
 :class:`~repro.core.actuator.Actuator` around any cluster backend
 (:mod:`repro.core.backends`), and is driven by calling
@@ -13,13 +13,11 @@ from repro.core.backends import HBaseBackend, SimulatorBackend
 from repro.core.classification import AccessPattern, classify_partition
 from repro.core.decision import DecisionMaker, ReconfigurationPlan
 from repro.core.framework import MeT
-from repro.core.monitor import Monitor
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES, NodeProfile
 
 __all__ = [
     "MeT",
-    "Monitor",
     "DecisionMaker",
     "ReconfigurationPlan",
     "Actuator",

@@ -27,7 +27,7 @@ from repro.core.decision import ReconfigurationPlan
 from repro.core.interfaces import ClusterBackend
 from repro.core.output import NodeTarget
 from repro.core.parameters import MeTParameters
-from repro.core.profiles import NODE_PROFILES, profile_for
+from repro.core.profiles import config_for
 
 
 class ActuatorPhase(str, enum.Enum):
@@ -74,11 +74,9 @@ class Actuator:
         self,
         backend: ClusterBackend,
         parameters: MeTParameters | None = None,
-        on_plan_complete=None,
     ) -> None:
         self.backend = backend
         self.parameters = (parameters or MeTParameters()).validate()
-        self.on_plan_complete = on_plan_complete
         self.report = ActuatorReport()
         self.phase = ActuatorPhase.IDLE
         self._inflight: _InFlightPlan | None = None
@@ -102,7 +100,7 @@ class Actuator:
         # no later restart is needed for them.
         for target in plan.targets:
             if target.node in plan.new_nodes:
-                config = self._config_for(target.profile)
+                config = config_for(target.profile)
                 real_name = self.backend.add_node(config, target.profile)
                 state.placeholder_map[target.node] = real_name
                 self.report.nodes_added += 1
@@ -161,7 +159,7 @@ class Actuator:
                 # The node crashed after the plan was decided; there is
                 # nothing left to restart.  Skip rather than abort the plan.
                 continue
-            config = self._config_for(target.profile)
+            config = config_for(target.profile)
             self.backend.reconfigure_node(target.node, config, target.profile)
             state.restarting = target
             self.phase = ActuatorPhase.WAITING_RESTART
@@ -217,8 +215,6 @@ class Actuator:
         self.report.last_plan_finished = now
         self.phase = ActuatorPhase.IDLE
         self._inflight = None
-        if self.on_plan_complete is not None:
-            self.on_plan_complete(now)
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -242,8 +238,3 @@ class Actuator:
         if self.backend.node_locality(node) < threshold:
             self.backend.major_compact(node)
             self.report.compactions_triggered += 1
-
-    def _config_for(self, profile_name: str):
-        if profile_name in NODE_PROFILES:
-            return profile_for(profile_name).config
-        return profile_for("read_write").config

@@ -121,8 +121,10 @@ class HBaseBackend:
     """Adapter exposing a :class:`MiniHBaseCluster` as a cluster backend.
 
     The functional cluster has no hardware model, so system metrics are
-    derived from request counters: a node's "CPU" is its share of the total
-    requests served since the previous poll, normalised by the busiest node.
+    derived from request counters: a node's "CPU" is its share of the
+    requests served since the previous sampling round, normalised by the
+    busiest node.  A round starts when a node is asked a second time, so
+    every node of one round shares one set of deltas.
     """
 
     def __init__(self, cluster: MiniHBaseCluster) -> None:
@@ -131,6 +133,8 @@ class HBaseBackend:
             server.name: server.profile_name for server in cluster.regionservers()
         }
         self._previous_totals: dict[str, int] = {}
+        self._round_deltas: dict[str, int] = {}
+        self._round_asked: set[str] = set()
         self._counter = itertools.count(1)
 
     # ------------------------------------------------------------------ #
@@ -145,15 +149,19 @@ class HBaseBackend:
         )
 
     def node_system_metrics(self, name: str) -> dict[str, float]:
-        totals = {
-            server.name: server.total_requests()
-            for server in self.cluster.regionservers()
-        }
-        deltas = {
-            node: max(0, total - self._previous_totals.get(node, 0))
-            for node, total in totals.items()
-        }
-        self._previous_totals.update(totals)
+        if not self._round_asked or name in self._round_asked:
+            totals = {
+                server.name: server.total_requests()
+                for server in self.cluster.regionservers()
+            }
+            self._round_deltas = {
+                node: max(0, total - self._previous_totals.get(node, 0))
+                for node, total in totals.items()
+            }
+            self._previous_totals.update(totals)
+            self._round_asked = set()
+        self._round_asked.add(name)
+        deltas = self._round_deltas
         busiest = max(deltas.values(), default=0)
         share = 0.0 if busiest == 0 else deltas.get(name, 0) / busiest
         server = self.cluster.regionserver(name)

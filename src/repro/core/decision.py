@@ -23,7 +23,6 @@ from repro.core.classification import classify_partitions
 from repro.core.grouping import max_partitions_per_node, nodes_per_group
 from repro.core.output import NodeTarget, TargetSlot, compute_output, plan_moves
 from repro.core.parameters import MeTParameters
-from repro.core.profiles import NODE_PROFILES, profile_for
 from repro.core.sizing import SizingAlgorithm
 from repro.monitoring.collector import ClusterSnapshot
 
@@ -188,13 +187,3 @@ class DecisionMaker:
             nodes_to_remove=nodes_to_remove,
             moves=moves,
         )
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def profile_config(profile_name: str):
-        """RegionServer configuration for a profile name."""
-        if profile_name in NODE_PROFILES:
-            return profile_for(profile_name).config
-        return profile_for("read_write").config

@@ -5,38 +5,21 @@ database and the IaaS; the Decision Maker sits between them.  The
 :class:`MeT` class is driven by calling :meth:`MeT.step` as (simulated) time
 advances: it samples the monitor, runs a decision round when enough samples
 accumulated and no action is in flight, and advances the actuator's plan.
+Its cadence, cooldown and decision log are the shared
+:class:`~repro.elasticity.autoscaler.Autoscaler` skeleton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.actuator import Actuator
 from repro.core.decision import DecisionMaker, ReconfigurationPlan
 from repro.core.interfaces import ClusterBackend
-from repro.core.monitor import Monitor
 from repro.core.parameters import MeTParameters
+from repro.elasticity.autoscaler import Autoscaler, AutoscalerAction
+from repro.monitoring.collector import MetricsCollector
 
 
-@dataclass
-class MeTEvent:
-    """A timestamped record of a controller decision or action."""
-
-    timestamp: float
-    kind: str
-    detail: str = ""
-
-
-@dataclass
-class MeTStatus:
-    """Summary of what the controller has done so far."""
-
-    decisions: int = 0
-    plans_applied: int = 0
-    events: list[MeTEvent] = field(default_factory=list)
-
-
-class MeT:
+class MeT(Autoscaler):
     """The workload-aware elasticity controller."""
 
     def __init__(
@@ -46,15 +29,19 @@ class MeT:
         enabled: bool = True,
     ) -> None:
         self.parameters = (parameters or MeTParameters()).validate()
-        self.backend = backend
-        self.monitor = Monitor(backend, self.parameters)
-        self.decision_maker = DecisionMaker(self.parameters)
-        self.actuator = Actuator(
-            backend, self.parameters, on_plan_complete=self._plan_completed
+        super().__init__(
+            backend,
+            self.parameters.monitor_period_seconds,
+            self.parameters.cooldown_seconds,
         )
+        self.monitor = MetricsCollector(
+            backend,
+            decision_samples=self.parameters.decision_samples,
+            smoothing_alpha=self.parameters.smoothing_alpha,
+        )
+        self.decision_maker = DecisionMaker(self.parameters)
+        self.actuator = Actuator(backend, self.parameters)
         self.enabled = enabled
-        self.status = MeTStatus()
-        self._last_action_finished: float | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -70,12 +57,21 @@ class MeT:
     def step(self, now: float) -> ReconfigurationPlan | None:
         """Advance the controller at simulated time ``now``.
 
-        Returns the plan submitted this step, if any.
+        Returns the plan submitted this step, if any.  A plan that finishes
+        during this step is logged, starts the cooldown and discards the
+        pre-action observations before any decision is considered.
         """
         if not self.enabled and not self.actuator.busy:
             return None
-        self.monitor.step(now)
-        self.actuator.step(now)
+        if self._sample_due(now):
+            self._last_sample_time = now
+            self.monitor.sample()
+        if self.actuator.busy:
+            self.actuator.step(now)
+            if not self.actuator.busy:
+                self.log.record(now, AutoscalerAction.PLAN_COMPLETE)
+                self._last_action_time = now
+                self.monitor.reset_after_action()
         if not self.enabled or self.actuator.busy:
             return None
         if not self.monitor.decision_due():
@@ -84,19 +80,20 @@ class MeT:
             return None
         snapshot = self.monitor.snapshot(now)
         plan = self.decision_maker.decide(snapshot)
-        self.status.decisions += 1
         if plan is None or plan.is_noop():
-            self._record(now, "healthy", "cluster load acceptable")
+            self.log.record(
+                now, AutoscalerAction.HEALTHY, detail="cluster load acceptable"
+            )
             return None
-        submitted = self.actuator.submit(plan, now)
-        if not submitted:
-            return None
-        self._record(
+        self.actuator.submit(plan, now)
+        self.log.record(
             now,
-            "plan",
-            f"initial={plan.initial} restarts={plan.restarts} "
-            f"adds={len(plan.new_nodes)} removes={len(plan.nodes_to_remove)} "
-            f"moves={len(plan.moves)}",
+            AutoscalerAction.PLAN,
+            detail=(
+                f"initial={plan.initial} restarts={plan.restarts} "
+                f"adds={len(plan.new_nodes)} removes={len(plan.nodes_to_remove)} "
+                f"moves={len(plan.moves)}"
+            ),
         )
         return plan
 
@@ -117,38 +114,10 @@ class MeT:
             return now
         if not self.enabled:
             return float("inf")
-        wake = self.monitor.next_wakeup(now)
+        wake = self._next_sample(now)
         if self.monitor.decision_due():
-            if self._last_action_finished is None:
+            if self._last_action_time is None:
                 return now
-            cooldown_end = (
-                self._last_action_finished + self.parameters.cooldown_seconds
-            )
+            cooldown_end = self._last_action_time + self.cooldown_seconds
             return min(wake, max(now, cooldown_end))
         return wake
-
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _in_cooldown(self, now: float) -> bool:
-        if self._last_action_finished is None:
-            return False
-        return now - self._last_action_finished < self.parameters.cooldown_seconds
-
-    def _plan_completed(self, now: float) -> None:
-        self.status.plans_applied += 1
-        self._last_action_finished = now
-        self._record(now, "plan-complete", "")
-        self.monitor.reset_after_action()
-
-    def _record(self, now: float, kind: str, detail: str) -> None:
-        self.status.events.append(MeTEvent(timestamp=now, kind=kind, detail=detail))
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def events(self, kind: str | None = None) -> list[MeTEvent]:
-        """Recorded events, optionally filtered by kind."""
-        if kind is None:
-            return list(self.status.events)
-        return [event for event in self.status.events if event.kind == kind]

@@ -83,3 +83,12 @@ def profile_for(group: str) -> NodeProfile:
         raise KeyError(
             f"unknown node profile {group!r}; expected one of {sorted(NODE_PROFILES)}"
         ) from None
+
+
+def config_for(profile_name: str) -> RegionServerConfig:
+    """RegionServer configuration for a profile name.
+
+    Names outside Table 1 (``"default"``, an unprovisioned placeholder) get
+    the read/write profile, the paper's balanced configuration.
+    """
+    return NODE_PROFILES.get(profile_name, READ_WRITE_PROFILE).config

@@ -1,5 +1,8 @@
 """Elasticity baselines and placement strategies used in the evaluation.
 
+* :mod:`repro.elasticity.autoscaler` -- the skeleton every controller
+  (MeT, tiramola, the planner) shares: sampling cadence, cooldown and one
+  decision log.
 * :mod:`repro.elasticity.strategies` -- the three manual strategies of
   Section 3.3 (Random-Homogeneous, Manual-Homogeneous, Manual-Heterogeneous).
 * :mod:`repro.elasticity.tiramola` -- the tiramola-style autoscaler the paper

@@ -1,9 +1,12 @@
-"""Common interface for elasticity controllers.
+"""Common skeleton of the elasticity controllers.
 
-Both MeT and the tiramola baseline are *controllers*: they observe a cluster
-backend and occasionally act on it.  The experiment harness only needs the
-``step(now)`` entry point, but the autoscaler base class also standardises
-the action log so experiments can report when nodes were added or removed.
+MeT, the tiramola baseline and the planner are all *controllers*: they
+observe a cluster backend and occasionally act on it.  The experiment
+harness only needs the ``step(now)`` entry point; the :class:`Autoscaler`
+base holds what the three share -- the sampling cadence (a sample every
+``period_seconds``), the cooldown between actions and one
+:class:`AutoscalerLog` of decisions, so every run answers "why did the
+controller act" in the same shape.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ class AutoscalerAction(str, enum.Enum):
     REMOVE_NODE = "remove_node"
     RECONFIGURE = "reconfigure"
     NONE = "none"
+    HEALTHY = "healthy"
+    PLAN = "plan"
+    PLAN_COMPLETE = "plan-complete"
 
 
 @dataclass
@@ -58,12 +64,46 @@ class AutoscalerLog:
 
 
 class Autoscaler(ABC):
-    """Base class for elasticity controllers driven by the harness."""
+    """Base class for elasticity controllers driven by the harness.
 
-    def __init__(self, backend: ClusterBackend) -> None:
+    Subclasses call :meth:`_sample_due` / :meth:`_next_sample` for the
+    monitoring cadence and :meth:`_in_cooldown` before acting; they stamp
+    ``_last_sample_time`` when they sample and ``_last_action_time`` when
+    an action starts the cooldown.
+    """
+
+    def __init__(
+        self, backend: ClusterBackend, period_seconds: float, cooldown_seconds: float
+    ) -> None:
         self.backend = backend
         self.log = AutoscalerLog()
+        self.period_seconds = period_seconds
+        self.cooldown_seconds = cooldown_seconds
+        self._last_sample_time: float | None = None
+        self._last_action_time: float | None = None
 
     @abstractmethod
     def step(self, now: float) -> None:
         """Observe the cluster at time ``now`` and act if needed."""
+
+    def _sample_due(self, now: float) -> bool:
+        """Whether a monitoring sample is due at ``now``."""
+        if self._last_sample_time is None:
+            return True
+        return now - self._last_sample_time >= self.period_seconds - 1e-9
+
+    def _next_sample(self, now: float) -> float:
+        """Earliest time at which :meth:`_sample_due` becomes true.
+
+        ``_sample_due(t)`` is false for every ``t`` strictly below the
+        returned time, so the harness may fast-forward up to it.
+        """
+        if self._last_sample_time is None:
+            return now
+        return self._last_sample_time + self.period_seconds - 1e-9
+
+    def _in_cooldown(self, now: float) -> bool:
+        """Whether the last action is too recent to act again."""
+        if self._last_action_time is None:
+            return False
+        return now - self._last_action_time < self.cooldown_seconds

@@ -72,13 +72,13 @@ class Tiramola(Autoscaler):
         policy: TiramolaPolicy | None = None,
         node_config: RegionServerConfig | None = None,
     ) -> None:
-        super().__init__(backend)
         self.policy = policy or TiramolaPolicy()
+        super().__init__(
+            backend, self.policy.monitor_period_seconds, self.policy.cooldown_seconds
+        )
         self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
         self._samples: dict[str, list[float]] = {}
         self._samples_taken = 0
-        self._last_sample_time: float | None = None
-        self._last_action_time: float | None = None
 
     # ------------------------------------------------------------------ #
     # controller loop
@@ -118,18 +118,11 @@ class Tiramola(Autoscaler):
         the next sampling instant bounds how far the event-kernel harness
         may fast-forward without consulting this controller.
         """
-        if self._last_sample_time is None:
-            return now
-        return self._last_sample_time + self.policy.monitor_period_seconds - 1e-9
+        return self._next_sample(now)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _sample_due(self, now: float) -> bool:
-        if self._last_sample_time is None:
-            return True
-        return now - self._last_sample_time >= self.policy.monitor_period_seconds - 1e-9
-
     def _sample(self, now: float) -> None:
         self._last_sample_time = now
         window = self.policy.decision_samples
@@ -167,8 +160,3 @@ class Tiramola(Autoscaler):
         if not candidates:
             return None
         return min(candidates, key=candidates.get)
-
-    def _in_cooldown(self, now: float) -> bool:
-        if self._last_action_time is None:
-            return False
-        return now - self._last_action_time < self.policy.cooldown_seconds

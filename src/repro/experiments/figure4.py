@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
+from repro.elasticity.autoscaler import AutoscalerAction
 from repro.elasticity.strategies import (
     manual_heterogeneous,
     manual_homogeneous,
@@ -117,7 +118,12 @@ def run_figure4(
         met=met_run,
         manual_homogeneous=hom_run,
         manual_heterogeneous=het_run,
-        met_events=met.events("plan") + met.events("plan-complete"),
+        met_events=[
+            event
+            for action in (AutoscalerAction.PLAN, AutoscalerAction.PLAN_COMPLETE)
+            for event in met.log.events
+            if event.action == action
+        ],
         minutes=minutes,
         met_start_minute=met_start_minute,
     )

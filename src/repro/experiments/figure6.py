@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
+from repro.elasticity.autoscaler import Autoscaler
 from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import manual_homogeneous
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
@@ -136,7 +137,7 @@ def _run_system(
     seed: int,
     max_nodes: int,
     shutdown_schedule: dict[float, tuple[str, ...]] | None,
-) -> tuple[StrategyRun, ExperimentHarness, object]:
+) -> tuple[StrategyRun, ExperimentHarness, Autoscaler]:
     simulator, provider = _build_cluster(nodes, seed)
     backend = make_backend(simulator, provider=provider)
     if system == "met":
@@ -192,8 +193,8 @@ def run_figure6(
         tiramola_machine_minutes=tiramola_run.machine_minutes,
         minutes=minutes,
         phase1_minutes=min(phase1_minutes, minutes),
-        met_events=list(getattr(met_controller, "status").events),
-        tiramola_events=list(getattr(tiramola_controller, "log").events),
+        met_events=list(met_controller.log.events),
+        tiramola_events=list(tiramola_controller.log.events),
     )
 
 

@@ -1,9 +1,18 @@
-"""Periodic metric collection and the snapshot delivered to the Decision Maker.
+"""MeT's Monitor: metric collection and the Decision Maker's snapshot.
 
-Every ``period_seconds`` (30 s in the paper) the collector samples the
-cluster through a :class:`MetricsSource`; every ``decision_samples`` samples
-(6 in the paper, i.e. every 3 minutes) the smoothed observations are bundled
-into a :class:`ClusterSnapshot` for the Decision Maker.
+The paper's Monitor (Sections 4.1 and 5) reads two sources, and
+:class:`MetricsCollector` maps each onto one call:
+
+* :meth:`MetricsCollector.sample` is the Ganglia poll -- CPU usage, I/O wait
+  and memory of every online node, fed into exponential smoothers;
+* :meth:`MetricsCollector.snapshot` is the JMX read -- per-partition read,
+  write and scan counters (as deltas since the last actuator action) and
+  each node's locality index and profile -- bundled with the smoothed
+  system metrics into a :class:`ClusterSnapshot`.
+
+The controller decides *when*: MeT samples every monitoring period (30 s in
+the paper) and asks for a snapshot every ``decision_samples`` samples (6,
+i.e. every 3 minutes).  Nothing is polled that no decision reads.
 """
 
 from __future__ import annotations
@@ -100,46 +109,23 @@ class MetricsCollector:
     def __init__(
         self,
         source: MetricsSource,
-        period_seconds: float = 30.0,
         decision_samples: int = 6,
         smoothing_alpha: float = 0.5,
     ) -> None:
-        if period_seconds <= 0:
-            raise ValueError("period must be positive")
         if decision_samples <= 0:
             raise ValueError("decision_samples must be positive")
         self.source = source
-        self.period_seconds = period_seconds
         self.decision_samples = decision_samples
         self.smoothing_alpha = smoothing_alpha
         self._smoothers: dict[tuple[str, str], ExponentialSmoother] = {}
         self._samples_since_decision = 0
         self._partition_baseline: dict[str, dict[str, float]] = {}
-        self._last_sample_time: float | None = None
 
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def due(self, now: float) -> bool:
-        """Whether a new sample should be taken at time ``now``."""
-        if self._last_sample_time is None:
-            return True
-        return now - self._last_sample_time >= self.period_seconds - 1e-9
-
-    def next_due(self, now: float) -> float:
-        """Earliest time at which :meth:`due` becomes true.
-
-        ``due(t)`` is false for every ``t`` strictly below the returned
-        time, so the harness may skip sampling checks up to (but not
-        including) it.
-        """
-        if self._last_sample_time is None:
-            return now
-        return self._last_sample_time + self.period_seconds - 1e-9
-
-    def sample(self, now: float) -> None:
-        """Take one sample of every node's system metrics."""
-        self._last_sample_time = now
+    def sample(self) -> None:
+        """Take one sample of every online node's system metrics."""
         self._samples_since_decision += 1
         online = set(self.source.online_node_names())
         for name in self.source.node_names():

@@ -115,15 +115,15 @@ class PlannerController(Autoscaler):
         policy: PlannerPolicy | None = None,
         node_config: RegionServerConfig | None = None,
     ) -> None:
-        super().__init__(backend)
-        self.model = model or DEFAULT_CALIBRATION
         self.policy = policy or PlannerPolicy()
+        super().__init__(
+            backend, self.policy.monitor_period_seconds, self.policy.cooldown_seconds
+        )
+        self.model = model or DEFAULT_CALIBRATION
         self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
         self._window: list[float] = []
         self._last_total: float | None = None
         self._last_total_time: float | None = None
-        self._last_sample_time: float | None = None
-        self._last_action_time: float | None = None
         self._last_budget_block: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -147,9 +147,7 @@ class PlannerController(Autoscaler):
 
     def next_wakeup(self, now: float) -> float:
         """Earliest simulated time at which :meth:`step` may do real work."""
-        if self._last_sample_time is None:
-            return now
-        return self._last_sample_time + self.policy.monitor_period_seconds - 1e-9
+        return self._next_sample(now)
 
     # ------------------------------------------------------------------ #
     # decision
@@ -224,11 +222,6 @@ class PlannerController(Autoscaler):
     # ------------------------------------------------------------------ #
     # sampling
     # ------------------------------------------------------------------ #
-    def _sample_due(self, now: float) -> bool:
-        if self._last_sample_time is None:
-            return True
-        return now - self._last_sample_time >= self.policy.monitor_period_seconds - 1e-9
-
     def _sample(self, now: float) -> None:
         """Record one served-rate observation from the partition counters.
 
@@ -262,11 +255,6 @@ class PlannerController(Autoscaler):
         if not loads:
             return None
         return min(sorted(loads), key=loads.get)
-
-    def _in_cooldown(self, now: float) -> bool:
-        if self._last_action_time is None:
-            return False
-        return now - self._last_action_time < self.policy.cooldown_seconds
 
     @staticmethod
     def _fmt_ms(value: float) -> str:

@@ -187,19 +187,10 @@ def _make_controller(
     raise ValueError(f"unknown controller {name!r}; expected one of {CONTROLLERS}")
 
 
-def _normalise_decisions(name: str, controller) -> list[dict]:
-    """Controller event log in a controller-agnostic, JSON-able shape."""
+def _normalise_decisions(controller) -> list[dict]:
+    """Controller decision log in a JSON-able shape."""
     if controller is None:
         return []
-    if name == "met":
-        return [
-            {
-                "minute": event.timestamp / 60.0,
-                "kind": event.kind,
-                "detail": event.detail,
-            }
-            for event in controller.status.events
-        ]
     return [
         {
             "minute": event.timestamp / 60.0,
@@ -247,7 +238,7 @@ def run_scenario(
         spec=spec,
         controller=controller,
         run=run,
-        decisions=_normalise_decisions(controller, instance),
+        decisions=_normalise_decisions(instance),
         slo_reports=evaluate_slos(
             spec.slos, run, sample_minutes=SAMPLE_EVERY_SECONDS / 60.0
         ),
@@ -259,14 +250,7 @@ def run_scenario(
     )
     result.assertions = evaluate_assertions(result)
     if not keep_simulator:
-        # Eagerly break the back-references that would otherwise pin the
-        # simulator until a cyclic gc pass: the simulator's own cycles
-        # (regions' _owner, the solver) and MeT's actuator
-        # completion callback, which closes a controller -> actuator ->
-        # controller loop holding the backend (and through it the
-        # simulator) alive.
+        # Eagerly break the simulator's own cycles (regions' _owner, the
+        # solver), which would otherwise pin it until a cyclic gc pass.
         simulator.dispose()
-        actuator = getattr(instance, "actuator", None)
-        if actuator is not None:
-            actuator.on_plan_complete = None
     return result

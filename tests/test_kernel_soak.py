@@ -121,9 +121,9 @@ class TestMeTCooldownWakeup:
 
     def test_pending_decision_bounds_wakeup_by_cooldown_expiry(self):
         met = self._met()
-        met.monitor.collector._last_sample_time = 300.0
-        met.monitor.collector._samples_since_decision = 4  # decision latched
-        met._last_action_finished = 250.0  # cooldown runs until 340.0
+        met._last_sample_time = 300.0
+        met.monitor._samples_since_decision = 4  # decision latched
+        met._last_action_time = 250.0  # cooldown runs until 340.0
         # Next sample would be due at ~315, but the latched decision fires
         # earlier than any sample on the first step at/after 340?  No:
         # 315 < 340, so the *monitor* wakeup stays binding here ...
@@ -131,19 +131,19 @@ class TestMeTCooldownWakeup:
         # ... but once the next sampling instant lies beyond the cooldown
         # expiry, the expiry instant must bound the wakeup: step(t) fires
         # the decision at the first t >= 340, well before the sample at 405.
-        met.monitor.collector._last_sample_time = 390.0
-        met._last_action_finished = 250.0
+        met._last_sample_time = 390.0
+        met._last_action_time = 250.0
         assert met.next_wakeup(330.0) == pytest.approx(340.0, abs=1e-6)
 
     def test_pending_decision_with_no_prior_action_wakes_immediately(self):
         met = self._met()
-        met.monitor.collector._last_sample_time = 300.0
-        met.monitor.collector._samples_since_decision = 4
+        met._last_sample_time = 300.0
+        met.monitor._samples_since_decision = 4
         assert met.next_wakeup(301.0) == 301.0
 
     def test_no_pending_decision_keeps_monitor_cadence(self):
         met = self._met()
-        met.monitor.collector._last_sample_time = 300.0
-        met.monitor.collector._samples_since_decision = 2
-        met._last_action_finished = 299.0
+        met._last_sample_time = 300.0
+        met.monitor._samples_since_decision = 2
+        met._last_action_time = 299.0
         assert met.next_wakeup(301.0) == pytest.approx(315.0, abs=1e-6)

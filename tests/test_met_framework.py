@@ -144,7 +144,10 @@ class TestMeTEndToEnd:
         for _ in range(12 * 18):  # 18 minutes of 5-second ticks
             simulator.tick()
             met.step(simulator.clock.now)
-        assert met.status.plans_applied >= 1
+        assert met.actuator.report.plans_applied >= 1
+        assert met.log.count(AutoscalerAction.PLAN_COMPLETE) == (
+            met.actuator.report.plans_applied
+        )
         assert met.actuator.report.nodes_reconfigured >= 1
         profiles = {node.profile_name for node in simulator.nodes.values()}
         assert profiles & set(NODE_PROFILES)
@@ -158,7 +161,10 @@ class TestMeTEndToEnd:
             simulator.tick()
             met.step(simulator.clock.now)
         # After convergence MeT keeps deciding but stops churning the cluster.
-        assert met.status.decisions >= met.status.plans_applied
+        decisions = met.log.count(AutoscalerAction.PLAN) + met.log.count(
+            AutoscalerAction.HEALTHY
+        )
+        assert decisions >= met.actuator.report.plans_applied
 
     def test_disabled_controller_does_nothing(self):
         simulator = self._prepared_simulator(seed=3)
@@ -167,7 +173,8 @@ class TestMeTEndToEnd:
         for _ in range(12 * 10):
             simulator.tick()
             met.step(simulator.clock.now)
-        assert met.status.plans_applied == 0
+        assert met.actuator.report.plans_applied == 0
+        assert not met.log.events
         assert all(node.profile_name == "default" for node in simulator.nodes.values())
 
 
@@ -193,6 +200,41 @@ class TestHBaseBackend:
         backend.major_compact(name)
         backend.remove_node(name)
         assert name not in backend.node_names()
+
+    @staticmethod
+    def _equally_loaded_backend():
+        """Two regionservers that each served 20 requests."""
+        cluster = MiniHBaseCluster(initial_servers=2)
+        cluster.create_table("t", split_keys=["m"])
+        client = cluster.client()
+        for index in range(10):
+            for prefix in ("a", "z"):  # one key on each side of the split
+                client.put("t", f"{prefix}{index:02d}", "cf:v", b"x")
+                client.get("t", f"{prefix}{index:02d}")
+        assert [server.total_requests() for server in cluster.regionservers()] == [20, 20]
+        return HBaseBackend(cluster)
+
+    def test_every_node_of_a_sampling_round_shares_one_set_of_deltas(self):
+        """Both equally loaded regionservers must read as fully busy.
+
+        A backend that re-baselines its request counters on every call gives
+        only the first node asked in a round a nonzero share.
+        """
+        backend = self._equally_loaded_backend()
+        met = MeT(backend)
+        met.step(0.0)  # one sample; no decision is due yet
+        cpus = [
+            met.monitor._smoother(name, "cpu").value()
+            for name in backend.online_node_names()
+        ]
+        assert cpus == [1.0, 1.0]
+
+    def test_an_idle_round_reads_zero_on_every_node(self):
+        backend = self._equally_loaded_backend()
+        names = backend.node_names()
+        busy = [backend.node_system_metrics(name)["cpu"] for name in names]
+        idle = [backend.node_system_metrics(name)["cpu"] for name in names]
+        assert (busy, idle) == ([1.0, 1.0], [0.0, 0.0])
 
 
 class TestTiramola:

@@ -611,8 +611,8 @@ class TestSweepHygiene:
 
     ``keep_simulator=False`` severs the simulator's internal reference
     cycles (``region._owner`` back-references, the solver's simulator
-    handle, the MeT<->Actuator completion callback), so each discarded run
-    frees by *refcount* alone.  With the cycle collector switched off, a
+    handle), and MeT keeps no cycle of its own (it sees a plan finish by
+    polling its actuator), so each discarded run frees by *refcount* alone.  With the cycle collector switched off, a
     sweep that leaked would accumulate one ClusterSimulator per run -- the
     bug that made long campaign sweeps balloon before this fix.
     """
@@ -638,8 +638,8 @@ class TestSweepHygiene:
             ]
             assert len(live) <= 1, (
                 f"{len(live)} simulators still alive after 50 discarded "
-                "runs: a reference cycle is pinning them (dispose() or the "
-                "actuator-callback severing regressed)"
+                "runs: a reference cycle is pinning them (dispose() "
+                "regressed or a controller grew a cycle)"
             )
         finally:
             gc.enable()
