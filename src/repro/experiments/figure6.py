@@ -30,7 +30,7 @@ from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_plac
 from repro.experiments.reporting import format_table
 from repro.iaas.provider import OpenStackProvider
 from repro.simulation.cluster import ClusterSimulator
-from repro.simulation.hardware import HardwareSpec
+from repro.simulation.hardware import ELASTICITY_VM
 from repro.workloads.ycsb.scenario import build_paper_scenario
 from repro.workloads.ycsb.workloads import CORE_WORKLOADS, YCSBWorkload
 
@@ -45,18 +45,6 @@ SCENARIO_TARGETS: dict[str, float] = {
     "E": 600.0,
     "F": 4500.0,
 }
-
-#: The elasticity experiment runs on OpenStack VMs with 3 GB of RAM, which
-#: are weaker than the physical nodes of Section 3 (fewer vCPUs, smaller
-#: heap); this spec models those VMs.
-VM_HARDWARE = HardwareSpec(
-    cpu_millis_per_second=2000.0,
-    disk_iops=140.0,
-    disk_mb_per_second=90.0,
-    network_mb_per_second=110.0,
-    memory_bytes=3 * 1024 * 1024 * 1024,
-    heap_bytes=int(2.2 * 1024 * 1024 * 1024),
-)
 
 #: Phase-2 shutdown schedule: minute -> workloads switched off.
 SHUTDOWN_SCHEDULE: dict[float, tuple[str, ...]] = {
@@ -119,8 +107,8 @@ def scenario_workloads() -> dict[str, YCSBWorkload]:
     return workloads
 
 
-def _build_cluster(nodes: int, seed: int) -> tuple[ClusterSimulator, OpenStackProvider]:
-    simulator = ClusterSimulator(hardware=VM_HARDWARE)
+def _build_cluster(nodes: int) -> tuple[ClusterSimulator, OpenStackProvider]:
+    simulator = ClusterSimulator(hardware=ELASTICITY_VM)
     provider = OpenStackProvider(simulator.clock, boot_seconds=simulator.boot_seconds)
     node_names = [simulator.add_node() for _ in range(nodes)]
     scenario = build_paper_scenario(simulator, workloads=scenario_workloads())
@@ -138,7 +126,7 @@ def _run_system(
     max_nodes: int,
     shutdown_schedule: dict[float, tuple[str, ...]] | None,
 ) -> tuple[StrategyRun, ExperimentHarness, Autoscaler]:
-    simulator, provider = _build_cluster(nodes, seed)
+    simulator, provider = _build_cluster(nodes)
     backend = make_backend(simulator, provider=provider)
     if system == "met":
         parameters = MeTParameters(min_nodes=nodes, max_nodes=max_nodes, allow_remove=True)

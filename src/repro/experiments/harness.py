@@ -224,46 +224,48 @@ class ExperimentHarness:
         When every registered controller exposes ``next_wakeup(now)``,
         quiescent stretches are *fast-forwarded*: ticks that would fire no
         scheduled action, wake no controller and cross no sampling boundary
-        are covered by one :meth:`ClusterSimulator.macro_tick` instead of
-        being simulated one by one.  The recorded series, samples, annotations
-        and machine-minutes are identical either way -- skipping is bounded
-        so that every tick with observable side effects runs for real.
+        are covered by one macro-tick instead of being simulated one by one
+        (each loop iteration is one :meth:`ClusterSimulator.advance` step).
+        The recorded series, samples, annotations and machine-minutes are
+        identical either way -- skipping is bounded so that every tick with
+        observable side effects runs for real.
         """
         simulator = self.simulator
+        clock = simulator.clock
         controllers = self._controllers
-        tick_seconds = simulator.clock.tick_seconds
+        tick_seconds = clock.tick_seconds
         can_skip, disable_reason = self._skip_eligibility()
         self.run.skip_active = can_skip
         self.run.skip_disabled_reason = disable_reason
-        remaining = seconds
-        while remaining > 1e-9:
+        # Read the remaining time off the clock: ``end`` is fixed once, so a
+        # fast-forwarded run stops on the same instant as a tick-by-tick one.
+        end = clock.now + seconds
+        while True:
+            remaining = end - clock.now
+            if remaining <= 1e-9:
+                break
             if schedule is not None:
                 self._fire_due(schedule)
+            # The harness's own tick limit; 0 forces one real tick.  Plan
+            # only when a macro-tick could fit, so controllers are asked for
+            # their wake-ups no more often than a skip is possible.
+            limit = 0
             if can_skip and remaining >= 2.0 * tick_seconds - 1e-9:
-                skip = self._plan_skip(schedule, tick_seconds, remaining)
-                if skip >= 2:
-                    simulator.macro_tick(skip)
-                    now = simulator.clock.now
-                    span = tick_seconds * skip
-                    # Quiescence guarantees no node state transition inside
-                    # the span, so the online count is constant across it.
-                    self._machine_seconds += simulator.online_node_count() * span
-                    if now + 1e-9 >= self._next_sample:
-                        self._sample(now)
-                        self._next_sample = now + self.sample_every_seconds
-                    remaining -= span
-                    continue
-            step = tick_seconds if tick_seconds < remaining else remaining
-            simulator.tick(step)
-            now = simulator.clock.now
-            for controller in controllers:
-                controller.step(now)
-            # Counting online nodes avoids allocating a node list every tick.
-            self._machine_seconds += simulator.online_node_count() * step
+                limit = self._plan_skip(schedule, tick_seconds)
+            span = simulator.advance(remaining, limit)
+            now = clock.now
+            if span <= tick_seconds:
+                # A single real tick: controllers step.  A macro-tick's span
+                # ends before every controller's next wake-up.
+                for controller in controllers:
+                    controller.step(now)
+            # Counting online nodes avoids allocating a node list every tick;
+            # a macro-tick crosses no node state transition, so the count is
+            # constant across its span.
+            self._machine_seconds += simulator.online_node_count() * span
             if now + 1e-9 >= self._next_sample:
                 self._sample(now)
                 self._next_sample = now + self.sample_every_seconds
-            remaining -= step
         if schedule is not None:
             # Events scheduled exactly at the end of the window still fire,
             # so chained run_for calls see each event exactly once.
@@ -301,13 +303,14 @@ class ExperimentHarness:
             return False, reason
         return True, ""
 
-    def _plan_skip(self, schedule, tick_seconds: float, remaining: float) -> int:
-        """How many upcoming whole ticks may be fast-forwarded in one batch.
+    def _plan_skip(self, schedule, tick_seconds: float) -> int:
+        """How many upcoming whole ticks the harness lets one batch cover.
 
         A batch of ``k`` ticks starting at ``clock.now`` is equivalent to
         ``k`` loop iterations iff every skipped iteration is observably
-        inert.  Three external bounds apply on top of the simulator's own
-        quiescence check (:meth:`ClusterSimulator.quiescent_ticks`):
+        inert.  :meth:`ClusterSimulator.advance` applies the remaining-time
+        budget and the simulator's own quiescence check; three external
+        bounds apply on top:
 
         * *schedule*: the batch may end exactly at the next action's time
           (the action then fires on the following iteration, as it would
@@ -318,19 +321,15 @@ class ExperimentHarness:
           (the caller runs the sample check after the batch) but must not
           cross it, so window means see the same series either way.
         """
-        simulator = self.simulator
-        now = simulator.clock.now
+        now = self.simulator.clock.now
         dt = tick_seconds
-        budget = int((remaining + 1e-9) // dt)
         # Inclusive bound: the batch may end AT this time but not beyond.
         end_bound = self._next_sample
         if schedule is not None:
             next_action = schedule.next_time()
             if next_action is not None and next_action < end_bound:
                 end_bound = next_action
-        k = int((end_bound - now + 1e-9) // dt)
-        if k < budget:
-            budget = k
+        budget = int((end_bound - now + 1e-9) // dt)
         for controller in self._controllers:
             wake = controller.next_wakeup(now)
             if wake == float("inf"):
@@ -339,9 +338,7 @@ class ExperimentHarness:
             k = int((wake - now - 1e-9) // dt)
             if k < budget:
                 budget = k
-        if budget < 2:
-            return 0
-        return simulator.quiescent_ticks(budget)
+        return budget
 
     def _fire_due(self, schedule) -> None:
         now = self.simulator.clock.now

@@ -65,7 +65,7 @@ def _new_cluster(nodes: int, tpcc_config: TPCCConfig) -> tuple[ClusterSimulator,
     return simulator, node_names
 
 
-def _average_tpmc(simulator: ClusterSimulator, harness: ExperimentHarness, minutes: float) -> float:
+def _average_tpmc(simulator: ClusterSimulator, minutes: float) -> float:
     ops_per_second = simulator.total_ops / (minutes * 60.0)
     return tpmc_from_ops_rate(ops_per_second)
 
@@ -83,7 +83,7 @@ def run_table2(
     simulator, _ = _new_cluster(nodes, tpcc_config)
     harness = ExperimentHarness(simulator, name="manual-homogeneous")
     harness.run_for(minutes * 60.0)
-    homogeneous_tpmc = _average_tpmc(simulator, harness, minutes)
+    homogeneous_tpmc = _average_tpmc(simulator, minutes)
 
     # (ii) MeT started during the run.
     simulator, _ = _new_cluster(nodes, tpcc_config)
@@ -95,7 +95,7 @@ def run_table2(
     harness.run_for(met_start_minute * 60.0)
     met.start()
     harness.run_for((minutes - met_start_minute) * 60.0)
-    met_tpmc = _average_tpmc(simulator, harness, minutes)
+    met_tpmc = _average_tpmc(simulator, minutes)
     met_profiles = {
         name: node.profile_name for name, node in sorted(simulator.nodes.items())
     }
@@ -118,7 +118,7 @@ def run_table2(
     simulator.invalidate_solution()
     harness = ExperimentHarness(simulator, name="met-no-overhead")
     harness.run_for(minutes * 60.0)
-    upper_tpmc = _average_tpmc(simulator, harness, minutes)
+    upper_tpmc = _average_tpmc(simulator, minutes)
 
     return Table2Result(
         manual_homogeneous_tpmc=homogeneous_tpmc,

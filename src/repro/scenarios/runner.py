@@ -31,21 +31,10 @@ from repro.scenarios.context import ScenarioContext
 from repro.scenarios.schedule import compile_spec
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.cluster import ClusterSimulator
-from repro.simulation.hardware import HardwareSpec
+from repro.simulation.hardware import ELASTICITY_VM
 
 #: Controllers a scenario can run under.
 CONTROLLERS = ("none", "met", "tiramola", "planner")
-
-#: Default scenario hardware: the weak elasticity-experiment VMs of
-#: Section 6.4, so reduced-scale scenarios still saturate a few nodes.
-SCENARIO_HARDWARE = HardwareSpec(
-    cpu_millis_per_second=2000.0,
-    disk_iops=140.0,
-    disk_mb_per_second=90.0,
-    network_mb_per_second=110.0,
-    memory_bytes=3 * 1024 * 1024 * 1024,
-    heap_bytes=int(2.2 * 1024 * 1024 * 1024),
-)
 
 #: Harness sampling cadence of a scenario run: one series point (and one
 #: SLO judgement) per simulated minute.
@@ -127,7 +116,7 @@ def build_scenario(
 ) -> tuple[ClusterSimulator, OpenStackProvider, ScenarioContext, list[str]]:
     """Materialise the spec's cluster and initial tenants (no controller yet)."""
     simulator = ClusterSimulator(
-        hardware=spec.hardware or SCENARIO_HARDWARE,
+        hardware=spec.hardware or ELASTICITY_VM,
         tick_seconds=spec.tick_seconds,
         seed=spec.seed,
     )

@@ -17,10 +17,17 @@ framework, the tiramola baseline and the manual strategies need:
 Each tick solves the closed-loop throughput fixed point with
 :class:`~repro.simulation.solvers.EventSolver`, which reads the simulator's
 incremental ``node -> regions`` index and reuses a tick-stable, insert-free
-solution until a mutation dirties it.  How far :meth:`ClusterSimulator.run`
-(and the experiment harness) may fast-forward a quiescent stretch in one
-macro-tick is read off node state: the earliest boot/restart deadline or
-compaction completion (:meth:`ClusterSimulator.quiescent_ticks`).
+solution until a mutation dirties it.
+
+Simulated time moves through one step, :meth:`ClusterSimulator.advance`:
+one macro-tick over a quiescent stretch, else one real tick.  How far a
+macro-tick may reach is read off node state -- the earliest boot/restart
+deadline or compaction completion (:meth:`ClusterSimulator.quiescent_ticks`)
+-- and callers (:meth:`ClusterSimulator.run`, the experiment harness) may
+bound it further.  Tick timestamps come from the clock alone
+(:meth:`~repro.simulation.clock.SimulationClock.advance`), so a
+fast-forwarded run records at the same instants as a tick-by-tick one.
+:class:`KernelStats` counts how the ticks were spent.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from operator import attrgetter
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
 from repro.util.rng import make_rng
 from repro.simulation.clock import SimulationClock
-from repro.simulation.events import KernelStats
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
 from repro.simulation.perfmodel import PerformanceModel
@@ -66,6 +72,25 @@ _REGION_SEQ = attrgetter("_seq")
 
 class SimulationError(RuntimeError):
     """Raised on invalid cluster operations (unknown node, bad move, ...)."""
+
+
+@dataclass
+class KernelStats:
+    """How the simulator spent its simulated ticks.
+
+    ``ticks`` counts every simulated tick; each tick is either a real
+    ``solve``, a ``reused`` tick (cached fixed point replayed through a
+    normal :meth:`ClusterSimulator.tick`), or a ``skipped`` tick covered by
+    a fast-forwarded macro-tick (``macro_batches`` counts the batches).  The
+    benchmark's ``kernel.*`` metrics and the quiescence regression tests
+    read these counters.
+    """
+
+    ticks: int = 0
+    solves: int = 0
+    reused_ticks: int = 0
+    skipped_ticks: int = 0
+    macro_batches: int = 0
 
 
 @dataclass
@@ -600,23 +625,37 @@ class ClusterSimulator:
     def run(self, seconds: float) -> None:
         """Advance the simulation by ``seconds`` in whole ticks.
 
-        Quiescent stretches are fast-forwarded in macro-ticks (bounded by
-        :meth:`quiescent_ticks`); everything else -- and any trailing
-        partial tick -- advances tick by tick.
+        Quiescent stretches are fast-forwarded in macro-ticks; everything
+        else -- and any trailing partial tick -- advances tick by tick (see
+        :meth:`advance`).  The loop stops on the instant ``now + seconds``
+        computed once up front, so both paths end on the same float.
         """
-        remaining = seconds
+        clock = self.clock
+        end = clock.now + seconds
+        while end - clock.now > 1e-9:
+            self.advance(end - clock.now)
+
+    def advance(self, seconds: float, max_ticks: int | None = None) -> float:
+        """Take one step of at most ``seconds``; return the seconds covered.
+
+        One macro-tick when at least two whole ticks fit in both ``seconds``
+        and ``max_ticks`` (the caller's own bound, e.g. the next scheduled
+        action) and :meth:`quiescent_ticks` vets them; otherwise one real
+        tick of ``min(tick_seconds, seconds)``.
+        """
         dt = self.clock.tick_seconds
-        while remaining > 1e-9:
-            if remaining >= 2.0 * dt - 1e-9:
-                budget = int((remaining + 1e-9) // dt)
+        if seconds >= 2.0 * dt - 1e-9:
+            budget = int((seconds + 1e-9) // dt)
+            if max_ticks is not None and max_ticks < budget:
+                budget = max_ticks
+            if budget >= 2:
                 skip = self.quiescent_ticks(budget)
                 if skip >= 2:
                     self.macro_tick(skip)
-                    remaining -= skip * dt
-                    continue
-            step = min(dt, remaining)
-            self.tick(step)
-            remaining -= step
+                    return skip * dt
+        step = dt if dt < seconds else seconds
+        self.tick(step)
+        return step
 
     def tick(self, seconds: float | None = None) -> None:
         """Advance the simulation by one tick."""
@@ -632,7 +671,6 @@ class ClusterSimulator:
         else:
             stats.reused_ticks += 1
         self._apply_tick_results(dt, 1, results)
-        self.clock.advance(dt)
 
     # ------------------------------------------------------------------ #
     # quiescence detection and fast-forward
@@ -682,8 +720,8 @@ class ClusterSimulator:
 
         Only valid for spans vetted by :meth:`quiescent_ticks`: no node
         lifecycle transition or compaction completion may fall inside the
-        span.  Metric samples, counters and the clock history advance
-        exactly as ``ticks`` individual ticks would.  Raises
+        span.  Metric samples, counters and the clock advance exactly as
+        ``ticks`` individual ticks would.  Raises
         :class:`SimulationError` when no cached solution is reusable for
         the current state, which a vetted span always has.
         """
@@ -706,9 +744,6 @@ class ClusterSimulator:
         stats.ticks += ticks
         stats.skipped_ticks += ticks
         stats.macro_batches += 1
-        clock = self.clock
-        for _ in range(ticks):
-            clock.advance(dt)
 
     def invalidate_solution(self) -> None:
         """Force the solver to re-solve on the next tick.
@@ -837,12 +872,12 @@ class ClusterSimulator:
         A plain tick is the one-tick case.  Every *rate* observable
         (throughputs, per-node utilisation, metric sample values) is
         constant across the span, so the per-tick sample list is built once
-        and recorded at each tick's timestamp -- the timestamps replicate
-        :meth:`SimulationClock.advance`'s float accumulation bit-exactly, so
-        the recorded series is byte-identical to ``ticks`` individual ticks.
-        Cumulative counters advance by ``rate * dt * ticks`` (a fused
-        multiply instead of ``ticks`` repeated additions; the difference is
-        ~1e-16 relative, and none at all for one tick).
+        and recorded at each tick's end time, as returned by advancing the
+        clock ``ticks`` steps -- so the recorded series is byte-identical
+        to ``ticks`` individual ticks.  Cumulative counters advance by
+        ``rate * dt * ticks`` (a fused multiply instead of ``ticks``
+        repeated additions; the difference is ~1e-16 relative, and none at
+        all for one tick).
 
         The first apply of a solution derives an :class:`_ApplyPlan`; every
         later tick or batch that reuses the same solution at the same ``dt``
@@ -861,13 +896,7 @@ class ClusterSimulator:
             plan = self._apply_plan = self._plan_apply(dt, span, results)
         self.total_ops += plan.total * span
 
-        # Reproduce clock.advance's float sequence: each tick records at
-        # ``clock.now + dt`` and the clock then accumulates ``+= dt``.
-        timestamps: list[float] = []
-        now = self.clock.now
-        for _ in range(ticks):
-            now = now + dt
-            timestamps.append(now)
+        timestamps = self.clock.advance(dt, ticks)
         self.metrics.record_many_repeated(timestamps, plan.samples)
         if plan.distributions:
             # The same frozen summary object is appended at every timestamp:

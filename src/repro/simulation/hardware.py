@@ -55,6 +55,19 @@ class HardwareSpec:
 #: The node type used throughout the paper's evaluation.
 PAPER_NODE = HardwareSpec()
 
+#: The OpenStack VMs with 3 GB of RAM of the elasticity experiment
+#: (Section 6.4): weaker than the physical nodes of Section 3 (fewer vCPUs,
+#: smaller heap).  Scenarios default to it, so reduced-scale scenarios
+#: still saturate a few nodes.
+ELASTICITY_VM = HardwareSpec(
+    cpu_millis_per_second=2000.0,
+    disk_iops=140.0,
+    disk_mb_per_second=90.0,
+    network_mb_per_second=110.0,
+    memory_bytes=3 * GB,
+    heap_bytes=int(2.2 * GB),
+)
+
 #: A larger node type, used by tests exercising heterogeneous hardware.
 LARGE_NODE = HardwareSpec(
     cpu_millis_per_second=8000.0,

@@ -1,7 +1,7 @@
 """Metric time series used by the simulator, the monitor and the reports.
 
 A :class:`MetricSeries` is an append-only sequence of ``(timestamp, value)``
-samples with simple aggregation helpers.  A :class:`MetricsRegistry` groups
+samples with window aggregation.  A :class:`MetricsRegistry` groups
 series by ``(entity, metric)`` so the monitoring layer can pull e.g. the CPU
 utilisation history of a node or the cumulative operation count of the
 cluster.
@@ -10,6 +10,7 @@ Alongside the scalar channels the registry keeps *distribution* channels: a
 :class:`DistributionSeries` is the same append-only shape but each sample is
 a mergeable summary object (the simulator records one
 :class:`~repro.simulation.latency.LatencySummary` per tenant per tick).
+Both kinds share one base (:class:`_Series`) and one registry append path.
 Window aggregation merges instead of averaging, so the SLA layer can ask
 for the exact latency distribution of any half-open sampling window.
 """
@@ -18,60 +19,62 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass
-class MetricSeries:
-    """Append-only (timestamp, value) series."""
+class _Series:
+    """Append-only ``(timestamp, value)`` series; windows are ``(start, end]``.
+
+    Half-open windows let chained windows partition a series without
+    double-counting the boundary tick, so the first window of a series
+    should start strictly before its first timestamp.
+    """
 
     name: str
     timestamps: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
+    values: list = field(default_factory=list)
 
-    def record(self, timestamp: float, value: float) -> None:
+    @staticmethod
+    def _coerce(value):
+        """How a recorded value is stored (scalar series store floats)."""
+        return value
+
+    def record(self, timestamp: float, value) -> None:
         """Append a sample; timestamps must be non-decreasing."""
         if self.timestamps and timestamp < self.timestamps[-1]:
             raise ValueError(
                 f"samples must be appended in time order: {timestamp} < {self.timestamps[-1]}"
             )
         self.timestamps.append(timestamp)
-        self.values.append(float(value))
+        self.values.append(self._coerce(value))
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(zip(self.timestamps, self.values))
+    def _bounds(self, start: float, end: float) -> tuple[int, int]:
+        """Index range of the samples with ``start < timestamp <= end``."""
+        return bisect_right(self.timestamps, start), bisect_right(self.timestamps, end)
+
+
+class MetricSeries(_Series):
+    """Append-only series of float samples."""
+
+    _coerce = float
 
     def latest(self, default: float = 0.0) -> float:
         """Most recent value, or ``default`` if the series is empty."""
         return self.values[-1] if self.values else default
-
-    def window(self, start: float, end: float) -> list[tuple[float, float]]:
-        """Samples with ``start < timestamp <= end``.
-
-        Half-open like :meth:`mean_between`, so chained windows
-        (``window(0, 10)`` then ``window(10, 20)``) partition the series
-        without double-counting the boundary tick.  The very first window
-        of a series should therefore start strictly before its first
-        timestamp (e.g. at ``-inf`` or any time before recording began).
-        """
-        lo = bisect_right(self.timestamps, start)
-        hi = bisect_right(self.timestamps, end)
-        return list(zip(self.timestamps[lo:hi], self.values[lo:hi]))
 
     def mean_between(self, start: float, end: float, default: float = 0.0) -> float:
         """Mean of the samples with ``start < timestamp <= end``.
 
         Allocation-free window aggregation for per-tick series (the SLA
         layer averages each tenant's tick-level latency/throughput over a
-        sampling window).  The window is half-open so chained windows
-        partition the series without double-counting boundary ticks.
-        ``default`` is returned when the window holds no samples.
+        sampling window).  ``default`` is returned when the window holds no
+        samples.
         """
-        lo = bisect_right(self.timestamps, start)
-        hi = bisect_right(self.timestamps, end)
+        lo, hi = self._bounds(start, end)
         if hi <= lo:
             return default
         total = 0.0
@@ -80,43 +83,9 @@ class MetricSeries:
             total += values[index]
         return total / (hi - lo)
 
-    def last_n(self, n: int) -> list[float]:
-        """The last ``n`` values (fewer if the series is shorter)."""
-        if n <= 0:
-            return []
-        return self.values[-n:]
 
-    def mean(self, last_n: int | None = None) -> float:
-        """Arithmetic mean of the whole series or of its last ``last_n`` values."""
-        values = self.values if last_n is None else self.last_n(last_n)
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def maximum(self, last_n: int | None = None) -> float:
-        """Maximum of the whole series or of its last ``last_n`` values."""
-        values = self.values if last_n is None else self.last_n(last_n)
-        if not values:
-            return 0.0
-        return max(values)
-
-    def total(self) -> float:
-        """Sum of all recorded values."""
-        return sum(self.values)
-
-    def cumulative(self) -> list[float]:
-        """Running sum of the values, aligned with :attr:`timestamps`."""
-        out: list[float] = []
-        acc = 0.0
-        for value in self.values:
-            acc += value
-            out.append(acc)
-        return out
-
-
-@dataclass
-class DistributionSeries:
-    """Append-only (timestamp, summary) series of mergeable distributions.
+class DistributionSeries(_Series):
+    """Append-only series of mergeable distribution summaries.
 
     Values are summary objects exposing ``merge(other)`` and a no-argument
     constructor (duck-typed so this module stays independent of the latency
@@ -125,37 +94,15 @@ class DistributionSeries:
     fresh summaries individual ticks record.
     """
 
-    name: str
-    timestamps: list[float] = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def record(self, timestamp: float, summary) -> None:
-        """Append a sample; timestamps must be non-decreasing."""
-        if self.timestamps and timestamp < self.timestamps[-1]:
-            raise ValueError(
-                f"samples must be appended in time order: {timestamp} < {self.timestamps[-1]}"
-            )
-        self.timestamps.append(timestamp)
-        self.values.append(summary)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def window(self, start: float, end: float) -> list:
-        """Summaries with ``start < timestamp <= end`` (half-open, like
-        :meth:`MetricSeries.window`)."""
-        lo = bisect_right(self.timestamps, start)
-        hi = bisect_right(self.timestamps, end)
-        return self.values[lo:hi]
-
     def merged_between(self, start: float, end: float):
         """Exact merge of the window's summaries (``None`` when empty)."""
-        entries = self.window(start, end)
-        if not entries:
+        lo, hi = self._bounds(start, end)
+        if hi <= lo:
             return None
-        out = type(entries[0])()
-        for summary in entries:
-            out.merge(summary)
+        values = self.values
+        out = type(values[lo])()
+        for index in range(lo, hi):
+            out.merge(values[index])
         return out
 
     def merged(self):
@@ -179,31 +126,11 @@ class MetricsRegistry:
             self._series[key] = MetricSeries(name=f"{entity}.{metric}")
         return self._series[key]
 
-    def record(self, entity: str, metric: str, timestamp: float, value: float) -> None:
-        """Record one sample."""
-        self.series(entity, metric).record(timestamp, value)
-
     def record_many(
         self, timestamp: float, samples: Iterable[tuple[str, str, float]]
     ) -> None:
-        """Record many ``(entity, metric, value)`` samples at one timestamp.
-
-        Batch variant of :meth:`record` for the simulator's per-tick metric
-        flush: one pass, inlined appends, no per-sample method dispatch.
-        """
-        series_map = self._series
-        for entity, metric, value in samples:
-            key = (entity, metric)
-            series = series_map.get(key)
-            if series is None:
-                series = series_map[key] = MetricSeries(name=f"{entity}.{metric}")
-            timestamps = series.timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                raise ValueError(
-                    f"samples must be appended in time order: {timestamp} < {timestamps[-1]}"
-                )
-            timestamps.append(timestamp)
-            series.values.append(float(value))
+        """Record many ``(entity, metric, value)`` samples at one timestamp."""
+        self._append(self._series, MetricSeries, [timestamp], samples)
 
     def record_many_repeated(
         self,
@@ -212,58 +139,19 @@ class MetricsRegistry:
     ) -> None:
         """Record the same ``(entity, metric, value)`` batch at many times.
 
-        Backbone of the event kernel's macro-tick: a quiescent stretch emits
+        Backbone of the simulator's apply path: a quiescent stretch emits
         identical per-tick values, so each series gets ``timestamps`` (all
         of them, in order) appended with its value repeated -- exactly the
         samples ``len(timestamps)`` :meth:`record_many` calls would have
         produced, without re-walking the sample list per tick.
         """
-        if not timestamps:
-            return
-        count = len(timestamps)
-        first = timestamps[0]
-        series_map = self._series
-        for entity, metric, value in samples:
-            key = (entity, metric)
-            series = series_map.get(key)
-            if series is None:
-                series = series_map[key] = MetricSeries(name=f"{entity}.{metric}")
-            existing = series.timestamps
-            if existing and first < existing[-1]:
-                raise ValueError(
-                    f"samples must be appended in time order: {first} < {existing[-1]}"
-                )
-            existing.extend(timestamps)
-            series.values.extend([float(value)] * count)
-
-    def distribution_series(self, entity: str, metric: str) -> DistributionSeries:
-        """Return (creating if needed) the distribution series for a key."""
-        key = (entity, metric)
-        if key not in self._distributions:
-            self._distributions[key] = DistributionSeries(name=f"{entity}.{metric}")
-        return self._distributions[key]
-
-    def distribution(self, entity: str, metric: str) -> DistributionSeries | None:
-        """The distribution series for a key, or ``None`` when never recorded."""
-        return self._distributions.get((entity, metric))
+        self._append(self._series, MetricSeries, timestamps, samples)
 
     def record_distributions(
         self, timestamp: float, samples: Iterable[tuple[str, str, object]]
     ) -> None:
         """Record many ``(entity, metric, summary)`` samples at one timestamp."""
-        series_map = self._distributions
-        for entity, metric, summary in samples:
-            key = (entity, metric)
-            series = series_map.get(key)
-            if series is None:
-                series = series_map[key] = DistributionSeries(name=f"{entity}.{metric}")
-            timestamps = series.timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                raise ValueError(
-                    f"samples must be appended in time order: {timestamp} < {timestamps[-1]}"
-                )
-            timestamps.append(timestamp)
-            series.values.append(summary)
+        self._append(self._distributions, DistributionSeries, [timestamp], samples)
 
     def record_distributions_repeated(
         self,
@@ -272,37 +160,41 @@ class MetricsRegistry:
     ) -> None:
         """Record the same ``(entity, metric, summary)`` batch at many times.
 
-        Distribution analogue of :meth:`record_many_repeated` for the event
-        kernel's macro-tick: the *same* summary object is appended at every
-        timestamp (references, not copies), so a window merge over the span
-        is bit-identical to merging the per-tick summaries ``len(timestamps)``
+        The *same* summary object is appended at every timestamp
+        (references, not copies), so a window merge over the span is
+        bit-identical to merging the per-tick summaries ``len(timestamps)``
         individual ticks would have recorded.
+        """
+        self._append(self._distributions, DistributionSeries, timestamps, samples)
+
+    @staticmethod
+    def _append(series_map: dict, kind: type, timestamps: list[float], samples) -> None:
+        """Append every ``(entity, metric, value)`` sample at each timestamp.
+
+        One pass over the samples, inlined appends, no per-sample method
+        dispatch; missing series of ``kind`` are created on first use.
         """
         if not timestamps:
             return
         count = len(timestamps)
         first = timestamps[0]
-        series_map = self._distributions
-        for entity, metric, summary in samples:
+        coerce = kind._coerce
+        for entity, metric, value in samples:
             key = (entity, metric)
             series = series_map.get(key)
             if series is None:
-                series = series_map[key] = DistributionSeries(name=f"{entity}.{metric}")
+                series = series_map[key] = kind(name=f"{entity}.{metric}")
             existing = series.timestamps
             if existing and first < existing[-1]:
                 raise ValueError(
                     f"samples must be appended in time order: {first} < {existing[-1]}"
                 )
             existing.extend(timestamps)
-            series.values.extend([summary] * count)
+            series.values.extend([coerce(value)] * count)
 
-    def entities(self) -> list[str]:
-        """Distinct entity names with at least one series."""
-        return sorted({entity for entity, _ in self._series})
-
-    def metrics_for(self, entity: str) -> list[str]:
-        """Metric names recorded for ``entity``."""
-        return sorted(metric for ent, metric in self._series if ent == entity)
+    def distribution(self, entity: str, metric: str) -> DistributionSeries | None:
+        """The distribution series for a key, or ``None`` when never recorded."""
+        return self._distributions.get((entity, metric))
 
     def latest(self, entity: str, metric: str, default: float = 0.0) -> float:
         """Latest value for ``entity``/``metric`` (``default`` when absent)."""

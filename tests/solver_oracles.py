@@ -16,8 +16,8 @@ subclasses below for the simulators constructed inside
 :func:`assert_context_fresh` is the third oracle: the cached solve context
 against one built from scratch.  Both twins above share that cache, so
 only this check sees a context that went stale within one signature.
-:func:`assert_identical_metrics` compares two simulators' metric series
-bit for bit.
+:func:`assert_identical_metrics` compares two simulators' metric and
+latency distribution series bit for bit.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def assert_context_fresh(sim) -> bool:
 
 
 def assert_identical_metrics(left, right) -> None:
-    """Every metric series must agree sample for sample, bit for bit."""
+    """Every metric series and latency distribution series must agree
+    sample for sample, bit for bit (summaries by their exact bin counts)."""
     left_keys = {key for key, _ in left.metrics.items()}
     right_keys = {key for key, _ in right.metrics.items()}
     assert left_keys == right_keys
@@ -119,6 +120,17 @@ def assert_identical_metrics(left, right) -> None:
         twin = left.metrics.series(*key)
         assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
         assert twin.values == series.values, f"values differ for {key}"
+    left_distributions = left.metrics._distributions
+    right_distributions = right.metrics._distributions
+    assert set(left_distributions) == set(right_distributions)
+    for key, series in right_distributions.items():
+        twin = left_distributions[key]
+        assert twin.timestamps == series.timestamps, (
+            f"distribution timestamps differ for {key}"
+        )
+        assert [summary.to_pairs() for summary in twin.values] == [
+            summary.to_pairs() for summary in series.values
+        ], f"distribution summaries differ for {key}"
 
 
 class NoReuseSolver(EventSolver):

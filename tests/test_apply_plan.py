@@ -43,10 +43,12 @@ MIXES = (
 )
 
 
-def build_cluster(solver, nodes: int, regions: int, tenants: int) -> ClusterSimulator:
+def build_cluster(
+    solver, nodes: int, regions: int, tenants: int, tick_seconds: float = 5.0
+) -> ClusterSimulator:
     """A quiescent multi-tenant cluster: regions round-robin over nodes."""
     with installed(solver):
-        sim = ClusterSimulator(tick_seconds=5.0)
+        sim = ClusterSimulator(tick_seconds=tick_seconds)
     names = [sim.add_node() for _ in range(nodes)]
     per_tenant = regions // tenants
     for tenant in range(tenants):
@@ -107,10 +109,10 @@ def assert_twins_agree(production: ClusterSimulator, oracle: ClusterSimulator) -
     assert counters(production) == pytest.approx(counters(oracle), rel=1e-12, abs=1e-9)
 
 
-def test_partial_tick_replays_the_plan_at_its_own_dt():
+def _assert_partial_tick_replays_the_plan(tick_seconds: float) -> None:
     twins = []
     for solver in (EventSolver, NoReuseSolver):
-        sim = build_cluster(solver, nodes=8, regions=80, tenants=4)
+        sim = build_cluster(solver, nodes=8, regions=80, tenants=4, tick_seconds=tick_seconds)
         sim.run(60.0)
         sim.run(2.5)
         sim.run(60.0)
@@ -120,6 +122,16 @@ def test_partial_tick_replays_the_plan_at_its_own_dt():
     assert production.stats.skipped_ticks > 0
     assert production.stats.solves < oracle.stats.solves
     assert_twins_agree(production, oracle)
+
+
+def test_partial_tick_replays_the_plan_at_its_own_dt():
+    _assert_partial_tick_replays_the_plan(5.0)
+
+
+def test_partial_tick_replays_the_plan_at_an_inexact_dt():
+    """At a 0.7 s tick every run ends in a partial tick, and a
+    fast-forwarded run must end it on the same instant as the twin."""
+    _assert_partial_tick_replays_the_plan(0.7)
 
 
 #: One fuzz step: ("run", seconds) or a mutator with index arguments that

@@ -24,10 +24,18 @@ from repro.simulation.workload import WorkloadBinding
 from solver_oracles import NoReuseSolver, assert_identical_metrics, installed
 
 
-def build_steady(solver=EventSolver, nodes: int = 4, regions: int = 12) -> ClusterSimulator:
+#: A tick length binary floats cannot represent: the clock's float
+#: accumulation is the only way a fast-forwarded run can land on the
+#: instants a tick-by-tick run reaches.
+INEXACT_TICK = 0.7
+
+
+def build_steady(
+    solver=EventSolver, nodes: int = 4, regions: int = 12, tick_seconds: float = 5.0
+) -> ClusterSimulator:
     """Insert-free multi-region cluster: quiescent once the loop settles."""
     with installed(solver):
-        sim = ClusterSimulator(tick_seconds=5.0)
+        sim = ClusterSimulator(tick_seconds=tick_seconds)
     names = [sim.add_node() for _ in range(nodes)]
     for index in range(regions):
         sim.add_region(f"r{index}", "tenant", 5e8, node=names[index % nodes])
@@ -128,22 +136,34 @@ class TestMacroTickEquivalence:
 
         assert_identical_metrics(fast_forwarded, tick_by_tick)
         assert fast_forwarded.clock.now == tick_by_tick.clock.now
-        assert fast_forwarded.clock.ticks_elapsed == tick_by_tick.clock.ticks_elapsed
+        assert fast_forwarded.stats.ticks == tick_by_tick.stats.ticks
         # Cumulative op counters use a fused rate*dt*ticks product; the
         # difference to per-tick accumulation is pure float rounding.
         assert fast_forwarded.total_ops == pytest.approx(
             tick_by_tick.total_ops, rel=1e-9
         )
 
-    def test_event_kernel_matches_fast_kernel(self):
-        event = build_steady()
+    @staticmethod
+    def _assert_event_kernel_matches_fast_kernel(tick_seconds: float) -> None:
+        event = build_steady(tick_seconds=tick_seconds)
         event.run(1800.0)
-        fast = build_steady(NoReuseSolver)
+        assert event.stats.skipped_ticks > 0, "fast-forward never engaged"
+        fast = build_steady(NoReuseSolver, tick_seconds=tick_seconds)
         fast.run(1800.0)
+        assert event.clock.now == fast.clock.now
+        assert_identical_metrics(event, fast)
         assert event.binding_throughput("tenant") == pytest.approx(
             fast.binding_throughput("tenant"), rel=1e-9
         )
         assert event.total_ops == pytest.approx(fast.total_ops, rel=1e-9)
+
+    def test_event_kernel_matches_fast_kernel(self):
+        self._assert_event_kernel_matches_fast_kernel(5.0)
+
+    def test_event_kernel_matches_fast_kernel_at_inexact_tick(self):
+        """1800 s is no whole number of 0.7 s ticks: both runs must still
+        stop on the same instant, after the same trailing partial tick."""
+        self._assert_event_kernel_matches_fast_kernel(INEXACT_TICK)
 
     def test_quiescent_ticks_zero_on_fast_kernel(self):
         """The reuse-disabled twin never fast-forwards, so comparisons
@@ -180,8 +200,13 @@ class _OpaqueController:
         pass
 
 
-def _build_harness(solver=EventSolver, opaque: bool = False, daemon_period: float | None = None):
-    sim = build_steady(solver, nodes=5, regions=15)
+def _build_harness(
+    solver=EventSolver,
+    opaque: bool = False,
+    daemon_period: float | None = None,
+    tick_seconds: float = 5.0,
+):
+    sim = build_steady(solver, nodes=5, regions=15, tick_seconds=tick_seconds)
     harness = ExperimentHarness(sim, name=solver.__name__, sample_every_seconds=60.0)
     if opaque:
         harness.add_controller(_OpaqueController())
@@ -228,21 +253,31 @@ def _assert_runs_identical(left, right) -> None:
 
 
 class TestHarnessFastForward:
-    def test_skipped_run_samples_identically(self):
-        """The satellite fix: skipping must not drop or duplicate samples."""
-        skipping, skip_sim = _build_harness()
+    @staticmethod
+    def _assert_skipped_run_samples_identically(tick_seconds: float) -> None:
+        skipping, skip_sim = _build_harness(tick_seconds=tick_seconds)
         skipped = skipping.run_for(1800.0, schedule=_schedule_for(skip_sim))
         assert skip_sim.stats.skipped_ticks > 200, "fast-forward never engaged"
 
-        ticking, tick_sim = _build_harness(opaque=True)
+        ticking, tick_sim = _build_harness(opaque=True, tick_seconds=tick_seconds)
         with pytest.warns(RuntimeWarning, match="quiescence skipping disabled"):
             ticked = ticking.run_for(1800.0, schedule=_schedule_for(tick_sim))
         assert tick_sim.stats.skipped_ticks == 0, (
             "a controller without next_wakeup must disable skipping"
         )
 
+        assert skip_sim.clock.now == tick_sim.clock.now
         assert_identical_metrics(skip_sim, tick_sim)
         _assert_runs_identical(skipped, ticked)
+
+    def test_skipped_run_samples_identically(self):
+        """Skipping must not drop, duplicate or shift samples."""
+        self._assert_skipped_run_samples_identically(5.0)
+
+    def test_skipped_run_samples_identically_at_inexact_tick(self):
+        """At a 0.7 s tick the skipping and ticking runs must still sample
+        at, and end on, the same instants."""
+        self._assert_skipped_run_samples_identically(INEXACT_TICK)
 
     def test_event_kernel_run_matches_fast_kernel_run(self):
         event_harness, event_sim = _build_harness()

@@ -14,20 +14,8 @@ class TestSimulationClock:
 
     def test_advance_moves_forward(self):
         clock = SimulationClock()
-        assert clock.advance(10.0) == 10.0
+        assert clock.advance(10.0) == [10.0]
         assert clock.now == 10.0
-
-    def test_tick_uses_default_size(self):
-        clock = SimulationClock(tick_seconds=2.5)
-        clock.tick()
-        clock.tick()
-        assert clock.now == pytest.approx(5.0)
-        assert clock.ticks_elapsed == 2
-
-    def test_minutes_property(self):
-        clock = SimulationClock()
-        clock.advance(90.0)
-        assert clock.minutes == pytest.approx(1.5)
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ClockError):
@@ -37,12 +25,19 @@ class TestSimulationClock:
         with pytest.raises(ClockError):
             SimulationClock().advance(0.0)
 
-    def test_reset(self):
-        clock = SimulationClock()
-        clock.advance(5.0)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.ticks_elapsed == 0
+    @pytest.mark.parametrize("dt", [5.0, 0.7, 0.1, 3.3])
+    def test_multi_step_advance_equals_single_steps(self, dt):
+        """advance(dt, k) returns, value for value, the times k single
+        advances reach -- the float sequence every tick timestamp follows,
+        also at tick lengths binary floats cannot represent exactly."""
+        batched = SimulationClock(now=12.5)
+        stepped = SimulationClock(now=12.5)
+        times = batched.advance(dt, 37)
+        singles = [stepped.advance(dt)[0] for _ in range(37)]
+        assert times == singles
+        assert batched.now == stepped.now == times[-1]
+        # A later batch continues the same sequence.
+        assert batched.advance(dt, 3) == [stepped.advance(dt)[0] for _ in range(3)]
 
 
 class TestHardwareSpec:
@@ -82,34 +77,19 @@ class TestMetricSeries:
         with pytest.raises(ValueError):
             series.record(4.0, 1.0)
 
-    def test_window_selects_half_open_range(self):
-        """window is (start, end], matching mean_between."""
-        series = MetricSeries("x")
-        for t in range(10):
-            series.record(float(t), float(t))
-        window = series.window(2.0, 5.0)
-        assert [v for _, v in window] == [3.0, 4.0, 5.0]
-        # A window opened before the first sample includes it.
-        assert [v for _, v in series.window(-1.0, 1.0)] == [0.0, 1.0]
-
     def test_chained_windows_partition_without_double_counting(self):
-        """Adjacent windows share a boundary tick without double-counting it,
-        and agree with mean_between on exactly which samples they hold."""
+        """Adjacent (start, end] windows share a boundary tick without
+        double-counting it: their sample-weighted means recombine into the
+        mean of the whole series."""
         series = MetricSeries("x")
         for t in range(10):
             series.record(float(t), float(t))
-        first = series.window(-1.0, 4.0)
-        second = series.window(4.0, 9.0)
-        chained = [v for _, v in first] + [v for _, v in second]
-        assert chained == [float(t) for t in range(10)]
-        # The boundary tick t=4 lands in exactly one window.
-        assert sum(1 for _, v in first + second if v == 4.0) == 1
-        # mean_between sees the same half-open partitions.
-        assert series.mean_between(-1.0, 4.0) == pytest.approx(
-            sum(v for _, v in first) / len(first)
-        )
-        assert series.mean_between(4.0, 9.0) == pytest.approx(
-            sum(v for _, v in second) / len(second)
+        first = series.mean_between(-1.0, 4.0)  # {0..4}
+        second = series.mean_between(4.0, 9.0)  # {5..9}
+        assert first == pytest.approx(2.0)
+        assert second == pytest.approx(7.0)
+        assert (5 * first + 5 * second) / 10 == pytest.approx(
+            series.mean_between(-1.0, 9.0)
         )
 
     def test_mean_between_boundary_semantics(self):
@@ -121,43 +101,40 @@ class TestMetricSeries:
         assert series.mean_between(3.0, 3.0) == 0.0  # empty window -> default
         assert series.mean_between(3.0, 2.0, default=-1.0) == -1.0
 
-    def test_mean_and_max_over_last_n(self):
-        series = MetricSeries("x")
-        for t, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            series.record(float(t), v)
-        assert series.mean(last_n=2) == pytest.approx(3.5)
-        assert series.maximum(last_n=3) == 4.0
-
-    def test_cumulative(self):
-        series = MetricSeries("x")
-        for t, v in enumerate([1.0, 2.0, 3.0]):
-            series.record(float(t), v)
-        assert series.cumulative() == [1.0, 3.0, 6.0]
-
-    def test_total(self):
-        series = MetricSeries("x")
-        series.record(0.0, 2.0)
-        series.record(1.0, 3.0)
-        assert series.total() == 5.0
-
 
 class TestMetricsRegistry:
     def test_series_created_on_demand(self):
         registry = MetricsRegistry()
-        registry.record("node-1", "cpu", 0.0, 0.4)
+        registry.record_many(0.0, [("node-1", "cpu", 0.4)])
         assert registry.latest("node-1", "cpu") == 0.4
-        assert registry.entities() == ["node-1"]
-        assert registry.metrics_for("node-1") == ["cpu"]
+        assert [key for key, _ in registry.items()] == [("node-1", "cpu")]
 
     def test_latest_default_for_unknown(self):
         assert MetricsRegistry().latest("nope", "cpu", default=0.9) == 0.9
 
     def test_drop_entity(self):
         registry = MetricsRegistry()
-        registry.record("node-1", "cpu", 0.0, 0.4)
-        registry.record("node-2", "cpu", 0.0, 0.5)
+        registry.record_many(0.0, [("node-1", "cpu", 0.4), ("node-2", "cpu", 0.5)])
+        registry.record_distributions(0.0, [("node-1", "latency_ms", object())])
         registry.drop_entity("node-1")
-        assert registry.entities() == ["node-2"]
+        assert [key for key, _ in registry.items()] == [("node-2", "cpu")]
+        assert registry.distribution("node-1", "latency_ms") is None
+
+    def test_single_and_repeated_appends_agree(self):
+        """record_many is the one-timestamp case of record_many_repeated,
+        and scalar samples are stored as floats."""
+        single = MetricsRegistry()
+        repeated = MetricsRegistry()
+        for t in (1.0, 2.0, 3.0):
+            single.record_many(t, [("a", "x", 2)])
+        repeated.record_many_repeated([1.0, 2.0, 3.0], [("a", "x", 2)])
+        for registry in (single, repeated):
+            series = registry.series("a", "x")
+            assert series.timestamps == [1.0, 2.0, 3.0]
+            assert series.values == [2.0, 2.0, 2.0]
+            assert all(type(value) is float for value in series.values)
+        with pytest.raises(ValueError):
+            repeated.record_many_repeated([2.5], [("a", "x", 1.0)])
 
 
 class TestWorkloadBinding:
