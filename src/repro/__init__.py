@@ -1,15 +1,13 @@
 """Reproduction of *MeT: workload aware elasticity for NoSQL* (EuroSys 2013).
 
-The package is organised as the paper's system plus every substrate it
-depends on:
+The package is organised as the paper's system plus the cluster model it
+runs on:
 
 * :mod:`repro.simulation` -- deterministic, time-stepped cluster simulator
-  (hardware budgets, per-operation cost model, closed-loop clients).
-* :mod:`repro.hdfs` -- HDFS-like block storage with replication and a
-  locality index per node.
-* :mod:`repro.hbase` -- a functional mini-HBase: tables, regions,
-  RegionServers with memstore and LRU block cache, master, balancers and a
-  key-value client API (put/get/delete/scan).
+  (hardware budgets, per-operation cost model, closed-loop clients); the
+  one model of the HBase/HDFS cluster every experiment runs on.
+* :mod:`repro.hbase` -- the RegionServer configuration MeT tunes (Table 1)
+  and HBase's default random balancer.
 * :mod:`repro.iaas` -- an OpenStack-like IaaS provider used by the actuator
   to start and stop virtual machines.
 * :mod:`repro.monitoring` -- MeT's Monitor (system metrics and partition
@@ -22,7 +20,7 @@ depends on:
   paper's evaluation: the tiramola-style autoscaler and the manual
   placement strategies.
 * :mod:`repro.workloads` -- YCSB workloads A-F and a TPC-C (PyTPCC-like)
-  workload generator.
+  workload, both as analytical client bindings for the simulator.
 * :mod:`repro.experiments` -- the harness that regenerates every table and
   figure of the paper's evaluation section.
 """

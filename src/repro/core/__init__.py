@@ -9,7 +9,7 @@ Monitor (a :class:`~repro.monitoring.collector.MetricsCollector`), a
 """
 
 from repro.core.actuator import Actuator
-from repro.core.backends import HBaseBackend, SimulatorBackend
+from repro.core.backends import SimulatorBackend
 from repro.core.classification import AccessPattern, classify_partition
 from repro.core.decision import DecisionMaker, ReconfigurationPlan
 from repro.core.framework import MeT
@@ -27,5 +27,4 @@ __all__ = [
     "AccessPattern",
     "classify_partition",
     "SimulatorBackend",
-    "HBaseBackend",
 ]

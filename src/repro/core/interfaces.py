@@ -2,9 +2,10 @@
 
 MeT's Monitor and Actuator components interface with the NoSQL database and
 with the IaaS (Figure 2 of the paper).  Controllers in this repository (MeT,
-the tiramola baseline and the manual strategies) are written against the
-:class:`ClusterBackend` protocol so the same controller code drives either
-the analytical simulator or the functional mini-HBase cluster.
+the tiramola baseline, the planner and the manual strategies) are written
+against the :class:`ClusterBackend` typing protocol.  The one production
+implementation is :class:`~repro.core.backends.SimulatorBackend`; tests
+substitute fakes through the same protocol.
 """
 
 from __future__ import annotations

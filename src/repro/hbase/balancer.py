@@ -1,46 +1,25 @@
-"""Region balancers.
+"""HBase's default region balancer.
 
 HBase's out-of-the-box balancer randomly distributes Regions so that every
 RegionServer serves the same *number* of Regions, regardless of how hot each
 Region is -- the behaviour the paper's Random-Homogeneous strategy captures.
-The StochasticLoadBalancer (mentioned in the paper's conclusion as upcoming
-work in HBase) additionally weighs request counts but stays
-configuration-oblivious.
 """
 
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
 
 from repro.util.rng import make_rng
 
 
-class Balancer(ABC):
-    """Computes an assignment of regions to servers."""
-
-    @abstractmethod
-    def assign(
-        self,
-        region_names: list[str],
-        server_names: list[str],
-        region_costs: dict[str, float] | None = None,
-    ) -> dict[str, str]:
-        """Return a mapping region name -> server name."""
-
-
-class RandomBalancer(Balancer):
+class RandomBalancer:
     """The default HBase placement: even region *counts*, random choice."""
 
     def __init__(self, seed: int | random.Random | None = None) -> None:
         self._rng = make_rng(seed)
 
-    def assign(
-        self,
-        region_names: list[str],
-        server_names: list[str],
-        region_costs: dict[str, float] | None = None,
-    ) -> dict[str, str]:
+    def assign(self, region_names: list[str], server_names: list[str]) -> dict[str, str]:
+        """Return a mapping region name -> server name."""
         if not server_names:
             raise ValueError("cannot balance onto an empty server list")
         shuffled = list(region_names)
@@ -53,36 +32,4 @@ class RandomBalancer(Balancer):
             server = self._rng.choice(candidates)
             assignment[region] = server
             per_server[server] += 1
-        return assignment
-
-
-class StochasticLoadBalancer(Balancer):
-    """A request-count-aware balancer (greedy least-loaded placement)."""
-
-    def __init__(self, seed: int | random.Random | None = None) -> None:
-        self._rng = make_rng(seed)
-
-    def assign(
-        self,
-        region_names: list[str],
-        server_names: list[str],
-        region_costs: dict[str, float] | None = None,
-    ) -> dict[str, str]:
-        if not server_names:
-            raise ValueError("cannot balance onto an empty server list")
-        costs = region_costs or {}
-        # Sort by decreasing cost, breaking ties randomly but reproducibly.
-        ordered = sorted(
-            region_names, key=lambda r: (-costs.get(r, 0.0), self._rng.random())
-        )
-        load = {server: 0.0 for server in server_names}
-        counts = {server: 0 for server in server_names}
-        quota = -(-len(region_names) // len(server_names))
-        assignment: dict[str, str] = {}
-        for region in ordered:
-            candidates = [s for s in server_names if counts[s] < quota] or server_names
-            server = min(candidates, key=lambda s: load[s])
-            assignment[region] = server
-            load[server] += costs.get(region, 1.0)
-            counts[server] += 1
         return assignment

@@ -9,7 +9,6 @@ performance and that MeT tunes per node:
   flushed to disk (favours writes).
 * ``block size`` -- size of the blocks in the block cache; small blocks
   favour random reads, large blocks favour scans.
-* ``handler count`` -- number of RPC handler threads.
 
 The paper notes the sum of the block cache and memstore fractions should not
 exceed 65% of the heap; :meth:`RegionServerConfig.validate` enforces it.
@@ -37,16 +36,11 @@ class RegionServerConfig:
         block_cache_fraction: share of the heap given to the block cache.
         memstore_fraction: share of the heap given to memstores.
         block_size_bytes: block size used by the block cache.
-        handler_count: RPC handler threads available to serve requests.
-        region_split_size_bytes: size at which a region is automatically
-            split (250 MB by default, Section 2.1).
     """
 
     block_cache_fraction: float = 0.25
     memstore_fraction: float = 0.40
     block_size_bytes: int = 64 * KB
-    handler_count: int = 10
-    region_split_size_bytes: int = 250 * 1024 * KB
 
     def validate(self) -> "RegionServerConfig":
         """Check HBase's configuration constraints and return ``self``."""
@@ -66,12 +60,6 @@ class RegionServerConfig:
             )
         if self.block_size_bytes <= 0:
             raise ConfigError(f"block size must be positive, got {self.block_size_bytes!r}")
-        if self.handler_count <= 0:
-            raise ConfigError(f"handler count must be positive, got {self.handler_count!r}")
-        if self.region_split_size_bytes <= 0:
-            raise ConfigError(
-                f"region split size must be positive, got {self.region_split_size_bytes!r}"
-            )
         return self
 
     def block_cache_bytes(self, heap_bytes: int) -> int:
@@ -94,7 +82,6 @@ DEFAULT_HOMOGENEOUS = RegionServerConfig(
     block_cache_fraction=0.39,
     memstore_fraction=0.26,
     block_size_bytes=64 * KB,
-    handler_count=10,
 )
 
 #: The TPC-C Manual-Homogeneous baseline of Section 6.3 (50% cache, 15%
@@ -103,5 +90,4 @@ TPCC_HOMOGENEOUS = RegionServerConfig(
     block_cache_fraction=0.50,
     memstore_fraction=0.15,
     block_size_bytes=32 * KB,
-    handler_count=10,
 )

@@ -1,4 +1,4 @@
-"""OpenStack-like IaaS substrate.
+"""An OpenStack-like IaaS provider.
 
 MeT leverages an existing IaaS as the basic provider of elasticity
 (Section 4): the Actuator asks the IaaS to start a virtual machine before

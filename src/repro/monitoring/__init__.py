@@ -1,4 +1,4 @@
-"""Monitoring substrate: MeT's Monitor and its smoothing.
+"""Monitoring: MeT's Monitor and its smoothing.
 
 The paper's Monitor gathers CPU usage, memory usage and I/O wait through
 Ganglia and HBase-specific metrics (read/write/scan request counts per node

@@ -6,14 +6,12 @@ scenario engine speaks, so heterogeneous tenants compose in one scenario.
 """
 
 from repro.workloads.tenant import TenantRegionSpec, TenantWorkload, as_tenant
-from repro.workloads.tpcc.driver import TPCCDriver
 from repro.workloads.tpcc.tenant import TPCCTenant
 from repro.workloads.ycsb.tenant import YCSBTenant
 from repro.workloads.ycsb.workloads import CORE_WORKLOADS, YCSBWorkload
 
 __all__ = [
     "CORE_WORKLOADS",
-    "TPCCDriver",
     "TPCCTenant",
     "TenantRegionSpec",
     "TenantWorkload",

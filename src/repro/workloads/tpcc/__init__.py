@@ -6,31 +6,23 @@ without any tuning (Section 6.3): 9 tables, 5 transaction types, a default
 mix of roughly 8% read-only and 92% update transactions, results measured in
 new-order transactions per minute (tpmC).
 
-Two execution modes are provided:
-
-* a functional driver that runs real transactions against the mini-HBase
-  substrate (examples and integration tests);
-* an analytical binding that maps the transaction mix onto per-operation
-  rates for the cluster simulator (the Table 2 experiment).
+The workload is modelled analytically: the schema sizes, the transaction
+mix with each transaction's key-value footprint, the tpmC/ops conversions,
+and a binding that maps the mix onto per-operation rates for the cluster
+simulator (the Table 2 experiment and the scenario tenants).
 """
 
 from repro.workloads.tpcc.driver import (
-    TPCCDriver,
-    TPCCResult,
     ops_rate_from_tpmc,
     simulator_binding,
     tpmc_from_ops,
     tpmc_from_ops_rate,
 )
-from repro.workloads.tpcc.loader import TPCCLoader
 from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
 from repro.workloads.tpcc.transactions import TRANSACTION_MIX, TransactionProfile
 
 __all__ = [
-    "TPCCDriver",
-    "TPCCResult",
-    "TPCCLoader",
     "TPCCConfig",
     "TPCCTenant",
     "TPCC_TABLES",

@@ -1,25 +1,21 @@
-"""The TPC-C driver: run transactions and report tpmC.
+"""TPC-C on the analytical simulator: the client binding and tpmC.
 
-Like PyTPCC, the driver picks transactions according to the standard mix and
-reports throughput in new-order transactions per minute (tpmC).  The
-``simulator_binding`` helper maps the same transaction mix onto the
-analytical simulator: one closed-loop client population whose operation mix
-is the aggregate key-value footprint of the transactions, addressed to the
+Like PyTPCC, results are reported in new-order transactions per minute
+(tpmC); :func:`tpmc_from_ops_rate` and :func:`ops_rate_from_tpmc` convert
+between that and the simulator's key-value operation rate.  The
+``simulator_binding`` helper maps the standard transaction mix onto the
+simulator: one closed-loop client population whose operation mix is the
+aggregate key-value footprint of the transactions, addressed to the
 warehouse-aligned partitions.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-
-from repro.hbase.client import HBaseClient
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.workload import WorkloadBinding
 from repro.workloads.tpcc.schema import TPCCConfig
 from repro.workloads.tpcc.transactions import (
     TRANSACTION_MIX,
-    TransactionExecutor,
     aggregate_operation_mix,
     operations_per_transaction,
 )
@@ -32,52 +28,6 @@ TPCC_SCAN_LENGTH = 20
 #: (open orders, popular stock); these describe that skew to the cost model.
 TPCC_HOT_DATA_FRACTION = 0.05
 TPCC_HOT_REQUEST_FRACTION = 0.95
-
-
-@dataclass
-class TPCCResult:
-    """Outcome of a functional TPC-C run."""
-
-    transactions: int = 0
-    per_type: dict[str, int] = field(default_factory=dict)
-    new_orders: int = 0
-    duration_seconds: float = 0.0
-
-    @property
-    def tpmc(self) -> float:
-        """New-order transactions per minute."""
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.new_orders * 60.0 / self.duration_seconds
-
-
-class TPCCDriver:
-    """Runs TPC-C transactions against the functional mini-HBase."""
-
-    def __init__(self, client: HBaseClient, config: TPCCConfig, seed: int = 0) -> None:
-        self.client = client
-        self.config = config
-        self.executor = TransactionExecutor(client, config, seed=seed)
-        self._rng = random.Random(seed)
-        self.result = TPCCResult()
-
-    def run(self, transactions: int, assumed_tx_seconds: float = 0.02) -> TPCCResult:
-        """Execute ``transactions`` transactions following the standard mix.
-
-        ``assumed_tx_seconds`` converts the (instantaneous, in-memory) run
-        into a nominal duration so tpmC can be reported.
-        """
-        names = list(TRANSACTION_MIX)
-        weights = [TRANSACTION_MIX[name].weight for name in names]
-        for _ in range(transactions):
-            name = self._rng.choices(names, weights=weights)[0]
-            self.executor.execute(name)
-            self.result.transactions += 1
-            self.result.per_type[name] = self.result.per_type.get(name, 0) + 1
-            if name == "new_order":
-                self.result.new_orders += 1
-        self.result.duration_seconds += transactions * assumed_tx_seconds
-        return self.result
 
 
 # --------------------------------------------------------------------------- #

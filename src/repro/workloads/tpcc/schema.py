@@ -1,4 +1,4 @@
-"""TPC-C schema: the 9 tables and their HBase key encodings.
+"""TPC-C schema: the 9 tables, their cardinalities and row sizes.
 
 TPC-C models a wholesale supplier with geographically distributed sales
 districts and associated warehouses.  Tables are horizontally partitioned by
@@ -56,8 +56,8 @@ class TPCCConfig:
 
     The defaults mirror the paper: 30 warehouses (~15 GB), 5 warehouses per
     RegionServer and 50 clients per RegionServer (300 clients total).
-    ``scale_factor`` shrinks per-warehouse cardinalities for the functional
-    driver used in tests and examples.
+    ``scale_factor`` shrinks per-warehouse cardinalities (and so the
+    modelled database size).
     """
 
     warehouses: int = 30
@@ -129,51 +129,3 @@ class TPCCConfig:
         (or a TPC-C tenant next to YCSB ones) can coexist in one simulator.
         """
         return [f"{prefix}:wpart-{index}" for index in range(self.partitions)]
-
-
-# --------------------------------------------------------------------------- #
-# key encodings (functional driver)
-# --------------------------------------------------------------------------- #
-def warehouse_key(w_id: int) -> str:
-    """Row key of a WAREHOUSE row."""
-    return f"W#{w_id:05d}"
-
-
-def district_key(w_id: int, d_id: int) -> str:
-    """Row key of a DISTRICT row."""
-    return f"D#{w_id:05d}#{d_id:02d}"
-
-
-def customer_key(w_id: int, d_id: int, c_id: int) -> str:
-    """Row key of a CUSTOMER row."""
-    return f"C#{w_id:05d}#{d_id:02d}#{c_id:05d}"
-
-
-def item_key(i_id: int) -> str:
-    """Row key of an ITEM row."""
-    return f"I#{i_id:06d}"
-
-
-def stock_key(w_id: int, i_id: int) -> str:
-    """Row key of a STOCK row."""
-    return f"S#{w_id:05d}#{i_id:06d}"
-
-
-def order_key(w_id: int, d_id: int, o_id: int) -> str:
-    """Row key of an ORDERS row."""
-    return f"O#{w_id:05d}#{d_id:02d}#{o_id:07d}"
-
-
-def new_order_key(w_id: int, d_id: int, o_id: int) -> str:
-    """Row key of a NEW-ORDER row."""
-    return f"NO#{w_id:05d}#{d_id:02d}#{o_id:07d}"
-
-
-def order_line_key(w_id: int, d_id: int, o_id: int, number: int) -> str:
-    """Row key of an ORDER-LINE row."""
-    return f"OL#{w_id:05d}#{d_id:02d}#{o_id:07d}#{number:02d}"
-
-
-def history_key(w_id: int, d_id: int, c_id: int, sequence: int) -> str:
-    """Row key of a HISTORY row."""
-    return f"H#{w_id:05d}#{d_id:02d}#{c_id:05d}#{sequence:07d}"

@@ -4,38 +4,17 @@ The default TPC-C traffic is a mixture of roughly 8% read-only transactions
 (Order-Status and Stock-Level) and 92% update transactions (New-Order,
 Payment and Delivery), making it a write-intensive benchmark (Section 6.3).
 
-Two views of each transaction are provided:
-
-* :class:`TransactionProfile` -- the *operation footprint* (how many
-  key-value reads, writes and scans one execution issues against the HBase
-  driver); used by the analytical simulator binding.  The footprints follow
-  the PyTPCC HBase driver, where item/stock lookups are issued as batched
-  multi-gets, so reads are counted per batch rather than per row.
-* The ``execute_*`` functions -- real implementations against the functional
-  mini-HBase client, offering HBase's record-level atomicity only (as the
-  paper notes for the PyTPCC port).
+Each transaction is modelled by a :class:`TransactionProfile`: its mix
+weight and its *operation footprint* (how many key-value reads, writes and
+scans one execution issues against HBase), which the analytical simulator
+binding turns into per-operation rates.  The footprints follow the PyTPCC
+HBase driver, where item/stock lookups are issued as batched multi-gets, so
+reads are counted per batch rather than per row.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-
-from repro.hbase.client import HBaseClient
-from repro.workloads.tpcc.schema import (
-    TPCCConfig,
-    customer_key,
-    district_key,
-    history_key,
-    item_key,
-    new_order_key,
-    order_key,
-    order_line_key,
-    stock_key,
-    warehouse_key,
-)
-
-FAMILY = "cf"
 
 
 @dataclass(frozen=True)
@@ -96,153 +75,3 @@ def operations_per_transaction() -> float:
 def read_only_fraction() -> float:
     """Fraction of read-only transactions in the mix (≈ 8%)."""
     return sum(p.weight for p in TRANSACTION_MIX.values() if p.read_only)
-
-
-# --------------------------------------------------------------------------- #
-# functional transaction implementations
-# --------------------------------------------------------------------------- #
-class TransactionExecutor:
-    """Executes real TPC-C transactions against the mini-HBase client."""
-
-    def __init__(self, client: HBaseClient, config: TPCCConfig, seed: int = 0) -> None:
-        self.client = client
-        self.config = config
-        self._rng = random.Random(seed)
-        self._history_sequence = 0
-
-    # -- helpers -------------------------------------------------------- #
-    def _random_warehouse(self) -> int:
-        return self._rng.randint(1, self.config.warehouses)
-
-    def _random_district(self) -> int:
-        return self._rng.randint(1, self.config.districts_per_warehouse)
-
-    def _random_customer(self) -> int:
-        return self._rng.randint(1, self.config.customers_per_district)
-
-    def _random_item(self) -> int:
-        return self._rng.randint(1, self.config.items)
-
-    def _next_order_id(self, w_id: int, d_id: int) -> int:
-        row = district_key(w_id, d_id)
-        current = self.client.get("district", row).get(f"{FAMILY}:next_o_id", b"1")
-        next_o_id = int(current.decode() or "1")
-        self.client.put("district", row, f"{FAMILY}:next_o_id", str(next_o_id + 1))
-        return next_o_id
-
-    # -- the five transactions ------------------------------------------ #
-    def new_order(self) -> dict[str, int]:
-        """NEW-ORDER: place an order with 5-15 order lines."""
-        w_id = self._random_warehouse()
-        d_id = self._random_district()
-        c_id = self._random_customer()
-        line_count = self._rng.randint(5, 15)
-        self.client.get("warehouse", warehouse_key(w_id))
-        self.client.get("customer", customer_key(w_id, d_id, c_id))
-        o_id = self._next_order_id(w_id, d_id)
-        self.client.put_row(
-            "orders",
-            order_key(w_id, d_id, o_id),
-            {f"{FAMILY}:c_id": str(c_id), f"{FAMILY}:carrier_id": "0"},
-        )
-        self.client.put("neworder", new_order_key(w_id, d_id, o_id), f"{FAMILY}:exists", "1")
-        for line in range(1, line_count + 1):
-            i_id = self._random_item()
-            item = self.client.get("item", item_key(i_id))
-            price = float(item.get(f"{FAMILY}:price", b"1.0").decode() or 1.0)
-            stock_row = stock_key(w_id, i_id)
-            stock = self.client.get("stock", stock_row)
-            quantity = int(stock.get(f"{FAMILY}:quantity", b"50").decode() or 50)
-            new_quantity = quantity - 1 if quantity > 10 else quantity + 91
-            self.client.put("stock", stock_row, f"{FAMILY}:quantity", str(new_quantity))
-            self.client.put_row(
-                "orderline",
-                order_line_key(w_id, d_id, o_id, line),
-                {f"{FAMILY}:i_id": str(i_id), f"{FAMILY}:amount": f"{price:.2f}"},
-            )
-        return {"w_id": w_id, "d_id": d_id, "o_id": o_id, "lines": line_count}
-
-    def payment(self) -> dict[str, int]:
-        """PAYMENT: update warehouse, district and customer balances."""
-        w_id = self._random_warehouse()
-        d_id = self._random_district()
-        c_id = self._random_customer()
-        amount = round(self._rng.uniform(1.0, 5000.0), 2)
-        self.client.read_modify_write(
-            "warehouse", warehouse_key(w_id), f"{FAMILY}:ytd",
-            lambda v: f"{float(v.decode() or 0) + amount:.2f}",
-        )
-        self.client.read_modify_write(
-            "district", district_key(w_id, d_id), f"{FAMILY}:ytd",
-            lambda v: f"{float(v.decode() or 0) + amount:.2f}",
-        )
-        self.client.read_modify_write(
-            "customer", customer_key(w_id, d_id, c_id), f"{FAMILY}:balance",
-            lambda v: f"{float(v.decode() or 0) - amount:.2f}",
-        )
-        self._history_sequence += 1
-        self.client.put_row(
-            "history",
-            history_key(w_id, d_id, c_id, self._history_sequence),
-            {f"{FAMILY}:amount": f"{amount:.2f}"},
-        )
-        return {"w_id": w_id, "d_id": d_id, "c_id": c_id}
-
-    def order_status(self) -> dict[str, int]:
-        """ORDER-STATUS: read a customer's most recent order and its lines."""
-        w_id = self._random_warehouse()
-        d_id = self._random_district()
-        c_id = self._random_customer()
-        self.client.get("customer", customer_key(w_id, d_id, c_id))
-        prefix = order_line_key(w_id, d_id, c_id, 1)[:-3]
-        lines = self.client.scan("orderline", start_row=prefix, limit=15)
-        return {"w_id": w_id, "d_id": d_id, "c_id": c_id, "lines": len(lines)}
-
-    def delivery(self) -> dict[str, int]:
-        """DELIVERY: deliver the oldest new order of every district."""
-        w_id = self._random_warehouse()
-        delivered = 0
-        for d_id in range(1, self.config.districts_per_warehouse + 1):
-            pending = self.client.scan(
-                "neworder", start_row=new_order_key(w_id, d_id, 0)[:-8], limit=1
-            )
-            if not pending:
-                continue
-            row, _ = pending[0]
-            self.client.delete("neworder", row)
-            o_id = int(row.rsplit("#", 1)[-1])
-            self.client.put(
-                "orders", order_key(w_id, d_id, o_id), f"{FAMILY}:carrier_id",
-                str(self._rng.randint(1, 10)),
-            )
-            delivered += 1
-        return {"w_id": w_id, "delivered": delivered}
-
-    def stock_level(self) -> dict[str, int]:
-        """STOCK-LEVEL: count recently sold items below a stock threshold."""
-        w_id = self._random_warehouse()
-        d_id = self._random_district()
-        threshold = self._rng.randint(10, 20)
-        prefix = order_line_key(w_id, d_id, 0, 1)[:12]
-        lines = self.client.scan("orderline", start_row=prefix, limit=20)
-        low = 0
-        for _, columns in lines[:5]:
-            i_id = int(columns.get(f"{FAMILY}:i_id", b"1").decode() or 1)
-            stock = self.client.get("stock", stock_key(w_id, i_id))
-            quantity = int(stock.get(f"{FAMILY}:quantity", b"50").decode() or 50)
-            if quantity < threshold:
-                low += 1
-        return {"w_id": w_id, "d_id": d_id, "low_stock": low}
-
-    def execute(self, name: str) -> dict[str, int]:
-        """Execute one transaction by name."""
-        handler = {
-            "new_order": self.new_order,
-            "payment": self.payment,
-            "order_status": self.order_status,
-            "delivery": self.delivery,
-            "stock_level": self.stock_level,
-        }.get(name)
-        if handler is None:
-            raise ValueError(f"unknown transaction {name!r}")
-        return handler()

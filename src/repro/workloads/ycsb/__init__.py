@@ -1,39 +1,26 @@
-"""YCSB: the Yahoo! Cloud Serving Benchmark workload generator.
+"""YCSB: the Yahoo! Cloud Serving Benchmark workloads.
 
 The paper uses YCSB's six core workloads, re-configured as described in
 Section 3.1 (Workload B turned into 100% updates, Workload D into 95%
 inserts) so the aggregate read/write ratio is roughly 1.9:1, with keys drawn
 from the hotspot distribution (50% of requests to 40% of the key space).
+The simulator sees that distribution as analytic per-partition request
+shares (:func:`hotspot_partition_weights`), not as sampled keys.
 """
 
-from repro.workloads.ycsb.distributions import (
-    HotspotChooser,
-    KeyChooser,
-    LatestChooser,
-    UniformChooser,
-    ZipfianChooser,
-)
 from repro.workloads.ycsb.workloads import (
     CORE_WORKLOADS,
     PAPER_WORKLOADS,
     YCSBWorkload,
     hotspot_partition_weights,
 )
-from repro.workloads.ycsb.client import YCSBClient, YCSBResult
 from repro.workloads.ycsb.scenario import MultiTenantScenario, build_paper_scenario
 
 __all__ = [
-    "KeyChooser",
-    "UniformChooser",
-    "ZipfianChooser",
-    "HotspotChooser",
-    "LatestChooser",
     "YCSBWorkload",
     "CORE_WORKLOADS",
     "PAPER_WORKLOADS",
     "hotspot_partition_weights",
-    "YCSBClient",
-    "YCSBResult",
     "MultiTenantScenario",
     "build_paper_scenario",
 ]

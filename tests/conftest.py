@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import sanitizer
-from repro.hbase.cluster import MiniHBaseCluster
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.ycsb.scenario import build_paper_scenario
 
@@ -46,11 +45,3 @@ def paper_simulator() -> ClusterSimulator:
         region.block_homes = {node}
     sim.paper_scenario = scenario
     return sim
-
-
-@pytest.fixture
-def mini_cluster() -> MiniHBaseCluster:
-    """A functional mini-HBase cluster with three RegionServers and a table."""
-    cluster = MiniHBaseCluster(initial_servers=3)
-    cluster.create_table("t", split_keys=["g", "p"])
-    return cluster

@@ -1,9 +1,13 @@
-"""Key choosers: the request distributions YCSB supports.
+"""Sampled key choosers: the request distributions YCSB supports.
 
 The paper draws keys from YCSB's *hotspot* distribution with 50% of the
 requests accessing a subset of keys covering 40% of the key space
-(Section 3.1); the other distributions are provided for completeness and for
-the property-based tests.
+(Section 3.1).  The simulator never samples keys; it uses the analytic
+per-partition shares of
+:func:`~repro.workloads.ycsb.workloads.hotspot_partition_weights`.  This
+module is the sampled oracle the tests check those shares against
+(``test_properties.py``, ``test_distribution_perf.py``), in the way
+``solver_oracles.py`` backs the production solver.
 """
 
 from __future__ import annotations

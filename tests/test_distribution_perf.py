@@ -8,7 +8,7 @@ and hotspot distributions.
 
 import pytest
 
-from repro.workloads.ycsb.distributions import (
+from key_choosers import (
     HotspotChooser,
     LatestChooser,
     UniformChooser,

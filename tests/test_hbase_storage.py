@@ -1,20 +1,12 @@
-"""Tests for the mini-HBase storage layer: cells, store files and regions."""
+"""Tests for RegionServer configuration validation (paper Section 2.1).
+
+The storage settings MeT tunes (block cache share, memstore share, block
+size) are the only settable fields; the handler count is not one of them.
+"""
 
 import pytest
 
 from repro.hbase.config import ConfigError, DEFAULT_HOMOGENEOUS, RegionServerConfig
-from repro.hbase.region import Region
-from repro.hbase.storefile import StoreFile
-from repro.hbase.table import Cell, HTableDescriptor
-
-
-def make_region(**kwargs) -> Region:
-    table = HTableDescriptor(name="t", column_families=("cf",))
-    return Region(table, **kwargs)
-
-
-def null_reader(*_args) -> None:
-    return None
 
 
 class TestRegionServerConfig:
@@ -35,8 +27,8 @@ class TestRegionServerConfig:
     def test_rejects_bad_block_size_and_handlers(self):
         with pytest.raises(ConfigError):
             RegionServerConfig(block_size_bytes=0).validate()
-        with pytest.raises(ConfigError):
-            RegionServerConfig(handler_count=0).validate()
+        with pytest.raises(TypeError):
+            RegionServerConfig().with_overrides(handler_count=10)
 
     def test_absolute_sizes(self):
         config = RegionServerConfig(block_cache_fraction=0.5, memstore_fraction=0.1)
@@ -49,171 +41,3 @@ class TestRegionServerConfig:
         assert bigger.block_cache_fraction == 0.25
         with pytest.raises(ConfigError):
             config.with_overrides(block_cache_fraction=0.65)
-
-
-class TestTableAndCells:
-    def test_cell_family_and_qualifier(self):
-        cell = Cell(row="r", column="cf:name", timestamp=1, value=b"x")
-        assert cell.family == "cf"
-        assert cell.qualifier == "name"
-        assert cell.size_bytes > 0
-
-    def test_table_requires_name_and_family(self):
-        with pytest.raises(ValueError):
-            HTableDescriptor(name="")
-        with pytest.raises(ValueError):
-            HTableDescriptor(name="t", column_families=())
-
-    def test_validate_column_rejects_unknown_family(self):
-        table = HTableDescriptor(name="t", column_families=("cf",))
-        table.validate_column("cf:x")
-        with pytest.raises(ValueError):
-            table.validate_column("other:x")
-
-
-class TestStoreFile:
-    def _cells(self, rows):
-        return [Cell(row=row, column="cf:v", timestamp=1, value=b"x" * 50) for row in rows]
-
-    def test_rows_sorted_and_blocks_built(self):
-        store = StoreFile("/f", self._cells(["c", "a", "b"]), block_size_bytes=80)
-        assert store.row_count == 3
-        assert [b.first_row for b in store.blocks] == sorted(
-            b.first_row for b in store.blocks
-        )
-        assert store.size_bytes > 0
-
-    def test_block_for_row_finds_covering_block(self):
-        store = StoreFile("/f", self._cells(list("abcdef")), block_size_bytes=120)
-        block = store.block_for_row("d")
-        assert block is not None
-        assert "d" in block.rows
-
-    def test_get_missing_row_returns_empty(self):
-        store = StoreFile("/f", self._cells(["a"]), block_size_bytes=120)
-        assert store.get("zzz") == {}
-
-    def test_rows_in_range(self):
-        store = StoreFile("/f", self._cells(list("abcdef")), block_size_bytes=120)
-        assert store.rows_in_range("b", "e") == ["b", "c", "d"]
-        assert store.rows_in_range("", None) == list("abcdef")
-
-    def test_newest_version_wins(self):
-        cells = [
-            Cell(row="a", column="cf:v", timestamp=1, value=b"old"),
-            Cell(row="a", column="cf:v", timestamp=2, value=b"new"),
-        ]
-        store = StoreFile("/f", cells, block_size_bytes=1024)
-        assert store.get("a")["cf:v"].value == b"new"
-
-    def test_rejects_nonpositive_block_size(self):
-        with pytest.raises(ValueError):
-            StoreFile("/f", [], block_size_bytes=0)
-
-    def test_empty_file(self):
-        store = StoreFile("/f", [], block_size_bytes=64)
-        assert store.block_for_row("a") is None
-        assert store.size_bytes == 0
-
-
-class TestRegion:
-    def test_contains_respects_key_range(self):
-        region = make_region(start_key="b", end_key="m")
-        assert region.contains("b")
-        assert region.contains("f")
-        assert not region.contains("a")
-        assert not region.contains("m")
-
-    def test_put_and_read_row(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"1")
-        region.put("row1", "cf:b", b"2")
-        values = region.read_row("row1", null_reader)
-        assert values == {"cf:a": b"1", "cf:b": b"2"}
-        assert region.counters.writes == 2
-
-    def test_put_rejects_unknown_family(self):
-        region = make_region()
-        with pytest.raises(ValueError):
-            region.put("row1", "bad:a", b"1")
-
-    def test_delete_column_and_row(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"1")
-        region.put("row1", "cf:b", b"2")
-        region.delete("row1", "cf:a")
-        assert region.read_row("row1", null_reader) == {"cf:b": b"2"}
-        region.delete("row1")
-        assert region.read_row("row1", null_reader) == {}
-
-    def test_flush_moves_data_to_store_file(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"1")
-        store = region.flush("/f1", block_size_bytes=1024)
-        assert store is not None
-        assert region.memstore.size_bytes == 0
-        assert region.read_row("row1", null_reader) == {"cf:a": b"1"}
-
-    def test_flush_empty_returns_none(self):
-        assert make_region().flush("/f", 1024) is None
-
-    def test_memstore_value_overrides_store_file(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"old")
-        region.flush("/f1", 1024)
-        region.put("row1", "cf:a", b"new")
-        assert region.read_row("row1", null_reader)["cf:a"] == b"new"
-
-    def test_compact_merges_and_drops_tombstones(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"1")
-        region.flush("/f1", 1024)
-        region.put("row2", "cf:a", b"2")
-        region.flush("/f2", 1024)
-        region.delete("row1")
-        region.flush("/f3", 1024)
-        merged = region.compact("/compacted", 1024)
-        assert merged is not None
-        assert len(region.store_files) == 1
-        assert region.read_row("row1", null_reader) == {}
-        assert region.read_row("row2", null_reader) == {"cf:a": b"2"}
-
-    def test_scan_rows_clips_to_region_range(self):
-        region = make_region(start_key="b", end_key="m")
-        for row in ("b", "c", "d"):
-            region.put(row, "cf:a", b"1")
-        results = region.scan_rows("a", None, limit=10, block_reader=null_reader)
-        assert [row for row, _ in results] == ["b", "c", "d"]
-
-    def test_scan_respects_limit(self):
-        region = make_region()
-        for index in range(10):
-            region.put(f"row{index}", "cf:a", b"1")
-        results = region.scan_rows("", None, limit=3, block_reader=null_reader)
-        assert len(results) == 3
-
-    def test_midpoint_key(self):
-        region = make_region()
-        for index in range(10):
-            region.put(f"row{index:02d}", "cf:a", b"1")
-        midpoint = region.midpoint_key()
-        assert midpoint is not None
-        assert region.contains(midpoint)
-
-    def test_size_tracks_memstore_and_files(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"x" * 100)
-        in_memory = region.size_bytes
-        region.flush("/f1", 1024)
-        assert region.size_bytes > 0
-        assert region.memstore.size_bytes == 0
-        assert in_memory > 0
-
-    def test_counters_snapshot_and_reset(self):
-        region = make_region()
-        region.put("row1", "cf:a", b"1")
-        region.counters.reads += 2
-        snapshot = region.counters.snapshot()
-        assert snapshot == {"reads": 2, "writes": 1, "scans": 0}
-        region.counters.reset()
-        assert region.counters.total == 0

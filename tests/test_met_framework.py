@@ -1,8 +1,8 @@
-"""Integration tests: the full MeT loop, its backends, and the baselines."""
+"""Integration tests: the full MeT loop, its simulator backend, and the baselines."""
 
 import pytest
 
-from repro.core.backends import HBaseBackend, SimulatorBackend
+from repro.core.backends import SimulatorBackend
 from repro.core.decision import DecisionMaker
 from repro.core.framework import MeT
 from repro.core.interfaces import ClusterBackend
@@ -18,7 +18,6 @@ from repro.elasticity.strategies import (
 from repro.elasticity.autoscaler import AutoscalerAction
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
 from repro.experiments.harness import apply_placement
-from repro.hbase.cluster import MiniHBaseCluster
 from repro.monitoring.collector import ClusterSnapshot, NodeSample, PartitionSample
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.ycsb.scenario import build_paper_scenario
@@ -176,65 +175,6 @@ class TestMeTEndToEnd:
         assert met.actuator.report.plans_applied == 0
         assert not met.log.events
         assert all(node.profile_name == "default" for node in simulator.nodes.values())
-
-
-class TestHBaseBackend:
-    def test_backend_over_functional_cluster(self):
-        cluster = MiniHBaseCluster(initial_servers=2)
-        cluster.create_table("t", split_keys=["m"])
-        client = cluster.client()
-        for index in range(20):
-            client.put("t", f"k{index:02d}", "cf:v", b"x")
-            client.get("t", f"k{index:02d}")
-        backend = HBaseBackend(cluster)
-        assert isinstance(backend, ClusterBackend)
-        assert len(backend.node_names()) == 2
-        stats = backend.partition_stats()
-        assert stats
-        metrics = backend.node_system_metrics(backend.node_names()[0])
-        assert set(metrics) == {"cpu", "io_wait", "memory"}
-        name = backend.add_node(NODE_PROFILES["read"].config, "read")
-        assert backend.node_is_online(name)
-        region_id = next(iter(stats))
-        backend.move_partition(region_id, name)
-        backend.major_compact(name)
-        backend.remove_node(name)
-        assert name not in backend.node_names()
-
-    @staticmethod
-    def _equally_loaded_backend():
-        """Two regionservers that each served 20 requests."""
-        cluster = MiniHBaseCluster(initial_servers=2)
-        cluster.create_table("t", split_keys=["m"])
-        client = cluster.client()
-        for index in range(10):
-            for prefix in ("a", "z"):  # one key on each side of the split
-                client.put("t", f"{prefix}{index:02d}", "cf:v", b"x")
-                client.get("t", f"{prefix}{index:02d}")
-        assert [server.total_requests() for server in cluster.regionservers()] == [20, 20]
-        return HBaseBackend(cluster)
-
-    def test_every_node_of_a_sampling_round_shares_one_set_of_deltas(self):
-        """Both equally loaded regionservers must read as fully busy.
-
-        A backend that re-baselines its request counters on every call gives
-        only the first node asked in a round a nonzero share.
-        """
-        backend = self._equally_loaded_backend()
-        met = MeT(backend)
-        met.step(0.0)  # one sample; no decision is due yet
-        cpus = [
-            met.monitor._smoother(name, "cpu").value()
-            for name in backend.online_node_names()
-        ]
-        assert cpus == [1.0, 1.0]
-
-    def test_an_idle_round_reads_zero_on_every_node(self):
-        backend = self._equally_loaded_backend()
-        names = backend.node_names()
-        busy = [backend.node_system_metrics(name)["cpu"] for name in names]
-        idle = [backend.node_system_metrics(name)["cpu"] for name in names]
-        assert (busy, idle) == ([1.0, 1.0], [0.0, 0.0])
 
 
 class TestTiramola:

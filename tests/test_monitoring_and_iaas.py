@@ -1,4 +1,4 @@
-"""Tests for the monitoring substrate and the OpenStack-like IaaS provider."""
+"""Tests for the monitoring layer and the OpenStack-like IaaS provider."""
 
 import pytest
 

@@ -1,24 +1,21 @@
-"""Property-based tests (hypothesis) for the core algorithms and substrates."""
+"""Property-based tests (hypothesis) for the core algorithms and key distributions."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import assign_partitions, makespan
-from repro.core.classification import AccessPattern, ClassifiedPartition, classify_partition
-from repro.core.grouping import nodes_per_group
-from repro.core.output import TargetSlot, compute_output
-from repro.core.sizing import SizingAlgorithm
-from repro.hbase.region import Region
-from repro.hbase.storefile import StoreFile
-from repro.hbase.table import Cell, HTableDescriptor
-from repro.monitoring.smoothing import ExponentialSmoother
-from repro.workloads.ycsb.distributions import (
+from key_choosers import (
     HotspotChooser,
     UniformChooser,
     ZipfianChooser,
     partition_request_shares,
 )
+from repro.core.assignment import assign_partitions, makespan
+from repro.core.classification import AccessPattern, ClassifiedPartition, classify_partition
+from repro.core.grouping import nodes_per_group
+from repro.core.output import TargetSlot, compute_output
+from repro.core.sizing import SizingAlgorithm
+from repro.monitoring.smoothing import ExponentialSmoother
 from repro.workloads.ycsb.workloads import hotspot_partition_weights
 
 requests = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -264,40 +261,3 @@ def test_hotspot_shares_scale_free_under_key_space_growth(record_count, scale, p
     large = partition_request_shares(HotspotChooser, record_count * scale, partitions)
     for a, b in zip(small, large):
         assert b == pytest.approx(a, abs=2.0 * partitions / record_count + 1e-9)
-
-
-row_keys = st.text(alphabet="abcdefghij", min_size=1, max_size=6)
-
-
-@given(st.dictionaries(row_keys, st.binary(min_size=1, max_size=20), min_size=1, max_size=30))
-@settings(max_examples=50)
-def test_region_read_your_writes(rows):
-    """Whatever is put into a region is readable back (read-your-writes)."""
-    # The substrate reserves one sentinel byte string for delete markers
-    # (as HBase reserves delete-type KeyValues); user values never use it.
-    from repro.hbase.region import TOMBSTONE
-
-    assume(all(value != TOMBSTONE for value in rows.values()))
-    table = HTableDescriptor(name="t", column_families=("cf",))
-    region = Region(table)
-    for row, value in rows.items():
-        region.put(row, "cf:v", value)
-    for row, value in rows.items():
-        assert region.read_row(row, lambda *_: None)["cf:v"] == value
-
-
-@given(
-    st.dictionaries(row_keys, st.binary(min_size=1, max_size=20), min_size=1, max_size=30),
-    st.integers(min_value=64, max_value=4096),
-)
-@settings(max_examples=50)
-def test_storefile_blocks_partition_rows(rows, block_size):
-    """Store-file blocks cover every row exactly once, in sorted order."""
-    cells = [Cell(row=row, column="cf:v", timestamp=1, value=value) for row, value in rows.items()]
-    store = StoreFile("/f", cells, block_size_bytes=block_size)
-    covered = [row for block in store.blocks for row in block.rows]
-    assert covered == sorted(rows)
-    for row in rows:
-        block = store.block_for_row(row)
-        assert block is not None
-        assert row in block.rows

@@ -1,21 +1,24 @@
-"""Tests for the YCSB and TPC-C workload generators."""
+"""Tests for the YCSB and TPC-C workload models and the sampled key choosers."""
 
 import pytest
 
-from repro.hbase.cluster import MiniHBaseCluster
-from repro.hbase.config import TPCC_HOMOGENEOUS
+from key_choosers import (
+    HotspotChooser,
+    LatestChooser,
+    UniformChooser,
+    ZipfianChooser,
+    partition_request_shares,
+)
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.tenant import TenantWorkload, as_tenant
 from repro.workloads.tpcc.driver import (
-    TPCCDriver,
     build_tpcc_scenario,
     ops_rate_from_tpmc,
     simulator_binding,
     tpmc_from_ops,
     tpmc_from_ops_rate,
 )
-from repro.workloads.tpcc.loader import TPCCLoader
-from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig, warehouse_key
+from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
 from repro.workloads.ycsb.tenant import YCSBTenant
 from repro.workloads.tpcc.transactions import (
@@ -23,14 +26,6 @@ from repro.workloads.tpcc.transactions import (
     aggregate_operation_mix,
     operations_per_transaction,
     read_only_fraction,
-)
-from repro.workloads.ycsb.client import YCSBClient, format_key
-from repro.workloads.ycsb.distributions import (
-    HotspotChooser,
-    LatestChooser,
-    UniformChooser,
-    ZipfianChooser,
-    partition_request_shares,
 )
 from repro.workloads.ycsb.scenario import build_paper_scenario
 from repro.workloads.ycsb.workloads import (
@@ -154,35 +149,6 @@ class TestYCSBScenario:
         assert 4.0 <= total_gb <= 8.0
 
 
-class TestYCSBClient:
-    def test_key_format_preserves_order(self):
-        assert format_key(1) < format_key(2) < format_key(10)
-
-    def test_load_and_run_against_mini_hbase(self):
-        cluster = MiniHBaseCluster(initial_servers=2)
-        workload = YCSBWorkload(
-            name="demo",
-            read_proportion=0.4,
-            update_proportion=0.3,
-            insert_proportion=0.1,
-            scan_proportion=0.1,
-            read_modify_write_proportion=0.1,
-            record_count=200,
-            partitions=2,
-            threads=1,
-        )
-        cluster.create_table(workload.table_name, split_keys=[format_key(100)])
-        client = YCSBClient(cluster.client(), workload, seed=5)
-        assert client.load() == 200
-        result = client.run(300)
-        assert result.operations == 300
-        assert result.reads > 0 and result.updates > 0
-        assert result.inserts > 0 and result.scans > 0
-        assert result.read_modify_writes > 0
-        # Keys are drawn from the loaded key space, so reads find data.
-        assert result.read_misses < result.reads
-
-
 class TestTPCCSchema:
     def test_nine_tables(self):
         assert len(TPCC_TABLES) == 9
@@ -200,9 +166,6 @@ class TestTPCCSchema:
             TPCCConfig(warehouses=0)
         with pytest.raises(ValueError):
             TPCCConfig(scale_factor=0.0)
-
-    def test_key_encodings_sort_by_warehouse(self):
-        assert warehouse_key(1) < warehouse_key(2) < warehouse_key(10)
 
 
 class TestTPCCTransactions:
@@ -240,34 +203,6 @@ class TestTPCCTransactions:
         tpmc = 1234.5
         assert tpmc_from_ops_rate(ops_rate_from_tpmc(tpmc)) == pytest.approx(tpmc)
         assert tpmc_from_ops is tpmc_from_ops_rate
-
-
-class TestTPCCFunctional:
-    @pytest.fixture(scope="class")
-    def tpcc_cluster(self):
-        cluster = MiniHBaseCluster(initial_servers=2, config=TPCC_HOMOGENEOUS)
-        config = TPCCConfig(warehouses=2, warehouses_per_node=1, clients=2, scale_factor=0.01)
-        loader = TPCCLoader(cluster.client(), config, seed=3)
-        loader.create_tables(cluster.master)
-        loader.load()
-        return cluster, config, loader
-
-    def test_loader_populates_all_tables(self, tpcc_cluster):
-        cluster, config, loader = tpcc_cluster
-        assert loader.rows_loaded > 100
-        client = cluster.client()
-        assert client.get("warehouse", warehouse_key(1))
-        assert client.get("item", "I#000001")
-
-    def test_driver_runs_all_transaction_types(self, tpcc_cluster):
-        cluster, config, _ = tpcc_cluster
-        driver = TPCCDriver(cluster.client(), config, seed=7)
-        result = driver.run(200)
-        assert result.transactions == 200
-        assert result.new_orders > 0
-        assert result.tpmc > 0
-        assert set(result.per_type) <= set(TRANSACTION_MIX)
-        assert len(result.per_type) >= 4
 
 
 class TestTPCCSimulatorBinding:
