@@ -13,14 +13,14 @@ from repro.elasticity.strategies import manual_heterogeneous
 from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.hbase.config import DEFAULT_HOMOGENEOUS
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 
 def _run_with_overrides(config_override=None, minutes: float = 5.0) -> float:
     simulator = ClusterSimulator()
     nodes = [simulator.add_node() for _ in range(5)]
-    scenario = build_paper_scenario(simulator)
-    plan = manual_heterogeneous(scenario.expected_partition_workloads(), nodes)
+    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+    plan = manual_heterogeneous(expected, nodes)
     if config_override is not None:
         plan.node_configs = {
             node: config_override(profile, plan.node_configs[node])

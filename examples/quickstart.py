@@ -13,7 +13,7 @@ from repro.core import MeT, MeTParameters, SimulatorBackend
 from repro.elasticity import AutoscalerAction, random_homogeneous
 from repro.experiments.harness import apply_placement
 from repro.simulation import ClusterSimulator
-from repro.workloads.ycsb import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 
 def main() -> None:
@@ -23,11 +23,11 @@ def main() -> None:
 
     # 2. The six YCSB workloads of the paper, four partitions each (one for
     #    the insert-heavy workload D), driven by closed-loop client threads.
-    scenario = build_paper_scenario(simulator)
+    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
 
     # 3. Start from HBase's out-of-the-box behaviour: random placement and
     #    one homogeneous configuration for every node.
-    plan = random_homogeneous(scenario.expected_partition_workloads(), nodes, seed=7)
+    plan = random_homogeneous(expected, nodes, seed=7)
     apply_placement(simulator, plan)
 
     # 4. Attach MeT.  The cluster size is fixed here (no IaaS), so MeT only

@@ -73,21 +73,6 @@ class ScaleSpec:
 BASELINE_SCALE = ScaleSpec(name="1x")
 
 
-def _renamed_workload(workload, new_name: str):
-    """Clone a tenant workload under a new name.
-
-    Adapter-style tenants (:class:`~repro.workloads.ycsb.tenant.YCSBTenant`)
-    carry the name on a wrapped inner workload; flat tenants
-    (:class:`~repro.workloads.tpcc.tenant.TPCCTenant`) carry it directly.
-    Renaming matters because partition ids and binding names derive from
-    the tenant name -- clones must not collide in the simulator.
-    """
-    inner = getattr(workload, "workload", None)
-    if inner is not None and hasattr(inner, "name"):
-        return type(workload)(replace(inner, name=new_name))
-    return replace(workload, name=new_name)
-
-
 def apply_scale(spec: ScenarioSpec, scale: ScaleSpec) -> ScenarioSpec:
     """Stretch ``spec`` along ``scale``'s axes; identity for the baseline."""
     if scale.is_baseline:
@@ -99,7 +84,9 @@ def apply_scale(spec: ScenarioSpec, scale: ScaleSpec) -> ScenarioSpec:
             target = target * scale.load
         tenants.append(TenantSpec(tenant.workload, target_ops=target))
         for copy in range(1, scale.tenant_copies):
-            clone = _renamed_workload(tenant.workload, f"{tenant.name}~{copy}")
+            # Partition ids and binding names derive from the tenant name,
+            # so clones are renamed or they would collide in the simulator.
+            clone = replace(tenant.workload, name=f"{tenant.name}~{copy}")
             tenants.append(TenantSpec(clone, target_ops=target))
     overrides: dict = {"tenants": tuple(tenants)}
     if scale.initial_nodes is not None:

@@ -27,9 +27,6 @@ class SimulatorBackend:
     ) -> None:
         self.simulator = simulator
         self.provider = provider
-        self._profiles: dict[str, str] = {
-            name: node.profile_name for name, node in simulator.nodes.items()
-        }
         self._vm_ids: dict[str, str] = {}
         self._counter = itertools.count(1)
 
@@ -60,7 +57,7 @@ class SimulatorBackend:
         return self.simulator.node_locality_index(name)
 
     def node_profile(self, name: str) -> str:
-        return self._profiles.get(name, self.simulator.nodes[name].profile_name)
+        return self.simulator.nodes[name].profile_name
 
     def partition_stats(self) -> dict[str, dict[str, float]]:
         stats: dict[str, dict[str, float]] = {}
@@ -85,12 +82,10 @@ class SimulatorBackend:
         self.simulator.add_node(
             name=name, config=config, profile_name=profile_name, online=False
         )
-        self._profiles[name] = profile_name
         return name
 
     def remove_node(self, name: str) -> None:
         self.simulator.remove_node(name)
-        self._profiles.pop(name, None)
         vm_id = self._vm_ids.pop(name, None)
         if self.provider is not None and vm_id is not None:
             self.provider.terminate(vm_id)
@@ -98,11 +93,9 @@ class SimulatorBackend:
     def reconfigure_node(
         self, name: str, config: RegionServerConfig, profile_name: str
     ) -> list[str]:
-        drained = self.simulator.reconfigure_node(
+        return self.simulator.reconfigure_node(
             name, config, profile_name=profile_name, drain=True
         )
-        self._profiles[name] = profile_name
-        return drained
 
     def move_partition(self, partition_id: str, node: str) -> None:
         self.simulator.move_region(partition_id, node)

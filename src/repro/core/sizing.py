@@ -20,16 +20,6 @@ class SizingDecision:
     delta: int
     initial_reconfiguration: bool = False
 
-    @property
-    def adds_nodes(self) -> bool:
-        """Whether nodes are being added."""
-        return self.delta > 0
-
-    @property
-    def removes_nodes(self) -> bool:
-        """Whether nodes are being removed."""
-        return self.delta < 0
-
 
 class SizingAlgorithm:
     """Stateful implementation of the paper's Algorithm 1."""

@@ -22,7 +22,8 @@ from repro.elasticity.strategies import (
 from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import format_table, percentiles
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads.tenant import materialise_tenants
+from repro.workloads.ycsb.workloads import CORE_WORKLOADS
 
 #: The three strategies of Section 3.3, in presentation order.
 STRATEGIES = ("random-homogeneous", "manual-homogeneous", "manual-heterogeneous")
@@ -89,8 +90,7 @@ def _run_once(strategy: str, seed: int, minutes: float, nodes: int) -> tuple[flo
     """Run one strategy once; returns (total throughput, per-workload)."""
     simulator = ClusterSimulator()
     node_names = [simulator.add_node() for _ in range(nodes)]
-    scenario = build_paper_scenario(simulator)
-    expected = scenario.expected_partition_workloads()
+    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
     if strategy == "random-homogeneous":
         plan = random_homogeneous(expected, node_names, seed=seed)
     elif strategy == "manual-homogeneous":

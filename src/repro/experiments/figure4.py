@@ -22,10 +22,12 @@ from repro.elasticity.strategies import (
     manual_homogeneous,
     random_homogeneous,
 )
-from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement, make_backend
+from repro.core.backends import SimulatorBackend
+from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
 from repro.experiments.reporting import format_table
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads.tenant import materialise_tenants
+from repro.workloads.ycsb.workloads import CORE_WORKLOADS
 
 
 @dataclass
@@ -79,8 +81,7 @@ class Figure4Result:
 def _manual_run(strategy_fn, name: str, minutes: float, nodes: int, seed: int) -> StrategyRun:
     simulator = ClusterSimulator()
     node_names = [simulator.add_node() for _ in range(nodes)]
-    scenario = build_paper_scenario(simulator)
-    expected = scenario.expected_partition_workloads()
+    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
     if strategy_fn is random_homogeneous:
         plan = strategy_fn(expected, node_names, seed=seed)
     else:
@@ -100,10 +101,9 @@ def run_figure4(
     # --- MeT run: start from Random-Homogeneous, enable MeT after ramp-up.
     simulator = ClusterSimulator()
     node_names = [simulator.add_node() for _ in range(nodes)]
-    scenario = build_paper_scenario(simulator)
-    expected = scenario.expected_partition_workloads()
+    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
     apply_placement(simulator, random_homogeneous(expected, node_names, seed=seed))
-    backend = make_backend(simulator)
+    backend = SimulatorBackend(simulator)
     parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
     met = MeT(backend, parameters, enabled=False)
     harness = ExperimentHarness(simulator, name="met")

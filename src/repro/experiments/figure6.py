@@ -20,18 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.backends import SimulatorBackend
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.elasticity.autoscaler import Autoscaler
 from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import manual_homogeneous
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
-from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement, make_backend
+from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
 from repro.experiments.reporting import format_table
 from repro.iaas.provider import OpenStackProvider
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import ELASTICITY_VM
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads.tenant import materialise_tenants
 from repro.workloads.ycsb.workloads import CORE_WORKLOADS, YCSBWorkload
 
 #: Per-workload throughput caps for this scenario: together they overload the
@@ -86,33 +87,19 @@ class Figure6Result:
 
 def scenario_workloads() -> dict[str, YCSBWorkload]:
     """The paper workloads with the elasticity-scenario throughput caps."""
-    workloads = {}
-    for name, workload in CORE_WORKLOADS.items():
-        target = SCENARIO_TARGETS.get(name, workload.target_ops_per_second)
-        workloads[name] = YCSBWorkload(
-            name=workload.name,
-            read_proportion=workload.read_proportion,
-            update_proportion=workload.update_proportion,
-            insert_proportion=workload.insert_proportion,
-            scan_proportion=workload.scan_proportion,
-            read_modify_write_proportion=workload.read_modify_write_proportion,
-            record_count=workload.record_count,
-            partitions=workload.partitions,
-            threads=workload.threads,
-            target_ops_per_second=target,
-            record_size=workload.record_size,
-            scan_length=workload.scan_length,
-            description=workload.description,
+    return {
+        name: workload.with_target(
+            SCENARIO_TARGETS.get(name, workload.target_ops_per_second)
         )
-    return workloads
+        for name, workload in CORE_WORKLOADS.items()
+    }
 
 
 def _build_cluster(nodes: int) -> tuple[ClusterSimulator, OpenStackProvider]:
     simulator = ClusterSimulator(hardware=ELASTICITY_VM)
     provider = OpenStackProvider(simulator.clock, boot_seconds=simulator.boot_seconds)
     node_names = [simulator.add_node() for _ in range(nodes)]
-    scenario = build_paper_scenario(simulator, workloads=scenario_workloads())
-    expected = scenario.expected_partition_workloads()
+    expected = materialise_tenants(simulator, scenario_workloads().values())
     plan = manual_homogeneous(expected, node_names)
     apply_placement(simulator, plan)
     return simulator, provider
@@ -127,7 +114,7 @@ def _run_system(
     shutdown_schedule: dict[float, tuple[str, ...]] | None,
 ) -> tuple[StrategyRun, ExperimentHarness, Autoscaler]:
     simulator, provider = _build_cluster(nodes)
-    backend = make_backend(simulator, provider=provider)
+    backend = SimulatorBackend(simulator, provider=provider)
     if system == "met":
         parameters = MeTParameters(min_nodes=nodes, max_nodes=max_nodes, allow_remove=True)
         controller = MeT(backend, parameters)

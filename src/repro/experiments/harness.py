@@ -18,7 +18,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from repro.core.interfaces import ClusterBackend
 from repro.elasticity.strategies import PlacementPlan
 from repro.simulation.cluster import ClusterSimulator
 
@@ -133,15 +132,6 @@ class StrategyRun:
         """Largest recorded latency sample of one tenant (0.0 when absent)."""
         points = self.tenant_series.get(tenant, [])
         return max((point.latency_ms for point in points), default=0.0)
-
-    def tenant_peak_percentile(self, tenant: str, percentile: int) -> float:
-        """Largest recorded p95/p99 sample of one tenant (0.0 when absent)."""
-        attr = _percentile_attr(percentile)
-        points = self.tenant_series.get(tenant, [])
-        return max(
-            (getattr(point, attr) for point in points if getattr(point, attr) is not None),
-            default=0.0,
-        )
 
     def peak_percentile(self, percentile: int) -> float:
         """Worst recorded p95/p99 sample across every tenant (0.0 when absent)."""
@@ -413,10 +403,3 @@ class ExperimentHarness:
             if series is not None and len(series):
                 distributions[name] = series.merged()
         self.run.tenant_distributions = distributions
-
-
-def make_backend(simulator: ClusterSimulator, provider=None) -> ClusterBackend:
-    """Wrap a simulator as the backend controllers expect."""
-    from repro.core.backends import SimulatorBackend
-
-    return SimulatorBackend(simulator, provider=provider)

@@ -18,15 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.backends import SimulatorBackend
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES
-from repro.experiments.harness import ExperimentHarness, make_backend
+from repro.elasticity.strategies import PlacementPlan
+from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import format_table
 from repro.hbase.config import TPCC_HOMOGENEOUS
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tpcc.driver import build_tpcc_scenario, tpmc_from_ops_rate
+from repro.workloads.tenant import materialise_tenants
+from repro.workloads.tpcc.driver import tpmc_from_ops_rate
 from repro.workloads.tpcc.schema import TPCCConfig
+from repro.workloads.tpcc.tenant import TPCCTenant
 
 
 @dataclass
@@ -54,15 +58,16 @@ class Table2Result:
         return 1.0 - self.met_with_overhead_tpmc / self.met_without_overhead_tpmc
 
 
-def _new_cluster(nodes: int, tpcc_config: TPCCConfig) -> tuple[ClusterSimulator, list[str]]:
+def _new_cluster(nodes: int, tpcc_config: TPCCConfig) -> ClusterSimulator:
+    """The TPC-C cluster with one warehouse-aligned partition per node."""
     simulator = ClusterSimulator(default_config=TPCC_HOMOGENEOUS)
     node_names = [simulator.add_node() for _ in range(nodes)]
-    build_tpcc_scenario(simulator, tpcc_config)
-    for partition_id, node in zip(tpcc_config.partition_ids(), node_names):
-        region = simulator.regions[partition_id]
-        region.node = node
-        region.block_homes = {node}
-    return simulator, node_names
+    expected = materialise_tenants(simulator, [TPCCTenant(config=tpcc_config)])
+    assignment = {
+        partition.partition_id: node for partition, node in zip(expected, node_names)
+    }
+    apply_placement(simulator, PlacementPlan(name="partition-per-node", assignment=assignment))
+    return simulator
 
 
 def _average_tpmc(simulator: ClusterSimulator, minutes: float) -> float:
@@ -80,14 +85,14 @@ def run_table2(
     tpcc_config = TPCCConfig(warehouses=warehouses, warehouses_per_node=warehouses // nodes)
 
     # (i) Manual-Homogeneous baseline.
-    simulator, _ = _new_cluster(nodes, tpcc_config)
+    simulator = _new_cluster(nodes, tpcc_config)
     harness = ExperimentHarness(simulator, name="manual-homogeneous")
     harness.run_for(minutes * 60.0)
     homogeneous_tpmc = _average_tpmc(simulator, minutes)
 
     # (ii) MeT started during the run.
-    simulator, _ = _new_cluster(nodes, tpcc_config)
-    backend = make_backend(simulator)
+    simulator = _new_cluster(nodes, tpcc_config)
+    backend = SimulatorBackend(simulator)
     parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
     met = MeT(backend, parameters, enabled=False)
     harness = ExperimentHarness(simulator, name="met")
@@ -102,20 +107,25 @@ def run_table2(
     met_assignment = simulator.assignment()
 
     # (iii) MeT's suggested configuration applied from the start.
-    simulator, _ = _new_cluster(nodes, tpcc_config)
-    for name, profile in met_profiles.items():
-        if name in simulator.nodes and profile in NODE_PROFILES:
-            simulator.nodes[name].config = NODE_PROFILES[profile].config
-            simulator.nodes[name].profile_name = profile
-    for partition_id, node in met_assignment.items():
-        if node in simulator.nodes and partition_id in simulator.regions:
-            simulator.regions[partition_id].node = node
-            simulator.regions[partition_id].block_homes = {node}
-    # The node.config writes above bypass reconfigure_node (no restart is
-    # wanted here: this arm models the configuration applied from t=0), so
-    # the cached fixed-point solution must be dropped by hand.  The region
-    # writes are hooked, but config is not.  (lint rule D4)
-    simulator.invalidate_solution()
+    # Applied as a placement plan, not through reconfigure_node: this arm
+    # models the configuration in place from t=0, with no restart.
+    simulator = _new_cluster(nodes, tpcc_config)
+    profiles = {
+        name: profile
+        for name, profile in met_profiles.items()
+        if name in simulator.nodes and profile in NODE_PROFILES
+    }
+    plan = PlacementPlan(
+        name="met-converged",
+        node_configs={name: NODE_PROFILES[profile].config for name, profile in profiles.items()},
+        node_profiles=profiles,
+        assignment={
+            partition_id: node
+            for partition_id, node in met_assignment.items()
+            if node in simulator.nodes and partition_id in simulator.regions
+        },
+    )
+    apply_placement(simulator, plan)
     harness = ExperimentHarness(simulator, name="met-no-overhead")
     harness.run_for(minutes * 60.0)
     upper_tpmc = _average_tpmc(simulator, minutes)

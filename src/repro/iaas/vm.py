@@ -30,11 +30,6 @@ class VirtualMachine:
     active_at: float = 0.0
     terminated_at: float | None = None
 
-    @property
-    def is_active(self) -> bool:
-        """Whether the instance finished booting and is running."""
-        return self.state == VMState.ACTIVE
-
     def uptime(self, now: float) -> float:
         """Seconds the instance has been active (0 while building)."""
         if self.state == VMState.BUILDING:

@@ -19,7 +19,7 @@ from repro.iaas.faults import FaultInjector
 from repro.iaas.provider import OpenStackProvider
 from repro.scenarios.spec import binding_name
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tenant import TenantWorkload, as_tenant
+from repro.workloads.tenant import TenantWorkload
 
 
 class ScenarioContext:
@@ -64,10 +64,9 @@ class ScenarioContext:
 
     def register_tenant(self, workload: TenantWorkload) -> None:
         """Record modulation baselines for a tenant already in the simulator."""
-        tenant = as_tenant(workload)
-        self._tenants[tenant.name] = tenant
-        self._baselines[tenant.name] = tenant.target_ops_per_second
-        self._nominals[tenant.name] = tenant.nominal_ops_per_second
+        self._tenants[workload.name] = workload
+        self._baselines[workload.name] = workload.target_ops_per_second
+        self._nominals[workload.name] = workload.nominal_ops_per_second
 
     def add_tenant(self, workload: TenantWorkload, target_ops: float | None) -> str:
         """A tenant arrives: create its partitions, place them, attach clients.
@@ -77,7 +76,7 @@ class ScenarioContext:
         their nodes, as freshly loaded data would.
         """
         simulator = self.simulator
-        configured = as_tenant(workload).with_target(target_ops)
+        configured = workload.with_target(target_ops)
         specs = configured.region_specs()
         online = sorted(node.name for node in simulator.online_nodes())
         placement = RandomBalancer(seed=self.rng).assign(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.scenarios.context import ScenarioContext
 from repro.scenarios.schedule import ScheduledAction, control_steps
 from repro.scenarios.spec import ScenarioSpec
-from repro.workloads.tenant import TenantWorkload, as_tenant
+from repro.workloads.tenant import TenantWorkload
 
 
 def _event_key(event, index_hint: str) -> str:
@@ -175,9 +175,8 @@ class FlashCrowd:
 class TenantArrival:
     """A new tenant arrives mid-run with its own workload and partitions.
 
-    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`
-    (a bare YCSB workload is adapted automatically), so TPC-C tenants can
-    arrive mid-run like key-value ones.
+    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`,
+    so TPC-C tenants can arrive mid-run like key-value ones.
     """
 
     minute: float
@@ -185,12 +184,11 @@ class TenantArrival:
     target_ops: float | None = None
 
     def compile(self, spec: ScenarioSpec, context: ScenarioContext) -> list[ScheduledAction]:
-        tenant = as_tenant(self.workload)
         return [
             ScheduledAction(
                 time_seconds=self.minute * 60.0,
-                label=f"tenant-arrival:{tenant.name}",
-                apply=lambda: context.add_tenant(tenant, self.target_ops),
+                label=f"tenant-arrival:{self.workload.name}",
+                apply=lambda: context.add_tenant(self.workload, self.target_ops),
                 annotate=True,
             )
         ]

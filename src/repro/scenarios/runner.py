@@ -12,18 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.backends import SimulatorBackend
 from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.scenarios.assertions import AssertionResult, evaluate_assertions
 from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import manual_homogeneous
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
-from repro.experiments.harness import (
-    ExperimentHarness,
-    StrategyRun,
-    apply_placement,
-    make_backend,
-)
+from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
 from repro.iaas.provider import OpenStackProvider
 from repro.sla.cost import DEFAULT_PRICING, CostEnvelope, machine_minute_ledger
 from repro.sla.slo import SLOReport, evaluate_slos
@@ -32,6 +28,7 @@ from repro.scenarios.schedule import compile_spec
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import ELASTICITY_VM
+from repro.workloads.tenant import materialise_tenants
 
 #: Controllers a scenario can run under.
 CONTROLLERS = ("none", "met", "tiramola", "planner")
@@ -80,35 +77,11 @@ class ScenarioRunResult:
         covers the initial tenants plus mid-run arrivals, derived from the
         spec so the mapping exists even when the simulator was discarded.
         """
-        from repro.workloads.tenant import as_tenant
-
-        units = {
-            tenant.workload.binding_name: tenant.workload.unit_label
-            for tenant in self.spec.tenants
-        }
-        for event in self.spec.events:
-            arriving = getattr(event, "workload", None)
-            if arriving is not None:
-                tenant = as_tenant(arriving)
-                units[tenant.binding_name] = tenant.unit_label
-        return units
-
-
-def materialise_tenants(simulator: ClusterSimulator, tenants) -> list:
-    """Create every tenant's partitions and client binding in ``simulator``.
-
-    ``tenants`` are configured :class:`~repro.workloads.tenant.TenantWorkload`
-    objects (any mix of YCSB and TPC-C).  Partitions are created unassigned;
-    the returned expected per-partition request mixes feed the initial
-    manual placement, exactly as a profiling run would.
-    """
-    expected = []
-    for tenant in tenants:
-        for spec in tenant.region_specs():
-            spec.create_in(simulator, tenant.binding_name)
-        simulator.attach_workload(tenant.binding())
-        expected.extend(tenant.partition_workloads())
-    return expected
+        tenants = [tenant.workload for tenant in self.spec.tenants]
+        tenants += [
+            event.workload for event in self.spec.events if hasattr(event, "workload")
+        ]
+        return {tenant.binding_name: tenant.unit_label for tenant in tenants}
 
 
 def build_scenario(
@@ -206,7 +179,7 @@ def run_scenario(
     running (see :meth:`ClusterSimulator.dispose`).
     """
     simulator, provider, context, _ = build_scenario(spec)
-    backend = make_backend(simulator, provider=provider)
+    backend = SimulatorBackend(simulator, provider=provider)
     context.faults.vm_ids = backend.vm_ids
     instance, daemons = _make_controller(controller, spec, backend, simulator)
     harness = ExperimentHarness(

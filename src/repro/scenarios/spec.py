@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.simulation.hardware import HardwareSpec
-from repro.workloads.tenant import TenantWorkload, as_tenant
-from repro.workloads.ycsb.scenario import binding_name
+from repro.workloads.tenant import TenantWorkload
+from repro.workloads.ycsb.workloads import binding_name
 
 __all__ = ["ScenarioSpec", "TenantSpec", "binding_name"]
 
@@ -30,20 +30,17 @@ __all__ = ["ScenarioSpec", "TenantSpec", "binding_name"]
 class TenantSpec:
     """One tenant present from the start of the scenario.
 
-    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`; a
-    bare :class:`~repro.workloads.ycsb.workloads.YCSBWorkload` is wrapped in
-    its adapter automatically.  ``target_ops`` is the tenant's *baseline*
-    throughput cap in simulator ops/s; load-shaping events (diurnal curves,
-    flash crowds) modulate it multiplicatively.  ``None`` leaves the tenant
-    uncapped, in which case load events modulate the workload's nominal
-    throughput estimate instead.
+    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`
+    (a :class:`~repro.workloads.ycsb.workloads.YCSBWorkload` or a
+    :class:`~repro.workloads.tpcc.tenant.TPCCTenant`).  ``target_ops`` is
+    the tenant's *baseline* throughput cap in simulator ops/s; load-shaping
+    events (diurnal curves, flash crowds) modulate it multiplicatively.
+    ``None`` leaves the tenant uncapped, in which case load events modulate
+    the workload's nominal throughput estimate instead.
     """
 
     workload: TenantWorkload
     target_ops: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workload", as_tenant(self.workload))
 
     @property
     def name(self) -> str:
@@ -105,10 +102,6 @@ class ScenarioSpec:
         """Scenario length in simulated seconds."""
         return self.duration_minutes * 60.0
 
-    def tenant_names(self) -> list[str]:
-        """Names of the initially present tenants."""
-        return [tenant.name for tenant in self.tenants]
-
     def with_events(self, *events) -> "ScenarioSpec":
         """A copy of this spec with ``events`` appended."""
         return replace(self, events=tuple(self.events) + tuple(events))
@@ -116,7 +109,3 @@ class ScenarioSpec:
     def with_assertions(self, *assertions) -> "ScenarioSpec":
         """A copy of this spec with ``assertions`` appended."""
         return replace(self, assertions=tuple(self.assertions) + tuple(assertions))
-
-    def with_slos(self, *slos) -> "ScenarioSpec":
-        """A copy of this spec with ``slos`` appended."""
-        return replace(self, slos=tuple(self.slos) + tuple(slos))

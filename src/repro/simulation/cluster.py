@@ -140,12 +140,6 @@ class SimulatedRegion:
             return 0.0
         return 1.0 if self.node in self.block_homes else REMOTE_LOCALITY
 
-    def reset_counters(self) -> None:
-        """Zero the cumulative request counters (used between experiments)."""
-        self.reads = 0.0
-        self.writes = 0.0
-        self.scans = 0.0
-
 
 @dataclass
 class SimulatedNode:
@@ -202,8 +196,6 @@ class ClusterSimulator:
         #: Most recent per-binding mean request latency (ms), from the same
         #: final fixed-point state as the achieved throughputs.
         self._binding_latency_ms: dict[str, float] = {}
-        #: Most recent per-binding latency summary (same solve as the means).
-        self._binding_latency_summary: dict[str, object] = {}
         #: Incremental node -> {region_id -> region} index (``None`` bucket
         #: holds unassigned regions); kept coherent by SimulatedRegion's
         #: ``node`` setter hook.
@@ -497,7 +489,6 @@ class ClusterSimulator:
         # name must seed the fixed point fresh.
         self._binding_throughput.pop(name, None)
         self._binding_latency_ms.pop(name, None)
-        self._binding_latency_summary.pop(name, None)
         self._workloads_version += 1
         self._mark_dirty()
 
@@ -604,16 +595,6 @@ class ClusterSimulator:
         tenants.
         """
         return self._binding_latency_ms.get(name, 0.0)
-
-    def binding_latency_summary(self, name: str):
-        """Most recent latency distribution summary of a tenant.
-
-        The :class:`~repro.simulation.latency.LatencySummary` the solver
-        built at the last tick's fixed point -- the distribution whose
-        weighted mean is :meth:`binding_latency_ms`.  ``None`` before the
-        first tick or for unknown tenants.
-        """
-        return self._binding_latency_summary.get(name)
 
     def cluster_throughput(self) -> float:
         """Most recent total achieved throughput (ops/s)."""
@@ -989,7 +970,6 @@ class ClusterSimulator:
             samples.append((node.name, "locality", locality))
 
         if summaries:
-            self._binding_latency_summary = summaries
             plan.distributions = [
                 (f"workload:{name}", "latency_ms", summary)
                 for name, summary in summaries.items()

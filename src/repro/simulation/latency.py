@@ -154,11 +154,6 @@ class LatencySummary:
         """Total quantised counts recorded."""
         return sum(self.counts.values())
 
-    @property
-    def total_weight(self) -> float:
-        """Total recorded weight (counts / WEIGHT_SCALE)."""
-        return self.total_count / WEIGHT_SCALE
-
     def __bool__(self) -> bool:
         return bool(self.counts)
 

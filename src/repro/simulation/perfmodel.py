@@ -151,11 +151,6 @@ class RegionLoadProfile:
         """Operations that consult the read path (reads + rmw reads)."""
         return self.read_rate + self.rmw_rate
 
-    @property
-    def write_like_rate(self) -> float:
-        """Operations that touch the write path (updates, inserts, rmw writes)."""
-        return self.update_rate + self.insert_rate + self.rmw_rate
-
 
 @dataclass
 class NodeLoadResult:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sla.units import OPS_PER_SECOND, to_native_rate
-from repro.workloads.ycsb.scenario import binding_name
+from repro.workloads.ycsb.workloads import binding_name
 
 __all__ = [
     "SLODefinition",

@@ -1,13 +1,18 @@
 """Workload generators: YCSB core workloads A-F and a TPC-C (PyTPCC) port.
 
-Both expose scenario-tenant adapters (:class:`YCSBTenant`,
-:class:`TPCCTenant`) implementing the :class:`TenantWorkload` protocol the
-scenario engine speaks, so heterogeneous tenants compose in one scenario.
+Both implement the :class:`TenantWorkload` protocol -- a
+:class:`YCSBWorkload` is a tenant itself, :class:`TPCCTenant` wraps a TPC-C
+scale configuration -- and :func:`materialise_tenants` is the one way any
+mix of them enters the simulator, so heterogeneous tenants compose in one
+cluster.
 """
 
-from repro.workloads.tenant import TenantRegionSpec, TenantWorkload, as_tenant
+from repro.workloads.tenant import (
+    TenantRegionSpec,
+    TenantWorkload,
+    materialise_tenants,
+)
 from repro.workloads.tpcc.tenant import TPCCTenant
-from repro.workloads.ycsb.tenant import YCSBTenant
 from repro.workloads.ycsb.workloads import CORE_WORKLOADS, YCSBWorkload
 
 __all__ = [
@@ -15,7 +20,6 @@ __all__ = [
     "TPCCTenant",
     "TenantRegionSpec",
     "TenantWorkload",
-    "YCSBTenant",
     "YCSBWorkload",
-    "as_tenant",
+    "materialise_tenants",
 ]

@@ -1,18 +1,20 @@
-"""The workload-agnostic tenant protocol the scenario layer speaks.
+"""The workload-agnostic tenant protocol, and the one way a tenant enters
+the simulator.
 
-The scenario engine used to manipulate :class:`~repro.workloads.ycsb.workloads.YCSBWorkload`
-objects directly, which hard-wired every tenant to YCSB semantics.  A
-:class:`TenantWorkload` abstracts what the engine actually needs from a
-tenant -- a name, a simulator binding factory, partition/region specs, the
-nominal/target rate semantics the load-shaping events modulate, and the
-tenant's native throughput unit -- so heterogeneous tenants (YCSB key-value
-tenants next to TPC-C transactional tenants) compose in one scenario, the
-heterogeneous-workload case the paper's data-placement argument is about.
+A :class:`TenantWorkload` is what the experiments and the scenario engine
+need from a tenant -- a name, a simulator binding factory, partition/region
+specs, the nominal/target rate semantics the load-shaping events modulate,
+and the tenant's native throughput unit -- so heterogeneous tenants (YCSB
+key-value tenants next to TPC-C transactional tenants) compose in one
+cluster, the heterogeneous-workload case the paper's data-placement argument
+is about.  :func:`materialise_tenants` turns any mix of them into regions,
+client bindings and the expected per-partition request mixes the manual
+placement strategies balance.
 
 Implementations:
 
-* :class:`~repro.workloads.ycsb.tenant.YCSBTenant` adapts a YCSB workload
-  unchanged (``ops/s`` unit, mix shifts allowed);
+* :class:`~repro.workloads.ycsb.workloads.YCSBWorkload` is itself a tenant
+  (``ops/s`` unit, mix shifts allowed);
 * :class:`~repro.workloads.tpcc.tenant.TPCCTenant` maps a TPC-C scale
   configuration onto warehouse-aligned partitions and reports in tpmC; its
   operation mix is transaction-derived, so mix shifts are rejected at
@@ -31,7 +33,7 @@ __all__ = [
     "OP_RATE_FACTORS",
     "TenantRegionSpec",
     "TenantWorkload",
-    "as_tenant",
+    "materialise_tenants",
     "nominal_rate_estimate",
 ]
 
@@ -101,7 +103,7 @@ class TenantRegionSpec:
 
 
 class TenantWorkload:
-    """What the scenario layer needs to know about one tenant.
+    """What the experiments and the scenario layer need to know about one tenant.
 
     Implementations are frozen dataclasses (scenario specs stay pure data).
     The contract:
@@ -126,9 +128,9 @@ class TenantWorkload:
     #: Whether MixShift events may target this tenant.
     supports_mix_shift: bool = True
 
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
+    #: A plain annotation, not a property: implementations declare ``name``
+    #: as a frozen dataclass field, which a base-class property would block.
+    name: str
 
     @property
     def binding_name(self) -> str:
@@ -196,22 +198,19 @@ class TenantWorkload:
         return ops_per_second
 
 
-def as_tenant(workload) -> TenantWorkload:
-    """Coerce a workload object into a :class:`TenantWorkload`.
+def materialise_tenants(simulator, tenants) -> list[PartitionWorkload]:
+    """Create every tenant's partitions and client binding in ``simulator``.
 
-    Accepts an implementation unchanged; wraps a bare
-    :class:`~repro.workloads.ycsb.workloads.YCSBWorkload` in its adapter so
-    every existing spec (``TenantSpec(SMALL_A, ...)``) keeps working.
+    ``tenants`` are configured :class:`TenantWorkload` objects (any mix of
+    YCSB and TPC-C), created in order.  Partitions are created unassigned;
+    the returned expected per-partition request mixes (one per partition, in
+    creation order) feed the initial manual placement, exactly as a
+    profiling run would.
     """
-    if isinstance(workload, TenantWorkload):
-        return workload
-    # Imported lazily: the YCSB adapter imports this module for the base class.
-    from repro.workloads.ycsb.tenant import YCSBTenant
-    from repro.workloads.ycsb.workloads import YCSBWorkload
-
-    if isinstance(workload, YCSBWorkload):
-        return YCSBTenant(workload)
-    raise TypeError(
-        f"cannot use {type(workload).__name__!r} as a scenario tenant; "
-        "expected a TenantWorkload implementation or a YCSBWorkload"
-    )
+    expected = []
+    for tenant in tenants:
+        for spec in tenant.region_specs():
+            spec.create_in(simulator, tenant.binding_name)
+        simulator.attach_workload(tenant.binding())
+        expected.extend(tenant.partition_workloads())
+    return expected

@@ -8,16 +8,12 @@ new-order transactions per minute (tpmC).
 
 The workload is modelled analytically: the schema sizes, the transaction
 mix with each transaction's key-value footprint, the tpmC/ops conversions,
-and a binding that maps the mix onto per-operation rates for the cluster
-simulator (the Table 2 experiment and the scenario tenants).
+and :class:`TPCCTenant`, the tenant that maps the mix onto per-operation
+rates for the cluster simulator (the Table 2 experiment and the scenario
+tenants).
 """
 
-from repro.workloads.tpcc.driver import (
-    ops_rate_from_tpmc,
-    simulator_binding,
-    tpmc_from_ops,
-    tpmc_from_ops_rate,
-)
+from repro.workloads.tpcc.driver import ops_rate_from_tpmc, tpmc_from_ops_rate
 from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
 from repro.workloads.tpcc.transactions import TRANSACTION_MIX, TransactionProfile
@@ -29,7 +25,5 @@ __all__ = [
     "TRANSACTION_MIX",
     "TransactionProfile",
     "ops_rate_from_tpmc",
-    "simulator_binding",
-    "tpmc_from_ops",
     "tpmc_from_ops_rate",
 ]

@@ -4,7 +4,7 @@ Maps a :class:`TPCCConfig` onto the scenario layer: warehouse-aligned
 partitions (equal request weight each -- the standard uniform-warehouse
 traffic assumption), the aggregate key-value operation mix of the standard
 transaction mix, and tpmC as the native throughput unit (reported via
-:func:`~repro.workloads.tpcc.driver.tpmc_from_ops`).
+:func:`~repro.workloads.tpcc.driver.tpmc_from_ops_rate`).
 
 TPC-C's operation mix is *derived* from its transaction mix, not free data,
 so ``supports_mix_shift`` is false: a :class:`~repro.scenarios.events.MixShift`
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.simulation.workload import WorkloadBinding
 from repro.workloads.tenant import (
     TenantRegionSpec,
     TenantWorkload,
@@ -25,7 +26,6 @@ from repro.workloads.tpcc.driver import (
     TPCC_HOT_REQUEST_FRACTION,
     TPCC_RECORD_SIZE,
     TPCC_SCAN_LENGTH,
-    simulator_binding,
     tpmc_from_ops_rate,
 )
 from repro.workloads.tpcc.schema import TPCCConfig
@@ -86,9 +86,15 @@ class TPCCTenant(TenantWorkload):
             return self
         return replace(self, target_ops=target_ops)
 
-    def binding(self):
-        return simulator_binding(
-            self.config, name=self.name, target_ops_per_second=self.target_ops
+    def binding(self) -> WorkloadBinding:
+        return WorkloadBinding(
+            name=self.name,
+            threads=self.config.clients,
+            op_mix=self.op_mix,
+            region_weights={spec.region_id: spec.weight for spec in self.region_specs()},
+            target_ops_per_second=self.target_ops,
+            record_size=TPCC_RECORD_SIZE,
+            scan_length=TPCC_SCAN_LENGTH,
         )
 
     def region_specs(self) -> list[TenantRegionSpec]:

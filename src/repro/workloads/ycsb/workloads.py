@@ -13,11 +13,24 @@ and is uncapped.  All workloads use the hotspot request distribution with
 50% of the requests over 40% of the key space, which yields the paper's
 per-partition request split of roughly 34/26/20/20 across 4 equally sized
 partitions.
+
+A :class:`YCSBWorkload` is itself a
+:class:`~repro.workloads.tenant.TenantWorkload`: it knows its regions, its
+closed-loop client binding and its expected request mix, so
+:func:`~repro.workloads.tenant.materialise_tenants` builds it into a
+simulator like any other tenant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+
+from repro.simulation.workload import WorkloadBinding
+from repro.workloads.tenant import (
+    TenantRegionSpec,
+    TenantWorkload,
+    nominal_rate_estimate,
+)
 
 #: Default value size of a YCSB record (10 fields of 100 bytes).
 RECORD_SIZE_BYTES = 1000
@@ -28,12 +41,22 @@ RECORD_SIZE_BYTES = 1000
 HOTSPOT_PARTITION_SHARES = (0.34, 0.26, 0.20, 0.20)
 
 
+def binding_name(workload_name: str) -> str:
+    """Binding name of a tenant given its workload name (``"A"`` -> ``"workload-A"``).
+
+    The single source of the naming convention: region labels, client
+    bindings and the scenario engine's tenant lookups all go through it.
+    """
+    return f"workload-{workload_name}"
+
+
 @dataclass(frozen=True)
-class YCSBWorkload:
-    """One YCSB workload configuration.
+class YCSBWorkload(TenantWorkload):
+    """One YCSB workload configuration, and the key-value tenant it drives.
 
     Proportions must sum to 1.  ``partitions`` is the number of equally sized
-    data partitions the workload's table is pre-split into.
+    data partitions the workload's table is pre-split into; their request
+    weights follow the paper's hotspot distribution.
     """
 
     name: str
@@ -80,9 +103,8 @@ class YCSBWorkload:
         return {op: share for op, share in mix.items() if share > 0}
 
     @property
-    def table_name(self) -> str:
-        """Name of the HBase table backing this workload."""
-        return f"usertable_{self.name.lower()}"
+    def binding_name(self) -> str:
+        return binding_name(self.name)
 
     @property
     def nominal_ops_per_second(self) -> float:
@@ -96,8 +118,6 @@ class YCSBWorkload:
         tenants size on one scale) and applies the workload's target cap
         when one is configured.
         """
-        from repro.workloads.tenant import nominal_rate_estimate
-
         estimate = nominal_rate_estimate(self.threads, self.op_mix)
         if self.target_ops_per_second is not None:
             estimate = min(estimate, self.target_ops_per_second)
@@ -111,6 +131,36 @@ class YCSBWorkload:
     def partition_ids(self) -> list[str]:
         """Ids of the workload's data partitions."""
         return [f"{self.name}:part-{index}" for index in range(self.partitions)]
+
+    def with_target(self, target_ops: float | None) -> "YCSBWorkload":
+        if target_ops == self.target_ops_per_second:
+            return self
+        return replace(self, target_ops_per_second=target_ops)
+
+    def region_specs(self) -> list[TenantRegionSpec]:
+        weights = hotspot_partition_weights(self.partitions)
+        per_partition_bytes = self.initial_size_bytes / self.partitions
+        return [
+            TenantRegionSpec(
+                region_id=partition_id,
+                size_bytes=per_partition_bytes,
+                weight=weight,
+                record_size=self.record_size,
+                scan_length=self.scan_length,
+            )
+            for partition_id, weight in zip(self.partition_ids(), weights)
+        ]
+
+    def binding(self) -> WorkloadBinding:
+        return WorkloadBinding(
+            name=self.binding_name,
+            threads=self.threads,
+            op_mix=self.op_mix,
+            region_weights={spec.region_id: spec.weight for spec in self.region_specs()},
+            target_ops_per_second=self.target_ops_per_second,
+            record_size=self.record_size,
+            scan_length=self.scan_length,
+        )
 
 
 def hotspot_partition_weights(partitions: int) -> list[float]:
@@ -193,41 +243,3 @@ CORE_WORKLOADS: dict[str, YCSBWorkload] = {
 
 #: Alias emphasising these are the paper's (modified) settings.
 PAPER_WORKLOADS = CORE_WORKLOADS
-
-
-@dataclass
-class WorkloadPartitionSpec:
-    """One partition of a workload with its expected request share."""
-
-    partition_id: str
-    workload: YCSBWorkload
-    weight: float
-    size_bytes: float = field(default=0.0)
-
-    def expected_requests(self, total_requests: float) -> dict[str, float]:
-        """Expected read/write/scan counts for ``total_requests`` operations."""
-        share = total_requests * self.weight
-        mix = self.workload.op_mix
-        reads = share * (mix.get("read", 0.0) + mix.get("read_modify_write", 0.0))
-        writes = share * (
-            mix.get("update", 0.0)
-            + mix.get("insert", 0.0)
-            + mix.get("read_modify_write", 0.0)
-        )
-        scans = share * mix.get("scan", 0.0)
-        return {"reads": reads, "writes": writes, "scans": scans}
-
-
-def partition_specs(workload: YCSBWorkload) -> list[WorkloadPartitionSpec]:
-    """Partition specs (ids, weights, sizes) for one workload."""
-    weights = hotspot_partition_weights(workload.partitions)
-    per_partition_bytes = workload.initial_size_bytes / workload.partitions
-    return [
-        WorkloadPartitionSpec(
-            partition_id=partition_id,
-            workload=workload,
-            weight=weight,
-            size_bytes=per_partition_bytes,
-        )
-        for partition_id, weight in zip(workload.partition_ids(), weights)
-    ]

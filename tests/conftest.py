@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 
 @pytest.fixture
@@ -36,12 +36,11 @@ def paper_simulator() -> ClusterSimulator:
     """A 5-node simulator with the paper's six-tenant YCSB scenario attached."""
     sim = ClusterSimulator()
     nodes = [sim.add_node() for _ in range(5)]
-    scenario = build_paper_scenario(sim)
+    expected = materialise_tenants(sim, CORE_WORKLOADS.values())
     # Spread partitions round-robin and make them local so ticks can run.
-    for index, spec in enumerate(scenario.partitions):
+    for index, partition in enumerate(expected):
         node = nodes[index % len(nodes)]
-        region = sim.regions[spec.partition_id]
+        region = sim.regions[partition.partition_id]
         region.node = node
         region.block_homes = {node}
-    sim.paper_scenario = scenario
     return sim

@@ -15,8 +15,9 @@ import math
 
 import pytest
 
+from repro.core.backends import SimulatorBackend
 from repro.elasticity.daemon import HBaseBalancerDaemon
-from repro.experiments.harness import ExperimentHarness, make_backend
+from repro.experiments.harness import ExperimentHarness
 from repro.scenarios.schedule import EventSchedule, ScheduledAction
 from repro.simulation.cluster import ClusterSimulator, SimulationError
 from repro.simulation.solvers import EventSolver
@@ -212,7 +213,7 @@ def _build_harness(
         harness.add_controller(_OpaqueController())
     if daemon_period is not None:
         harness.add_controller(
-            HBaseBalancerDaemon(make_backend(sim), period_seconds=daemon_period)
+            HBaseBalancerDaemon(SimulatorBackend(sim), period_seconds=daemon_period)
         )
     return harness, sim
 

@@ -10,7 +10,7 @@ from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import Comparison, format_series, format_table, percentiles
 from repro.elasticity.strategies import manual_heterogeneous
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 
 class TestReporting:
@@ -40,8 +40,8 @@ class TestHarness:
     def test_harness_records_series_and_totals(self):
         simulator = ClusterSimulator()
         nodes = [simulator.add_node() for _ in range(3)]
-        scenario = build_paper_scenario(simulator)
-        plan = manual_heterogeneous(scenario.expected_partition_workloads(), nodes)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        plan = manual_heterogeneous(expected, nodes)
         apply_placement(simulator, plan)
         harness = ExperimentHarness(simulator, name="test", sample_every_seconds=30.0)
         run = harness.run_for(120.0)
@@ -56,8 +56,8 @@ class TestHarness:
     def test_apply_placement_sets_configs_and_locality(self):
         simulator = ClusterSimulator()
         nodes = [simulator.add_node() for _ in range(5)]
-        scenario = build_paper_scenario(simulator)
-        plan = manual_heterogeneous(scenario.expected_partition_workloads(), nodes)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        plan = manual_heterogeneous(expected, nodes)
         apply_placement(simulator, plan)
         assert all(region.locality == 1.0 for region in simulator.regions.values())
         assert {node.profile_name for node in simulator.nodes.values()} >= {"read", "write"}

@@ -21,7 +21,7 @@ from repro.simulation.perfmodel import (
     RegionLoadProfile,
 )
 from repro.simulation.solvers import EventSolver
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 from solver_oracles import (
     NoReuseSolver,
     ReferenceSolver,
@@ -41,10 +41,10 @@ def build_scenario(solver=EventSolver) -> tuple[ClusterSimulator, list[str]]:
     with installed(solver):
         sim = ClusterSimulator(tick_seconds=5.0)
     nodes = [sim.add_node() for _ in range(6)]
-    scenario = build_paper_scenario(sim)
-    for index, spec in enumerate(scenario.partitions):
+    expected = materialise_tenants(sim, CORE_WORKLOADS.values())
+    for index, partition in enumerate(expected):
         node = nodes[index % len(nodes)]
-        region = sim.regions[spec.partition_id]
+        region = sim.regions[partition.partition_id]
         region.node = node
         region.block_homes = {node}
     return sim, nodes

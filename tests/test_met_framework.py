@@ -20,7 +20,7 @@ from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
 from repro.experiments.harness import apply_placement
 from repro.monitoring.collector import ClusterSnapshot, NodeSample, PartitionSample
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 
 def make_snapshot(loads, partitions=None, profiles=None):
@@ -129,8 +129,8 @@ class TestMeTEndToEnd:
     def _prepared_simulator(self, seed=1):
         simulator = ClusterSimulator()
         nodes = [simulator.add_node() for _ in range(5)]
-        scenario = build_paper_scenario(simulator)
-        plan = random_homogeneous(scenario.expected_partition_workloads(), nodes, seed=seed)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        plan = random_homogeneous(expected, nodes, seed=seed)
         apply_placement(simulator, plan)
         return simulator
 
@@ -181,8 +181,8 @@ class TestTiramola:
     def _overloaded_backend(self):
         simulator = ClusterSimulator()
         nodes = [simulator.add_node() for _ in range(2)]
-        scenario = build_paper_scenario(simulator)
-        plan = manual_homogeneous(scenario.expected_partition_workloads(), nodes)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        plan = manual_homogeneous(expected, nodes)
         apply_placement(simulator, plan)
         return simulator, SimulatorBackend(simulator)
 
@@ -322,8 +322,8 @@ class TestActuatorCrashTolerance:
     def _met_with_plan(self):
         simulator = ClusterSimulator()
         nodes = [simulator.add_node() for _ in range(3)]
-        scenario = build_paper_scenario(simulator)
-        plan = manual_homogeneous(scenario.expected_partition_workloads(), nodes)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        plan = manual_homogeneous(expected, nodes)
         apply_placement(simulator, plan)
         return simulator, SimulatorBackend(simulator), nodes
 
@@ -413,8 +413,8 @@ class TestStrategies:
         simulator = ClusterSimulator()
         for _ in range(5):
             simulator.add_node()
-        scenario = build_paper_scenario(simulator)
-        return scenario.expected_partition_workloads(), list(simulator.nodes)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
+        return expected, list(simulator.nodes)
 
     def test_plans_cover_all_partitions(self):
         expected, nodes = self._expected()

@@ -40,7 +40,7 @@ from repro.sla import (
     pricing_model,
 )
 from repro.sla.scorecard import ScorecardRow, render_scorecard, scorecard_row
-from repro.workloads.ycsb.scenario import build_paper_scenario
+from repro.workloads import CORE_WORKLOADS, materialise_tenants
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -409,9 +409,9 @@ class TestTenantSeriesPlumbing:
     def test_simulator_exposes_binding_latency(self):
         sim = ClusterSimulator()
         nodes = [sim.add_node() for _ in range(3)]
-        scenario = build_paper_scenario(sim)
-        for index, spec in enumerate(scenario.partitions):
-            region = sim.regions[spec.partition_id]
+        expected = materialise_tenants(sim, CORE_WORKLOADS.values())
+        for index, partition in enumerate(expected):
+            region = sim.regions[partition.partition_id]
             region.node = nodes[index % 3]
             region.block_homes = {nodes[index % 3]}
         sim.tick()
@@ -423,9 +423,9 @@ class TestTenantSeriesPlumbing:
     def test_harness_records_window_means(self):
         sim = ClusterSimulator()
         nodes = [sim.add_node() for _ in range(3)]
-        scenario = build_paper_scenario(sim)
-        for index, spec in enumerate(scenario.partitions):
-            region = sim.regions[spec.partition_id]
+        expected = materialise_tenants(sim, CORE_WORKLOADS.values())
+        for index, partition in enumerate(expected):
+            region = sim.regions[partition.partition_id]
             region.node = nodes[index % 3]
             region.block_homes = {nodes[index % 3]}
         harness = ExperimentHarness(sim, sample_every_seconds=30.0)

@@ -10,29 +10,20 @@ from key_choosers import (
     partition_request_shares,
 )
 from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tenant import TenantWorkload, as_tenant
-from repro.workloads.tpcc.driver import (
-    build_tpcc_scenario,
-    ops_rate_from_tpmc,
-    simulator_binding,
-    tpmc_from_ops,
-    tpmc_from_ops_rate,
-)
+from repro.workloads.tenant import TenantWorkload, materialise_tenants
+from repro.workloads.tpcc.driver import ops_rate_from_tpmc, tpmc_from_ops_rate
 from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
-from repro.workloads.ycsb.tenant import YCSBTenant
 from repro.workloads.tpcc.transactions import (
     TRANSACTION_MIX,
     aggregate_operation_mix,
     operations_per_transaction,
     read_only_fraction,
 )
-from repro.workloads.ycsb.scenario import build_paper_scenario
 from repro.workloads.ycsb.workloads import (
     CORE_WORKLOADS,
     YCSBWorkload,
     hotspot_partition_weights,
-    partition_specs,
 )
 
 
@@ -107,19 +98,21 @@ class TestYCSBWorkloads:
         assert hotspot_partition_weights(1) == [1.0]
         assert sum(hotspot_partition_weights(6)) == pytest.approx(1.0)
 
-    def test_partition_specs_sizes_and_ids(self):
-        specs = partition_specs(CORE_WORKLOADS["A"])
+    def test_region_specs_sizes_and_ids(self):
+        specs = CORE_WORKLOADS["A"].region_specs()
         assert len(specs) == 4
-        assert specs[0].partition_id == "A:part-0"
+        assert specs[0].region_id == "A:part-0"
         assert sum(s.size_bytes for s in specs) == pytest.approx(
             CORE_WORKLOADS["A"].initial_size_bytes
         )
 
     def test_expected_requests_breakdown(self):
-        spec = partition_specs(CORE_WORKLOADS["A"])[0]
-        counts = spec.expected_requests(1000.0)
-        assert counts["reads"] == pytest.approx(1000 * 0.34 * 0.5)
-        assert counts["writes"] == pytest.approx(1000 * 0.34 * 0.5)
+        workload = CORE_WORKLOADS["A"]
+        first = workload.partition_workloads(window_seconds=10.0)[0]
+        total = workload.nominal_ops_per_second * 10.0
+        assert first.reads == pytest.approx(total * 0.34 * 0.5)
+        assert first.writes == pytest.approx(total * 0.34 * 0.5)
+        assert first.scans == 0.0
 
     def test_nominal_volume_ranks_read_above_scan(self):
         assert (
@@ -130,20 +123,20 @@ class TestYCSBWorkloads:
 
 
 class TestYCSBScenario:
-    def test_build_paper_scenario_creates_partitions_and_bindings(self):
+    def test_materialise_paper_tenants(self):
         simulator = ClusterSimulator()
         simulator.add_node()
-        scenario = build_paper_scenario(simulator)
+        expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
         # 4 partitions per workload except D with a single one.
-        assert len(scenario.partitions) == 21
         assert len(simulator.regions) == 21
-        assert len(simulator.bindings) == 6
-        assert len(scenario.expected_partition_workloads()) == 21
+        assert [p.partition_id for p in expected] == list(simulator.regions)
+        assert sorted(simulator.bindings) == [f"workload-{name}" for name in "ABCDEF"]
+        assert all(region.node is None for region in simulator.regions.values())
 
     def test_initial_data_volume_matches_paper(self):
         simulator = ClusterSimulator()
         simulator.add_node()
-        build_paper_scenario(simulator)
+        materialise_tenants(simulator, CORE_WORKLOADS.values())
         total_gb = sum(r.size_bytes for r in simulator.regions.values()) / 1e9
         # Paper: the cluster starts with around 7 GB of data.
         assert 4.0 <= total_gb <= 8.0
@@ -197,34 +190,39 @@ class TestTPCCTransactions:
         assert all(share > 0 for share in mix.values())
 
     def test_tpmc_round_trip(self):
-        """ops -> tpmC -> ops is the identity (and the alias is the same fn)."""
+        """ops -> tpmC -> ops is the identity."""
         for ops_rate in (1.0, 537.5, 2400.0, 100_000.0):
             assert ops_rate_from_tpmc(tpmc_from_ops_rate(ops_rate)) == pytest.approx(ops_rate)
         tpmc = 1234.5
         assert tpmc_from_ops_rate(ops_rate_from_tpmc(tpmc)) == pytest.approx(tpmc)
-        assert tpmc_from_ops is tpmc_from_ops_rate
 
 
 class TestTPCCSimulatorBinding:
     def test_binding_addresses_all_partitions(self):
         config = TPCCConfig()
-        binding = simulator_binding(config)
+        binding = TPCCTenant(config=config).binding()
         assert binding.threads == 300
         assert len(binding.region_weights) == config.partitions
         assert sum(binding.region_weights.values()) == pytest.approx(1.0)
 
-    def test_build_tpcc_scenario(self):
+    def test_materialise_tpcc_tenant(self):
         simulator = ClusterSimulator()
         node = simulator.add_node()
-        config, binding = build_tpcc_scenario(simulator, initial_node=node)
+        config = TPCCConfig()
+        materialise_tenants(simulator, [TPCCTenant(config=config)])
         assert len(simulator.regions) == config.partitions
         assert "tpcc" in simulator.bindings
+        for region in simulator.regions.values():
+            assert region.workload == "tpcc"
+            assert region.hot_request_fraction == pytest.approx(0.95)
+            region.node = node
+            region.block_homes = {node}
         simulator.run(30.0)
         assert simulator.binding_throughput("tpcc") > 0
 
     def test_named_binding_namespaces_partitions_and_caps(self):
         config = TPCCConfig(warehouses=4, warehouses_per_node=2, clients=10)
-        binding = simulator_binding(config, name="orders", target_ops_per_second=500.0)
+        binding = TPCCTenant(name="orders", config=config, target_ops=500.0).binding()
         assert binding.name == "orders"
         assert all(r.startswith("orders:wpart-") for r in binding.region_weights)
         assert sum(binding.region_weights.values()) == pytest.approx(1.0)
@@ -232,33 +230,41 @@ class TestTPCCSimulatorBinding:
 
 
 class TestTenantProtocol:
-    def test_ycsb_workload_coerces_to_adapter(self):
-        tenant = as_tenant(CORE_WORKLOADS["A"])
-        assert isinstance(tenant, YCSBTenant)
-        assert tenant.name == "A"
-        assert tenant.binding_name == "workload-A"
-        assert tenant.unit_label == "ops/s"
-        assert tenant.supports_mix_shift
-        # Idempotent: an adapter passes through unchanged.
-        assert as_tenant(tenant) is tenant
-
-    def test_rejects_foreign_objects(self):
-        with pytest.raises(TypeError, match="scenario tenant"):
-            as_tenant(object())
-
-    def test_ycsb_adapter_matches_workload_semantics(self):
-        workload = CORE_WORKLOADS["A"]
-        tenant = YCSBTenant(workload)
-        assert tenant.nominal_ops_per_second == workload.nominal_ops_per_second
-        assert tenant.op_mix == workload.op_mix
+    @pytest.mark.parametrize(
+        "tenant",
+        [
+            CORE_WORKLOADS["A"],
+            TPCCTenant(config=TPCCConfig(warehouses=8, warehouses_per_node=2, clients=20)),
+        ],
+        ids=["ycsb", "tpcc"],
+    )
+    def test_tenant_contract(self, tenant):
+        assert isinstance(tenant, TenantWorkload)
         specs = tenant.region_specs()
-        assert [s.region_id for s in specs] == workload.partition_ids()
-        assert sum(s.weight for s in specs) == pytest.approx(1.0)
+        binding = tenant.binding()
+        assert binding.name == tenant.binding_name
+        assert list(binding.region_weights) == [s.region_id for s in specs]
+        assert sum(binding.region_weights.values()) == pytest.approx(1.0)
+        assert binding.op_mix == tenant.op_mix
+        # with_target round-trips; an unchanged target returns the tenant itself.
         capped = tenant.with_target(1234.0)
         assert capped.target_ops_per_second == 1234.0
         assert capped.binding().target_ops_per_second == 1234.0
-        # Unchanged target returns the same adapter (specs stay cheap).
-        assert tenant.with_target(workload.target_ops_per_second) is tenant
+        assert capped.with_target(tenant.target_ops_per_second) == tenant
+        assert tenant.with_target(tenant.target_ops_per_second) is tenant
+        # Expected per-partition requests add up to nominal rate x window.
+        expected = tenant.partition_workloads(window_seconds=60.0)
+        assert [p.partition_id for p in expected] == [s.region_id for s in specs]
+        total = sum(p.total_requests for p in expected)
+        assert total == pytest.approx(tenant.nominal_ops_per_second * 60.0)
+
+    def test_ycsb_workload_is_a_tenant(self):
+        workload = CORE_WORKLOADS["A"]
+        assert workload.name == "A"
+        assert workload.binding_name == "workload-A"
+        assert workload.unit_label == "ops/s"
+        assert workload.supports_mix_shift
+        assert [s.region_id for s in workload.region_specs()] == workload.partition_ids()
 
     def test_tpcc_tenant_implements_protocol(self):
         config = TPCCConfig(warehouses=8, warehouses_per_node=2, clients=20, scale_factor=0.05)
