@@ -8,7 +8,6 @@ contributes to the heterogeneous advantage.
 
 import pytest
 
-from repro.core.profiles import NODE_PROFILES
 from repro.elasticity.strategies import manual_heterogeneous
 from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.hbase.config import DEFAULT_HOMOGENEOUS

@@ -930,7 +930,7 @@ class ClusterSimulator:
                 plan.results = None
             counters.append((fields, reads, writes, scans))
 
-        samples = plan.samples
+        samples = []
         total = 0.0
         for name in self.bindings:
             throughput = throughputs.get(name, 0.0)
@@ -969,11 +969,14 @@ class ClusterSimulator:
             samples.append((node.name, "requests", node.served_ops))
             samples.append((node.name, "locality", locality))
 
+        # Tuples: the metrics registry replays a tuple batch it is handed
+        # again by identity without re-reading it.
+        plan.samples = tuple(samples)
         if summaries:
-            plan.distributions = [
+            plan.distributions = tuple(
                 (f"workload:{name}", "latency_ms", summary)
                 for name, summary in summaries.items()
-            ]
+            )
         return plan
 
 
@@ -997,8 +1000,8 @@ class _ApplyPlan:
         self.dt = dt
         self.counters: list[tuple[dict, float, float, float]] = []
         self.total = 0.0
-        self.samples: list[tuple[str, str, float]] = []
-        self.distributions: list[tuple[str, str, object]] = []
+        self.samples: tuple[tuple[str, str, float], ...] = ()
+        self.distributions: tuple[tuple[str, str, object], ...] = ()
 
 
 def _compaction_rate(node: SimulatedNode) -> float:

@@ -10,13 +10,24 @@ Alongside the scalar channels the registry keeps *distribution* channels: a
 :class:`DistributionSeries` is the same append-only shape but each sample is
 a mergeable summary object (the simulator records one
 :class:`~repro.simulation.latency.LatencySummary` per tenant per tick).
-Both kinds share one base (:class:`_Series`) and one registry append path.
 Window aggregation merges instead of averaging, so the SLA layer can ask
 for the exact latency distribution of any half-open sampling window.
+
+The registry does not write series as it records.  Each kind (scalar,
+distribution) keeps an append-only *segment log*: one entry per recorded
+batch -- its timestamps, its keys and its values -- stored as flat columns,
+with scalar values in one ``array('d')`` and the keys interned while the
+key set is unchanged.  A batch passed again by identity -- the simulator's
+apply plan replaying a solution -- reuses the previous batch's keys and
+values, so a replayed batch costs O(1), not O(series).  A series is built
+from the log the first time it is read, cached, and extended from the
+batches it has not yet seen on every later read; series nobody reads (the
+per-node telemetry of a long fast-forwarded run) are never built.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -46,8 +57,12 @@ class _Series:
             raise ValueError(
                 f"samples must be appended in time order: {timestamp} < {self.timestamps[-1]}"
             )
-        self.timestamps.append(timestamp)
-        self.values.append(self._coerce(value))
+        self._extend((timestamp,), self._coerce(value))
+
+    def _extend(self, timestamps, value) -> None:
+        """Append ``value`` at each of ``timestamps`` (already in order)."""
+        self.timestamps.extend(timestamps)
+        self.values.extend([value] * len(timestamps))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -72,7 +87,8 @@ class MetricSeries(_Series):
         Allocation-free window aggregation for per-tick series (the SLA
         layer averages each tenant's tick-level latency/throughput over a
         sampling window).  ``default`` is returned when the window holds no
-        samples.
+        samples.  The sum runs sample by sample, in order: repeated values
+        are not folded into a multiply, which could round differently.
         """
         lo, hi = self._bounds(start, end)
         if hi <= lo:
@@ -84,15 +100,34 @@ class MetricSeries(_Series):
         return total / (hi - lo)
 
 
+@dataclass
 class DistributionSeries(_Series):
     """Append-only series of mergeable distribution summaries.
 
-    Values are summary objects exposing ``merge(other)`` and a no-argument
-    constructor (duck-typed so this module stays independent of the latency
-    module); the simulator's macro-tick appends the *same* frozen summary
-    object at many timestamps, which window merges treat identically to the
-    fresh summaries individual ticks record.
+    Values are summary objects exposing ``merge(other)``, ``scale(k)`` and a
+    no-argument constructor (duck-typed so this module stays independent of
+    the latency module).  The simulator's macro-tick appends the *same*
+    frozen summary object at many timestamps; the series remembers where
+    each run of one object starts, and a window merge folds a run of ``k``
+    in as ``scale(k)`` -- integer counts times ``k``, bit-identical to
+    merging the object ``k`` times.
     """
+
+    _run_starts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        values = self.values
+        self._run_starts = [
+            index
+            for index in range(len(values))
+            if index == 0 or values[index] is not values[index - 1]
+        ]
+
+    def _extend(self, timestamps, value) -> None:
+        values = self.values
+        if not values or values[-1] is not value:
+            self._run_starts.append(len(values))
+        super()._extend(timestamps, value)
 
     def merged_between(self, start: float, end: float):
         """Exact merge of the window's summaries (``None`` when empty)."""
@@ -100,9 +135,17 @@ class DistributionSeries(_Series):
         if hi <= lo:
             return None
         values = self.values
+        starts = self._run_starts
         out = type(values[lo])()
-        for index in range(lo, hi):
-            out.merge(values[index])
+        run = bisect_right(starts, lo)
+        index = lo
+        while index < hi:
+            stop = starts[run] if run < len(starts) and starts[run] < hi else hi
+            count = stop - index
+            summary = values[index]
+            out.merge(summary if count == 1 else summary.scale(count))
+            index = stop
+            run += 1
         return out
 
     def merged(self):
@@ -112,25 +155,158 @@ class DistributionSeries(_Series):
         return self.merged_between(float("-inf"), self.timestamps[-1])
 
 
+class _KeySet:
+    """One batch's ``(entity, metric)`` keys in order, and each key's position."""
+
+    __slots__ = ("keys", "positions")
+
+    def __init__(self, keys: tuple[tuple[str, str], ...]) -> None:
+        self.keys = keys
+        self.positions = {key: index for index, key in enumerate(keys)}
+        if len(self.positions) != len(keys):
+            raise ValueError("a batch must name each (entity, metric) key once")
+
+
+class _SegmentLog:
+    """One kind's append-only batch log, stored as flat columns, and the
+    series read from it.
+
+    Batch ``i`` covers ``times[bounds[i]:bounds[i + 1]]``; key ``k`` of
+    ``keysets[i]`` has the value ``values[offsets[i] + position of k]``.  A
+    fresh batch appends its values to ``values`` (built by ``column``:
+    ``array('d')`` for scalars); a replayed batch repeats the previous
+    batch's keyset and offset.  ``views`` holds every live key in
+    first-recorded (or first-read) order, mapped to ``None`` until the key
+    is read, then to its cached ``[series, next batch index]``.  ``floors``
+    maps a dropped entity to the first batch its series may be built from.
+    """
+
+    __slots__ = (
+        "kind",
+        "column",
+        "values",
+        "times",
+        "bounds",
+        "keysets",
+        "offsets",
+        "views",
+        "floors",
+        "keyset",
+        "last_samples",
+    )
+
+    def __init__(self, kind: type, column) -> None:
+        self.kind = kind
+        self.column = column
+        self.values = column(())
+        self.times: list[float] = []
+        self.bounds = array("q", [0])
+        self.keysets: list[_KeySet] = []
+        self.offsets = array("q")
+        self.views: dict[tuple[str, str], list | None] = {}
+        self.floors: dict[str, int] = {}
+        #: The keyset the next fresh batch is interned against.
+        self.keyset: _KeySet | None = None
+        self.last_samples: tuple | None = None
+
+    def __len__(self) -> int:
+        """Number of batches logged."""
+        return len(self.keysets)
+
+    def append(self, timestamps, samples) -> None:
+        """Log one batch: every ``(entity, metric, value)`` at each timestamp.
+
+        A tuple batch passed again by identity (a tuple cannot have changed
+        since) reuses the previous batch's keys and values; any other batch
+        is split into its keys and values, and its keys are interned against
+        the previous batch's.  Timestamps must not go back past any earlier
+        batch of this kind.  A rejected batch leaves the log unchanged.
+        """
+        if not timestamps:
+            return
+        times = self.times
+        if times and timestamps[0] < times[-1]:
+            raise ValueError(
+                f"samples must be appended in time order: {timestamps[0]} < {times[-1]}"
+            )
+        if type(samples) is tuple and samples is self.last_samples:
+            keyset, offset = self.keysets[-1], self.offsets[-1]
+        else:
+            keys = []
+            values = []
+            for entity, metric, value in samples:
+                keys.append((entity, metric))
+                values.append(value)
+            values = self.column(values)
+            keys = tuple(keys)
+            keyset = self.keyset
+            if keyset is None or keyset.keys != keys:
+                keyset = self.keyset = _KeySet(keys)
+                views = self.views
+                for key in keys:
+                    if key not in views:
+                        views[key] = None
+            offset = len(self.values)
+            self.values.extend(values)
+            self.last_samples = samples
+        times.extend(timestamps)
+        self.bounds.append(len(times))
+        self.keysets.append(keyset)
+        self.offsets.append(offset)
+
+    def view(self, key: tuple[str, str]):
+        """The series of ``key`` (registered if new), brought up to date."""
+        view = self.views.get(key)
+        if view is None:
+            series = self.kind(name=f"{key[0]}.{key[1]}")
+            view = self.views[key] = [series, self.floors.get(key[0], 0)]
+        series, start = view
+        stop = len(self.keysets)
+        if start < stop:
+            extend = series._extend
+            times, bounds, values = self.times, self.bounds, self.values
+            keysets, offsets = self.keysets, self.offsets
+            keyset = position = None
+            for index in range(start, stop):
+                if keysets[index] is not keyset:
+                    keyset = keysets[index]
+                    position = keyset.positions.get(key)
+                if position is not None:
+                    span = times[bounds[index] : bounds[index + 1]]
+                    extend(span, values[offsets[index] + position])
+            view[1] = stop
+        return series
+
+    def drop(self, entity: str) -> None:
+        """Forget ``entity``: its series restart empty after this point."""
+        for key in [key for key in self.views if key[0] == entity]:
+            del self.views[key]
+        self.floors[entity] = len(self.keysets)
+        # A later batch naming the entity again must re-register its keys.
+        self.keyset = self.last_samples = None
+
+
+def _float_column(values) -> array:
+    """Scalar values, stored as one float column."""
+    return array("d", values)
+
+
 class MetricsRegistry:
     """Groups metric series by entity and metric name."""
 
     def __init__(self) -> None:
-        self._series: dict[tuple[str, str], MetricSeries] = {}
-        self._distributions: dict[tuple[str, str], DistributionSeries] = {}
+        self._scalar_log = _SegmentLog(MetricSeries, _float_column)
+        self._distribution_log = _SegmentLog(DistributionSeries, list)
 
     def series(self, entity: str, metric: str) -> MetricSeries:
         """Return (creating if needed) the series for ``entity``/``metric``."""
-        key = (entity, metric)
-        if key not in self._series:
-            self._series[key] = MetricSeries(name=f"{entity}.{metric}")
-        return self._series[key]
+        return self._scalar_log.view((entity, metric))
 
     def record_many(
         self, timestamp: float, samples: Iterable[tuple[str, str, float]]
     ) -> None:
         """Record many ``(entity, metric, value)`` samples at one timestamp."""
-        self._append(self._series, MetricSeries, [timestamp], samples)
+        self._scalar_log.append((timestamp,), samples)
 
     def record_many_repeated(
         self,
@@ -140,18 +316,18 @@ class MetricsRegistry:
         """Record the same ``(entity, metric, value)`` batch at many times.
 
         Backbone of the simulator's apply path: a quiescent stretch emits
-        identical per-tick values, so each series gets ``timestamps`` (all
-        of them, in order) appended with its value repeated -- exactly the
-        samples ``len(timestamps)`` :meth:`record_many` calls would have
-        produced, without re-walking the sample list per tick.
+        identical per-tick values, so each series reads ``timestamps`` (all
+        of them, in order) with its value repeated -- exactly the samples
+        ``len(timestamps)`` :meth:`record_many` calls would have produced,
+        logged as one entry.
         """
-        self._append(self._series, MetricSeries, timestamps, samples)
+        self._scalar_log.append(timestamps, samples)
 
     def record_distributions(
         self, timestamp: float, samples: Iterable[tuple[str, str, object]]
     ) -> None:
         """Record many ``(entity, metric, summary)`` samples at one timestamp."""
-        self._append(self._distributions, DistributionSeries, [timestamp], samples)
+        self._distribution_log.append((timestamp,), samples)
 
     def record_distributions_repeated(
         self,
@@ -160,56 +336,38 @@ class MetricsRegistry:
     ) -> None:
         """Record the same ``(entity, metric, summary)`` batch at many times.
 
-        The *same* summary object is appended at every timestamp
-        (references, not copies), so a window merge over the span is
-        bit-identical to merging the per-tick summaries ``len(timestamps)``
-        individual ticks would have recorded.
+        The *same* summary object is kept for every timestamp (references,
+        not copies), so a window merge over the span is bit-identical to
+        merging the per-tick summaries ``len(timestamps)`` individual ticks
+        would have recorded.
         """
-        self._append(self._distributions, DistributionSeries, timestamps, samples)
-
-    @staticmethod
-    def _append(series_map: dict, kind: type, timestamps: list[float], samples) -> None:
-        """Append every ``(entity, metric, value)`` sample at each timestamp.
-
-        One pass over the samples, inlined appends, no per-sample method
-        dispatch; missing series of ``kind`` are created on first use.
-        """
-        if not timestamps:
-            return
-        count = len(timestamps)
-        first = timestamps[0]
-        coerce = kind._coerce
-        for entity, metric, value in samples:
-            key = (entity, metric)
-            series = series_map.get(key)
-            if series is None:
-                series = series_map[key] = kind(name=f"{entity}.{metric}")
-            existing = series.timestamps
-            if existing and first < existing[-1]:
-                raise ValueError(
-                    f"samples must be appended in time order: {first} < {existing[-1]}"
-                )
-            existing.extend(timestamps)
-            series.values.extend([coerce(value)] * count)
+        self._distribution_log.append(timestamps, samples)
 
     def distribution(self, entity: str, metric: str) -> DistributionSeries | None:
         """The distribution series for a key, or ``None`` when never recorded."""
-        return self._distributions.get((entity, metric))
+        key = (entity, metric)
+        if key not in self._distribution_log.views:
+            return None
+        return self._distribution_log.view(key)
 
     def latest(self, entity: str, metric: str, default: float = 0.0) -> float:
         """Latest value for ``entity``/``metric`` (``default`` when absent)."""
         key = (entity, metric)
-        if key not in self._series:
+        if key not in self._scalar_log.views:
             return default
-        return self._series[key].latest(default)
+        return self._scalar_log.view(key).latest(default)
 
     def drop_entity(self, entity: str) -> None:
         """Remove all series belonging to ``entity`` (e.g. a removed node)."""
-        for key in [key for key in self._series if key[0] == entity]:
-            del self._series[key]
-        for key in [key for key in self._distributions if key[0] == entity]:
-            del self._distributions[key]
+        self._scalar_log.drop(entity)
+        self._distribution_log.drop(entity)
 
-    def items(self) -> Iterable[tuple[tuple[str, str], MetricSeries]]:
-        """All ``((entity, metric), series)`` pairs."""
-        return self._series.items()
+    def items(self) -> list[tuple[tuple[str, str], MetricSeries]]:
+        """All ``((entity, metric), series)`` pairs, in creation order."""
+        log = self._scalar_log
+        return [(key, log.view(key)) for key in list(log.views)]
+
+    def distributions(self) -> list[tuple[tuple[str, str], DistributionSeries]]:
+        """All ``((entity, metric), distribution series)`` pairs, in creation order."""
+        log = self._distribution_log
+        return [(key, log.view(key)) for key in list(log.views)]

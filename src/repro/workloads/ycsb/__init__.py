@@ -15,7 +15,6 @@ paper's six-tenant cluster is
 
 from repro.workloads.ycsb.workloads import (
     CORE_WORKLOADS,
-    PAPER_WORKLOADS,
     YCSBWorkload,
     hotspot_partition_weights,
 )
@@ -23,6 +22,5 @@ from repro.workloads.ycsb.workloads import (
 __all__ = [
     "YCSBWorkload",
     "CORE_WORKLOADS",
-    "PAPER_WORKLOADS",
     "hotspot_partition_weights",
 ]

@@ -240,6 +240,3 @@ WORKLOAD_F = YCSBWorkload(
 CORE_WORKLOADS: dict[str, YCSBWorkload] = {
     w.name: w for w in (WORKLOAD_A, WORKLOAD_B, WORKLOAD_C, WORKLOAD_D, WORKLOAD_E, WORKLOAD_F)
 }
-
-#: Alias emphasising these are the paper's (modified) settings.
-PAPER_WORKLOADS = CORE_WORKLOADS

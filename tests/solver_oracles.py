@@ -120,8 +120,8 @@ def assert_identical_metrics(left, right) -> None:
         twin = left.metrics.series(*key)
         assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
         assert twin.values == series.values, f"values differ for {key}"
-    left_distributions = left.metrics._distributions
-    right_distributions = right.metrics._distributions
+    left_distributions = dict(left.metrics.distributions())
+    right_distributions = dict(right.metrics.distributions())
     assert set(left_distributions) == set(right_distributions)
     for key, series in right_distributions.items():
         twin = left_distributions[key]

@@ -79,7 +79,7 @@ def snapshot(sim: ClusterSimulator) -> str:
     series = {key: (s.timestamps, s.values) for key, s in sim.metrics.items()}
     distributions = {
         key: (d.timestamps, [summary.to_pairs() for summary in d.values])
-        for key, d in sorted(sim.metrics._distributions.items())
+        for key, d in sorted(sim.metrics.distributions())
     }
     regions = {
         rid: (r.node, r.size_bytes, r.read_rate, r.write_rate, r.scan_rate)

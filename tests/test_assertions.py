@@ -1,7 +1,6 @@
 """Unit and property tests for the scenario assertions DSL and the event
 schedule's exactly-once firing guarantee across chained windows."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

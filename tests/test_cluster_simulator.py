@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.profiles import NODE_PROFILES
 from repro.simulation.cluster import (
-    STATE_BOOTING,
     STATE_RESTARTING,
     ClusterSimulator,
     SimulationError,

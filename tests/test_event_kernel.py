@@ -11,8 +11,6 @@ Two layers of guarantees:
   samples).
 """
 
-import math
-
 import pytest
 
 from repro.core.backends import SimulatorBackend

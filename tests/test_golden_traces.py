@@ -28,7 +28,6 @@ import pytest
 
 from repro.scenarios import (
     CANNED_SCENARIOS,
-    TraceFormatError,
     diff_traces,
     load_trace,
     scenario_trace,

@@ -1,7 +1,5 @@
 """Integration tests: the full MeT loop, its simulator backend, and the baselines."""
 
-import pytest
-
 from repro.core.backends import SimulatorBackend
 from repro.core.decision import DecisionMaker
 from repro.core.framework import MeT
