@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:
     """Render a fixed-width text table."""
@@ -16,16 +14,6 @@ def format_table(headers: list[str], rows: list[list[str]]) -> str:
     lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def format_series(
-    title: str, points: list[tuple[float, float]], unit: str = "ops/s"
-) -> str:
-    """Render a (minute, value) series as aligned text rows."""
-    lines = [title]
-    for minute, value in points:
-        lines.append(f"  t={minute:6.1f} min  {value:12.1f} {unit}")
     return "\n".join(lines)
 
 
@@ -74,17 +62,3 @@ def format_matchup(rows, key, group, columns) -> str:
         for k in keys
     ]
     return format_table(headers, table_rows)
-
-
-@dataclass
-class Comparison:
-    """A paper-vs-measured comparison row for EXPERIMENTS.md."""
-
-    metric: str
-    paper: str
-    measured: str
-    holds: bool
-
-    def row(self) -> list[str]:
-        """Table row representation."""
-        return [self.metric, self.paper, self.measured, "yes" if self.holds else "NO"]

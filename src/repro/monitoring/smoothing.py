@@ -47,11 +47,6 @@ class ExponentialSmoother:
         """Number of retained observations."""
         return len(self._observations)
 
-    @property
-    def is_warm(self) -> bool:
-        """Whether the window is full (enough samples to decide on)."""
-        return len(self._observations) >= self.window
-
     def value(self, default: float = 0.0) -> float:
         """Smoothed value; the most recent observation weighs the most."""
         if not self._observations:
@@ -64,11 +59,3 @@ class ExponentialSmoother:
     def raw(self) -> list[float]:
         """The retained observations, oldest first."""
         return list(self._observations)
-
-
-def smooth_series(values: list[float], alpha: float = 0.5) -> float:
-    """Smooth a list of observations (oldest first) in one call."""
-    smoother = ExponentialSmoother(alpha=alpha, window=max(len(values), 1))
-    for value in values:
-        smoother.observe(value)
-    return smoother.value()

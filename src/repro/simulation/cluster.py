@@ -253,7 +253,6 @@ class ClusterSimulator:
         node = self._node(name)
         hosted = self.regions_on(name)
         del self.nodes[node.name]
-        self.metrics.drop_entity(name)
         self._solver.forget_node(name)
         self._base_hardware.pop(name, None)
         self._mark_structure()
@@ -861,12 +860,12 @@ class ClusterSimulator:
         all for one tick).
 
         The first apply of a solution derives an :class:`_ApplyPlan`; every
-        later tick or batch that reuses the same solution at the same ``dt``
-        replays it: counter arithmetic plus one metrics call.
+        later tick or batch that reuses the same solution replays it:
+        counter arithmetic plus one metrics call.
         """
         span = dt * ticks
         plan = self._apply_plan
-        if plan is not None and plan.results is results and plan.dt == dt:
+        if plan is not None and plan.results is results:
             # Counter updates go through __dict__ to skip the node-indexing
             # __setattr__ hook (these fields never affect the index).
             for fields, reads, writes, scans in plan.counters:
@@ -874,7 +873,7 @@ class ClusterSimulator:
                 fields["writes"] += writes * span
                 fields["scans"] += scans * span
         else:
-            plan = self._apply_plan = self._plan_apply(dt, span, results)
+            plan = self._apply_plan = self._plan_apply(span, results)
         self.total_ops += plan.total * span
 
         timestamps = self.clock.advance(dt, ticks)
@@ -886,16 +885,15 @@ class ClusterSimulator:
             # would have recorded (see LatencySummary.scale).
             self.metrics.record_distributions_repeated(timestamps, plan.distributions)
 
-    def _plan_apply(self, dt: float, span: float, results: SolveResult) -> _ApplyPlan:
+    def _plan_apply(self, span: float, results: SolveResult) -> _ApplyPlan:
         """Apply a solution's region terms for one span and plan its replay.
 
-        The region terms go first: an insert-bearing solution grows region
-        sizes here, and the size-weighted locality samples built after them
-        must see the grown sizes.  Such a plan is never replayed (its
-        ``results`` key is cleared), so its samples only ever describe the
-        span they were built for.  Node utilisation fields and the
-        per-binding throughput/latency maps are written here once: nothing
-        but a new solution changes them.
+        An insert-bearing solution grows region sizes here; such a plan is
+        never replayed (its ``results`` key is cleared).  Node utilisation
+        fields, served-request rates and the per-binding throughput/latency
+        maps are written here once: nothing but a new solution changes them.
+        The plan's sample batches hold each tenant's throughput and latency,
+        the only series anything reads.
         """
         throughputs, node_results, region_rates, binding_latencies, summaries = results
         previous = self._apply_plan
@@ -905,7 +903,7 @@ class ClusterSimulator:
                 fields["read_rate"] = 0.0
                 fields["write_rate"] = 0.0
                 fields["scan_rate"] = 0.0
-        plan = _ApplyPlan(results, dt)
+        plan = _ApplyPlan(results)
         counters = plan.counters
         regions = self.regions
         for region_id, rates in region_rates.items():
@@ -942,12 +940,9 @@ class ClusterSimulator:
             samples.append((entity, "throughput", throughput))
             samples.append((entity, "latency_ms", latency))
         plan.total = total
-        samples.append(("cluster", "throughput", total))
-        samples.append(("cluster", "operations", total * dt))
-        samples.append(("cluster", "nodes", float(self.online_node_count())))
+        plan.samples = tuple(samples)
 
         for node in self.nodes.values():
-            hosted = self.regions_on(node.name)
             result = node_results.get(node.name)
             if result is None:
                 node.cpu_utilization = 0.0
@@ -959,19 +954,10 @@ class ClusterSimulator:
                 node.io_wait = min(1.0, result.io_wait)
                 node.memory_utilization = min(1.0, result.memory_utilization)
                 served = 0.0
-                for region in hosted:
+                for region in self.regions_on(node.name):
                     served += region.read_rate + region.write_rate + region.scan_rate
                 node.served_ops = served
-            locality = _size_weighted_locality(hosted)
-            samples.append((node.name, "cpu", node.cpu_utilization))
-            samples.append((node.name, "io_wait", node.io_wait))
-            samples.append((node.name, "memory", node.memory_utilization))
-            samples.append((node.name, "requests", node.served_ops))
-            samples.append((node.name, "locality", locality))
 
-        # Tuples: the metrics registry replays a tuple batch it is handed
-        # again by identity without re-reading it.
-        plan.samples = tuple(samples)
         if summaries:
             plan.distributions = tuple(
                 (f"workload:{name}", "latency_ms", summary)
@@ -983,21 +969,19 @@ class ClusterSimulator:
 class _ApplyPlan:
     """What applying one solution does to the cluster, derived once.
 
-    Keyed on the solution object plus ``dt``.  ``EventSolver.reuse`` hands
-    back the identical result tuple until a mutator drops it, so an
-    identity match means nothing the plan was derived from has changed;
-    ``dt`` is part of the key because the ``cluster.operations`` sample is
-    ``total * dt`` (a trailing partial tick reuses the solution at another
-    ``dt``).  ``counters`` holds each rated region's ``(fields, reads,
-    writes, scans)`` rates, ``samples``/``distributions`` the full per-tick
-    metric batches.
+    Keyed on the solution object.  ``EventSolver.reuse`` hands back the
+    identical result tuple until a mutator drops it, so an identity match
+    means nothing the plan was derived from has changed.  Everything the
+    plan holds is a rate, so it replays at any tick length (a trailing
+    partial tick reuses the solution at another ``dt``).  ``counters``
+    holds each rated region's ``(fields, reads, writes, scans)`` rates,
+    ``samples``/``distributions`` the per-tick tenant metric batches.
     """
 
-    __slots__ = ("results", "dt", "counters", "total", "samples", "distributions")
+    __slots__ = ("results", "counters", "total", "samples", "distributions")
 
-    def __init__(self, results: SolveResult, dt: float) -> None:
+    def __init__(self, results: SolveResult) -> None:
         self.results: SolveResult | None = results
-        self.dt = dt
         self.counters: list[tuple[dict, float, float, float]] = []
         self.total = 0.0
         self.samples: tuple[tuple[str, str, float], ...] = ()

@@ -1,10 +1,11 @@
-"""Metric time series used by the simulator, the monitor and the reports.
+"""Metric time series used by the simulator and the experiment harness.
 
 A :class:`MetricSeries` is an append-only sequence of ``(timestamp, value)``
-samples with window aggregation.  A :class:`MetricsRegistry` groups
-series by ``(entity, metric)`` so the monitoring layer can pull e.g. the CPU
-utilisation history of a node or the cumulative operation count of the
-cluster.
+samples with window aggregation.  A :class:`MetricsRegistry` groups series
+by ``(entity, metric)``.  The simulator records one throughput and one
+latency sample per tenant per tick (entity ``workload:<binding>``), and the
+experiment harness averages them over its sampling windows.  Node state is
+not recorded here: the controllers read it from the nodes themselves.
 
 Alongside the scalar channels the registry keeps *distribution* channels: a
 :class:`DistributionSeries` is the same append-only shape but each sample is
@@ -12,25 +13,13 @@ a mergeable summary object (the simulator records one
 :class:`~repro.simulation.latency.LatencySummary` per tenant per tick).
 Window aggregation merges instead of averaging, so the SLA layer can ask
 for the exact latency distribution of any half-open sampling window.
-
-The registry does not write series as it records.  Each kind (scalar,
-distribution) keeps an append-only *segment log*: one entry per recorded
-batch -- its timestamps, its keys and its values -- stored as flat columns,
-with scalar values in one ``array('d')`` and the keys interned while the
-key set is unchanged.  A batch passed again by identity -- the simulator's
-apply plan replaying a solution -- reuses the previous batch's keys and
-values, so a replayed batch costs O(1), not O(series).  A series is built
-from the log the first time it is read, cached, and extended from the
-batches it has not yet seen on every later read; series nobody reads (the
-per-node telemetry of a long fast-forwarded run) are never built.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 
 @dataclass
@@ -127,7 +116,8 @@ class DistributionSeries(_Series):
         values = self.values
         if not values or values[-1] is not value:
             self._run_starts.append(len(values))
-        super()._extend(timestamps, value)
+        self.timestamps.extend(timestamps)
+        values.extend([value] * len(timestamps))
 
     def merged_between(self, start: float, end: float):
         """Exact merge of the window's summaries (``None`` when empty)."""
@@ -155,184 +145,89 @@ class DistributionSeries(_Series):
         return self.merged_between(float("-inf"), self.timestamps[-1])
 
 
-class _KeySet:
-    """One batch's ``(entity, metric)`` keys in order, and each key's position."""
+class _Channel(dict):
+    """One kind's series by ``(entity, metric)`` in creation order, and the
+    last timestamp recorded into any of them."""
 
-    __slots__ = ("keys", "positions")
-
-    def __init__(self, keys: tuple[tuple[str, str], ...]) -> None:
-        self.keys = keys
-        self.positions = {key: index for index, key in enumerate(keys)}
-        if len(self.positions) != len(keys):
-            raise ValueError("a batch must name each (entity, metric) key once")
-
-
-class _SegmentLog:
-    """One kind's append-only batch log, stored as flat columns, and the
-    series read from it.
-
-    Batch ``i`` covers ``times[bounds[i]:bounds[i + 1]]``; key ``k`` of
-    ``keysets[i]`` has the value ``values[offsets[i] + position of k]``.  A
-    fresh batch appends its values to ``values`` (built by ``column``:
-    ``array('d')`` for scalars); a replayed batch repeats the previous
-    batch's keyset and offset.  ``views`` holds every live key in
-    first-recorded (or first-read) order, mapped to ``None`` until the key
-    is read, then to its cached ``[series, next batch index]``.  ``floors``
-    maps a dropped entity to the first batch its series may be built from.
-    """
-
-    __slots__ = (
-        "kind",
-        "column",
-        "values",
-        "times",
-        "bounds",
-        "keysets",
-        "offsets",
-        "views",
-        "floors",
-        "keyset",
-        "last_samples",
-    )
-
-    def __init__(self, kind: type, column) -> None:
+    def __init__(self, kind: type) -> None:
+        super().__init__()
         self.kind = kind
-        self.column = column
-        self.values = column(())
-        self.times: list[float] = []
-        self.bounds = array("q", [0])
-        self.keysets: list[_KeySet] = []
-        self.offsets = array("q")
-        self.views: dict[tuple[str, str], list | None] = {}
-        self.floors: dict[str, int] = {}
-        #: The keyset the next fresh batch is interned against.
-        self.keyset: _KeySet | None = None
-        self.last_samples: tuple | None = None
+        self.end = float("-inf")
 
-    def __len__(self) -> int:
-        """Number of batches logged."""
-        return len(self.keysets)
+    def series(self, key: tuple[str, str]):
+        """The series of ``key``, created empty if it is new."""
+        series = self.get(key)
+        if series is None:
+            series = self[key] = self.kind(name=f"{key[0]}.{key[1]}")
+        return series
 
     def append(self, timestamps, samples) -> None:
-        """Log one batch: every ``(entity, metric, value)`` at each timestamp.
+        """Record every ``(entity, metric, value)`` sample at each timestamp.
 
-        A tuple batch passed again by identity (a tuple cannot have changed
-        since) reuses the previous batch's keys and values; any other batch
-        is split into its keys and values, and its keys are interned against
-        the previous batch's.  Timestamps must not go back past any earlier
-        batch of this kind.  A rejected batch leaves the log unchanged.
+        Timestamps must not go back past any earlier batch of this kind, and
+        a batch must name each key once.  Both are checked before anything
+        is written, so a rejected batch leaves the channel unchanged.
         """
         if not timestamps:
             return
-        times = self.times
-        if times and timestamps[0] < times[-1]:
+        if timestamps[0] < self.end:
             raise ValueError(
-                f"samples must be appended in time order: {timestamps[0]} < {times[-1]}"
+                f"samples must be appended in time order: {timestamps[0]} < {self.end}"
             )
-        if type(samples) is tuple and samples is self.last_samples:
-            keyset, offset = self.keysets[-1], self.offsets[-1]
-        else:
-            keys = []
-            values = []
-            for entity, metric, value in samples:
-                keys.append((entity, metric))
-                values.append(value)
-            values = self.column(values)
-            keys = tuple(keys)
-            keyset = self.keyset
-            if keyset is None or keyset.keys != keys:
-                keyset = self.keyset = _KeySet(keys)
-                views = self.views
-                for key in keys:
-                    if key not in views:
-                        views[key] = None
-            offset = len(self.values)
-            self.values.extend(values)
-            self.last_samples = samples
-        times.extend(timestamps)
-        self.bounds.append(len(times))
-        self.keysets.append(keyset)
-        self.offsets.append(offset)
-
-    def view(self, key: tuple[str, str]):
-        """The series of ``key`` (registered if new), brought up to date."""
-        view = self.views.get(key)
-        if view is None:
-            series = self.kind(name=f"{key[0]}.{key[1]}")
-            view = self.views[key] = [series, self.floors.get(key[0], 0)]
-        series, start = view
-        stop = len(self.keysets)
-        if start < stop:
-            extend = series._extend
-            times, bounds, values = self.times, self.bounds, self.values
-            keysets, offsets = self.keysets, self.offsets
-            keyset = position = None
-            for index in range(start, stop):
-                if keysets[index] is not keyset:
-                    keyset = keysets[index]
-                    position = keyset.positions.get(key)
-                if position is not None:
-                    span = times[bounds[index] : bounds[index + 1]]
-                    extend(span, values[offsets[index] + position])
-            view[1] = stop
-        return series
-
-    def drop(self, entity: str) -> None:
-        """Forget ``entity``: its series restart empty after this point."""
-        for key in [key for key in self.views if key[0] == entity]:
-            del self.views[key]
-        self.floors[entity] = len(self.keysets)
-        # A later batch naming the entity again must re-register its keys.
-        self.keyset = self.last_samples = None
-
-
-def _float_column(values) -> array:
-    """Scalar values, stored as one float column."""
-    return array("d", values)
+        coerce = self.kind._coerce
+        batch = {(entity, metric): coerce(value) for entity, metric, value in samples}
+        if len(batch) != len(samples):
+            raise ValueError("a batch must name each (entity, metric) key once")
+        get = self.get
+        for key, value in batch.items():
+            series = get(key)
+            if series is None:
+                series = self.series(key)
+            series._extend(timestamps, value)
+        self.end = timestamps[-1]
 
 
 class MetricsRegistry:
     """Groups metric series by entity and metric name."""
 
     def __init__(self) -> None:
-        self._scalar_log = _SegmentLog(MetricSeries, _float_column)
-        self._distribution_log = _SegmentLog(DistributionSeries, list)
+        self._scalars = _Channel(MetricSeries)
+        self._distributions = _Channel(DistributionSeries)
 
     def series(self, entity: str, metric: str) -> MetricSeries:
         """Return (creating if needed) the series for ``entity``/``metric``."""
-        return self._scalar_log.view((entity, metric))
+        return self._scalars.series((entity, metric))
 
     def record_many(
-        self, timestamp: float, samples: Iterable[tuple[str, str, float]]
+        self, timestamp: float, samples: Sequence[tuple[str, str, float]]
     ) -> None:
         """Record many ``(entity, metric, value)`` samples at one timestamp."""
-        self._scalar_log.append((timestamp,), samples)
+        self._scalars.append((timestamp,), samples)
 
     def record_many_repeated(
         self,
         timestamps: list[float],
-        samples: Iterable[tuple[str, str, float]],
+        samples: Sequence[tuple[str, str, float]],
     ) -> None:
         """Record the same ``(entity, metric, value)`` batch at many times.
 
         Backbone of the simulator's apply path: a quiescent stretch emits
-        identical per-tick values, so each series reads ``timestamps`` (all
+        identical per-tick values, so each series gets ``timestamps`` (all
         of them, in order) with its value repeated -- exactly the samples
-        ``len(timestamps)`` :meth:`record_many` calls would have produced,
-        logged as one entry.
+        ``len(timestamps)`` :meth:`record_many` calls would have produced.
         """
-        self._scalar_log.append(timestamps, samples)
+        self._scalars.append(timestamps, samples)
 
     def record_distributions(
-        self, timestamp: float, samples: Iterable[tuple[str, str, object]]
+        self, timestamp: float, samples: Sequence[tuple[str, str, object]]
     ) -> None:
         """Record many ``(entity, metric, summary)`` samples at one timestamp."""
-        self._distribution_log.append((timestamp,), samples)
+        self._distributions.append((timestamp,), samples)
 
     def record_distributions_repeated(
         self,
         timestamps: list[float],
-        samples: Iterable[tuple[str, str, object]],
+        samples: Sequence[tuple[str, str, object]],
     ) -> None:
         """Record the same ``(entity, metric, summary)`` batch at many times.
 
@@ -341,33 +236,21 @@ class MetricsRegistry:
         merging the per-tick summaries ``len(timestamps)`` individual ticks
         would have recorded.
         """
-        self._distribution_log.append(timestamps, samples)
+        self._distributions.append(timestamps, samples)
 
     def distribution(self, entity: str, metric: str) -> DistributionSeries | None:
         """The distribution series for a key, or ``None`` when never recorded."""
-        key = (entity, metric)
-        if key not in self._distribution_log.views:
-            return None
-        return self._distribution_log.view(key)
+        return self._distributions.get((entity, metric))
 
     def latest(self, entity: str, metric: str, default: float = 0.0) -> float:
         """Latest value for ``entity``/``metric`` (``default`` when absent)."""
-        key = (entity, metric)
-        if key not in self._scalar_log.views:
-            return default
-        return self._scalar_log.view(key).latest(default)
-
-    def drop_entity(self, entity: str) -> None:
-        """Remove all series belonging to ``entity`` (e.g. a removed node)."""
-        self._scalar_log.drop(entity)
-        self._distribution_log.drop(entity)
+        series = self._scalars.get((entity, metric))
+        return default if series is None else series.latest(default)
 
     def items(self) -> list[tuple[tuple[str, str], MetricSeries]]:
         """All ``((entity, metric), series)`` pairs, in creation order."""
-        log = self._scalar_log
-        return [(key, log.view(key)) for key in list(log.views)]
+        return list(self._scalars.items())
 
     def distributions(self) -> list[tuple[tuple[str, str], DistributionSeries]]:
         """All ``((entity, metric), distribution series)`` pairs, in creation order."""
-        log = self._distribution_log
-        return [(key, log.view(key)) for key in list(log.views)]
+        return list(self._distributions.items())

@@ -2,8 +2,7 @@
 
 :class:`ReferenceMetricsRegistry` keeps one :class:`ReferenceMetricSeries`
 or :class:`ReferenceDistributionSeries` per ``(entity, metric)`` key and
-appends every recorded batch to each of its series straight away, the way
-the registry worked before it became a segment log.  Window merges fold
+appends every recorded batch to each of its series.  Window merges fold
 summaries in one at a time, with no run-length shortcut, and the time-order
 check is per series.  ``tests/test_metrics_log.py`` runs random operation
 sequences against it and against
@@ -129,12 +128,6 @@ class ReferenceMetricsRegistry:
         if key not in self._series:
             return default
         return self._series[key].latest(default)
-
-    def drop_entity(self, entity: str) -> None:
-        for key in [key for key in self._series if key[0] == entity]:
-            del self._series[key]
-        for key in [key for key in self._distributions if key[0] == entity]:
-            del self._distributions[key]
 
     def items(self):
         return list(self._series.items())

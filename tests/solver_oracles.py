@@ -17,11 +17,13 @@ subclasses below for the simulators constructed inside
 against one built from scratch.  Both twins above share that cache, so
 only this check sees a context that went stale within one signature.
 :func:`assert_identical_metrics` compares two simulators' metric and
-latency distribution series bit for bit.
+latency distribution series bit for bit, and the per-tick node rows that
+:func:`probe_nodes` records.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -110,9 +112,62 @@ def assert_context_fresh(sim) -> bool:
     return cached is previous
 
 
+#: The rows :func:`probe_nodes` has recorded, per probed simulator.
+_NODE_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def probe_nodes(sim):
+    """Record every node's observables at each tick from now on; returns ``sim``.
+
+    The simulator records tenant series only, so twin comparisons read node
+    state through this probe.  It wraps the apply step: a span of ``k``
+    ticks adds ``k`` rows, one at each tick end time the clock returned,
+    each ``(time, ((name, state, cpu_utilization, io_wait,
+    memory_utilization, served_ops, node_locality_index), ...))``.
+    """
+    rows = _NODE_ROWS[sim] = []
+    times: list[float] = []
+    apply, advance = sim._apply_tick_results, sim.clock.advance
+
+    def advance_and_keep(seconds, steps=1):
+        times[:] = advance(seconds, steps)
+        return list(times)
+
+    def apply_and_probe(dt, ticks, results):
+        apply(dt, ticks, results)
+        row = tuple(
+            (
+                name,
+                node.state,
+                node.cpu_utilization,
+                node.io_wait,
+                node.memory_utilization,
+                node.served_ops,
+                sim.node_locality_index(name),
+            )
+            for name, node in sim.nodes.items()
+        )
+        rows.extend((time, row) for time in times)
+
+    sim.clock.advance = advance_and_keep
+    sim._apply_tick_results = apply_and_probe
+    return sim
+
+
+def node_rows(sim) -> list[tuple]:
+    """The rows :func:`probe_nodes` recorded for ``sim``."""
+    assert sim in _NODE_ROWS, "probe_nodes(sim) was never called"
+    return _NODE_ROWS[sim]
+
+
 def assert_identical_metrics(left, right) -> None:
-    """Every metric series and latency distribution series must agree
-    sample for sample, bit for bit (summaries by their exact bin counts)."""
+    """Every metric series, latency distribution series and probed node
+    row must agree sample for sample, bit for bit (summaries by their exact
+    bin counts)."""
+    left_rows, right_rows = node_rows(left), node_rows(right)
+    assert len(left_rows) == len(right_rows), "node row counts differ"
+    for twin, row in zip(left_rows, right_rows):
+        assert twin == row, f"node rows differ at t={row[0]}"
     left_keys = {key for key, _ in left.metrics.items()}
     right_keys = {key for key, _ in right.metrics.items()}
     assert left_keys == right_keys

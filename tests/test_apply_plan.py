@@ -2,16 +2,15 @@
 
 ``ClusterSimulator`` derives an apply plan the first time it applies a
 solution and replays it for every later tick or macro-tick that reuses the
-same solution at the same tick length.  These tests run one simulator on
-the production solver and a twin on ``NoReuseSolver`` (every tick a real
-solve, nothing fast-forwarded) and require every metric series, latency
-distribution, rate and node observable to agree byte for byte.  Cumulative
+same solution.  These tests run one simulator on the production solver and
+a twin on ``NoReuseSolver`` (every tick a real solve, nothing
+fast-forwarded) and require every metric series, latency distribution,
+rate and per-tick node observable to agree byte for byte.  Cumulative
 counters are the one documented exception: a macro-tick advances them by
 ``rate * dt * ticks`` instead of ``ticks`` additions, so they agree to
 float rounding only.  Two cases:
 
-* a trailing partial tick reuses the solution at another ``dt``, which is
-  part of the plan's key (``cluster.operations`` is ``total * dt``);
+* a trailing partial tick replays the plan at another ``dt``;
 * a hypothesis fuzz interleaves the declared mutators and
   ``ScenarioContext.grow_tenant_data`` with random run lengths -- the
   dynamic twin of lint rule D4: a mutation that leaves a stale solution
@@ -32,7 +31,13 @@ from repro.simulation.cluster import ClusterSimulator
 from repro.simulation import solvers
 from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
-from solver_oracles import NoReuseSolver, assert_context_fresh, installed
+from solver_oracles import (
+    NoReuseSolver,
+    assert_context_fresh,
+    installed,
+    node_rows,
+    probe_nodes,
+)
 
 #: Insert-free mixes, as in the benchmark's steady cluster.
 MIXES = (
@@ -71,7 +76,7 @@ def build_cluster(
                 region_weights=weights,
             )
         )
-    return sim
+    return probe_nodes(sim)
 
 
 def snapshot(sim: ClusterSimulator) -> str:
@@ -93,7 +98,9 @@ def snapshot(sim: ClusterSimulator) -> str:
         name: (sim.binding_throughput(name), sim.binding_latency_ms(name))
         for name in sim.bindings
     }
-    return repr((sim.clock.now, series, distributions, regions, nodes, bindings))
+    return repr(
+        (sim.clock.now, series, distributions, regions, nodes, bindings, node_rows(sim))
+    )
 
 
 def counters(sim: ClusterSimulator) -> list[float]:

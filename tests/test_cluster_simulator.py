@@ -193,9 +193,9 @@ class TestWorkloads:
         simulator.add_region("r1", "w", 1e8, node=node)
         simulator.attach_workload(make_binding(["r1"]))
         simulator.run(20.0)
-        assert simulator.metrics.latest("cluster", "throughput") > 0
-        assert simulator.metrics.latest(node, "cpu") >= 0.0
-        assert 0.0 <= simulator.metrics.latest(node, "locality") <= 1.0
+        assert simulator.cluster_throughput() > 0
+        assert simulator.nodes[node].cpu_utilization >= 0.0
+        assert 0.0 <= simulator.node_locality_index(node) <= 1.0
 
     def test_detach_workload(self, simulator):
         node = next(iter(simulator.nodes))

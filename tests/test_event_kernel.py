@@ -20,7 +20,7 @@ from repro.scenarios.schedule import EventSchedule, ScheduledAction
 from repro.simulation.cluster import ClusterSimulator, SimulationError
 from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
-from solver_oracles import NoReuseSolver, assert_identical_metrics, installed
+from solver_oracles import NoReuseSolver, assert_identical_metrics, installed, probe_nodes
 
 
 #: A tick length binary floats cannot represent: the clock's float
@@ -49,7 +49,7 @@ def build_steady(
             region_weights=weights,
         )
     )
-    return sim
+    return probe_nodes(sim)
 
 
 class TestSolutionReuse:

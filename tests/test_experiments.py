@@ -7,7 +7,7 @@ from repro.experiments.figure1 import report as report_figure1
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure4 import report as report_figure4
 from repro.experiments.harness import ExperimentHarness, apply_placement
-from repro.experiments.reporting import Comparison, format_series, format_table, percentiles
+from repro.experiments.reporting import format_table, percentiles
 from repro.elasticity.strategies import manual_heterogeneous
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads import CORE_WORKLOADS, materialise_tenants
@@ -20,20 +20,12 @@ class TestReporting:
         assert len(lines) == 4
         assert lines[0].startswith("a")
 
-    def test_format_series(self):
-        text = format_series("title", [(1.0, 2.0), (2.0, 3.0)])
-        assert "title" in text and "t=" in text
-
     def test_percentiles(self):
         values = list(range(1, 101))
         p = percentiles([float(v) for v in values])
         assert p[50] == pytest.approx(50.5)
         assert p[5] < p[25] < p[75] < p[90]
         assert percentiles([])[50] == 0.0
-
-    def test_comparison_row(self):
-        row = Comparison("metric", "1.0", "1.1", True).row()
-        assert row[-1] == "yes"
 
 
 class TestHarness:

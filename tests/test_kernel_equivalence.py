@@ -28,6 +28,8 @@ from solver_oracles import (
     assert_context_fresh,
     assert_identical_metrics,
     installed,
+    node_rows,
+    probe_nodes,
 )
 
 #: Acceptance bound: the solver and the seed oracle must agree to this
@@ -358,6 +360,7 @@ class TestVectorLoop:
         twins = []
         for solver in (EventSolver, NoReuseSolver):
             sim, nodes = build_large(solver)
+            probe_nodes(sim)
             for name in [n for n in sim.bindings if "insert" in sim.bindings[n].op_mix]:
                 sim.update_workload(name, op_mix={"read": 0.9, "update": 0.1})
             sim.move_region("t0:r0", nodes[5])
@@ -369,10 +372,7 @@ class TestVectorLoop:
         assert len(fast_forwarded.regions) >= 64
         assert fast_forwarded.stats.skipped_ticks > 300, "fast-forward never engaged"
         assert ticked.stats.solves == 360
-        for key, series in ticked.metrics.items():
-            twin = fast_forwarded.metrics.series(*key)
-            assert twin.timestamps == series.timestamps, f"timestamps differ for {key}"
-            assert twin.values == series.values, f"values differ for {key}"
+        assert_identical_metrics(fast_forwarded, ticked)
 
 
 def _build_quiet_pair(r0_bytes: float = 5e8):
@@ -399,12 +399,13 @@ def _build_quiet_pair(r0_bytes: float = 5e8):
                 region_weights=weights,
             )
         )
-        sims.append(sim)
+        sims.append(probe_nodes(sim))
     return sims[0], sims[1]
 
 
 def _assert_series_match(event_sim, fast_sim):
-    """Every recorded metric series agrees within the acceptance tolerance."""
+    """Every recorded metric series and every probed node row agrees within
+    the acceptance tolerance; timestamps, node names and states exactly."""
     event_keys = {key for key, _ in event_sim.metrics.items()}
     fast_keys = {key for key, _ in fast_sim.metrics.items()}
     assert event_keys == fast_keys
@@ -416,6 +417,17 @@ def _assert_series_match(event_sim, fast_sim):
             assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
                 f"{key} diverged at sample {tick}: {a} vs {b}"
             )
+    event_rows, fast_rows = node_rows(event_sim), node_rows(fast_sim)
+    assert [time for time, _ in event_rows] == [time for time, _ in fast_rows]
+    for (time, event_row), (_, fast_row) in zip(event_rows, fast_rows):
+        assert [node[:2] for node in event_row] == [node[:2] for node in fast_row], (
+            f"node names or states differ at t={time}"
+        )
+        for event_node, fast_node in zip(event_row, fast_row):
+            for a, b in zip(event_node[2:], fast_node[2:]):
+                assert math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
+                    f"{event_node[0]} diverged at t={time}: {event_node} vs {fast_node}"
+                )
 
 
 class TestQuiescenceAdversarial:

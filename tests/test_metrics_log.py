@@ -1,14 +1,14 @@
-"""The segment-log metrics registry against its per-series oracle.
+"""The metrics registry against its per-series oracle, and what it records.
 
-:class:`~repro.simulation.metrics.MetricsRegistry` logs one entry per
-recorded batch and builds a series only when it is read.
-``ReferenceMetricsRegistry`` (``tests/metrics_oracle.py``) writes every
-batch into every series at once and merges distribution windows one
-summary at a time.  A hypothesis property runs random sequences of
-records, replays, drops and reads against both and requires every read to
-agree bit for bit.  Two further tests pin the cost model: a replayed batch
-adds one log entry and no per-key state, and a fast-forwarded harness run
-builds no per-node series.
+:class:`~repro.simulation.metrics.MetricsRegistry` folds a run of one
+summary object into a window merge as ``scale(k)`` and checks time order
+once per kind across the registry.  ``ReferenceMetricsRegistry``
+(``tests/metrics_oracle.py``) merges distribution windows one summary at a
+time and checks time order per series.  A hypothesis property runs random
+sequences of records, replays and reads against both and requires every
+read to agree bit for bit.  Further tests pin the registry's checks and
+the key set the simulator records: each tenant's throughput and latency,
+nothing per node.
 """
 
 import pytest
@@ -20,7 +20,9 @@ from repro.experiments.harness import ExperimentHarness
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.latency import LatencySummary
 from repro.simulation.metrics import MetricsRegistry
+from repro.simulation.solvers import EventSolver
 from repro.simulation.workload import WorkloadBinding
+from solver_oracles import NoReuseSolver, installed
 
 ENTITIES = ("node-1", "node-2", "workload:a")
 KEYS = [(entity, metric) for entity in ENTITIES for metric in ("cpu", "latency_ms")]
@@ -53,7 +55,6 @@ OPS = st.one_of(
     st.tuples(st.just("replay-scalars"), TICKS, st.booleans()),
     st.tuples(st.just("distributions"), TICKS, BATCH_KEYS, SUMMARIES),
     st.tuples(st.just("replay-distributions"), TICKS, st.booleans()),
-    st.tuples(st.just("drop"), st.sampled_from(ENTITIES)),
     st.tuples(st.just("read"), st.sampled_from(KEYS), WINDOWS),
     st.tuples(st.just("read-all"), WINDOWS),
 )
@@ -159,12 +160,9 @@ def test_segment_log_reads_match_the_per_series_registry(operations):
             _, ticks, same_object = operation
             kind = name.removeprefix("replay-")
             if last[kind] is not None:
-                # The identical tuple replays the logged payload; an equal
-                # copy is a fresh batch whose keys intern to the last ones.
+                # The identical tuple (its summaries continue a run) or an
+                # equal copy.
                 record(kind, ticks, last[kind] if same_object else tuple(list(last[kind])))
-        elif name == "drop":
-            registry.drop_entity(operation[1])
-            oracle.drop_entity(operation[1])
         elif name == "read":
             read_key(registry, oracle, operation[1], operation[2], now)
         else:
@@ -172,28 +170,24 @@ def test_segment_log_reads_match_the_per_series_registry(operations):
     read_all(registry, oracle, [((False, 0.0), (False, 1.0))], now)
 
 
-def test_dropped_entity_restarts_empty_when_it_returns():
-    registry = MetricsRegistry()
-    batch = (("node-1", "cpu", 0.5), ("node-2", "cpu", 0.25))
-    registry.record_many_repeated([1.0, 2.0], batch)
-    registry.drop_entity("node-1")
-    assert registry.latest("node-1", "cpu", default=-1.0) == -1.0
-    registry.record_many_repeated([3.0], batch)  # the same tuple: a replay
-    assert registry.latest("node-1", "cpu") == 0.5
-    assert [key for key, _ in registry.items()] == [("node-2", "cpu"), ("node-1", "cpu")]
-    assert registry.series("node-1", "cpu").timestamps == [3.0]
-    assert registry.series("node-2", "cpu").timestamps == [1.0, 2.0, 3.0]
-
-
 def test_time_order_is_checked_across_the_whole_registry():
     """Stricter than a per-series check: another key may not go back either,
-    and a rejected batch leaves the log as it was."""
+    and a rejected batch leaves the registry as it was."""
     registry = MetricsRegistry()
     registry.record_many(5.0, [("a", "x", 1.0)])
+    registry.record_distributions(5.0, [("a", "d", LatencySummary({1: 1}))])
     with pytest.raises(ValueError, match="time order"):
-        registry.record_many(4.0, [("b", "y", 1.0)])
+        registry.record_many(4.0, [("b", "y", 1.0), ("a", "x", 2.0)])
+    with pytest.raises(ValueError, match="time order"):
+        registry.record_distributions(4.0, [("b", "d", LatencySummary({1: 1}))])
+    with pytest.raises(ValueError, match="once"):
+        registry.record_many(6.0, [("c", "z", 1.0), ("c", "z", 2.0)])
     assert [key for key, _ in registry.items()] == [("a", "x")]
-    assert len(registry._scalar_log) == 1
+    assert [key for key, _ in registry.distributions()] == [("a", "d")]
+    assert [len(series) for _, series in registry.items()] == [1]
+    assert [len(series) for _, series in registry.distributions()] == [1]
+    # The kinds keep separate clocks: a scalar at 5.0 is still in order.
+    registry.record_many(5.0, [("b", "y", 1.0)])
 
 
 def test_a_batch_names_each_key_once():
@@ -201,40 +195,42 @@ def test_a_batch_names_each_key_once():
         MetricsRegistry().record_many(0.0, [("a", "x", 1.0), ("a", "x", 2.0)])
 
 
-def test_replaying_a_batch_adds_one_entry_and_no_per_key_state():
-    registry = MetricsRegistry()
-    batch = tuple((f"node-{index}", "cpu", float(index)) for index in range(50))
-    registry.record_many_repeated([1.0], batch)
-    log = registry._scalar_log
-    views = dict(log.views)
-    for step in range(7):
-        registry.record_many_repeated([2.0 + step, 2.5 + step], batch)
-    assert len(log) == 8
-    assert log.views == views and all(view is None for view in views.values())
-    assert len({id(keyset) for keyset in log.keysets}) == 1
-    assert set(log.offsets) == {0} and len(log.values) == len(batch)
-    assert registry.series("node-3", "cpu").values == [3.0] * 15
-
-
-def test_fast_forwarded_run_builds_no_per_node_series():
-    """A quiescent harness run reads only the tenants' series; every per-node
-    sample stays in the log, unbuilt."""
-    sim = ClusterSimulator(tick_seconds=5.0)
+def _tenant_cluster(solver) -> ClusterSimulator:
+    """Two insert-free tenants on four nodes: quiescent once settled."""
+    with installed(solver):
+        sim = ClusterSimulator(tick_seconds=5.0)
     nodes = [sim.add_node() for _ in range(4)]
-    for index in range(8):
-        sim.add_region(f"r{index}", "t", 2e8, node=nodes[index % len(nodes)])
-    sim.attach_workload(
-        WorkloadBinding(
-            name="t",
-            threads=40,
-            op_mix={"read": 0.9, "update": 0.1},
-            region_weights={f"r{index}": 1.0 / 8 for index in range(8)},
+    for tenant in ("a", "b"):
+        for index in range(4):
+            sim.add_region(f"{tenant}{index}", tenant, 2e8, node=nodes[index % len(nodes)])
+        sim.attach_workload(
+            WorkloadBinding(
+                name=tenant,
+                threads=40,
+                op_mix={"read": 0.9, "update": 0.1},
+                region_weights={f"{tenant}{index}": 0.25 for index in range(4)},
+            )
         )
-    )
-    ExperimentHarness(sim, sample_every_seconds=60.0).run_for(1800.0)
-    log = sim.metrics._scalar_log
-    assert len(log) < 1800.0 / 5.0  # fast-forwarded: batches, not ticks
-    per_node = [key for key in log.views if key[0] in nodes]
-    assert len(per_node) == 5 * len(nodes)
-    assert all(log.views[key] is None for key in per_node)
-    assert log.views[("workload:t", "throughput")] is not None
+    return sim
+
+
+def test_only_tenant_series_are_recorded():
+    """Each tenant's throughput and latency, and nothing per node or per
+    cluster, whether the run was fast-forwarded or ticked.  Controllers
+    read node state from the nodes themselves."""
+    fast_forwarded = _tenant_cluster(EventSolver)
+    ExperimentHarness(fast_forwarded, sample_every_seconds=60.0).run_for(1800.0)
+    assert fast_forwarded.stats.skipped_ticks > 300, "fast-forward never engaged"
+    ticked = _tenant_cluster(NoReuseSolver)
+    ticked.run(600.0)
+    assert ticked.stats.skipped_ticks == 0
+    for sim in (fast_forwarded, ticked):
+        scalars = [
+            (f"workload:{name}", metric)
+            for name in sim.bindings
+            for metric in ("throughput", "latency_ms")
+        ]
+        assert [key for key, _ in sim.metrics.items()] == scalars
+        assert [key for key, _ in sim.metrics.distributions()] == [
+            (f"workload:{name}", "latency_ms") for name in sim.bindings
+        ]

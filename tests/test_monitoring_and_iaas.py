@@ -7,7 +7,7 @@ from repro.iaas.flavors import FLAVORS, REGIONSERVER_FLAVOR
 from repro.iaas.provider import IaaSError, OpenStackProvider, QuotaExceededError
 from repro.iaas.vm import VMState
 from repro.monitoring.collector import MetricsCollector
-from repro.monitoring.smoothing import ExponentialSmoother, smooth_series
+from repro.monitoring.smoothing import ExponentialSmoother
 from repro.simulation.clock import SimulationClock
 from repro.simulation.workload import WorkloadBinding
 
@@ -35,22 +35,11 @@ class TestExponentialSmoother:
         smoother.reset()
         assert smoother.count == 0
 
-    def test_is_warm(self):
-        smoother = ExponentialSmoother(window=2)
-        assert not smoother.is_warm
-        smoother.observe(1.0)
-        smoother.observe(1.0)
-        assert smoother.is_warm
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ExponentialSmoother(alpha=0.0)
         with pytest.raises(ValueError):
             ExponentialSmoother(window=0)
-
-    def test_smooth_series_helper(self):
-        assert smooth_series([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-        assert smooth_series([]) == 0.0
 
     def test_constant_series_is_fixed_point(self):
         smoother = ExponentialSmoother()

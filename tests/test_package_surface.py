@@ -11,11 +11,17 @@ module-level import must be read somewhere in its file (a name, the root
 of an attribute chain, a string annotation or an ``__all__`` entry).
 ``__future__`` imports and ``__init__.py`` files, whose imports are the
 package's re-exports, are exempt.
+
+The dead-private-name check fails on a private (``_x``, not dunder) def,
+class or assignment at module or class level in ``src/`` whose name
+appears nowhere else in the tree's code: as a name, an attribute, an
+import, a keyword or a word of a string that is not a docstring.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import repro
@@ -138,4 +144,108 @@ def test_no_unused_module_level_imports():
     ]
     assert len(files) > 100
     problems = [problem for path in files for problem in unused_imports(path)]
+    assert not problems, "\n".join(problems)
+
+
+#: Trees whose code may read a private name defined in ``src/``.
+PRIVATE_READERS = ("src", "tests", "benchmarks", "bench", "scripts", "examples")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(body: list[ast.stmt]):
+    """``(name, line, node)`` for each def, class or assigned name at module
+    level or in a class body; ``node`` is the assigned ``Name`` (else ``None``)."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt.lineno, None
+            if isinstance(stmt, ast.ClassDef):
+                yield from _definitions(stmt.body)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt.lineno, node
+
+
+def _appearances(tree: ast.Module, skip: set[int]) -> set[str]:
+    """Every identifier the tree mentions outside the nodes in ``skip``: names,
+    attributes, imported names, keywords and words of non-docstring strings."""
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    seen: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and id(node) not in skip:
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.alias):
+            seen.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.keyword) and node.arg:
+            seen.add(node.arg)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            seen.update(_WORD.findall(node.value))
+    return seen
+
+
+def dead_private_names() -> list[str]:
+    """``file:line: name`` for each private definition in ``src/`` whose name
+    appears nowhere else in :data:`PRIVATE_READERS`."""
+    seen: set[str] = set()
+    defined = []
+    for tree_name in PRIVATE_READERS:
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            definitions = list(_definitions(tree.body)) if tree_name == "src" else []
+            seen |= _appearances(tree, {id(node) for _, _, node in definitions if node})
+            defined.extend(
+                (path.relative_to(ROOT), name, line)
+                for name, line, _ in definitions
+                if _is_private(name)
+            )
+    return [f"{where}:{line}: {name}" for where, name, line in defined if name not in seen]
+
+
+def test_dead_private_name_check_flags_an_unread_definition(tmp_path, monkeypatch):
+    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "module.py").write_text(
+        "_LIMIT = 3\n"
+        "_unread = 4\n"
+        "def _helper():\n"
+        '    """Not _unread: a docstring is no reader."""\n'
+        "    return _LIMIT\n"
+        "class _Box:\n"
+        "    __slots__ = ('_value',)\n"
+        "    _kind = float\n"
+        "    def __repr__(self):\n"
+        "        return 'box'\n"
+        "    def _orphan(self):\n"
+        "        return self._value\n"
+    )
+    (tmp_path / "tests" / "test_module.py").write_text(
+        "from module import _Box, _helper\n"
+        "def test_kind(monkeypatch):\n"
+        "    monkeypatch.setattr(_Box, '_kind', int)\n"
+    )
+    assert dead_private_names() == [
+        "src/module.py:2: _unread",
+        "src/module.py:11: _orphan",
+    ]
+
+
+def test_no_dead_private_names_in_src():
+    problems = dead_private_names()
     assert not problems, "\n".join(problems)

@@ -112,14 +112,6 @@ class TestMetricsRegistry:
     def test_latest_default_for_unknown(self):
         assert MetricsRegistry().latest("nope", "cpu", default=0.9) == 0.9
 
-    def test_drop_entity(self):
-        registry = MetricsRegistry()
-        registry.record_many(0.0, [("node-1", "cpu", 0.4), ("node-2", "cpu", 0.5)])
-        registry.record_distributions(0.0, [("node-1", "latency_ms", object())])
-        registry.drop_entity("node-1")
-        assert [key for key, _ in registry.items()] == [("node-2", "cpu")]
-        assert registry.distribution("node-1", "latency_ms") is None
-
     def test_single_and_repeated_appends_agree(self):
         """record_many is the one-timestamp case of record_many_repeated,
         and scalar samples are stored as floats."""
