@@ -35,14 +35,13 @@ from repro.campaign.grid import (
     apply_scale,
     derive_seed,
 )
-from repro.campaign.runner import CampaignError, CampaignReport, run_campaign
+from repro.campaign.runner import CampaignReport, run_campaign
 from repro.campaign.store import ResultsStore
 
 __all__ = [
     "AggregateRow",
     "BASELINE_SCALE",
     "CampaignCell",
-    "CampaignError",
     "CampaignGrid",
     "CampaignReport",
     "ResultsStore",

@@ -31,11 +31,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sla.scorecard import scorecard_row
 from repro.util.wallclock import wall_perf_counter
 
-__all__ = ["CampaignError", "CampaignReport", "run_campaign"]
-
-
-class CampaignError(RuntimeError):
-    """A campaign-level invariant was violated (e.g. skipping not active)."""
+__all__ = ["CampaignReport", "run_campaign"]
 
 
 @dataclass
@@ -70,11 +66,6 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
         "tenant_copies": cell.scale.tenant_copies,
         "seed_index": cell.seed_index,
         "seed": cell.seed,
-        # Fixed since a single solver remains; kept so store lines stay
-        # byte-identical to earlier campaigns.
-        "kernel": "event",
-        "skip_active": result.run.skip_active,
-        "skip_disabled_reason": result.run.skip_disabled_reason,
         "mean_throughput": row.mean_throughput,
         "violation_minutes": row.violation_minutes,
         "cost": row.cost,
@@ -106,10 +97,6 @@ def run_campaign(
 ) -> CampaignReport:
     """Run every grid cell not yet in ``store``; return what happened.
 
-    Every executed run must have had quiescence fast-forwarding engaged: a
-    campaign silently losing that speedup to a controller without
-    ``next_wakeup`` raises :class:`CampaignError` instead.
-
     ``profile_path`` appends one ``{"cell": ..., "seconds": ...}`` JSON line
     per executed cell to a *sidecar* file.  Wall-clock is host- and
     run-specific, so it lives outside the results store: the store bytes
@@ -125,11 +112,6 @@ def run_campaign(
     profile = Path(profile_path) if profile_path is not None else None
 
     def finish(cell: CampaignCell, record: dict, seconds: float) -> None:
-        if not record["skip_active"]:
-            raise CampaignError(
-                f"cell {cell.cell_id}: quiescence skipping was not active "
-                f"({record['skip_disabled_reason'] or 'no reason recorded'})"
-            )
         store.append(record)
         report.executed.append(record)
         if profile is not None:

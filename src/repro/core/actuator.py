@@ -46,13 +46,7 @@ class ActuatorReport:
     """Counters describing what the actuator did (exposed for experiments)."""
 
     plans_applied: int = 0
-    nodes_added: int = 0
-    nodes_removed: int = 0
     nodes_reconfigured: int = 0
-    partitions_moved: int = 0
-    compactions_triggered: int = 0
-    last_plan_started: float | None = None
-    last_plan_finished: float | None = None
 
 
 @dataclass
@@ -89,7 +83,7 @@ class Actuator:
         """Whether a plan is currently being applied."""
         return self.phase is not ActuatorPhase.IDLE
 
-    def submit(self, plan: ReconfigurationPlan, now: float) -> bool:
+    def submit(self, plan: ReconfigurationPlan) -> bool:
         """Start applying a plan; returns False if one is already in flight."""
         if self.busy:
             return False
@@ -103,7 +97,6 @@ class Actuator:
                 config = config_for(target.profile)
                 real_name = self.backend.add_node(config, target.profile)
                 state.placeholder_map[target.node] = real_name
-                self.report.nodes_added += 1
         state.pending_restarts = [
             t for t in plan.targets if t.needs_restart and t.node not in plan.new_nodes
         ]
@@ -112,13 +105,12 @@ class Actuator:
         ]
         state.pending_removals = list(plan.nodes_to_remove)
         self._inflight = state
-        self.report.last_plan_started = now
         self.phase = (
             ActuatorPhase.PROVISIONING if plan.new_nodes else ActuatorPhase.RECONFIGURING
         )
         return True
 
-    def step(self, now: float) -> None:
+    def step(self) -> None:
         """Advance the in-flight plan as far as the cluster state allows."""
         if not self.busy or self._inflight is None:
             return
@@ -131,7 +123,7 @@ class Actuator:
         if self.phase is ActuatorPhase.MOVING:
             self._step_moving()
         if self.phase is ActuatorPhase.REMOVING:
-            self._step_removing(now)
+            self._step_removing()
 
     # ------------------------------------------------------------------ #
     # phase handlers
@@ -201,7 +193,7 @@ class Actuator:
             self._apply_target(target, resolved_node=node)
         self.phase = ActuatorPhase.REMOVING
 
-    def _step_removing(self, now: float) -> None:
+    def _step_removing(self) -> None:
         state = self._inflight
         assert state is not None
         for node in state.pending_removals:
@@ -209,10 +201,8 @@ class Actuator:
                 # Crashed before we could decommission it: already gone.
                 continue
             self.backend.remove_node(node)
-            self.report.nodes_removed += 1
         state.pending_removals = []
         self.report.plans_applied += 1
-        self.report.last_plan_finished = now
         self.phase = ActuatorPhase.IDLE
         self._inflight = None
 
@@ -229,7 +219,6 @@ class Actuator:
         node = resolved_node or target.node
         for partition in target.partition_list:
             self.backend.move_partition(partition, node)
-            self.report.partitions_moved += 1
         threshold = (
             self.parameters.write_locality_threshold
             if target.profile == "write"
@@ -237,4 +226,3 @@ class Actuator:
         )
         if self.backend.node_locality(node) < threshold:
             self.backend.major_compact(node)
-            self.report.compactions_triggered += 1

@@ -73,7 +73,6 @@ class DecisionMaker:
     def __init__(self, parameters: MeTParameters | None = None) -> None:
         self.parameters = (parameters or MeTParameters()).validate()
         self.sizing = SizingAlgorithm(self.parameters.suboptimal_nodes_threshold)
-        self.decisions_made = 0
 
     # ------------------------------------------------------------------ #
     # Stage A
@@ -143,7 +142,6 @@ class DecisionMaker:
         if health.acceptable:
             self.sizing.reset_growth()
             return None
-        self.decisions_made += 1
 
         first_time = self.sizing.first_time
         sizing = self.sizing.decide(health.overloaded_fraction, remove=health.underloaded)

@@ -4,9 +4,12 @@ Figure 2 of the paper: the Monitor and Actuator interface with the NoSQL
 database and the IaaS; the Decision Maker sits between them.  The
 :class:`MeT` class is driven by calling :meth:`MeT.step` as (simulated) time
 advances: it samples the monitor, runs a decision round when enough samples
-accumulated and no action is in flight, and advances the actuator's plan.
-Its cadence, cooldown and decision log are the shared
-:class:`~repro.elasticity.autoscaler.Autoscaler` skeleton.
+accumulated and no action is in flight, and advances the actuator's plan;
+:meth:`MeT.next_wakeup` tells the harness how long it may sleep.  Its
+cadence, cooldown and decision log are the shared
+:class:`~repro.elasticity.autoscaler.Autoscaler` skeleton.  MeT acts from
+the moment it is registered with a harness: an experiment that starts it
+mid-run registers it then.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ class MeT(Autoscaler):
         self,
         backend: ClusterBackend,
         parameters: MeTParameters | None = None,
-        enabled: bool = True,
     ) -> None:
         self.parameters = (parameters or MeTParameters()).validate()
         super().__init__(
@@ -41,18 +43,6 @@ class MeT(Autoscaler):
         )
         self.decision_maker = DecisionMaker(self.parameters)
         self.actuator = Actuator(backend, self.parameters)
-        self.enabled = enabled
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Enable the controller (it can be constructed disabled)."""
-        self.enabled = True
-
-    def stop(self) -> None:
-        """Disable the controller; in-flight actuator work still completes."""
-        self.enabled = False
 
     def step(self, now: float) -> ReconfigurationPlan | None:
         """Advance the controller at simulated time ``now``.
@@ -61,18 +51,16 @@ class MeT(Autoscaler):
         during this step is logged, starts the cooldown and discards the
         pre-action observations before any decision is considered.
         """
-        if not self.enabled and not self.actuator.busy:
-            return None
         if self._sample_due(now):
             self._last_sample_time = now
             self.monitor.sample()
         if self.actuator.busy:
-            self.actuator.step(now)
+            self.actuator.step()
             if not self.actuator.busy:
                 self.log.record(now, AutoscalerAction.PLAN_COMPLETE)
                 self._last_action_time = now
                 self.monitor.reset_after_action()
-        if not self.enabled or self.actuator.busy:
+        if self.actuator.busy:
             return None
         if not self.monitor.decision_due():
             return None
@@ -85,7 +73,7 @@ class MeT(Autoscaler):
                 now, AutoscalerAction.HEALTHY, detail="cluster load acceptable"
             )
             return None
-        self.actuator.submit(plan, now)
+        self.actuator.submit(plan)
         self.log.record(
             now,
             AutoscalerAction.PLAN,
@@ -103,17 +91,14 @@ class MeT(Autoscaler):
         ``step(t)`` is a no-op for every ``t`` strictly below the returned
         time, which lets the event-kernel harness skip the intervening
         ticks.  While the actuator has an in-flight plan the controller
-        must be stepped every tick (``now``); when disabled and idle it
-        never acts (``inf``); otherwise the next monitor sampling instant
-        bounds the wakeup.  A decision that is already due but held back by
-        the cooldown fires on the first *step* after the cooldown lapses --
-        not on a sampling tick -- so a pending decision bounds the wakeup
-        by the cooldown-expiry instant as well.
+        must be stepped every tick (``now``); otherwise the next monitor
+        sampling instant bounds the wakeup.  A decision that is already due
+        but held back by the cooldown fires on the first *step* after the
+        cooldown lapses -- not on a sampling tick -- so a pending decision
+        bounds the wakeup by the cooldown-expiry instant as well.
         """
         if self.actuator.busy:
             return now
-        if not self.enabled:
-            return float("inf")
         wake = self._next_sample(now)
         if self.monitor.decision_due():
             if self._last_action_time is None:

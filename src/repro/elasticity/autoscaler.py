@@ -2,8 +2,10 @@
 
 MeT, the tiramola baseline and the planner are all *controllers*: they
 observe a cluster backend and occasionally act on it.  The experiment
-harness only needs the ``step(now)`` entry point; the :class:`Autoscaler`
-base holds what the three share -- the sampling cadence (a sample every
+harness drives every controller through two methods: ``step(now)`` to act
+and ``next_wakeup(now)`` to say how long it may sleep, so quiescent ticks
+can be fast-forwarded.  The :class:`Autoscaler` base declares both and
+holds what the three share -- the sampling cadence (a sample every
 ``period_seconds``), the cooldown between actions and one
 :class:`AutoscalerLog` of decisions, so every run answers "why did the
 controller act" in the same shape.
@@ -85,6 +87,15 @@ class Autoscaler(ABC):
     @abstractmethod
     def step(self, now: float) -> None:
         """Observe the cluster at time ``now`` and act if needed."""
+
+    @abstractmethod
+    def next_wakeup(self, now: float) -> float:
+        """Earliest simulated time at which :meth:`step` may do real work.
+
+        ``step(t)`` must be a no-op for every ``t`` strictly below the
+        returned time; ``now`` asks to be stepped every tick and ``inf``
+        never to be woken.
+        """
 
     def _sample_due(self, now: float) -> bool:
         """Whether a monitoring sample is due at ``now``."""

@@ -29,7 +29,6 @@ class HBaseBalancerDaemon:
         self.period_seconds = period_seconds
         self._rng = make_rng(seed)
         self._last_run: float | None = None
-        self.moves_performed = 0
 
     def step(self, now: float) -> None:
         """Run one balancing round when the period has elapsed."""
@@ -79,5 +78,4 @@ class HBaseBalancerDaemon:
                 per_node[receiver].append(partition)
                 moves += 1
                 donors = [n for n in online if len(per_node[n]) > quota]
-        self.moves_performed += moves
         return moves

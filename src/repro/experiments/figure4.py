@@ -98,18 +98,17 @@ def run_figure4(
     seed: int = 1,
 ) -> Figure4Result:
     """Run the convergence experiment and the two manual baselines."""
-    # --- MeT run: start from Random-Homogeneous, enable MeT after ramp-up.
+    # --- MeT run: start from Random-Homogeneous, add MeT after ramp-up.
     simulator = ClusterSimulator()
     node_names = [simulator.add_node() for _ in range(nodes)]
     expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
     apply_placement(simulator, random_homogeneous(expected, node_names, seed=seed))
     backend = SimulatorBackend(simulator)
     parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
-    met = MeT(backend, parameters, enabled=False)
+    met = MeT(backend, parameters)
     harness = ExperimentHarness(simulator, name="met")
-    harness.add_controller(met)
     harness.run_for(met_start_minute * 60.0)
-    met.start()
+    harness.add_controller(met)
     met_run = harness.run_for((minutes - met_start_minute) * 60.0)
 
     hom_run = _manual_run(manual_homogeneous, "manual-homogeneous", minutes, nodes, seed)

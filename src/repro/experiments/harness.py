@@ -11,11 +11,16 @@ cluster size.
 tenant churn, fault injection -- fired against the simulator between ticks.
 Fired events that carry an annotation are recorded in the run, so a trace
 shows *why* the series changed shape at a given minute.
+
+Every controller declares when it next acts: ``step(now)`` advances it and
+``next_wakeup(now)`` bounds the ticks it may sleep through (see
+:class:`~repro.elasticity.autoscaler.Autoscaler`).  The harness relies on
+that bound to fast-forward quiescent stretches, so
+:meth:`ExperimentHarness.add_controller` refuses an object without it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.elasticity.strategies import PlacementPlan
@@ -80,13 +85,6 @@ class StrategyRun:
     total_operations: float = 0.0
     final_nodes: int = 0
     machine_minutes: float = 0.0
-    #: Whether quiescence fast-forwarding was active on the (latest) run
-    #: and, when it was not, why -- an empty reason with ``skip_active``
-    #: False simply means the run never went through ``run_for``.  Campaign
-    #: sweeps assert on these instead of silently losing the fast-forward
-    #: speedup to a controller that forgot to implement ``next_wakeup``.
-    skip_active: bool = False
-    skip_disabled_reason: str = ""
     #: Whole-run latency distribution per tenant (exact merge of every tick's
     #: summary), keyed like :attr:`tenant_series`.  Captured at finalise so
     #: traces can serialise distributions after the simulator is disposed.
@@ -200,7 +198,13 @@ class ExperimentHarness:
         self._last_sample_time = 0.0
 
     def add_controller(self, controller) -> None:
-        """Register a controller whose ``step(now)`` is called every tick."""
+        """Register a controller: ``step(now)`` runs after every real tick,
+        and ``next_wakeup(now)`` bounds the ticks a macro-tick may cover."""
+        if not callable(getattr(controller, "next_wakeup", None)):
+            raise TypeError(
+                f"{type(controller).__name__} has no next_wakeup(now); "
+                "every controller must declare when it next acts"
+            )
         self._controllers.append(controller)
 
     def run_for(self, seconds: float, schedule=None) -> StrategyRun:
@@ -211,8 +215,7 @@ class ExperimentHarness:
         *before* each tick, and annotated actions are recorded in
         :attr:`StrategyRun.annotations`.
 
-        When every registered controller exposes ``next_wakeup(now)``,
-        quiescent stretches are *fast-forwarded*: ticks that would fire no
+        Quiescent stretches are *fast-forwarded*: ticks that would fire no
         scheduled action, wake no controller and cross no sampling boundary
         are covered by one macro-tick instead of being simulated one by one
         (each loop iteration is one :meth:`ClusterSimulator.advance` step).
@@ -224,9 +227,6 @@ class ExperimentHarness:
         clock = simulator.clock
         controllers = self._controllers
         tick_seconds = clock.tick_seconds
-        can_skip, disable_reason = self._skip_eligibility()
-        self.run.skip_active = can_skip
-        self.run.skip_disabled_reason = disable_reason
         # Read the remaining time off the clock: ``end`` is fixed once, so a
         # fast-forwarded run stops on the same instant as a tick-by-tick one.
         end = clock.now + seconds
@@ -240,7 +240,7 @@ class ExperimentHarness:
             # only when a macro-tick could fit, so controllers are asked for
             # their wake-ups no more often than a skip is possible.
             limit = 0
-            if can_skip and remaining >= 2.0 * tick_seconds - 1e-9:
+            if remaining >= 2.0 * tick_seconds - 1e-9:
                 limit = self._plan_skip(schedule, tick_seconds)
             span = simulator.advance(remaining, limit)
             now = clock.now
@@ -262,36 +262,6 @@ class ExperimentHarness:
             self._fire_due(schedule)
         self._finalise()
         return self.run
-
-    def _skip_eligibility(self) -> tuple[bool, str]:
-        """Whether quiescent fast-forwarding may engage, and if not, why.
-
-        Fast-forward needs every controller to declare when it next acts; an
-        unknown controller must be stepped every tick, so its presence
-        disables skipping entirely (conservative default).  That silence
-        would otherwise cost a sweep the whole fast-forward speedup, so the
-        reason is recorded on the run and an opaque controller draws a
-        one-line warning.
-        """
-        opaque = sorted(
-            {
-                type(controller).__name__
-                for controller in self._controllers
-                if not hasattr(controller, "next_wakeup")
-            }
-        )
-        if opaque:
-            reason = (
-                "controllers without next_wakeup() force tick-by-tick "
-                "stepping: " + ", ".join(opaque)
-            )
-            warnings.warn(
-                f"{self.run.name}: quiescence skipping disabled -- {reason}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return False, reason
-        return True, ""
 
     def _plan_skip(self, schedule, tick_seconds: float) -> int:
         """How many upcoming whole ticks the harness lets one batch cover.

@@ -94,11 +94,10 @@ def run_table2(
     simulator = _new_cluster(nodes, tpcc_config)
     backend = SimulatorBackend(simulator)
     parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
-    met = MeT(backend, parameters, enabled=False)
+    met = MeT(backend, parameters)
     harness = ExperimentHarness(simulator, name="met")
-    harness.add_controller(met)
     harness.run_for(met_start_minute * 60.0)
-    met.start()
+    harness.add_controller(met)
     harness.run_for((minutes - met_start_minute) * 60.0)
     met_tpmc = _average_tpmc(simulator, minutes)
     met_profiles = {

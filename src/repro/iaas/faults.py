@@ -63,8 +63,6 @@ class FaultInjector:
         #: Node name -> provider instance id, for nodes backed by VMs.
         self.vm_ids = vm_ids if vm_ids is not None else {}
         self._rng = make_rng(seed if seed is not None else simulator.rng)
-        #: (time, kind, node) history of injected faults.
-        self.injected: list[tuple[float, str, str]] = []
         #: Crash records, in crash order, for recover_crashed_node.
         self._crashed: dict[str, CrashedNode] = {}
 
@@ -100,7 +98,6 @@ class FaultInjector:
                 profile_name=target.profile_name,
                 instance_id=instance_id,
             )
-        self.injected.append((self.simulator.clock.now, "crash", victim))
         return victim
 
     def recover_crashed_node(self, node: str | None = None) -> str:
@@ -131,7 +128,6 @@ class FaultInjector:
             profile_name=info.profile_name,
             online=False,
         )
-        self.injected.append((self.simulator.clock.now, "rejoin", node))
         return node
 
     def slow_node(
@@ -150,13 +146,11 @@ class FaultInjector:
         """
         victim = self._pick(node)
         self.simulator.degrade_node(victim, factor, cpu=cpu, disk=disk, network=network)
-        self.injected.append((self.simulator.clock.now, "slow", victim))
         return victim
 
     def recover_node(self, node: str) -> None:
         """Restore a previously degraded node to full speed."""
         self.simulator.restore_node(node)
-        self.injected.append((self.simulator.clock.now, "recover", node))
 
     def _pick(self, node: str | None) -> str:
         if node is not None:

@@ -120,11 +120,6 @@ class OpenStackProvider:
         ]
         return matches[-1] if matches else None
 
-    def machine_hours(self) -> float:
-        """Total machine-hours consumed (the resource-cost metric of §6.4)."""
-        self.refresh()
-        return sum(vm.uptime(self.clock.now) for vm in self.instances.values()) / 3600.0
-
     def machine_minutes_by_flavor(self) -> dict[str, float]:
         """Machine-minutes consumed per flavor -- the billing ledger.
 

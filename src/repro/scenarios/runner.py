@@ -58,7 +58,6 @@ class ScenarioRunResult:
     cost: CostEnvelope | None = None
     simulator: ClusterSimulator | None = None
     context: ScenarioContext | None = None
-    machine_hours: float = 0.0
 
     @property
     def final_nodes(self) -> int:
@@ -208,7 +207,6 @@ def run_scenario(
         cost=DEFAULT_PRICING.cost_of(ledger),
         simulator=simulator if keep_simulator else None,
         context=context if keep_simulator else None,
-        machine_hours=provider.machine_hours(),
     )
     result.assertions = evaluate_assertions(result)
     if not keep_simulator:

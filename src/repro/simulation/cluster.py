@@ -49,7 +49,7 @@ from repro.simulation.workload import WorkloadBinding
 #: Time for a new virtual machine to boot and join the cluster (seconds).
 DEFAULT_BOOT_SECONDS = 90.0
 #: Time for a RegionServer restart during reconfiguration (seconds).
-DEFAULT_RESTART_SECONDS = 35.0
+RESTART_SECONDS = 35.0
 #: Share of disk bandwidth a major compaction may consume.
 COMPACTION_DISK_SHARE = 0.45
 #: Locality of a region right after it is moved to a node that does not hold
@@ -155,7 +155,6 @@ class SimulatedNode:
     cpu_utilization: float = 0.0
     io_wait: float = 0.0
     memory_utilization: float = 0.0
-    served_ops: float = 0.0
 
     @property
     def online(self) -> bool:
@@ -171,7 +170,6 @@ class ClusterSimulator:
         hardware: HardwareSpec | None = None,
         default_config: RegionServerConfig | None = None,
         boot_seconds: float = DEFAULT_BOOT_SECONDS,
-        restart_seconds: float = DEFAULT_RESTART_SECONDS,
         tick_seconds: float = 5.0,
         seed: int | random.Random = 0,
     ) -> None:
@@ -183,7 +181,6 @@ class ClusterSimulator:
         self.hardware = hardware or HardwareSpec()
         self.default_config = (default_config or DEFAULT_HOMOGENEOUS).validate()
         self.boot_seconds = boot_seconds
-        self.restart_seconds = restart_seconds
         self.clock = SimulationClock(tick_seconds=tick_seconds)
         self.metrics = MetricsRegistry()
         self.nodes: dict[str, SimulatedNode] = {}
@@ -248,7 +245,7 @@ class ClusterSimulator:
         self._mark_structure()
         return name
 
-    def remove_node(self, name: str, reassign: bool = True) -> None:
+    def remove_node(self, name: str) -> None:
         """Remove a node, reassigning its regions to the least-loaded nodes."""
         node = self._node(name)
         hosted = self.regions_on(name)
@@ -256,13 +253,6 @@ class ClusterSimulator:
         self._solver.forget_node(name)
         self._base_hardware.pop(name, None)
         self._mark_structure()
-        if not reassign:
-            for region in hosted:
-                region.node = None
-            self._regions_by_node.pop(name, None)
-            self._assignment_versions.pop(name, None)
-            self._sorted_regions_cache.pop(name, None)
-            return
         counts, candidates = self._drain_counts(exclude_name=name)
         for region in hosted:
             target = _pick_least_loaded(counts, candidates)
@@ -348,7 +338,7 @@ class ClusterSimulator:
         if profile_name is not None:
             node.profile_name = profile_name
         node.state = STATE_RESTARTING
-        node.state_until = self.clock.now + self.restart_seconds
+        node.state_until = self.clock.now + RESTART_SECONDS
         self._mark_structure()
         return drained
 
@@ -399,7 +389,7 @@ class ClusterSimulator:
         """
         node = self._node(name)
         displaced = [region.region_id for region in self.regions_on(node.name)]
-        self.remove_node(node.name, reassign=True)
+        self.remove_node(node.name)
         return displaced
 
     def degrade_node(
@@ -948,15 +938,10 @@ class ClusterSimulator:
                 node.cpu_utilization = 0.0
                 node.io_wait = 0.0
                 node.memory_utilization = 0.0
-                node.served_ops = 0.0
             else:
                 node.cpu_utilization = min(1.0, result.cpu_utilization)
                 node.io_wait = min(1.0, result.io_wait)
                 node.memory_utilization = min(1.0, result.memory_utilization)
-                served = 0.0
-                for region in self.regions_on(node.name):
-                    served += region.read_rate + region.write_rate + region.scan_rate
-                node.served_ops = served
 
         if summaries:
             plan.distributions = tuple(

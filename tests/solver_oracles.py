@@ -123,7 +123,7 @@ def probe_nodes(sim):
     state through this probe.  It wraps the apply step: a span of ``k``
     ticks adds ``k`` rows, one at each tick end time the clock returned,
     each ``(time, ((name, state, cpu_utilization, io_wait,
-    memory_utilization, served_ops, node_locality_index), ...))``.
+    memory_utilization, node_locality_index), ...))``.
     """
     rows = _NODE_ROWS[sim] = []
     times: list[float] = []
@@ -142,7 +142,6 @@ def probe_nodes(sim):
                 node.cpu_utilization,
                 node.io_wait,
                 node.memory_utilization,
-                node.served_ops,
                 sim.node_locality_index(name),
             )
             for name, node in sim.nodes.items()

@@ -21,7 +21,7 @@ float rounding only.  Two cases:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.profiles import NODE_PROFILES
@@ -91,7 +91,7 @@ def snapshot(sim: ClusterSimulator) -> str:
         for rid, r in sim.regions.items()
     }
     nodes = {
-        name: (n.state, n.cpu_utilization, n.io_wait, n.memory_utilization, n.served_ops)
+        name: (n.state, n.cpu_utilization, n.io_wait, n.memory_utilization)
         for name, n in sim.nodes.items()
     }
     bindings = {
@@ -220,13 +220,26 @@ def run_twins(steps, nodes: int, regions: int, tenants: int) -> None:
     assert_twins_agree(production, oracle)
 
 
-@settings(max_examples=25, deadline=None)
+#: A crash, five partial-tick runs, then a major compaction: a fast-forward
+#: that ignores when the compaction completes replays a stale solution past
+#: it (the falsifier an earlier random draw found).
+CRASH_THEN_COMPACT = [("fail", 0)] + [("run", 2.5)] * 5 + [("compact", 2)]
+#: A restart followed by a run longer than it: a fast-forward that ignores
+#: when the node comes back online replays a stale solution past it.
+RESTART_THEN_RUN = [("reconfigure", 0, "read"), ("run", 60.0)]
+
+
+# Derandomized and without an example database, so every run of the suite
+# draws the same examples and a defect is caught on every run or on none.
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(steps=st.lists(STEPS, min_size=1, max_size=12))
+@example(steps=CRASH_THEN_COMPACT)
+@example(steps=RESTART_THEN_RUN)
 def test_mutator_interleavings_never_replay_a_stale_solution(steps):
     run_twins(steps, nodes=4, regions=12, tenants=2)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(steps=st.lists(STEPS, min_size=1, max_size=12))
 def test_mutator_interleavings_at_vector_size(steps):
     """The same fuzz on a cluster the vector loop solves."""

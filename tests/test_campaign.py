@@ -17,7 +17,6 @@ import pytest
 
 from repro.campaign import (
     BASELINE_SCALE,
-    CampaignError,
     CampaignGrid,
     ResultsStore,
     ScaleSpec,
@@ -307,24 +306,6 @@ class TestResume:
         # remnant replaced, order by completion: survivor first).
         records = {record["cell"] for record in torn.load()}
         assert records == {record["cell"] for record in reference.load()}
-
-
-class TestRequireSkip:
-    def test_campaign_fails_when_skipping_inactive(self, tmp_path, monkeypatch):
-        from repro.experiments.harness import ExperimentHarness
-
-        monkeypatch.setattr(
-            ExperimentHarness, "_skip_eligibility", lambda self: (False, "forced off")
-        )
-        store = ResultsStore(tmp_path / "ticking.jsonl")
-        with pytest.raises(CampaignError, match=r"skipping was not active \(forced off\)"):
-            run_campaign(tiny_grid(), store, workers=1)
-        assert store.load() == []
-
-    def test_event_kernel_records_skip_active(self, tmp_path):
-        store = ResultsStore(tmp_path / "event.jsonl")
-        report = run_campaign(tiny_grid(), store, workers=1)
-        assert all(record["skip_active"] for record in report.executed)
 
 
 class TestAnalysis:

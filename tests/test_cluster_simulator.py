@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.profiles import NODE_PROFILES
 from repro.simulation.cluster import (
+    RESTART_SECONDS,
     STATE_RESTARTING,
     ClusterSimulator,
     SimulationError,
@@ -122,7 +123,7 @@ class TestReconfiguration:
         assert drained == ["r1"]
         assert simulator.regions["r1"].node != nodes[0]
         assert simulator.nodes[nodes[0]].state == STATE_RESTARTING
-        simulator.run(simulator.restart_seconds + 5.0)
+        simulator.run(RESTART_SECONDS + 5.0)
         assert simulator.nodes[nodes[0]].online
         assert simulator.nodes[nodes[0]].profile_name == "read"
 
@@ -132,7 +133,9 @@ class TestReconfiguration:
         simulator.attach_workload(make_binding(["r1"]))
         simulator.reconfigure_node(nodes[0], NODE_PROFILES["read"].config, drain=False)
         simulator.tick()
-        assert simulator.nodes[nodes[0]].served_ops == 0.0
+        region = simulator.regions["r1"]
+        assert region.node == nodes[0]
+        assert region.read_rate + region.write_rate + region.scan_rate == 0.0
 
 
 class TestWorkloads:

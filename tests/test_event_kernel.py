@@ -192,23 +192,27 @@ class TestMacroTickEquivalence:
         assert sim.stats.ticks == 5
 
 
-class _OpaqueController:
-    """A controller without ``next_wakeup``: disables harness skipping."""
+class _EveryTickController:
+    """A controller that asks to be woken every tick: the harness then
+    plans no skip, so every tick runs for real."""
 
-    def step(self, now: float) -> None:  # pragma: no cover - trivially inert
+    def step(self, now: float) -> None:
         pass
+
+    def next_wakeup(self, now: float) -> float:
+        return now
 
 
 def _build_harness(
     solver=EventSolver,
-    opaque: bool = False,
+    every_tick: bool = False,
     daemon_period: float | None = None,
     tick_seconds: float = 5.0,
 ):
     sim = build_steady(solver, nodes=5, regions=15, tick_seconds=tick_seconds)
     harness = ExperimentHarness(sim, name=solver.__name__, sample_every_seconds=60.0)
-    if opaque:
-        harness.add_controller(_OpaqueController())
+    if every_tick:
+        harness.add_controller(_EveryTickController())
     if daemon_period is not None:
         harness.add_controller(
             HBaseBalancerDaemon(SimulatorBackend(sim), period_seconds=daemon_period)
@@ -258,11 +262,10 @@ class TestHarnessFastForward:
         skipped = skipping.run_for(1800.0, schedule=_schedule_for(skip_sim))
         assert skip_sim.stats.skipped_ticks > 200, "fast-forward never engaged"
 
-        ticking, tick_sim = _build_harness(opaque=True, tick_seconds=tick_seconds)
-        with pytest.warns(RuntimeWarning, match="quiescence skipping disabled"):
-            ticked = ticking.run_for(1800.0, schedule=_schedule_for(tick_sim))
+        ticking, tick_sim = _build_harness(every_tick=True, tick_seconds=tick_seconds)
+        ticked = ticking.run_for(1800.0, schedule=_schedule_for(tick_sim))
         assert tick_sim.stats.skipped_ticks == 0, (
-            "a controller without next_wakeup must disable skipping"
+            "a controller woken every tick must disable skipping"
         )
 
         assert skip_sim.clock.now == tick_sim.clock.now
@@ -304,26 +307,15 @@ class TestHarnessFastForward:
         assert_identical_metrics(event_sim, fast_sim)
 
 
-class TestSkipEligibility:
-    """Satellite fix: a silently disabled fast-forward path is now loud.
+class TestControllerContract:
+    def test_add_controller_rejects_a_controller_without_next_wakeup(self):
+        """Fast-forwarding needs every controller's wake-up bound, so a
+        controller that cannot give one is refused at registration."""
 
-    ``run_for`` records *whether* quiescence skipping was active and, when
-    not, *why* -- on the run -- so a campaign
-    can assert the fast-forward speedup actually engaged instead of
-    discovering a 10x slowdown in wall-clock graphs.
-    """
+        class StepOnly:
+            def step(self, now: float) -> None:
+                pass
 
-    def test_opaque_controller_warns_and_records_reason(self):
-        harness, sim = _build_harness(opaque=True)
-        with pytest.warns(RuntimeWarning, match="quiescence skipping disabled"):
-            run = harness.run_for(600.0)
-        assert run.skip_active is False
-        assert "_OpaqueController" in run.skip_disabled_reason
-        assert "next_wakeup" in run.skip_disabled_reason
-        assert sim.stats.skipped_ticks == 0
-
-    def test_standard_controllers_keep_skipping_active(self):
-        harness, _ = _build_harness(daemon_period=45.0)
-        run = harness.run_for(600.0)
-        assert run.skip_active is True
-        assert run.skip_disabled_reason == ""
+        harness, _ = _build_harness()
+        with pytest.raises(TypeError, match="StepOnly has no next_wakeup"):
+            harness.add_controller(StepOnly())

@@ -163,17 +163,6 @@ class TestMeTEndToEnd:
         )
         assert decisions >= met.actuator.report.plans_applied
 
-    def test_disabled_controller_does_nothing(self):
-        simulator = self._prepared_simulator(seed=3)
-        backend = SimulatorBackend(simulator)
-        met = MeT(backend, MeTParameters(), enabled=False)
-        for _ in range(12 * 10):
-            simulator.tick()
-            met.step(simulator.clock.now)
-        assert met.actuator.report.plans_applied == 0
-        assert not met.log.events
-        assert all(node.profile_name == "default" for node in simulator.nodes.values())
-
 
 class TestTiramola:
     def _overloaded_backend(self):
@@ -340,12 +329,12 @@ class TestActuatorCrashTolerance:
                 NodeTarget(node=nodes[1], profile="write", needs_restart=True),
             ],
         )
-        assert actuator.submit(plan, now=0.0)
+        assert actuator.submit(plan)
         # The first target crashes before the actuator reaches it.
         simulator.fail_node(nodes[0])
         for _ in range(40):
             simulator.tick()
-            actuator.step(simulator.clock.now)
+            actuator.step()
             if actuator.phase is ActuatorPhase.IDLE:
                 break
         assert actuator.phase is ActuatorPhase.IDLE, "actuator wedged on a ghost"
@@ -366,14 +355,14 @@ class TestActuatorCrashTolerance:
             targets=[NodeTarget(node=placeholder, profile="read")],
             new_nodes=[placeholder],
         )
-        assert actuator.submit(plan, now=0.0)
+        assert actuator.submit(plan)
         assert actuator.phase is ActuatorPhase.PROVISIONING
         # The freshly provisioned VM dies while still booting.
         real_name = next(iter(actuator._inflight.placeholder_map.values()))
         simulator.fail_node(real_name)
         for _ in range(40):
             simulator.tick()
-            actuator.step(simulator.clock.now)
+            actuator.step()
             if actuator.phase is ActuatorPhase.IDLE:
                 break
         assert actuator.phase is ActuatorPhase.IDLE, (
@@ -392,13 +381,13 @@ class TestActuatorCrashTolerance:
             initial=False,
             targets=[NodeTarget(node=nodes[0], profile="read", needs_restart=True)],
         )
-        assert actuator.submit(plan, now=0.0)
-        actuator.step(0.0)  # issues the restart
+        assert actuator.submit(plan)
+        actuator.step()  # issues the restart
         assert actuator.phase is ActuatorPhase.WAITING_RESTART
         simulator.fail_node(nodes[0])  # dies while restarting
         for _ in range(40):
             simulator.tick()
-            actuator.step(simulator.clock.now)
+            actuator.step()
             if actuator.phase is ActuatorPhase.IDLE:
                 break
         assert actuator.phase is ActuatorPhase.IDLE, (

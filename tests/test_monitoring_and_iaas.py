@@ -128,7 +128,9 @@ class TestOpenStackProvider:
         provider = OpenStackProvider(clock, boot_seconds=0.0)
         provider.launch("a", "m1.small")
         clock.advance(3600.0)
-        assert provider.machine_hours() == pytest.approx(1.0, rel=0.05)
+        assert provider.machine_minutes_by_flavor() == {
+            "m1.small": pytest.approx(60.0, rel=0.05)
+        }
 
     def test_by_name_finds_live_instance(self):
         provider = OpenStackProvider(SimulationClock())
