@@ -11,6 +11,11 @@ import pytest
 @pytest.fixture(scope="session")
 def figure6_result():
     """Run the elasticity experiment once and share it across benchmarks."""
-    from repro.experiments.figure6 import run_figure6
+    from dataclasses import replace
 
-    return run_figure6(minutes=45.0)
+    from repro.experiments.figure6 import run_figure6
+    from repro.scenarios.paper import FIGURE6
+
+    return run_figure6(
+        {controller: replace(spec, duration_minutes=45.0) for controller, spec in FIGURE6.items()}
+    )

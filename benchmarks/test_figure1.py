@@ -1,12 +1,16 @@
 """Benchmark regenerating Figure 1 (Section 3.4 motivation experiment)."""
 
+from dataclasses import replace
+
 from repro.experiments.figure1 import report, run_figure1
+from repro.scenarios.paper import FIGURE1
 
 
 def test_figure1_strategies(benchmark):
     """Manual-Heterogeneous beats Manual-Homogeneous beats Random (mean)."""
+    specs = {name: replace(spec, duration_minutes=6.0) for name, spec in FIGURE1.items()}
     result = benchmark.pedantic(
-        run_figure1, kwargs={"runs": 3, "minutes": 6.0}, iterations=1, rounds=1
+        run_figure1, kwargs={"specs": specs, "runs": 3}, iterations=1, rounds=1
     )
     print()
     print(report(result))

@@ -1,13 +1,15 @@
 """Benchmark regenerating Figure 4 (Section 6.2 convergence experiment)."""
 
+from dataclasses import replace
+
 from repro.experiments.figure4 import report, run_figure4
+from repro.scenarios.paper import FIGURE4
 
 
 def test_figure4_convergence(benchmark):
     """MeT autonomously converges to Manual-Heterogeneous performance."""
-    result = benchmark.pedantic(
-        run_figure4, kwargs={"minutes": 18.0}, iterations=1, rounds=1
-    )
+    specs = {name: replace(spec, duration_minutes=18.0) for name, spec in FIGURE4.items()}
+    result = benchmark.pedantic(run_figure4, args=(specs,), iterations=1, rounds=1)
     print()
     print(report(result))
 

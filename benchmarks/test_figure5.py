@@ -1,13 +1,18 @@
 """Benchmark regenerating Figure 5 (cumulative throughput, MeT vs tiramola)."""
 
-from repro.experiments.figure5 import report, run_figure5
+from repro.experiments.figure5 import Figure5Result, report
 
 
 def test_figure5_cumulative_throughput(benchmark, figure6_result):
     """MeT completes more operations than tiramola during phase 1."""
+    # Phase 1 of the shared Figure 6 run is the Figure 5 experiment.
     result = benchmark.pedantic(
-        run_figure5,
-        kwargs={"minutes": 33.0, "from_figure6": figure6_result},
+        Figure5Result,
+        kwargs={
+            "met": figure6_result.met,
+            "tiramola": figure6_result.tiramola,
+            "minutes": figure6_result.phase1_minutes,
+        },
         iterations=1,
         rounds=1,
     )

@@ -1,12 +1,15 @@
 """Benchmark regenerating Table 2 (Section 6.3 PyTPCC experiment)."""
 
+from dataclasses import replace
+
 from repro.experiments.table2 import report, run_table2
+from repro.scenarios.paper import TABLE2
 
 
 def test_table2_pytpcc(benchmark):
     """MeT improves TPC-C throughput without prior knowledge of the workload."""
     result = benchmark.pedantic(
-        run_table2, kwargs={"minutes": 20.0}, iterations=1, rounds=1
+        run_table2, args=(replace(TABLE2, duration_minutes=20.0),), iterations=1, rounds=1
     )
     print()
     print(report(result))

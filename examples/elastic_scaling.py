@@ -10,11 +10,16 @@ switched off halfway through to show scale-down behaviour.
 Run with:  python examples/elastic_scaling.py
 """
 
-from repro.experiments.figure6 import SHUTDOWN_SCHEDULE, run_figure6
+from dataclasses import replace
+
+from repro.experiments.figure6 import run_figure6
+from repro.scenarios.paper import FIGURE6, SHUTDOWN_SCHEDULE
 
 
 def main() -> None:
-    result = run_figure6(minutes=45.0)
+    result = run_figure6(
+        {controller: replace(spec, duration_minutes=45.0) for controller, spec in FIGURE6.items()}
+    )
     print("minute   MeT ops/s  MeT nodes   tiramola ops/s  tiramola nodes")
     tiramola = {round(p.minute): p for p in result.tiramola.series}
     for point in result.met.series:

@@ -34,7 +34,7 @@ def main() -> None:
     #    reconfigures: classify partitions, group nodes, move regions and
     #    restart RegionServers with per-group profiles.
     backend = SimulatorBackend(simulator)
-    met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5, allow_remove=False))
+    met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5))
 
     print("minute  throughput(ops/s)  node profiles")
     for minute in range(1, 21):

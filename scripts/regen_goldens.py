@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate (or verify) the committed golden traces under tests/golden/.
 
+Two sets: the scenario catalog (tests/golden/*.json) and the paper's
+evaluation runs (tests/golden/paper/*.json, see repro.scenarios.paper).
+
 Run after an *intentional* behaviour change (new decision logic, retuned
 scenario, trace schema bump):
 
@@ -39,27 +42,33 @@ from repro.scenarios.trace import (  # noqa: E402
     TRACE_FORMAT,
     golden_combos,
     golden_name,
+    paper_traces,
 )
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+PAPER_DIR = GOLDEN_DIR / "paper"
 
 
 def expected_payloads() -> dict[Path, str]:
-    """Canonical serialisation of every (scenario, controller) golden.
+    """Canonical serialisation of every golden.
 
-    The combo list is the catalog x GOLDEN_CONTROLLERS matrix plus the
-    planner-goldened subset (see ``trace.golden_combos``).
+    The catalog combo list is the catalog x GOLDEN_CONTROLLERS matrix plus
+    the planner-goldened subset (see ``trace.golden_combos``); the paper
+    runs are those of ``trace.paper_traces``.
     """
-    return {
+    payloads = {
         GOLDEN_DIR / golden_name(scenario, controller): trace_to_json(
             scenario_trace(CANNED_SCENARIOS[scenario], controller)
         )
         for scenario, controller in golden_combos()
     }
+    for name, trace in paper_traces().items():
+        payloads[PAPER_DIR / name] = trace_to_json(trace)
+    return payloads
 
 
 def regenerate() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    PAPER_DIR.mkdir(parents=True, exist_ok=True)
     for path, payload in expected_payloads().items():
         changed = not path.exists() or path.read_text() != payload
         path.write_text(payload)
@@ -135,7 +144,7 @@ def check(diff_report: Path | None = None) -> int:
                 )
             )
         )
-    committed_files = set(GOLDEN_DIR.glob("*.json")) if GOLDEN_DIR.exists() else set()
+    committed_files = set(GOLDEN_DIR.glob("*.json")) | set(PAPER_DIR.glob("*.json"))
     for orphan in sorted(committed_files - set(expected)):
         problems.append(f"orphaned      {_display(orphan)}")
     if diff_report is not None:
@@ -143,7 +152,7 @@ def check(diff_report: Path | None = None) -> int:
         if diffs:
             print(f"wrote drift diff to {diff_report}")
     if problems:
-        print("golden traces out of sync with the catalog:")
+        print("golden traces out of sync with the catalog and paper runs:")
         for problem in problems:
             print(f"  {problem}")
         print(

@@ -21,8 +21,9 @@ runs on:
   placement strategies.
 * :mod:`repro.workloads` -- YCSB workloads A-F and a TPC-C (PyTPCC-like)
   workload, both as analytical client bindings for the simulator.
-* :mod:`repro.experiments` -- the harness that regenerates every table and
-  figure of the paper's evaluation section.
+* :mod:`repro.experiments` -- the experiment harness, and the tables and
+  figures of the paper's evaluation section, folded from the paper's runs
+  (:mod:`repro.scenarios.paper`).
 """
 
 from repro.core.framework import MeT

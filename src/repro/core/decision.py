@@ -92,7 +92,6 @@ class DecisionMaker:
             not overloaded
             and len(underloaded) / len(online) > self.parameters.underload_fraction
             and len(online) > self.parameters.min_nodes
-            and self.parameters.allow_remove
         )
         acceptable = not overloaded and not cluster_underloaded
         return ClusterHealth(

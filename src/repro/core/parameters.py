@@ -36,8 +36,6 @@ class MeTParameters:
         read_locality_threshold: same for every other profile.
         min_nodes: never shrink the cluster below this size.
         max_nodes: never grow the cluster above this size.
-        allow_remove: whether MeT may release nodes on underutilisation (the
-            paper parameterises this to avoid add/remove oscillation).
         cooldown_seconds: minimum time between two actuator actions.
     """
 
@@ -53,7 +51,6 @@ class MeTParameters:
     read_locality_threshold: float = 0.90
     min_nodes: int = 1
     max_nodes: int = 64
-    allow_remove: bool = True
     cooldown_seconds: float = 60.0
 
     def validate(self) -> "MeTParameters":
@@ -83,9 +80,4 @@ class MeTParameters:
         if self.max_nodes < self.min_nodes:
             raise ValueError("max nodes must be at least min nodes")
         return self
-
-    @property
-    def decision_period_seconds(self) -> float:
-        """Seconds between Decision Maker invocations."""
-        return self.monitor_period_seconds * self.decision_samples
 

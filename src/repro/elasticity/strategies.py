@@ -12,6 +12,12 @@
 * **Manual-Heterogeneous** -- partitions clustered by access pattern, node
   groups sized proportionally to the partitions they hold, and each node
   configured with the Table 1 profile of its group.
+
+:data:`PLACEMENTS` names the layouts a
+:class:`~repro.scenarios.spec.ScenarioSpec` can declare its run to start
+from.  ``partition-per-node`` is the Section 6.3 TPC-C layout:
+one warehouse-aligned partition per node, every node on the hand-tuned
+homogeneous TPC-C configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.core.classification import (
 from repro.core.grouping import max_partitions_per_node, nodes_per_group
 from repro.core.profiles import profile_for
 from repro.hbase.balancer import RandomBalancer
-from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
+from repro.hbase.config import DEFAULT_HOMOGENEOUS, TPCC_HOMOGENEOUS, RegionServerConfig
 
 
 @dataclass(frozen=True)
@@ -178,3 +184,29 @@ def manual_heterogeneous(
         plan.node_configs[node] = DEFAULT_HOMOGENEOUS
         plan.node_profiles[node] = "default"
     return plan
+
+
+def partition_per_node(partitions: list[PartitionWorkload], nodes: list[str]) -> PlacementPlan:
+    """Partition ``i`` on node ``i``, every node on ``TPCC_HOMOGENEOUS``."""
+    return PlacementPlan(
+        name="partition-per-node",
+        node_configs={node: TPCC_HOMOGENEOUS for node in nodes},
+        node_profiles={node: "default" for node in nodes},
+        assignment={
+            partition.partition_id: node for partition, node in zip(partitions, nodes)
+        },
+    )
+
+
+#: The named initial layouts: name -> ``(partitions, nodes, seed) -> plan``
+#: (``seed`` drives the random balancer of ``random-homogeneous`` only).
+PLACEMENTS = {
+    "random-homogeneous": lambda partitions, nodes, seed: random_homogeneous(
+        partitions, nodes, seed=seed
+    ),
+    "manual-homogeneous": lambda partitions, nodes, seed: manual_homogeneous(partitions, nodes),
+    "manual-heterogeneous": lambda partitions, nodes, seed: manual_heterogeneous(
+        partitions, nodes
+    ),
+    "partition-per-node": lambda partitions, nodes, seed: partition_per_node(partitions, nodes),
+}

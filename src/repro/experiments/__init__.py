@@ -1,7 +1,13 @@
-"""Experiment harness regenerating every table and figure of the evaluation.
+"""The paper's tables and figures, regenerated from recorded scenario runs.
 
-Each module exposes a ``run_*`` function returning a result object and a
-``main()`` that prints the same rows/series the paper reports:
+The runs themselves are declared in :mod:`repro.scenarios.paper` as
+:class:`~repro.scenarios.spec.ScenarioSpec`s and run by
+:func:`~repro.scenarios.runner.run_scenario`, the same path as the scenario
+catalog (and goldened like it, under ``tests/golden/paper/``).  Each module
+here exposes a ``run_*`` function that runs its specs and folds the
+:class:`~repro.scenarios.runner.ScenarioRunResult`s into a result object
+with the paper's derived measures, and a ``main()`` that prints the same
+rows/series the paper reports:
 
 * :mod:`repro.experiments.figure1` -- the Section 3.4 motivation experiment
   (Random-Homogeneous vs Manual-Homogeneous vs Manual-Heterogeneous).
@@ -9,26 +15,8 @@ Each module exposes a ``run_*`` function returning a result object and a
 * :mod:`repro.experiments.table2` -- the Section 6.3 PyTPCC experiment.
 * :mod:`repro.experiments.figure5` -- cumulative throughput, MeT vs tiramola.
 * :mod:`repro.experiments.figure6` -- the Section 6.4 elasticity experiment.
+
+Run one with ``python -m repro.experiments.<module>``.  The package imports
+none of them itself, so running a module does not import it twice.
+:mod:`repro.experiments.harness` is the harness every scenario run drives.
 """
-
-from repro.experiments.harness import ExperimentHarness, StrategyRun
-from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure4 import Figure4Result, run_figure4
-from repro.experiments.figure5 import Figure5Result, run_figure5
-from repro.experiments.figure6 import Figure6Result, run_figure6
-from repro.experiments.table2 import Table2Result, run_table2
-
-__all__ = [
-    "ExperimentHarness",
-    "StrategyRun",
-    "Figure1Result",
-    "run_figure1",
-    "Figure4Result",
-    "run_figure4",
-    "Figure5Result",
-    "run_figure5",
-    "Figure6Result",
-    "run_figure6",
-    "Table2Result",
-    "run_table2",
-]

@@ -12,21 +12,12 @@ dramatic improvement of the scan workload E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.elasticity.strategies import (
-    manual_heterogeneous,
-    manual_homogeneous,
-    random_homogeneous,
-)
-from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import format_table, percentiles
-from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tenant import materialise_tenants
-from repro.workloads.ycsb.workloads import CORE_WORKLOADS
-
-#: The three strategies of Section 3.3, in presentation order.
-STRATEGIES = ("random-homogeneous", "manual-homogeneous", "manual-heterogeneous")
+from repro.scenarios.paper import FIGURE1
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -86,44 +77,24 @@ class Figure1Result:
         return het / hom if hom > 0 else float("inf")
 
 
-def _run_once(strategy: str, seed: int, minutes: float, nodes: int) -> tuple[float, dict[str, float]]:
-    """Run one strategy once; returns (total throughput, per-workload)."""
-    simulator = ClusterSimulator()
-    node_names = [simulator.add_node() for _ in range(nodes)]
-    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
-    if strategy == "random-homogeneous":
-        plan = random_homogeneous(expected, node_names, seed=seed)
-    elif strategy == "manual-homogeneous":
-        plan = manual_homogeneous(expected, node_names)
-    elif strategy == "manual-heterogeneous":
-        plan = manual_heterogeneous(expected, node_names)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    apply_placement(simulator, plan)
-    harness = ExperimentHarness(simulator, name=f"{strategy}-{seed}")
-    run = harness.run_for(minutes * 60.0)
-    steady = run.throughput_between(minutes * 0.5, minutes)
-    per_workload = dict(run.per_workload_throughput)
-    return steady, per_workload
+def run_figure1(specs: dict[str, ScenarioSpec] = FIGURE1, runs: int = 5) -> Figure1Result:
+    """Run every strategy's spec at seeds ``0 .. runs - 1``.
 
-
-def run_figure1(runs: int = 5, minutes: float = 10.0, nodes: int = 5) -> Figure1Result:
-    """Run the full Figure 1 experiment.
-
-    ``minutes`` is the steady-state window per run (the paper runs 30
-    minutes; the default is shorter because the analytical simulator reaches
-    steady state quickly).
+    A run's total is its mean throughput over the second half (the steady
+    state; the paper runs 30 minutes, the specs fewer because the
+    analytical simulator settles quickly).  Only the random strategy's
+    placement depends on the seed; the manual strategies are still run
+    ``runs`` times for symmetric reporting.
     """
-    result = Figure1Result(minutes=minutes, runs=runs)
-    for strategy in STRATEGIES:
+    result = Figure1Result(runs=runs)
+    for strategy, spec in specs.items():
+        minutes = spec.duration_minutes
+        result.minutes = minutes
         outcome = StrategyOutcome(name=strategy)
-        # Only the random strategy is placement-randomised; the manual
-        # strategies are deterministic but are still run ``runs`` times for
-        # symmetric reporting.
         for seed in range(runs):
-            total, per_workload = _run_once(strategy, seed, minutes, nodes)
-            outcome.totals.append(total)
-            outcome.per_workload.append(per_workload)
+            run = run_scenario(replace(spec, seed=seed), keep_simulator=False).run
+            outcome.totals.append(run.throughput_between(minutes * 0.5, minutes))
+            outcome.per_workload.append(dict(run.per_workload_throughput))
         result.outcomes[strategy] = outcome
     return result
 
@@ -133,8 +104,7 @@ def report(result: Figure1Result) -> str:
     workloads = [f"workload-{w}" for w in "ABCDEF"]
     headers = ["strategy"] + [w.split("-")[1] for w in workloads] + ["total", "p50-total"]
     rows = []
-    for strategy in STRATEGIES:
-        outcome = result.outcomes[strategy]
+    for strategy, outcome in result.outcomes.items():
         row = [strategy]
         row += [f"{outcome.workload_mean(w):,.0f}" for w in workloads]
         row.append(f"{outcome.mean_total:,.0f}")

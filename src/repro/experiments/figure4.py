@@ -12,22 +12,13 @@ Manual-Homogeneous within 15 minutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.framework import MeT
-from repro.core.parameters import MeTParameters
-from repro.elasticity.autoscaler import AutoscalerAction
-from repro.elasticity.strategies import (
-    manual_heterogeneous,
-    manual_homogeneous,
-    random_homogeneous,
-)
-from repro.core.backends import SimulatorBackend
-from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
+from repro.experiments.harness import StrategyRun
 from repro.experiments.reporting import format_table
-from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tenant import materialise_tenants
-from repro.workloads.ycsb.workloads import CORE_WORKLOADS
+from repro.scenarios.paper import FIGURE4
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -37,7 +28,6 @@ class Figure4Result:
     met: StrategyRun
     manual_homogeneous: StrategyRun
     manual_heterogeneous: StrategyRun
-    met_events: list = field(default_factory=list)
     minutes: float = 30.0
     met_start_minute: float = 2.0
 
@@ -78,53 +68,21 @@ class Figure4Result:
         return abs(self.met_final_throughput - target) / target <= tolerance
 
 
-def _manual_run(strategy_fn, name: str, minutes: float, nodes: int, seed: int) -> StrategyRun:
-    simulator = ClusterSimulator()
-    node_names = [simulator.add_node() for _ in range(nodes)]
-    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
-    if strategy_fn is random_homogeneous:
-        plan = strategy_fn(expected, node_names, seed=seed)
-    else:
-        plan = strategy_fn(expected, node_names)
-    apply_placement(simulator, plan)
-    harness = ExperimentHarness(simulator, name=name)
-    return harness.run_for(minutes * 60.0)
-
-
-def run_figure4(
-    minutes: float = 30.0,
-    nodes: int = 5,
-    met_start_minute: float = 2.0,
-    seed: int = 1,
-) -> Figure4Result:
-    """Run the convergence experiment and the two manual baselines."""
-    # --- MeT run: start from Random-Homogeneous, add MeT after ramp-up.
-    simulator = ClusterSimulator()
-    node_names = [simulator.add_node() for _ in range(nodes)]
-    expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
-    apply_placement(simulator, random_homogeneous(expected, node_names, seed=seed))
-    backend = SimulatorBackend(simulator)
-    parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
-    met = MeT(backend, parameters)
-    harness = ExperimentHarness(simulator, name="met")
-    harness.run_for(met_start_minute * 60.0)
-    harness.add_controller(met)
-    met_run = harness.run_for((minutes - met_start_minute) * 60.0)
-
-    hom_run = _manual_run(manual_homogeneous, "manual-homogeneous", minutes, nodes, seed)
-    het_run = _manual_run(manual_heterogeneous, "manual-heterogeneous", minutes, nodes, seed)
+def run_figure4(specs: dict[str, ScenarioSpec] = FIGURE4) -> Figure4Result:
+    """Run the convergence experiment (under MeT) and the two manual
+    baselines (under no controller)."""
+    runs = {
+        name: run_scenario(
+            spec, controller="met" if name == "met" else "none", keep_simulator=False
+        ).run
+        for name, spec in specs.items()
+    }
     return Figure4Result(
-        met=met_run,
-        manual_homogeneous=hom_run,
-        manual_heterogeneous=het_run,
-        met_events=[
-            event
-            for action in (AutoscalerAction.PLAN, AutoscalerAction.PLAN_COMPLETE)
-            for event in met.log.events
-            if event.action == action
-        ],
-        minutes=minutes,
-        met_start_minute=met_start_minute,
+        met=runs["met"],
+        manual_homogeneous=runs["manual-homogeneous"],
+        manual_heterogeneous=runs["manual-heterogeneous"],
+        minutes=specs["met"].duration_minutes,
+        met_start_minute=specs["met"].controller_start_minute,
     )
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.figure6 import Figure6Result, run_figure6
 from repro.experiments.harness import StrategyRun
 from repro.experiments.reporting import format_table
+from repro.scenarios.paper import FIGURE5
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -47,26 +49,14 @@ class Figure5Result:
         return self.met_total_operations - self.tiramola_total_operations
 
 
-def run_figure5(
-    minutes: float = 33.0,
-    initial_nodes: int = 6,
-    max_nodes: int = 11,
-    seed: int = 0,
-    from_figure6: Figure6Result | None = None,
-) -> Figure5Result:
-    """Run (or reuse) the elasticity experiment's first phase."""
-    if from_figure6 is None:
-        from_figure6 = run_figure6(
-            minutes=minutes,
-            initial_nodes=initial_nodes,
-            max_nodes=max_nodes,
-            seed=seed,
-            with_phase2=False,
-        )
+def run_figure5(specs: dict[str, ScenarioSpec] = FIGURE5) -> Figure5Result:
+    """Run the elasticity experiment's first phase for MeT and tiramola."""
+    runs = {
+        controller: run_scenario(spec, controller=controller, keep_simulator=False).run
+        for controller, spec in specs.items()
+    }
     return Figure5Result(
-        met=from_figure6.met,
-        tiramola=from_figure6.tiramola,
-        minutes=min(minutes, from_figure6.minutes),
+        met=runs["met"], tiramola=runs["tiramola"], minutes=specs["met"].duration_minutes
     )
 
 

@@ -97,11 +97,6 @@ class StrategyRun:
             return 0.0
         return sum(point.throughput for point in self.series) / len(self.series)
 
-    @property
-    def peak_throughput(self) -> float:
-        """Maximum recorded throughput."""
-        return max((point.throughput for point in self.series), default=0.0)
-
     def throughput_between(self, start_minute: float, end_minute: float) -> float:
         """Mean throughput between two minutes of the run."""
         window = [
@@ -126,11 +121,6 @@ class StrategyRun:
         counts = [point.nodes for point in self.series]
         return min(counts), max(counts)
 
-    def tenant_peak_latency(self, tenant: str) -> float:
-        """Largest recorded latency sample of one tenant (0.0 when absent)."""
-        points = self.tenant_series.get(tenant, [])
-        return max((point.latency_ms for point in points), default=0.0)
-
     def peak_percentile(self, percentile: int) -> float:
         """Worst recorded p95/p99 sample across every tenant (0.0 when absent)."""
         attr = _percentile_attr(percentile)
@@ -143,13 +133,6 @@ class StrategyRun:
             ),
             default=0.0,
         )
-
-    def tenant_mean_latency(self, tenant: str) -> float:
-        """Mean recorded latency of one tenant (0.0 when absent)."""
-        points = self.tenant_series.get(tenant, [])
-        if not points:
-            return 0.0
-        return sum(point.latency_ms for point in points) / len(points)
 
 
 def _percentile_attr(percentile: int) -> str:

@@ -18,19 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.backends import SimulatorBackend
-from repro.core.framework import MeT
-from repro.core.parameters import MeTParameters
-from repro.core.profiles import NODE_PROFILES
-from repro.elasticity.strategies import PlacementPlan
-from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import format_table
-from repro.hbase.config import TPCC_HOMOGENEOUS
-from repro.simulation.cluster import ClusterSimulator
-from repro.workloads.tenant import materialise_tenants
+from repro.scenarios.paper import TABLE2, converged
+from repro.scenarios.runner import ScenarioRunResult, run_scenario
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.tpcc.driver import tpmc_from_ops_rate
-from repro.workloads.tpcc.schema import TPCCConfig
-from repro.workloads.tpcc.tenant import TPCCTenant
 
 
 @dataclass
@@ -58,83 +50,23 @@ class Table2Result:
         return 1.0 - self.met_with_overhead_tpmc / self.met_without_overhead_tpmc
 
 
-def _new_cluster(nodes: int, tpcc_config: TPCCConfig) -> ClusterSimulator:
-    """The TPC-C cluster with one warehouse-aligned partition per node."""
-    simulator = ClusterSimulator(default_config=TPCC_HOMOGENEOUS)
-    node_names = [simulator.add_node() for _ in range(nodes)]
-    expected = materialise_tenants(simulator, [TPCCTenant(config=tpcc_config)])
-    assignment = {
-        partition.partition_id: node for partition, node in zip(expected, node_names)
-    }
-    apply_placement(simulator, PlacementPlan(name="partition-per-node", assignment=assignment))
-    return simulator
+def _average_tpmc(result: ScenarioRunResult) -> float:
+    return tpmc_from_ops_rate(result.run.total_operations / result.spec.duration_seconds)
 
 
-def _average_tpmc(simulator: ClusterSimulator, minutes: float) -> float:
-    ops_per_second = simulator.total_ops / (minutes * 60.0)
-    return tpmc_from_ops_rate(ops_per_second)
-
-
-def run_table2(
-    minutes: float = 45.0,
-    nodes: int = 6,
-    met_start_minute: float = 4.0,
-    warehouses: int = 30,
-) -> Table2Result:
+def run_table2(spec: ScenarioSpec = TABLE2) -> Table2Result:
     """Run the three PyTPCC settings and report average tpmC."""
-    tpcc_config = TPCCConfig(warehouses=warehouses, warehouses_per_node=warehouses // nodes)
-
-    # (i) Manual-Homogeneous baseline.
-    simulator = _new_cluster(nodes, tpcc_config)
-    harness = ExperimentHarness(simulator, name="manual-homogeneous")
-    harness.run_for(minutes * 60.0)
-    homogeneous_tpmc = _average_tpmc(simulator, minutes)
-
-    # (ii) MeT started during the run.
-    simulator = _new_cluster(nodes, tpcc_config)
-    backend = SimulatorBackend(simulator)
-    parameters = MeTParameters(max_nodes=nodes, min_nodes=nodes, allow_remove=False)
-    met = MeT(backend, parameters)
-    harness = ExperimentHarness(simulator, name="met")
-    harness.run_for(met_start_minute * 60.0)
-    harness.add_controller(met)
-    harness.run_for((minutes - met_start_minute) * 60.0)
-    met_tpmc = _average_tpmc(simulator, minutes)
-    met_profiles = {
-        name: node.profile_name for name, node in sorted(simulator.nodes.items())
-    }
-    met_assignment = simulator.assignment()
-
-    # (iii) MeT's suggested configuration applied from the start.
-    # Applied as a placement plan, not through reconfigure_node: this arm
-    # models the configuration in place from t=0, with no restart.
-    simulator = _new_cluster(nodes, tpcc_config)
-    profiles = {
-        name: profile
-        for name, profile in met_profiles.items()
-        if name in simulator.nodes and profile in NODE_PROFILES
-    }
-    plan = PlacementPlan(
-        name="met-converged",
-        node_configs={name: NODE_PROFILES[profile].config for name, profile in profiles.items()},
-        node_profiles=profiles,
-        assignment={
-            partition_id: node
-            for partition_id, node in met_assignment.items()
-            if node in simulator.nodes and partition_id in simulator.regions
-        },
-    )
-    apply_placement(simulator, plan)
-    harness = ExperimentHarness(simulator, name="met-no-overhead")
-    harness.run_for(minutes * 60.0)
-    upper_tpmc = _average_tpmc(simulator, minutes)
-
+    homogeneous = run_scenario(spec, keep_simulator=False)
+    met = run_scenario(spec, controller="met")
+    upper = run_scenario(converged(spec, met), keep_simulator=False)
     return Table2Result(
-        manual_homogeneous_tpmc=homogeneous_tpmc,
-        met_with_overhead_tpmc=met_tpmc,
-        met_without_overhead_tpmc=upper_tpmc,
-        minutes=minutes,
-        met_profiles=met_profiles,
+        manual_homogeneous_tpmc=_average_tpmc(homogeneous),
+        met_with_overhead_tpmc=_average_tpmc(met),
+        met_without_overhead_tpmc=_average_tpmc(upper),
+        minutes=spec.duration_minutes,
+        met_profiles={
+            name: node.profile_name for name, node in sorted(met.simulator.nodes.items())
+        },
     )
 
 

@@ -111,15 +111,6 @@ class OpenStackProvider:
         self.refresh()
         return [vm for vm in self.instances.values() if vm.state == VMState.ACTIVE]
 
-    def by_name(self, name: str) -> VirtualMachine | None:
-        """Find the most recent non-deleted instance with ``name``."""
-        matches = [
-            vm
-            for vm in self.instances.values()
-            if vm.name == name and vm.state != VMState.DELETED
-        ]
-        return matches[-1] if matches else None
-
     def machine_minutes_by_flavor(self) -> dict[str, float]:
         """Machine-minutes consumed per flavor -- the billing ledger.
 

@@ -100,7 +100,7 @@ def planner_policy_for_spec(spec) -> PlannerPolicy:
         monitor_period_seconds=spec.monitor_period_seconds,
         decision_samples=spec.decision_samples,
         cooldown_seconds=spec.cooldown_seconds,
-        min_nodes=1,
+        min_nodes=spec.min_nodes,
         max_nodes=spec.max_nodes,
     )
 

@@ -2,8 +2,11 @@
 
 ``run_scenario`` builds the cluster, tenants and initial placement, compiles
 the spec's events into a schedule, wires up the requested controller (MeT,
-tiramola, or none) and drives the experiment harness to the end of the
-scenario.  The returned result carries everything the golden-trace
+tiramola, the planner, or none) and drives the experiment harness to the
+end of the scenario; a controller with a start minute joins after the
+ramp-up on the initial layout.  This is the one run path: the catalog, the
+campaign sweeps and the paper experiments (:mod:`repro.scenarios.paper`)
+all run through it.  The returned result carries everything the golden-trace
 serialiser needs: the time series, the fired-event annotations, and the
 controller's decision log in a controller-agnostic shape.
 """
@@ -17,7 +20,7 @@ from repro.core.framework import MeT
 from repro.core.parameters import MeTParameters
 from repro.scenarios.assertions import AssertionResult, evaluate_assertions
 from repro.elasticity.daemon import HBaseBalancerDaemon
-from repro.elasticity.strategies import manual_homogeneous
+from repro.elasticity.strategies import PLACEMENTS
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
 from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
 from repro.iaas.provider import OpenStackProvider
@@ -96,7 +99,9 @@ def build_scenario(
     nodes = [simulator.add_node() for _ in range(spec.initial_nodes)]
     configured = [tenant.configured_workload() for tenant in spec.tenants]
     expected = materialise_tenants(simulator, configured)
-    plan = manual_homogeneous(expected, nodes)
+    plan = spec.placement
+    if isinstance(plan, str):
+        plan = PLACEMENTS[plan](expected, nodes, spec.seed)
     apply_placement(simulator, plan)
     context = ScenarioContext(simulator, provider=provider)
     for tenant in configured:
@@ -115,17 +120,16 @@ def _make_controller(
         return None, []
     if name == "met":
         parameters = MeTParameters(
-            min_nodes=1,
+            min_nodes=spec.min_nodes,
             max_nodes=spec.max_nodes,
             monitor_period_seconds=spec.monitor_period_seconds,
             decision_samples=spec.decision_samples,
             cooldown_seconds=spec.cooldown_seconds,
-            allow_remove=True,
         )
         return MeT(backend, parameters), []
     if name == "tiramola":
         policy = TiramolaPolicy(
-            min_nodes=1,
+            min_nodes=spec.min_nodes,
             max_nodes=spec.max_nodes,
             monitor_period_seconds=spec.monitor_period_seconds,
             decision_samples=spec.decision_samples,
@@ -186,12 +190,15 @@ def run_scenario(
         name=f"{spec.name}:{controller}",
         sample_every_seconds=SAMPLE_EVERY_SECONDS,
     )
+    schedule = compile_spec(spec, context)
+    start = spec.controller_start_minute * 60.0
+    if start > 0:
+        harness.run_for(start, schedule=schedule)
     if instance is not None:
         harness.add_controller(instance)
     for daemon in daemons:
         harness.add_controller(daemon)
-    schedule = compile_spec(spec, context)
-    run = harness.run_for(spec.duration_seconds, schedule=schedule)
+    run = harness.run_for(spec.duration_seconds - start, schedule=schedule)
     ledger = machine_minute_ledger(
         run.machine_minutes, provider.machine_minutes_by_flavor()
     )

@@ -1,7 +1,7 @@
 """Declarative scenario specifications.
 
 A :class:`ScenarioSpec` describes one time-varying multi-tenant experiment:
-the cluster (node count, hardware, tick), the tenants (any
+the cluster (node count, hardware, tick, initial layout), the tenants (any
 :class:`~repro.workloads.tenant.TenantWorkload` -- YCSB key-value tenants,
 TPC-C transactional tenants -- with baseline throughput targets) and a list
 of timed *events* -- load curves, flash crowds, tenant churn, workload-mix
@@ -12,13 +12,16 @@ the experiment harness drives.
 
 Everything random in a scenario run -- fault victim selection, arriving
 tenant placement, the HBase balancer daemon -- draws from the simulator's
-single seeded RNG, so a spec plus its ``seed`` replays bit-identically.
+single seeded RNG (a ``random-homogeneous`` initial layout seeds its own
+balancer from the same ``seed``), so a spec plus its ``seed`` replays
+bit-identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.elasticity.strategies import PLACEMENTS, PlacementPlan
 from repro.simulation.hardware import HardwareSpec
 from repro.workloads.tenant import TenantWorkload
 from repro.workloads.ycsb.workloads import binding_name
@@ -69,7 +72,14 @@ class ScenarioSpec:
     duration_minutes: float = 10.0
     seed: int = 0
     initial_nodes: int = 3
+    #: Cluster-size floor of the controllers (the paper runs hold their
+    #: initial size; the catalog lets a controller shrink to one node).
+    min_nodes: int = 1
     max_nodes: int = 8
+    #: The layout the run starts from: a name in
+    #: :data:`~repro.elasticity.strategies.PLACEMENTS`, or a ready plan
+    #: (e.g. the layout a controller converged to in an earlier run).
+    placement: str | PlacementPlan = "manual-homogeneous"
     tick_seconds: float = 5.0
     #: Granularity at which continuous events (load curves, mix shifts,
     #: growth bursts) are discretised into schedule steps.
@@ -80,6 +90,9 @@ class ScenarioSpec:
     monitor_period_seconds: float = 15.0
     decision_samples: int = 4
     cooldown_seconds: float = 90.0
+    #: Minute at which the controller joins the run (after a ramp-up on
+    #: the initial layout, as in the paper's convergence experiments).
+    controller_start_minute: float = 0.0
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -96,6 +109,12 @@ class ScenarioSpec:
             raise ValueError("control interval must be positive")
         if self.tick_seconds <= 0:
             raise ValueError("tick must be positive")
+        if isinstance(self.placement, str) and self.placement not in PLACEMENTS:
+            raise ValueError(
+                f"unknown placement {self.placement!r}; expected one of {sorted(PLACEMENTS)}"
+            )
+        if not 0.0 <= self.controller_start_minute < self.duration_minutes:
+            raise ValueError("controller start must fall inside the run")
 
     @property
     def duration_seconds(self) -> float:

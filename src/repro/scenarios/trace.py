@@ -74,6 +74,28 @@ def golden_name(scenario: str, controller: str) -> str:
     """File name of the committed golden for one scenario/controller pair."""
     return f"{scenario}__{controller}.json"
 
+
+def paper_traces() -> dict[str, dict]:
+    """Trace of every paper run (``tests/golden/paper/``), by golden name.
+
+    Each spec of :data:`repro.scenarios.paper.PAPER_RUNS` at its declared
+    seed under its controller, plus Table 2's setting (iii), which starts
+    from the layout the setting-(ii) run converged to.
+    """
+    # Imported lazily, like the catalog in golden_combos.
+    from repro.scenarios.paper import PAPER_RUNS, TABLE2, converged
+
+    traces = {}
+    for spec, controller in PAPER_RUNS:
+        setting_ii = spec is TABLE2 and controller == "met"
+        result = run_scenario(spec, controller=controller, keep_simulator=setting_ii)
+        traces[golden_name(spec.name, controller)] = result_trace(result)
+        if setting_ii:
+            upper = run_scenario(converged(spec, result), keep_simulator=False)
+            traces[golden_name(upper.spec.name, "none")] = result_trace(upper)
+    return traces
+
+
 #: Decimal places kept for floats in a trace.  Coarse enough that canonical
 #: JSON is stable and readable, fine enough (micro-op/s on kilo-op/s series)
 #: that a 1e-6 relative solver divergence is still visible.

@@ -481,15 +481,6 @@ class ClusterSimulator:
         self._workloads_version += 1
         self._mark_dirty()
 
-    def set_workload_active(self, name: str, active: bool) -> None:
-        """Activate or deactivate a tenant without removing it."""
-        if name not in self.bindings:
-            raise SimulationError(f"unknown workload {name!r}")
-        self.bindings[name].active = active
-        # ``active`` is consulted live by max_throughput -- no version bump,
-        # but any cached solution is now wrong.
-        self._mark_dirty()
-
     def update_workload(
         self,
         name: str,

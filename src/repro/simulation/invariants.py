@@ -46,7 +46,6 @@ WORKLOAD_MUTATORS: frozenset[str] = frozenset(
     {
         "attach_workload",
         "detach_workload",
-        "set_workload_active",
         "update_workload",
         "major_compact",
         "grow_workload_data",
@@ -108,7 +107,6 @@ GUARDED_BINDING_ATTRIBUTES: frozenset[str] = frozenset(
         "op_mix",
         "target_ops_per_second",
         "threads",
-        "active",
     }
 )
 

@@ -53,8 +53,6 @@ class WorkloadBinding:
         target_ops_per_second: optional throughput cap.
         record_size: value size in bytes.
         scan_length: records returned per scan operation.
-        active: inactive bindings issue no requests (used for the phased
-            shutdown in the Figure 6 experiment).
     """
 
     name: str
@@ -64,7 +62,6 @@ class WorkloadBinding:
     target_ops_per_second: float | None = None
     record_size: int = 1024
     scan_length: int = 50
-    active: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -92,8 +89,6 @@ class WorkloadBinding:
     # ------------------------------------------------------------------ #
     def max_throughput(self, mean_latency_ms: float) -> float:
         """Throughput achievable by ``threads`` clients at the given latency."""
-        if not self.active:
-            return 0.0
         latency = max(mean_latency_ms, 0.01) + CLIENT_OVERHEAD_MS
         throughput = self.threads * 1000.0 / latency
         if self.target_ops_per_second is not None:

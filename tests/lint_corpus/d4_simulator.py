@@ -49,7 +49,6 @@ class ClusterSimulator:
     def restore_node(self) -> None: ...
     def attach_workload(self) -> None: ...
     def detach_workload(self) -> None: ...
-    def set_workload_active(self) -> None: ...
     def major_compact(self) -> None: ...
     def _advance_node_states(self) -> None: ...
     def _reindex_region(self) -> None: ...

@@ -153,7 +153,8 @@ STEPS = st.one_of(
         st.sampled_from([None, 800.0, 2500.0]),
     ),
     st.tuples(st.just("threads"), st.integers(0, 9), st.integers(5, 80)),
-    st.tuples(st.just("active"), st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("detach"), st.integers(0, 9)),
+    st.tuples(st.just("attach"), st.integers(0, 9)),
     st.tuples(st.just("degrade"), st.integers(0, 9), st.sampled_from([0.3, 0.6, 1.0])),
     st.tuples(st.just("restore"), st.integers(0, 9)),
     st.tuples(st.just("fail"), st.integers(0, 9)),
@@ -164,7 +165,14 @@ STEPS = st.one_of(
 )
 
 
-def apply_step(sim: ClusterSimulator, context: ScenarioContext, step: tuple) -> None:
+def apply_step(
+    sim: ClusterSimulator,
+    context: ScenarioContext,
+    step: tuple,
+    detached: dict[str, WorkloadBinding],
+) -> None:
+    """Apply one fuzz step; ``detached`` parks the bindings of departed
+    tenants so a later ``attach`` step brings the same client back."""
     kind = step[0]
     if kind == "run":
         sim.run(step[1])
@@ -182,8 +190,15 @@ def apply_step(sim: ClusterSimulator, context: ScenarioContext, step: tuple) -> 
         )
     elif kind == "threads":
         sim.update_workload(bindings[step[1] % len(bindings)], threads=step[2])
-    elif kind == "active":
-        sim.set_workload_active(bindings[step[1] % len(bindings)], step[2])
+    elif kind == "detach":
+        if len(bindings) > 1:
+            name = bindings[step[1] % len(bindings)]
+            detached[name] = sim.bindings[name]
+            sim.detach_workload(name)
+    elif kind == "attach":
+        if detached:
+            names = sorted(detached)
+            sim.attach_workload(detached.pop(names[step[1] % len(names)]))
     elif kind == "degrade":
         sim.degrade_node(nodes[step[1] % len(nodes)], step[2])
     elif kind == "restore":
@@ -210,9 +225,10 @@ def run_twins(steps, nodes: int, regions: int, tenants: int) -> None:
     for solver in (EventSolver, NoReuseSolver):
         sim = build_cluster(solver, nodes=nodes, regions=regions, tenants=tenants)
         context = ScenarioContext(sim)
+        detached: dict[str, WorkloadBinding] = {}
         sim.run(30.0)  # settle, so the production twin starts reusing
         for step in steps:
-            apply_step(sim, context, step)
+            apply_step(sim, context, step, detached)
             assert_context_fresh(sim)
         sim.run(30.0)
         twins.append(sim)

@@ -160,18 +160,16 @@ class TestWorkloads:
 
     def test_deactivated_workload_stops(self, simulator):
         node = next(iter(simulator.nodes))
-        simulator.add_region("r1", "w", 1e8, node=node)
+        region = simulator.add_region("r1", "w", 1e8, node=node)
         simulator.attach_workload(make_binding(["r1"]))
         simulator.run(20.0)
-        simulator.set_workload_active("tenant", False)
+        simulator.detach_workload("tenant")
+        served = region.reads + region.writes + region.scans
         simulator.run(20.0)
-        # The closed-loop solver damps towards zero; only a negligible
-        # residual remains after a few ticks.
-        assert simulator.binding_throughput("tenant") < 1.0
-
-    def test_unknown_workload_activation_raises(self, simulator):
-        with pytest.raises(SimulationError):
-            simulator.set_workload_active("ghost", True)
+        # A departed tenant leaves no throughput behind and issues nothing.
+        assert simulator.binding_throughput("tenant") == 0.0
+        assert simulator.cluster_throughput() == 0.0
+        assert region.reads + region.writes + region.scans == served
 
     def test_region_counters_accumulate(self, simulator):
         node = next(iter(simulator.nodes))

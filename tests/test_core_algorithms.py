@@ -50,7 +50,7 @@ class TestProfiles:
 class TestParameters:
     def test_paper_defaults_valid(self):
         params = MeTParameters().validate()
-        assert params.decision_period_seconds == pytest.approx(180.0)
+        assert params.monitor_period_seconds * params.decision_samples == pytest.approx(180.0)
         assert params.suboptimal_nodes_threshold == 0.5
         assert params.write_locality_threshold == 0.70
         assert params.read_locality_threshold == 0.90

@@ -81,7 +81,14 @@ class TestSolutionReuse:
     @pytest.mark.parametrize(
         "mutate",
         [
-            pytest.param(lambda sim: sim.set_workload_active("tenant", False), id="set_workload_active"),
+            pytest.param(
+                lambda sim: sim.attach_workload(
+                    WorkloadBinding(
+                        name="arrival", threads=5, op_mix={"read": 1.0}, region_weights={"r0": 1.0}
+                    )
+                ),
+                id="attach_workload",
+            ),
             pytest.param(lambda sim: sim.update_workload("tenant", threads=60), id="update_workload"),
             pytest.param(lambda sim: sim.notify_workload_changed(), id="notify_workload_changed"),
             pytest.param(lambda sim: sim.detach_workload("tenant"), id="detach_workload"),

@@ -1,5 +1,11 @@
 """Smoke tests for the experiment harness and reporting (short durations)."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.figure1 import run_figure1
@@ -9,8 +15,11 @@ from repro.experiments.figure4 import report as report_figure4
 from repro.experiments.harness import ExperimentHarness, apply_placement
 from repro.experiments.reporting import format_table, percentiles
 from repro.elasticity.strategies import manual_heterogeneous
+from repro.scenarios.paper import FIGURE1, FIGURE4
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads import CORE_WORKLOADS, materialise_tenants
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestReporting:
@@ -41,7 +50,6 @@ class TestHarness:
         assert run.final_nodes == 3
         assert len(run.series) >= 4
         assert run.mean_throughput > 0
-        assert run.peak_throughput >= run.mean_throughput
         assert run.operations_until(2.0) <= run.total_operations
         assert run.machine_minutes == pytest.approx(3 * 2.0, rel=0.1)
 
@@ -57,7 +65,8 @@ class TestHarness:
 
 class TestExperimentSmoke:
     def test_figure1_short_run_orders_strategies(self):
-        result = run_figure1(runs=1, minutes=2.0)
+        specs = {name: replace(spec, duration_minutes=2.0) for name, spec in FIGURE1.items()}
+        result = run_figure1(specs, runs=1)
         heterogeneous = result.outcomes["manual-heterogeneous"].mean_total
         random_mean = result.outcomes["random-homogeneous"].mean_total
         assert heterogeneous > 0 and random_mean > 0
@@ -65,7 +74,28 @@ class TestExperimentSmoke:
         assert "manual-heterogeneous" in report_figure1(result)
 
     def test_figure4_short_run_reports_series(self):
-        result = run_figure4(minutes=6.0, met_start_minute=1.0)
+        specs = {name: replace(spec, duration_minutes=6.0) for name, spec in FIGURE4.items()}
+        specs["met"] = replace(specs["met"], controller_start_minute=1.0)
+        result = run_figure4(specs)
         assert result.met.series
         assert result.reconfiguration_floor >= 0
         assert "reconfiguration floor" in report_figure4(result)
+
+    def test_entry_point_runs_without_runtime_warnings(self):
+        """``python -m repro.experiments.table2`` imports its module once.
+
+        The package imports no experiment module, so runpy finds none in
+        ``sys.modules`` before executing it; an eager import makes it warn
+        (an error here) and run the module twice.
+        """
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.experiments.table2"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        assert "MeT node profiles" in completed.stdout

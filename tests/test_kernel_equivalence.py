@@ -62,7 +62,7 @@ def drive(sim: ClusterSimulator, nodes: list[str]) -> dict[str, list[float]]:
             nodes[2], NODE_PROFILES["read"].config, profile_name="read"
         ),
         14: lambda: sim.add_node(name="rs-extra", online=False),
-        20: lambda: sim.set_workload_active("workload-E", False),
+        20: lambda: sim.detach_workload("workload-E"),
         26: lambda: sim.remove_node(nodes[3]),
         32: lambda: sim.reconfigure_node(
             nodes[4], NODE_PROFILES["write"].config, drain=False

@@ -135,7 +135,7 @@ class TestMeTEndToEnd:
     def test_met_reconfigures_and_improves_throughput(self):
         simulator = self._prepared_simulator()
         backend = SimulatorBackend(simulator)
-        met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5, allow_remove=False))
+        met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5))
         simulator.run(120.0)
         baseline = simulator.cluster_throughput()
         for _ in range(12 * 18):  # 18 minutes of 5-second ticks
@@ -153,7 +153,7 @@ class TestMeTEndToEnd:
     def test_met_respects_cooldown_and_noop_plans(self):
         simulator = self._prepared_simulator(seed=2)
         backend = SimulatorBackend(simulator)
-        met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5, allow_remove=False))
+        met = MeT(backend, MeTParameters(min_nodes=5, max_nodes=5))
         for _ in range(12 * 25):
             simulator.tick()
             met.step(simulator.clock.now)

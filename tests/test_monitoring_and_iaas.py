@@ -132,12 +132,6 @@ class TestOpenStackProvider:
             "m1.small": pytest.approx(60.0, rel=0.05)
         }
 
-    def test_by_name_finds_live_instance(self):
-        provider = OpenStackProvider(SimulationClock())
-        vm = provider.launch("rs-9", "m1.small")
-        assert provider.by_name("rs-9").instance_id == vm.instance_id
-        assert provider.by_name("missing") is None
-
     def test_flavor_hardware_mapping(self):
         flavor = FLAVORS["m1.large"]
         hardware = flavor.hardware()

@@ -46,6 +46,21 @@ class TestSpec:
                 tenants=(TenantSpec(SMALL_A), TenantSpec(SMALL_A)),
             )
 
+    def test_rejects_unknown_placement_and_late_controller_start(self):
+        with pytest.raises(ValueError, match="unknown placement"):
+            two_tenant_spec(placement="round-robin")
+        with pytest.raises(ValueError, match="controller start"):
+            two_tenant_spec(controller_start_minute=5.0)
+
+    def test_controller_joins_at_its_start_minute(self):
+        """Before the start minute the run is the controller-free run."""
+        spec = two_tenant_spec(controller_start_minute=2.0, placement="random-homogeneous")
+        ramp = run_scenario(spec, controller="none").run.series
+        joined = run_scenario(spec, controller="met")
+        assert joined.decisions and min(d["minute"] for d in joined.decisions) >= 2.0
+        early = [point for point in joined.run.series if point.minute <= 2.0]
+        assert early == ramp[: len(early)]
+
     def test_configured_workload_applies_target(self):
         tenant = TenantSpec(SMALL_A, target_ops=1234.0)
         assert tenant.configured_workload().target_ops_per_second == 1234.0

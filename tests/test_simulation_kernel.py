@@ -170,10 +170,6 @@ class TestWorkloadBinding:
         binding = self._binding(target_ops_per_second=100.0)
         assert binding.max_throughput(0.1) == 100.0
 
-    def test_inactive_binding_offers_nothing(self):
-        binding = self._binding(active=False)
-        assert binding.max_throughput(1.0) == 0.0
-
     def test_offered_loads_split_by_weights_and_mix(self):
         binding = self._binding()
         loads = {load.region_id: load for load in binding.offered_loads(1000.0)}

@@ -440,7 +440,6 @@ class TestTenantSeriesPlumbing:
                 points[0].minute * 60.0, first.minute * 60.0
             )
             assert first.latency_ms == pytest.approx(expected)
-            assert run.tenant_peak_latency(name) >= run.tenant_mean_latency(name) > 0.0
 
     def test_mean_between_is_half_open(self):
         series = MetricSeries(name="x")
