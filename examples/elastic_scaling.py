@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Elastic scaling on an OpenStack-like IaaS: MeT vs a tiramola-style autoscaler.
+"""Elastic scaling on an IaaS: MeT vs a tiramola-style autoscaler.
 
 A shortened version of the Section 6.4 experiment: an initially overloaded
 6-VM cluster, one run managed by MeT (workload-aware reconfiguration plus

@@ -16,7 +16,6 @@ modes::
                        three controllers incl. the planner); prints the
                        table and exits non-zero on any failed assertion
     --scales 1.0,1.5   adds scale points (load multipliers) to the grid
-    --plot PATH        quality-vs-cost scatter (skipped if matplotlib absent)
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.campaign import (  # noqa: E402
     CampaignGrid,
     ResultsStore,
     ScaleSpec,
-    plot_campaign,
     render_campaign_table,
     render_seed_quantile_table,
     run_campaign,
@@ -128,12 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the aggregated comparison table to this file",
     )
     parser.add_argument(
-        "--plot",
-        type=Path,
-        default=None,
-        help="write a quality-vs-cost scatter plot (needs matplotlib)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="append per-cell wall-clock to a <store>.profile.jsonl sidecar "
@@ -191,11 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.table_out is not None:
         args.table_out.write_text(table + "\n")
         print(f"table -> {args.table_out}")
-    if args.plot is not None:
-        if plot_campaign(records, args.plot):
-            print(f"plot -> {args.plot}")
-        else:
-            print("plot skipped: matplotlib not available")
     if args.smoke and not all(record["assertions_passed"] for record in records):
         print("FAIL: some scenario assertions failed")
         return 1

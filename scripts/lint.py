@@ -6,7 +6,6 @@ root, so it works from any working directory and without PYTHONPATH::
 
     python scripts/lint.py --check            # the CI gate
     python scripts/lint.py src/repro/foo.py   # one file while iterating
-    python scripts/lint.py --update-baseline  # burn the baseline down
 """
 
 from __future__ import annotations

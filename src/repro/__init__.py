@@ -8,8 +8,9 @@ runs on:
   one model of the HBase/HDFS cluster every experiment runs on.
 * :mod:`repro.hbase` -- the RegionServer configuration MeT tunes (Table 1)
   and HBase's default random balancer.
-* :mod:`repro.iaas` -- an OpenStack-like IaaS provider used by the actuator
-  to start and stop virtual machines.
+* :mod:`repro.iaas` -- the IaaS boundary: instance flavors (priced by the
+  planner and the cost model) and fault injection.  Simulator nodes are the
+  virtual machines; adding one boots it for the IaaS boot delay.
 * :mod:`repro.monitoring` -- MeT's Monitor (system metrics and partition
   counters) and exponential smoothing.
 * :mod:`repro.core` -- the MeT framework itself: the controller that wires

@@ -19,14 +19,14 @@ contracts into tooling:
 
 Findings are machine-readable (``path:line:RULE: message``); intentional
 exceptions are annotated in-source with
-``# repro: allow(RULE, reason=...)`` and grandfathered findings live in
-the committed ``lint-baseline.txt`` (currently empty).
+``# repro: allow(RULE, reason=...)``.  Nothing is grandfathered: any
+finding fails the gate.
 """
 
 from __future__ import annotations
 
 from repro.analysis.engine import DEFAULT_TARGETS, lint_paths, lint_repo
-from repro.analysis.findings import Finding, load_baseline, write_baseline
+from repro.analysis.findings import Finding
 from repro.analysis.rules import RULES
 from repro.analysis.sanitizer import DeterminismViolation, guard
 
@@ -38,6 +38,4 @@ __all__ = [
     "guard",
     "lint_paths",
     "lint_repo",
-    "load_baseline",
-    "write_baseline",
 ]

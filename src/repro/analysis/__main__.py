@@ -1,10 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis`` / ``scripts/lint.py``.
 
-Exit status 0 means every finding is either absent or grandfathered in
-the baseline file; 1 means new findings (printed one per line as
-``path:line:RULE: message``).  ``--update-baseline`` rewrites the
-baseline from the current findings -- use it only while burning the
-baseline *down*, never to park a new violation.
+Exit status 0 means no findings; 1 means findings (printed one per line
+as ``path:line:RULE: message``).
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.engine import DEFAULT_TARGETS, discover_files, lint_paths
-from repro.analysis.findings import load_baseline, write_baseline
 
 
 def main(argv: list[str] | None = None, root: Path | None = None) -> int:
@@ -37,24 +33,12 @@ def main(argv: list[str] | None = None, root: Path | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="CI mode: exit 1 on any non-baseline finding (same behaviour as "
-        "the default run; the flag exists so intent is explicit in ci.yml)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file of grandfathered findings (default: <root>/lint-baseline.txt)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
+        help="CI mode: exit 1 on any finding (same behaviour as the default "
+        "run; the flag exists so intent is explicit in ci.yml)",
     )
     args = parser.parse_args(argv)
 
     repo_root = (args.root or Path.cwd()).resolve()
-    baseline_path = args.baseline or repo_root / "lint-baseline.txt"
 
     if args.paths:
         files: list[Path] = []
@@ -69,32 +53,16 @@ def main(argv: list[str] | None = None, root: Path | None = None) -> int:
 
     findings = lint_paths(files, repo_root)
 
-    if args.update_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"baseline: {len(findings)} finding(s) -> {baseline_path}")
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    fresh = [finding for finding in findings if finding.key not in baseline]
-    stale = baseline - {finding.key for finding in findings}
-
-    for finding in fresh:
+    for finding in findings:
         print(finding.render())
-    if stale:
+    if findings:
         print(
-            f"note: {len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'} "
-            f"(fixed or moved) -- prune with --update-baseline",
-            file=sys.stderr,
-        )
-    if fresh:
-        print(
-            f"\n{len(fresh)} determinism finding(s) in {len(files)} file(s); "
-            "fix, pragma with `# repro: allow(RULE, reason=...)`, or (last resort) "
-            "baseline with --update-baseline",
+            f"\n{len(findings)} determinism finding(s) in {len(files)} file(s); "
+            "fix, or pragma with `# repro: allow(RULE, reason=...)`",
             file=sys.stderr,
         )
         return 1
-    print(f"determinism lint: {len(files)} files clean ({len(baseline)} baselined)")
+    print(f"determinism lint: {len(files)} files clean")
     return 0
 
 

@@ -1,18 +1,12 @@
-"""Finding records and the baseline file format.
+"""Finding records.
 
 A finding renders as ``path:line:RULE: message`` (path repo-relative,
 POSIX separators) so editors and CI logs link straight to the site.
-The baseline file holds one ``path:line:RULE`` key per line --
-grandfathered findings that ``--check`` tolerates until the code is
-fixed.  Keys, not messages: message wording may improve without
-invalidating the baseline, but a finding that moves lines must be
-re-triaged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass(frozen=True, order=True)
@@ -24,37 +18,5 @@ class Finding:
     rule: str
     message: str
 
-    @property
-    def key(self) -> str:
-        """The stable identity used for baselines and deduplication."""
-
-        return f"{self.path}:{self.line}:{self.rule}"
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.rule}: {self.message}"
-
-
-def load_baseline(path: Path) -> set[str]:
-    """Read baseline keys, ignoring blank lines and ``#`` comments."""
-
-    if not path.exists():
-        return set()
-    keys: set[str] = set()
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            keys.add(line)
-    return keys
-
-
-def write_baseline(path: Path, findings: list[Finding]) -> None:
-    """Write the current findings as the new baseline (sorted, keyed)."""
-
-    header = (
-        "# Grandfathered determinism-lint findings (path:line:RULE).\n"
-        "# Regenerate with: python scripts/lint.py --update-baseline\n"
-        "# The goal is an empty file: fix the code or justify it in-source\n"
-        "# with `# repro: allow(RULE, reason=...)` instead of parking it here.\n"
-    )
-    body = "".join(f"{finding.key}\n" for finding in sorted(findings))
-    path.write_text(header + body)

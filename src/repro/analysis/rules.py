@@ -513,7 +513,7 @@ def _check_d4_callers(ctx: ModuleContext) -> Iterator[Finding]:
             if target.attr in invariants.HOOKED_REGION_ATTRIBUTES:
                 continue
             if isinstance(target.value, ast.Name) and target.value.id == "self":
-                continue  # other classes' own attributes (e.g. iaas VM state)
+                continue  # other classes' own attributes
             if not _receiver_hints_solver_state(target.value):
                 continue
             line = node.lineno

@@ -13,7 +13,7 @@ studies:
 * :mod:`repro.campaign.store` -- the crash-tolerant append-only results
   store (one JSON line per completed run);
 * :mod:`repro.campaign.analysis` -- offline aggregation: comparison
-  tables and optional plots.
+  tables.
 
 Everything a worker computes is deterministic (no wall-clock in records),
 so the same grid + master seed produce *byte-identical* stores regardless
@@ -23,7 +23,6 @@ of pool size or how many resume passes it took to finish.
 from repro.campaign.analysis import (
     AggregateRow,
     aggregate_records,
-    plot_campaign,
     render_campaign_table,
     render_seed_quantile_table,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "aggregate_records",
     "apply_scale",
     "derive_seed",
-    "plot_campaign",
     "render_campaign_table",
     "render_seed_quantile_table",
     "run_campaign",

@@ -4,21 +4,18 @@ Reduces a results store to the MeT-vs-Tiramola comparison the paper argues
 with: per (scenario, scale) rows averaging each controller's metrics over
 the seed axis, rendered side by side through the same
 :func:`~repro.experiments.reporting.format_matchup` shape as the single-run
-scorecard.  Plotting is optional and degrades to a no-op when matplotlib is
-not installed (the container does not guarantee it).
+scorecard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.experiments.reporting import format_matchup, format_table, percentiles
 
 __all__ = [
     "AggregateRow",
     "aggregate_records",
-    "plot_campaign",
     "render_campaign_table",
     "render_seed_quantile_table",
 ]
@@ -141,34 +138,4 @@ def render_seed_quantile_table(
             + [f"{spread[p]:.2f}" for p in points]
         )
     return f"seed-axis quantiles of {metric}\n" + format_table(headers, rows)
-
-
-def plot_campaign(records: list[dict], path: str | Path) -> bool:
-    """Write a violation-minutes-vs-cost scatter; False if matplotlib is absent."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return False
-    rows = aggregate_records(records)
-    controllers = sorted({row.controller for row in rows})
-    figure, axes = plt.subplots(figsize=(7.0, 5.0))
-    for controller in controllers:
-        mine = [row for row in rows if row.controller == controller]
-        axes.scatter(
-            [row.cost for row in mine],
-            [row.violation_minutes for row in mine],
-            label=controller,
-            alpha=0.75,
-        )
-    axes.set_xlabel("mean run cost")
-    axes.set_ylabel("mean SLO violation-minutes")
-    axes.set_title("campaign: quality vs cost, averaged over seeds")
-    axes.legend()
-    figure.tight_layout()
-    figure.savefig(path, dpi=120)
-    plt.close(figure)
-    return True
 

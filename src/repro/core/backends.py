@@ -1,10 +1,11 @@
 """The cluster backend that controllers drive.
 
 :class:`SimulatorBackend` adapts the analytical
-:class:`~repro.simulation.cluster.ClusterSimulator` (optionally provisioning
-VMs through the OpenStack-like provider) to the
+:class:`~repro.simulation.cluster.ClusterSimulator` to the
 :class:`~repro.core.interfaces.ClusterBackend` protocol.  Every experiment,
-scenario and campaign runs on it.
+scenario and campaign runs on it.  Adding a node is the IaaS request: the
+simulator boots the new node offline for its boot delay, as a VM boots
+before its RegionServer starts.
 """
 
 from __future__ import annotations
@@ -12,29 +13,15 @@ from __future__ import annotations
 import itertools
 
 from repro.hbase.config import RegionServerConfig
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
-from repro.iaas.provider import OpenStackProvider
 from repro.simulation.cluster import ClusterSimulator
 
 
 class SimulatorBackend:
     """Adapter exposing a :class:`ClusterSimulator` as a cluster backend."""
 
-    def __init__(
-        self,
-        simulator: ClusterSimulator,
-        provider: OpenStackProvider | None = None,
-    ) -> None:
+    def __init__(self, simulator: ClusterSimulator) -> None:
         self.simulator = simulator
-        self.provider = provider
-        self._vm_ids: dict[str, str] = {}
         self._counter = itertools.count(1)
-
-    @property
-    def vm_ids(self) -> dict[str, str]:
-        """Live node-name -> provider-instance-id mapping (fault injection
-        shares it so crashing a provisioned node also fails its VM)."""
-        return self._vm_ids
 
     # ------------------------------------------------------------------ #
     # MetricsSource
@@ -76,9 +63,6 @@ class SimulatorBackend:
     # ------------------------------------------------------------------ #
     def add_node(self, config: RegionServerConfig, profile_name: str) -> str:
         name = f"rs-auto-{next(self._counter)}"
-        if self.provider is not None:
-            vm = self.provider.launch(name, REGIONSERVER_FLAVOR)
-            self._vm_ids[name] = vm.instance_id
         self.simulator.add_node(
             name=name, config=config, profile_name=profile_name, online=False
         )
@@ -86,9 +70,6 @@ class SimulatorBackend:
 
     def remove_node(self, name: str) -> None:
         self.simulator.remove_node(name)
-        vm_id = self._vm_ids.pop(name, None)
-        if self.provider is not None and vm_id is not None:
-            self.provider.terminate(vm_id)
 
     def reconfigure_node(
         self, name: str, config: RegionServerConfig, profile_name: str

@@ -140,8 +140,3 @@ def plan_moves(
             if location.get(partition) != target.node:
                 moves.append((partition, target.node))
     return moves
-
-
-def count_restarts(targets: list[NodeTarget]) -> int:
-    """Number of node restarts (reconfigurations) implied by ``targets``."""
-    return sum(1 for target in targets if target.needs_restart)

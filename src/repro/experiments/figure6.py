@@ -1,7 +1,7 @@
 """Figure 6 -- the Section 6.4 elasticity experiment (MeT vs tiramola).
 
-An HBase cluster of 6 RegionServer VMs (plus a master VM) runs on the
-OpenStack-like IaaS, starting from 100% data locality and a manually
+An HBase cluster of 6 RegionServer VMs (plus a master VM) runs on an
+OpenStack IaaS, starting from 100% data locality and a manually
 balanced homogeneous placement.  A set of YCSB workloads overloads the
 initial cluster.  The experiment has two phases:
 

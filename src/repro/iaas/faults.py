@@ -1,18 +1,17 @@
-"""Fault injection through the IaaS layer.
+"""Fault injection at the IaaS boundary.
 
 The paper's elasticity stack assumes the IaaS is the boundary where machines
 appear and disappear; faults belong at the same boundary.  A
-:class:`FaultInjector` crashes or degrades simulated nodes and keeps the VM
-inventory consistent: when a crashed node is backed by a provider instance,
-the instance is moved to ERROR so machine-hour accounting and quota reflect
-the failure.
+:class:`FaultInjector` crashes or degrades simulated nodes: the nodes are
+the machines, and a run bills their online time, so a crashed node stops
+billing when it fails.
 
 Crashes are *recoverable*: the injector remembers what each crashed node
-looked like (hardware, configuration, profile, whether a VM backed it) so
+looked like (hardware, configuration, profile) so
 :meth:`FaultInjector.recover_crashed_node` can repair the machine and let it
-rejoin the cluster -- booting like a fresh node, with a replacement VM when
-the crash consumed one.  This is what cascading-failure scenarios lean on:
-a second crash can land while the first victim is still rebooting.
+rejoin the cluster -- booting like a fresh node.  This is what
+cascading-failure scenarios lean on: a second crash can land while the
+first victim is still rebooting.
 
 Target selection is deterministic: when no node is named, the victim is
 drawn from the *sorted* online-node list with the injector's seeded RNG, so
@@ -26,8 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.hbase.config import RegionServerConfig
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
-from repro.iaas.provider import OpenStackProvider
 from repro.util.rng import make_rng
 
 if TYPE_CHECKING:  # keeps iaas a leaf package: no simulation import at runtime
@@ -43,9 +40,6 @@ class CrashedNode:
     hardware: "HardwareSpec"
     config: RegionServerConfig
     profile_name: str
-    #: Provider instance that backed the node, if any.  Recovery launches a
-    #: *replacement* instance (the crashed one stays in ERROR for accounting).
-    instance_id: str | None = None
 
 
 class FaultInjector:
@@ -54,14 +48,9 @@ class FaultInjector:
     def __init__(
         self,
         simulator: ClusterSimulator,
-        provider: OpenStackProvider | None = None,
-        vm_ids: dict[str, str] | None = None,
         seed: int | random.Random | None = None,
     ) -> None:
         self.simulator = simulator
-        self.provider = provider
-        #: Node name -> provider instance id, for nodes backed by VMs.
-        self.vm_ids = vm_ids if vm_ids is not None else {}
         self._rng = make_rng(seed if seed is not None else simulator.rng)
         #: Crash records, in crash order, for recover_crashed_node.
         self._crashed: dict[str, CrashedNode] = {}
@@ -81,14 +70,6 @@ class FaultInjector:
         healthy_hardware = (
             self.simulator.base_hardware(victim) if target is not None else None
         )
-        instance_id = None
-        if self.provider is not None:
-            # Only consume the node<->instance mapping when the provider
-            # fault is actually injected; without a provider the mapping
-            # must survive for whoever does the accounting.
-            instance_id = self.vm_ids.pop(victim, None)
-            if instance_id is not None:
-                self.provider.inject_fault(instance_id)
         self.simulator.fail_node(victim)
         if target is not None:
             self._crashed[victim] = CrashedNode(
@@ -96,7 +77,6 @@ class FaultInjector:
                 hardware=healthy_hardware or target.hardware,
                 config=target.config,
                 profile_name=target.profile_name,
-                instance_id=instance_id,
             )
         return victim
 
@@ -104,11 +84,9 @@ class FaultInjector:
         """Repair a crashed node: it rejoins the cluster after a fresh boot.
 
         With ``node=None`` the most recently crashed unrecovered node is
-        repaired.  When the crash consumed a provider instance, a
-        replacement VM is launched and the node<->instance mapping restored,
-        so a later crash of the recovered node fails the new VM.  The node
-        rejoins empty (its regions were reassigned at crash time) and boots
-        for the simulator's usual boot delay before coming online.
+        repaired.  The node rejoins empty (its regions were reassigned at
+        crash time) and boots for the simulator's usual boot delay before
+        coming online.
         """
         if node is None:
             if not self._crashed:
@@ -118,9 +96,6 @@ class FaultInjector:
             info = self._crashed.pop(node)
         except KeyError:
             raise RuntimeError(f"node {node!r} has not crashed") from None
-        if self.provider is not None and info.instance_id is not None:
-            replacement = self.provider.launch(node, REGIONSERVER_FLAVOR)
-            self.vm_ids[node] = replacement.instance_id
         self.simulator.add_node(
             name=node,
             config=info.config,

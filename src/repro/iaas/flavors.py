@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simulation.hardware import GB, HardwareSpec
-
 
 @dataclass(frozen=True)
 class Flavor:
@@ -13,28 +11,15 @@ class Flavor:
 
     name: str
     vcpus: int
-    memory_bytes: int
-    disk_bytes: int
-
-    def hardware(self, heap_bytes: int | None = None) -> HardwareSpec:
-        """Hardware budgets of a node of this flavor."""
-        heap = heap_bytes if heap_bytes is not None else int(self.memory_bytes * 0.75)
-        return HardwareSpec(
-            cpu_millis_per_second=1000.0 * self.vcpus,
-            memory_bytes=self.memory_bytes,
-            heap_bytes=heap,
-        )
 
 
 #: Flavors mirroring the paper's evaluation nodes (3-4 GB RAM VMs) plus a
 #: couple of generic sizes.
 FLAVORS: dict[str, Flavor] = {
-    "m1.small": Flavor(name="m1.small", vcpus=2, memory_bytes=2 * GB, disk_bytes=40 * GB),
-    "m1.medium": Flavor(name="m1.medium", vcpus=4, memory_bytes=4 * GB, disk_bytes=80 * GB),
-    "m1.large": Flavor(name="m1.large", vcpus=8, memory_bytes=8 * GB, disk_bytes=160 * GB),
+    "m1.small": Flavor(name="m1.small", vcpus=2),
+    "m1.medium": Flavor(name="m1.medium", vcpus=4),
+    "m1.large": Flavor(name="m1.large", vcpus=8),
 }
 
 #: Flavor used for RegionServer VMs in the elasticity experiments (3 GB RAM).
-REGIONSERVER_FLAVOR = Flavor(
-    name="met.regionserver", vcpus=4, memory_bytes=3 * GB, disk_bytes=80 * GB
-)
+REGIONSERVER_FLAVOR = Flavor(name="met.regionserver", vcpus=4)

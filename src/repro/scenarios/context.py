@@ -1,11 +1,11 @@
 """Runtime context compiled scenario actions execute against.
 
 The context owns the pieces a scenario event needs to touch: the simulator,
-the IaaS provider (for fault accounting), the fault injector, the per-tenant
-baseline throughput targets and the composite load multipliers.  Several
-load-shaping events can target the same tenant at once (a flash crowd on top
-of a diurnal curve); each contributes one keyed multiplier and the tenant's
-live target is ``baseline * product(multipliers)``.
+the fault injector, the per-tenant baseline throughput targets and the
+composite load multipliers.  Several load-shaping events can target the
+same tenant at once (a flash crowd on top of a diurnal curve); each
+contributes one keyed multiplier and the tenant's live target is
+``baseline * product(multipliers)``.
 
 Tenants are :class:`~repro.workloads.tenant.TenantWorkload` implementations
 (YCSB, TPC-C, ...); the context resolves tenant names to simulator binding
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.hbase.balancer import RandomBalancer
 from repro.iaas.faults import FaultInjector
-from repro.iaas.provider import OpenStackProvider
 from repro.scenarios.spec import binding_name
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.tenant import TenantWorkload
@@ -25,18 +24,10 @@ from repro.workloads.tenant import TenantWorkload
 class ScenarioContext:
     """Mutable run state shared by every compiled scenario action."""
 
-    def __init__(
-        self,
-        simulator: ClusterSimulator,
-        provider: OpenStackProvider | None = None,
-        vm_ids: dict[str, str] | None = None,
-    ) -> None:
+    def __init__(self, simulator: ClusterSimulator) -> None:
         self.simulator = simulator
-        self.provider = provider
         self.rng = simulator.rng
-        self.faults = FaultInjector(
-            simulator, provider=provider, vm_ids=vm_ids, seed=self.rng
-        )
+        self.faults = FaultInjector(simulator, seed=self.rng)
         #: Tenant name -> registered tenant workload (drives binding-name
         #: resolution and native-unit reporting).
         self._tenants: dict[str, TenantWorkload] = {}

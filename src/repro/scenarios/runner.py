@@ -23,8 +23,8 @@ from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import PLACEMENTS
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
 from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
-from repro.iaas.provider import OpenStackProvider
-from repro.sla.cost import DEFAULT_PRICING, CostEnvelope, machine_minute_ledger
+from repro.iaas.flavors import REGIONSERVER_FLAVOR
+from repro.sla.cost import DEFAULT_PRICING, CostEnvelope
 from repro.sla.slo import SLOReport, evaluate_slos
 from repro.scenarios.context import ScenarioContext
 from repro.scenarios.schedule import compile_spec
@@ -55,12 +55,24 @@ class ScenarioRunResult:
     #: Verdicts of the spec's declared SLOs (see :mod:`repro.sla.slo`),
     #: evaluated under every controller, in spec order.
     slo_reports: list[SLOReport] = field(default_factory=list)
-    #: Per-flavor machine-minute ledger (see :mod:`repro.sla.cost`).
-    machine_minute_ledger: dict[str, float] = field(default_factory=dict)
-    #: The run's cost envelope under the default pricing model.
-    cost: CostEnvelope | None = None
     simulator: ClusterSimulator | None = None
     context: ScenarioContext | None = None
+
+    @property
+    def machine_minute_ledger(self) -> dict[str, float]:
+        """Per-flavor machine-minutes billed (see :mod:`repro.sla.cost`).
+
+        Simulator nodes are the machines a run rents, all RegionServer
+        VMs, so the ledger is the harness's machine-minutes under that one
+        flavor (empty when the run used none).
+        """
+        minutes = self.run.machine_minutes
+        return {REGIONSERVER_FLAVOR.name: minutes} if minutes > 0.0 else {}
+
+    @property
+    def cost(self) -> CostEnvelope:
+        """The run's cost envelope under the default pricing model."""
+        return DEFAULT_PRICING.cost_of(self.machine_minute_ledger)
 
     @property
     def final_nodes(self) -> int:
@@ -88,14 +100,13 @@ class ScenarioRunResult:
 
 def build_scenario(
     spec: ScenarioSpec,
-) -> tuple[ClusterSimulator, OpenStackProvider, ScenarioContext, list[str]]:
+) -> tuple[ClusterSimulator, ScenarioContext, list[str]]:
     """Materialise the spec's cluster and initial tenants (no controller yet)."""
     simulator = ClusterSimulator(
         hardware=spec.hardware or ELASTICITY_VM,
         tick_seconds=spec.tick_seconds,
         seed=spec.seed,
     )
-    provider = OpenStackProvider(simulator.clock, boot_seconds=simulator.boot_seconds)
     nodes = [simulator.add_node() for _ in range(spec.initial_nodes)]
     configured = [tenant.configured_workload() for tenant in spec.tenants]
     expected = materialise_tenants(simulator, configured)
@@ -103,10 +114,10 @@ def build_scenario(
     if isinstance(plan, str):
         plan = PLACEMENTS[plan](expected, nodes, spec.seed)
     apply_placement(simulator, plan)
-    context = ScenarioContext(simulator, provider=provider)
+    context = ScenarioContext(simulator)
     for tenant in configured:
         context.register_tenant(tenant)
-    return simulator, provider, context, nodes
+    return simulator, context, nodes
 
 
 def _make_controller(
@@ -181,9 +192,8 @@ def run_scenario(
     thousands of runs holds at most the one simulator it is currently
     running (see :meth:`ClusterSimulator.dispose`).
     """
-    simulator, provider, context, _ = build_scenario(spec)
-    backend = SimulatorBackend(simulator, provider=provider)
-    context.faults.vm_ids = backend.vm_ids
+    simulator, context, _ = build_scenario(spec)
+    backend = SimulatorBackend(simulator)
     instance, daemons = _make_controller(controller, spec, backend, simulator)
     harness = ExperimentHarness(
         simulator,
@@ -199,9 +209,6 @@ def run_scenario(
     for daemon in daemons:
         harness.add_controller(daemon)
     run = harness.run_for(spec.duration_seconds - start, schedule=schedule)
-    ledger = machine_minute_ledger(
-        run.machine_minutes, provider.machine_minutes_by_flavor()
-    )
     result = ScenarioRunResult(
         spec=spec,
         controller=controller,
@@ -210,8 +217,6 @@ def run_scenario(
         slo_reports=evaluate_slos(
             spec.slos, run, sample_minutes=SAMPLE_EVERY_SECONDS / 60.0
         ),
-        machine_minute_ledger=ledger,
-        cost=DEFAULT_PRICING.cost_of(ledger),
         simulator=simulator if keep_simulator else None,
         context=context if keep_simulator else None,
     )

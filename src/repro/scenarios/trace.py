@@ -127,6 +127,7 @@ def _round_coarse(value: float) -> float:
 def result_trace(result: ScenarioRunResult) -> dict:
     """The canonical trace dict of a finished scenario run."""
     run = result.run
+    cost = result.cost
     return {
         "format": TRACE_FORMAT,
         "scenario": result.spec.name,
@@ -218,8 +219,8 @@ def result_trace(result: ScenarioRunResult) -> dict:
         # tenants and mid-run arrivals), keyed by binding name.
         "tenant_units": dict(sorted(result.tenant_units().items())),
         "cost": {
-            "pricing": result.cost.pricing if result.cost else "",
-            "total": _round(result.cost.total) if result.cost else 0.0,
+            "pricing": cost.pricing,
+            "total": _round(cost.total),
             "machine_minutes": {
                 flavor: _round(minutes)
                 for flavor, minutes in sorted(result.machine_minute_ledger.items())

@@ -190,9 +190,6 @@ class ClusterSimulator:
         self._region_seq = itertools.count()
         self._model_cache: dict[HardwareSpec, PerformanceModel] = {}
         self._binding_throughput: dict[str, float] = {}
-        #: Most recent per-binding mean request latency (ms), from the same
-        #: final fixed-point state as the achieved throughputs.
-        self._binding_latency_ms: dict[str, float] = {}
         #: Incremental node -> {region_id -> region} index (``None`` bucket
         #: holds unassigned regions); kept coherent by SimulatedRegion's
         #: ``node`` setter hook.
@@ -477,7 +474,6 @@ class ClusterSimulator:
         # linger in cluster_throughput(), and a later binding reusing the
         # name must seed the fixed point fresh.
         self._binding_throughput.pop(name, None)
-        self._binding_latency_ms.pop(name, None)
         self._workloads_version += 1
         self._mark_dirty()
 
@@ -565,16 +561,6 @@ class ClusterSimulator:
     def binding_throughput(self, name: str) -> float:
         """Most recent achieved throughput of a tenant (ops/s)."""
         return self._binding_throughput.get(name, 0.0)
-
-    def binding_latency_ms(self, name: str) -> float:
-        """Most recent mean request latency of a tenant (milliseconds).
-
-        The request-weighted per-op mean the closed loop solved against on
-        the last tick -- the tenant-visible quality signal the SLA layer
-        turns into SLO verdicts.  0.0 before the first tick or for unknown
-        tenants.
-        """
-        return self._binding_latency_ms.get(name, 0.0)
 
     def cluster_throughput(self) -> float:
         """Most recent total achieved throughput (ops/s)."""
@@ -871,8 +857,8 @@ class ClusterSimulator:
 
         An insert-bearing solution grows region sizes here; such a plan is
         never replayed (its ``results`` key is cleared).  Node utilisation
-        fields, served-request rates and the per-binding throughput/latency
-        maps are written here once: nothing but a new solution changes them.
+        fields, served-request rates and the per-binding throughput map are
+        written here once: nothing but a new solution changes them.
         The plan's sample batches hold each tenant's throughput and latency,
         the only series anything reads.
         """
@@ -915,7 +901,6 @@ class ClusterSimulator:
             throughput = throughputs.get(name, 0.0)
             latency = binding_latencies.get(name, 0.0)
             self._binding_throughput[name] = throughput
-            self._binding_latency_ms[name] = latency
             total += throughput
             entity = f"workload:{name}"
             samples.append((entity, "throughput", throughput))

@@ -108,11 +108,6 @@ class LatencySummary:
             counts = self.counts
             counts[index] = counts.get(index, 0) + count
 
-    def add_count(self, index: int, count: int) -> None:
-        """Add pre-quantised counts to a bin (the solvers' hot path)."""
-        counts = self.counts
-        counts[index] = counts.get(index, 0) + count
-
     # -- combination ----------------------------------------------------- #
     def merge(self, other: "LatencySummary") -> "LatencySummary":
         """Fold ``other`` into this summary in place (exact; returns self)."""
@@ -189,11 +184,3 @@ class LatencySummary:
     def to_pairs(self) -> list[list[int]]:
         """Compact sparse form: ``[[bin, count], ...]`` sorted by bin."""
         return [[index, self.counts[index]] for index in sorted(self.counts)]
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "LatencySummary":
-        """Rebuild a summary from :meth:`to_pairs` output."""
-        out = cls()
-        for index, count in pairs:
-            out.add_count(int(index), int(count))
-        return out

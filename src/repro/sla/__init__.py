@@ -26,7 +26,6 @@ from repro.sla.cost import (
     CostEnvelope,
     FlavorCharge,
     PricingModel,
-    machine_minute_ledger,
     pricing_model,
 )
 from repro.sla.slo import (
@@ -61,7 +60,6 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slos",
     "from_native_rate",
-    "machine_minute_ledger",
     "pricing_model",
     "tenant_points",
     "to_native_rate",

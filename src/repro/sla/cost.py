@@ -6,12 +6,11 @@ machine-minute ledger of a run into a :class:`CostEnvelope` -- the costed
 summary scenario assertions (``CostCeiling``) and the MeT-vs-Tiramola
 scorecard compare controllers on.
 
-The ledger itself comes from two places: VMs the controller launched are
-billed per flavor from the IaaS provider's uptime records
-(:meth:`~repro.iaas.provider.OpenStackProvider.machine_minutes_by_flavor`),
-and the pre-provisioned initial cluster -- nodes that exist before any
-controller acts and never pass through the provider -- bills the remaining
-harness-observed machine-minutes at the default RegionServer flavor.
+A run's ledger is its harness-observed machine-minutes (online node time)
+billed at the RegionServer flavor: every simulator node is one
+RegionServer VM (see
+:attr:`~repro.scenarios.runner.ScenarioRunResult.machine_minute_ledger`).
+The planner prices other flavors from the same rate table.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "CostEnvelope",
     "FlavorCharge",
     "PricingModel",
-    "machine_minute_ledger",
     "pricing_model",
 ]
 
@@ -192,24 +190,3 @@ def pricing_model(name: str) -> PricingModel:
             f"unknown pricing model {name!r}; available: {sorted(PRICING_MODELS)}"
         ) from None
 
-
-def machine_minute_ledger(
-    total_machine_minutes: float,
-    provider_minutes_by_flavor: dict[str, float] | None = None,
-    default_flavor: str = REGIONSERVER_FLAVOR.name,
-) -> dict[str, float]:
-    """Attribute a run's machine-minutes to IaaS flavors.
-
-    Provider-launched VMs bill by their recorded per-flavor uptime; the
-    remainder of the harness-observed machine-minutes is the pre-provisioned
-    initial cluster, billed at ``default_flavor``.  Provider uptime can
-    slightly exceed the node-online time the harness counted (a VM bills
-    while its RegionServer restarts), in which case the base share clamps
-    at zero rather than going negative.
-    """
-    ledger = dict(provider_minutes_by_flavor or {})
-    provider_total = sum(ledger.values())
-    base = max(0.0, total_machine_minutes - provider_total)
-    if base > 0.0:
-        ledger[default_flavor] = ledger.get(default_flavor, 0.0) + base
-    return ledger

@@ -45,14 +45,14 @@ class ScorecardRow:
 def scorecard_row(result, pricing: PricingModel | None = None) -> ScorecardRow:
     """Reduce one finished :class:`~repro.scenarios.runner.ScenarioRunResult`."""
     envelope = result.cost
-    if pricing is not None and (envelope is None or envelope.pricing != pricing.name):
+    if pricing is not None and envelope.pricing != pricing.name:
         envelope = pricing.cost_of(result.machine_minute_ledger)
     return ScorecardRow(
         scenario=result.spec.name,
         controller=result.controller,
         mean_throughput=result.run.mean_throughput,
         violation_minutes=sum(r.violation_minutes for r in result.slo_reports),
-        cost=envelope.total if envelope is not None else 0.0,
+        cost=envelope.total,
         machine_minutes=result.run.machine_minutes,
         assertions_passed=result.assertions_passed,
         p95_ms=result.run.peak_percentile(95),

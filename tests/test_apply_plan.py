@@ -95,7 +95,10 @@ def snapshot(sim: ClusterSimulator) -> str:
         for name, n in sim.nodes.items()
     }
     bindings = {
-        name: (sim.binding_throughput(name), sim.binding_latency_ms(name))
+        name: (
+            sim.binding_throughput(name),
+            sim.metrics.latest(f"workload:{name}", "latency_ms"),
+        )
         for name in sim.bindings
     }
     return repr(

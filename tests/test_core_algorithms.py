@@ -10,7 +10,7 @@ from repro.core.classification import (
     classify_partitions,
 )
 from repro.core.grouping import GroupingError, max_partitions_per_node, nodes_per_group
-from repro.core.output import TargetSlot, compute_output, count_restarts, plan_moves
+from repro.core.output import TargetSlot, compute_output, plan_moves
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES, profile_for
 from repro.core.sizing import SizingAlgorithm
@@ -298,7 +298,7 @@ class TestOutputComputation:
         by_node = {t.node: t for t in targets}
         assert by_node["n1"].profile == "write"
         assert by_node["n2"].profile == "read"
-        assert count_restarts(targets) == 0
+        assert not any(t.needs_restart for t in targets)
         assert plan_moves({"n1": {"p3", "p4"}, "n2": {"p1", "p2"}}, targets) == []
 
     def test_changed_profile_requires_restart(self):

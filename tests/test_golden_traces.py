@@ -308,11 +308,11 @@ class TestCatalogCoverage:
                 )
             assert golden["cost"]["pricing"], f"{scenario}/{controller}: no pricing"
             assert golden["cost"]["total"] > 0.0
-            # The billing ledger covers at least the node-online time the
-            # harness counted (VM uptime can exceed it across restarts).
+            # The billing ledger is the node-online time the harness counted:
+            # simulator nodes are the machines a run rents.
             ledger_total = sum(golden["cost"]["machine_minutes"].values())
-            assert ledger_total >= golden["machine_minutes"] - 1e-6, (
-                f"{scenario}/{controller}: ledger does not cover machine-minutes"
+            assert ledger_total == pytest.approx(golden["machine_minutes"]), (
+                f"{scenario}/{controller}: ledger differs from machine-minutes"
             )
 
     def test_catalog_declares_service_quality_bounds(self):

@@ -280,7 +280,9 @@ def drive_large(
             after_tick()
         for name in sim.bindings:
             series.setdefault(f"{name}:throughput", []).append(sim.binding_throughput(name))
-            series.setdefault(f"{name}:latency", []).append(sim.binding_latency_ms(name))
+            series.setdefault(f"{name}:latency", []).append(
+                sim.metrics.latest(f"workload:{name}", "latency_ms")
+            )
         for name, node in sim.nodes.items():
             series.setdefault(f"{name}:cpu", []).append(node.cpu_utilization)
     return series

@@ -1,4 +1,4 @@
-"""The determinism sentinel: static rules, pragmas, baseline, sanitizer.
+"""The determinism sentinel: static rules, pragmas, CLI gate, sanitizer.
 
 The fixture corpus under ``tests/lint_corpus/`` encodes its own expected
 findings as ``# expect: RULE`` end-of-line markers, so every corpus test
@@ -18,7 +18,6 @@ from repro.analysis import (
     DeterminismViolation,
     guard,
     lint_repo,
-    load_baseline,
 )
 from repro.analysis import sanitizer
 from repro.analysis.__main__ import main as lint_main
@@ -136,21 +135,12 @@ def test_pragma_without_reason_is_a_finding_and_suppresses_nothing(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Repo gate + baseline workflow
+# Repo gate
 # --------------------------------------------------------------------------
 
-def test_repo_is_lint_clean_against_the_committed_baseline():
-    baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    fresh = [
-        finding for finding in lint_repo(REPO_ROOT) if finding.key not in baseline
-    ]
-    assert fresh == [], "\n".join(finding.render() for finding in fresh)
-
-
-def test_committed_baseline_is_empty():
-    # The acceptance bar: no grandfathered findings.  If this ever needs to
-    # change, every new entry must be justified in-file instead.
-    assert load_baseline(REPO_ROOT / "lint-baseline.txt") == set()
+def test_repo_is_lint_clean():
+    findings = lint_repo(REPO_ROOT)
+    assert findings == [], "\n".join(finding.render() for finding in findings)
 
 
 def test_cli_check_exits_zero_on_the_repo(capsys):
@@ -166,13 +156,6 @@ def test_cli_baseline_roundtrip(tmp_path, capsys):
     assert lint_main(["--check"], root=tmp_path) == 1
     out = capsys.readouterr().out
     assert "src/bad.py:2:D1" in out
-
-    assert lint_main(["--update-baseline"], root=tmp_path) == 0
-    capsys.readouterr()
-    assert lint_main(["--check"], root=tmp_path) == 0
-
-    bad.write_text("import random\nx = random.Random(7).random()\n")
-    assert lint_main(["--check"], root=tmp_path) == 0  # stale entry: note, not failure
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,10 @@
-"""Tests for the monitoring layer and the OpenStack-like IaaS provider."""
+"""Tests for the monitoring layer: smoothing and the metric collectors."""
 
 import pytest
 
 from repro.core.backends import SimulatorBackend
-from repro.iaas.flavors import FLAVORS, REGIONSERVER_FLAVOR
-from repro.iaas.provider import IaaSError, OpenStackProvider, QuotaExceededError
-from repro.iaas.vm import VMState
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.smoothing import ExponentialSmoother
-from repro.simulation.clock import SimulationClock
 from repro.simulation.workload import WorkloadBinding
 
 
@@ -94,51 +90,3 @@ class TestCollectors:
         with pytest.raises(ValueError):
             MetricsCollector(loaded_backend, decision_samples=0)
 
-
-class TestOpenStackProvider:
-    def test_launch_becomes_active_after_boot(self):
-        clock = SimulationClock()
-        provider = OpenStackProvider(clock, boot_seconds=60.0)
-        vm = provider.launch("rs-1", "m1.medium")
-        assert vm.state is VMState.BUILDING
-        clock.advance(61.0)
-        assert provider.describe(vm.instance_id).state is VMState.ACTIVE
-        assert provider.active()
-
-    def test_unknown_flavor_rejected(self):
-        provider = OpenStackProvider(SimulationClock())
-        with pytest.raises(IaaSError):
-            provider.launch("x", "no-such-flavor")
-
-    def test_quota_enforced(self):
-        provider = OpenStackProvider(SimulationClock(), quota=1)
-        provider.launch("a", REGIONSERVER_FLAVOR)
-        with pytest.raises(QuotaExceededError):
-            provider.launch("b", REGIONSERVER_FLAVOR)
-
-    def test_terminate_frees_quota(self):
-        clock = SimulationClock()
-        provider = OpenStackProvider(clock, quota=1)
-        vm = provider.launch("a", REGIONSERVER_FLAVOR)
-        provider.terminate(vm.instance_id)
-        provider.launch("b", REGIONSERVER_FLAVOR)
-
-    def test_machine_hours_accumulate(self):
-        clock = SimulationClock()
-        provider = OpenStackProvider(clock, boot_seconds=0.0)
-        provider.launch("a", "m1.small")
-        clock.advance(3600.0)
-        assert provider.machine_minutes_by_flavor() == {
-            "m1.small": pytest.approx(60.0, rel=0.05)
-        }
-
-    def test_flavor_hardware_mapping(self):
-        flavor = FLAVORS["m1.large"]
-        hardware = flavor.hardware()
-        assert hardware.cpu_millis_per_second == 8000.0
-        assert hardware.heap_bytes <= hardware.memory_bytes
-
-    def test_unknown_instance_raises(self):
-        provider = OpenStackProvider(SimulationClock())
-        with pytest.raises(IaaSError):
-            provider.terminate("vm-404")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.iaas.vm import VMState
 from repro.scenarios import (
     CANNED_SCENARIOS,
     DiurnalLoad,
@@ -123,7 +122,7 @@ class TestLoadEvents:
         spec = two_tenant_spec(
             events=(FlashCrowd(tenant="C", start_minute=1.0, magnitude=2.0),),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(0.0)
         binding = simulator.bindings["workload-C"]
@@ -143,7 +142,7 @@ class TestLoadEvents:
         assert crowd.multiplier(1.0) == 2.0
         assert crowd.multiplier(2.0) == 1.0
         spec = two_tenant_spec(events=(crowd,))
-        _, _, context, _ = build_scenario(spec)
+        _, context, _ = build_scenario(spec)
         assert compile_spec(spec, context).pending > 0
 
     def test_degenerate_curves_are_rejected_at_compile_time(self):
@@ -153,7 +152,7 @@ class TestLoadEvents:
             FlashCrowd(tenant="A", start_minute=1.0, magnitude=0.0),
         ):
             spec = two_tenant_spec(events=(event,))
-            _, _, context, _ = build_scenario(spec)
+            _, context, _ = build_scenario(spec)
             with pytest.raises(ValueError):
                 compile_spec(spec, context)
 
@@ -164,7 +163,7 @@ class TestLoadEvents:
                             end_minute=2.0),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(110.0)
         binding = simulator.bindings["workload-A"]
@@ -178,7 +177,7 @@ class TestLoadEvents:
             tenants=(TenantSpec(SMALL_A), TenantSpec(SMALL_C, target_ops=2000.0)),
             events=(FlashCrowd(tenant="A", start_minute=1.0, magnitude=2.0),),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         binding = simulator.bindings["workload-A"]
         assert binding.target_ops_per_second is None
@@ -195,7 +194,7 @@ class TestLoadEvents:
                            hold_minutes=2.0, decay_minutes=0.5, magnitude=2.0),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         # At minute 1 the diurnal sine peaks (1.5x) and the crowd holds (2x).
         schedule.fire_due(60.0)
@@ -212,7 +211,7 @@ class TestLoadEvents:
                            hold_minutes=2.0, decay_minutes=0.5, magnitude=3.0),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(60.0)
         binding = simulator.bindings["workload-A"]
@@ -227,7 +226,7 @@ class TestLoadEvents:
                          to_mix=(("update", 1.0),)),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         assert schedule.pending == 0
 
@@ -240,7 +239,7 @@ class TestChurnAndMixEvents:
                 TenantDeparture(minute=3.0, tenant="E"),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(60.0)
         assert "workload-E" in simulator.bindings
@@ -259,7 +258,7 @@ class TestChurnAndMixEvents:
                          to_mix=(("update", 1.0),)),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         before = simulator._workloads_version
         schedule.fire_due(60.0)
@@ -278,7 +277,7 @@ class TestChurnAndMixEvents:
                          to_mix=(("update", 1.0),)),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(spec.duration_seconds)
         binding = simulator.bindings["workload-A"]
@@ -296,7 +295,7 @@ class TestChurnAndMixEvents:
                                 duration_minutes=4.0, growth_factor=16.0),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         sizes_before = {
             r.region_id: r.size_bytes
             for r in simulator.regions.values()
@@ -323,7 +322,7 @@ class TestChurnAndMixEvents:
             ),
             duration_minutes=5.0,
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         mix_before = dict(simulator.bindings["tpcc"].op_mix)
         with pytest.raises(ValueError, match="derived from TPCCTenant"):
             compile_spec(spec, context)
@@ -345,7 +344,7 @@ class TestChurnAndMixEvents:
                 TenantDeparture(minute=3.0, tenant="tpcc-late"),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         schedule.fire_due(60.0)
         binding = simulator.bindings["tpcc-late"]
@@ -373,7 +372,7 @@ class TestChurnAndMixEvents:
 
     def test_update_workload_rejects_invalid_mix_without_leaking_it(self):
         spec = two_tenant_spec()
-        simulator, _, _, _ = build_scenario(spec)
+        simulator, _, _ = build_scenario(spec)
         binding = simulator.bindings["workload-A"]
         before = dict(binding.op_mix)
         with pytest.raises(ValueError, match="op mix"):
@@ -384,7 +383,7 @@ class TestChurnAndMixEvents:
 class TestFaultEvents:
     def test_node_crash_removes_node_and_reassigns(self):
         spec = two_tenant_spec(events=(NodeCrash(minute=1.0),))
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         before = set(simulator.nodes)
         fired = schedule.fire_due(60.0)
@@ -394,14 +393,14 @@ class TestFaultEvents:
         assert victim not in simulator.nodes
         assert all(r.node != victim for r in simulator.regions.values())
         # The crash is reproducible: same seed picks the same victim.
-        sim2, _, ctx2, _ = build_scenario(spec)
+        sim2, ctx2, _ = build_scenario(spec)
         assert compile_spec(spec, ctx2).fire_due(60.0)[0].detail == victim
 
     def test_slowdown_and_recovery_roundtrip(self):
         spec = two_tenant_spec(
             events=(NodeSlowdown(minute=1.0, factor=0.5, duration_minutes=1.0),),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         healthy_cpu = next(iter(simulator.nodes.values())).hardware.cpu_millis_per_second
         schedule = compile_spec(spec, context)
         fired = schedule.fire_due(60.0)
@@ -430,7 +429,7 @@ class TestFaultEvents:
         spec = two_tenant_spec(
             events=(NodeSlowdown(minute=1.0, factor=0.5, duration_minutes=1.0),),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
         fired = schedule.fire_due(60.0)
         victim = fired[0].detail.split(" ", 1)[0]
@@ -447,42 +446,24 @@ class TestFaultEvents:
         with pytest.raises(SimulationError):
             simulator.degrade_node(name, 1.5)
 
-    def test_crash_without_provider_keeps_vm_mapping(self):
-        """Regression: crash_node used to pop the node->instance mapping even
-        with no provider attached, losing the inventory record."""
-        from repro.iaas.faults import FaultInjector
-
-        simulator = ClusterSimulator()
-        name = simulator.add_node()
-        vm_ids = {name: "vm-99"}
-        injector = FaultInjector(simulator, provider=None, vm_ids=vm_ids, seed=1)
-        injector.crash_node(name)
-        assert vm_ids == {name: "vm-99"}, "mapping consumed without a provider fault"
-
     def test_recover_crashed_node_rejoins_and_relaunches_vm(self):
         from repro.core.backends import SimulatorBackend
         from repro.hbase.config import DEFAULT_HOMOGENEOUS
         from repro.iaas.faults import FaultInjector
-        from repro.iaas.provider import OpenStackProvider
 
         simulator = ClusterSimulator()
         simulator.add_node()
-        provider = OpenStackProvider(simulator.clock, boot_seconds=30.0)
-        backend = SimulatorBackend(simulator, provider=provider)
+        backend = SimulatorBackend(simulator)
         name = backend.add_node(DEFAULT_HOMOGENEOUS, "default")
-        simulator.run(60.0)
-        injector = FaultInjector(
-            simulator, provider=provider, vm_ids=backend.vm_ids, seed=1
-        )
-        old_vm = backend.vm_ids[name]
+        simulator.run(simulator.boot_seconds + simulator.clock.tick_seconds)
+        injector = FaultInjector(simulator, seed=1)
         injector.crash_node(name)
         assert injector.crashed_nodes == [name]
+        assert name not in simulator.nodes
         recovered = injector.recover_crashed_node()
         assert recovered == name
         assert injector.crashed_nodes == []
-        # A replacement instance backs the rejoined node; the dead one stays
-        # in the inventory in ERROR for accounting.
-        assert backend.vm_ids[name] != old_vm
+        # The node is the VM: it rejoins under its name and boots afresh.
         assert name in simulator.nodes
         assert not simulator.nodes[name].online  # boots first
         simulator.run(simulator.boot_seconds + simulator.clock.tick_seconds)
@@ -504,7 +485,7 @@ class TestFaultEvents:
         from repro.iaas.faults import FaultInjector
 
         spec = two_tenant_spec(events=(NodeRecovery(minute=1.0),))
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         injector = FaultInjector(simulator, seed=1)
         with pytest.raises(RuntimeError, match="no crashed node"):
             injector.recover_crashed_node()
@@ -540,7 +521,7 @@ class TestFaultEvents:
                 NodeSlowdown(minute=1.0, factor=1.0, network_factor=0.2),
             ),
         )
-        simulator, _, context, _ = build_scenario(spec)
+        simulator, context, _ = build_scenario(spec)
         healthy = next(iter(simulator.nodes.values())).hardware
         schedule = compile_spec(spec, context)
         fired = schedule.fire_due(60.0)
@@ -568,26 +549,6 @@ class TestFaultEvents:
         degraded = PerformanceModel(degraded_hw).evaluate_node(config, [region])
         assert degraded.bottleneck == "network"
         assert degraded.utilization > healthy.utilization
-
-    def test_crash_through_provider_marks_vm_error(self):
-        from repro.core.backends import SimulatorBackend
-        from repro.hbase.config import DEFAULT_HOMOGENEOUS
-        from repro.iaas.faults import FaultInjector
-        from repro.iaas.provider import OpenStackProvider
-
-        simulator = ClusterSimulator()
-        simulator.add_node()
-        provider = OpenStackProvider(simulator.clock, boot_seconds=0.0)
-        backend = SimulatorBackend(simulator, provider=provider)
-        name = backend.add_node(DEFAULT_HOMOGENEOUS, "default")
-        simulator.run(10.0)
-        injector = FaultInjector(
-            simulator, provider=provider, vm_ids=backend.vm_ids, seed=1
-        )
-        injector.crash_node(name)
-        assert name not in simulator.nodes
-        vm = next(iter(provider.instances.values()))
-        assert vm.state == VMState.ERROR
 
 
 class TestHarnessScheduleIntegration:

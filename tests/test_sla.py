@@ -19,6 +19,7 @@ from repro.experiments.harness import (
     TenantSeriesPoint,
 )
 from repro.experiments.reporting import format_matchup
+from repro.iaas.flavors import REGIONSERVER_FLAVOR
 from repro.scenarios import (
     CANNED_SCENARIOS,
     CostCeiling,
@@ -26,6 +27,7 @@ from repro.scenarios import (
     LatencyWithin,
     SLOViolationsBelow,
     TraceFormatError,
+    controller_actions,
     load_trace,
     run_scenario,
 )
@@ -36,7 +38,6 @@ from repro.sla import (
     PricingModel,
     SLODefinition,
     evaluate_slo,
-    machine_minute_ledger,
     pricing_model,
 )
 from repro.sla.scorecard import ScorecardRow, render_scorecard, scorecard_row
@@ -271,16 +272,21 @@ class TestPricing:
         assert envelope.charges == ()
         assert envelope.total == 0.0
 
-    def test_ledger_attributes_remainder_to_default_flavor(self):
-        ledger = machine_minute_ledger(30.0, {"m1.large": 12.0})
-        assert ledger["m1.large"] == 12.0
-        assert ledger["met.regionserver"] == pytest.approx(18.0)
-
-    def test_ledger_clamps_provider_overage(self):
-        # VM uptime can exceed node-online time (restarts); the base share
-        # clamps at zero instead of going negative.
-        ledger = machine_minute_ledger(10.0, {"m1.large": 12.0})
-        assert ledger == {"m1.large": 12.0}
+    def test_a_run_bills_its_machine_minutes_at_the_regionserver_flavor(self):
+        # Node crashes and controller-added nodes both change the machine
+        # count mid-run; the bill is still the harness's machine-minutes.
+        result = run_scenario(
+            CANNED_SCENARIOS["multi_fault_storm"], controller="met", keep_simulator=False
+        )
+        labels = [annotation.label for annotation in result.run.annotations]
+        assert "node-crash" in labels
+        kinds = [kind for _, kind in controller_actions(result.decisions)]
+        assert "add_node" in kinds
+        minutes = result.run.machine_minutes
+        assert result.machine_minute_ledger == {REGIONSERVER_FLAVOR.name: minutes}
+        assert result.cost.total == minutes * DEFAULT_PRICING.rate_for(
+            REGIONSERVER_FLAVOR.name
+        )
 
     def test_pricing_model_lookup(self):
         assert pricing_model(DEFAULT_PRICING.name) is DEFAULT_PRICING
@@ -416,9 +422,8 @@ class TestTenantSeriesPlumbing:
             region.block_homes = {nodes[index % 3]}
         sim.tick()
         for name in sim.bindings:
-            assert sim.binding_latency_ms(name) > 0.0
             assert sim.metrics.latest(f"workload:{name}", "latency_ms") > 0.0
-        assert sim.binding_latency_ms("nope") == 0.0
+        assert sim.metrics.latest("workload:nope", "latency_ms") == 0.0
 
     def test_harness_records_window_means(self):
         sim = ClusterSimulator()
