@@ -9,7 +9,7 @@ output computation) stays fast well beyond the paper's cluster sizes.
 import random
 
 from repro.core.assignment import assign_partitions
-from repro.core.classification import ClassifiedPartition, classify_partitions
+from repro.core.classification import classify_partitions
 from repro.core.grouping import nodes_per_group
 from repro.core.output import TargetSlot, compute_output
 from repro.monitoring.collector import PartitionSample
@@ -36,7 +36,7 @@ def _partitions(count: int, seed: int = 0) -> dict[str, PartitionSample]:
 def test_classification_scales_to_thousands_of_partitions(benchmark):
     """Classify 5,000 partitions."""
     partitions = _partitions(5_000)
-    groups = benchmark(classify_partitions, partitions)
+    groups = benchmark(classify_partitions, partitions.values())
     assert sum(len(members) for members in groups.values()) == 5_000
 
 
@@ -44,12 +44,7 @@ def test_lpt_assignment_scales(benchmark):
     """LPT-assign 2,000 partitions onto 100 nodes."""
     rng = random.Random(1)
     members = [
-        ClassifiedPartition(
-            partition_id=f"p-{i}",
-            pattern=None,
-            requests=rng.uniform(0, 10_000),
-            size_bytes=1e8,
-        )
+        PartitionSample(f"p-{i}", None, rng.uniform(0, 10_000), 0.0, 0.0, 1e8)
         for i in range(2_000)
     ]
     nodes = [f"node-{i}" for i in range(100)]
@@ -62,7 +57,7 @@ def test_grouping_and_output_computation(benchmark):
     partitions = _partitions(500, seed=2)
 
     def pipeline():
-        groups = classify_partitions(partitions)
+        groups = classify_partitions(partitions.values())
         allocation = nodes_per_group(groups, 50)
         slots = []
         for pattern, node_count in allocation.items():

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.classification import ClassifiedPartition
 from repro.core.grouping import max_partitions_per_node
+from repro.monitoring.collector import PartitionSample
 
 
 class AssignmentError(ValueError):
@@ -28,14 +28,14 @@ class NodeBin:
     load: float = 0.0
     partitions: list[str] = field(default_factory=list)
 
-    def assign(self, partition: ClassifiedPartition) -> None:
+    def assign(self, partition: PartitionSample) -> None:
         """Place a partition on this node."""
         self.partitions.append(partition.partition_id)
-        self.load += partition.requests
+        self.load += partition.total_requests
 
 
 def assign_partitions(
-    partitions: list[ClassifiedPartition],
+    partitions: list[PartitionSample],
     nodes: list[str],
     max_per_node: int | None = None,
 ) -> dict[str, list[str]]:
@@ -57,7 +57,7 @@ def assign_partitions(
     bins = {node: NodeBin(node=node) for node in nodes}
     # Sort by number of requests in decreasing order (ties broken by id for
     # determinism).
-    pending = sorted(partitions, key=lambda p: (-p.requests, p.partition_id))
+    pending = sorted(partitions, key=lambda p: (-p.total_requests, p.partition_id))
     open_bins = set(nodes)
     for partition in pending:
         # sorted(): min() below already breaks ties on b.node, but iterating

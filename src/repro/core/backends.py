@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 
 from repro.hbase.config import RegionServerConfig
+from repro.monitoring.collector import PartitionSample
 from repro.simulation.cluster import ClusterSimulator
 
 
@@ -46,17 +47,14 @@ class SimulatorBackend:
     def node_profile(self, name: str) -> str:
         return self.simulator.nodes[name].profile_name
 
-    def partition_stats(self) -> dict[str, dict[str, float]]:
-        stats: dict[str, dict[str, float]] = {}
-        for region_id, region in self.simulator.regions.items():
-            stats[region_id] = {
-                "reads": region.reads,
-                "writes": region.writes,
-                "scans": region.scans,
-                "size_bytes": region.size_bytes,
-                "node": region.node,
-            }
-        return stats
+    def partition_stats(self) -> dict[str, PartitionSample]:
+        return {
+            region_id: PartitionSample(
+                region_id, region.node, region.reads, region.writes, region.scans,
+                region.size_bytes,
+            )
+            for region_id, region in self.simulator.regions.items()
+        }
 
     # ------------------------------------------------------------------ #
     # ClusterActions

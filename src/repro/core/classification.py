@@ -6,12 +6,16 @@ Data partitions are divided into four groups (Sections 3.3, 4.2.3 and 5):
 * ``write`` -- more than 60% of total requests are write requests;
 * ``scan`` -- more than 60% of the read requests are scans;
 * ``read_write`` -- every other case.
+
+Partitions are :class:`~repro.monitoring.collector.PartitionSample` records
+throughout Stage C: a monitoring window's counts under MeT, a tenant's
+expected counts under the Manual-Heterogeneous layout.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from repro.monitoring.collector import PartitionSample
 
@@ -26,16 +30,6 @@ class AccessPattern(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class ClassifiedPartition:
-    """A partition together with its group and its request cost."""
-
-    partition_id: str
-    pattern: AccessPattern
-    requests: float
-    size_bytes: float
 
 
 def classify_partition(
@@ -59,27 +53,20 @@ def classify_partition(
 
 
 def classify_partitions(
-    partitions: dict[str, PartitionSample],
+    partitions: Iterable[PartitionSample],
     threshold: float = 0.60,
-) -> dict[AccessPattern, list[ClassifiedPartition]]:
-    """Classify every partition, grouping the results by access pattern.
+) -> dict[AccessPattern, list[PartitionSample]]:
+    """Group partitions by access pattern, non-empty groups in enum order.
 
     Partitions that received no requests during the window are grouped as
     ``read_write`` (the neutral profile) so they still get assigned somewhere.
     """
-    groups: dict[AccessPattern, list[ClassifiedPartition]] = {
+    groups: dict[AccessPattern, list[PartitionSample]] = {
         pattern: [] for pattern in AccessPattern
     }
-    for partition_id, sample in partitions.items():
+    for sample in partitions:
         pattern = classify_partition(
             sample.reads, sample.writes, sample.scans, threshold
         )
-        groups[pattern].append(
-            ClassifiedPartition(
-                partition_id=partition_id,
-                pattern=pattern,
-                requests=sample.total_requests,
-                size_bytes=sample.size_bytes,
-            )
-        )
+        groups[pattern].append(sample)
     return {pattern: members for pattern, members in groups.items() if members}

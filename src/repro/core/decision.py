@@ -16,6 +16,7 @@ Works in four stages:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.assignment import assign_partitions
@@ -24,7 +25,31 @@ from repro.core.grouping import max_partitions_per_node, nodes_per_group
 from repro.core.output import NodeTarget, TargetSlot, compute_output, plan_moves
 from repro.core.parameters import MeTParameters
 from repro.core.sizing import SizingAlgorithm
-from repro.monitoring.collector import ClusterSnapshot
+from repro.monitoring.collector import ClusterSnapshot, PartitionSample
+
+
+def distribution(
+    partitions: Iterable[PartitionSample], cluster_size: int, threshold: float = 0.60
+) -> list[TargetSlot]:
+    """Stage C: classification + grouping + assignment for ``cluster_size`` nodes.
+
+    Returns one slot per node (an empty list when there are no partitions).
+    """
+    groups = classify_partitions(partitions, threshold)
+    if not groups:
+        return []
+    allocation = nodes_per_group(groups, cluster_size)
+    slots: list[TargetSlot] = []
+    for pattern, node_count in allocation.items():
+        members = groups[pattern]
+        slot_names = [f"{pattern.value}-slot-{i}" for i in range(node_count)]
+        cap = max_partitions_per_node(len(members), node_count)
+        per_slot = assign_partitions(members, slot_names, max_per_node=cap)
+        slots.extend(
+            TargetSlot(profile=pattern.value, partitions=frozenset(per_slot[name]))
+            for name in slot_names
+        )
+    return slots
 
 
 @dataclass
@@ -103,36 +128,6 @@ class DecisionMaker:
         )
 
     # ------------------------------------------------------------------ #
-    # Stage C
-    # ------------------------------------------------------------------ #
-    def distribution(
-        self, snapshot: ClusterSnapshot, cluster_size: int
-    ) -> list[TargetSlot]:
-        """Classification + grouping + assignment for ``cluster_size`` nodes."""
-        groups = classify_partitions(
-            snapshot.partitions, self.parameters.classification_threshold
-        )
-        if not groups:
-            return []
-        allocation = nodes_per_group(groups, cluster_size)
-        slots: list[TargetSlot] = []
-        for pattern, node_count in allocation.items():
-            members = groups.get(pattern, [])
-            if not members or node_count <= 0:
-                continue
-            slot_names = [f"{pattern.value}-slot-{i}" for i in range(node_count)]
-            cap = max_partitions_per_node(len(members), node_count)
-            per_slot = assign_partitions(members, slot_names, max_per_node=cap)
-            for slot_name in slot_names:
-                slots.append(
-                    TargetSlot(
-                        profile=pattern.value,
-                        partitions=frozenset(per_slot.get(slot_name, [])),
-                    )
-                )
-        return slots
-
-    # ------------------------------------------------------------------ #
     # full decision round
     # ------------------------------------------------------------------ #
     def decide(self, snapshot: ClusterSnapshot) -> ReconfigurationPlan | None:
@@ -151,7 +146,9 @@ class DecisionMaker:
         new_size = max(self.parameters.min_nodes, min(self.parameters.max_nodes, new_size))
         delta = new_size - current_size
 
-        slots = self.distribution(snapshot, new_size)
+        slots = distribution(
+            snapshot.partitions.values(), new_size, self.parameters.classification_threshold
+        )
         if not slots:
             return None
 

@@ -12,7 +12,8 @@ total number of nodes available.
 
 from __future__ import annotations
 
-from repro.core.classification import AccessPattern, ClassifiedPartition
+from repro.core.classification import AccessPattern
+from repro.monitoring.collector import PartitionSample
 
 
 class GroupingError(ValueError):
@@ -20,18 +21,20 @@ class GroupingError(ValueError):
 
 
 def nodes_per_group(
-    groups: dict[AccessPattern, list[ClassifiedPartition]],
+    groups: dict[AccessPattern, list[PartitionSample]],
     total_nodes: int,
 ) -> dict[AccessPattern, int]:
-    """Number of nodes to dedicate to each access-pattern group."""
+    """Number of nodes to dedicate to each access-pattern group.
+
+    With fewer nodes than non-empty groups some groups get no node; see
+    :func:`_merge_small_groups`.
+    """
     if total_nodes <= 0:
         raise GroupingError(f"total nodes must be positive, got {total_nodes!r}")
     non_empty = {pattern: members for pattern, members in groups.items() if members}
     if not non_empty:
         raise GroupingError("no partitions to group")
     if total_nodes < len(non_empty):
-        # Fewer nodes than groups: give one node to each of the largest
-        # groups (by request volume) and merge the rest into read_write.
         return _merge_small_groups(non_empty, total_nodes)
 
     total_partitions = sum(len(members) for members in non_empty.values())
@@ -60,18 +63,20 @@ def nodes_per_group(
 
 
 def _merge_small_groups(
-    groups: dict[AccessPattern, list[ClassifiedPartition]],
+    groups: dict[AccessPattern, list[PartitionSample]],
     total_nodes: int,
 ) -> dict[AccessPattern, int]:
-    """Fallback when the cluster has fewer nodes than access-pattern groups."""
+    """Fallback when the cluster has fewer nodes than access-pattern groups.
+
+    Keeps the ``total_nodes`` groups with the most request volume, one node
+    each, and leaves the other groups out of the allocation.
+    """
     by_volume = sorted(
         groups,
-        key=lambda pattern: sum(p.requests for p in groups[pattern]),
+        key=lambda pattern: sum(p.total_requests for p in groups[pattern]),
         reverse=True,
     )
-    kept = by_volume[:total_nodes]
-    allocation = {pattern: 1 for pattern in kept}
-    return allocation
+    return {pattern: 1 for pattern in by_volume[:total_nodes]}
 
 
 def max_partitions_per_node(partition_count: int, node_count: int) -> int:

@@ -55,7 +55,7 @@ class HBaseBalancerDaemon:
         stats = self.backend.partition_stats()
         per_node: dict[str, list[str]] = {node: [] for node in online}
         for partition_id, partition in stats.items():
-            node = partition.get("node")
+            node = partition.node
             if node in per_node:
                 per_node[node].append(partition_id)
         total = sum(len(parts) for parts in per_node.values())

@@ -11,7 +11,14 @@
   balanced placement the search converges to.
 * **Manual-Heterogeneous** -- partitions clustered by access pattern, node
   groups sized proportionally to the partitions they hold, and each node
-  configured with the Table 1 profile of its group.
+  configured with the Table 1 profile of its group.  This is the layout
+  MeT's distribution algorithm computes (Section 4.2.3), so it *is* MeT's
+  Stage C (:func:`repro.core.decision.distribution`) run on the tenants'
+  expected request counts, slot ``i`` placed on node ``i``.
+
+Every strategy takes the expected per-partition counts as
+:class:`~repro.monitoring.collector.PartitionSample` records (``node=None``),
+as :func:`repro.workloads.materialise_tenants` returns them.
 
 :data:`PLACEMENTS` names the layouts a
 :class:`~repro.scenarios.spec.ScenarioSpec` can declare its run to start
@@ -24,42 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.assignment import assign_partitions
-from repro.core.classification import (
-    AccessPattern,
-    ClassifiedPartition,
-    classify_partition,
-)
-from repro.core.grouping import max_partitions_per_node, nodes_per_group
+from repro.core.decision import distribution
+from repro.core.grouping import max_partitions_per_node
 from repro.core.profiles import profile_for
 from repro.hbase.balancer import RandomBalancer
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, TPCC_HOMOGENEOUS, RegionServerConfig
-
-
-@dataclass(frozen=True)
-class PartitionWorkload:
-    """Expected request mix of one data partition, used for manual placement."""
-
-    partition_id: str
-    reads: float = 0.0
-    writes: float = 0.0
-    scans: float = 0.0
-    size_bytes: float = 0.0
-
-    @property
-    def total_requests(self) -> float:
-        """Total expected requests."""
-        return self.reads + self.writes + self.scans
-
-    def classified(self, threshold: float = 0.60) -> ClassifiedPartition:
-        """Classify this partition by its expected access pattern."""
-        pattern = classify_partition(self.reads, self.writes, self.scans, threshold)
-        return ClassifiedPartition(
-            partition_id=self.partition_id,
-            pattern=pattern,
-            requests=self.total_requests,
-            size_bytes=self.size_bytes,
-        )
+from repro.monitoring.collector import PartitionSample
 
 
 @dataclass
@@ -70,10 +47,6 @@ class PlacementPlan:
     node_configs: dict[str, RegionServerConfig] = field(default_factory=dict)
     node_profiles: dict[str, str] = field(default_factory=dict)
     assignment: dict[str, str] = field(default_factory=dict)
-
-    def partitions_on(self, node: str) -> list[str]:
-        """Partitions placed on ``node``."""
-        return sorted(p for p, n in self.assignment.items() if n == node)
 
     def validate(self, partitions: list[str], nodes: list[str]) -> None:
         """Check the plan covers every partition and only known nodes."""
@@ -86,7 +59,7 @@ class PlacementPlan:
 
 
 def random_homogeneous(
-    partitions: list[PartitionWorkload],
+    partitions: list[PartitionSample],
     nodes: list[str],
     seed: int = 0,
     config: RegionServerConfig | None = None,
@@ -104,7 +77,7 @@ def random_homogeneous(
 
 
 def manual_homogeneous(
-    partitions: list[PartitionWorkload],
+    partitions: list[PartitionSample],
     nodes: list[str],
     config: RegionServerConfig | None = None,
 ) -> PlacementPlan:
@@ -121,7 +94,7 @@ def manual_homogeneous(
         raise ValueError("cannot place partitions on an empty node list")
     cap = max_partitions_per_node(len(partitions), len(nodes))
     prefix = {p.partition_id: p.partition_id.split(":", 1)[0] for p in partitions}
-    by_workload: dict[str, list[PartitionWorkload]] = {}
+    by_workload: dict[str, list[PartitionSample]] = {}
     for partition in partitions:
         by_workload.setdefault(prefix[partition.partition_id], []).append(partition)
     workload_order = sorted(
@@ -154,39 +127,31 @@ def manual_homogeneous(
 
 
 def manual_heterogeneous(
-    partitions: list[PartitionWorkload],
+    partitions: list[PartitionSample],
     nodes: list[str],
     classification_threshold: float = 0.60,
 ) -> PlacementPlan:
-    """Workload-aware placement with per-group node configurations (Table 1)."""
-    classified = [p.classified(classification_threshold) for p in partitions]
-    groups: dict[AccessPattern, list[ClassifiedPartition]] = {}
-    for partition in classified:
-        groups.setdefault(partition.pattern, []).append(partition)
-    allocation = nodes_per_group(groups, len(nodes))
+    """Workload-aware placement with per-group node configurations (Table 1).
 
+    MeT's Stage C over ``len(nodes)`` nodes, slot ``i`` on ``nodes[i]``;
+    nodes beyond the slots (there are none unless there are no partitions)
+    stay homogeneous.
+    """
+    slots = distribution(partitions, len(nodes), classification_threshold)
     plan = PlacementPlan(name="manual-heterogeneous")
-    remaining_nodes = list(nodes)
-    for pattern, node_count in allocation.items():
-        group_nodes = remaining_nodes[:node_count]
-        remaining_nodes = remaining_nodes[node_count:]
-        members = groups[pattern]
-        cap = max_partitions_per_node(len(members), len(group_nodes))
-        per_node = assign_partitions(members, group_nodes, max_per_node=cap)
-        profile = profile_for(pattern.value)
-        for node in group_nodes:
-            plan.node_configs[node] = profile.config
-            plan.node_profiles[node] = profile.name
-            for partition in per_node.get(node, []):
-                plan.assignment[partition] = node
-    # Any nodes left over (more nodes than groups needed) stay homogeneous.
-    for node in remaining_nodes:
+    for node, slot in zip(nodes, slots):
+        profile = profile_for(slot.profile)
+        plan.node_configs[node] = profile.config
+        plan.node_profiles[node] = profile.name
+        for partition in sorted(slot.partitions):
+            plan.assignment[partition] = node
+    for node in nodes[len(slots):]:
         plan.node_configs[node] = DEFAULT_HOMOGENEOUS
         plan.node_profiles[node] = "default"
     return plan
 
 
-def partition_per_node(partitions: list[PartitionWorkload], nodes: list[str]) -> PlacementPlan:
+def partition_per_node(partitions: list[PartitionSample], nodes: list[str]) -> PlacementPlan:
     """Partition ``i`` on node ``i``, every node on ``TPCC_HOMOGENEOUS``."""
     return PlacementPlan(
         name="partition-per-node",

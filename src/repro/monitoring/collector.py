@@ -41,12 +41,13 @@ class MetricsSource(Protocol):
     def node_profile(self, name: str) -> str:
         """Name of the configuration profile currently applied to a node."""
 
-    def partition_stats(self) -> dict[str, dict[str, float]]:
-        """Per-partition statistics.
+    def partition_stats(self) -> dict[str, "PartitionSample"]:
+        """Per-partition statistics, one fresh :class:`PartitionSample` each.
 
-        Maps partition id to a dict with cumulative ``reads``, ``writes`` and
-        ``scans`` counters, the partition ``size_bytes`` and the hosting
-        ``node`` name (or None).
+        The samples carry the cumulative ``reads``, ``writes`` and ``scans``
+        counters since the partition was created, its ``size_bytes`` and its
+        hosting ``node`` (or None); the collector turns them into windowed
+        counts by subtracting a baseline.
         """
 
 
@@ -70,7 +71,13 @@ class NodeSample:
 
 @dataclass
 class PartitionSample:
-    """Request counts of one partition over the monitoring window."""
+    """Request counts of one partition: the one per-partition request record.
+
+    A backend's ``partition_stats`` reports cumulative counters, the
+    collector's snapshot the counts over the monitoring window, and a
+    tenant's expected counts (``node=None``) seed the manual placements;
+    Stage C classifies, groups and assigns partitions from any of them.
+    """
 
     partition_id: str
     node: str | None
@@ -83,6 +90,10 @@ class PartitionSample:
     def total_requests(self) -> float:
         """Total requests in the window."""
         return self.reads + self.writes + self.scans
+
+
+#: Baseline of a partition created after the last action: nothing counted yet.
+_NO_REQUESTS = PartitionSample("", None, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -119,7 +130,7 @@ class MetricsCollector:
         self.smoothing_alpha = smoothing_alpha
         self._smoothers: dict[tuple[str, str], ExponentialSmoother] = {}
         self._samples_since_decision = 0
-        self._partition_baseline: dict[str, dict[str, float]] = {}
+        self._partition_baseline: dict[str, PartitionSample] = {}
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -168,14 +179,14 @@ class MetricsCollector:
         partitions: dict[str, PartitionSample] = {}
         current = self.source.partition_stats()
         for partition_id, stats in current.items():
-            baseline = self._partition_baseline.get(partition_id, {})
+            baseline = self._partition_baseline.get(partition_id, _NO_REQUESTS)
             partitions[partition_id] = PartitionSample(
                 partition_id=partition_id,
-                node=stats.get("node"),
-                reads=max(0.0, stats.get("reads", 0.0) - baseline.get("reads", 0.0)),
-                writes=max(0.0, stats.get("writes", 0.0) - baseline.get("writes", 0.0)),
-                scans=max(0.0, stats.get("scans", 0.0) - baseline.get("scans", 0.0)),
-                size_bytes=stats.get("size_bytes", 0.0),
+                node=stats.node,
+                reads=max(0.0, stats.reads - baseline.reads),
+                writes=max(0.0, stats.writes - baseline.writes),
+                scans=max(0.0, stats.scans - baseline.scans),
+                size_bytes=stats.size_bytes,
             )
         self._samples_since_decision = 0
         return ClusterSnapshot(timestamp=now, nodes=nodes, partitions=partitions)
@@ -193,7 +204,4 @@ class MetricsCollector:
         for smoother in self._smoothers.values():
             smoother.reset()
         self._samples_since_decision = 0
-        self._partition_baseline = {
-            partition_id: dict(stats)
-            for partition_id, stats in self.source.partition_stats().items()
-        }
+        self._partition_baseline = self.source.partition_stats()

@@ -234,9 +234,7 @@ class PlannerController(Autoscaler):
         self._last_sample_time = now
         total = 0.0
         for stats in self.backend.partition_stats().values():
-            total += stats.get("reads", 0.0) + stats.get("writes", 0.0) + stats.get(
-                "scans", 0.0
-            )
+            total += stats.total_requests
         if self._last_total is not None and now > self._last_total_time:
             elapsed = now - self._last_total_time
             rate = max(0.0, total - self._last_total) / elapsed

@@ -109,9 +109,6 @@ class SimulatedRegion:
     reads: float = 0.0
     writes: float = 0.0
     scans: float = 0.0
-    read_rate: float = 0.0
-    write_rate: float = 0.0
-    scan_rate: float = 0.0
 
     def __setattr__(self, name: str, value) -> None:
         # Keep the owning simulator's node->regions index coherent even when
@@ -857,19 +854,12 @@ class ClusterSimulator:
 
         An insert-bearing solution grows region sizes here; such a plan is
         never replayed (its ``results`` key is cleared).  Node utilisation
-        fields, served-request rates and the per-binding throughput map are
-        written here once: nothing but a new solution changes them.
+        fields and the per-binding throughput map are written here once:
+        nothing but a new solution changes them.
         The plan's sample batches hold each tenant's throughput and latency,
         the only series anything reads.
         """
         throughputs, node_results, region_rates, binding_latencies, summaries = results
-        previous = self._apply_plan
-        if previous is not None:
-            # Only regions the previous plan rated can hold stale rates.
-            for fields, _, _, _ in previous.counters:
-                fields["read_rate"] = 0.0
-                fields["write_rate"] = 0.0
-                fields["scan_rate"] = 0.0
         plan = _ApplyPlan(results)
         counters = plan.counters
         regions = self.regions
@@ -887,9 +877,6 @@ class ClusterSimulator:
             fields["reads"] += reads * span
             fields["writes"] += writes * span
             fields["scans"] += scans * span
-            fields["read_rate"] = reads
-            fields["write_rate"] = writes
-            fields["scan_rate"] = scans
             if inserts:
                 fields["size_bytes"] += inserts * span * region.record_size
                 plan.results = None

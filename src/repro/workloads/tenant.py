@@ -8,8 +8,9 @@ and the tenant's native throughput unit -- so heterogeneous tenants (YCSB
 key-value tenants next to TPC-C transactional tenants) compose in one
 cluster, the heterogeneous-workload case the paper's data-placement argument
 is about.  :func:`materialise_tenants` turns any mix of them into regions,
-client bindings and the expected per-partition request mixes the manual
-placement strategies balance.
+client bindings and the expected per-partition request counts
+(:class:`~repro.monitoring.collector.PartitionSample` records, ``node=None``)
+the manual placement strategies balance.
 
 Implementations:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.elasticity.strategies import PartitionWorkload
+from repro.monitoring.collector import PartitionSample
 from repro.simulation.workload import WorkloadBinding
 
 __all__ = [
@@ -165,9 +166,10 @@ class TenantWorkload:
         """The tenant's data partitions, ready for ``simulator.add_region``."""
         raise NotImplementedError
 
-    def partition_workloads(self, window_seconds: float = 60.0) -> list[PartitionWorkload]:
-        """Expected per-partition request mixes over ``window_seconds``.
+    def partition_workloads(self, window_seconds: float = 60.0) -> list[PartitionSample]:
+        """Expected per-partition request counts over ``window_seconds``.
 
+        One unplaced :class:`PartitionSample` (``node=None``) per partition.
         The manual placement strategies (and MeT's initial layout) balance
         partitions by expected request counts; these derive from the
         tenant's nominal rate the same way a profiling run would.
@@ -183,8 +185,9 @@ class TenantWorkload:
         )
         scans = mix.get("scan", 0.0)
         return [
-            PartitionWorkload(
+            PartitionSample(
                 partition_id=spec.region_id,
+                node=None,
                 reads=total * spec.weight * reads,
                 writes=total * spec.weight * writes,
                 scans=total * spec.weight * scans,
@@ -198,14 +201,14 @@ class TenantWorkload:
         return ops_per_second
 
 
-def materialise_tenants(simulator, tenants) -> list[PartitionWorkload]:
+def materialise_tenants(simulator, tenants) -> list[PartitionSample]:
     """Create every tenant's partitions and client binding in ``simulator``.
 
     ``tenants`` are configured :class:`TenantWorkload` objects (any mix of
     YCSB and TPC-C), created in order.  Partitions are created unassigned;
-    the returned expected per-partition request mixes (one per partition, in
-    creation order) feed the initial manual placement, exactly as a
-    profiling run would.
+    the returned expected per-partition request counts (one unplaced
+    :class:`PartitionSample` per partition, in creation order) feed the
+    initial manual placement, exactly as a profiling run would.
     """
     expected = []
     for tenant in tenants:

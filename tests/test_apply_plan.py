@@ -4,11 +4,11 @@
 solution and replays it for every later tick or macro-tick that reuses the
 same solution.  These tests run one simulator on the production solver and
 a twin on ``NoReuseSolver`` (every tick a real solve, nothing
-fast-forwarded) and require every metric series, latency distribution,
-rate and per-tick node observable to agree byte for byte.  Cumulative
-counters are the one documented exception: a macro-tick advances them by
-``rate * dt * ticks`` instead of ``ticks`` additions, so they agree to
-float rounding only.  Two cases:
+fast-forwarded) and require every metric series, latency distribution
+and per-tick node observable to agree byte for byte.  The cumulative
+per-region request counters are the one documented exception: a
+macro-tick advances them by ``rate * dt * ticks`` instead of ``ticks``
+additions, so they agree to float rounding only.  Two cases:
 
 * a trailing partial tick replays the plan at another ``dt``;
 * a hypothesis fuzz interleaves the declared mutators and
@@ -87,7 +87,7 @@ def snapshot(sim: ClusterSimulator) -> str:
         for key, d in sorted(sim.metrics.distributions())
     }
     regions = {
-        rid: (r.node, r.size_bytes, r.read_rate, r.write_rate, r.scan_rate)
+        rid: (r.node, r.size_bytes)
         for rid, r in sim.regions.items()
     }
     nodes = {

@@ -135,7 +135,7 @@ class TestReconfiguration:
         simulator.tick()
         region = simulator.regions["r1"]
         assert region.node == nodes[0]
-        assert region.read_rate + region.write_rate + region.scan_rate == 0.0
+        assert region.reads + region.writes + region.scans == 0.0
 
 
 class TestWorkloads:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.assignment import AssignmentError, assign_partitions, makespan
 from repro.core.classification import (
     AccessPattern,
-    ClassifiedPartition,
     classify_partition,
     classify_partitions,
 )
@@ -106,18 +105,23 @@ class TestClassification:
 
     def test_classify_partitions_groups(self):
         groups = classify_partitions(
-            {
-                "r": sample("r", reads=100),
-                "w": sample("w", writes=100),
-                "s": sample("s", scans=100),
-                "m": sample("m", reads=50, writes=50),
-            }
+            [
+                sample("r", reads=100),
+                sample("w", writes=100),
+                sample("s", scans=100),
+                sample("m", reads=50, writes=50),
+            ]
         )
-        assert {p.pattern for members in groups.values() for p in members} == set(AccessPattern)
-        assert len(groups[AccessPattern.READ]) == 1
+        assert list(groups) == list(AccessPattern)
+        assert {pattern: [p.partition_id for p in members] for pattern, members in groups.items()} == {
+            AccessPattern.READ: ["r"],
+            AccessPattern.WRITE: ["w"],
+            AccessPattern.READ_WRITE: ["m"],
+            AccessPattern.SCAN: ["s"],
+        }
 
     def test_classify_partitions_custom_threshold(self):
-        groups = classify_partitions({"x": sample("x", reads=55, writes=45)}, threshold=0.50)
+        groups = classify_partitions([sample("x", reads=55, writes=45)], threshold=0.50)
         assert AccessPattern.READ in groups
 
 
@@ -125,8 +129,7 @@ class TestGrouping:
     def _groups(self, counts):
         return {
             pattern: [
-                ClassifiedPartition(f"{pattern.value}-{i}", pattern, 100.0, 1e8)
-                for i in range(count)
+                sample(f"{pattern.value}-{i}", reads=100.0) for i in range(count)
             ]
             for pattern, count in counts.items()
             if count
@@ -186,8 +189,7 @@ class TestGrouping:
 class TestAssignment:
     def _partitions(self, costs):
         return [
-            ClassifiedPartition(f"p{i}", AccessPattern.READ, cost, 1e8)
-            for i, cost in enumerate(costs)
+            sample(f"p{i}", reads=cost) for i, cost in enumerate(costs)
         ]
 
     def test_all_partitions_assigned(self):

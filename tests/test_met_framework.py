@@ -1,14 +1,14 @@
 """Integration tests: the full MeT loop, its simulator backend, and the baselines."""
 
 from repro.core.backends import SimulatorBackend
-from repro.core.decision import DecisionMaker
+from repro.core.classification import AccessPattern, classify_partitions
+from repro.core.decision import DecisionMaker, distribution
 from repro.core.framework import MeT
 from repro.core.interfaces import ClusterBackend
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES
 from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import (
-    PartitionWorkload,
     manual_heterogeneous,
     manual_homogeneous,
     random_homogeneous,
@@ -80,16 +80,13 @@ class TestDecisionMaker:
         assert plan is None or not plan.new_nodes
 
     def test_distribution_covers_every_partition(self):
-        maker = DecisionMaker()
         partitions = {
             f"p{i}": PartitionSample(
                 f"p{i}", "n1", reads=100 * i, writes=50, scans=0, size_bytes=1e8
             )
             for i in range(8)
         }
-        slots = maker.distribution(
-            ClusterSnapshot(timestamp=0.0, nodes={}, partitions=partitions), cluster_size=3
-        )
+        slots = distribution(partitions.values(), cluster_size=3)
         covered = {p for slot in slots for p in slot.partitions}
         assert covered == set(partitions)
 
@@ -428,8 +425,8 @@ class TestStrategies:
         assert len(c_nodes) >= 3
 
     def test_partition_workload_classification(self):
-        read_heavy = PartitionWorkload("p", reads=90, writes=10)
-        assert read_heavy.classified().pattern.value == "read"
+        read_heavy = PartitionSample("p", None, reads=90, writes=10, scans=0, size_bytes=0)
+        assert classify_partitions([read_heavy]) == {AccessPattern.READ: [read_heavy]}
         assert read_heavy.total_requests == 100
 
     def test_random_plans_differ_across_seeds(self):

@@ -83,7 +83,7 @@ class TestCollectors:
         snapshot = collector.snapshot(30.0)
         # Counters are deltas relative to the post-action baseline, so they
         # are far smaller than the cumulative totals.
-        cumulative = loaded_backend.partition_stats()["r1"]["reads"]
+        cumulative = loaded_backend.partition_stats()["r1"].reads
         assert snapshot.partitions["r1"].reads < cumulative
 
     def test_collector_rejects_bad_parameters(self, loaded_backend):

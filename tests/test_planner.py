@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import ResultsStore
 from repro.elasticity.autoscaler import AutoscalerAction
+from repro.monitoring.collector import PartitionSample
 from repro.planner import (
     DEFAULT_CALIBRATION,
     MINUTES_PER_MONTH,
@@ -332,7 +333,7 @@ class FakeBackend:
         return list(self.nodes)
 
     def partition_stats(self):
-        return {"p0": {"reads": self.total_ops}}
+        return {"p0": PartitionSample("p0", self.nodes[0], self.total_ops, 0.0, 0.0, 0.0)}
 
     def add_node(self, config, profile="default"):
         name = f"rs-auto-{len(self.added) + 1}"

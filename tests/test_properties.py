@@ -11,10 +11,11 @@ from key_choosers import (
     partition_request_shares,
 )
 from repro.core.assignment import assign_partitions, makespan
-from repro.core.classification import AccessPattern, ClassifiedPartition, classify_partition
+from repro.core.classification import AccessPattern, classify_partition
 from repro.core.grouping import nodes_per_group
 from repro.core.output import TargetSlot, compute_output
 from repro.core.sizing import SizingAlgorithm
+from repro.monitoring.collector import PartitionSample
 from repro.monitoring.smoothing import ExponentialSmoother
 from repro.workloads.ycsb.workloads import hotspot_partition_weights
 
@@ -41,14 +42,13 @@ def test_classification_is_total_and_consistent(reads, writes, scans):
 def test_lpt_assignment_is_complete_and_reasonably_balanced(costs, node_count):
     """LPT assigns every partition exactly once and is within 2x of the mean load."""
     partitions = [
-        ClassifiedPartition(f"p{i}", AccessPattern.READ, cost, 1e8)
-        for i, cost in enumerate(costs)
+        PartitionSample(f"p{i}", None, cost, 0.0, 0.0, 1e8) for i, cost in enumerate(costs)
     ]
     nodes = [f"n{i}" for i in range(node_count)]
     assignment = assign_partitions(partitions, nodes)
     assigned = sorted(p for parts in assignment.values() for p in parts)
     assert assigned == sorted(p.partition_id for p in partitions)
-    cost_map = {p.partition_id: p.requests for p in partitions}
+    cost_map = {p.partition_id: p.total_requests for p in partitions}
     total = sum(cost_map.values())
     if total > 0 and node_count <= len(costs):
         # Graham's bound: the makespan of LPT is at most (4/3 - 1/3m) * OPT;
@@ -71,7 +71,7 @@ def test_grouping_conserves_nodes(group_sizes, total_nodes):
     """Node allocation sums to the available nodes and never exceeds them."""
     groups = {
         pattern: [
-            ClassifiedPartition(f"{pattern.value}-{i}", pattern, 10.0, 1e8)
+            PartitionSample(f"{pattern.value}-{i}", None, 10.0, 0.0, 0.0, 1e8)
             for i in range(size)
         ]
         for pattern, size in group_sizes.items()
