@@ -34,11 +34,20 @@ def distribution(
     """Stage C: classification + grouping + assignment for ``cluster_size`` nodes.
 
     Returns one slot per node (an empty list when there are no partitions).
+    When the cluster has fewer nodes than non-empty groups, the groups left
+    without a node hand their partitions to the kept group with the least
+    request volume, so every partition lands in exactly one slot.
     """
     groups = classify_partitions(partitions, threshold)
     if not groups:
         return []
     allocation = nodes_per_group(groups, cluster_size)
+    dropped = [p for pattern in groups if pattern not in allocation for p in groups[pattern]]
+    if dropped:
+        smallest = min(
+            allocation, key=lambda pattern: sum(p.total_requests for p in groups[pattern])
+        )
+        groups[smallest] = groups[smallest] + dropped
     slots: list[TargetSlot] = []
     for pattern, node_count in allocation.items():
         members = groups[pattern]

@@ -69,7 +69,9 @@ def _merge_small_groups(
     """Fallback when the cluster has fewer nodes than access-pattern groups.
 
     Keeps the ``total_nodes`` groups with the most request volume, one node
-    each, and leaves the other groups out of the allocation.
+    each, and leaves the other groups out of the allocation; Stage C's
+    :func:`~repro.core.decision.distribution` then moves the left-out
+    groups' partitions into the kept group with the least request volume.
     """
     by_volume = sorted(
         groups,

@@ -44,6 +44,9 @@ class TestHarness:
         expected = materialise_tenants(simulator, CORE_WORKLOADS.values())
         plan = manual_heterogeneous(expected, nodes)
         apply_placement(simulator, plan)
+        # Four access-pattern groups on three nodes: every region still
+        # gets a node (an unplaced one is served at the unavailable latency).
+        assert all(region.node in nodes for region in simulator.regions.values())
         harness = ExperimentHarness(simulator, name="test", sample_every_seconds=30.0)
         run = harness.run_for(120.0)
         assert run.total_operations > 0

@@ -90,6 +90,20 @@ class TestDecisionMaker:
         covered = {p for slot in slots for p in slot.partitions}
         assert covered == set(partitions)
 
+    def test_distribution_merges_groups_left_without_a_node(self):
+        # Three groups on two nodes: the scan group has the least volume and
+        # gets no node; its partition joins the lighter kept group (write).
+        partitions = [
+            PartitionSample("r", None, reads=300, writes=0, scans=0, size_bytes=1e8),
+            PartitionSample("w", None, reads=0, writes=200, scans=0, size_bytes=1e8),
+            PartitionSample("s", None, reads=0, writes=0, scans=100, size_bytes=1e8),
+        ]
+        slots = distribution(partitions, cluster_size=2)
+        assert [(slot.profile, set(slot.partitions)) for slot in slots] == [
+            ("read", {"r"}),
+            ("write", {"w", "s"}),
+        ]
+
 
 class TestSimulatorBackendContract:
     def test_backend_satisfies_protocol(self, simulator):
@@ -423,6 +437,16 @@ class TestStrategies:
         plan = manual_homogeneous(expected, nodes)
         c_nodes = {plan.assignment[f"C:part-{i}"] for i in range(4)}
         assert len(c_nodes) >= 3
+
+    def test_heterogeneous_plan_places_every_partition_on_few_nodes(self):
+        partitions = [
+            PartitionSample("r", None, reads=100, writes=0, scans=0, size_bytes=1e8),
+            PartitionSample("w", None, reads=0, writes=100, scans=0, size_bytes=1e8),
+            PartitionSample("s", None, reads=0, writes=0, scans=100, size_bytes=1e8),
+        ]
+        plan = manual_heterogeneous(partitions, ["n1", "n2"])
+        assert set(plan.assignment) == {"r", "w", "s"}
+        assert set(plan.assignment.values()) == {"n1", "n2"}
 
     def test_partition_workload_classification(self):
         read_heavy = PartitionSample("p", None, reads=90, writes=10, scans=0, size_bytes=0)

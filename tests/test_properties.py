@@ -12,6 +12,7 @@ from key_choosers import (
 )
 from repro.core.assignment import assign_partitions, makespan
 from repro.core.classification import AccessPattern, classify_partition
+from repro.core.decision import distribution
 from repro.core.grouping import nodes_per_group
 from repro.core.output import TargetSlot, compute_output
 from repro.core.sizing import SizingAlgorithm
@@ -81,6 +82,22 @@ def test_grouping_conserves_nodes(group_sizes, total_nodes):
     if total_nodes >= len(groups):
         assert sum(allocation.values()) == total_nodes
         assert all(count >= 1 for count in allocation.values())
+
+
+@given(mixes=st.lists(st.tuples(requests, requests, requests), min_size=1, max_size=20))
+def test_distribution_places_every_partition_exactly_once(mixes):
+    """Stage C gives one slot per node and every partition exactly one slot,
+    for every cluster size from 1 to the partition count -- including
+    clusters with fewer nodes than access-pattern groups."""
+    partitions = [
+        PartitionSample(f"p{i}", None, reads, writes, scans, 1e8)
+        for i, (reads, writes, scans) in enumerate(mixes)
+    ]
+    for cluster_size in range(1, len(partitions) + 1):
+        slots = distribution(partitions, cluster_size)
+        assert len(slots) == cluster_size
+        placed = sorted(p for slot in slots for p in slot.partitions)
+        assert placed == sorted(p.partition_id for p in partitions)
 
 
 @given(
