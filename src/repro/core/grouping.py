@@ -24,11 +24,7 @@ def nodes_per_group(
     groups: dict[AccessPattern, list[PartitionSample]],
     total_nodes: int,
 ) -> dict[AccessPattern, int]:
-    """Number of nodes to dedicate to each access-pattern group.
-
-    With fewer nodes than non-empty groups some groups get no node; see
-    :func:`_merge_small_groups`.
-    """
+    """Number of nodes to dedicate to each access-pattern group."""
     if total_nodes <= 0:
         raise GroupingError(f"total nodes must be positive, got {total_nodes!r}")
     non_empty = {pattern: members for pattern, members in groups.items() if members}

@@ -16,10 +16,6 @@
   Stage C (:func:`repro.core.decision.distribution`) run on the tenants'
   expected request counts, slot ``i`` placed on node ``i``.
 
-Every strategy takes the expected per-partition counts as
-:class:`~repro.monitoring.collector.PartitionSample` records (``node=None``),
-as :func:`repro.workloads.materialise_tenants` returns them.
-
 :data:`PLACEMENTS` names the layouts a
 :class:`~repro.scenarios.spec.ScenarioSpec` can declare its run to start
 from.  ``partition-per-node`` is the Section 6.3 TPC-C layout:
@@ -134,8 +130,8 @@ def manual_heterogeneous(
     """Workload-aware placement with per-group node configurations (Table 1).
 
     MeT's Stage C over ``len(nodes)`` nodes, slot ``i`` on ``nodes[i]``;
-    nodes beyond the slots (there are none unless there are no partitions)
-    stay homogeneous.
+    nodes beyond the slots (only when there are no partitions) stay
+    homogeneous.
     """
     slots = distribution(partitions, len(nodes), classification_threshold)
     plan = PlacementPlan(name="manual-heterogeneous")

@@ -73,10 +73,8 @@ class NodeSample:
 class PartitionSample:
     """Request counts of one partition: the one per-partition request record.
 
-    A backend's ``partition_stats`` reports cumulative counters, the
-    collector's snapshot the counts over the monitoring window, and a
-    tenant's expected counts (``node=None``) seed the manual placements;
-    Stage C classifies, groups and assigns partitions from any of them.
+    Cumulative in ``partition_stats``, over the monitoring window in a
+    snapshot, expected (``node=None``) from a tenant's nominal rate.
     """
 
     partition_id: str
