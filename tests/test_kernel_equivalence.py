@@ -11,8 +11,12 @@ import math
 
 import pytest
 
+from pathlib import Path
+
 from repro.core.profiles import NODE_PROFILES
 from repro.hbase.config import DEFAULT_HOMOGENEOUS
+from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
+from repro.scenarios.trace import golden_combos, golden_name
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec, LARGE_NODE
 from repro.simulation.perfmodel import (
@@ -31,6 +35,8 @@ from solver_oracles import (
     node_rows,
     probe_nodes,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Acceptance bound: the solver and the seed oracle must agree to this
 #: relative tolerance on every sample of every per-binding throughput series.
@@ -353,6 +359,31 @@ class TestVectorLoop:
         assert len(reused) == 40
         assert all(reused), "a check saw a rebuilt context, not the cached one"
         assert (sim._solver._context.vector is not None) == (loop == "vector")
+
+    def test_goldens_replay_byte_identically_on_the_vector_loop(self, monkeypatch):
+        """Golden twin: every goldened catalog combo, solved on the vector
+        loop, serialises byte for byte to its committed golden.  Catalog
+        clusters never reach ``VECTOR_MIN_REGIONS``, so the goldens alone
+        cover the scalar loop only."""
+        from repro.simulation import solvers
+
+        passes = []
+        real_pass = EventSolver._vector_pass
+
+        def counting_pass(self, *args):
+            passes.append(1)
+            return real_pass(self, *args)
+
+        monkeypatch.setattr(solvers, "VECTOR_MIN_REGIONS", 0)
+        monkeypatch.setattr(EventSolver, "_vector_pass", counting_pass)
+        drifted = []
+        for scenario, controller in golden_combos():
+            golden = (GOLDEN_DIR / golden_name(scenario, controller)).read_text()
+            trace = scenario_trace(CANNED_SCENARIOS[scenario], controller)
+            if trace_to_json(trace) != golden:
+                drifted.append(golden_name(scenario, controller))
+        assert passes, "the vector loop never ran"
+        assert not drifted, f"vector-loop traces differ from their goldens: {drifted}"
 
     def test_fast_forward_is_byte_identical_at_vector_size(self):
         """Macro-ticks replay a vector-loop solution exactly as ticking does."""
