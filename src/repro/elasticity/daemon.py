@@ -52,12 +52,10 @@ class HBaseBalancerDaemon:
         online = self.backend.online_node_names()
         if len(online) < 2:
             return 0
-        stats = self.backend.partition_stats()
         per_node: dict[str, list[str]] = {node: [] for node in online}
-        for partition_id, partition in stats.items():
-            node = partition.node
-            if node in per_node:
-                per_node[node].append(partition_id)
+        for partition_id, partition in self.backend.partition_stats().items():
+            if partition.node in per_node:
+                per_node[partition.node].append(partition_id)
         total = sum(len(parts) for parts in per_node.values())
         quota = -(-total // len(online))  # ceil
         floor = total // len(online)

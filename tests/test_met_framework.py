@@ -438,16 +438,6 @@ class TestStrategies:
         c_nodes = {plan.assignment[f"C:part-{i}"] for i in range(4)}
         assert len(c_nodes) >= 3
 
-    def test_heterogeneous_plan_places_every_partition_on_few_nodes(self):
-        partitions = [
-            PartitionSample("r", None, reads=100, writes=0, scans=0, size_bytes=1e8),
-            PartitionSample("w", None, reads=0, writes=100, scans=0, size_bytes=1e8),
-            PartitionSample("s", None, reads=0, writes=0, scans=100, size_bytes=1e8),
-        ]
-        plan = manual_heterogeneous(partitions, ["n1", "n2"])
-        assert set(plan.assignment) == {"r", "w", "s"}
-        assert set(plan.assignment.values()) == {"n1", "n2"}
-
     def test_partition_workload_classification(self):
         read_heavy = PartitionSample("p", None, reads=90, writes=10, scans=0, size_bytes=0)
         assert classify_partitions([read_heavy]) == {AccessPattern.READ: [read_heavy]}
