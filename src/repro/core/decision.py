@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.core.assignment import assign_partitions
 from repro.core.classification import classify_partitions
-from repro.core.grouping import max_partitions_per_node, nodes_per_group
+from repro.core.grouping import nodes_per_group
 from repro.core.output import NodeTarget, TargetSlot, compute_output, plan_moves
 from repro.core.parameters import MeTParameters
 from repro.core.sizing import SizingAlgorithm
@@ -50,10 +50,8 @@ def distribution(
         groups[smallest] = groups[smallest] + dropped
     slots: list[TargetSlot] = []
     for pattern, node_count in allocation.items():
-        members = groups[pattern]
         slot_names = [f"{pattern.value}-slot-{i}" for i in range(node_count)]
-        cap = max_partitions_per_node(len(members), node_count)
-        per_slot = assign_partitions(members, slot_names, max_per_node=cap)
+        per_slot = assign_partitions(groups[pattern], slot_names)
         slots.extend(
             TargetSlot(profile=pattern.value, partitions=frozenset(per_slot[name]))
             for name in slot_names
