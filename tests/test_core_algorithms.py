@@ -113,7 +113,8 @@ class TestClassification:
             ]
         )
         assert list(groups) == list(AccessPattern)
-        assert {pattern: [p.partition_id for p in members] for pattern, members in groups.items()} == {
+        members = {pattern: [p.partition_id for p in group] for pattern, group in groups.items()}
+        assert members == {
             AccessPattern.READ: ["r"],
             AccessPattern.WRITE: ["w"],
             AccessPattern.READ_WRITE: ["m"],
