@@ -67,7 +67,7 @@ def main() -> None:
 
     print(f"\nfinal nodes: {result.final_nodes}, "
           f"machine-minutes: {result.run.machine_minutes:,.0f}, "
-          f"cost: {result.cost.total:.3f}")
+          f"cost: {result.cost:.3f}")
 
     print("\nper-tenant latency (ms per sampled minute):")
     for tenant, points in sorted(result.run.tenant_series.items()):

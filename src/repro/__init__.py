@@ -8,9 +8,11 @@ runs on:
   one model of the HBase/HDFS cluster every experiment runs on.
 * :mod:`repro.hbase` -- the RegionServer configuration MeT tunes (Table 1)
   and HBase's default random balancer.
-* :mod:`repro.iaas` -- the IaaS boundary: instance flavors (priced by the
-  planner and the cost model) and fault injection.  Simulator nodes are the
-  virtual machines; adding one boots it for the IaaS boot delay.
+* :mod:`repro.sla` -- SLO judgement and billing: the IaaS instance flavors,
+  their prices, and a run's bill (its machine-minutes at the RegionServer
+  flavor's rate).  Simulator nodes are the virtual machines: adding one
+  boots it for the IaaS boot delay, and scenario faults crash, slow down
+  and repair the nodes themselves.
 * :mod:`repro.monitoring` -- MeT's Monitor (system metrics and partition
   counters) and exponential smoothing.
 * :mod:`repro.core` -- the MeT framework itself: the controller that wires

@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.iaas.flavors import FLAVORS, REGIONSERVER_FLAVOR, Flavor
+from repro.sla.cost import FLAVORS, REGIONSERVER_FLAVOR, Flavor
 
 __all__ = [
     "CalibrationModel",

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from repro.core.interfaces import ClusterBackend
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerAction
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
 from repro.planner.calibration import DEFAULT_CALIBRATION, CalibrationModel
-from repro.sla.cost import DEFAULT_PRICING
+from repro.sla.cost import DEFAULT_PRICING, REGIONSERVER_FLAVOR
 
 __all__ = ["PlannerController", "PlannerPolicy", "planner_policy_for_spec"]
 

@@ -19,9 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from repro.iaas.flavors import FLAVORS, REGIONSERVER_FLAVOR
 from repro.planner.calibration import CalibrationModel
-from repro.sla.cost import DEFAULT_PRICING, PricingModel
+from repro.sla.cost import DEFAULT_PRICING, FLAVORS, REGIONSERVER_FLAVOR, PricingModel
 from repro.sla.units import OPS_PER_SECOND, from_native_rate
 
 __all__ = ["CapacityPlan", "PlanOption", "MINUTES_PER_MONTH", "plan_capacity"]

@@ -31,8 +31,7 @@ Vocabulary:
   (exact window-distribution quantiles) stays under a ceiling;
 * :class:`SLOViolationsBelow` -- the spec-declared SLO of a tenant accrues
   at most ``max_violation_minutes`` of violation time;
-* :class:`CostCeiling` -- the run's cost envelope under a named pricing
-  model stays under a budget.
+* :class:`CostCeiling` -- the run's bill stays under a budget.
 
 Every assertion takes a ``controllers`` filter (``None`` = all): an
 expectation like "reconfigure first" is meaningful for MeT but vacuous for
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.sla.cost import DEFAULT_PRICING, pricing_model
+from repro.sla.cost import DEFAULT_PRICING
 from repro.sla.slo import post_warmup_points, tenant_points
 
 __all__ = [
@@ -386,24 +385,22 @@ class SLOViolationsBelow(ScenarioAssertion):
 
 @dataclass(frozen=True)
 class CostCeiling(ScenarioAssertion):
-    """The run's cost envelope stays under ``max_cost``.
+    """The run's bill stays under ``max_cost``.
 
-    Prices the run's per-flavor machine-minute ledger with the named
-    pricing model (see :mod:`repro.sla.cost`), so the ceiling is a money
-    budget, not a raw machine-minute count -- heterogeneous flavors bill
-    at their own rates.
+    The bill is the run's machine-minutes priced at the RegionServer
+    flavor's rate (see :mod:`repro.sla.cost`), so the ceiling is a money
+    budget, not a raw machine-minute count.
     """
 
     max_cost: float = 0.0
-    pricing: str = DEFAULT_PRICING.name
     controllers: tuple[str, ...] | None = None
 
     def evaluate(self, result) -> AssertionResult:
-        envelope = pricing_model(self.pricing).cost_of(result.machine_minute_ledger)
+        cost = result.cost
         return self._verdict(
-            envelope.total <= self.max_cost,
-            f"cost {envelope.total:.3f} for {envelope.machine_minutes:.1f} "
-            f"machine-minutes under {self.pricing} (ceiling {self.max_cost:g})",
+            cost <= self.max_cost,
+            f"cost {cost:.3f} for {result.run.machine_minutes:.1f} "
+            f"machine-minutes under {DEFAULT_PRICING.name} (ceiling {self.max_cost:g})",
         )
 
 

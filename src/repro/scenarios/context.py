@@ -1,11 +1,11 @@
 """Runtime context compiled scenario actions execute against.
 
-The context owns the pieces a scenario event needs to touch: the simulator,
-the fault injector, the per-tenant baseline throughput targets and the
-composite load multipliers.  Several load-shaping events can target the
-same tenant at once (a flash crowd on top of a diurnal curve); each
-contributes one keyed multiplier and the tenant's live target is
-``baseline * product(multipliers)``.
+The context owns the pieces a scenario event needs to touch: the simulator
+(whose nodes are the machines faults crash, slow down and repair), the
+per-tenant baseline throughput targets and the composite load multipliers.
+Several load-shaping events can target the same tenant at once (a flash
+crowd on top of a diurnal curve); each contributes one keyed multiplier and
+the tenant's live target is ``baseline * product(multipliers)``.
 
 Tenants are :class:`~repro.workloads.tenant.TenantWorkload` implementations
 (YCSB, TPC-C, ...); the context resolves tenant names to simulator binding
@@ -15,7 +15,6 @@ names through its registry, so events stay workload-agnostic strings.
 from __future__ import annotations
 
 from repro.hbase.balancer import RandomBalancer
-from repro.iaas.faults import FaultInjector
 from repro.scenarios.spec import binding_name
 from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.tenant import TenantWorkload
@@ -27,7 +26,6 @@ class ScenarioContext:
     def __init__(self, simulator: ClusterSimulator) -> None:
         self.simulator = simulator
         self.rng = simulator.rng
-        self.faults = FaultInjector(simulator, seed=self.rng)
         #: Tenant name -> registered tenant workload (drives binding-name
         #: resolution and native-unit reporting).
         self._tenants: dict[str, TenantWorkload] = {}
@@ -150,44 +148,66 @@ class ScenarioContext:
     # ------------------------------------------------------------------ #
     # faults
     # ------------------------------------------------------------------ #
+    def fault_victim(self, node: str | None) -> str | None:
+        """The node a fault hits; ``None`` when the named node is gone.
+
+        A named node may have left the cluster before its fault fires (a
+        controller removed it, an earlier crash took it, a scaled-down
+        cluster never had it): the fault is then a no-op rather than an
+        aborted run.  An anonymous fault draws its victim from the *sorted*
+        online nodes with the run's seeded RNG, so it replays from one seed.
+        """
+        if node is not None:
+            return node if node in self.simulator.nodes else None
+        online = sorted(n.name for n in self.simulator.online_nodes())
+        if not online:
+            raise RuntimeError("no online node to inject a fault into")
+        return online[self.rng.randrange(len(online))]
+
     def crash_node(self, node: str | None = None) -> str:
-        """Crash a node through the fault injector."""
-        victim = self.faults.crash_node(node)
+        """Crash ``node`` (or a random online node); returns the victim."""
+        victim = self.fault_victim(node)
+        if victim is None:
+            return f"{node} not in cluster"
+        self.simulator.fail_node(victim)
         return victim
 
     def recover_crashed_node(self, node: str | None = None) -> str:
-        """Repair a crashed node so it rejoins the cluster.
+        """Repair a crashed node so it rejoins the cluster after a fresh boot.
 
-        Tolerant of the target not being crashed -- anonymous or named (a
-        scheduled rejoin may fire after the victim was already repaired, or
-        an earlier random crash may have picked a different machine): the
-        action becomes a no-op instead of aborting the run.
+        With ``node=None`` the most recently crashed node rejoins.  Tolerant
+        of the target not being crashed -- anonymous or named (a scheduled
+        rejoin may fire after the victim was already repaired, or an earlier
+        random crash may have picked a different machine): the action
+        becomes a no-op instead of aborting the run.
         """
-        crashed = self.faults.crashed_nodes
+        crashed = self.simulator.crashed_nodes
         if node is None:
             if not crashed:
                 return "no crashed node"
+            node = crashed[-1]
         elif node not in crashed:
             return f"{node} not crashed"
-        return self.faults.recover_crashed_node(node)
+        self.simulator.rejoin_node(node)
+        return node
 
     def slow_node(
         self,
-        node: str | None,
+        node: str,
         factor: float,
         cpu: float | None = None,
         disk: float | None = None,
         network: float | None = None,
     ) -> str:
-        """Degrade a node through the fault injector (per-resource aware)."""
-        victim = self.faults.slow_node(node, factor, cpu=cpu, disk=disk, network=network)
+        """Degrade ``node`` (per-resource aware; see ``degrade_node``)."""
+        self.simulator.degrade_node(node, factor, cpu=cpu, disk=disk, network=network)
         parts = [f"factor={factor}"]
         for label, value in (("cpu", cpu), ("disk", disk), ("network", network)):
             if value is not None:
                 parts.append(f"{label}={value}")
-        return f"{victim} " + " ".join(parts)
+        return f"{node} " + " ".join(parts)
 
     def recover_node(self, node: str) -> str:
         """Restore a degraded node."""
-        self.faults.recover_node(node)
+        self.simulator.restore_node(node)
         return node

@@ -364,23 +364,25 @@ class NodeSlowdown:
     duration_minutes: float | None = None
 
     def compile(self, spec: ScenarioSpec, context: ScenarioContext) -> list[ScheduledAction]:
-        victim_cell: list[str] = []
+        victims: list[str] = []
 
         def slow() -> str:
-            detail = context.slow_node(
-                self.node,
+            victim = context.fault_victim(self.node)
+            if victim is None:
+                return f"{self.node} not in cluster"
+            victims.append(victim)
+            return context.slow_node(
+                victim,
                 self.factor,
                 cpu=self.cpu_factor,
                 disk=self.disk_factor,
                 network=self.network_factor,
             )
-            victim_cell.append(detail.split(" ", 1)[0])
-            return detail
 
         def recover() -> str:
-            if not victim_cell:
+            if not victims:
                 return "no victim"
-            return context.recover_node(victim_cell[0])
+            return context.recover_node(victims[0])
 
         actions = [
             ScheduledAction(

@@ -23,8 +23,7 @@ from repro.elasticity.daemon import HBaseBalancerDaemon
 from repro.elasticity.strategies import PLACEMENTS
 from repro.elasticity.tiramola import Tiramola, TiramolaPolicy
 from repro.experiments.harness import ExperimentHarness, StrategyRun, apply_placement
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
-from repro.sla.cost import DEFAULT_PRICING, CostEnvelope
+from repro.sla.cost import DEFAULT_PRICING, REGIONSERVER_FLAVOR
 from repro.sla.slo import SLOReport, evaluate_slos
 from repro.scenarios.context import ScenarioContext
 from repro.scenarios.schedule import compile_spec
@@ -59,20 +58,16 @@ class ScenarioRunResult:
     context: ScenarioContext | None = None
 
     @property
-    def machine_minute_ledger(self) -> dict[str, float]:
-        """Per-flavor machine-minutes billed (see :mod:`repro.sla.cost`).
+    def cost(self) -> float:
+        """The run's bill (see :mod:`repro.sla.cost`).
 
         Simulator nodes are the machines a run rents, all RegionServer
-        VMs, so the ledger is the harness's machine-minutes under that one
-        flavor (empty when the run used none).
+        VMs, so the bill is the harness's machine-minutes at that flavor's
+        default rate.
         """
-        minutes = self.run.machine_minutes
-        return {REGIONSERVER_FLAVOR.name: minutes} if minutes > 0.0 else {}
-
-    @property
-    def cost(self) -> CostEnvelope:
-        """The run's cost envelope under the default pricing model."""
-        return DEFAULT_PRICING.cost_of(self.machine_minute_ledger)
+        return self.run.machine_minutes * DEFAULT_PRICING.rate_for(
+            REGIONSERVER_FLAVOR.name
+        )
 
     @property
     def final_nodes(self) -> int:

@@ -24,6 +24,7 @@ from pathlib import Path
 from repro.scenarios.runner import ScenarioRunResult, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.latency import BINS_PER_DECADE, MIN_MS, WEIGHT_SCALE
+from repro.sla.cost import DEFAULT_PRICING, REGIONSERVER_FLAVOR
 
 #: Trace schema version; bump when the shape changes and regenerate goldens.
 #: Format 2 added the ``assertions`` verdict list (scenario assertions DSL).
@@ -219,12 +220,13 @@ def result_trace(result: ScenarioRunResult) -> dict:
         # tenants and mid-run arrivals), keyed by binding name.
         "tenant_units": dict(sorted(result.tenant_units().items())),
         "cost": {
-            "pricing": cost.pricing,
-            "total": _round(cost.total),
-            "machine_minutes": {
-                flavor: _round(minutes)
-                for flavor, minutes in sorted(result.machine_minute_ledger.items())
-            },
+            "pricing": DEFAULT_PRICING.name,
+            "total": _round(cost),
+            "machine_minutes": (
+                {REGIONSERVER_FLAVOR.name: _round(run.machine_minutes)}
+                if run.machine_minutes > 0.0
+                else {}
+            ),
         },
         "per_tenant_throughput": {
             name: _round(value)

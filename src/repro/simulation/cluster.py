@@ -172,7 +172,7 @@ class ClusterSimulator:
     ) -> None:
         #: The run's randomness stream.  The simulator itself is fully
         #: deterministic; this generator is what scenario components
-        #: (balancers, fault injectors, arriving-tenant placement) share so
+        #: (balancers, scenario faults, arriving-tenant placement) share so
         #: a whole run replays bit-identically from one seed.
         self.rng = make_rng(seed)
         self.hardware = hardware or HardwareSpec()
@@ -204,7 +204,10 @@ class ClusterSimulator:
         #: solver's cached solution and vector context are keyed on.
         self._structure_version = 0
         #: Pre-fault hardware of degraded nodes (see degrade_node).
-        self._base_hardware: dict[str, HardwareSpec] = {}
+        self._healthy_hardware: dict[str, HardwareSpec] = {}
+        #: Crashed node -> (healthy hardware, config, profile), in crash
+        #: order, for rejoin_node.
+        self._crashed: dict[str, tuple[HardwareSpec, RegionServerConfig, str]] = {}
         self.total_ops = 0.0
         #: Tick/solve/skip counters (benchmark + regression instrumentation).
         self.stats = KernelStats()
@@ -245,7 +248,7 @@ class ClusterSimulator:
         hosted = self.regions_on(name)
         del self.nodes[node.name]
         self._solver.forget_node(name)
-        self._base_hardware.pop(name, None)
+        self._healthy_hardware.pop(name, None)
         self._mark_structure()
         counts, candidates = self._drain_counts(exclude_name=name)
         for region in hosted:
@@ -371,20 +374,47 @@ class ClusterSimulator:
     # ------------------------------------------------------------------ #
     # fault injection
     # ------------------------------------------------------------------ #
-    def fail_node(self, name: str) -> list[str]:
+    def fail_node(self, name: str) -> None:
         """Crash a node: it disappears and its regions are reassigned.
 
         Unlike a controller-initiated :meth:`remove_node` the crash is not
         graceful, but the observable aftermath is the same as in HBase once
         the master notices the dead RegionServer: regions reopen on the
         remaining nodes with remote blocks (locality loss) and the crashed
-        node's block replicas are re-replicated elsewhere.  Returns the ids
-        of the regions that were reassigned.
+        node's block replicas are re-replicated elsewhere.  The machine is
+        remembered at full health -- a degraded straggler is repaired as a
+        fresh one -- so :meth:`rejoin_node` can bring it back.
         """
         node = self._node(name)
-        displaced = [region.region_id for region in self.regions_on(node.name)]
+        self._crashed[node.name] = (
+            self._healthy_hardware.get(node.name, node.hardware),
+            node.config,
+            node.profile_name,
+        )
         self.remove_node(node.name)
-        return displaced
+
+    @property
+    def crashed_nodes(self) -> list[str]:
+        """Crashed nodes not yet rejoined, oldest crash first."""
+        return list(self._crashed)
+
+    def rejoin_node(self, name: str) -> None:
+        """A crashed node is repaired and rejoins the cluster.
+
+        It rejoins empty (its regions were reassigned at crash time) and
+        boots for the usual boot delay before coming online.
+        """
+        try:
+            hardware, config, profile_name = self._crashed.pop(name)
+        except KeyError:
+            raise SimulationError(f"node {name!r} has not crashed") from None
+        self.add_node(
+            name=name,
+            config=config,
+            hardware=hardware,
+            profile_name=profile_name,
+            online=False,
+        )
 
     def degrade_node(
         self,
@@ -418,7 +448,7 @@ class ClusterSimulator:
                     f"{label} degradation factor must be in (0, 1], got {value!r}"
                 )
         node = self._node(name)
-        base = self._base_hardware.setdefault(name, node.hardware)
+        base = self._healthy_hardware.setdefault(name, node.hardware)
         node.hardware = HardwareSpec(
             cpu_millis_per_second=base.cpu_millis_per_second * cpu_factor,
             disk_iops=base.disk_iops * disk_factor,
@@ -429,17 +459,6 @@ class ClusterSimulator:
         )
         self._mark_structure()
 
-    def base_hardware(self, name: str) -> HardwareSpec | None:
-        """A node's pre-degradation hardware (its current spec if healthy).
-
-        ``None`` for unknown nodes; fault tooling uses this to repair a
-        crashed straggler at full health.
-        """
-        node = self.nodes.get(name)
-        if node is None:
-            return None
-        return self._base_hardware.get(name, node.hardware)
-
     def restore_node(self, name: str) -> None:
         """Undo a :meth:`degrade_node` fault.
 
@@ -447,7 +466,7 @@ class ClusterSimulator:
         recovery may fire after a controller (or a crash) removed the
         straggler, and that must not abort the run.
         """
-        base = self._base_hardware.pop(name, None)
+        base = self._healthy_hardware.pop(name, None)
         node = self.nodes.get(name)
         if node is not None and base is not None:
             node.hardware = base

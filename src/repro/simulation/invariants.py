@@ -31,6 +31,7 @@ STRUCTURE_MUTATORS: frozenset[str] = frozenset(
         "move_region",
         "reconfigure_node",
         "fail_node",
+        "rejoin_node",
         "degrade_node",
         "restore_node",
         "_advance_node_states",

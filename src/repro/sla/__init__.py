@@ -7,8 +7,9 @@ artefacts:
 * :mod:`repro.sla.slo` -- :class:`SLODefinition` (latency ceiling and/or
   throughput floor per tenant) and the evaluator producing per-sample
   violation series and aggregate violation-minutes;
-* :mod:`repro.sla.cost` -- :class:`PricingModel` over IaaS flavors, turning
-  the per-flavor machine-minute ledger into a :class:`CostEnvelope`;
+* :mod:`repro.sla.cost` -- the IaaS flavors and the :class:`PricingModel`
+  that prices them; a run's bill is its machine-minutes at the RegionServer
+  flavor's rate;
 * :mod:`repro.sla.scorecard` -- the controller scorecard
   (violation-minutes, cost, throughput) across the scenario catalog, for
   any set of controllers (MeT, Tiramola, planner, ...).
@@ -21,12 +22,11 @@ service quality is regression-locked alongside raw throughput.
 
 from repro.sla.cost import (
     DEFAULT_PRICING,
+    FLAVORS,
     ON_DEMAND_TIER,
-    PRICING_MODELS,
-    CostEnvelope,
-    FlavorCharge,
+    REGIONSERVER_FLAVOR,
+    Flavor,
     PricingModel,
-    pricing_model,
 )
 from repro.sla.slo import (
     SLODefinition,
@@ -46,13 +46,13 @@ from repro.sla.units import (
 
 __all__ = [
     "DEFAULT_PRICING",
+    "FLAVORS",
     "ON_DEMAND_TIER",
     "OPS_PER_SECOND",
-    "PRICING_MODELS",
     "RATE_UNITS",
+    "REGIONSERVER_FLAVOR",
     "TPMC",
-    "CostEnvelope",
-    "FlavorCharge",
+    "Flavor",
     "PricingModel",
     "SLODefinition",
     "SLOReport",
@@ -60,7 +60,6 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slos",
     "from_native_rate",
-    "pricing_model",
     "tenant_points",
     "to_native_rate",
 ]

@@ -1,33 +1,47 @@
-"""Pricing models: machine-minutes to money.
+"""Flavors and pricing: machine-minutes to money.
 
 The paper's Section 6.4 judges elasticity controllers on machine-time as
-well as throughput; a :class:`PricingModel` turns the per-flavor
-machine-minute ledger of a run into a :class:`CostEnvelope` -- the costed
-summary scenario assertions (``CostCeiling``) and the MeT-vs-Tiramola
-scorecard compare controllers on.
-
-A run's ledger is its harness-observed machine-minutes (online node time)
-billed at the RegionServer flavor: every simulator node is one
-RegionServer VM (see
-:attr:`~repro.scenarios.runner.ScenarioRunResult.machine_minute_ledger`).
-The planner prices other flavors from the same rate table.
+well as throughput.  Every simulator node is one RegionServer VM, so a
+run's bill is one number: its harness-observed machine-minutes at the
+:data:`REGIONSERVER_FLAVOR` rate of :data:`DEFAULT_PRICING` (see
+:attr:`~repro.scenarios.runner.ScenarioRunResult.cost`).  Scenario
+assertions (``CostCeiling``) and the controller scorecard compare
+controllers on it; the planner prices other flavors, tiers and regions
+from the same rate table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
-
 __all__ = [
     "DEFAULT_PRICING",
+    "FLAVORS",
     "ON_DEMAND_TIER",
-    "PRICING_MODELS",
-    "CostEnvelope",
-    "FlavorCharge",
+    "REGIONSERVER_FLAVOR",
+    "Flavor",
     "PricingModel",
-    "pricing_model",
 ]
+
+
+@dataclass(frozen=True)
+class Flavor:
+    """An instance type offered by the IaaS."""
+
+    name: str
+    vcpus: int
+
+
+#: Flavors mirroring the paper's evaluation nodes (3-4 GB RAM VMs) plus a
+#: couple of generic sizes.
+FLAVORS: dict[str, Flavor] = {
+    "m1.small": Flavor(name="m1.small", vcpus=2),
+    "m1.medium": Flavor(name="m1.medium", vcpus=4),
+    "m1.large": Flavor(name="m1.large", vcpus=8),
+}
+
+#: Flavor used for RegionServer VMs in the elasticity experiments (3 GB RAM).
+REGIONSERVER_FLAVOR = Flavor(name="met.regionserver", vcpus=4)
 
 #: The baseline pricing tier every model carries at multiplier 1.0.
 ON_DEMAND_TIER = "on-demand"
@@ -38,14 +52,11 @@ class PricingModel:
     """Per-flavor machine-minute rates (currency units per minute).
 
     ``rates`` is a tuple of ``(flavor_name, rate)`` pairs so pricing models
-    stay hashable frozen data (scenario assertions embed them).  Flavors
-    missing from the table bill at ``default_rate``.
+    stay hashable frozen data.  Flavors missing from the table bill at
+    ``default_rate``.
 
     ``tiers`` and ``regions`` are multiplier tables applied on top of the
     flavor rate: a spot tier discounts it, an expensive region inflates it.
-    Omitting ``tier``/``region`` (every pre-existing call site) bills the
-    on-demand tier in the home region at multiplier 1.0, so the default
-    path is unchanged.
     """
 
     name: str
@@ -92,60 +103,6 @@ class PricingModel:
                 break
         return base * self.tier_multiplier(tier) * self.region_multiplier(region)
 
-    def billing_label(self, tier: str | None = None, region: str | None = None) -> str:
-        """Envelope label: bare model name on the default path."""
-        label = self.name
-        if tier is not None:
-            label = f"{label}:{tier}"
-        if region is not None:
-            label = f"{label}@{region}"
-        return label
-
-    def cost_of(
-        self,
-        ledger: dict[str, float],
-        tier: str | None = None,
-        region: str | None = None,
-    ) -> "CostEnvelope":
-        """Cost a per-flavor machine-minute ledger into an envelope."""
-        charges = tuple(
-            FlavorCharge(
-                flavor=flavor,
-                machine_minutes=minutes,
-                cost=minutes * self.rate_for(flavor, tier=tier, region=region),
-            )
-            for flavor, minutes in sorted(ledger.items())
-            if minutes > 0.0
-        )
-        return CostEnvelope(pricing=self.billing_label(tier, region), charges=charges)
-
-
-@dataclass(frozen=True)
-class FlavorCharge:
-    """Billed machine-minutes of one flavor."""
-
-    flavor: str
-    machine_minutes: float
-    cost: float
-
-
-@dataclass(frozen=True)
-class CostEnvelope:
-    """The costed resource summary of one run."""
-
-    pricing: str
-    charges: tuple[FlavorCharge, ...]
-
-    @property
-    def total(self) -> float:
-        """Total run cost (currency units)."""
-        return sum(charge.cost for charge in self.charges)
-
-    @property
-    def machine_minutes(self) -> float:
-        """Total billed machine-minutes across flavors."""
-        return sum(charge.machine_minutes for charge in self.charges)
-
 
 #: Hourly-style rates expressed per machine-minute: generic OpenStack sizes
 #: plus the paper's RegionServer VM.  Absolute values are arbitrary (any
@@ -174,19 +131,3 @@ DEFAULT_PRICING = PricingModel(
         ("eu-west", 1.12),
     ),
 )
-
-#: Named pricing models assertions can reference without embedding tables.
-PRICING_MODELS: dict[str, PricingModel] = {
-    DEFAULT_PRICING.name: DEFAULT_PRICING,
-}
-
-
-def pricing_model(name: str) -> PricingModel:
-    """Look up a registered pricing model by name."""
-    try:
-        return PRICING_MODELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown pricing model {name!r}; available: {sorted(PRICING_MODELS)}"
-        ) from None
-

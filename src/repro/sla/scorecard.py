@@ -3,7 +3,7 @@
 Runs scenarios under any set of controllers (the paper's MeT-vs-Tiramola
 matchup by default; ``"planner"`` joins the same table) and reduces each
 run to the numbers the latency-vs-cost trade-off is argued with: SLO
-violation-minutes, run cost under a pricing model, tail latency and mean
+violation-minutes, run cost, tail latency and mean
 cluster throughput.  The rendering helpers live in
 :mod:`repro.experiments.reporting` and group N controllers side by side;
 this module owns the data reduction so experiments, examples and the
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.reporting import format_matchup
-from repro.sla.cost import DEFAULT_PRICING, PricingModel
 
 __all__ = [
     "ScorecardRow",
@@ -42,17 +41,14 @@ class ScorecardRow:
     p99_ms: float = 0.0
 
 
-def scorecard_row(result, pricing: PricingModel | None = None) -> ScorecardRow:
+def scorecard_row(result) -> ScorecardRow:
     """Reduce one finished :class:`~repro.scenarios.runner.ScenarioRunResult`."""
-    envelope = result.cost
-    if pricing is not None and envelope.pricing != pricing.name:
-        envelope = pricing.cost_of(result.machine_minute_ledger)
     return ScorecardRow(
         scenario=result.spec.name,
         controller=result.controller,
         mean_throughput=result.run.mean_throughput,
         violation_minutes=sum(r.violation_minutes for r in result.slo_reports),
-        cost=envelope.total,
+        cost=result.cost,
         machine_minutes=result.run.machine_minutes,
         assertions_passed=result.assertions_passed,
         p95_ms=result.run.peak_percentile(95),
@@ -63,7 +59,6 @@ def scorecard_row(result, pricing: PricingModel | None = None) -> ScorecardRow:
 def scenario_scorecard(
     scenarios=None,
     controllers: tuple[str, ...] = ("met", "tiramola"),
-    pricing: PricingModel = DEFAULT_PRICING,
 ) -> list[ScorecardRow]:
     """Run every scenario under every controller and reduce to rows.
 
@@ -85,7 +80,7 @@ def scenario_scorecard(
     for spec in specs:
         for controller in controllers:
             result = run_scenario(spec, controller=controller, keep_simulator=False)
-            rows.append(scorecard_row(result, pricing=pricing))
+            rows.append(scorecard_row(result))
     return rows
 
 

@@ -45,6 +45,7 @@ class ClusterSimulator:
     def move_region(self) -> None: ...
     def reconfigure_node(self) -> None: ...
     def fail_node(self) -> None: ...
+    def rejoin_node(self) -> None: ...
     def degrade_node(self) -> None: ...
     def restore_node(self) -> None: ...
     def attach_workload(self) -> None: ...

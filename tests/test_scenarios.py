@@ -19,6 +19,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.catalog import SMALL_A, SMALL_C, SMALL_E
+from repro.scenarios.context import ScenarioContext
 from repro.scenarios.schedule import EventSchedule, ScheduledAction, control_steps
 from repro.simulation.cluster import ClusterSimulator, SimulationError
 
@@ -449,20 +450,19 @@ class TestFaultEvents:
     def test_recover_crashed_node_rejoins_and_relaunches_vm(self):
         from repro.core.backends import SimulatorBackend
         from repro.hbase.config import DEFAULT_HOMOGENEOUS
-        from repro.iaas.faults import FaultInjector
 
         simulator = ClusterSimulator()
         simulator.add_node()
         backend = SimulatorBackend(simulator)
         name = backend.add_node(DEFAULT_HOMOGENEOUS, "default")
         simulator.run(simulator.boot_seconds + simulator.clock.tick_seconds)
-        injector = FaultInjector(simulator, seed=1)
-        injector.crash_node(name)
-        assert injector.crashed_nodes == [name]
+        context = ScenarioContext(simulator)
+        assert context.crash_node(name) == name
+        assert simulator.crashed_nodes == [name]
         assert name not in simulator.nodes
-        recovered = injector.recover_crashed_node()
+        recovered = context.recover_crashed_node()
         assert recovered == name
-        assert injector.crashed_nodes == []
+        assert simulator.crashed_nodes == []
         # The node is the VM: it rejoins under its name and boots afresh.
         assert name in simulator.nodes
         assert not simulator.nodes[name].online  # boots first
@@ -470,25 +470,19 @@ class TestFaultEvents:
         assert simulator.nodes[name].online
 
     def test_recover_crashed_straggler_rejoins_at_full_health(self):
-        from repro.iaas.faults import FaultInjector
-
         simulator = ClusterSimulator()
         name = simulator.add_node()
         healthy = simulator.nodes[name].hardware
         simulator.degrade_node(name, 0.5)
-        injector = FaultInjector(simulator, seed=1)
-        injector.crash_node(name)
-        injector.recover_crashed_node(name)
+        simulator.fail_node(name)
+        simulator.rejoin_node(name)
         assert simulator.nodes[name].hardware == healthy
 
     def test_recover_without_crash_raises_but_event_is_tolerant(self):
-        from repro.iaas.faults import FaultInjector
-
         spec = two_tenant_spec(events=(NodeRecovery(minute=1.0),))
         simulator, context, _ = build_scenario(spec)
-        injector = FaultInjector(simulator, seed=1)
-        with pytest.raises(RuntimeError, match="no crashed node"):
-            injector.recover_crashed_node()
+        with pytest.raises(SimulationError, match="has not crashed"):
+            simulator.rejoin_node("rs-1")
         # The scheduled event becomes a no-op instead of aborting the run.
         schedule = compile_spec(spec, context)
         fired = schedule.fire_due(60.0)
@@ -496,6 +490,24 @@ class TestFaultEvents:
         assert fired[0].detail == "no crashed node"
         # A *named* rejoin of a healthy node is equally tolerant.
         assert context.recover_crashed_node("rs-1") == "rs-1 not crashed"
+
+    def test_named_fault_on_an_absent_node_is_a_noop(self):
+        """A storm pinned to rs-4 runs on a three-node cluster: the slowdown
+        of the missing node, and its recovery, are annotated no-ops."""
+        from repro.campaign.grid import ScaleSpec, apply_scale
+
+        spec = apply_scale(
+            CANNED_SCENARIOS["multi_fault_storm"], ScaleSpec("3n", initial_nodes=3)
+        )
+        result = run_scenario(spec, "none")
+        assert result.simulator.clock.now == pytest.approx(spec.duration_minutes * 60.0)
+        fired = [(a.label, a.detail) for a in result.run.annotations]
+        assert ("node-slowdown", "rs-4 not in cluster") in fired
+        assert fired.count(("node-recovery", "no victim")) == 1
+        # A named crash of an absent node is as tolerant.
+        simulator, context, _ = build_scenario(spec)
+        assert context.crash_node("rs-9") == "rs-9 not in cluster"
+        assert simulator.crashed_nodes == []
 
     def test_crash_recover_crash_cascade(self):
         """The cascading-failure primitive: a second crash lands while the

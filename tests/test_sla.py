@@ -2,7 +2,7 @@
 
 The golden-trace suite locks the end-to-end behaviour down; these tests pin
 the pieces in isolation -- the SLO evaluator's violation accounting, the
-pricing model's ledger arithmetic, the new assertion types, the per-tenant
+pricing model's rate table and a run's bill, the new assertion types, the per-tenant
 series plumbing, and the trace-format back-compat story (a format-2 golden
 must fail with a clear "regenerate" message, not a wall of value diffs).
 """
@@ -19,7 +19,6 @@ from repro.experiments.harness import (
     TenantSeriesPoint,
 )
 from repro.experiments.reporting import format_matchup
-from repro.iaas.flavors import REGIONSERVER_FLAVOR
 from repro.scenarios import (
     CANNED_SCENARIOS,
     CostCeiling,
@@ -29,16 +28,18 @@ from repro.scenarios import (
     TraceFormatError,
     controller_actions,
     load_trace,
+    result_trace,
     run_scenario,
 )
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.metrics import MetricSeries
+from repro.scenarios.runner import ScenarioRunResult
 from repro.sla import (
     DEFAULT_PRICING,
+    REGIONSERVER_FLAVOR,
     PricingModel,
     SLODefinition,
     evaluate_slo,
-    pricing_model,
 )
 from repro.sla.scorecard import ScorecardRow, render_scorecard, scorecard_row
 from repro.workloads import CORE_WORKLOADS, materialise_tenants
@@ -258,19 +259,25 @@ class TestNativeRateUnits:
 
 
 class TestPricing:
-    def test_cost_of_prices_per_flavor(self):
+    def test_rate_for_prices_per_flavor(self):
         pricing = PricingModel(
             name="test", rates=(("small", 0.001), ("large", 0.004)), default_rate=0.002
         )
-        envelope = pricing.cost_of({"small": 10.0, "large": 5.0, "exotic": 1.0})
-        assert envelope.total == pytest.approx(10 * 0.001 + 5 * 0.004 + 1 * 0.002)
-        assert envelope.machine_minutes == pytest.approx(16.0)
-        assert [c.flavor for c in envelope.charges] == ["exotic", "large", "small"]
+        assert pricing.rate_for("small") == 0.001
+        assert pricing.rate_for("large") == 0.004
+        assert pricing.rate_for("exotic") == 0.002  # unlisted: default rate
 
     def test_zero_minute_flavors_are_dropped(self):
-        envelope = DEFAULT_PRICING.cost_of({"m1.small": 0.0})
-        assert envelope.charges == ()
-        assert envelope.total == 0.0
+        # A run that rented no machine bills nothing, and its trace lists
+        # no flavor.
+        spec = CANNED_SCENARIOS["flash_crowd"]
+        result = ScenarioRunResult(spec=spec, controller="none", run=StrategyRun(name="t"))
+        assert result.cost == 0.0
+        assert result_trace(result)["cost"] == {
+            "pricing": DEFAULT_PRICING.name,
+            "total": 0.0,
+            "machine_minutes": {},
+        }
 
     def test_a_run_bills_its_machine_minutes_at_the_regionserver_flavor(self):
         # Node crashes and controller-added nodes both change the machine
@@ -283,24 +290,18 @@ class TestPricing:
         kinds = [kind for _, kind in controller_actions(result.decisions)]
         assert "add_node" in kinds
         minutes = result.run.machine_minutes
-        assert result.machine_minute_ledger == {REGIONSERVER_FLAVOR.name: minutes}
-        assert result.cost.total == minutes * DEFAULT_PRICING.rate_for(
-            REGIONSERVER_FLAVOR.name
-        )
-
-    def test_pricing_model_lookup(self):
-        assert pricing_model(DEFAULT_PRICING.name) is DEFAULT_PRICING
-        with pytest.raises(KeyError, match="unknown pricing model"):
-            pricing_model("free-tier")
+        assert result.cost == minutes * DEFAULT_PRICING.rate_for(REGIONSERVER_FLAVOR.name)
+        assert result_trace(result)["cost"]["machine_minutes"] == {
+            REGIONSERVER_FLAVOR.name: round(minutes, 6)
+        }
 
 
 class TestPricingTiers:
     def test_default_path_is_on_demand_home_region(self):
-        # Pre-tier call sites pass no tier/region: identical rate and label.
+        # No tier/region bills on-demand in the home region: multiplier 1.0.
         rate = DEFAULT_PRICING.rate_for("m1.small")
         assert rate == DEFAULT_PRICING.rate_for("m1.small", tier=None, region=None)
-        envelope = DEFAULT_PRICING.cost_of({"m1.small": 10.0})
-        assert envelope.pricing == DEFAULT_PRICING.name
+        assert rate == DEFAULT_PRICING.rate_for("m1.small", tier="on-demand", region="default")
 
     def test_tier_and_region_multipliers_compose(self):
         base = DEFAULT_PRICING.rate_for("m1.large")
@@ -309,25 +310,14 @@ class TestPricingTiers:
         both = DEFAULT_PRICING.rate_for("m1.large", tier="reserved", region="eu-west")
         assert both == pytest.approx(base * 0.62 * 1.12)
 
-    def test_cost_of_splits_ledger_under_a_tier(self):
-        ledger = {"m1.small": 10.0, "m1.large": 5.0}
-        on_demand = DEFAULT_PRICING.cost_of(ledger)
-        spot = DEFAULT_PRICING.cost_of(ledger, tier="spot")
-        # Every per-flavor charge scales by the same multiplier, so the
-        # flavor split is preserved.
-        assert spot.total == pytest.approx(on_demand.total * 0.35)
-        for od_charge, spot_charge in zip(on_demand.charges, spot.charges):
-            assert spot_charge.flavor == od_charge.flavor
-            assert spot_charge.machine_minutes == od_charge.machine_minutes
-            assert spot_charge.cost == pytest.approx(od_charge.cost * 0.35)
-        assert spot.pricing == f"{DEFAULT_PRICING.name}:spot"
-
-    def test_billing_label_encodes_tier_and_region(self):
-        assert DEFAULT_PRICING.billing_label() == DEFAULT_PRICING.name
-        assert (
-            DEFAULT_PRICING.billing_label(tier="spot", region="us-east")
-            == f"{DEFAULT_PRICING.name}:spot@us-east"
-        )
+    def test_a_tier_scales_every_flavor_rate_alike(self):
+        # Every flavor's rate scales by the same multiplier, so the ratios
+        # between flavors are preserved.
+        for flavor in ("m1.small", "m1.large", "unlisted"):
+            on_demand = DEFAULT_PRICING.rate_for(flavor)
+            assert DEFAULT_PRICING.rate_for(flavor, tier="spot") == pytest.approx(
+                on_demand * 0.35
+            )
 
     def test_unknown_tier_and_region_are_rejected(self):
         with pytest.raises(KeyError, match="unknown pricing tier"):
@@ -406,9 +396,15 @@ class TestSLAAssertions:
         assert "judged no samples" in verdict.detail
 
     def test_cost_ceiling_prices_the_ledger(self):
-        result = SimpleNamespace(machine_minute_ledger={"met.regionserver": 60.0})
+        run = StrategyRun(name="t", machine_minutes=60.0)
+        spec = CANNED_SCENARIOS["flash_crowd"]
+        result = ScenarioRunResult(spec=spec, controller="met", run=run)
         assert CostCeiling(max_cost=0.06).evaluate(result).passed  # 60min @ 0.05/h
-        assert not CostCeiling(max_cost=0.04).evaluate(result).passed
+        verdict = CostCeiling(max_cost=0.04).evaluate(result)
+        assert not verdict.passed
+        assert verdict.detail == (
+            f"cost 0.050 for 60.0 machine-minutes under {DEFAULT_PRICING.name} (ceiling 0.04)"
+        )
 
 
 class TestTenantSeriesPlumbing:
@@ -463,7 +459,7 @@ class TestScorecard:
         row = scorecard_row(result)
         assert row.scenario == "flash_crowd" and row.controller == "met"
         assert row.mean_throughput > 0.0
-        assert row.cost == pytest.approx(result.cost.total)
+        assert row.cost == result.cost
         assert row.assertions_passed
 
     def test_render_scorecard_pairs_controllers(self):
