@@ -63,9 +63,9 @@ def assign_partitions(
         # sorted(): min() below already breaks ties on b.node, but iterating
         # the set raw would still leave the result hostage to hash order if
         # the key ever loses its total-order tiebreaker.  (lint rule D3)
+        # Never empty: the cap holds every partition, so a bin closes only
+        # when full and some bin stays open while partitions are pending.
         candidates = [bins[node] for node in sorted(open_bins)]
-        if not candidates:
-            candidates = list(bins.values())
         target = min(candidates, key=lambda b: (b.load, len(b.partitions), b.node))
         target.assign(partition)
         if len(target.partitions) >= max_per_node:

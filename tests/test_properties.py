@@ -39,16 +39,25 @@ def test_classification_is_total_and_consistent(reads, writes, scans):
 @given(
     costs=st.lists(st.floats(min_value=0.0, max_value=1e5), min_size=1, max_size=60),
     node_count=st.integers(min_value=1, max_value=10),
+    max_per_node=st.none() | st.integers(min_value=1, max_value=70),
 )
-def test_lpt_assignment_is_complete_and_reasonably_balanced(costs, node_count):
-    """LPT assigns every partition exactly once and is within 2x of the mean load."""
+def test_lpt_assignment_is_complete_and_reasonably_balanced(costs, node_count, max_per_node):
+    """LPT assigns every partition exactly once, never past the effective
+    per-node cap, and is within 2x of the mean load.
+
+    A drawn cap below ceil(partitions / nodes) cannot place every partition,
+    so the assignment relaxes it to that minimum feasible value.
+    """
     partitions = [
         PartitionSample(f"p{i}", None, cost, 0.0, 0.0, 1e8) for i, cost in enumerate(costs)
     ]
     nodes = [f"n{i}" for i in range(node_count)]
-    assignment = assign_partitions(partitions, nodes)
+    assignment = assign_partitions(partitions, nodes, max_per_node=max_per_node)
     assigned = sorted(p for parts in assignment.values() for p in parts)
     assert assigned == sorted(p.partition_id for p in partitions)
+    feasible = -(-len(costs) // node_count)
+    cap = feasible if max_per_node is None else max(max_per_node, feasible)
+    assert max(len(parts) for parts in assignment.values()) <= cap
     cost_map = {p.partition_id: p.total_requests for p in partitions}
     total = sum(cost_map.values())
     if total > 0 and node_count <= len(costs):
