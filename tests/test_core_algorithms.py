@@ -9,7 +9,7 @@ from repro.core.classification import (
     classify_partitions,
 )
 from repro.core.grouping import GroupingError, max_partitions_per_node, nodes_per_group
-from repro.core.output import TargetSlot, compute_output, plan_moves
+from repro.core.output import NodeTarget, TargetSlot, compute_output, plan_moves
 from repro.core.parameters import MeTParameters
 from repro.core.profiles import NODE_PROFILES, profile_for
 from repro.core.sizing import SizingAlgorithm
@@ -335,6 +335,14 @@ class TestOutputComputation:
             optimal_state=slots,
         )
         assert len(targets) == 1
+
+    def test_plan_moves_emits_a_targets_moves_in_sorted_order(self):
+        # The actuator applies moves in this order, so it must not follow
+        # the target's hash-seeded partition set order (lint rule D3).
+        partitions = {f"p{i:02d}" for i in range(20)}
+        target = NodeTarget(node="n2", profile="read", partitions=set(partitions))
+        moves = plan_moves({"n1": partitions}, [target])
+        assert moves == [(f"p{i:02d}", "n2") for i in range(20)]
 
     def test_plan_moves_lists_only_changes(self):
         targets = compute_output(

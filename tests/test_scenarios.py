@@ -270,6 +270,19 @@ class TestChurnAndMixEvents:
         schedule.fire_due(120.0)
         assert binding.op_mix == {"update": pytest.approx(1.0)}
 
+    def test_mix_at_returns_ops_in_sorted_order(self):
+        # The blended mix's key order flows into update_workload, so it must
+        # not follow the op union's hash-seeded set order (lint rule D3).
+        shift = MixShift(
+            tenant="A",
+            start_minute=0.0,
+            end_minute=2.0,
+            to_mix=tuple((f"op{i:02d}", 1.0) for i in range(10, 20)),
+        )
+        from_mix = {f"op{i:02d}": 1.0 for i in reversed(range(10))}
+        mix = shift.mix_at(1.0, from_mix)
+        assert list(mix) == [f"op{i:02d}" for i in range(20)]
+
     def test_truncated_mix_shift_settles_on_interpolated_mix(self):
         spec = two_tenant_spec(
             duration_minutes=5.0,
