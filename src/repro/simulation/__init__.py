@@ -11,8 +11,7 @@ from repro.simulation.clock import SimulationClock
 from repro.simulation.cluster import ClusterSimulator, SimulatedNode, SimulatedRegion
 from repro.simulation.hardware import HardwareSpec
 from repro.simulation.metrics import MetricSeries, MetricsRegistry
-from repro.simulation.perfmodel import PerformanceModel, ServiceDemand
-from repro.simulation.workload import OfferedLoad, WorkloadBinding
+from repro.simulation.workload import WorkloadBinding
 
 __all__ = [
     "SimulationClock",
@@ -22,8 +21,5 @@ __all__ = [
     "HardwareSpec",
     "MetricSeries",
     "MetricsRegistry",
-    "PerformanceModel",
-    "ServiceDemand",
-    "OfferedLoad",
     "WorkloadBinding",
 ]

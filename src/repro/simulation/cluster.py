@@ -42,7 +42,7 @@ from repro.util.rng import make_rng
 from repro.simulation.clock import SimulationClock
 from repro.simulation.hardware import MB, HardwareSpec
 from repro.simulation.metrics import MetricsRegistry
-from repro.simulation.perfmodel import PerformanceModel
+from repro.simulation.perfmodel import HOT_DATA_FRACTION, HOT_REQUEST_FRACTION
 from repro.simulation.solvers import EventSolver, SolveResult
 from repro.simulation.workload import WorkloadBinding
 
@@ -102,8 +102,8 @@ class SimulatedRegion:
     size_bytes: float
     record_size: int = 1024
     scan_length: int = 50
-    hot_data_fraction: float = 0.40
-    hot_request_fraction: float = 0.50
+    hot_data_fraction: float = HOT_DATA_FRACTION
+    hot_request_fraction: float = HOT_REQUEST_FRACTION
     node: str | None = None
     block_homes: set[str] = field(default_factory=set)
     reads: float = 0.0
@@ -185,7 +185,6 @@ class ClusterSimulator:
         self.bindings: dict[str, WorkloadBinding] = {}
         self._node_counter = itertools.count(1)
         self._region_seq = itertools.count()
-        self._model_cache: dict[HardwareSpec, PerformanceModel] = {}
         self._binding_throughput: dict[str, float] = {}
         #: Incremental node -> {region_id -> region} index (``None`` bucket
         #: holds unassigned regions); kept coherent by SimulatedRegion's
@@ -272,8 +271,8 @@ class ClusterSimulator:
         node: str | None = None,
         record_size: int = 1024,
         scan_length: int = 50,
-        hot_data_fraction: float = 0.40,
-        hot_request_fraction: float = 0.50,
+        hot_data_fraction: float = HOT_DATA_FRACTION,
+        hot_request_fraction: float = HOT_REQUEST_FRACTION,
     ) -> SimulatedRegion:
         """Create a region; its blocks are initially local to its node."""
         if region_id in self.regions:
@@ -757,11 +756,6 @@ class ClusterSimulator:
             return self.regions[region_id]
         except KeyError:
             raise SimulationError(f"unknown region {region_id!r}") from None
-
-    def _model_for(self, node: SimulatedNode) -> PerformanceModel:
-        if node.hardware not in self._model_cache:
-            self._model_cache[node.hardware] = PerformanceModel(node.hardware)
-        return self._model_cache[node.hardware]
 
     def _reindex_region(
         self, region: SimulatedRegion, old_node: str | None, new_node: str | None

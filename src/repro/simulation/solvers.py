@@ -410,7 +410,7 @@ class EventSolver:
             if cached is not None and cached[0] == key:
                 evaluator = cached[1]
             else:
-                evaluator = NodeEvaluator(sim._model_for(node), node.config, hosted)
+                evaluator = NodeEvaluator(node.hardware, node.config, hosted)
                 memo[name] = (key, evaluator)
             refs = [rate_rows.get(region_id) for region_id in evaluator.region_ids]
             ctx.nodes.append((name, evaluator, hosted, refs))

@@ -14,30 +14,13 @@ every tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.simulation.perfmodel import OP_TYPES
 
 #: Client-side latency per operation (network RTT + YCSB client processing),
 #: in milliseconds.  Bounds single-thread throughput even on an idle cluster.
 CLIENT_OVERHEAD_MS = 1.2
-
-
-@dataclass
-class OfferedLoad:
-    """Offered per-second rates for one region, split by operation type."""
-
-    region_id: str
-    rates: dict[str, float] = field(default_factory=dict)
-
-    def rate(self, op: str) -> float:
-        """Offered rate for one operation type."""
-        return self.rates.get(op, 0.0)
-
-    @property
-    def total(self) -> float:
-        """Total offered operations per second."""
-        return sum(self.rates.values())
 
 
 @dataclass
@@ -95,26 +78,14 @@ class WorkloadBinding:
             throughput = min(throughput, self.target_ops_per_second)
         return throughput
 
-    def offered_loads(self, throughput: float) -> list[OfferedLoad]:
-        """Split ``throughput`` ops/s into per-region, per-op offered rates."""
-        loads: list[OfferedLoad] = []
-        for region_id, weight in self.region_weights.items():
-            rates = {
-                op: throughput * weight * fraction
-                for op, fraction in self.op_mix.items()
-                if fraction > 0
-            }
-            loads.append(OfferedLoad(region_id=region_id, rates=rates))
-        return loads
-
     def unit_rates(self) -> list[tuple[str, list[tuple[str, float]]]]:
         """Per-region ``(op, rate)`` pairs at unit (1 op/s) throughput.
 
-        :meth:`offered_loads` is linear in the throughput, so the loads for
-        throughput ``t`` are exactly these rates scaled by ``t``.  The
-        simulator's solver precomputes them once per tick and scales
-        them in place instead of rebuilding :class:`OfferedLoad` objects on
-        every fixed-point iteration.
+        The split is linear in the throughput: at ``t`` ops/s region ``r``
+        sees ``t * weight[r] * mix[op]`` of each op with a positive mix
+        share, i.e. these rates scaled by ``t``.  The simulator's solver
+        precomputes them once per solve context and scales them in place
+        on every fixed-point iteration.
         """
         return [
             (
@@ -127,29 +98,6 @@ class WorkloadBinding:
             )
             for region_id, weight in self.region_weights.items()
         ]
-
-    def mean_latency(self, per_region_latency_ms: dict[str, dict[str, float]]) -> float:
-        """Request-weighted mean latency over the binding's regions.
-
-        Args:
-            per_region_latency_ms: mapping region id -> op type -> latency in
-                milliseconds, as computed by the performance model for the
-                node currently hosting each region.
-        """
-        total = 0.0
-        for region_id, weight in self.region_weights.items():
-            latencies = per_region_latency_ms.get(region_id)
-            if not latencies:
-                # Region currently unavailable (node restarting): requests
-                # block and retry, modelled as a large latency.
-                total += weight * 500.0
-                continue
-            region_latency = sum(
-                fraction * latencies.get(op, 1.0)
-                for op, fraction in self.op_mix.items()
-            )
-            total += weight * region_latency
-        return total
 
     def regions(self) -> list[str]:
         """Region ids this binding addresses."""

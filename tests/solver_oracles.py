@@ -10,8 +10,10 @@ subclasses below for the simulators constructed inside
   every tick is a real solve and the simulator never fast-forwards.  The
   twin that reuse and fast-forward must match byte for byte.
 * :class:`ReferenceSolver` -- the seed's solver: full region scans, fresh
-  allocations and a fixed iteration count.  The independent oracle the
-  production solver must match to 1e-6 relative.
+  allocations, a fixed iteration count, per-op offered loads
+  (:func:`offered_loads`, :func:`mean_latency`) and the per-op cost model
+  of ``tests/perfmodel_oracle.py``.  The independent oracle the production
+  solver must match to 1e-6 relative.
 
 :func:`assert_context_fresh` is the third oracle: the cached solve context
 against one built from scratch.  Both twins above share that cache, so
@@ -35,14 +37,15 @@ from repro.simulation.perfmodel import (
     ROW_HOT_BYTES,
     ROW_SIZE_BYTES,
     NodeEvaluator,
-    RegionLoadProfile,
 )
 from repro.simulation.solvers import (
+    UNAVAILABLE_MS,
     EventSolver,
     SolveResult,
     binding_summaries,
     summary_terms,
 )
+from perfmodel_oracle import PerformanceModel, RegionLoadProfile
 
 
 @contextmanager
@@ -187,6 +190,40 @@ def assert_identical_metrics(left, right) -> None:
         ], f"distribution summaries differ for {key}"
 
 
+def offered_loads(binding, throughput: float) -> dict[str, dict[str, float]]:
+    """Split ``throughput`` ops/s into per-region, per-op offered rates."""
+    return {
+        region_id: {
+            op: throughput * weight * fraction
+            for op, fraction in binding.op_mix.items()
+            if fraction > 0
+        }
+        for region_id, weight in binding.region_weights.items()
+    }
+
+
+def mean_latency(binding, per_region_latency_ms: dict[str, dict[str, float]]) -> float:
+    """Request-weighted mean latency over the binding's regions.
+
+    ``per_region_latency_ms`` maps region id -> op type -> latency (ms) on
+    the node hosting that region; a region missing from it is unavailable
+    (node restarting), so its requests block and retry, modelled as
+    ``UNAVAILABLE_MS``.
+    """
+    total = 0.0
+    for region_id, weight in binding.region_weights.items():
+        latencies = per_region_latency_ms.get(region_id)
+        if not latencies:
+            total += weight * UNAVAILABLE_MS
+            continue
+        region_latency = sum(
+            fraction * latencies.get(op, 1.0)
+            for op, fraction in binding.op_mix.items()
+        )
+        total += weight * region_latency
+    return total
+
+
 class NoReuseSolver(EventSolver):
     """:class:`EventSolver` that never replays a cached solution."""
 
@@ -226,9 +263,9 @@ class ReferenceSolver(NoReuseSolver):
         """Per-region offered rates implied by per-binding throughputs."""
         offered: dict[str, dict[str, float]] = {}
         for name, binding in self._sim.bindings.items():
-            for load in binding.offered_loads(throughputs.get(name, 0.0)):
-                bucket = offered.setdefault(load.region_id, {})
-                for op, rate in load.rates.items():
+            for region_id, rates in offered_loads(binding, throughputs.get(name, 0.0)).items():
+                bucket = offered.setdefault(region_id, {})
+                for op, rate in rates.items():
                     bucket[op] = bucket.get(op, 0.0) + rate
         return offered
 
@@ -244,7 +281,7 @@ class ReferenceSolver(NoReuseSolver):
             if not node.online:
                 continue
             profiles = self._region_profiles(node, offered)
-            result = sim._model_for(node).evaluate_node(
+            result = PerformanceModel(node.hardware).evaluate_node(
                 node.config, profiles, compaction_bg.get(node.name, 0.0)
             )
             node_results[node.name] = result
@@ -267,7 +304,7 @@ class ReferenceSolver(NoReuseSolver):
             _, region_latencies, _, _ = self._evaluate_nodes(offered, compaction_bg)
             new_throughputs: dict[str, float] = {}
             for name, binding in sim.bindings.items():
-                latency = binding.mean_latency(region_latencies)
+                latency = mean_latency(binding, region_latencies)
                 target = binding.max_throughput(latency)
                 previous = throughputs[name]
                 new_throughputs[name] = 0.5 * previous + 0.5 * target
@@ -282,14 +319,14 @@ class ReferenceSolver(NoReuseSolver):
         binding_latencies: dict[str, float] = {}
         for name, binding in sim.bindings.items():
             total = 0.0
-            for load in binding.offered_loads(throughputs.get(name, 0.0)):
-                scale = region_scale.get(load.region_id, 0.0)
-                bucket = region_rates.setdefault(load.region_id, {})
-                for op, rate in load.rates.items():
+            for region_id, rates in offered_loads(binding, throughputs.get(name, 0.0)).items():
+                scale = region_scale.get(region_id, 0.0)
+                bucket = region_rates.setdefault(region_id, {})
+                for op, rate in rates.items():
                     bucket[op] = bucket.get(op, 0.0) + rate * scale
-                total += load.total * scale
+                total += sum(rates.values()) * scale
             achieved[name] = total
-            binding_latencies[name] = binding.mean_latency(region_latencies)
+            binding_latencies[name] = mean_latency(binding, region_latencies)
         summaries = binding_summaries(
             summary_terms(sim.bindings, region_node),
             {name: result.per_op_latency_ms for name, result in node_results.items()},

@@ -8,10 +8,12 @@ agree within 1e-6 relative tolerance.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
-
-from pathlib import Path
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.profiles import NODE_PROFILES
 from repro.hbase.config import DEFAULT_HOMOGENEOUS
@@ -19,13 +21,10 @@ from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
 from repro.scenarios.trace import golden_combos, golden_name
 from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.hardware import HardwareSpec, LARGE_NODE
-from repro.simulation.perfmodel import (
-    NodeEvaluator,
-    PerformanceModel,
-    RegionLoadProfile,
-)
+from repro.simulation.perfmodel import NodeEvaluator
 from repro.simulation.solvers import EventSolver
 from repro.workloads import CORE_WORKLOADS, materialise_tenants
+from perfmodel_oracle import PerformanceModel, RegionLoadProfile, evaluate
 from solver_oracles import (
     NoReuseSolver,
     ReferenceSolver,
@@ -133,58 +132,113 @@ class TestKernelEquivalence:
             )
 
 
-class TestNodeEvaluatorEquivalence:
-    """NodeEvaluator.evaluate must match PerformanceModel.evaluate_node."""
+#: Node-level differential bound: the evaluator re-associates the oracle's
+#: floating-point sums, nothing more.
+NODE_TOL = 1e-12
 
-    @pytest.mark.parametrize("hardware", [HardwareSpec(), LARGE_NODE])
-    @pytest.mark.parametrize(
-        "config",
-        [DEFAULT_HOMOGENEOUS, NODE_PROFILES["read"].config, NODE_PROFILES["scan"].config],
+#: Configs, hardware and regions the node-level differential test draws.
+CONFIGS = (DEFAULT_HOMOGENEOUS, *(profile.config for profile in NODE_PROFILES.values()))
+DEGRADED_NODE = HardwareSpec(disk_iops=30.0, disk_mb_per_second=20.0, network_mb_per_second=11.0)
+HARDWARE = (HardwareSpec(), LARGE_NODE, DEGRADED_NODE)
+RATES = st.one_of(st.just(0.0), st.floats(0.01, 5e4))
+SIZES = st.floats(1e5, 1e11)
+LOCALITIES = st.floats(0.0, 1.0)
+REGIONS = st.builds(
+    RegionLoadProfile,
+    region_id=st.just("r"),
+    size_bytes=SIZES,
+    locality=LOCALITIES,
+    record_size=st.sampled_from((100, 1024, 4096)),
+    scan_length=st.integers(1, 200),
+    read_rate=RATES,
+    update_rate=RATES,
+    insert_rate=RATES,
+    scan_rate=RATES,
+    rmw_rate=RATES,
+    hot_data_fraction=st.floats(0.0, 1.0),
+    hot_request_fraction=st.floats(0.0, 1.0),
+)
+#: Per-region drift: a new size and/or locality (``None`` keeps the old one).
+DRIFTS = st.tuples(st.one_of(st.none(), SIZES), st.one_of(st.none(), LOCALITIES))
+
+#: The fixed three-region node the seed's equivalence test evaluated.
+MIXED_NODE = [
+    RegionLoadProfile(
+        region_id="r1", size_bytes=1.5e9, read_rate=1200.0, update_rate=300.0, scan_rate=10.0
+    ),
+    RegionLoadProfile(
+        region_id="r2", size_bytes=4e8, locality=0.05, insert_rate=250.0, rmw_rate=40.0
+    ),
+    RegionLoadProfile(region_id="r3", size_bytes=9e8, scan_length=120),
+]
+
+
+def assert_node_matches(actual, expected) -> None:
+    """Every utilisation, the hit ratio and every per-op latency agree."""
+    fields = (
+        "utilization",
+        "cpu_utilization",
+        "io_wait",
+        "network_utilization",
+        "memory_utilization",
+        "hit_ratio",
     )
-    def test_matches_evaluate_node(self, hardware, config):
-        model = PerformanceModel(hardware)
-        profiles = [
-            RegionLoadProfile(
-                region_id="r1",
-                size_bytes=1.5e9,
-                read_rate=1200.0,
-                update_rate=300.0,
-                scan_rate=10.0,
-            ),
-            RegionLoadProfile(
-                region_id="r2",
-                size_bytes=4e8,
-                locality=0.05,
-                insert_rate=250.0,
-                rmw_rate=40.0,
-            ),
-            RegionLoadProfile(region_id="r3", size_bytes=9e8, scan_length=120),
-        ]
-        expected = model.evaluate_node(config, profiles, 2e6)
-        actual = NodeEvaluator(model, config, profiles).evaluate(profiles, 2e6)
-        assert actual.utilization == pytest.approx(expected.utilization, rel=1e-12)
-        assert actual.cpu_utilization == pytest.approx(expected.cpu_utilization, rel=1e-12)
-        assert actual.io_wait == pytest.approx(expected.io_wait, rel=1e-12)
-        assert actual.memory_utilization == pytest.approx(
-            expected.memory_utilization, rel=1e-12
-        )
-        assert actual.hit_ratio == pytest.approx(expected.hit_ratio, rel=1e-12)
-        for op, latency in expected.per_op_latency_ms.items():
-            assert actual.per_op_latency_ms[op] == pytest.approx(latency, rel=1e-12)
+    for name in fields:
+        assert math.isclose(
+            getattr(actual, name), getattr(expected, name), rel_tol=NODE_TOL, abs_tol=NODE_TOL
+        ), f"{name}: {getattr(actual, name)} vs {getattr(expected, name)}"
+    assert list(actual.per_op_latency_ms) == list(expected.per_op_latency_ms)
+    for op, latency in expected.per_op_latency_ms.items():
+        assert math.isclose(
+            actual.per_op_latency_ms[op], latency, rel_tol=NODE_TOL, abs_tol=NODE_TOL
+        ), f"{op} latency: {actual.per_op_latency_ms[op]} vs {latency}"
 
-    def test_refresh_tracks_size_and_locality_drift(self):
-        model = PerformanceModel(HardwareSpec())
-        profile = RegionLoadProfile(region_id="r", size_bytes=1e9, read_rate=500.0)
-        evaluator = NodeEvaluator(model, DEFAULT_HOMOGENEOUS, [profile])
-        profile.size_bytes = 2.5e9
-        profile.locality = 0.05
-        evaluator.refresh([profile])
-        expected = model.evaluate_node(DEFAULT_HOMOGENEOUS, [profile])
-        actual = evaluator.evaluate([profile])
-        assert actual.utilization == pytest.approx(expected.utilization, rel=1e-12)
-        assert actual.hit_ratio == pytest.approx(expected.hit_ratio, rel=1e-12)
-        assert actual.memory_utilization == pytest.approx(
-            expected.memory_utilization, rel=1e-12
+
+class TestNodeEvaluatorEquivalence:
+    """NodeEvaluator matches the seed's per-op model node by node."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        regions=st.lists(REGIONS, max_size=6),
+        config=st.sampled_from(CONFIGS),
+        hardware=st.sampled_from(HARDWARE),
+        background=st.floats(0.0, 2e8),
+        drifts=st.lists(DRIFTS, max_size=6),
+    )
+    @example(
+        regions=[RegionLoadProfile(region_id="r", size_bytes=1e9, read_rate=500.0)],
+        config=DEFAULT_HOMOGENEOUS,
+        hardware=HardwareSpec(),
+        background=0.0,
+        drifts=[(2.5e9, 0.05)],
+    )
+    @example(regions=MIXED_NODE, config=DEFAULT_HOMOGENEOUS, hardware=HardwareSpec(), background=2e6, drifts=[])
+    @example(regions=MIXED_NODE, config=DEFAULT_HOMOGENEOUS, hardware=LARGE_NODE, background=2e6, drifts=[])
+    @example(regions=MIXED_NODE, config=NODE_PROFILES["read"].config, hardware=HardwareSpec(), background=2e6, drifts=[])
+    @example(regions=MIXED_NODE, config=NODE_PROFILES["read"].config, hardware=LARGE_NODE, background=2e6, drifts=[])
+    @example(regions=MIXED_NODE, config=NODE_PROFILES["scan"].config, hardware=HardwareSpec(), background=2e6, drifts=[])
+    @example(regions=MIXED_NODE, config=NODE_PROFILES["scan"].config, hardware=LARGE_NODE, background=2e6, drifts=[])
+    def test_matches_the_oracle_before_and_after_drift(
+        self, regions, config, hardware, background, drifts
+    ):
+        profiles = [replace(region) for region in regions]
+        model = PerformanceModel(hardware)
+        evaluator = NodeEvaluator(hardware, config, profiles)
+        assert_node_matches(
+            evaluate(evaluator, profiles, background),
+            model.evaluate_node(config, profiles, background),
+        )
+        # Sizes grow and localities move between ticks; refresh folds
+        # that drift into the rows the evaluator built above.
+        for profile, (size, locality) in zip(profiles, drifts):
+            if size is not None:
+                profile.size_bytes = size
+            if locality is not None:
+                profile.locality = locality
+        evaluator.refresh(profiles)
+        assert_node_matches(
+            evaluate(evaluator, profiles, background),
+            model.evaluate_node(config, profiles, background),
         )
 
 

@@ -1,4 +1,9 @@
-"""Tests for the per-operation cost model: the trade-offs MeT exploits."""
+"""Tests for the cost model the simulator runs: the trade-offs MeT exploits.
+
+Per-op cost properties read the evaluator's per-unit-rate ``ROW_*``
+coefficients; hit-ratio and node-level properties evaluate a node through
+:meth:`NodeEvaluator.evaluate_rates`.
+"""
 
 import pytest
 
@@ -6,10 +11,17 @@ from repro.core.profiles import NODE_PROFILES
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
 from repro.simulation.hardware import HardwareSpec
 from repro.simulation.perfmodel import (
-    PerformanceModel,
-    RegionLoadProfile,
-    ServiceDemand,
+    ROW_READ_MISS_BYTES,
+    ROW_READ_MISS_IOPS,
+    ROW_READ_MISS_NET,
+    ROW_SCAN_CPU,
+    ROW_SCAN_MISS_IOPS,
+    ROW_WRITE_BYTES,
+    ROW_WRITE_CPU,
+    NodeEvaluator,
+    write_amplification,
 )
+from perfmodel_oracle import RegionLoadProfile, ServiceDemand, evaluate
 
 
 def region(**overrides) -> RegionLoadProfile:
@@ -18,9 +30,18 @@ def region(**overrides) -> RegionLoadProfile:
     return RegionLoadProfile(**kwargs)
 
 
-@pytest.fixture
-def model() -> PerformanceModel:
-    return PerformanceModel(HardwareSpec())
+def evaluate_node(config, regions, background=0.0, hardware=HardwareSpec()):
+    """One node hosting ``regions``, evaluated at the rates they carry."""
+    return evaluate(NodeEvaluator(hardware, config, regions), regions, background)
+
+
+def hit_ratio(config, regions) -> float:
+    return evaluate_node(config, regions).hit_ratio
+
+
+def row(config, **overrides) -> list[float]:
+    """The per-unit-rate coefficient row of one region on a ``config`` node."""
+    return NodeEvaluator(HardwareSpec(), config, [region(**overrides)]).rows[0]
 
 
 class TestServiceDemand:
@@ -31,136 +52,122 @@ class TestServiceDemand:
         assert a.disk_iops == 2.0
         assert a.disk_bytes == 5.0
 
-    def test_scaled_returns_copy(self):
-        demand = ServiceDemand(cpu_millis=2.0, network_bytes=10.0)
-        scaled = demand.scaled(0.5)
-        assert scaled.cpu_millis == 1.0
-        assert demand.cpu_millis == 2.0
-
 
 class TestCacheModel:
-    def test_bigger_cache_gives_higher_hit_ratio(self, model):
+    def test_bigger_cache_gives_higher_hit_ratio(self):
         read_profile = NODE_PROFILES["read"].config
         write_profile = NODE_PROFILES["write"].config
         regions = [region(size_bytes=2e9)]
-        assert model.hit_ratio(read_profile, regions) > model.hit_ratio(
-            write_profile, regions
-        )
+        assert hit_ratio(read_profile, regions) > hit_ratio(write_profile, regions)
 
-    def test_hit_ratio_is_one_without_read_traffic(self, model):
+    def test_hit_ratio_is_one_without_read_traffic(self):
         regions = [region(read_rate=0.0, update_rate=100.0)]
-        assert model.hit_ratio(DEFAULT_HOMOGENEOUS, regions) == 1.0
+        assert hit_ratio(DEFAULT_HOMOGENEOUS, regions) == 1.0
 
-    def test_hit_ratio_decreases_with_more_hosted_data(self, model):
+    def test_hit_ratio_decreases_with_more_hosted_data(self):
         few = [region(size_bytes=1e9)]
         many = [region(region_id=f"r{i}", size_bytes=1e9) for i in range(4)]
-        assert model.hit_ratio(DEFAULT_HOMOGENEOUS, few) >= model.hit_ratio(
-            DEFAULT_HOMOGENEOUS, many
-        )
+        assert hit_ratio(DEFAULT_HOMOGENEOUS, few) >= hit_ratio(DEFAULT_HOMOGENEOUS, many)
 
-    def test_hit_ratio_bounded(self, model):
+    def test_hit_ratio_bounded(self):
         for size in (1e6, 1e9, 1e11):
-            ratio = model.hit_ratio(DEFAULT_HOMOGENEOUS, [region(size_bytes=size)])
+            ratio = hit_ratio(DEFAULT_HOMOGENEOUS, [region(size_bytes=size)])
             assert 0.0 <= ratio <= 1.0
 
-    def test_small_working_set_yields_high_hit_ratio(self, model):
+    def test_small_working_set_yields_high_hit_ratio(self):
         tight = [region(size_bytes=5e9, hot_data_fraction=0.02, hot_request_fraction=0.95)]
         loose = [region(size_bytes=5e9)]
-        assert model.hit_ratio(DEFAULT_HOMOGENEOUS, tight) > model.hit_ratio(
-            DEFAULT_HOMOGENEOUS, loose
-        )
+        assert hit_ratio(DEFAULT_HOMOGENEOUS, tight) > hit_ratio(DEFAULT_HOMOGENEOUS, loose)
 
 
 class TestWriteModel:
-    def test_small_memstore_amplifies_writes(self, model):
+    def test_small_memstore_amplifies_writes(self):
         small = RegionServerConfig(block_cache_fraction=0.5, memstore_fraction=0.10)
         large = RegionServerConfig(block_cache_fraction=0.10, memstore_fraction=0.55)
-        assert model.write_amplification(small) > model.write_amplification(large)
+        assert write_amplification(small) > write_amplification(large)
 
-    def test_write_demand_scales_with_rate(self, model):
-        slow = model.write_demand(DEFAULT_HOMOGENEOUS, region(), 100.0)
-        fast = model.write_demand(DEFAULT_HOMOGENEOUS, region(), 1000.0)
-        assert fast.cpu_millis == pytest.approx(10 * slow.cpu_millis)
-        assert fast.disk_bytes == pytest.approx(10 * slow.disk_bytes)
+    def test_write_demand_scales_with_rate(self):
+        slow = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=0.0, update_rate=100.0)])
+        fast = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=0.0, update_rate=1000.0)])
+        assert fast.cpu_utilization == pytest.approx(10 * slow.cpu_utilization)
+        assert fast.io_wait == pytest.approx(10 * slow.io_wait)
 
-    def test_write_profile_cheaper_for_writes_than_read_profile(self, model):
-        write_cfg = NODE_PROFILES["write"].config
-        read_cfg = NODE_PROFILES["read"].config
-        w = model.write_demand(write_cfg, region(), 1000.0)
-        r = model.write_demand(read_cfg, region(), 1000.0)
-        assert w.cpu_millis < r.cpu_millis
-        assert w.disk_bytes < r.disk_bytes
+    def test_write_profile_cheaper_for_writes_than_read_profile(self):
+        w = row(NODE_PROFILES["write"].config)
+        r = row(NODE_PROFILES["read"].config)
+        assert w[ROW_WRITE_CPU] < r[ROW_WRITE_CPU]
+        assert w[ROW_WRITE_BYTES] < r[ROW_WRITE_BYTES]
 
 
 class TestReadModel:
-    def test_misses_cost_disk_iops(self, model):
-        demand = model.read_demand(DEFAULT_HOMOGENEOUS, region(), hit_ratio=0.5, rate=100.0)
-        assert demand.disk_iops == pytest.approx(50.0)
-
-    def test_full_hit_costs_no_disk(self, model):
-        demand = model.read_demand(DEFAULT_HOMOGENEOUS, region(), hit_ratio=1.0, rate=100.0)
-        assert demand.disk_iops == 0.0
-        assert demand.disk_bytes == 0.0
-
-    def test_remote_misses_cost_network_and_extra_iops(self, model):
-        local = model.read_demand(
-            DEFAULT_HOMOGENEOUS, region(locality=1.0), hit_ratio=0.5, rate=100.0
+    def test_misses_cost_disk_iops(self):
+        assert row(DEFAULT_HOMOGENEOUS)[ROW_READ_MISS_IOPS] == 1.0
+        # Reads are the node's only disk load, and IOPS bind before bytes.
+        result = evaluate_node(DEFAULT_HOMOGENEOUS, [region(size_bytes=2e9, read_rate=100.0)])
+        assert 0.0 < result.hit_ratio < 1.0
+        assert result.io_wait * HardwareSpec().disk_iops == pytest.approx(
+            (1.0 - result.hit_ratio) * 100.0
         )
-        remote = model.read_demand(
-            DEFAULT_HOMOGENEOUS, region(locality=0.0), hit_ratio=0.5, rate=100.0
-        )
-        assert remote.network_bytes > local.network_bytes
-        assert remote.disk_iops > local.disk_iops
 
-    def test_smaller_blocks_read_fewer_bytes_per_miss(self, model):
+    def test_full_hit_costs_no_disk(self):
+        result = evaluate_node(DEFAULT_HOMOGENEOUS, [region(size_bytes=1e6, read_rate=100.0)])
+        assert result.hit_ratio == 1.0
+        assert result.io_wait == 0.0
+
+    def test_remote_misses_cost_network_and_extra_iops(self):
+        local = row(DEFAULT_HOMOGENEOUS, locality=1.0)
+        remote = row(DEFAULT_HOMOGENEOUS, locality=0.0)
+        assert remote[ROW_READ_MISS_NET] > local[ROW_READ_MISS_NET]
+        assert remote[ROW_READ_MISS_IOPS] > local[ROW_READ_MISS_IOPS]
+
+    def test_smaller_blocks_read_fewer_bytes_per_miss(self):
         small = DEFAULT_HOMOGENEOUS.with_overrides(block_size_bytes=32 * 1024)
         large = DEFAULT_HOMOGENEOUS.with_overrides(block_size_bytes=128 * 1024)
-        small_demand = model.read_demand(small, region(), hit_ratio=0.5, rate=100.0)
-        large_demand = model.read_demand(large, region(), hit_ratio=0.5, rate=100.0)
-        assert small_demand.disk_bytes < large_demand.disk_bytes
+        assert row(small)[ROW_READ_MISS_BYTES] < row(large)[ROW_READ_MISS_BYTES]
 
 
 class TestScanModel:
-    def test_larger_blocks_make_scans_cheaper(self, model):
+    def test_larger_blocks_make_scans_cheaper(self):
         small = DEFAULT_HOMOGENEOUS.with_overrides(block_size_bytes=32 * 1024)
         large = DEFAULT_HOMOGENEOUS.with_overrides(block_size_bytes=128 * 1024)
-        scan_region = region(read_rate=0.0, scan_rate=100.0, scan_length=100)
-        small_demand = model.scan_demand(small, scan_region, hit_ratio=0.5, rate=100.0)
-        large_demand = model.scan_demand(large, scan_region, hit_ratio=0.5, rate=100.0)
-        assert large_demand.cpu_millis < small_demand.cpu_millis
-        assert large_demand.disk_iops < small_demand.disk_iops
+        small_row = row(small, scan_length=100)
+        large_row = row(large, scan_length=100)
+        assert large_row[ROW_SCAN_CPU] < small_row[ROW_SCAN_CPU]
+        assert large_row[ROW_SCAN_MISS_IOPS] < small_row[ROW_SCAN_MISS_IOPS]
 
-    def test_scan_more_expensive_than_read(self, model):
-        read = model.read_demand(DEFAULT_HOMOGENEOUS, region(), hit_ratio=0.9, rate=100.0)
-        scan = model.scan_demand(DEFAULT_HOMOGENEOUS, region(), hit_ratio=0.9, rate=100.0)
-        assert scan.cpu_millis > read.cpu_millis
+    def test_scan_more_expensive_than_read(self):
+        read = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
+        scan = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=0.0, scan_rate=100.0)])
+        assert scan.cpu_utilization > read.cpu_utilization
 
-    def test_rmw_costs_read_plus_write(self, model):
-        r = region()
-        rmw = model.rmw_demand(DEFAULT_HOMOGENEOUS, r, hit_ratio=0.8, rate=100.0)
-        read = model.read_demand(DEFAULT_HOMOGENEOUS, r, hit_ratio=0.8, rate=100.0)
-        write = model.write_demand(DEFAULT_HOMOGENEOUS, r, rate=100.0)
-        assert rmw.cpu_millis == pytest.approx(read.cpu_millis + write.cpu_millis)
+    def test_rmw_costs_read_plus_write(self):
+        rmw = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=0.0, rmw_rate=100.0)])
+        read = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
+        write = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=0.0, update_rate=100.0)])
+        assert rmw.hit_ratio == read.hit_ratio
+        assert rmw.cpu_utilization == pytest.approx(
+            read.cpu_utilization + write.cpu_utilization
+        )
 
 
 class TestNodeEvaluation:
-    def test_idle_node_has_zero_utilization(self, model):
-        result = model.evaluate_node(DEFAULT_HOMOGENEOUS, [])
+    def test_idle_node_has_zero_utilization(self):
+        result = evaluate_node(DEFAULT_HOMOGENEOUS, [])
         assert result.utilization == 0.0
         assert result.hit_ratio == 1.0
 
-    def test_utilization_grows_with_load(self, model):
-        light = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
-        heavy = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=10000.0)])
+    def test_utilization_grows_with_load(self):
+        light = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
+        heavy = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=10000.0)])
         assert heavy.utilization > light.utilization
 
-    def test_latencies_inflate_under_load(self, model):
-        light = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
-        heavy = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=50000.0)])
+    def test_latencies_inflate_under_load(self):
+        light = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=100.0)])
+        heavy = evaluate_node(DEFAULT_HOMOGENEOUS, [region(read_rate=50000.0)])
         assert heavy.per_op_latency_ms["read"] > light.per_op_latency_ms["read"]
 
-    def test_all_op_latencies_present(self, model):
-        result = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region()])
+    def test_all_op_latencies_present(self):
+        result = evaluate_node(DEFAULT_HOMOGENEOUS, [region()])
         assert set(result.per_op_latency_ms) == {
             "read",
             "update",
@@ -169,27 +176,25 @@ class TestNodeEvaluation:
             "read_modify_write",
         }
 
-    def test_background_compaction_raises_io_wait(self, model):
-        quiet = model.evaluate_node(DEFAULT_HOMOGENEOUS, [region()])
-        busy = model.evaluate_node(
-            DEFAULT_HOMOGENEOUS, [region()], background_disk_bytes_per_s=50e6
-        )
+    def test_background_compaction_raises_io_wait(self):
+        quiet = evaluate_node(DEFAULT_HOMOGENEOUS, [region()])
+        busy = evaluate_node(DEFAULT_HOMOGENEOUS, [region()], background=50e6)
         assert busy.io_wait > quiet.io_wait
 
-    def test_read_profile_beats_write_profile_for_read_heavy_node(self, model):
+    def test_read_profile_beats_write_profile_for_read_heavy_node(self):
         regions = [region(size_bytes=1.5e9, read_rate=5000.0)]
-        read_result = model.evaluate_node(NODE_PROFILES["read"].config, regions)
-        write_result = model.evaluate_node(NODE_PROFILES["write"].config, regions)
+        read_result = evaluate_node(NODE_PROFILES["read"].config, regions)
+        write_result = evaluate_node(NODE_PROFILES["write"].config, regions)
         assert read_result.utilization < write_result.utilization
 
-    def test_write_profile_beats_read_profile_for_write_heavy_node(self, model):
+    def test_write_profile_beats_read_profile_for_write_heavy_node(self):
         regions = [region(read_rate=0.0, update_rate=5000.0)]
-        write_result = model.evaluate_node(NODE_PROFILES["write"].config, regions)
-        read_result = model.evaluate_node(NODE_PROFILES["read"].config, regions)
+        write_result = evaluate_node(NODE_PROFILES["write"].config, regions)
+        read_result = evaluate_node(NODE_PROFILES["read"].config, regions)
         assert write_result.utilization < read_result.utilization
 
-    def test_scan_profile_beats_default_for_scan_heavy_node(self, model):
+    def test_scan_profile_beats_default_for_scan_heavy_node(self):
         regions = [region(read_rate=0.0, scan_rate=800.0, scan_length=100)]
-        scan_result = model.evaluate_node(NODE_PROFILES["scan"].config, regions)
-        default_result = model.evaluate_node(DEFAULT_HOMOGENEOUS, regions)
+        scan_result = evaluate_node(NODE_PROFILES["scan"].config, regions)
+        default_result = evaluate_node(DEFAULT_HOMOGENEOUS, regions)
         assert scan_result.utilization < default_result.utilization

@@ -563,16 +563,20 @@ class TestFaultEvents:
         """The cost model pins a scan-heavy node on its (degraded) network."""
         from repro.hbase.config import DEFAULT_HOMOGENEOUS
         from repro.simulation.hardware import HardwareSpec
-        from repro.simulation.perfmodel import PerformanceModel, RegionLoadProfile
+        from repro.simulation.perfmodel import NodeEvaluator
+        from perfmodel_oracle import RegionLoadProfile, evaluate
 
         region = RegionLoadProfile(
             region_id="r", size_bytes=512 * 1024 * 1024, scan_rate=120.0,
         )
         config = DEFAULT_HOMOGENEOUS.validate()
-        healthy = PerformanceModel(HardwareSpec()).evaluate_node(config, [region])
+        healthy_hw = HardwareSpec()
         degraded_hw = HardwareSpec(network_mb_per_second=110.0 * 0.1)
-        degraded = PerformanceModel(degraded_hw).evaluate_node(config, [region])
-        assert degraded.bottleneck == "network"
+        healthy = evaluate(NodeEvaluator(healthy_hw, config, [region]), [region])
+        degraded = evaluate(NodeEvaluator(degraded_hw, config, [region]), [region])
+        assert degraded.network_utilization > max(
+            degraded.cpu_utilization, degraded.io_wait
+        )
         assert degraded.utilization > healthy.utilization
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.simulation.clock import ClockError, SimulationClock
 from repro.simulation.hardware import GB, LARGE_NODE, PAPER_NODE, HardwareSpec
 from repro.simulation.metrics import MetricSeries, MetricsRegistry
-from repro.simulation.workload import CLIENT_OVERHEAD_MS, OfferedLoad, WorkloadBinding
+from repro.simulation.workload import CLIENT_OVERHEAD_MS, WorkloadBinding
+from solver_oracles import mean_latency
 
 
 class TestSimulationClock:
@@ -172,13 +173,17 @@ class TestWorkloadBinding:
 
     def test_offered_loads_split_by_weights_and_mix(self):
         binding = self._binding()
-        loads = {load.region_id: load for load in binding.offered_loads(1000.0)}
-        assert loads["r1"].rate("read") == pytest.approx(300.0)
-        assert loads["r2"].total == pytest.approx(400.0)
+        units = dict(binding.unit_rates())
+        assert list(units) == ["r1", "r2"]
+        assert dict(units["r1"])["read"] == pytest.approx(0.3)
+        assert sum(rate for _, rate in units["r2"]) == pytest.approx(0.4)
+        # Ops with no share in the mix get no rate slot at all.
+        zero_share = self._binding(op_mix={"read": 1.0, "scan": 0.0})
+        assert [op for op, _ in dict(zero_share.unit_rates())["r1"]] == ["read"]
 
     def test_mean_latency_uses_default_for_missing_regions(self):
         binding = self._binding()
-        latency = binding.mean_latency({"r1": {"read": 1.0, "update": 1.0}})
+        latency = mean_latency(binding, {"r1": {"read": 1.0, "update": 1.0}})
         # r2 is unavailable and contributes the blocked-request penalty.
         assert latency > 100.0
 
@@ -186,10 +191,3 @@ class TestWorkloadBinding:
         binding = self._binding(threads=1)
         assert binding.max_throughput(0.0) <= 1000.0 / CLIENT_OVERHEAD_MS
 
-
-class TestOfferedLoad:
-    def test_total_and_rate(self):
-        load = OfferedLoad(region_id="r", rates={"read": 5.0, "scan": 1.0})
-        assert load.total == 6.0
-        assert load.rate("read") == 5.0
-        assert load.rate("update") == 0.0
