@@ -71,12 +71,3 @@ def assign_partitions(
         if len(target.partitions) >= max_per_node:
             open_bins.discard(target.node)
     return {node: bin.partitions for node, bin in bins.items()}
-
-
-def makespan(assignment: dict[str, list[str]], costs: dict[str, float]) -> float:
-    """Load of the most loaded node under ``assignment`` (for tests/benches)."""
-    loads = [
-        sum(costs.get(partition, 0.0) for partition in partitions)
-        for partitions in assignment.values()
-    ]
-    return max(loads, default=0.0)

@@ -199,23 +199,6 @@ class CalibrationModel:
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CalibrationModel":
-        payload = json.loads(text)
-        return cls(
-            name=payload["name"],
-            base_flavor=payload["base_flavor"],
-            base_vcpus=payload["base_vcpus"],
-            curve=tuple(
-                CalibrationPoint(
-                    per_node_rate=point["per_node_rate"],
-                    p95_ms=point["p95_ms"],
-                    p99_ms=point["p99_ms"],
-                )
-                for point in payload["curve"]
-            ),
-        )
-
     def fingerprint(self) -> str:
         """SHA-256 of the canonical JSON: the byte-determinism handle."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()

@@ -20,6 +20,11 @@ from repro.simulation.cluster import ClusterSimulator
 from repro.workloads.tenant import TenantWorkload
 
 
+def no_victim(node: str | None) -> str:
+    """The annotation of a fault that found no node to hit."""
+    return "no online node" if node is None else f"{node} not in cluster"
+
+
 class ScenarioContext:
     """Mutable run state shared by every compiled scenario action."""
 
@@ -149,26 +154,27 @@ class ScenarioContext:
     # faults
     # ------------------------------------------------------------------ #
     def fault_victim(self, node: str | None) -> str | None:
-        """The node a fault hits; ``None`` when the named node is gone.
+        """The node a fault hits; ``None`` when there is none to hit.
 
         A named node may have left the cluster before its fault fires (a
         controller removed it, an earlier crash took it, a scaled-down
         cluster never had it): the fault is then a no-op rather than an
         aborted run.  An anonymous fault draws its victim from the *sorted*
-        online nodes with the run's seeded RNG, so it replays from one seed.
+        online nodes with the run's seeded RNG, so it replays from one seed;
+        with no node online it is a no-op too, and draws nothing.
         """
         if node is not None:
             return node if node in self.simulator.nodes else None
         online = sorted(n.name for n in self.simulator.online_nodes())
         if not online:
-            raise RuntimeError("no online node to inject a fault into")
+            return None
         return online[self.rng.randrange(len(online))]
 
     def crash_node(self, node: str | None = None) -> str:
         """Crash ``node`` (or a random online node); returns the victim."""
         victim = self.fault_victim(node)
         if victim is None:
-            return f"{node} not in cluster"
+            return no_victim(node)
         self.simulator.fail_node(victim)
         return victim
 

