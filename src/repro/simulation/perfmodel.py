@@ -245,17 +245,16 @@ class NodeEvaluator:
         config: RegionServerConfig,
         regions: list,
     ) -> None:
-        hw = hardware
-        self.hardware = hw
+        self.hardware = hardware
         self.config = config
-        self._cache_bytes = config.block_cache_bytes(hw.heap_bytes)
+        self._cache_bytes = config.block_cache_bytes(hardware.heap_bytes)
         self.cache_eff_bytes = CACHE_EFFICIENCY * self._cache_bytes
-        self.cpu_budget = hw.cpu_millis_per_second
-        self.disk_iops_budget = hw.disk_iops
-        self.disk_bytes_budget = hw.disk_mb_per_second * MB
-        self.network_bytes_budget = hw.network_mb_per_second * MB
+        self.cpu_budget = hardware.cpu_millis_per_second
+        self.disk_iops_budget = hardware.disk_iops
+        self.disk_bytes_budget = hardware.disk_mb_per_second * MB
+        self.network_bytes_budget = hardware.network_mb_per_second * MB
         self._amplification = write_amplification(config)
-        self._memstore_bytes = max(config.memstore_bytes(hw.heap_bytes), 1)
+        self._memstore_bytes = max(config.memstore_bytes(hardware.heap_bytes), 1)
         self._block = config.block_size_bytes
 
         self.region_ids = [region.region_id for region in regions]
@@ -265,7 +264,7 @@ class NodeEvaluator:
         # Latency statics, keyed on the first hosted region.
         record_size = regions[0].record_size if regions else 1024
         scan_length = regions[0].scan_length if regions else 50
-        self.disk_ms = 1000.0 / hw.disk_iops
+        self.disk_ms = 1000.0 / hardware.disk_iops
         self.blocks0 = max(1.0, scan_length * record_size / self._block) + 1.0
         self.scan_length0 = scan_length
 

@@ -97,17 +97,9 @@ class RegionLoadProfile:
         return self.read_rate + self.rmw_rate
 
 
-@dataclass
-class ReferenceLoadResult(NodeLoadResult):
-    """A :class:`NodeLoadResult` with the oracle's demand and bottleneck."""
-
-    demand: ServiceDemand | None = None
-    #: Which resource bounds this node ("cpu", "disk" or "network").
-    bottleneck: str = "cpu"
-
-
 def bottleneck_resource(cpu_util: float, io_wait: float, net_util: float) -> str:
-    """Name of the resource with the highest utilisation (ties favour CPU)."""
+    """Name of the resource with the highest utilisation (ties favour CPU):
+    what a per-resource fault, such as a network-only slowdown, shifts."""
     if cpu_util >= io_wait and cpu_util >= net_util:
         return "cpu"
     if io_wait >= net_util:
@@ -301,7 +293,7 @@ class PerformanceModel:
         config: RegionServerConfig,
         regions: list[RegionLoadProfile],
         background_disk_bytes_per_s: float = 0.0,
-    ) -> ReferenceLoadResult:
+    ) -> NodeLoadResult:
         """Evaluate utilisation and latencies for one node for one tick."""
         demand, hit = self.node_demand(config, regions, background_disk_bytes_per_s)
         hw = self.hardware
@@ -319,7 +311,7 @@ class PerformanceModel:
         memory_utilization = min(1.0, (used + 0.5 * (hw.memory_bytes - hw.heap_bytes)) / hw.memory_bytes)
 
         latencies = self._latencies(config, regions, hit, utilization)
-        return ReferenceLoadResult(
+        return NodeLoadResult(
             utilization=utilization,
             cpu_utilization=cpu_util,
             io_wait=io_wait,
@@ -327,8 +319,6 @@ class PerformanceModel:
             network_utilization=net_util,
             hit_ratio=hit,
             per_op_latency_ms=latencies,
-            demand=demand,
-            bottleneck=bottleneck_resource(cpu_util, io_wait, net_util),
         )
 
     def _latencies(

@@ -291,7 +291,7 @@ def test_test_only_name_check_flags_a_name_only_tests_read(tmp_path, monkeypatch
         "def used():\n"
         "    return LIMIT\n"
         "def only_tested():\n"
-        '    """Not used(): a docstring is no reader."""\n'
+        "    return 4\n"
         "class Box:\n"
         "    def traced(self):\n"
         "        return 1\n"
@@ -300,7 +300,11 @@ def test_test_only_name_check_flags_a_name_only_tests_read(tmp_path, monkeypatch
         "def unread():\n"
         "    return 0\n"
     )
-    (tmp_path / "src" / "caller.py").write_text("from module import used\nused()\n")
+    (tmp_path / "src" / "caller.py").write_text(
+        '"""Calls used(), never only_tested(): a docstring is no reader."""\n'
+        "from module import used\n"
+        "used()\n"
+    )
     (tmp_path / "bench" / "tracer.py").write_text("ENTRIES = ['module:Box.traced']\n")
     (tmp_path / "tests" / "test_module.py").write_text(
         "from module import LIMIT, Box, only_tested, used\n"

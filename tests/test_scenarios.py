@@ -582,7 +582,7 @@ class TestFaultEvents:
         from repro.hbase.config import DEFAULT_HOMOGENEOUS
         from repro.simulation.hardware import HardwareSpec
         from repro.simulation.perfmodel import NodeEvaluator
-        from perfmodel_oracle import RegionLoadProfile, evaluate
+        from perfmodel_oracle import RegionLoadProfile, bottleneck_resource, evaluate
 
         region = RegionLoadProfile(
             region_id="r", size_bytes=512 * 1024 * 1024, scan_rate=120.0,
@@ -592,9 +592,10 @@ class TestFaultEvents:
         degraded_hw = HardwareSpec(network_mb_per_second=110.0 * 0.1)
         healthy = evaluate(NodeEvaluator(healthy_hw, config, [region]), [region])
         degraded = evaluate(NodeEvaluator(degraded_hw, config, [region]), [region])
-        assert degraded.network_utilization > max(
-            degraded.cpu_utilization, degraded.io_wait
+        bottleneck = bottleneck_resource(
+            degraded.cpu_utilization, degraded.io_wait, degraded.network_utilization
         )
+        assert bottleneck == "network"
         assert degraded.utilization > healthy.utilization
 
 
