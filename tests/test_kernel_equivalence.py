@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.profiles import NODE_PROFILES
@@ -175,17 +175,6 @@ MIXED_NODE = [
 ]
 
 
-def mixed_node_examples(test):
-    """The seed's fixed cases as examples: the mixed node on each of three
-    configs and two hardware specs."""
-    for config in (DEFAULT_HOMOGENEOUS, NODE_PROFILES["read"].config, NODE_PROFILES["scan"].config):
-        for hardware in (HardwareSpec(), LARGE_NODE):
-            test = example(
-                regions=MIXED_NODE, config=config, hardware=hardware, background=2e6, drifts=[]
-            )(test)
-    return test
-
-
 def assert_node_matches(actual, expected) -> None:
     """Every utilisation, the hit ratio and every per-op latency agree."""
     fields = (
@@ -210,6 +199,31 @@ def assert_node_matches(actual, expected) -> None:
 class TestNodeEvaluatorEquivalence:
     """NodeEvaluator matches the seed's per-op model node by node."""
 
+    @pytest.mark.parametrize("hardware", [HardwareSpec(), LARGE_NODE])
+    @pytest.mark.parametrize(
+        "config",
+        [DEFAULT_HOMOGENEOUS, NODE_PROFILES["read"].config, NODE_PROFILES["scan"].config],
+    )
+    def test_matches_evaluate_node(self, hardware, config):
+        profiles = [replace(region) for region in MIXED_NODE]
+        model = PerformanceModel(hardware)
+        evaluator = NodeEvaluator(hardware, config, profiles)
+        assert_node_matches(
+            evaluate(evaluator, profiles, 2e6), model.evaluate_node(config, profiles, 2e6)
+        )
+
+    def test_refresh_tracks_size_and_locality_drift(self):
+        hardware = HardwareSpec()
+        profile = RegionLoadProfile(region_id="r", size_bytes=1e9, read_rate=500.0)
+        evaluator = NodeEvaluator(hardware, DEFAULT_HOMOGENEOUS, [profile])
+        profile.size_bytes = 2.5e9
+        profile.locality = 0.05
+        evaluator.refresh([profile])
+        assert_node_matches(
+            evaluate(evaluator, [profile]),
+            PerformanceModel(hardware).evaluate_node(DEFAULT_HOMOGENEOUS, [profile]),
+        )
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         regions=st.lists(REGIONS, max_size=6),
@@ -218,14 +232,6 @@ class TestNodeEvaluatorEquivalence:
         background=st.floats(0.0, 2e8),
         drifts=st.lists(DRIFTS, max_size=6),
     )
-    @example(
-        regions=[RegionLoadProfile(region_id="r", size_bytes=1e9, read_rate=500.0)],
-        config=DEFAULT_HOMOGENEOUS,
-        hardware=HardwareSpec(),
-        background=0.0,
-        drifts=[(2.5e9, 0.05)],
-    )
-    @mixed_node_examples
     def test_matches_the_oracle_before_and_after_drift(
         self, regions, config, hardware, background, drifts
     ):
