@@ -68,11 +68,16 @@ def expected_payloads() -> dict[Path, str]:
 
 
 def regenerate() -> None:
+    """Rewrite every golden, naming the top-level keys each update moved."""
     PAPER_DIR.mkdir(parents=True, exist_ok=True)
     for path, payload in expected_payloads().items():
-        changed = not path.exists() or path.read_text() != payload
+        committed = path.read_text() if path.exists() else ""
         path.write_text(payload)
-        print(f"{'updated ' if changed else 'unchanged'} {path.relative_to(REPO_ROOT)}")
+        if committed == payload:
+            print(f"unchanged {_display(path)}")
+        else:
+            keys = ", ".join(changed_keys(committed, payload))
+            print(f"updated   {_display(path)} ({keys})")
 
 
 def _display(path: Path) -> Path:
@@ -85,6 +90,26 @@ def _display(path: Path) -> Path:
 
 #: Sentinel for committed goldens that do not parse as JSON at all.
 _UNPARSEABLE = object()
+
+
+def changed_keys(committed: str, payload: str) -> list[str]:
+    """Sorted top-level trace keys whose values differ between two goldens.
+
+    A key present on one side only counts as changed; a committed text that
+    is missing or not a JSON object differs in every key of ``payload``.
+    """
+    try:
+        old = json.loads(committed)
+    except json.JSONDecodeError:
+        old = {}
+    if not isinstance(old, dict):
+        old = {}
+    new = json.loads(payload)
+    return sorted(
+        key
+        for key in old.keys() | new.keys()
+        if key not in old or key not in new or old[key] != new[key]
+    )
 
 
 def _committed_format(text: str) -> object:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.reporting import format_matchup, format_table, percentiles
+from repro.sla.scorecard import OK_COLUMN, SCORE_COLUMNS
 
 __all__ = [
     "AggregateRow",
@@ -93,16 +94,7 @@ def render_campaign_table(records: list[dict]) -> str:
         rows,
         key=lambda row: row.label,
         group=lambda row: row.controller,
-        columns=[
-            ("ops/s", lambda row: f"{row.mean_throughput:,.0f}"),
-            ("viol-min", lambda row: f"{row.violation_minutes:.1f}"),
-            ("p95-ms", lambda row: f"{row.p95_ms:.2f}"),
-            ("p99-ms", lambda row: f"{row.p99_ms:.2f}"),
-            ("cost", lambda row: f"{row.cost:.3f}"),
-            ("mach-min", lambda row: f"{row.machine_minutes:.1f}"),
-            ("seeds", lambda row: str(row.runs)),
-            ("ok", lambda row: "yes" if row.assertions_passed else "NO"),
-        ],
+        columns=[*SCORE_COLUMNS, ("seeds", lambda row: str(row.runs)), OK_COLUMN],
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -56,8 +56,8 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
     pure function of grid + master seed (see the determinism tests).
     """
     result = run_scenario(spec, controller=cell.controller, keep_simulator=False)
-    row = scorecard_row(result)
     return {
+        **asdict(scorecard_row(result)),
         "cell": cell.cell_id,
         "scenario": cell.scenario,
         "controller": cell.controller,
@@ -66,13 +66,6 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
         "tenant_copies": cell.scale.tenant_copies,
         "seed_index": cell.seed_index,
         "seed": cell.seed,
-        "mean_throughput": row.mean_throughput,
-        "violation_minutes": row.violation_minutes,
-        "cost": row.cost,
-        "machine_minutes": row.machine_minutes,
-        "assertions_passed": row.assertions_passed,
-        "p95_ms": row.p95_ms,
-        "p99_ms": row.p99_ms,
     }
 
 

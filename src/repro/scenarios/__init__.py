@@ -16,8 +16,6 @@ from repro.scenarios.assertions import (
     REMOVE_NODE,
     AssertionResult,
     CostCeiling,
-    LatencyPercentileWithin,
-    LatencyWithin,
     NoOscillation,
     ReconfiguresBefore,
     RecoversWithin,
@@ -69,8 +67,6 @@ __all__ = [
     "DiurnalLoad",
     "EventSchedule",
     "FlashCrowd",
-    "LatencyPercentileWithin",
-    "LatencyWithin",
     "MixShift",
     "NoOscillation",
     "NodeCrash",

@@ -25,12 +25,11 @@ Vocabulary:
   its pre-event baseline within a deadline;
 * :class:`StaysWithin` -- the observed cluster size stays inside
   ``[min_nodes, max_nodes]`` for the whole run;
-* :class:`LatencyWithin` -- one tenant's recorded latency series stays
-  under a ceiling (the per-tenant quality view of :mod:`repro.sla`);
-* :class:`LatencyPercentileWithin` -- one tenant's recorded p95/p99 tail
-  (exact window-distribution quantiles) stays under a ceiling;
-* :class:`SLOViolationsBelow` -- the spec-declared SLO of a tenant accrues
-  at most ``max_violation_minutes`` of violation time;
+* :class:`SLOViolationsBelow` -- the spec-declared SLO of a tenant (mean,
+  p95 and p99 latency ceilings, a throughput floor; see
+  :mod:`repro.sla.slo`) accrues at most ``max_violation_minutes`` of
+  violation time.  It is the one latency/throughput verdict: a zero budget
+  demands that every judged sample keeps the promise;
 * :class:`CostCeiling` -- the run's bill stays under a budget.
 
 Every assertion takes a ``controllers`` filter (``None`` = all): an
@@ -43,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from repro.sla.cost import DEFAULT_PRICING
-from repro.sla.slo import post_warmup_points, tenant_points
 
 __all__ = [
     "ADD_NODE",
@@ -55,8 +53,6 @@ __all__ = [
     "NoOscillation",
     "RecoversWithin",
     "StaysWithin",
-    "LatencyWithin",
-    "LatencyPercentileWithin",
     "SLOViolationsBelow",
     "CostCeiling",
     "controller_actions",
@@ -261,88 +257,6 @@ class StaysWithin(ScenarioAssertion):
         if self.max_nodes is not None and high > self.max_nodes:
             return self._verdict(False, f"grew to {high} nodes (ceiling {self.max_nodes})")
         return self._verdict(True, f"observed {low}..{high} nodes")
-
-
-@dataclass(frozen=True)
-class LatencyWithin(ScenarioAssertion):
-    """Every recorded latency sample of ``tenant`` stays under ``ceiling_ms``.
-
-    Judges the per-tenant series the harness records (window means of the
-    simulator's tick-level latencies).  ``warmup_minutes`` exempts the
-    closed loop's cold start -- samples whose window overlaps the warmup
-    are skipped, like :class:`~repro.sla.slo.SLODefinition`.  Fails when
-    the tenant recorded no judgeable samples at all -- a silent series is
-    a wiring bug, not good latency.
-    """
-
-    tenant: str = ""
-    ceiling_ms: float = 50.0
-    warmup_minutes: float = 1.0
-    controllers: tuple[str, ...] | None = None
-
-    def evaluate(self, result) -> AssertionResult:
-        points = post_warmup_points(
-            tenant_points(result.run, self.tenant), self.warmup_minutes
-        )
-        if not points:
-            return self._verdict(
-                False, f"no latency samples recorded for tenant {self.tenant!r}"
-            )
-        worst = max(points, key=lambda p: p.latency_ms)
-        return self._verdict(
-            worst.latency_ms <= self.ceiling_ms,
-            f"peak {worst.latency_ms:.2f}ms at {worst.minute:.1f}m over "
-            f"{len(points)} samples (ceiling {self.ceiling_ms:g}ms)",
-        )
-
-
-@dataclass(frozen=True)
-class LatencyPercentileWithin(ScenarioAssertion):
-    """Every recorded p95/p99 sample of ``tenant`` stays under ``ceiling_ms``.
-
-    The tail-latency counterpart of :class:`LatencyWithin`: judges the
-    per-sample quantiles the harness computes from the exact merged
-    window distributions (:class:`~repro.simulation.latency.LatencySummary`),
-    so a tenant whose *mean* stays flat while its tail spikes still fails.
-    ``percentile`` must be 95 or 99 -- the two the harness records.  Fails
-    when no sample carries distribution data -- a run without recorded
-    distributions cannot vacuously pass a tail promise.
-    """
-
-    tenant: str = ""
-    percentile: int = 95
-    ceiling_ms: float = 50.0
-    warmup_minutes: float = 1.0
-    controllers: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.percentile not in (95, 99):
-            raise ValueError(
-                f"percentile must be 95 or 99, got {self.percentile}"
-            )
-
-    def evaluate(self, result) -> AssertionResult:
-        attr = f"p{self.percentile}_ms"
-        points = [
-            p
-            for p in post_warmup_points(
-                tenant_points(result.run, self.tenant), self.warmup_minutes
-            )
-            if getattr(p, attr, None) is not None
-        ]
-        if not points:
-            return self._verdict(
-                False,
-                f"no p{self.percentile} samples recorded for tenant "
-                f"{self.tenant!r} (latency distributions disabled?)",
-            )
-        worst = max(points, key=lambda p: getattr(p, attr))
-        observed = getattr(worst, attr)
-        return self._verdict(
-            observed <= self.ceiling_ms,
-            f"peak p{self.percentile} {observed:.2f}ms at {worst.minute:.1f}m "
-            f"over {len(points)} samples (ceiling {self.ceiling_ms:g}ms)",
-        )
 
 
 @dataclass(frozen=True)

@@ -66,8 +66,9 @@ class ScenarioSpec:
     #: evaluated against the run and recorded in its trace.
     assertions: tuple = ()
     #: Declared per-tenant SLOs (:class:`repro.sla.slo.SLODefinition`),
-    #: evaluated under *every* controller and serialised into traces; the
-    #: ``SLOViolationsBelow`` assertion references them by tenant.
+    #: evaluated under *every* controller and serialised into traces.  Every
+    #: latency or throughput promise lives here; the ``SLOViolationsBelow``
+    #: assertion, the only verdict on them, references them by tenant.
     slos: tuple = ()
     duration_minutes: float = 10.0
     seed: int = 0

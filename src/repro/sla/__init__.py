@@ -4,9 +4,9 @@ The simulator computes per-tenant latencies internally on every tick; this
 package is the layer that turns them into first-class service-quality
 artefacts:
 
-* :mod:`repro.sla.slo` -- :class:`SLODefinition` (latency ceiling and/or
-  throughput floor per tenant) and the evaluator producing per-sample
-  violation series and aggregate violation-minutes;
+* :mod:`repro.sla.slo` -- :class:`SLODefinition` (mean, p95 and p99
+  latency ceilings and/or a throughput floor per tenant) and the evaluator
+  producing per-sample violation series and aggregate violation-minutes;
 * :mod:`repro.sla.cost` -- the IaaS flavors and the :class:`PricingModel`
   that prices them; a run's bill is its machine-minutes at the RegionServer
   flavor's rate;
@@ -14,10 +14,11 @@ artefacts:
   (violation-minutes, cost, throughput) across the scenario catalog, for
   any set of controllers (MeT, Tiramola, planner, ...).
 
-Scenario specs declare SLOs (``ScenarioSpec.slos``) and SLO/cost assertions
-(``LatencyWithin``, ``SLOViolationsBelow``, ``CostCeiling``); the scenario
-runner evaluates both and serialises the verdicts into golden traces, so
-service quality is regression-locked alongside raw throughput.
+Scenario specs declare every tenant promise as an SLO (``ScenarioSpec.slos``)
+and judge it with ``SLOViolationsBelow``, the one latency/throughput verdict,
+next to the ``CostCeiling`` budget; the scenario runner evaluates both and
+serialises the verdicts into golden traces, so service quality is
+regression-locked alongside raw throughput.
 """
 
 from repro.sla.cost import (
@@ -34,7 +35,6 @@ from repro.sla.slo import (
     SLOViolation,
     evaluate_slo,
     evaluate_slos,
-    tenant_points,
 )
 from repro.sla.units import (
     OPS_PER_SECOND,
@@ -60,7 +60,6 @@ __all__ = [
     "evaluate_slo",
     "evaluate_slos",
     "from_native_rate",
-    "tenant_points",
     "to_native_rate",
 ]
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from repro.experiments.reporting import format_matchup
 
 __all__ = [
+    "OK_COLUMN",
+    "SCORE_COLUMNS",
     "ScorecardRow",
     "render_scorecard",
     "scenario_scorecard",
@@ -39,6 +41,20 @@ class ScorecardRow:
     #: recorded no latency distributions).
     p95_ms: float = 0.0
     p99_ms: float = 0.0
+
+
+#: The metric columns of every controller matchup, as ``(label, format)``
+#: pairs over any row carrying the :class:`ScorecardRow` metric fields (the
+#: campaign's seed-averaged rows do too); :data:`OK_COLUMN` closes a table.
+SCORE_COLUMNS = (
+    ("ops/s", lambda row: f"{row.mean_throughput:,.0f}"),
+    ("viol-min", lambda row: f"{row.violation_minutes:.1f}"),
+    ("p95-ms", lambda row: f"{row.p95_ms:.2f}"),
+    ("p99-ms", lambda row: f"{row.p99_ms:.2f}"),
+    ("cost", lambda row: f"{row.cost:.3f}"),
+    ("mach-min", lambda row: f"{row.machine_minutes:.1f}"),
+)
+OK_COLUMN = ("ok", lambda row: "yes" if row.assertions_passed else "NO")
 
 
 def scorecard_row(result) -> ScorecardRow:
@@ -97,13 +113,5 @@ def render_scorecard(rows: list[ScorecardRow]) -> str:
         rows,
         key=lambda row: row.scenario,
         group=lambda row: row.controller,
-        columns=[
-            ("ops/s", lambda row: f"{row.mean_throughput:,.0f}"),
-            ("viol-min", lambda row: f"{row.violation_minutes:.1f}"),
-            ("p95-ms", lambda row: f"{row.p95_ms:.2f}"),
-            ("p99-ms", lambda row: f"{row.p99_ms:.2f}"),
-            ("cost", lambda row: f"{row.cost:.3f}"),
-            ("mach-min", lambda row: f"{row.machine_minutes:.1f}"),
-            ("ok", lambda row: "yes" if row.assertions_passed else "NO"),
-        ],
+        columns=[*SCORE_COLUMNS, OK_COLUMN],
     )

@@ -27,9 +27,16 @@ __all__ = [
     "SLOViolation",
     "evaluate_slo",
     "evaluate_slos",
-    "post_warmup_points",
-    "tenant_points",
 ]
+
+#: The latency ceilings in judging precedence: the violation kind, the
+#: :class:`SLODefinition` field holding the ceiling, and the
+#: :class:`~repro.experiments.harness.TenantSeriesPoint` field it bounds.
+_CEILINGS = (
+    ("latency", "latency_ceiling_ms", "latency_ms"),
+    ("p95", "p95_ceiling_ms", "p95_ms"),
+    ("p99", "p99_ceiling_ms", "p99_ms"),
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,7 @@ class SLODefinition:
     simulator warming up.  The warmup is measured from the start of the
     *tenant's* first recorded window (a mid-run arrival gets the same ramp
     grace as a run-start tenant), and a sample is exempt unless its whole
-    sampling window lies past it (see :func:`post_warmup_points`).
+    sampling window lies past it (see :func:`_post_warmup_points`).
     """
 
     tenant: str
@@ -65,24 +72,15 @@ class SLODefinition:
     p99_ceiling_ms: float | None = None
 
     def __post_init__(self) -> None:
-        bounds = (
-            self.latency_ceiling_ms,
-            self.p95_ceiling_ms,
-            self.p99_ceiling_ms,
-            self.throughput_floor,
-        )
-        if all(bound is None for bound in bounds):
+        ceilings = [(kind, getattr(self, field)) for kind, field, _ in _CEILINGS]
+        if self.throughput_floor is None and all(c is None for _, c in ceilings):
             raise ValueError(
                 f"SLO for tenant {self.tenant!r} needs a latency/percentile "
                 "ceiling and/or a throughput floor"
             )
-        for label, ceiling in (
-            ("latency", self.latency_ceiling_ms),
-            ("p95", self.p95_ceiling_ms),
-            ("p99", self.p99_ceiling_ms),
-        ):
+        for kind, ceiling in ceilings:
             if ceiling is not None and ceiling <= 0:
-                raise ValueError(f"{label} ceiling must be positive")
+                raise ValueError(f"{kind} ceiling must be positive")
         if self.throughput_floor is not None and self.throughput_floor < 0:
             raise ValueError("throughput floor must be non-negative")
         # Reject unknown units at declaration time, not at evaluation time:
@@ -91,13 +89,11 @@ class SLODefinition:
 
     def describe(self) -> str:
         """Canonical one-line rendering, e.g. ``A: latency<=40ms p95<=60ms``."""
-        bounds = []
-        if self.latency_ceiling_ms is not None:
-            bounds.append(f"latency<={self.latency_ceiling_ms:g}ms")
-        if self.p95_ceiling_ms is not None:
-            bounds.append(f"p95<={self.p95_ceiling_ms:g}ms")
-        if self.p99_ceiling_ms is not None:
-            bounds.append(f"p99<={self.p99_ceiling_ms:g}ms")
+        bounds = [
+            f"{kind}<={getattr(self, field):g}ms"
+            for kind, field, _ in _CEILINGS
+            if getattr(self, field) is not None
+        ]
         if self.throughput_floor is not None:
             bounds.append(f"throughput>={self.throughput_floor:g}{self.unit}")
         return f"{self.tenant}: " + " ".join(bounds)
@@ -134,7 +130,8 @@ class SLOReport:
         """Whether the promise held for the whole (post-warmup) run."""
         return not self.violations
 
-def tenant_points(run, tenant: str) -> list:
+
+def _tenant_points(run, tenant: str) -> list:
     """A tenant's recorded series, accepting scenario or binding names."""
     series = run.tenant_series
     points = series.get(binding_name(tenant))
@@ -143,7 +140,7 @@ def tenant_points(run, tenant: str) -> list:
     return points
 
 
-def post_warmup_points(points, warmup_minutes: float) -> list:
+def _post_warmup_points(points, warmup_minutes: float) -> list:
     """Samples whose whole window lies past the warmup exemption.
 
     Each recorded sample is a *window mean* ending at its ``minute``, so a
@@ -203,73 +200,36 @@ def evaluate_slo(slo: SLODefinition, run, sample_minutes: float = 1.0) -> SLORep
     each observed ops/s sample into that unit before comparing, and the
     violation's ``observed``/``bound`` are recorded natively.
     """
-    points = post_warmup_points(tenant_points(run, slo.tenant), slo.warmup_minutes)
-    violations: list[SLOViolation] = []
-
-    def percentile_observed(point, percentile: int) -> float:
-        observed = getattr(point, f"p{percentile}_ms", None)
-        if observed is None:
-            raise ValueError(
-                f"SLO for tenant {slo.tenant!r} declares a p{percentile} ceiling "
-                "but the run recorded no latency distributions (was the "
-                "run built by hand, without a harness?)"
-            )
-        return observed
-
-    for point in points:
-        if (
-            slo.latency_ceiling_ms is not None
-            and point.latency_ms > slo.latency_ceiling_ms
-        ):
-            violations.append(
-                SLOViolation(
-                    minute=point.minute,
-                    kind="latency",
-                    observed=point.latency_ms,
-                    bound=slo.latency_ceiling_ms,
-                )
-            )
-        elif (
-            slo.p95_ceiling_ms is not None
-            and percentile_observed(point, 95) > slo.p95_ceiling_ms
-        ):
-            violations.append(
-                SLOViolation(
-                    minute=point.minute,
-                    kind="p95",
-                    observed=point.p95_ms,
-                    bound=slo.p95_ceiling_ms,
-                )
-            )
-        elif (
-            slo.p99_ceiling_ms is not None
-            and percentile_observed(point, 99) > slo.p99_ceiling_ms
-        ):
-            violations.append(
-                SLOViolation(
-                    minute=point.minute,
-                    kind="p99",
-                    observed=point.p99_ms,
-                    bound=slo.p99_ceiling_ms,
-                )
-            )
-        elif slo.throughput_floor is not None:
-            observed = to_native_rate(slo.unit, point.throughput)
-            if observed < slo.throughput_floor:
-                violations.append(
-                    SLOViolation(
-                        minute=point.minute,
-                        kind="throughput",
-                        observed=observed,
-                        bound=slo.throughput_floor,
-                    )
-                )
+    points = _post_warmup_points(_tenant_points(run, slo.tenant), slo.warmup_minutes)
+    violations = [_first_violation(slo, point) for point in points]
     return SLOReport(
         slo=slo,
         samples=len(points),
         sample_minutes=sample_minutes,
-        violations=tuple(violations),
+        violations=tuple(v for v in violations if v is not None),
     )
+
+
+def _first_violation(slo: SLODefinition, point) -> SLOViolation | None:
+    """The bound ``point`` breaks first in judging precedence, if any."""
+    for kind, field, observed_field in _CEILINGS:
+        bound = getattr(slo, field)
+        if bound is None:
+            continue
+        observed = getattr(point, observed_field)
+        if observed is None:
+            raise ValueError(
+                f"SLO for tenant {slo.tenant!r} declares a {kind} ceiling "
+                "but the run recorded no latency distributions (was the "
+                "run built by hand, without a harness?)"
+            )
+        if observed > bound:
+            return SLOViolation(point.minute, kind, observed, bound)
+    if slo.throughput_floor is not None:
+        observed = to_native_rate(slo.unit, point.throughput)
+        if observed < slo.throughput_floor:
+            return SLOViolation(point.minute, "throughput", observed, slo.throughput_floor)
+    return None
 
 
 def evaluate_slos(slos, run, sample_minutes: float = 1.0) -> list[SLOReport]:

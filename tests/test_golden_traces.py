@@ -325,9 +325,7 @@ class TestCatalogCoverage:
             if golden["slo"]:
                 bounded.add(scenario)
             for verdict in golden["assertions"]:
-                if verdict["assertion"].startswith(
-                    ("LatencyWithin", "SLOViolationsBelow", "CostCeiling")
-                ):
+                if verdict["assertion"].startswith(("SLOViolationsBelow", "CostCeiling")):
                     bounded.add(scenario)
         assert len(bounded) >= 6, (
             f"only {sorted(bounded)} declare SLO/cost expectations"
@@ -335,20 +333,27 @@ class TestCatalogCoverage:
 
     def test_catalog_declares_percentile_slos(self):
         """At least three scenarios promise tail latency, under both
-        controllers, and their LatencyPercentileWithin verdicts are
-        serialised (and pass) in the goldens."""
+        controllers, and judge that tenant's SLO with a passing
+        ``SLOViolationsBelow`` verdict serialised in the goldens."""
         declared = set()
         for scenario, controller in COMBOS:
             golden = _load_golden(scenario, controller)
-            has_slo = any(
-                "p95<=" in entry["slo"] or "p99<=" in entry["slo"]
+            tail_tenants = {
+                entry["tenant"]
                 for entry in golden["slo"]
-            )
-            has_verdict = any(
-                verdict["assertion"].startswith("LatencyPercentileWithin")
+                if "p95<=" in entry["slo"] or "p99<=" in entry["slo"]
+            }
+            if any(
+                verdict["passed"]
+                and verdict["assertion"].startswith(
+                    (
+                        f"SLOViolationsBelow(tenant={tenant!r})",
+                        f"SLOViolationsBelow(tenant={tenant!r}, ",
+                    )
+                )
+                for tenant in tail_tenants
                 for verdict in golden["assertions"]
-            )
-            if has_slo and has_verdict:
+            ):
                 declared.add((scenario, controller))
         scenarios = {scenario for scenario, _ in declared}
         assert len(scenarios) >= 3, (

@@ -525,20 +525,38 @@ class TestFaultEvents:
         assert context.crash_node("rs-9") == "rs-9 not in cluster"
         assert simulator.crashed_nodes == []
 
+    @staticmethod
+    def _run_to_the_end(scenario, controller, nodes):
+        from repro.campaign.grid import ScaleSpec, apply_scale
+
+        spec = apply_scale(
+            CANNED_SCENARIOS[scenario], ScaleSpec(f"{nodes}n", initial_nodes=nodes)
+        )
+        result = run_scenario(spec, controller)
+        assert result.simulator.clock.now == pytest.approx(spec.duration_minutes * 60.0)
+        return result
+
     @pytest.mark.parametrize("controller", CONTROLLERS)
     @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
     def test_every_scenario_completes_on_one_node(self, scenario, controller):
         """Once the only node is down, an anonymous fault finds no victim:
         it is an annotated no-op, never an aborted run."""
-        from repro.campaign.grid import ScaleSpec, apply_scale
-
-        spec = apply_scale(CANNED_SCENARIOS[scenario], ScaleSpec("1n", initial_nodes=1))
-        result = run_scenario(spec, controller)
-        assert result.simulator.clock.now == pytest.approx(spec.duration_minutes * 60.0)
+        result = self._run_to_the_end(scenario, controller, nodes=1)
         if (scenario, controller) == ("node_fault", "none"):
             fired = [(a.label, a.detail) for a in result.run.annotations]
             assert ("node-slowdown", "no online node") in fired
             assert ("node-recovery", "no victim") in fired
+
+    @pytest.mark.parametrize("nodes", [2, 3])
+    @pytest.mark.parametrize("controller", CONTROLLERS)
+    @pytest.mark.parametrize("scenario", sorted(CANNED_SCENARIOS))
+    def test_every_scenario_completes_on_two_or_three_nodes(
+        self, scenario, controller, nodes
+    ):
+        """The rest of the degenerate-scale sweep: every canned scenario,
+        storms and cascades included, runs to its end on two and three
+        nodes under every controller."""
+        self._run_to_the_end(scenario, controller, nodes)
 
     def test_crash_recover_crash_cascade(self):
         """The cascading-failure primitive: a second crash lands while the

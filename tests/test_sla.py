@@ -8,6 +8,7 @@ must fail with a clear "regenerate" message, not a wall of value diffs).
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,8 +23,6 @@ from repro.experiments.reporting import format_matchup
 from repro.scenarios import (
     CANNED_SCENARIOS,
     CostCeiling,
-    LatencyPercentileWithin,
-    LatencyWithin,
     SLOViolationsBelow,
     TraceFormatError,
     controller_actions,
@@ -326,49 +325,28 @@ class TestPricingTiers:
 
 
 class TestSLAAssertions:
-    def test_latency_within_passes_and_fails(self):
-        run = make_run(points=[(1.0, 900.0, 10.0), (2.0, 900.0, 30.0)])
-        result = SimpleNamespace(run=run)
-        assert LatencyWithin(tenant="A", ceiling_ms=35.0).evaluate(result).passed
-        verdict = LatencyWithin(tenant="A", ceiling_ms=20.0).evaluate(result)
-        assert not verdict.passed
-        assert "peak 30.00ms" in verdict.detail
-
-    def test_latency_within_fails_on_silent_series(self):
-        verdict = LatencyWithin(tenant="A", ceiling_ms=35.0).evaluate(
-            SimpleNamespace(run=make_run(tenant="other"))
+    def test_slo_violations_below_fails_on_a_tail_spike_under_a_flat_mean(self):
+        # The mean stays at 10ms throughout, so only the percentile
+        # ceilings can see the spike a window mean hides: first in p95,
+        # then in p99 alone.
+        slo = SLODefinition(
+            tenant="A", latency_ceiling_ms=20.0, p95_ceiling_ms=20.0, p99_ceiling_ms=40.0
         )
-        assert not verdict.passed
-        assert "no latency samples" in verdict.detail
-
-    def test_latency_percentile_within_passes_and_fails(self):
-        run = make_run(
-            points=[(1.0, 900.0, 10.0, 12.0, 15.0), (2.0, 900.0, 10.0, 30.0, 45.0)]
-        )
-        result = SimpleNamespace(run=run)
-        assert LatencyPercentileWithin(tenant="A", ceiling_ms=35.0).evaluate(result).passed
-        verdict = LatencyPercentileWithin(tenant="A", ceiling_ms=20.0).evaluate(result)
-        assert not verdict.passed
-        assert "peak p95 30.00ms" in verdict.detail
-        verdict = LatencyPercentileWithin(
-            tenant="A", percentile=99, ceiling_ms=40.0
-        ).evaluate(result)
-        assert not verdict.passed
-        assert "peak p99 45.00ms" in verdict.detail
-
-    def test_latency_percentile_within_rejects_unrecorded_percentiles(self):
-        with pytest.raises(ValueError, match="percentile must be 95 or 99"):
-            LatencyPercentileWithin(tenant="A", percentile=50)
-
-    def test_latency_percentile_within_fails_without_distributions(self):
-        # Samples exist but carry no quantiles (distributions disabled):
-        # a tail promise must not pass vacuously.
-        run = make_run(points=[(1.0, 900.0, 10.0), (2.0, 900.0, 10.0)])
-        verdict = LatencyPercentileWithin(tenant="A", ceiling_ms=35.0).evaluate(
-            SimpleNamespace(run=run)
-        )
-        assert not verdict.passed
-        assert "no p95 samples" in verdict.detail
+        for p95, p99, kind in [(30.0, 32.0, "p95"), (12.0, 45.0, "p99")]:
+            run = make_run(
+                points=[
+                    (1.0, 900.0, 10.0, 12.0, 15.0),
+                    (2.0, 900.0, 10.0, 12.0, 15.0),
+                    (3.0, 900.0, 10.0, p95, p99),
+                ]
+            )
+            report = evaluate_slo(slo, run)
+            assert [(v.kind, v.minute) for v in report.violations] == [(kind, 3.0)]
+            verdict = SLOViolationsBelow(tenant="A", max_violation_minutes=0.0).evaluate(
+                SimpleNamespace(slo_reports=[report])
+            )
+            assert not verdict.passed
+            assert "1.0 violation-minutes over 2 judged samples" in verdict.detail
 
     def test_slo_violations_below_reads_spec_reports(self):
         run = make_run(points=[(1.0, 900.0, 10.0), (2.0, 900.0, 60.0), (3.0, 900.0, 10.0)])
@@ -482,6 +460,15 @@ class TestScorecard:
         assert "g1:v" in text
 
 
+def _load_regen_script():
+    spec = importlib.util.spec_from_file_location(
+        "regen_goldens", Path(__file__).parent.parent / "scripts" / "regen_goldens.py"
+    )
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    return regen
+
+
 class TestTraceBackCompat:
     def test_format2_fixture_fails_with_regenerate_hint(self):
         fixture = FIXTURES / "flash_crowd__met.format2.json"
@@ -500,11 +487,7 @@ class TestTraceBackCompat:
         assert golden["tenant_series"]
 
     def test_regen_check_reports_format_staleness_distinctly(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "regen_goldens", Path(__file__).parent.parent / "scripts" / "regen_goldens.py"
-        )
-        regen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(regen)
+        regen = _load_regen_script()
 
         stale = tmp_path / "some__met.json"
         stale.write_text((FIXTURES / "flash_crowd__met.format2.json").read_text())
@@ -541,3 +524,32 @@ class TestTraceBackCompat:
         # cross-schema value diffs that would bury real same-format drift.
         assert "stale trace format" in diff_text
         assert diff_text.count(stale.name) == 1
+
+    def test_regen_names_the_top_level_keys_an_update_moved(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        regen = _load_regen_script()
+        payload = (Path(__file__).parent / "golden" / "flash_crowd__met.json").read_text()
+        trace = json.loads(payload)
+        moved = dict(trace, slo=[], assertions=trace["assertions"][:1])
+        moved.pop("cost")
+        assert regen.changed_keys(json.dumps(moved), payload) == [
+            "assertions", "cost", "slo",
+        ]
+        assert regen.changed_keys(payload, payload) == []
+        assert regen.changed_keys(payload[:100], payload) == sorted(trace)
+
+        same = tmp_path / "same__met.json"
+        same.write_text(payload)
+        updated = tmp_path / "updated__met.json"
+        updated.write_text(json.dumps(dict(trace, seed=7)))
+        monkeypatch.setattr(regen, "PAPER_DIR", tmp_path)
+        monkeypatch.setattr(
+            regen, "expected_payloads", lambda: {same: payload, updated: payload}
+        )
+        regen.regenerate()
+        assert capsys.readouterr().out.splitlines() == [
+            f"unchanged {same}",
+            f"updated   {updated} (seed)",
+        ]
+        assert updated.read_text() == payload
