@@ -22,13 +22,13 @@ def _partitions(count: int, seed: int = 0) -> dict[str, PartitionSample]:
         reads = rng.uniform(0, 10_000)
         writes = rng.uniform(0, 10_000)
         scans = rng.uniform(0, 1_000)
+        rng.uniform(1e8, 1e9)  # unused draw, kept so the generated counts do not change
         partitions[f"part-{index}"] = PartitionSample(
             partition_id=f"part-{index}",
             node=f"node-{index % 50}",
             reads=reads,
             writes=writes,
             scans=scans,
-            size_bytes=rng.uniform(1e8, 1e9),
         )
     return partitions
 
@@ -44,7 +44,7 @@ def test_lpt_assignment_scales(benchmark):
     """LPT-assign 2,000 partitions onto 100 nodes."""
     rng = random.Random(1)
     members = [
-        PartitionSample(f"p-{i}", None, rng.uniform(0, 10_000), 0.0, 0.0, 1e8)
+        PartitionSample(f"p-{i}", None, rng.uniform(0, 10_000), 0.0, 0.0)
         for i in range(2_000)
     ]
     nodes = [f"node-{i}" for i in range(100)]

@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     print(table)
     if args.seeds > 1:
         print()
-        print(render_seed_quantile_table(records, metric="p99_ms"))
+        print(render_seed_quantile_table(records))
     if args.table_out is not None:
         args.table_out.write_text(table + "\n")
         print(f"table -> {args.table_out}")

@@ -43,27 +43,32 @@ class AggregateRow:
     @property
     def label(self) -> str:
         """Row label: scenario, with the scale suffixed when not baseline."""
-        return self.scenario if self.scale == "1x" else f"{self.scenario}@{self.scale}"
+        return _label(self.scenario, self.scale)
+
+
+def _label(scenario: str, scale: str) -> str:
+    return scenario if scale == "1x" else f"{scenario}@{scale}"
+
+
+def _group_by_cell(records: list[dict]) -> dict[tuple[str, str, str], list[dict]]:
+    """Records bucketed by (scenario, scale, controller), in order of first
+    appearance -- i.e. grid order when the store was written by
+    :func:`~repro.campaign.runner.run_campaign`."""
+    groups: dict[tuple[str, str, str], list[dict]] = {}
+    for record in records:
+        key = (record["scenario"], record["scale"], record["controller"])
+        groups.setdefault(key, []).append(record)
+    return groups
 
 
 def aggregate_records(records: list[dict]) -> list[AggregateRow]:
     """Average store records over the seed axis.
 
     Rows come back grouped by first appearance of (scenario, scale), then
-    controller -- i.e. grid order when the store was written by
-    :func:`~repro.campaign.runner.run_campaign`.
+    controller.
     """
-    order: list[tuple[str, str, str]] = []
-    buckets: dict[tuple[str, str, str], list[dict]] = {}
-    for record in records:
-        key = (record["scenario"], record["scale"], record["controller"])
-        if key not in buckets:
-            order.append(key)
-            buckets[key] = []
-        buckets[key].append(record)
     rows: list[AggregateRow] = []
-    for scenario, scale, controller in order:
-        group = buckets[(scenario, scale, controller)]
+    for (scenario, scale, controller), group in _group_by_cell(records).items():
         count = len(group)
 
         def mean(field: str, default: float = 0.0) -> float:
@@ -98,12 +103,13 @@ def render_campaign_table(records: list[dict]) -> str:
     )
 
 
-def render_seed_quantile_table(
-    records: list[dict],
-    metric: str = "p99_ms",
-    points: tuple[int, ...] = (5, 25, 50, 75, 95),
-) -> str:
-    """Quantiles of ``metric`` over the seed axis, one group per line.
+#: Seed-axis quantiles the p99 table reports.
+_QUANTILE_POINTS = (5, 25, 50, 75, 95)
+
+
+def render_seed_quantile_table(records: list[dict]) -> str:
+    """Quantiles of each run's peak p99 latency over the seed axis, one
+    group per line.
 
     The aggregate table answers "what happens on average"; this one answers
     "how bad does the unlucky seed get" -- the question a tail-latency SLO
@@ -111,23 +117,14 @@ def render_seed_quantile_table(
     controller) order as :func:`aggregate_records`; quantiles are the
     linearly interpolated :func:`~repro.experiments.reporting.percentiles`.
     """
-    order: list[tuple[str, str, str]] = []
-    buckets: dict[tuple[str, str, str], list[float]] = {}
-    for record in records:
-        key = (record["scenario"], record["scale"], record["controller"])
-        if key not in buckets:
-            order.append(key)
-            buckets[key] = []
-        buckets[key].append(float(record.get(metric, 0.0)))
-    headers = ["scenario", "controller", "seeds"] + [f"p{p}" for p in points]
+    headers = ["scenario", "controller", "seeds"] + [f"p{p}" for p in _QUANTILE_POINTS]
     rows = []
-    for scenario, scale, controller in order:
-        values = buckets[(scenario, scale, controller)]
-        label = scenario if scale == "1x" else f"{scenario}@{scale}"
-        spread = percentiles(values, points=points)
+    for (scenario, scale, controller), group in _group_by_cell(records).items():
+        values = [float(record.get("p99_ms", 0.0)) for record in group]
+        spread = percentiles(values, points=_QUANTILE_POINTS)
         rows.append(
-            [label, controller, str(len(values))]
-            + [f"{spread[p]:.2f}" for p in points]
+            [_label(scenario, scale), controller, str(len(values))]
+            + [f"{spread[p]:.2f}" for p in _QUANTILE_POINTS]
         )
-    return f"seed-axis quantiles of {metric}\n" + format_table(headers, rows)
+    return "seed-axis quantiles of p99_ms\n" + format_table(headers, rows)
 

@@ -53,7 +53,6 @@ class ActuatorReport:
 class _InFlightPlan:
     """Mutable execution state of the plan currently being applied."""
 
-    plan: ReconfigurationPlan
     placeholder_map: dict[str, str] = field(default_factory=dict)
     pending_restarts: list[NodeTarget] = field(default_factory=list)
     restarting: NodeTarget | None = None
@@ -89,7 +88,7 @@ class Actuator:
             return False
         if plan.is_noop():
             return False
-        state = _InFlightPlan(plan=plan)
+        state = _InFlightPlan()
         # Provision new nodes immediately with the profile they will serve, so
         # no later restart is needed for them.
         for target in plan.targets:

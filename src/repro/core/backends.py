@@ -35,11 +35,7 @@ class SimulatorBackend:
 
     def node_system_metrics(self, name: str) -> dict[str, float]:
         node = self.simulator.nodes[name]
-        return {
-            "cpu": node.cpu_utilization,
-            "io_wait": node.io_wait,
-            "memory": node.memory_utilization,
-        }
+        return {"cpu": node.cpu_utilization, "io_wait": node.io_wait}
 
     def node_locality(self, name: str) -> float:
         return self.simulator.node_locality_index(name)
@@ -50,8 +46,7 @@ class SimulatorBackend:
     def partition_stats(self) -> dict[str, PartitionSample]:
         return {
             region_id: PartitionSample(
-                region_id, region.node, region.reads, region.writes, region.scans,
-                region.size_bytes,
+                region_id, region.node, region.reads, region.writes, region.scans
             )
             for region_id, region in self.simulator.regions.items()
         }

@@ -66,8 +66,6 @@ class ClusterHealth:
     acceptable: bool
     overloaded_fraction: float
     underloaded: bool
-    overloaded_nodes: list[str] = field(default_factory=list)
-    underloaded_nodes: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -111,7 +109,7 @@ class DecisionMaker:
     # ------------------------------------------------------------------ #
     def stage_a(self, snapshot: ClusterSnapshot) -> ClusterHealth:
         """Determine whether the cluster load is acceptable."""
-        online = [node for node in snapshot.nodes.values() if node.online]
+        online = list(snapshot.nodes.values())
         if not online:
             return ClusterHealth(acceptable=True, overloaded_fraction=0.0, underloaded=False)
         overloaded = [n.name for n in online if n.load > self.parameters.overload_threshold]
@@ -130,8 +128,6 @@ class DecisionMaker:
             acceptable=acceptable,
             overloaded_fraction=overloaded_fraction,
             underloaded=cluster_underloaded,
-            overloaded_nodes=overloaded,
-            underloaded_nodes=underloaded,
         )
 
     # ------------------------------------------------------------------ #
@@ -147,7 +143,7 @@ class DecisionMaker:
         first_time = self.sizing.first_time
         sizing = self.sizing.decide(health.overloaded_fraction, remove=health.underloaded)
 
-        online_nodes = [name for name, node in snapshot.nodes.items() if node.online]
+        online_nodes = list(snapshot.nodes)
         current_size = len(online_nodes)
         new_size = current_size + sizing.delta
         new_size = max(self.parameters.min_nodes, min(self.parameters.max_nodes, new_size))

@@ -18,7 +18,17 @@ from repro.monitoring.collector import MetricsSource
 
 @runtime_checkable
 class ClusterActions(Protocol):
-    """Actuation interface of a cluster backend."""
+    """Actuation interface of a cluster backend.
+
+    It includes the two reads the Actuator makes while it applies a plan:
+    whether a target node still exists, and its locality index.
+    """
+
+    def node_names(self) -> list[str]:
+        """Names of all nodes, including ones still booting."""
+
+    def node_locality(self, name: str) -> float:
+        """Locality index of a node in [0, 1]."""
 
     def add_node(self, config: RegionServerConfig, profile_name: str) -> str:
         """Provision a new node (may boot asynchronously); returns its name."""

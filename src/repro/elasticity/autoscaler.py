@@ -25,7 +25,6 @@ class AutoscalerAction(str, enum.Enum):
 
     ADD_NODE = "add_node"
     REMOVE_NODE = "remove_node"
-    RECONFIGURE = "reconfigure"
     NONE = "none"
     HEALTHY = "healthy"
     PLAN = "plan"

@@ -2,7 +2,7 @@
 
 The baseline the paper compares against in Section 6.4.  Like Amazon Cloud
 Watch + Auto Scaling, it is oblivious to the underlying NoSQL system: it
-watches system-level metrics only (CPU usage, memory, I/O wait), adds a node
+watches system-level metrics only (CPU usage and I/O wait), adds a node
 when enough nodes exceed the high threshold, and removes a node only when
 *every* node in the cluster is under-utilised (this behaviour is not
 parameterisable -- Section 6.4).  It never reconfigures nodes, never
@@ -30,6 +30,7 @@ windowing rule MeT's monitor documents in :mod:`repro.monitoring.smoothing`:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.interfaces import ClusterBackend
@@ -77,7 +78,7 @@ class Tiramola(Autoscaler):
             backend, self.policy.monitor_period_seconds, self.policy.cooldown_seconds
         )
         self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
-        self._samples: dict[str, list[float]] = {}
+        self._samples: dict[str, deque[float]] = {}
         self._samples_taken = 0
 
     # ------------------------------------------------------------------ #
@@ -133,10 +134,7 @@ class Tiramola(Autoscaler):
         for name in self.backend.online_node_names():
             metrics = self.backend.node_system_metrics(name)
             load = max(metrics.get("cpu", 0.0), metrics.get("io_wait", 0.0))
-            values = self._samples.setdefault(name, [])
-            values.append(load)
-            if len(values) > window:
-                del values[: len(values) - window]
+            self._samples.setdefault(name, deque(maxlen=window)).append(load)
 
     def _reset_window(self) -> None:
         """Discard the observation window (after each decision/action)."""

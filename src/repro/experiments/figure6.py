@@ -53,11 +53,6 @@ class Figure6Result:
         met_ops = self.met.operations_until(self.phase1_minutes)
         return met_ops / tiramola_ops if tiramola_ops > 0 else float("inf")
 
-    @property
-    def met_uses_fewer_machines(self) -> bool:
-        """Whether MeT reached its peak with fewer machines than tiramola."""
-        return self.met_peak_nodes <= self.tiramola_peak_nodes
-
 
 def run_figure6(specs: dict[str, ScenarioSpec] = FIGURE6) -> Figure6Result:
     """Run the elasticity experiment for MeT and tiramola.

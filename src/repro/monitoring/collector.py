@@ -3,12 +3,12 @@
 The paper's Monitor (Sections 4.1 and 5) reads two sources, and
 :class:`MetricsCollector` maps each onto one call:
 
-* :meth:`MetricsCollector.sample` is the Ganglia poll -- CPU usage, I/O wait
-  and memory of every online node, fed into exponential smoothers;
+* :meth:`MetricsCollector.sample` is the Ganglia poll -- CPU usage and I/O
+  wait of every online node, fed into exponential smoothers (Stage A);
 * :meth:`MetricsCollector.snapshot` is the JMX read -- per-partition read,
-  write and scan counters (as deltas since the last actuator action) and
-  each node's locality index and profile -- bundled with the smoothed
-  system metrics into a :class:`ClusterSnapshot`.
+  write and scan counters as deltas since the last actuator action (Stage
+  C) and each online node's profile -- bundled with the smoothed system
+  metrics into a :class:`ClusterSnapshot`.
 
 The controller decides *when*: MeT samples every monitoring period (30 s in
 the paper) and asks for a snapshot every ``decision_samples`` samples (6,
@@ -26,17 +26,11 @@ from repro.monitoring.smoothing import ExponentialSmoother
 class MetricsSource(Protocol):
     """Observation interface any cluster backend must provide."""
 
-    def node_names(self) -> list[str]:
-        """Names of all nodes, including ones still booting."""
-
     def online_node_names(self) -> list[str]:
         """Names of nodes currently serving requests."""
 
     def node_system_metrics(self, name: str) -> dict[str, float]:
-        """System metrics for a node: ``cpu``, ``io_wait``, ``memory`` in [0, 1]."""
-
-    def node_locality(self, name: str) -> float:
-        """Locality index of a node in [0, 1]."""
+        """System metrics for a node: ``cpu`` and ``io_wait`` in [0, 1]."""
 
     def node_profile(self, name: str) -> str:
         """Name of the configuration profile currently applied to a node."""
@@ -45,9 +39,9 @@ class MetricsSource(Protocol):
         """Per-partition statistics, one fresh :class:`PartitionSample` each.
 
         The samples carry the cumulative ``reads``, ``writes`` and ``scans``
-        counters since the partition was created, its ``size_bytes`` and its
-        hosting ``node`` (or None); the collector turns them into windowed
-        counts by subtracting a baseline.
+        counters since the partition was created and its hosting ``node``
+        (or None); the collector turns them into windowed counts by
+        subtracting a baseline.
         """
 
 
@@ -58,10 +52,7 @@ class NodeSample:
     name: str
     cpu: float
     io_wait: float
-    memory: float
-    locality: float
     profile: str
-    online: bool = True
 
     @property
     def load(self) -> float:
@@ -82,7 +73,6 @@ class PartitionSample:
     reads: float
     writes: float
     scans: float
-    size_bytes: float
 
     @property
     def total_requests(self) -> float:
@@ -91,21 +81,19 @@ class PartitionSample:
 
 
 #: Baseline of a partition created after the last action: nothing counted yet.
-_NO_REQUESTS = PartitionSample("", None, 0.0, 0.0, 0.0, 0.0)
+_NO_REQUESTS = PartitionSample("", None, 0.0, 0.0, 0.0)
 
 
 @dataclass
 class ClusterSnapshot:
-    """Everything the Decision Maker needs for one decision round."""
+    """Everything the Decision Maker needs for one decision round.
+
+    ``nodes`` holds the online nodes only; ``partitions`` every partition.
+    """
 
     timestamp: float
     nodes: dict[str, NodeSample] = field(default_factory=dict)
     partitions: dict[str, PartitionSample] = field(default_factory=dict)
-
-    @property
-    def node_count(self) -> int:
-        """Number of online nodes in the snapshot."""
-        return sum(1 for node in self.nodes.values() if node.online)
 
     def partitions_on(self, node_name: str) -> list[PartitionSample]:
         """Partitions hosted by ``node_name``."""
@@ -136,10 +124,7 @@ class MetricsCollector:
     def sample(self) -> None:
         """Take one sample of every online node's system metrics."""
         self._samples_since_decision += 1
-        online = set(self.source.online_node_names())
-        for name in self.source.node_names():
-            if name not in online:
-                continue
+        for name in self.source.online_node_names():
             metrics = self.source.node_system_metrics(name)
             for metric, value in metrics.items():
                 self._smoother(name, metric).observe(value)
@@ -161,19 +146,15 @@ class MetricsCollector:
 
     def snapshot(self, now: float) -> ClusterSnapshot:
         """Build a snapshot from the smoothed observations."""
-        online = set(self.source.online_node_names())
-        nodes: dict[str, NodeSample] = {}
-        for name in self.source.node_names():
-            is_online = name in online
-            nodes[name] = NodeSample(
+        nodes = {
+            name: NodeSample(
                 name=name,
                 cpu=self._smoother(name, "cpu").value(),
                 io_wait=self._smoother(name, "io_wait").value(),
-                memory=self._smoother(name, "memory").value(),
-                locality=self.source.node_locality(name),
                 profile=self.source.node_profile(name),
-                online=is_online,
             )
+            for name in self.source.online_node_names()
+        }
         partitions: dict[str, PartitionSample] = {}
         current = self.source.partition_stats()
         for partition_id, stats in current.items():
@@ -184,7 +165,6 @@ class MetricsCollector:
                 reads=max(0.0, stats.reads - baseline.reads),
                 writes=max(0.0, stats.writes - baseline.writes),
                 scans=max(0.0, stats.scans - baseline.scans),
-                size_bytes=stats.size_bytes,
             )
         self._samples_since_decision = 0
         return ClusterSnapshot(timestamp=now, nodes=nodes, partitions=partitions)

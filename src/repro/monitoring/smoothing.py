@@ -9,6 +9,7 @@ observations taken before the last actuator action.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -24,19 +25,18 @@ class ExponentialSmoother:
 
     alpha: float = 0.5
     window: int = 6
-    _observations: list[float] = field(default_factory=list, repr=False)
+    _observations: deque[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window!r}")
+        self._observations = deque(maxlen=self.window)
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation; the oldest drops out of a full window."""
         self._observations.append(float(value))
-        if len(self._observations) > self.window:
-            self._observations = self._observations[-self.window :]
 
     def reset(self) -> None:
         """Discard all observations (called after each actuator action)."""
@@ -51,11 +51,8 @@ class ExponentialSmoother:
         """Smoothed value; the most recent observation weighs the most."""
         if not self._observations:
             return default
-        smoothed = self._observations[0]
-        for observation in self._observations[1:]:
+        observations = iter(self._observations)
+        smoothed = next(observations)
+        for observation in observations:
             smoothed = self.alpha * observation + (1.0 - self.alpha) * smoothed
         return smoothed
-
-    def raw(self) -> list[float]:
-        """The retained observations, oldest first."""
-        return list(self._observations)

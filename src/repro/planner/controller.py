@@ -22,6 +22,7 @@ active under the planner exactly as under MeT and Tiramola.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.interfaces import ClusterBackend
@@ -120,7 +121,7 @@ class PlannerController(Autoscaler):
         )
         self.model = model or DEFAULT_CALIBRATION
         self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
-        self._window: list[float] = []
+        self._window: deque[float] = deque(maxlen=self.policy.decision_samples)
         self._last_total: float | None = None
         self._last_total_time: float | None = None
         self._last_budget_block: int | None = None
@@ -138,7 +139,7 @@ class PlannerController(Autoscaler):
         if self._in_cooldown(now):
             return
         demand = max(self._window)
-        self._window = []
+        self._window.clear()
         online = self.backend.online_node_names()
         if not online:
             return
@@ -237,10 +238,7 @@ class PlannerController(Autoscaler):
         if self._last_total is not None and now > self._last_total_time:
             elapsed = now - self._last_total_time
             rate = max(0.0, total - self._last_total) / elapsed
-            window = self.policy.decision_samples
             self._window.append(rate)
-            if len(self._window) > window:
-                del self._window[: len(self._window) - window]
         self._last_total = total
         self._last_total_time = now
 

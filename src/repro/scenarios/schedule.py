@@ -76,11 +76,6 @@ class EventSchedule:
             return self.actions[self._cursor].time_seconds
         return None
 
-    @property
-    def pending(self) -> int:
-        """Number of actions not fired yet."""
-        return len(self.actions) - self._cursor
-
 
 def control_steps(
     spec: ScenarioSpec, start_minute: float, end_minute: float

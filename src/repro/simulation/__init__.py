@@ -3,8 +3,8 @@
 This package is the substitute for the paper's physical HBase testbed.  It
 models nodes with finite hardware budgets, data partitions with per-operation
 request rates, and a closed-loop client population, and it exposes the same
-observables the MeT Monitor consumes (CPU utilisation, I/O wait, memory,
-per-partition read/write/scan counters, locality index).
+observables MeT consumes (CPU utilisation, I/O wait, per-partition
+read/write/scan counters, locality index).
 """
 
 from repro.simulation.clock import SimulationClock

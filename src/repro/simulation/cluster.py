@@ -8,9 +8,8 @@ client populations, and advances them in fixed ticks.
 The simulator exposes exactly the observables and actions that the MeT
 framework, the tiramola baseline and the manual strategies need:
 
-* observables -- per-node system metrics (CPU, I/O wait, memory), per-node
-  locality index, per-region read/write/scan counters, per-tenant
-  throughput;
+* observables -- per-node CPU and I/O wait, per-node locality index,
+  per-region read/write/scan counters, per-tenant throughput;
 * actions -- add/remove nodes (with IaaS-like boot delays), reconfigure a
   node (drain + restart), move regions, trigger major compactions.
 
@@ -151,7 +150,6 @@ class SimulatedNode:
     pending_compaction_bytes: float = 0.0
     cpu_utilization: float = 0.0
     io_wait: float = 0.0
-    memory_utilization: float = 0.0
 
     @property
     def online(self) -> bool:
@@ -358,7 +356,7 @@ class ClusterSimulator:
     def grow_workload_data(self, workload: str, factor: float) -> int:
         """Multiply the size of every region of ``workload`` (data growth).
 
-        Region sizes drive hit ratios, memory and locality weights, so any
+        Region sizes drive hit ratios and locality weights, so any
         cached fixed point is dropped.  Returns the number of regions grown.
         """
         grown = 0
@@ -913,11 +911,9 @@ class ClusterSimulator:
             if result is None:
                 node.cpu_utilization = 0.0
                 node.io_wait = 0.0
-                node.memory_utilization = 0.0
             else:
                 node.cpu_utilization = min(1.0, result.cpu_utilization)
                 node.io_wait = min(1.0, result.io_wait)
-                node.memory_utilization = min(1.0, result.memory_utilization)
 
         if summaries:
             plan.distributions = tuple(

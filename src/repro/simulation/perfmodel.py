@@ -97,7 +97,6 @@ class NodeLoadResult:
     utilization: float
     cpu_utilization: float
     io_wait: float
-    memory_utilization: float
     network_utilization: float
     hit_ratio: float
     per_op_latency_ms: dict[str, float] = field(default_factory=dict)
@@ -220,10 +219,8 @@ class NodeEvaluator:
     """
 
     __slots__ = (
-        "hardware",
         "config",
         "region_ids",
-        "memory_utilization",
         "rows",
         "cache_eff_bytes",
         "cpu_budget",
@@ -233,7 +230,6 @@ class NodeEvaluator:
         "disk_ms",
         "blocks0",
         "scan_length0",
-        "_cache_bytes",
         "_amplification",
         "_memstore_bytes",
         "_block",
@@ -245,10 +241,8 @@ class NodeEvaluator:
         config: RegionServerConfig,
         regions: list,
     ) -> None:
-        self.hardware = hardware
         self.config = config
-        self._cache_bytes = config.block_cache_bytes(hardware.heap_bytes)
-        self.cache_eff_bytes = CACHE_EFFICIENCY * self._cache_bytes
+        self.cache_eff_bytes = CACHE_EFFICIENCY * config.block_cache_bytes(hardware.heap_bytes)
         self.cpu_budget = hardware.cpu_millis_per_second
         self.disk_iops_budget = hardware.disk_iops
         self.disk_bytes_budget = hardware.disk_mb_per_second * MB
@@ -259,7 +253,6 @@ class NodeEvaluator:
 
         self.region_ids = [region.region_id for region in regions]
         self.rows = [self._build_row(region) for region in regions]
-        self._recompute_memory_utilization()
 
         # Latency statics, keyed on the first hosted region.
         record_size = regions[0].record_size if regions else 1024
@@ -306,28 +299,6 @@ class NodeEvaluator:
             region.hot_data_fraction,
         ]
 
-    def memory_utilization_at(self, hosted_bytes: float) -> float:
-        """Memory utilisation of this node while it hosts ``hosted_bytes``.
-
-        Only hosted bytes vary at a fixed config and hardware, so this is
-        the one place the formula lives for both solver loops.
-        """
-        hw = self.hardware
-        used = (
-            min(self._cache_bytes, hosted_bytes * 0.6)
-            + self._memstore_bytes * 0.5
-            + 0.6 * hw.heap_bytes * 0.2
-        )
-        return min(
-            1.0, (used + 0.5 * (hw.memory_bytes - hw.heap_bytes)) / hw.memory_bytes
-        )
-
-    def _recompute_memory_utilization(self) -> None:
-        hosted_bytes = 0.0
-        for row in self.rows:
-            hosted_bytes += row[ROW_SIZE_BYTES]
-        self.memory_utilization = self.memory_utilization_at(hosted_bytes)
-
     def refresh(self, regions: list) -> None:
         """Fold region size/locality drift into the precomputed rows.
 
@@ -338,11 +309,9 @@ class NodeEvaluator:
         immutable after region creation.
         """
         rows = self.rows
-        sizes_changed = False
         for index, region in enumerate(regions):
             row = rows[index]
             if row[ROW_LOCALITY] != region.locality:
-                sizes_changed = sizes_changed or row[ROW_SIZE_BYTES] != region.size_bytes
                 rows[index] = self._build_row(region)
             elif row[ROW_SIZE_BYTES] != region.size_bytes:
                 size = region.size_bytes
@@ -350,9 +319,6 @@ class NodeEvaluator:
                 row[ROW_HOT_BYTES] = size * hot_fraction
                 row[ROW_COLD_BYTES] = size * (1.0 - hot_fraction)
                 row[ROW_SIZE_BYTES] = size
-                sizes_changed = True
-        if sizes_changed:
-            self._recompute_memory_utilization()
 
     def _demand_pass(
         self, rate_rows: list, background_disk_bytes_per_s: float
@@ -456,13 +422,10 @@ class NodeEvaluator:
         self, rate_rows: list, background_disk_bytes_per_s: float = 0.0
     ) -> NodeLoadResult:
         """Full evaluation of the node from rate rows."""
-        return self.load_result(
-            *self._demand_pass(rate_rows, background_disk_bytes_per_s),
-            self.memory_utilization,
-        )
+        return self.load_result(*self._demand_pass(rate_rows, background_disk_bytes_per_s))
 
     def load_result(
-        self, hit, miss, cpu, iops, disk_bytes, net, mean_locality, memory_utilization
+        self, hit, miss, cpu, iops, disk_bytes, net, mean_locality
     ) -> NodeLoadResult:
         """The node's :class:`NodeLoadResult` from its per-node float sums.
 
@@ -477,7 +440,6 @@ class NodeEvaluator:
             utilization=utilization,
             cpu_utilization=cpu_util,
             io_wait=io_wait,
-            memory_utilization=memory_utilization,
             network_utilization=net_util,
             hit_ratio=hit,
             per_op_latency_ms=self._latency_dict(hit, miss, utilization, mean_locality),

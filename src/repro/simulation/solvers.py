@@ -238,7 +238,6 @@ class _VectorContext:
         # size-dependent columns, refreshed every solve
         "hot_bytes",
         "cold_bytes",
-        "hosted_bytes",
         # workload structures
         "binding_fill",
         "binding_terms",
@@ -750,7 +749,6 @@ class EventSolver:
         hot_fraction = vec.coeffs[ROW_HOT_DATA_FRACTION]
         vec.hot_bytes = sizes * hot_fraction
         vec.cold_bytes = sizes * (1.0 - hot_fraction)
-        vec.hosted_bytes = np.add.reduceat(sizes, vec.offsets)
         background = np.array(
             [compaction_bg.get(name, 0.0) for name, _ in vec.nodes],
             dtype=np.float64,
@@ -774,10 +772,8 @@ class EventSolver:
         # formulas, so its latency dict holds exactly ``lat``'s floats.
         node_results: dict[str, object] = {}
         per_node = zip(*(column.tolist() for column in node_sums))
-        for (name, evaluator), sums, hosted in zip(vec.nodes, per_node, vec.hosted_bytes.tolist()):
-            node_results[name] = evaluator.load_result(
-                *sums, evaluator.memory_utilization_at(hosted)
-            )
+        for (name, evaluator), sums in zip(vec.nodes, per_node):
+            node_results[name] = evaluator.load_result(*sums)
         # Online nodes with no hosted regions (drained, freshly booted) go
         # through their own evaluator (cheap -- empty region list).
         for name, evaluator in vec.empty_nodes:

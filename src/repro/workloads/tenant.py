@@ -191,7 +191,6 @@ class TenantWorkload:
                 reads=total * spec.weight * reads,
                 writes=total * spec.weight * writes,
                 scans=total * spec.weight * scans,
-                size_bytes=spec.size_bytes,
             )
             for spec in specs
         ]

@@ -304,18 +304,11 @@ class PerformanceModel:
         net_util = demand.network_bytes / (hw.network_mb_per_second * MB)
         utilization = max(cpu_util, io_wait, net_util)
 
-        hosted_bytes = sum(r.size_bytes for r in regions)
-        cache_bytes = config.block_cache_bytes(hw.heap_bytes)
-        memstore_bytes = config.memstore_bytes(hw.heap_bytes)
-        used = min(cache_bytes, hosted_bytes * 0.6) + memstore_bytes * 0.5 + 0.6 * hw.heap_bytes * 0.2
-        memory_utilization = min(1.0, (used + 0.5 * (hw.memory_bytes - hw.heap_bytes)) / hw.memory_bytes)
-
         latencies = self._latencies(config, regions, hit, utilization)
         return NodeLoadResult(
             utilization=utilization,
             cpu_utilization=cpu_util,
             io_wait=io_wait,
-            memory_utilization=memory_utilization,
             network_utilization=net_util,
             hit_ratio=hit,
             per_op_latency_ms=latencies,

@@ -59,7 +59,7 @@ def installed(solver_cls):
 #: Evaluator row slots that track region size.
 _SIZE_SLOTS = (ROW_HOT_BYTES, ROW_COLD_BYTES, ROW_SIZE_BYTES)
 #: Context fields derived from region sizes alone.
-_SIZE_FIELDS = frozenset({"memory_utilization", "hot_bytes", "cold_bytes", "hosted_bytes"})
+_SIZE_FIELDS = frozenset({"hot_bytes", "cold_bytes"})
 
 
 def context_view(ctx) -> object:
@@ -126,7 +126,7 @@ def probe_nodes(sim):
     state through this probe.  It wraps the apply step: a span of ``k``
     ticks adds ``k`` rows, one at each tick end time the clock returned,
     each ``(time, ((name, state, cpu_utilization, io_wait,
-    memory_utilization, node_locality_index), ...))``.
+    node_locality_index), ...))``.
     """
     rows = _NODE_ROWS[sim] = []
     times: list[float] = []
@@ -144,7 +144,6 @@ def probe_nodes(sim):
                 node.state,
                 node.cpu_utilization,
                 node.io_wait,
-                node.memory_utilization,
                 sim.node_locality_index(name),
             )
             for name, node in sim.nodes.items()

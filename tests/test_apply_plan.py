@@ -91,7 +91,7 @@ def snapshot(sim: ClusterSimulator) -> str:
         for rid, r in sim.regions.items()
     }
     nodes = {
-        name: (n.state, n.cpu_utilization, n.io_wait, n.memory_utilization)
+        name: (n.state, n.cpu_utilization, n.io_wait)
         for name, n in sim.nodes.items()
     }
     bindings = {

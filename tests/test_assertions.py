@@ -263,7 +263,7 @@ class TestFireDueExactlyOnce:
         for now in sorted(cuts) + [600.0]:
             schedule.fire_due(now)
         assert sorted(fired) == list(range(len(times)))
-        assert schedule.pending == 0
+        assert schedule.next_time() is None
         # Firing order is by time, with ties in spec order.
         order = sorted(range(len(times)), key=lambda i: (times[i], i))
         assert fired == order

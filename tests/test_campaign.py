@@ -24,6 +24,7 @@ from repro.campaign import (
     apply_scale,
     derive_seed,
     render_campaign_table,
+    render_seed_quantile_table,
     run_campaign,
 )
 from repro.campaign.store import StoreCorruption
@@ -318,17 +319,17 @@ class TestAnalysis:
         {
             "scenario": "alpha", "scale": "1x", "controller": "met",
             "mean_throughput": 100.0, "violation_minutes": 2.0, "cost": 1.0,
-            "machine_minutes": 10.0, "assertions_passed": True,
+            "machine_minutes": 10.0, "assertions_passed": True, "p99_ms": 12.0,
         },
         {
             "scenario": "alpha", "scale": "1x", "controller": "met",
             "mean_throughput": 200.0, "violation_minutes": 0.0, "cost": 3.0,
-            "machine_minutes": 30.0, "assertions_passed": False,
+            "machine_minutes": 30.0, "assertions_passed": False, "p99_ms": 20.0,
         },
         {
             "scenario": "alpha", "scale": "1x", "controller": "tiramola",
             "mean_throughput": 150.0, "violation_minutes": 1.0, "cost": 2.0,
-            "machine_minutes": 20.0, "assertions_passed": True,
+            "machine_minutes": 20.0, "assertions_passed": True, "p99_ms": 15.0,
         },
     ]
 
@@ -346,6 +347,17 @@ class TestAnalysis:
         assert "met:viol-min" in table
         assert "tiramola:cost" in table
         assert "alpha" in table
+
+    def test_seed_quantile_table_is_pinned(self):
+        records = [*self.RECORDS, dict(self.RECORDS[0], scale="2x", p99_ms=30.0)]
+        assert render_seed_quantile_table(records).splitlines() == [
+            "seed-axis quantiles of p99_ms",
+            "scenario  controller  seeds  p5     p25    p50    p75    p95  ",
+            "--------  ----------  -----  -----  -----  -----  -----  -----",
+            "alpha     met         2      12.40  14.00  16.00  18.00  19.60",
+            "alpha     tiramola    1      15.00  15.00  15.00  15.00  15.00",
+            "alpha@2x  met         1      30.00  30.00  30.00  30.00  30.00",
+        ]
 
     def test_scale_suffix_only_off_baseline(self):
         records = [dict(self.RECORDS[0]), dict(self.RECORDS[0], scale="2x")]

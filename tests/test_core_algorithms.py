@@ -17,9 +17,7 @@ from repro.monitoring.collector import PartitionSample
 
 
 def sample(pid, reads=0.0, writes=0.0, scans=0.0, node="n1"):
-    return PartitionSample(
-        partition_id=pid, node=node, reads=reads, writes=writes, scans=scans, size_bytes=1e8
-    )
+    return PartitionSample(partition_id=pid, node=node, reads=reads, writes=writes, scans=scans)
 
 
 class TestProfiles:

@@ -182,7 +182,6 @@ def assert_node_matches(actual, expected) -> None:
         "cpu_utilization",
         "io_wait",
         "network_utilization",
-        "memory_utilization",
         "hit_ratio",
     )
     for name in fields:

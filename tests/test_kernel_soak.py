@@ -91,17 +91,11 @@ class TestDataGrowthSoak:
 class _IdleBackend:
     """Minimal backend: enough for a MeT that never has to decide."""
 
-    def node_names(self):
-        return ["rs-1"]
-
     def online_node_names(self):
         return ["rs-1"]
 
     def node_system_metrics(self, name):
-        return {"cpu": 0.1, "io_wait": 0.1, "memory": 0.1}
-
-    def node_locality(self, name):
-        return 1.0
+        return {"cpu": 0.1, "io_wait": 0.1}
 
     def node_profile(self, name):
         return "default"

@@ -27,8 +27,6 @@ def make_snapshot(loads, partitions=None, profiles=None):
             name=name,
             cpu=load,
             io_wait=load * 0.5,
-            memory=0.5,
-            locality=1.0,
             profile=(profiles or {}).get(name, "default"),
         )
         for name, load in loads.items()
@@ -45,8 +43,8 @@ class TestDecisionMaker:
     def test_overloaded_cluster_yields_plan(self):
         maker = DecisionMaker()
         partitions = {
-            "p1": PartitionSample("p1", "n1", reads=1000, writes=0, scans=0, size_bytes=1e8),
-            "p2": PartitionSample("p2", "n2", reads=0, writes=1000, scans=0, size_bytes=1e8),
+            "p1": PartitionSample("p1", "n1", reads=1000, writes=0, scans=0),
+            "p2": PartitionSample("p2", "n2", reads=0, writes=1000, scans=0),
         }
         snapshot = make_snapshot({"n1": 0.95, "n2": 0.4}, partitions)
         plan = maker.decide(snapshot)
@@ -59,9 +57,9 @@ class TestDecisionMaker:
         parameters = MeTParameters(min_nodes=1)
         maker = DecisionMaker(parameters)
         partitions = {
-            "p1": PartitionSample("p1", "n1", reads=100, writes=0, scans=0, size_bytes=1e8),
-            "p2": PartitionSample("p2", "n2", reads=100, writes=0, scans=0, size_bytes=1e8),
-            "p3": PartitionSample("p3", "n3", reads=100, writes=0, scans=0, size_bytes=1e8),
+            "p1": PartitionSample("p1", "n1", reads=100, writes=0, scans=0),
+            "p2": PartitionSample("p2", "n2", reads=100, writes=0, scans=0),
+            "p3": PartitionSample("p3", "n3", reads=100, writes=0, scans=0),
         }
         # First decision consumes the InitialReconfiguration.
         maker.decide(make_snapshot({"n1": 0.1, "n2": 0.1, "n3": 0.1}, partitions))
@@ -73,7 +71,7 @@ class TestDecisionMaker:
         parameters = MeTParameters(max_nodes=2)
         maker = DecisionMaker(parameters)
         partitions = {
-            "p1": PartitionSample("p1", "n1", reads=1000, writes=0, scans=0, size_bytes=1e8),
+            "p1": PartitionSample("p1", "n1", reads=1000, writes=0, scans=0),
         }
         maker.decide(make_snapshot({"n1": 0.99, "n2": 0.99}, partitions))
         plan = maker.decide(make_snapshot({"n1": 0.99, "n2": 0.99}, partitions))
@@ -81,9 +79,7 @@ class TestDecisionMaker:
 
     def test_distribution_covers_every_partition(self):
         partitions = {
-            f"p{i}": PartitionSample(
-                f"p{i}", "n1", reads=100 * i, writes=50, scans=0, size_bytes=1e8
-            )
+            f"p{i}": PartitionSample(f"p{i}", "n1", reads=100 * i, writes=50, scans=0)
             for i in range(8)
         }
         slots = distribution(partitions.values(), cluster_size=3)
@@ -94,9 +90,9 @@ class TestDecisionMaker:
         # Three groups on two nodes: the scan group has the least volume and
         # gets no node; its partition joins the lighter kept group (write).
         partitions = [
-            PartitionSample("r", None, reads=300, writes=0, scans=0, size_bytes=1e8),
-            PartitionSample("w", None, reads=0, writes=200, scans=0, size_bytes=1e8),
-            PartitionSample("s", None, reads=0, writes=0, scans=100, size_bytes=1e8),
+            PartitionSample("r", None, reads=300, writes=0, scans=0),
+            PartitionSample("w", None, reads=0, writes=200, scans=0),
+            PartitionSample("s", None, reads=0, writes=0, scans=100),
         ]
         slots = distribution(partitions, cluster_size=2)
         assert [(slot.profile, set(slot.partitions)) for slot in slots] == [
@@ -439,7 +435,7 @@ class TestStrategies:
         assert len(c_nodes) >= 3
 
     def test_partition_workload_classification(self):
-        read_heavy = PartitionSample("p", None, reads=90, writes=10, scans=0, size_bytes=0)
+        read_heavy = PartitionSample("p", None, reads=90, writes=10, scans=0)
         assert classify_partitions([read_heavy]) == {AccessPattern.READ: [read_heavy]}
         assert read_heavy.total_requests == 100
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.backends import SimulatorBackend
-from repro.monitoring.collector import MetricsCollector
+from repro.monitoring.collector import MetricsCollector, PartitionSample
 from repro.monitoring.smoothing import ExponentialSmoother
 from repro.simulation.workload import WorkloadBinding
 
@@ -23,7 +23,8 @@ class TestExponentialSmoother:
         for value in range(10):
             smoother.observe(float(value))
         assert smoother.count == 3
-        assert smoother.raw() == [7.0, 8.0, 9.0]
+        # Only 7, 8 and 9 remain: 7 -> 7.5 -> 8.25 at alpha 0.5.
+        assert smoother.value() == 8.25
 
     def test_reset(self):
         smoother = ExponentialSmoother()
@@ -42,6 +43,42 @@ class TestExponentialSmoother:
         for _ in range(6):
             smoother.observe(0.42)
         assert smoother.value() == pytest.approx(0.42)
+
+
+class RecordingSource:
+    """A metrics source with two online nodes and one still booting that
+    logs every call as ``(method, args)``; it also offers the all-nodes and
+    locality reads the Monitor must not make."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _log(self, method, *args):
+        self.calls.append((method, args))
+
+    def node_names(self):
+        self._log("node_names")
+        return ["rs-1", "rs-2", "rs-boot"]
+
+    def online_node_names(self):
+        self._log("online_node_names")
+        return ["rs-1", "rs-2"]
+
+    def node_system_metrics(self, name):
+        self._log("node_system_metrics", name)
+        return {"cpu": 0.5, "io_wait": 0.25}
+
+    def node_locality(self, name):
+        self._log("node_locality", name)
+        return 1.0
+
+    def node_profile(self, name):
+        self._log("node_profile", name)
+        return "default"
+
+    def partition_stats(self):
+        self._log("partition_stats")
+        return {"p1": PartitionSample("p1", "rs-1", 10.0, 5.0, 0.0)}
 
 
 @pytest.fixture
@@ -68,7 +105,7 @@ class TestCollectors:
         collector.sample()
         assert collector.decision_due()
         snapshot = collector.snapshot(30.0)
-        assert snapshot.node_count == 3
+        assert len(snapshot.nodes) == 3
         assert "r1" in snapshot.partitions
         assert snapshot.partitions["r1"].total_requests > 0
         node = loaded_backend.simulator.regions["r1"].node
@@ -85,6 +122,22 @@ class TestCollectors:
         # are far smaller than the cumulative totals.
         cumulative = loaded_backend.partition_stats()["r1"].reads
         assert snapshot.partitions["r1"].reads < cumulative
+
+    def test_monitor_polls_only_what_stage_a_and_stage_c_read(self):
+        source = RecordingSource()
+        collector = MetricsCollector(source, decision_samples=1)
+        collector.sample()
+        snapshot = collector.snapshot(30.0)
+        assert {method for method, _ in source.calls} == {
+            "online_node_names",
+            "node_system_metrics",
+            "node_profile",
+            "partition_stats",
+        }
+        assert not any("rs-boot" in args for _, args in source.calls)
+        assert list(snapshot.nodes) == ["rs-1", "rs-2"]
+        assert snapshot.nodes["rs-1"].load == 0.5
+        assert snapshot.partitions["p1"].total_requests == 15.0
 
     def test_collector_rejects_bad_parameters(self, loaded_backend):
         with pytest.raises(ValueError):

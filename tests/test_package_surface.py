@@ -18,7 +18,10 @@ appears nowhere else in the tree's code: as a name, an attribute, an
 import, a keyword or a word of a string that is not a docstring.  Its
 twin, the test-only-name check, reuses that word scan and fails on a
 public def or class in ``src/`` that ``tests/`` reads but no other tree
-mentions outside its own definition.
+mentions outside its own definition.  A method or property is reached
+only through an attribute, so for a public class member a bare name is no
+reader: the member fails unless a tree other than ``tests/`` mentions it
+as an attribute, import, keyword or string word.
 """
 
 import ast
@@ -159,92 +162,102 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _definitions(body: list[ast.stmt]):
-    """``(name, line, node)`` for each def, class or assigned name at module
-    level or in a class body; ``node`` is the assigned ``Name`` (else ``None``)."""
+def _definitions(body: list[ast.stmt], in_class: bool = False):
+    """``(name, line, node, in_class)`` for each def, class or assigned name
+    at module level or in a class body; ``node`` is the assigned ``Name``
+    (else ``None``) and ``in_class`` whether a class body defines it."""
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield stmt.name, stmt.lineno, None
+            yield stmt.name, stmt.lineno, None, in_class
             if isinstance(stmt, ast.ClassDef):
-                yield from _definitions(stmt.body)
+                yield from _definitions(stmt.body, in_class=True)
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
                 for node in ast.walk(target):
                     if isinstance(node, ast.Name):
-                        yield node.id, stmt.lineno, node
+                        yield node.id, stmt.lineno, node, in_class
 
 
-def _appearances(tree: ast.Module, skip: set[int]) -> set[str]:
-    """Every identifier the tree mentions outside the nodes in ``skip``: names,
-    attributes, imported names, keywords and words of non-docstring strings."""
+def _appearances(tree: ast.Module, skip: set[int]) -> tuple[set[str], set[str]]:
+    """Every identifier the tree mentions outside the nodes in ``skip``, as
+    ``(names, qualified)``: bare names, and attributes, imported names,
+    keywords and words of non-docstring strings."""
     docstrings = {
         id(node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
     }
-    seen: set[str] = set()
+    names: set[str] = set()
+    qualified: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and id(node) not in skip:
-            seen.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            seen.add(node.attr)
+            qualified.add(node.attr)
         elif isinstance(node, ast.alias):
-            seen.add(node.name.rsplit(".", 1)[-1])
+            qualified.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.keyword) and node.arg:
-            seen.add(node.arg)
+            qualified.add(node.arg)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            seen.update(_WORD.findall(node.value))
-    return seen
+            qualified.update(_WORD.findall(node.value))
+    return names, qualified
 
 
-def _scan() -> tuple[dict[str, set[str]], list[tuple[Path, str, int, ast.AST | None]]]:
-    """The identifiers each tree of :data:`READERS` mentions, and every
-    definition in ``src/`` as ``(file, name, line, node)``."""
+def _scan() -> tuple[
+    dict[str, set[str]], dict[str, set[str]], list[tuple[Path, str, int, ast.AST | None, bool]]
+]:
+    """The identifiers each tree of :data:`READERS` mentions (all, and only
+    the non-bare-name ones), and every definition in ``src/`` as ``(file,
+    name, line, node, in_class)``."""
     seen: dict[str, set[str]] = {}
+    qualified: dict[str, set[str]] = {}
     defined = []
     for tree_name in READERS:
         seen[tree_name] = set()
+        qualified[tree_name] = set()
         for path in sorted((ROOT / tree_name).rglob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
             definitions = list(_definitions(tree.body)) if tree_name == "src" else []
-            seen[tree_name] |= _appearances(tree, {id(node) for _, _, node in definitions if node})
-            defined.extend(
-                (path.relative_to(ROOT), name, line, node) for name, line, node in definitions
-            )
-    return seen, defined
+            names, words = _appearances(tree, {id(node) for _, _, node, _ in definitions if node})
+            seen[tree_name] |= names | words
+            qualified[tree_name] |= words
+            defined.extend((path.relative_to(ROOT), *definition) for definition in definitions)
+    return seen, qualified, defined
 
 
 def dead_private_names() -> list[str]:
     """``file:line: name`` for each private definition in ``src/`` whose name
     appears nowhere else in :data:`READERS`."""
-    seen, defined = _scan()
+    seen, _, defined = _scan()
     everywhere = set().union(*seen.values())
     return [
         f"{where}:{line}: {name}"
-        for where, name, line, _ in defined
+        for where, name, line, _, _ in defined
         if _is_private(name) and name not in everywhere
     ]
 
 
 def names_only_tests_read() -> list[str]:
     """``file:line: name`` for each public def or class in ``src/`` that
-    ``tests/`` reads but no other tree mentions outside its definition:
-    code kept alive by its own tests."""
-    seen, defined = _scan()
+    ``tests/`` reads but no other tree mentions outside its definition (code
+    kept alive by its own tests), and each public class member that no tree
+    but ``tests/`` reads through an attribute, import, keyword or string."""
+    seen, qualified, defined = _scan()
     tests = seen.pop("tests")
+    qualified.pop("tests")
     elsewhere = set().union(*seen.values())
+    members_read = set().union(*qualified.values())
     return [
         f"{where}:{line}: {name}"
-        for where, name, line, node in defined
+        for where, name, line, node, in_class in defined
         if node is None
         and not name.startswith("_")
-        and name in tests
-        and name not in elsewhere
+        and (name not in members_read if in_class else name in tests and name not in elsewhere)
     ]
 
 
@@ -297,13 +310,18 @@ def test_test_only_name_check_flags_a_name_only_tests_read(tmp_path, monkeypatch
         "        return 1\n"
         "    def checked(self):\n"
         "        return 2\n"
+        "    def named(self):\n"
+        "        return 3\n"
+        "    def orphan(self):\n"
+        "        return 4\n"
         "def unread():\n"
         "    return 0\n"
     )
     (tmp_path / "src" / "caller.py").write_text(
         '"""Calls used(), never only_tested(): a docstring is no reader."""\n'
         "from module import used\n"
-        "used()\n"
+        "named = used()\n"
+        "print(named)\n"
     )
     (tmp_path / "bench" / "tracer.py").write_text("ENTRIES = ['module:Box.traced']\n")
     (tmp_path / "tests" / "test_module.py").write_text(
@@ -311,10 +329,14 @@ def test_test_only_name_check_flags_a_name_only_tests_read(tmp_path, monkeypatch
         "def test_box():\n"
         "    assert Box().traced() + Box().checked() == LIMIT == only_tested() or used()\n"
     )
-    # Box is read outside tests/ as a word of a bench string.
+    # Box is read outside tests/ as a word of a bench string.  A member's
+    # bare-name namesake (caller.py's local ``named``) is no reader, and a
+    # member nothing reads fails even though no test reads it either.
     assert names_only_tests_read() == [
         "src/module.py:4: only_tested",
         "src/module.py:9: checked",
+        "src/module.py:11: named",
+        "src/module.py:13: orphan",
     ]
 
 

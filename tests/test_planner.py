@@ -339,7 +339,7 @@ class FakeBackend:
         return list(self.nodes)
 
     def partition_stats(self):
-        return {"p0": PartitionSample("p0", self.nodes[0], self.total_ops, 0.0, 0.0, 0.0)}
+        return {"p0": PartitionSample("p0", self.nodes[0], self.total_ops, 0.0, 0.0)}
 
     def add_node(self, config, profile="default"):
         name = f"rs-auto-{len(self.added) + 1}"

@@ -49,7 +49,7 @@ def test_lpt_assignment_is_complete_and_reasonably_balanced(costs, node_count, m
     so the assignment relaxes it to that minimum feasible value.
     """
     partitions = [
-        PartitionSample(f"p{i}", None, cost, 0.0, 0.0, 1e8) for i, cost in enumerate(costs)
+        PartitionSample(f"p{i}", None, cost, 0.0, 0.0) for i, cost in enumerate(costs)
     ]
     nodes = [f"n{i}" for i in range(node_count)]
     assignment = assign_partitions(partitions, nodes, max_per_node=max_per_node)
@@ -82,7 +82,7 @@ def test_grouping_conserves_nodes(group_sizes, total_nodes):
     """Node allocation sums to the available nodes and never exceeds them."""
     groups = {
         pattern: [
-            PartitionSample(f"{pattern.value}-{i}", None, 10.0, 0.0, 0.0, 1e8)
+            PartitionSample(f"{pattern.value}-{i}", None, 10.0, 0.0, 0.0)
             for i in range(size)
         ]
         for pattern, size in group_sizes.items()
@@ -100,7 +100,7 @@ def test_distribution_places_every_partition_exactly_once(mixes):
     for every cluster size from 1 to the partition count -- including
     clusters with fewer nodes than access-pattern groups."""
     partitions = [
-        PartitionSample(f"p{i}", None, reads, writes, scans, 1e8)
+        PartitionSample(f"p{i}", None, reads, writes, scans)
         for i, (reads, writes, scans) in enumerate(mixes)
     ]
     for cluster_size in range(1, len(partitions) + 1):

@@ -89,7 +89,7 @@ class TestSchedule:
         assert schedule.fire_due(30.0) == []
         assert [a.label for a in schedule.fire_due(120.0)] == ["c"]
         assert fired == ["a", "b", "c"]
-        assert schedule.pending == 0
+        assert schedule.next_time() is None
 
     def test_control_steps_cover_endpoints(self):
         spec = two_tenant_spec(control_interval_seconds=15.0)
@@ -147,7 +147,7 @@ class TestLoadEvents:
         assert crowd.multiplier(2.0) == 1.0
         spec = two_tenant_spec(events=(crowd,))
         _, context, _ = build_scenario(spec)
-        assert compile_spec(spec, context).pending > 0
+        assert compile_spec(spec, context).next_time() is not None
 
     def test_degenerate_curves_are_rejected_at_compile_time(self):
         for event in (
@@ -232,7 +232,7 @@ class TestLoadEvents:
         )
         simulator, context, _ = build_scenario(spec)
         schedule = compile_spec(spec, context)
-        assert schedule.pending == 0
+        assert schedule.next_time() is None
 
 
 class TestChurnAndMixEvents:
