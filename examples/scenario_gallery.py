@@ -22,6 +22,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.catalog import SMALL_A, SMALL_C
+from repro.sla import to_native_rate
 from repro.sla.scorecard import render_scorecard, scenario_scorecard
 
 
@@ -89,7 +90,7 @@ def main() -> None:
         points = mixed.run.tenant_series[workload.binding_name]
         mean_ops = sum(p.throughput for p in points) / len(points)
         unit = units[workload.binding_name]
-        print(f"  {tenant_name:6s} {workload.native_rate(mean_ops):8,.0f} {unit}")
+        print(f"  {tenant_name:6s} {to_native_rate(unit, mean_ops):8,.0f} {unit}")
     for report in mixed.slo_reports:
         verdict = "held" if report.satisfied else "BROKEN"
         print(f"  slo {report.slo.describe():34s} {verdict}")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.decision import distribution
 from repro.core.grouping import max_partitions_per_node
+from repro.core.parameters import MeTParameters
 from repro.core.profiles import profile_for
 from repro.hbase.balancer import RandomBalancer
 from repro.hbase.config import DEFAULT_HOMOGENEOUS, TPCC_HOMOGENEOUS, RegionServerConfig
@@ -58,15 +59,13 @@ def random_homogeneous(
     partitions: list[PartitionSample],
     nodes: list[str],
     seed: int = 0,
-    config: RegionServerConfig | None = None,
 ) -> PlacementPlan:
     """The default HBase layout: random placement, identical configurations."""
     balancer = RandomBalancer(seed=seed)
     assignment = balancer.assign([p.partition_id for p in partitions], list(nodes))
-    node_config = (config or DEFAULT_HOMOGENEOUS).validate()
     return PlacementPlan(
         name="random-homogeneous",
-        node_configs={node: node_config for node in nodes},
+        node_configs={node: DEFAULT_HOMOGENEOUS for node in nodes},
         node_profiles={node: "default" for node in nodes},
         assignment=assignment,
     )
@@ -75,7 +74,6 @@ def random_homogeneous(
 def manual_homogeneous(
     partitions: list[PartitionSample],
     nodes: list[str],
-    config: RegionServerConfig | None = None,
 ) -> PlacementPlan:
     """Hand-balanced placement: even request load, homogeneous configuration.
 
@@ -113,10 +111,9 @@ def manual_homogeneous(
             load[target] += partition.total_requests
             counts[target] += 1
             per_workload_counts[target][workload] += 1
-    node_config = (config or DEFAULT_HOMOGENEOUS).validate()
     return PlacementPlan(
         name="manual-homogeneous",
-        node_configs={node: node_config for node in nodes},
+        node_configs={node: DEFAULT_HOMOGENEOUS for node in nodes},
         node_profiles={node: "default" for node in nodes},
         assignment=assignment,
     )
@@ -125,7 +122,6 @@ def manual_homogeneous(
 def manual_heterogeneous(
     partitions: list[PartitionSample],
     nodes: list[str],
-    classification_threshold: float = 0.60,
 ) -> PlacementPlan:
     """Workload-aware placement with per-group node configurations (Table 1).
 
@@ -133,7 +129,7 @@ def manual_heterogeneous(
     nodes beyond the slots (only when there are no partitions) stay
     homogeneous.
     """
-    slots = distribution(partitions, len(nodes), classification_threshold)
+    slots = distribution(partitions, len(nodes), MeTParameters.classification_threshold)
     plan = PlacementPlan(name="manual-heterogeneous")
     for node, slot in zip(nodes, slots):
         profile = profile_for(slot.profile)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.core.interfaces import ClusterBackend
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerAction
-from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
+from repro.hbase.config import DEFAULT_HOMOGENEOUS
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,11 @@ class Tiramola(Autoscaler):
         self,
         backend: ClusterBackend,
         policy: TiramolaPolicy | None = None,
-        node_config: RegionServerConfig | None = None,
     ) -> None:
         self.policy = policy or TiramolaPolicy()
         super().__init__(
             backend, self.policy.monitor_period_seconds, self.policy.cooldown_seconds
         )
-        self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
         self._samples: dict[str, deque[float]] = {}
         self._samples_taken = 0
 
@@ -101,7 +99,7 @@ class Tiramola(Autoscaler):
         overloaded = sum(1 for load in loads.values() if load > self.policy.high_load_threshold)
         all_idle = all(load < self.policy.low_load_threshold for load in loads.values())
         if overloaded / online >= self.policy.add_quorum and online < self.policy.max_nodes:
-            name = self.backend.add_node(self.node_config, "default")
+            name = self.backend.add_node(DEFAULT_HOMOGENEOUS, "default")
             self._last_action_time = now
             self.log.record(now, AutoscalerAction.ADD_NODE, node=name, detail=f"overloaded={overloaded}/{online}")
         elif all_idle and online > self.policy.min_nodes:

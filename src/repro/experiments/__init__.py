@@ -7,7 +7,8 @@ catalog (and goldened like it, under ``tests/golden/paper/``).  Each module
 here exposes a ``run_*`` function that runs its specs and folds the
 :class:`~repro.scenarios.runner.ScenarioRunResult`s into a result object
 with the paper's derived measures, and a ``main()`` that prints the same
-rows/series the paper reports:
+rows/series the paper reports.  Figure 5 has no run of its own: its
+``main()`` reports phase 1 of Figure 6's result.
 
 * :mod:`repro.experiments.figure1` -- the Section 3.4 motivation experiment
   (Random-Homogeneous vs Manual-Homogeneous vs Manual-Heterogeneous).

@@ -16,7 +16,8 @@ initial cluster.  The experiment has two phases:
   under-utilised.
 
 The two runs are :data:`repro.scenarios.paper.FIGURE6`; the shutdowns are
-``TenantDeparture`` events built from its ``SHUTDOWN_SCHEDULE``.
+``TenantDeparture`` events built from its ``SHUTDOWN_SCHEDULE``.  Figure 5
+(:mod:`repro.experiments.figure5`) is a second report over the same runs.
 """
 
 from __future__ import annotations
@@ -33,25 +34,59 @@ from repro.scenarios.spec import ScenarioSpec
 
 @dataclass
 class Figure6Result:
-    """Throughput and cluster-size series for both systems."""
+    """Throughput and cluster-size series for both systems.
+
+    Every measure below is read off the two runs; phase 1 is the first
+    ``phase1_minutes`` of them (the whole of Figure 5).
+    """
 
     met: StrategyRun
     tiramola: StrategyRun
-    met_machine_minutes: float = 0.0
-    tiramola_machine_minutes: float = 0.0
-    met_peak_nodes: int = 0
-    tiramola_peak_nodes: int = 0
-    met_final_nodes: int = 0
-    tiramola_final_nodes: int = 0
     minutes: float = 60.0
     phase1_minutes: float = 33.0
 
     @property
+    def met_peak_nodes(self) -> int:
+        return self.met.node_bounds()[1]
+
+    @property
+    def tiramola_peak_nodes(self) -> int:
+        return self.tiramola.node_bounds()[1]
+
+    @property
+    def met_final_nodes(self) -> int:
+        return self.met.final_nodes
+
+    @property
+    def tiramola_final_nodes(self) -> int:
+        return self.tiramola.final_nodes
+
+    @property
+    def met_machine_minutes(self) -> float:
+        return self.met.machine_minutes
+
+    @property
+    def tiramola_machine_minutes(self) -> float:
+        return self.tiramola.machine_minutes
+
+    def _phase1_operations(self) -> tuple[float, float]:
+        """Cumulative operations of MeT and of tiramola after phase 1."""
+        return (
+            self.met.operations_until(self.phase1_minutes),
+            self.tiramola.operations_until(self.phase1_minutes),
+        )
+
+    @property
     def phase1_operations_ratio(self) -> float:
         """Cumulative operations after phase 1, MeT over tiramola (paper ~1.31)."""
-        tiramola_ops = self.tiramola.operations_until(self.phase1_minutes)
-        met_ops = self.met.operations_until(self.phase1_minutes)
+        met_ops, tiramola_ops = self._phase1_operations()
         return met_ops / tiramola_ops if tiramola_ops > 0 else float("inf")
+
+    @property
+    def phase1_extra_operations(self) -> float:
+        """Operations MeT completed beyond tiramola's in phase 1 (paper ~706,000)."""
+        met_ops, tiramola_ops = self._phase1_operations()
+        return met_ops - tiramola_ops
 
 
 def run_figure6(specs: dict[str, ScenarioSpec] = FIGURE6) -> Figure6Result:
@@ -63,19 +98,11 @@ def run_figure6(specs: dict[str, ScenarioSpec] = FIGURE6) -> Figure6Result:
         controller: run_scenario(spec, controller=controller, keep_simulator=False).run
         for controller, spec in specs.items()
     }
-    met, tiramola = runs["met"], runs["tiramola"]
     minutes = specs["met"].duration_minutes
     departures = [e.minute for e in specs["met"].events if isinstance(e, TenantDeparture)]
-    initial_nodes = specs["met"].initial_nodes
     return Figure6Result(
-        met=met,
-        tiramola=tiramola,
-        met_peak_nodes=max((p.nodes for p in met.series), default=initial_nodes),
-        tiramola_peak_nodes=max((p.nodes for p in tiramola.series), default=initial_nodes),
-        met_final_nodes=met.final_nodes,
-        tiramola_final_nodes=tiramola.final_nodes,
-        met_machine_minutes=met.machine_minutes,
-        tiramola_machine_minutes=tiramola.machine_minutes,
+        met=runs["met"],
+        tiramola=runs["tiramola"],
         minutes=minutes,
         phase1_minutes=min(departures + [minutes]),
     )

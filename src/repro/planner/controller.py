@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.core.interfaces import ClusterBackend
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerAction
-from repro.hbase.config import DEFAULT_HOMOGENEOUS, RegionServerConfig
+from repro.hbase.config import DEFAULT_HOMOGENEOUS
 from repro.planner.calibration import DEFAULT_CALIBRATION, CalibrationModel
 from repro.sla.cost import DEFAULT_PRICING, REGIONSERVER_FLAVOR
 
@@ -113,14 +113,12 @@ class PlannerController(Autoscaler):
         backend: ClusterBackend,
         model: CalibrationModel | None = None,
         policy: PlannerPolicy | None = None,
-        node_config: RegionServerConfig | None = None,
     ) -> None:
         self.policy = policy or PlannerPolicy()
         super().__init__(
             backend, self.policy.monitor_period_seconds, self.policy.cooldown_seconds
         )
         self.model = model or DEFAULT_CALIBRATION
-        self.node_config = (node_config or DEFAULT_HOMOGENEOUS).validate()
         self._window: deque[float] = deque(maxlen=self.policy.decision_samples)
         self._last_total: float | None = None
         self._last_total_time: float | None = None
@@ -170,7 +168,7 @@ class PlannerController(Autoscaler):
         count = len(online)
         if target > count:
             predicted = self.model.predict_p99(inflated, count, self.model.base_flavor)
-            name = self.backend.add_node(self.node_config, "default")
+            name = self.backend.add_node(DEFAULT_HOMOGENEOUS, "default")
             self._last_action_time = now
             self._last_budget_block = None
             self.log.record(

@@ -14,7 +14,7 @@ controller it runs with (``tests/golden/paper/``, see
   fixed size at minute 2, next to the two manual baselines.
 * :data:`FIGURE6` -- Section 6.4: an overloaded 6-VM cluster that may grow
   to 11, MeT vs tiramola; tenants leave on :data:`SHUTDOWN_SCHEDULE`.
-  :data:`FIGURE5` is its first phase alone.
+  Figure 5 reports the same runs' first phase, up to the first departure.
 * :data:`TABLE2` -- Section 6.3: one TPC-C tenant, one warehouse-aligned
   partition per node; run under no controller it is setting (i), under MeT
   (which joins at minute 4) setting (ii).  :func:`converged` derives
@@ -130,12 +130,6 @@ FIGURE6: dict[str, ScenarioSpec] = {
     "tiramola": replace(_FIGURE6, name="figure6_tiramola", cooldown_seconds=180.0),
 }
 
-#: Figure 5: phase 1 of Figure 6 (every tenant active for 33 minutes).
-FIGURE5: dict[str, ScenarioSpec] = {
-    controller: replace(spec, name=f"figure5_{controller}", events=(), duration_minutes=33.0)
-    for controller, spec in FIGURE6.items()
-}
-
 #: Table 2, settings (i) and (ii): 300 TPC-C clients on 30 warehouses, MeT
 #: (when run under it) joining at minute 4.
 TABLE2 = replace(
@@ -177,7 +171,6 @@ def converged(spec: ScenarioSpec, result: ScenarioRunResult) -> ScenarioSpec:
 PAPER_RUNS: tuple[tuple[ScenarioSpec, str], ...] = (
     *((spec, "none") for spec in FIGURE1.values()),
     *((spec, "met" if key == "met" else "none") for key, spec in FIGURE4.items()),
-    *((spec, controller) for controller, spec in FIGURE5.items()),
     *((spec, controller) for controller, spec in FIGURE6.items()),
     (TABLE2, "none"),
     (TABLE2, "met"),

@@ -195,10 +195,6 @@ class TenantWorkload:
             for spec in specs
         ]
 
-    def native_rate(self, ops_per_second: float) -> float:
-        """Convert a simulator ops/s rate into the tenant's native unit."""
-        return ops_per_second
-
 
 def materialise_tenants(simulator, tenants) -> list[PartitionSample]:
     """Create every tenant's partitions and client binding in ``simulator``.

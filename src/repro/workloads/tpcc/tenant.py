@@ -3,8 +3,8 @@
 Maps a :class:`TPCCConfig` onto the scenario layer: warehouse-aligned
 partitions (equal request weight each -- the standard uniform-warehouse
 traffic assumption), the aggregate key-value operation mix of the standard
-transaction mix, and tpmC as the native throughput unit (reported via
-:func:`~repro.workloads.tpcc.driver.tpmc_from_ops_rate`).
+transaction mix, and tpmC as the native throughput unit (converted by
+:func:`repro.sla.units.to_native_rate`).
 
 TPC-C's operation mix is *derived* from its transaction mix, not free data,
 so ``supports_mix_shift`` is false: a :class:`~repro.scenarios.events.MixShift`
@@ -26,7 +26,6 @@ from repro.workloads.tpcc.driver import (
     TPCC_HOT_REQUEST_FRACTION,
     TPCC_RECORD_SIZE,
     TPCC_SCAN_LENGTH,
-    tpmc_from_ops_rate,
 )
 from repro.workloads.tpcc.schema import TPCCConfig
 from repro.workloads.tpcc.transactions import aggregate_operation_mix
@@ -109,6 +108,3 @@ class TPCCTenant(TenantWorkload):
             )
             for partition_id in partition_ids
         ]
-
-    def native_rate(self, ops_per_second: float) -> float:
-        return tpmc_from_ops_rate(ops_per_second)

@@ -12,7 +12,9 @@ from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure1 import report as report_figure1
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure4 import report as report_figure4
-from repro.experiments.harness import ExperimentHarness, apply_placement
+from repro.experiments.figure5 import report as report_figure5
+from repro.experiments.figure6 import Figure6Result
+from repro.experiments.harness import ExperimentHarness, StrategyRun, TimeSeriesPoint, apply_placement
 from repro.experiments.reporting import format_table, percentiles
 from repro.elasticity.strategies import manual_heterogeneous
 from repro.scenarios.paper import FIGURE1, FIGURE4
@@ -64,6 +66,30 @@ class TestHarness:
         apply_placement(simulator, plan)
         assert all(region.locality == 1.0 for region in simulator.regions.values())
         assert {node.profile_name for node in simulator.nodes.values()} >= {"read", "write"}
+
+
+class TestFigure5Report:
+    @staticmethod
+    def _run(name: str, ops_per_minute: float) -> StrategyRun:
+        """Samples at 0.08, 1.08, ..., 35.08 minutes, as the harness takes them."""
+        series = [
+            TimeSeriesPoint(
+                minute=i + 0.08, throughput=0.0, cumulative_ops=ops_per_minute * (i + 1), nodes=6
+            )
+            for i in range(36)
+        ]
+        return StrategyRun(name=name, series=series)
+
+    def test_table_ends_at_the_last_sample_before_the_first_departure(self):
+        result = Figure6Result(
+            met=self._run("met", 1000.0), tiramola=self._run("tiramola", 800.0), phase1_minutes=33.0
+        )
+        text = report_figure5(result)
+        table, summary = text.split("\n\n")
+        # The 33.08-minute sample rounds to 33 but lies past the phase.
+        assert [row.split()[0] for row in table.splitlines()[2:]] == [str(m) for m in range(33)]
+        # 32.08 minutes: 33,000 MeT ops vs 26,400 tiramola ops.
+        assert summary.startswith("MeT completed 6,600 more operations (1.25x,")
 
 
 class TestExperimentSmoke:

@@ -143,12 +143,16 @@ def test_repo_is_lint_clean():
     assert findings == [], "\n".join(finding.render() for finding in findings)
 
 
-def test_cli_check_exits_zero_on_the_repo(capsys):
-    assert lint_main(["--check"], root=REPO_ROOT) == 0
+def test_cli_check_exits_zero_on_a_clean_tree(tmp_path, capsys):
+    good = tmp_path / "src" / "good.py"
+    good.parent.mkdir(parents=True)
+    good.write_text("from repro.util.rng import make_rng\nx = make_rng(0).random()\n")
+
+    assert lint_main(["--check"], root=tmp_path) == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_baseline_roundtrip(tmp_path, capsys):
+def test_cli_check_exits_one_and_names_the_d1_finding(tmp_path, capsys):
     bad = tmp_path / "src" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import random\nx = random.random()\n")

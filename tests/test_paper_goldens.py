@@ -29,8 +29,8 @@ PAPER_DIR = Path(__file__).parent / "golden" / "paper"
 #: Committed-golden comparison, as for the catalog goldens.
 GOLDEN_REL_TOL = 1e-9
 
-#: Wall-clock budget for this module (seconds).  The paper runs cost ~5 s
-#: on a 2-vCPU host; override with PAPER_GOLDEN_BUDGET_SECONDS where the
+#: Wall-clock budget for this module (seconds).  The 11 paper runs cost
+#: ~1.7 s on a 2-vCPU host; override with PAPER_GOLDEN_BUDGET_SECONDS where the
 #: baseline differs (CI sets a looser bound for shared runners).
 SUITE_BUDGET_SECONDS = float(os.environ.get("PAPER_GOLDEN_BUDGET_SECONDS", "9.0"))
 

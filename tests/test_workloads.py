@@ -10,6 +10,7 @@ from key_choosers import (
     partition_request_shares,
 )
 from repro.simulation.cluster import ClusterSimulator
+from repro.sla import to_native_rate
 from repro.workloads.tenant import TenantWorkload, materialise_tenants
 from repro.workloads.tpcc.driver import ops_rate_from_tpmc, tpmc_from_ops_rate
 from repro.workloads.tpcc.schema import TPCC_TABLES, TPCCConfig
@@ -283,8 +284,8 @@ class TestTenantProtocol:
     def test_tpcc_tenant_rates_in_both_units(self):
         tenant = TPCCTenant(target_ops=2024.0)
         assert tenant.nominal_ops_per_second == 2024.0  # capped by target
-        assert tenant.native_rate(2024.0) == pytest.approx(tpmc_from_ops_rate(2024.0))
-        nominal_tpmc = tenant.native_rate(tenant.nominal_ops_per_second)
+        assert to_native_rate(tenant.unit_label, 2024.0) == pytest.approx(tpmc_from_ops_rate(2024.0))
+        nominal_tpmc = to_native_rate(tenant.unit_label, tenant.nominal_ops_per_second)
         assert nominal_tpmc == pytest.approx(tpmc_from_ops_rate(2024.0))
         uncapped = tenant.with_target(None)
         assert uncapped.nominal_ops_per_second > 2024.0
