@@ -91,6 +91,35 @@ class TestFigure5Report:
         # 32.08 minutes: 33,000 MeT ops vs 26,400 tiramola ops.
         assert summary.startswith("MeT completed 6,600 more operations (1.25x,")
 
+    def test_a_minute_tiramola_did_not_sample_reads_as_a_dash(self):
+        tiramola = self._run("tiramola", 800.0)
+        del tiramola.series[10]
+        result = Figure6Result(met=self._run("met", 1000.0), tiramola=tiramola, phase1_minutes=33.0)
+        rows = {row.split()[0]: row.split()[1:] for row in report_figure5(result).splitlines()[2:33]}
+        assert rows["10"] == ["11,000", "-"]
+        assert rows["11"] == ["12,000", "9,600"]
+
+
+class TestFigure6Result:
+    def test_node_and_machine_minute_measures_are_read_off_the_runs(self):
+        met = StrategyRun(
+            name="met",
+            series=[TimeSeriesPoint(minute=m, throughput=0.0, cumulative_ops=0.0, nodes=n)
+                    for m, n in [(0.08, 6), (1.08, 9), (2.08, 4)]],
+            final_nodes=4,
+            machine_minutes=19.0,
+        )
+        tiramola = StrategyRun(
+            name="tiramola",
+            series=[TimeSeriesPoint(minute=0.08, throughput=0.0, cumulative_ops=0.0, nodes=6)],
+            final_nodes=7,
+            machine_minutes=25.5,
+        )
+        result = Figure6Result(met=met, tiramola=tiramola)
+        assert (result.met_peak_nodes, result.met_final_nodes, result.met_machine_minutes) == (9, 4, 19.0)
+        assert (result.tiramola_peak_nodes, result.tiramola_final_nodes) == (6, 7)
+        assert result.tiramola_machine_minutes == 25.5
+
 
 class TestExperimentSmoke:
     def test_figure1_short_run_orders_strategies(self):
