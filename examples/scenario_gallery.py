@@ -18,7 +18,6 @@ from repro.scenarios import (
     DiurnalLoad,
     NodeCrash,
     ScenarioSpec,
-    TenantSpec,
     run_scenario,
 )
 from repro.scenarios.catalog import SMALL_A, SMALL_C
@@ -31,8 +30,8 @@ def diurnal_with_failure() -> ScenarioSpec:
     return ScenarioSpec(
         name="diurnal-with-failure",
         tenants=(
-            TenantSpec(SMALL_A, target_ops=2600.0),
-            TenantSpec(SMALL_C, target_ops=3200.0),
+            SMALL_A.with_target(2600.0),
+            SMALL_C.with_target(3200.0),
         ),
         events=(
             DiurnalLoad(tenant="A", period_minutes=8.0, amplitude=0.6),
@@ -85,12 +84,11 @@ def main() -> None:
     mixed = run_scenario(CANNED_SCENARIOS["mixed_tenancy"], controller="met",
                          keep_simulator=False)
     units = mixed.tenant_units()
-    tenants = {t.name: t.workload for t in mixed.spec.tenants}
-    for tenant_name, workload in sorted(tenants.items()):
-        points = mixed.run.tenant_series[workload.binding_name]
+    for tenant in sorted(mixed.spec.tenants, key=lambda t: t.name):
+        points = mixed.run.tenant_series[tenant.binding_name]
         mean_ops = sum(p.throughput for p in points) / len(points)
-        unit = units[workload.binding_name]
-        print(f"  {tenant_name:6s} {to_native_rate(unit, mean_ops):8,.0f} {unit}")
+        unit = units[tenant.binding_name]
+        print(f"  {tenant.name:6s} {to_native_rate(unit, mean_ops):8,.0f} {unit}")
     for report in mixed.slo_reports:
         verdict = "held" if report.satisfied else "BROKEN"
         print(f"  slo {report.slo.describe():34s} {verdict}")

@@ -34,7 +34,7 @@ from repro.campaign.grid import (
     apply_scale,
     derive_seed,
 )
-from repro.campaign.runner import CampaignReport, run_campaign
+from repro.campaign.runner import CampaignReport, cell_record, run_campaign
 from repro.campaign.store import ResultsStore
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "ScaleSpec",
     "aggregate_records",
     "apply_scale",
+    "cell_record",
     "derive_seed",
     "render_campaign_table",
     "render_seed_quantile_table",

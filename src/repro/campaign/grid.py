@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
-from repro.scenarios.spec import ScenarioSpec, TenantSpec
+from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "BASELINE_SCALE",
@@ -37,7 +37,7 @@ __all__ = [
 class ScaleSpec:
     """One point on the scale axis of a campaign.
 
-    ``load`` multiplies every capped tenant's baseline ``target_ops``
+    ``load`` multiplies every capped tenant's ``target_ops_per_second``
     (uncapped tenants are left uncapped -- load events already modulate
     their nominal rate).  ``tenant_copies`` runs each tenant ``n`` times:
     copy 0 keeps the original name (so scenario events still find it),
@@ -77,17 +77,16 @@ def apply_scale(spec: ScenarioSpec, scale: ScaleSpec) -> ScenarioSpec:
     """Stretch ``spec`` along ``scale``'s axes; identity for the baseline."""
     if scale.is_baseline:
         return spec
-    tenants: list[TenantSpec] = []
+    tenants = []
     for tenant in spec.tenants:
-        target = tenant.target_ops
+        target = tenant.target_ops_per_second
         if target is not None:
-            target = target * scale.load
-        tenants.append(TenantSpec(tenant.workload, target_ops=target))
+            tenant = tenant.with_target(target * scale.load)
+        tenants.append(tenant)
         for copy in range(1, scale.tenant_copies):
             # Partition ids and binding names derive from the tenant name,
             # so clones are renamed or they would collide in the simulator.
-            clone = replace(tenant.workload, name=f"{tenant.name}~{copy}")
-            tenants.append(TenantSpec(clone, target_ops=target))
+            tenants.append(replace(tenant, name=f"{tenant.name}~{copy}"))
     overrides: dict = {"tenants": tuple(tenants)}
     if scale.initial_nodes is not None:
         overrides["initial_nodes"] = scale.initial_nodes

@@ -31,7 +31,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sla.scorecard import scorecard_row
 from repro.util.wallclock import wall_perf_counter
 
-__all__ = ["CampaignReport", "run_campaign"]
+__all__ = ["CampaignReport", "cell_record", "run_campaign"]
 
 
 @dataclass
@@ -48,10 +48,13 @@ class CampaignReport:
         return self.skipped + len(self.executed)
 
 
-def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
+def cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
     """Run one cell and reduce it to a store record.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  The record
+    The one reducer of a campaign cell: the store's records and the
+    planner's probe sweep (:func:`repro.planner.calibration.probe_records`)
+    both come from here.  Module-level so :class:`ProcessPoolExecutor` can
+    pickle it.  The record
     carries no wall-clock or host-specific fields: store bytes must be a
     pure function of grid + master seed (see the determinism tests).
     """
@@ -70,14 +73,14 @@ def _cell_record(cell: CampaignCell, spec: ScenarioSpec) -> dict:
 
 
 def _cell_record_timed(cell: CampaignCell, spec: ScenarioSpec) -> tuple[dict, float]:
-    """:func:`_cell_record` plus the cell's wall-clock seconds.
+    """:func:`cell_record` plus the cell's wall-clock seconds.
 
     The duration rides *alongside* the record, never inside it: wall-clock
     belongs in the profile sidecar, and the store record must stay a pure
     function of grid + master seed.
     """
     started = wall_perf_counter()
-    record = _cell_record(cell, spec)
+    record = cell_record(cell, spec)
     return record, wall_perf_counter() - started
 
 

@@ -37,15 +37,21 @@ from repro.core.interfaces import ClusterBackend
 from repro.elasticity.autoscaler import Autoscaler, AutoscalerAction
 from repro.hbase.config import DEFAULT_HOMOGENEOUS
 
+#: A node is overloaded above this load (max of CPU and I/O wait).
+HIGH_LOAD_THRESHOLD = 0.85
+#: A node is under-utilised below this load.
+LOW_LOAD_THRESHOLD = 0.30
+#: Fraction of overloaded nodes that triggers an add.
+ADD_QUORUM = 0.50
+
 
 @dataclass(frozen=True)
 class TiramolaPolicy:
-    """Threshold rules of the autoscaler.
+    """Cadence and envelope of the autoscaler (its thresholds are the
+    module constants :data:`HIGH_LOAD_THRESHOLD`, :data:`LOW_LOAD_THRESHOLD`
+    and :data:`ADD_QUORUM`).
 
     Attributes:
-        high_load_threshold: a node is overloaded above this load.
-        low_load_threshold: a node is under-utilised below this load.
-        add_quorum: fraction of overloaded nodes that triggers an add.
         monitor_period_seconds: metric sampling period (30 s, as in MeT).
         decision_samples: samples per decision, to smooth spikes.
         cooldown_seconds: minimum time between scaling actions (a VM must
@@ -54,9 +60,6 @@ class TiramolaPolicy:
         max_nodes: never grow beyond this size.
     """
 
-    high_load_threshold: float = 0.85
-    low_load_threshold: float = 0.30
-    add_quorum: float = 0.50
     monitor_period_seconds: float = 30.0
     decision_samples: int = 6
     cooldown_seconds: float = 180.0
@@ -96,9 +99,9 @@ class Tiramola(Autoscaler):
         if not loads:
             return
         online = len(loads)
-        overloaded = sum(1 for load in loads.values() if load > self.policy.high_load_threshold)
-        all_idle = all(load < self.policy.low_load_threshold for load in loads.values())
-        if overloaded / online >= self.policy.add_quorum and online < self.policy.max_nodes:
+        overloaded = sum(1 for load in loads.values() if load > HIGH_LOAD_THRESHOLD)
+        all_idle = all(load < LOW_LOAD_THRESHOLD for load in loads.values())
+        if overloaded / online >= ADD_QUORUM and online < self.policy.max_nodes:
             name = self.backend.add_node(DEFAULT_HOMOGENEOUS, "default")
             self._last_action_time = now
             self.log.record(now, AutoscalerAction.ADD_NODE, node=name, detail=f"overloaded={overloaded}/{online}")

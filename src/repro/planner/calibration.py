@@ -207,9 +207,7 @@ class CalibrationModel:
 # ---------------------------------------------------------------------- #
 # fitting
 # ---------------------------------------------------------------------- #
-def _scenario_duration_minutes(scenario: str, durations: dict[str, float] | None) -> float:
-    if durations and scenario in durations:
-        return durations[scenario]
+def _scenario_duration_minutes(scenario: str) -> float:
     # Imported lazily: the catalog pulls in the assertion DSL and through it
     # the SLA layer, and this module must stay importable from either side.
     from repro.scenarios.catalog import CANNED_SCENARIOS
@@ -219,7 +217,7 @@ def _scenario_duration_minutes(scenario: str, durations: dict[str, float] | None
     except KeyError:
         raise ValueError(
             f"record references scenario {scenario!r} which is not in the "
-            "catalog; pass its duration via the durations= mapping"
+            "catalog; give the record its own duration_minutes"
         ) from None
     return spec.duration_seconds / 60.0
 
@@ -228,7 +226,6 @@ def fit_calibration(
     records,
     name: str = "fitted",
     base_flavor: Flavor = REGIONSERVER_FLAVOR,
-    durations: dict[str, float] | None = None,
 ) -> CalibrationModel:
     """Fit a :class:`CalibrationModel` from campaign-style records.
 
@@ -236,8 +233,8 @@ def fit_calibration(
     contributes one operating point.  The average online node count of a
     run is recovered as ``machine_minutes / duration_minutes``, where the
     duration comes from the record's own ``duration_minutes`` key if
-    present, then the ``durations`` override mapping, then the scenario
-    catalog.  Records without tail-latency data are skipped.
+    present, else from the scenario catalog.  Records without tail-latency
+    data are skipped.
 
     The fit is a pure function of the record values: points are sorted by
     per-node rate, duplicates merged by max latency, and latencies forced
@@ -254,7 +251,7 @@ def fit_calibration(
             continue
         duration = record.get("duration_minutes")
         if duration is None:
-            duration = _scenario_duration_minutes(record["scenario"], durations)
+            duration = _scenario_duration_minutes(record["scenario"])
         avg_nodes = machine_minutes / duration
         if avg_nodes <= 0.0:
             continue
@@ -289,45 +286,29 @@ def probe_records(
     controller: str = "none",
     master_seed: int = 0,
 ) -> list[dict]:
-    """Run fresh seeded probe cells and return campaign-style records.
+    """Run fresh seeded probe cells and return their campaign store records.
 
-    Probes run under ``controller="none"`` by default -- a fixed-size
-    cluster swept across load multipliers gives clean per-node operating
-    points (the node count never moves mid-run, so machine-minutes divide
-    exactly).  Each cell reseeds through the campaign's
-    :func:`~repro.campaign.grid.derive_seed`, so the probe sweep is as
-    byte-deterministic as a campaign store.
+    The probe sweep is a campaign grid -- the catalog ``scenarios`` under
+    one ``controller``, one scale per load multiplier, one seed -- whose
+    cells are reduced by the campaign's own
+    :func:`~repro.campaign.runner.cell_record`, so it is as
+    byte-deterministic as a campaign store.  Probes run under
+    ``controller="none"`` by default: a fixed-size cluster swept across
+    load multipliers gives clean per-node operating points (the node count
+    never moves mid-run, so machine-minutes divide exactly).
     """
-    from dataclasses import replace
-
-    from repro.campaign.grid import ScaleSpec, apply_scale, derive_seed
+    from repro.campaign.grid import CampaignGrid, ScaleSpec
+    from repro.campaign.runner import cell_record
     from repro.scenarios.catalog import CANNED_SCENARIOS
-    from repro.scenarios.runner import run_scenario
-    from repro.sla.scorecard import scorecard_row
 
-    records: list[dict] = []
-    for scenario in scenarios:
-        base = CANNED_SCENARIOS[scenario]
-        for load in loads:
-            scale = ScaleSpec(name=f"probe-{load:g}x", load=load)
-            seed = derive_seed(master_seed, scenario, scale.name, "s0")
-            spec = replace(apply_scale(base, scale), seed=seed)
-            result = run_scenario(spec, controller=controller, keep_simulator=False)
-            row = scorecard_row(result)
-            records.append(
-                {
-                    "scenario": scenario,
-                    "scale": scale.name,
-                    "controller": controller,
-                    "seed": seed,
-                    "duration_minutes": spec.duration_seconds / 60.0,
-                    "mean_throughput": row.mean_throughput,
-                    "machine_minutes": row.machine_minutes,
-                    "p95_ms": row.p95_ms,
-                    "p99_ms": row.p99_ms,
-                }
-            )
-    return records
+    grid = CampaignGrid(
+        scenarios=tuple(CANNED_SCENARIOS[scenario] for scenario in scenarios),
+        controllers=(controller,),
+        scales=tuple(ScaleSpec(name=f"probe-{load:g}x", load=load) for load in loads),
+        seeds=1,
+        master_seed=master_seed,
+    )
+    return [cell_record(cell, grid.spec_for(cell)) for cell in grid.cells()]
 
 
 #: Default model: fitted from the seeded probe sweep above

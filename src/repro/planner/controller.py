@@ -33,6 +33,11 @@ from repro.sla.cost import DEFAULT_PRICING, REGIONSERVER_FLAVOR
 
 __all__ = ["PlannerController", "PlannerPolicy", "planner_policy_for_spec"]
 
+#: Extra demand inflation a *smaller* cluster must still absorb before the
+#: planner gives a node back -- the hysteresis gap that stops add/remove
+#: flapping.
+SCALE_DOWN_MARGIN = 0.25
+
 
 @dataclass(frozen=True)
 class PlannerPolicy:
@@ -45,9 +50,6 @@ class PlannerPolicy:
             may keep provisioned.
         headroom: demand inflation applied before sizing, so the plan
             absorbs forecast error without breaching.
-        scale_down_margin: extra demand inflation a *smaller* cluster must
-            still absorb before the planner gives a node back -- the
-            hysteresis gap that stops add/remove flapping.
         monitor_period_seconds: served-rate sampling period.
         decision_samples: samples per decision window.
         cooldown_seconds: minimum time between scaling actions.
@@ -59,7 +61,6 @@ class PlannerPolicy:
     p99_ceiling_ms: float = 4.0
     hourly_budget: float | None = 0.25
     headroom: float = 0.15
-    scale_down_margin: float = 0.25
     monitor_period_seconds: float = 30.0
     decision_samples: int = 6
     cooldown_seconds: float = 180.0
@@ -197,7 +198,7 @@ class PlannerController(Autoscaler):
         elif target < count and count > policy.min_nodes:
             # Only shrink when a smaller cluster still absorbs the demand
             # plus the hysteresis margin -- paid-for-but-unused headroom.
-            guarded = demand * (1.0 + policy.headroom + policy.scale_down_margin)
+            guarded = demand * (1.0 + policy.headroom + SCALE_DOWN_MARGIN)
             predicted = self.model.predict_p99(
                 guarded, count - 1, self.model.base_flavor
             )

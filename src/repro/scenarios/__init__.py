@@ -45,7 +45,7 @@ from repro.scenarios.runner import (
     run_scenario,
 )
 from repro.scenarios.schedule import EventSchedule, ScheduledAction, compile_spec
-from repro.scenarios.spec import ScenarioSpec, TenantSpec, binding_name
+from repro.scenarios.spec import ScenarioSpec, binding_name
 from repro.scenarios.trace import (
     TraceFormatError,
     diff_traces,
@@ -83,7 +83,6 @@ __all__ = [
     "StaysWithin",
     "TenantArrival",
     "TenantDeparture",
-    "TenantSpec",
     "TraceFormatError",
     "binding_name",
     "build_scenario",

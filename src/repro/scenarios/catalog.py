@@ -34,7 +34,7 @@ from repro.scenarios.events import (
     TenantArrival,
     TenantDeparture,
 )
-from repro.scenarios.spec import ScenarioSpec, TenantSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.sla.units import TPMC
 from repro.workloads.tpcc.schema import TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
@@ -76,7 +76,7 @@ def diurnal_scenario() -> ScenarioSpec:
     """Two tenants on phase-shifted day/night curves (peaks never align)."""
     return _base(
         "diurnal",
-        [TenantSpec(SMALL_A, target_ops=2600.0), TenantSpec(SMALL_C, target_ops=3200.0)],
+        [SMALL_A.with_target(2600.0), SMALL_C.with_target(3200.0)],
         [
             DiurnalLoad(tenant="A", period_minutes=8.0, amplitude=0.6),
             DiurnalLoad(tenant="C", period_minutes=8.0, amplitude=0.6, phase_minutes=4.0),
@@ -94,7 +94,7 @@ def flash_crowd_scenario() -> ScenarioSpec:
     """A read-mostly tenant gets slashdotted three minutes in."""
     return _base(
         "flash_crowd",
-        [TenantSpec(SMALL_A, target_ops=2400.0), TenantSpec(SMALL_C, target_ops=2800.0)],
+        [SMALL_A.with_target(2400.0), SMALL_C.with_target(2800.0)],
         [
             FlashCrowd(
                 tenant="C", start_minute=3.0, ramp_minutes=1.0,
@@ -135,9 +135,9 @@ def tenant_churn_scenario() -> ScenarioSpec:
     """A scan-heavy tenant arrives mid-run and leaves again."""
     return _base(
         "tenant_churn",
-        [TenantSpec(SMALL_A, target_ops=2400.0), TenantSpec(SMALL_C, target_ops=2800.0)],
+        [SMALL_A.with_target(2400.0), SMALL_C.with_target(2800.0)],
         [
-            TenantArrival(minute=2.5, workload=SMALL_E, target_ops=260.0),
+            TenantArrival(minute=2.5, workload=SMALL_E.with_target(260.0)),
             TenantDeparture(minute=7.5, tenant="E"),
         ],
         minutes=10.0,
@@ -158,7 +158,7 @@ def mix_shift_scenario() -> ScenarioSpec:
     """Tenant A morphs from 50/50 read-update into all-update (YCSB-B style)."""
     return _base(
         "mix_shift",
-        [TenantSpec(SMALL_A, target_ops=4000.0), TenantSpec(SMALL_C, target_ops=3000.0)],
+        [SMALL_A.with_target(4000.0), SMALL_C.with_target(3000.0)],
         [
             MixShift(
                 tenant="A", start_minute=2.0, end_minute=6.0,
@@ -174,7 +174,7 @@ def node_fault_scenario() -> ScenarioSpec:
     """One node crashes; later another degrades to half speed and recovers."""
     return _base(
         "node_fault",
-        [TenantSpec(SMALL_A, target_ops=2200.0), TenantSpec(SMALL_C, target_ops=2600.0)],
+        [SMALL_A.with_target(2200.0), SMALL_C.with_target(2600.0)],
         [
             NodeCrash(minute=2.5),
             NodeSlowdown(minute=6.0, factor=0.5, duration_minutes=2.5),
@@ -199,7 +199,7 @@ def data_growth_scenario() -> ScenarioSpec:
     """An insert-mostly tenant's dataset quadruples over four minutes."""
     return _base(
         "data_growth",
-        [TenantSpec(SMALL_D, target_ops=900.0), TenantSpec(SMALL_C, target_ops=2800.0)],
+        [SMALL_D.with_target(900.0), SMALL_C.with_target(2800.0)],
         [
             DataGrowthBurst(
                 tenant="D", start_minute=2.0, duration_minutes=4.0, growth_factor=4.0,
@@ -228,7 +228,7 @@ def cascading_failure_scenario() -> ScenarioSpec:
     """
     return _base(
         "cascading_failure",
-        [TenantSpec(SMALL_A, target_ops=2400.0), TenantSpec(SMALL_C, target_ops=2800.0)],
+        [SMALL_A.with_target(2400.0), SMALL_C.with_target(2800.0)],
         [
             NodeCrash(minute=2.0),
             NodeRecovery(minute=4.0),
@@ -257,9 +257,9 @@ def correlated_flash_scenario() -> ScenarioSpec:
     return _base(
         "correlated_flash",
         [
-            TenantSpec(SMALL_A, target_ops=2000.0),
-            TenantSpec(SMALL_B, target_ops=1800.0),
-            TenantSpec(SMALL_C, target_ops=2200.0),
+            SMALL_A.with_target(2000.0),
+            SMALL_B.with_target(1800.0),
+            SMALL_C.with_target(2200.0),
         ],
         [
             FlashCrowd(tenant="A", start_minute=3.0, ramp_minutes=1.0,
@@ -293,7 +293,7 @@ def slow_network_scenario() -> ScenarioSpec:
     """
     return _base(
         "slow_network",
-        [TenantSpec(SMALL_E, target_ops=700.0), TenantSpec(SMALL_C, target_ops=2600.0)],
+        [SMALL_E.with_target(700.0), SMALL_C.with_target(2600.0)],
         [
             NodeSlowdown(
                 minute=2.5, factor=1.0, network_factor=0.05, duration_minutes=4.0,
@@ -339,9 +339,9 @@ def multi_fault_storm_scenario() -> ScenarioSpec:
     return _base(
         "multi_fault_storm",
         [
-            TenantSpec(SMALL_A, target_ops=2400.0),
-            TenantSpec(SMALL_C, target_ops=2600.0),
-            TenantSpec(SMALL_E, target_ops=650.0),
+            SMALL_A.with_target(2400.0),
+            SMALL_C.with_target(2600.0),
+            SMALL_E.with_target(650.0),
         ],
         [
             NodeCrash(minute=2.0, node="rs-2"),
@@ -389,7 +389,7 @@ def tpcc_steady_scenario() -> ScenarioSpec:
     """
     return _base(
         "tpcc_steady",
-        [TenantSpec(SMALL_TPCC, target_ops=2400.0)],
+        [SMALL_TPCC.with_target(2400.0)],
         [],
         minutes=10.0,
         # 2400 key-value ops/s is ~3200 tpmC through the transaction mix;
@@ -422,7 +422,7 @@ def tpcc_order_rush_scenario() -> ScenarioSpec:
     """
     return _base(
         "tpcc_order_rush",
-        [TenantSpec(SMALL_TPCC, target_ops=2200.0), TenantSpec(SMALL_C, target_ops=2600.0)],
+        [SMALL_TPCC.with_target(2200.0), SMALL_C.with_target(2600.0)],
         [
             FlashCrowd(
                 tenant="tpcc", start_minute=3.0, ramp_minutes=1.0,
@@ -470,9 +470,9 @@ def mixed_tenancy_scenario() -> ScenarioSpec:
     return _base(
         "mixed_tenancy",
         [
-            TenantSpec(SMALL_A, target_ops=2400.0),
-            TenantSpec(SMALL_C, target_ops=2800.0),
-            TenantSpec(SMALL_TPCC, target_ops=2000.0),
+            SMALL_A.with_target(2400.0),
+            SMALL_C.with_target(2800.0),
+            SMALL_TPCC.with_target(2000.0),
         ],
         [
             # A diurnal swing on the cache tenant keeps demand time-varying
@@ -515,7 +515,7 @@ def long_horizon_scenario() -> ScenarioSpec:
     """
     return _base(
         "long_horizon",
-        [TenantSpec(SMALL_A, target_ops=2200.0), TenantSpec(SMALL_C, target_ops=2600.0)],
+        [SMALL_A.with_target(2200.0), SMALL_C.with_target(2600.0)],
         [
             DiurnalLoad(tenant="A", period_minutes=40.0, amplitude=0.7),
             DiurnalLoad(tenant="C", period_minutes=40.0, amplitude=0.7),

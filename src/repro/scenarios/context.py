@@ -2,7 +2,8 @@
 
 The context owns the pieces a scenario event needs to touch: the simulator
 (whose nodes are the machines faults crash, slow down and repair), the
-per-tenant baseline throughput targets and the composite load multipliers.
+registered tenants (each carrying its baseline throughput cap) and the
+composite load multipliers.
 Several load-shaping events can target the same tenant at once (a flash
 crowd on top of a diurnal curve); each contributes one keyed multiplier and
 the tenant's live target is ``baseline * product(multipliers)``.
@@ -31,14 +32,13 @@ class ScenarioContext:
     def __init__(self, simulator: ClusterSimulator) -> None:
         self.simulator = simulator
         self.rng = simulator.rng
-        #: Tenant name -> registered tenant workload (drives binding-name
-        #: resolution and native-unit reporting).
+        #: Tenant name -> registered tenant workload, departed tenants
+        #: included (drives binding-name resolution).
         self._tenants: dict[str, TenantWorkload] = {}
-        #: Tenant -> baseline target (None = uncapped; modulated as nominal).
-        self._baselines: dict[str, float | None] = {}
-        #: Tenant -> nominal throughput estimate, the modulation base when
-        #: the tenant has no explicit cap.
-        self._nominals: dict[str, float] = {}
+        #: Tenant name -> tenant workload of every tenant still attached;
+        #: its cap (or, uncapped, its nominal estimate) is the modulation
+        #: base of the load-shaping events.
+        self._active: dict[str, TenantWorkload] = {}
         #: Tenant -> {event key -> multiplier}.
         self._multipliers: dict[str, dict[str, float]] = {}
 
@@ -57,12 +57,11 @@ class ScenarioContext:
         return binding_name(tenant)
 
     def register_tenant(self, workload: TenantWorkload) -> None:
-        """Record modulation baselines for a tenant already in the simulator."""
+        """Record a tenant already in the simulator (its cap is the baseline)."""
         self._tenants[workload.name] = workload
-        self._baselines[workload.name] = workload.target_ops_per_second
-        self._nominals[workload.name] = workload.nominal_ops_per_second
+        self._active[workload.name] = workload
 
-    def add_tenant(self, workload: TenantWorkload, target_ops: float | None) -> str:
+    def add_tenant(self, workload: TenantWorkload) -> str:
         """A tenant arrives: create its partitions, place them, attach clients.
 
         Placement uses HBase's random balancer (what a freshly created table
@@ -70,18 +69,17 @@ class ScenarioContext:
         their nodes, as freshly loaded data would.
         """
         simulator = self.simulator
-        configured = workload.with_target(target_ops)
-        specs = configured.region_specs()
+        specs = workload.region_specs()
         online = sorted(node.name for node in simulator.online_nodes())
         placement = RandomBalancer(seed=self.rng).assign(
             [spec.region_id for spec in specs], online
         )
         for spec in specs:
             spec.create_in(
-                simulator, configured.binding_name, node=placement[spec.region_id]
+                simulator, workload.binding_name, node=placement[spec.region_id]
             )
-        simulator.attach_workload(configured.binding())
-        self.register_tenant(configured)
+        simulator.attach_workload(workload.binding())
+        self.register_tenant(workload)
         return f"partitions={len(specs)} nodes={len(online)}"
 
     def remove_tenant(self, tenant: str) -> str:
@@ -94,8 +92,7 @@ class ScenarioContext:
         """
         name = self._binding(tenant)
         self.simulator.detach_workload(name)
-        self._baselines.pop(tenant, None)
-        self._nominals.pop(tenant, None)
+        self._active.pop(tenant, None)
         self._multipliers.pop(tenant, None)
         return f"detached {name}"
 
@@ -104,7 +101,7 @@ class ScenarioContext:
     # ------------------------------------------------------------------ #
     def set_load_multiplier(self, tenant: str, key: str, multiplier: float) -> str:
         """Set one event's load multiplier and apply the composite target."""
-        if tenant not in self._baselines:
+        if tenant not in self._active:
             # Tenant departed mid-curve: the remaining steps are no-ops.
             return "tenant gone"
         self._multipliers.setdefault(tenant, {})[key] = multiplier
@@ -112,28 +109,29 @@ class ScenarioContext:
 
     def clear_load_multiplier(self, tenant: str, key: str) -> str:
         """Remove one event's multiplier (end of a flash crowd, ...)."""
-        if tenant not in self._baselines:
+        if tenant not in self._active:
             return "tenant gone"
         self._multipliers.get(tenant, {}).pop(key, None)
         return self._apply_target(tenant)
 
     def _apply_target(self, tenant: str) -> str:
-        baseline = self._baselines[tenant]
+        workload = self._active[tenant]
+        baseline = workload.target_ops_per_second
         multipliers = self._multipliers.get(tenant, {})
         if baseline is None and not multipliers:
             # Every curve cleared: an uncapped tenant returns to uncapped
             # instead of staying pinned at its nominal estimate.
             self.simulator.update_workload(
-                self._binding(tenant), target_ops_per_second=None
+                workload.binding_name, target_ops_per_second=None
             )
             return "target=uncapped"
-        base = baseline if baseline is not None else self._nominals[tenant]
+        base = baseline if baseline is not None else workload.nominal_ops_per_second
         product = 1.0
         for value in multipliers.values():
             product *= value
         target = base * product
         self.simulator.update_workload(
-            self._binding(tenant), target_ops_per_second=target
+            workload.binding_name, target_ops_per_second=target
         )
         return f"target={target:.1f}"
 

@@ -175,20 +175,21 @@ class FlashCrowd:
 class TenantArrival:
     """A new tenant arrives mid-run with its own workload and partitions.
 
-    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`,
-    so TPC-C tenants can arrive mid-run like key-value ones.
+    ``workload`` is any configured
+    :class:`~repro.workloads.tenant.TenantWorkload`, so TPC-C tenants can
+    arrive mid-run like key-value ones; it carries its own cap
+    (``SMALL_E.with_target(260.0)``).
     """
 
     minute: float
     workload: TenantWorkload
-    target_ops: float | None = None
 
     def compile(self, spec: ScenarioSpec, context: ScenarioContext) -> list[ScheduledAction]:
         return [
             ScheduledAction(
                 time_seconds=self.minute * 60.0,
                 label=f"tenant-arrival:{self.workload.name}",
-                apply=lambda: context.add_tenant(self.workload, self.target_ops),
+                apply=lambda: context.add_tenant(self.workload),
                 annotate=True,
             )
         ]
@@ -254,16 +255,16 @@ class MixShift:
         )
         if source is None:
             raise ValueError(f"mix shift targets unknown tenant {self.tenant!r}")
-        if not source.workload.supports_mix_shift:
+        if not source.supports_mix_shift:
             # A TPC-C tenant's operation mix is *derived* from its
             # transaction mix; interpolating it directly would silently
             # decouple the simulated load from the benchmark's semantics.
             raise ValueError(
                 f"mix shift targets tenant {self.tenant!r} whose operation mix "
-                f"is derived from {type(source.workload).__name__} semantics "
+                f"is derived from {type(source).__name__} semantics "
                 "and cannot be shifted; target a YCSB tenant instead"
             )
-        from_mix = dict(source.workload.op_mix)
+        from_mix = dict(source.op_mix)
         actions = [
             ScheduledAction(
                 time_seconds=self.start_minute * 60.0,

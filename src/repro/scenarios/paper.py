@@ -32,11 +32,11 @@ from dataclasses import replace
 from repro.elasticity.strategies import PlacementPlan
 from repro.scenarios.events import TenantDeparture
 from repro.scenarios.runner import ScenarioRunResult
-from repro.scenarios.spec import ScenarioSpec, TenantSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.hardware import ELASTICITY_VM, HardwareSpec
 from repro.workloads.tpcc.schema import TPCCConfig
 from repro.workloads.tpcc.tenant import TPCCTenant
-from repro.workloads.ycsb.workloads import CORE_WORKLOADS
+from repro.workloads.ycsb.workloads import CORE_WORKLOADS, YCSBWorkload
 
 #: Per-workload throughput caps of the elasticity experiment: together they
 #: overload the initial 6-node cluster and define the maximum achievable
@@ -60,10 +60,10 @@ SHUTDOWN_SCHEDULE: dict[float, tuple[str, ...]] = {
 }
 
 
-def _ycsb_tenants(targets: dict[str, float]) -> tuple[TenantSpec, ...]:
+def _ycsb_tenants(targets: dict[str, float]) -> tuple[YCSBWorkload, ...]:
     """The six paper tenants, each capped at ``targets`` or its own target."""
     return tuple(
-        TenantSpec(workload, target_ops=targets.get(name, workload.target_ops_per_second))
+        workload.with_target(targets.get(name, workload.target_ops_per_second))
         for name, workload in CORE_WORKLOADS.items()
     )
 
@@ -135,7 +135,7 @@ FIGURE6: dict[str, ScenarioSpec] = {
 TABLE2 = replace(
     _PAPER,
     name="table2",
-    tenants=(TenantSpec(TPCCTenant(config=TPCCConfig(warehouses=30, warehouses_per_node=5))),),
+    tenants=(TPCCTenant(config=TPCCConfig(warehouses=30, warehouses_per_node=5)),),
     duration_minutes=45.0,
     initial_nodes=6,
     min_nodes=6,

@@ -86,7 +86,7 @@ class ScenarioRunResult:
         covers the initial tenants plus mid-run arrivals, derived from the
         spec so the mapping exists even when the simulator was discarded.
         """
-        tenants = [tenant.workload for tenant in self.spec.tenants]
+        tenants = list(self.spec.tenants)
         tenants += [
             event.workload for event in self.spec.events if hasattr(event, "workload")
         ]
@@ -103,14 +103,13 @@ def build_scenario(
         seed=spec.seed,
     )
     nodes = [simulator.add_node() for _ in range(spec.initial_nodes)]
-    configured = [tenant.configured_workload() for tenant in spec.tenants]
-    expected = materialise_tenants(simulator, configured)
+    expected = materialise_tenants(simulator, spec.tenants)
     plan = spec.placement
     if isinstance(plan, str):
         plan = PLACEMENTS[plan](expected, nodes, spec.seed)
     apply_placement(simulator, plan)
     context = ScenarioContext(simulator)
-    for tenant in configured:
+    for tenant in spec.tenants:
         context.register_tenant(tenant)
     return simulator, context, nodes
 

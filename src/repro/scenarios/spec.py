@@ -3,7 +3,8 @@
 A :class:`ScenarioSpec` describes one time-varying multi-tenant experiment:
 the cluster (node count, hardware, tick, initial layout), the tenants (any
 :class:`~repro.workloads.tenant.TenantWorkload` -- YCSB key-value tenants,
-TPC-C transactional tenants -- with baseline throughput targets) and a list
+TPC-C transactional tenants -- each carrying its own baseline throughput
+cap, ``target_ops_per_second``, which load-shaping events modulate) and a list
 of timed *events* -- load curves, flash crowds, tenant churn, workload-mix
 shifts, node faults, data-growth bursts (see :mod:`repro.scenarios.events`).
 Specs are pure data: compiling one against a live simulator
@@ -26,33 +27,7 @@ from repro.simulation.hardware import HardwareSpec
 from repro.workloads.tenant import TenantWorkload
 from repro.workloads.ycsb.workloads import binding_name
 
-__all__ = ["ScenarioSpec", "TenantSpec", "binding_name"]
-
-
-@dataclass(frozen=True)
-class TenantSpec:
-    """One tenant present from the start of the scenario.
-
-    ``workload`` is any :class:`~repro.workloads.tenant.TenantWorkload`
-    (a :class:`~repro.workloads.ycsb.workloads.YCSBWorkload` or a
-    :class:`~repro.workloads.tpcc.tenant.TPCCTenant`).  ``target_ops`` is
-    the tenant's *baseline* throughput cap in simulator ops/s; load-shaping
-    events (diurnal curves, flash crowds) modulate it multiplicatively.
-    ``None`` leaves the tenant uncapped, in which case load events modulate
-    the workload's nominal throughput estimate instead.
-    """
-
-    workload: TenantWorkload
-    target_ops: float | None = None
-
-    @property
-    def name(self) -> str:
-        """Tenant name (the workload's name)."""
-        return self.workload.name
-
-    def configured_workload(self) -> TenantWorkload:
-        """The tenant workload with the baseline target applied."""
-        return self.workload.with_target(self.target_ops)
+__all__ = ["ScenarioSpec", "binding_name"]
 
 
 @dataclass(frozen=True)
@@ -60,7 +35,10 @@ class ScenarioSpec:
     """A complete declarative scenario."""
 
     name: str
-    tenants: tuple[TenantSpec, ...]
+    #: Tenants present from the start, each a configured
+    #: :class:`~repro.workloads.tenant.TenantWorkload` carrying its own
+    #: baseline cap (``SMALL_A.with_target(2600.0)``).
+    tenants: tuple[TenantWorkload, ...]
     events: tuple = ()
     #: Declared controller expectations (see :mod:`repro.scenarios.assertions`),
     #: evaluated against the run and recorded in its trace.

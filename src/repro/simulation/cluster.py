@@ -163,7 +163,6 @@ class ClusterSimulator:
     def __init__(
         self,
         hardware: HardwareSpec | None = None,
-        default_config: RegionServerConfig | None = None,
         boot_seconds: float = DEFAULT_BOOT_SECONDS,
         tick_seconds: float = 5.0,
         seed: int | random.Random = 0,
@@ -174,7 +173,6 @@ class ClusterSimulator:
         #: a whole run replays bit-identically from one seed.
         self.rng = make_rng(seed)
         self.hardware = hardware or HardwareSpec()
-        self.default_config = (default_config or DEFAULT_HOMOGENEOUS).validate()
         self.boot_seconds = boot_seconds
         self.clock = SimulationClock(tick_seconds=tick_seconds)
         self.metrics = MetricsRegistry()
@@ -229,7 +227,7 @@ class ClusterSimulator:
         node = SimulatedNode(
             name=name,
             hardware=hardware or self.hardware,
-            config=(config or self.default_config).validate(),
+            config=(config or DEFAULT_HOMOGENEOUS).validate(),
             profile_name=profile_name,
         )
         if not online:

@@ -3,9 +3,9 @@
 The simulator measures every tenant in key-value operations per second, but
 a tenant's *promise* is naturally stated in its own unit -- a TPC-C tenant
 is sold tpmC (new-order transactions per minute), not raw key-value ops.
-This module owns the conversion registry: a unit maps a simulator ops/s
-figure into the native unit, and the SLO evaluator converts each observed
-sample before judging it against a floor declared natively.
+This module owns the conversion table: a unit maps a simulator ops/s
+figure into the native unit and back, and the SLO evaluator converts each
+observed sample before judging it against a floor declared natively.
 
 Units are registered lazily (the tpmC converter lives with the TPC-C
 transaction mix) so the SLA layer never imports workload packages at import
@@ -20,9 +20,7 @@ __all__ = [
     "OPS_PER_SECOND",
     "TPMC",
     "RATE_UNITS",
-    "RATE_UNIT_INVERSES",
     "from_native_rate",
-    "known_units",
     "to_native_rate",
 ]
 
@@ -44,43 +42,34 @@ def _ops_from_tpmc(tpmc: float) -> float:
     return ops_rate_from_tpmc(tpmc)
 
 
-#: Unit name -> converter from simulator ops/s into the native unit.
-RATE_UNITS: dict[str, Callable[[float], float]] = {
-    OPS_PER_SECOND: lambda ops_per_second: ops_per_second,
-    TPMC: _tpmc,
+def _identity(rate: float) -> float:
+    return rate
+
+
+#: Unit name -> ``(to_native, from_native)``: the converter from simulator
+#: ops/s into the unit, and its exact inverse.  The capacity planner accepts
+#: sizing targets in any registered unit and works internally in ops/s, so
+#: every unit registers both directions.
+RATE_UNITS: dict[str, tuple[Callable[[float], float], Callable[[float], float]]] = {
+    OPS_PER_SECOND: (_identity, _identity),
+    TPMC: (_tpmc, _ops_from_tpmc),
 }
 
-#: Unit name -> converter from the native unit back into simulator ops/s.
-#: The capacity planner accepts sizing targets in any registered unit and
-#: works internally in ops/s, so every unit registers its exact inverse.
-RATE_UNIT_INVERSES: dict[str, Callable[[float], float]] = {
-    OPS_PER_SECOND: lambda native: native,
-    TPMC: _ops_from_tpmc,
-}
 
-
-def known_units() -> list[str]:
-    """Registered unit names, for error messages."""
-    return sorted(RATE_UNITS)
+def _converters(unit: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    try:
+        return RATE_UNITS[unit]
+    except KeyError:
+        raise ValueError(
+            f"unknown throughput unit {unit!r}; known units: {sorted(RATE_UNITS)}"
+        ) from None
 
 
 def to_native_rate(unit: str, ops_per_second: float) -> float:
     """Convert a simulator ops/s rate into ``unit``."""
-    try:
-        converter = RATE_UNITS[unit]
-    except KeyError:
-        raise ValueError(
-            f"unknown throughput unit {unit!r}; known units: {known_units()}"
-        ) from None
-    return converter(ops_per_second)
+    return _converters(unit)[0](ops_per_second)
 
 
 def from_native_rate(unit: str, native: float) -> float:
     """Convert a rate stated in ``unit`` back into simulator ops/s."""
-    try:
-        converter = RATE_UNIT_INVERSES[unit]
-    except KeyError:
-        raise ValueError(
-            f"unknown throughput unit {unit!r}; known units: {known_units()}"
-        ) from None
-    return converter(native)
+    return _converters(unit)[1](native)

@@ -7,8 +7,11 @@ specs, the nominal/target rate semantics the load-shaping events modulate,
 and the tenant's native throughput unit -- so heterogeneous tenants (YCSB
 key-value tenants next to TPC-C transactional tenants) compose in one
 cluster, the heterogeneous-workload case the paper's data-placement argument
-is about.  :func:`materialise_tenants` turns any mix of them into regions,
-client bindings and the expected per-partition request counts
+is about.  One object is one configured tenant: it carries its own cap
+(``target_ops_per_second``), which scenario specs, mid-run arrivals and
+campaign scales all read and replace (:meth:`TenantWorkload.with_target`).
+:func:`materialise_tenants` turns any mix of them into regions, client
+bindings and the expected per-partition request counts
 (:class:`~repro.monitoring.collector.PartitionSample` records, ``node=None``)
 the manual placement strategies balance.
 
@@ -24,7 +27,7 @@ Implementations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.monitoring.collector import PartitionSample
 from repro.simulation.workload import WorkloadBinding
@@ -106,19 +109,24 @@ class TenantRegionSpec:
 class TenantWorkload:
     """What the experiments and the scenario layer need to know about one tenant.
 
-    Implementations are frozen dataclasses (scenario specs stay pure data).
-    The contract:
+    Implementations are frozen dataclasses (scenario specs stay pure data)
+    that declare their data, ``binding_name``, ``op_mix`` and
+    ``region_specs()``; the cap, the rate estimate and the client binding
+    are built here, once, from those declarations and the attributes below.
 
     * ``name`` -- the tenant name scenario events reference (``"A"``,
       ``"tpcc"``);
     * ``binding_name`` -- the simulator client-binding name (also the label
       of the tenant's regions and its per-tenant metric series);
+    * ``threads`` / ``record_size`` / ``scan_length`` -- the client
+      population and the row shape of its requests;
+    * ``target_ops_per_second`` -- the tenant's baseline throughput cap in
+      simulator ops/s (``None`` = uncapped), the one place a tenant's cap
+      is stated; the load-shaping events modulate it, or the nominal
+      estimate when there is none;
     * ``unit_label`` -- the tenant's native throughput unit (``"ops/s"``
       for key-value tenants, ``"tpmC"`` for TPC-C); SLO throughput floors
       may be declared in it (see :mod:`repro.sla.units`);
-    * ``target_ops_per_second`` / ``nominal_ops_per_second`` -- the baseline
-      the load-shaping events modulate: an explicit cap when set, else the
-      nominal estimate;
     * ``supports_mix_shift`` -- whether the tenant's operation mix is free
       data (:class:`~repro.scenarios.events.MixShift` refuses tenants whose
       mix is derived, like TPC-C's transaction mix).
@@ -129,9 +137,14 @@ class TenantWorkload:
     #: Whether MixShift events may target this tenant.
     supports_mix_shift: bool = True
 
-    #: A plain annotation, not a property: implementations declare ``name``
-    #: as a frozen dataclass field, which a base-class property would block.
+    # Plain annotations, not properties: an implementation may declare any
+    # of them as a frozen dataclass field, which a base-class property
+    # would block.
     name: str
+    threads: int
+    record_size: int
+    scan_length: int
+    target_ops_per_second: float | None
 
     @property
     def binding_name(self) -> str:
@@ -139,32 +152,46 @@ class TenantWorkload:
         raise NotImplementedError
 
     @property
-    def target_ops_per_second(self) -> float | None:
-        """Baseline throughput cap in simulator ops/s (``None`` = uncapped)."""
-        raise NotImplementedError
-
-    @property
-    def nominal_ops_per_second(self) -> float:
-        """Expected unconstrained request volume (the modulation base when
-        the tenant has no explicit cap)."""
-        raise NotImplementedError
-
-    @property
     def op_mix(self) -> dict[str, float]:
         """Operation mix keyed by the simulator's operation types."""
-        raise NotImplementedError
-
-    def with_target(self, target_ops: float | None) -> "TenantWorkload":
-        """A copy of this tenant with its baseline target replaced."""
-        raise NotImplementedError
-
-    def binding(self) -> WorkloadBinding:
-        """Build the closed-loop client binding for this tenant."""
         raise NotImplementedError
 
     def region_specs(self) -> list[TenantRegionSpec]:
         """The tenant's data partitions, ready for ``simulator.add_region``."""
         raise NotImplementedError
+
+    @property
+    def nominal_ops_per_second(self) -> float:
+        """Expected request volume: the unconstrained estimate, capped.
+
+        The manual strategies of Section 3.3 balance partitions using the
+        *observed* request counts of each workload; this estimate plays
+        that role without a profiling run.  Every tenant goes through the
+        shared :func:`nominal_rate_estimate`, so heterogeneous tenants size
+        on one scale; the cap applies when one is set.
+        """
+        estimate = nominal_rate_estimate(self.threads, self.op_mix)
+        if self.target_ops_per_second is not None:
+            estimate = min(estimate, self.target_ops_per_second)
+        return estimate
+
+    def with_target(self, target_ops_per_second: float | None) -> "TenantWorkload":
+        """A copy of this tenant with its cap replaced (itself if unchanged)."""
+        if target_ops_per_second == self.target_ops_per_second:
+            return self
+        return replace(self, target_ops_per_second=target_ops_per_second)
+
+    def binding(self) -> WorkloadBinding:
+        """Build the closed-loop client binding for this tenant."""
+        return WorkloadBinding(
+            name=self.binding_name,
+            threads=self.threads,
+            op_mix=self.op_mix,
+            region_weights={spec.region_id: spec.weight for spec in self.region_specs()},
+            target_ops_per_second=self.target_ops_per_second,
+            record_size=self.record_size,
+            scan_length=self.scan_length,
+        )
 
     def partition_workloads(self, window_seconds: float = 60.0) -> list[PartitionSample]:
         """Expected per-partition request counts over ``window_seconds``.

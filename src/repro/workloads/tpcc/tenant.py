@@ -13,14 +13,9 @@ targeting a TPC-C tenant is a spec error, caught at compile time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.simulation.workload import WorkloadBinding
-from repro.workloads.tenant import (
-    TenantRegionSpec,
-    TenantWorkload,
-    nominal_rate_estimate,
-)
+from repro.workloads.tenant import TenantRegionSpec, TenantWorkload
 from repro.workloads.tpcc.driver import (
     TPCC_HOT_DATA_FRACTION,
     TPCC_HOT_REQUEST_FRACTION,
@@ -38,58 +33,32 @@ class TPCCTenant(TenantWorkload):
     """One TPC-C tenant (the transactional side of a heterogeneous scenario).
 
     ``name`` doubles as the binding name and the partition-id prefix, so it
-    must be unique per simulator.  ``target_ops`` caps the client population
-    in simulator key-value ops/s (the unit load-shaping events modulate);
-    tpmC is the *reporting* unit, converted via the transaction mix.
+    must be unique per simulator.  ``target_ops_per_second`` caps the client
+    population in simulator key-value ops/s (the unit load-shaping events
+    modulate); tpmC is the *reporting* unit, converted via the transaction
+    mix.  The client population is the configuration's ``clients``.
     """
 
     name: str = "tpcc"
     config: TPCCConfig = field(default_factory=TPCCConfig)
-    target_ops: float | None = None
+    target_ops_per_second: float | None = None
 
     unit_label = "tpmC"
     supports_mix_shift = False
+    record_size = TPCC_RECORD_SIZE
+    scan_length = TPCC_SCAN_LENGTH
+
+    @property
+    def threads(self) -> int:
+        return self.config.clients
 
     @property
     def binding_name(self) -> str:
         return self.name
 
     @property
-    def target_ops_per_second(self) -> float | None:
-        return self.target_ops
-
-    @property
     def op_mix(self) -> dict[str, float]:
         return aggregate_operation_mix()
-
-    @property
-    def nominal_ops_per_second(self) -> float:
-        """Expected unconstrained key-value rate of the client population.
-
-        The shared estimator (:func:`~repro.workloads.tenant.nominal_rate_estimate`,
-        the one YCSB uses), so manual placement weighs heterogeneous tenants
-        consistently; capped by the configured target.
-        """
-        estimate = nominal_rate_estimate(self.config.clients, self.op_mix)
-        if self.target_ops is not None:
-            estimate = min(estimate, self.target_ops)
-        return estimate
-
-    def with_target(self, target_ops: float | None) -> "TPCCTenant":
-        if target_ops == self.target_ops:
-            return self
-        return replace(self, target_ops=target_ops)
-
-    def binding(self) -> WorkloadBinding:
-        return WorkloadBinding(
-            name=self.name,
-            threads=self.config.clients,
-            op_mix=self.op_mix,
-            region_weights={spec.region_id: spec.weight for spec in self.region_specs()},
-            target_ops_per_second=self.target_ops,
-            record_size=TPCC_RECORD_SIZE,
-            scan_length=TPCC_SCAN_LENGTH,
-        )
 
     def region_specs(self) -> list[TenantRegionSpec]:
         config = self.config
@@ -101,8 +70,8 @@ class TPCCTenant(TenantWorkload):
                 region_id=partition_id,
                 size_bytes=per_partition_bytes,
                 weight=weight,
-                record_size=TPCC_RECORD_SIZE,
-                scan_length=TPCC_SCAN_LENGTH,
+                record_size=self.record_size,
+                scan_length=self.scan_length,
                 hot_data_fraction=TPCC_HOT_DATA_FRACTION,
                 hot_request_fraction=TPCC_HOT_REQUEST_FRACTION,
             )

@@ -23,14 +23,9 @@ simulator like any other tenant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.simulation.workload import WorkloadBinding
-from repro.workloads.tenant import (
-    TenantRegionSpec,
-    TenantWorkload,
-    nominal_rate_estimate,
-)
+from repro.workloads.tenant import TenantRegionSpec, TenantWorkload
 
 #: Default value size of a YCSB record (10 fields of 100 bytes).
 RECORD_SIZE_BYTES = 1000
@@ -107,23 +102,6 @@ class YCSBWorkload(TenantWorkload):
         return binding_name(self.name)
 
     @property
-    def nominal_ops_per_second(self) -> float:
-        """Rough expected request volume of this workload when unconstrained.
-
-        The manual strategies of Section 3.3 balance partitions using the
-        *observed* request counts of each workload; this estimate plays that
-        role without requiring a profiling run.  It scales the thread count
-        by how expensive the workload's operation mix is (the shared
-        :data:`~repro.workloads.tenant.OP_RATE_FACTORS`, so heterogeneous
-        tenants size on one scale) and applies the workload's target cap
-        when one is configured.
-        """
-        estimate = nominal_rate_estimate(self.threads, self.op_mix)
-        if self.target_ops_per_second is not None:
-            estimate = min(estimate, self.target_ops_per_second)
-        return estimate
-
-    @property
     def initial_size_bytes(self) -> float:
         """Initial on-disk footprint of the workload's data."""
         return float(self.record_count * self.record_size)
@@ -131,11 +109,6 @@ class YCSBWorkload(TenantWorkload):
     def partition_ids(self) -> list[str]:
         """Ids of the workload's data partitions."""
         return [f"{self.name}:part-{index}" for index in range(self.partitions)]
-
-    def with_target(self, target_ops: float | None) -> "YCSBWorkload":
-        if target_ops == self.target_ops_per_second:
-            return self
-        return replace(self, target_ops_per_second=target_ops)
 
     def region_specs(self) -> list[TenantRegionSpec]:
         weights = hotspot_partition_weights(self.partitions)
@@ -150,17 +123,6 @@ class YCSBWorkload(TenantWorkload):
             )
             for partition_id, weight in zip(self.partition_ids(), weights)
         ]
-
-    def binding(self) -> WorkloadBinding:
-        return WorkloadBinding(
-            name=self.binding_name,
-            threads=self.threads,
-            op_mix=self.op_mix,
-            region_weights={spec.region_id: spec.weight for spec in self.region_specs()},
-            target_ops_per_second=self.target_ops_per_second,
-            record_size=self.record_size,
-            scan_length=self.scan_length,
-        )
 
 
 def hotspot_partition_weights(partitions: int) -> list[float]:

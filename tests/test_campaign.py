@@ -28,7 +28,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.store import StoreCorruption
-from repro.scenarios import CANNED_SCENARIOS, ScenarioSpec, TenantSpec
+from repro.scenarios import CANNED_SCENARIOS, ScenarioSpec
 from repro.scenarios.catalog import SMALL_A, SMALL_C
 
 
@@ -46,7 +46,7 @@ def _guarded(determinism_guard):
 def tiny_spec(name: str = "tiny", **overrides) -> ScenarioSpec:
     defaults = dict(
         name=name,
-        tenants=(TenantSpec(SMALL_A, target_ops=2000.0),),
+        tenants=(SMALL_A.with_target(2000.0),),
         duration_minutes=1.0,
         initial_nodes=2,
         max_nodes=3,
@@ -136,16 +136,31 @@ class TestScales:
     def test_load_multiplies_capped_targets(self):
         spec = tiny_spec()
         scaled = apply_scale(spec, ScaleSpec(name="2x", load=2.0))
-        assert scaled.tenants[0].target_ops == pytest.approx(4000.0)
+        assert scaled.tenants[0].target_ops_per_second == pytest.approx(4000.0)
 
     def test_uncapped_tenants_stay_uncapped(self):
-        spec = tiny_spec(tenants=(TenantSpec(SMALL_A),))
+        spec = tiny_spec(tenants=(SMALL_A,))
         scaled = apply_scale(spec, ScaleSpec(name="2x", load=2.0))
-        assert scaled.tenants[0].target_ops is None
+        assert scaled.tenants[0].target_ops_per_second is None
+
+    def test_load_scales_a_workloads_own_cap_into_its_binding(self):
+        """``load`` multiplies the cap a workload carries (YCSB-D's own
+        1,500 ops/s), clones included, and leaves an uncapped tenant uncapped."""
+        from repro.scenarios import build_scenario
+        from repro.workloads.ycsb.workloads import CORE_WORKLOADS
+
+        spec = tiny_spec(tenants=(CORE_WORKLOADS["D"], SMALL_A))
+        scaled = apply_scale(spec, ScaleSpec(name="2x", load=2.0, tenant_copies=2))
+        caps = {tenant.name: tenant.target_ops_per_second for tenant in scaled.tenants}
+        assert caps == {"D": 3000.0, "D~1": 3000.0, "A": None, "A~1": None}
+        simulator, _, _ = build_scenario(scaled)
+        assert simulator.bindings["workload-D"].target_ops_per_second == 3000.0
+        assert simulator.bindings["workload-D~1"].target_ops_per_second == 3000.0
+        assert simulator.bindings["workload-A"].target_ops_per_second is None
 
     def test_tenant_copies_clone_with_unique_names(self):
         spec = tiny_spec(
-            tenants=(TenantSpec(SMALL_A, target_ops=1000.0), TenantSpec(SMALL_C, target_ops=500.0))
+            tenants=(SMALL_A.with_target(1000.0), SMALL_C.with_target(500.0))
         )
         scaled = apply_scale(spec, ScaleSpec(name="x3", tenant_copies=3))
         names = [tenant.name for tenant in scaled.tenants]
@@ -154,7 +169,7 @@ class TestScales:
         # Copy 0 keeps the original name so scenario events still resolve.
         originals = {tenant.name for tenant in spec.tenants}
         assert originals <= set(names)
-        binding_names = [tenant.workload.binding_name for tenant in scaled.tenants]
+        binding_names = [tenant.binding_name for tenant in scaled.tenants]
         assert len(set(binding_names)) == 6
 
     def test_tpcc_tenants_clone_too(self):
@@ -281,13 +296,13 @@ class TestResume:
         import repro.campaign.runner as runner_module
 
         executed = []
-        real = runner_module._cell_record
+        real = runner_module.cell_record
 
         def counting(cell, spec):
             executed.append(cell.cell_id)
             return real(cell, spec)
 
-        monkeypatch.setattr(runner_module, "_cell_record", counting)
+        monkeypatch.setattr(runner_module, "cell_record", counting)
         report = run_campaign(grid, partial, workers=1)
         assert report.skipped == 2
         assert len(report.executed) == 2

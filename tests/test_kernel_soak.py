@@ -25,7 +25,7 @@ from repro.core.parameters import MeTParameters
 from repro.scenarios import CANNED_SCENARIOS, scenario_trace, trace_to_json
 from repro.scenarios.catalog import SMALL_A, SMALL_C
 from repro.scenarios.events import DataGrowthBurst
-from repro.scenarios.spec import ScenarioSpec, TenantSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.trace import GOLDEN_CONTROLLERS
 from solver_oracles import NoReuseSolver, installed
 
@@ -60,8 +60,8 @@ def _insert_free_growth_spec() -> ScenarioSpec:
     return ScenarioSpec(
         name="insert_free_growth",
         tenants=(
-            TenantSpec(SMALL_A, target_ops=2400.0),
-            TenantSpec(SMALL_C, target_ops=2800.0),
+            SMALL_A.with_target(2400.0),
+            SMALL_C.with_target(2800.0),
         ),
         events=(
             DataGrowthBurst(

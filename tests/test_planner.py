@@ -183,7 +183,7 @@ class TestFitCalibration:
         }
         with pytest.raises(ValueError, match="not-in-catalog"):
             fit_calibration([record])
-        fit_calibration([record], durations={"not-in-catalog": 1.0})
+        fit_calibration([{**record, "duration_minutes": 1.0}])
 
     def test_fit_is_byte_deterministic(self):
         # The acceptance contract: the same store and config produce an

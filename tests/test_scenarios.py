@@ -16,7 +16,6 @@ from repro.scenarios import (
     ScenarioSpec,
     TenantArrival,
     TenantDeparture,
-    TenantSpec,
     build_scenario,
     compile_spec,
     run_scenario,
@@ -30,7 +29,7 @@ from repro.simulation.cluster import ClusterSimulator, SimulationError
 def two_tenant_spec(**overrides) -> ScenarioSpec:
     defaults = dict(
         name="unit",
-        tenants=(TenantSpec(SMALL_A, target_ops=2000.0), TenantSpec(SMALL_C, target_ops=2000.0)),
+        tenants=(SMALL_A.with_target(2000.0), SMALL_C.with_target(2000.0)),
         duration_minutes=5.0,
     )
     defaults.update(overrides)
@@ -46,7 +45,7 @@ class TestSpec:
         with pytest.raises(ValueError, match="duplicate"):
             ScenarioSpec(
                 name="dup",
-                tenants=(TenantSpec(SMALL_A), TenantSpec(SMALL_A)),
+                tenants=(SMALL_A, SMALL_A),
             )
 
     def test_rejects_unknown_placement_and_late_controller_start(self):
@@ -65,8 +64,28 @@ class TestSpec:
         assert early == ramp[: len(early)]
 
     def test_configured_workload_applies_target(self):
-        tenant = TenantSpec(SMALL_A, target_ops=1234.0)
-        assert tenant.configured_workload().target_ops_per_second == 1234.0
+        tenant = SMALL_A.with_target(1234.0)
+        assert tenant.target_ops_per_second == 1234.0
+
+    def test_a_workloads_own_cap_reaches_its_binding(self):
+        """A tenant's cap is stated once, on the workload: YCSB-D's own
+        1,500 ops/s and a capped TPC-C tenant reach their bindings as is."""
+        from repro.workloads.tpcc.schema import TPCCConfig
+        from repro.workloads.tpcc.tenant import TPCCTenant
+        from repro.workloads.ycsb.workloads import CORE_WORKLOADS
+
+        orders = TPCCTenant(
+            name="orders",
+            config=TPCCConfig(warehouses=4, warehouses_per_node=2, clients=10,
+                              scale_factor=0.02),
+            target_ops_per_second=700.0,
+        )
+        spec = ScenarioSpec(
+            name="own-caps", tenants=(CORE_WORKLOADS["D"], orders), duration_minutes=1.0
+        )
+        simulator, _, _ = build_scenario(spec)
+        assert simulator.bindings["workload-D"].target_ops_per_second == 1500.0
+        assert simulator.bindings["orders"].target_ops_per_second == 700.0
 
     def test_with_events_appends(self):
         spec = two_tenant_spec()
@@ -178,7 +197,7 @@ class TestLoadEvents:
 
     def test_uncapped_tenant_returns_to_uncapped_after_curve(self):
         spec = two_tenant_spec(
-            tenants=(TenantSpec(SMALL_A), TenantSpec(SMALL_C, target_ops=2000.0)),
+            tenants=(SMALL_A, SMALL_C.with_target(2000.0)),
             events=(FlashCrowd(tenant="A", start_minute=1.0, magnitude=2.0),),
         )
         simulator, context, _ = build_scenario(spec)
@@ -239,7 +258,7 @@ class TestChurnAndMixEvents:
     def test_tenant_arrival_and_departure(self):
         spec = two_tenant_spec(
             events=(
-                TenantArrival(minute=1.0, workload=SMALL_E, target_ops=300.0),
+                TenantArrival(minute=1.0, workload=SMALL_E.with_target(300.0)),
                 TenantDeparture(minute=3.0, tenant="E"),
             ),
         )
@@ -332,7 +351,7 @@ class TestChurnAndMixEvents:
 
         spec = ScenarioSpec(
             name="bad-mix-shift",
-            tenants=(TenantSpec(SMALL_TPCC, target_ops=1500.0),),
+            tenants=(SMALL_TPCC.with_target(1500.0),),
             events=(
                 MixShift(tenant="tpcc", start_minute=1.0, end_minute=3.0,
                          to_mix=(("update", 1.0),)),
@@ -357,7 +376,7 @@ class TestChurnAndMixEvents:
         )
         spec = two_tenant_spec(
             events=(
-                TenantArrival(minute=1.0, workload=arriving, target_ops=400.0),
+                TenantArrival(minute=1.0, workload=arriving.with_target(400.0)),
                 TenantDeparture(minute=3.0, tenant="tpcc-late"),
             ),
         )
@@ -664,7 +683,7 @@ class TestSweepHygiene:
 
         spec = ScenarioSpec(
             name="hygiene",
-            tenants=(TenantSpec(SMALL_A, target_ops=1500.0),),
+            tenants=(SMALL_A.with_target(1500.0),),
             duration_minutes=1.0,
             initial_nodes=2,
             max_nodes=3,

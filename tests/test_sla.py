@@ -209,13 +209,13 @@ class TestWarmupFromFirstWindow:
 
     def test_tenant_arrival_scenario_exempts_ramp_samples(self):
         """End-to-end: a TenantArrival tenant's ramp-up is warmup-exempt."""
-        from repro.scenarios import ScenarioSpec, TenantArrival, TenantSpec
+        from repro.scenarios import ScenarioSpec, TenantArrival
         from repro.scenarios.catalog import SMALL_A, SMALL_E
 
         spec = ScenarioSpec(
             name="late-arrival-warmup",
-            tenants=(TenantSpec(SMALL_A, target_ops=1500.0),),
-            events=(TenantArrival(minute=3.0, workload=SMALL_E, target_ops=300.0),),
+            tenants=(SMALL_A.with_target(1500.0),),
+            events=(TenantArrival(minute=3.0, workload=SMALL_E.with_target(300.0)),),
             slos=(
                 SLODefinition(tenant="E", latency_ceiling_ms=50.0, warmup_minutes=2.0),
             ),

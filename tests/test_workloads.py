@@ -223,7 +223,7 @@ class TestTPCCSimulatorBinding:
 
     def test_named_binding_namespaces_partitions_and_caps(self):
         config = TPCCConfig(warehouses=4, warehouses_per_node=2, clients=10)
-        binding = TPCCTenant(name="orders", config=config, target_ops=500.0).binding()
+        binding = TPCCTenant(name="orders", config=config, target_ops_per_second=500.0).binding()
         assert binding.name == "orders"
         assert all(r.startswith("orders:wpart-") for r in binding.region_weights)
         assert sum(binding.region_weights.values()) == pytest.approx(1.0)
@@ -282,7 +282,7 @@ class TestTenantProtocol:
         assert sum(s.size_bytes for s in specs) == pytest.approx(config.database_bytes())
 
     def test_tpcc_tenant_rates_in_both_units(self):
-        tenant = TPCCTenant(target_ops=2024.0)
+        tenant = TPCCTenant(target_ops_per_second=2024.0)
         assert tenant.nominal_ops_per_second == 2024.0  # capped by target
         assert to_native_rate(tenant.unit_label, 2024.0) == pytest.approx(tpmc_from_ops_rate(2024.0))
         nominal_tpmc = to_native_rate(tenant.unit_label, tenant.nominal_ops_per_second)
@@ -291,7 +291,7 @@ class TestTenantProtocol:
         assert uncapped.nominal_ops_per_second > 2024.0
 
     def test_tpcc_partition_workloads_are_write_heavy(self):
-        tenant = TPCCTenant(target_ops=2000.0)
+        tenant = TPCCTenant(target_ops_per_second=2000.0)
         expected = tenant.partition_workloads(window_seconds=60.0)
         assert len(expected) == tenant.config.partitions
         total = sum(p.total_requests for p in expected)
